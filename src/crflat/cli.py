@@ -31,12 +31,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import case_tables
-from .crfields import (
-    build_canonical_field,
-    load_field,
-    obstruction,
-    verify_witness,
-)
+from .crfields import load_field, obstruction, verify_witness
 from .errors import (
     ConsistencyError,
     CrflatError,
@@ -45,7 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .flatten import flatten_to_order, uniqueness_nullspace
-from .germ import dumps_germ, load_germ, save_germ, save_kernel
+from .germ import load_germ, save_germ, save_kernel
 from .numeric import GaussianRational
 from .quadratic import (
     bishop_slice,
@@ -55,7 +50,7 @@ from .quadratic import (
     is_hermitianizable,
     recognize_pair,
 )
-from .series import bracket_from_exp, load_series
+from .series import bracket_from_exp, load_series, read_text
 
 DEFAULT_TRUNC = int(os.environ.get("CRF_TRUNC_DEFAULT", "8"))
 
@@ -177,10 +172,14 @@ def run_witness(path: str, args) -> Report:
 
 
 def run_bishop(path: str, args) -> Report:
+    if args.c is None and args.search is None:
+        raise PreconditionError("bishop needs --c and/or --search")
+    if args.search is not None and args.search < 0:
+        raise ParseError(f"--search needs a nonnegative bound, got {args.search}")
     germ, pair = _load_pair(path)
     rep = Report()
     rep.add("INPUT", path)
-    if args.c:
+    if args.c is not None:
         c = _parse_direction(args.c)
         rep.add("C", ", ".join(str(x) for x in c))
         try:
@@ -191,7 +190,7 @@ def run_bishop(path: str, args) -> Report:
             rep.add("ELLIPTIC", _bool(sl.elliptic))
         except DegenerateSliceError:
             rep.add("SLICE", "degenerate")
-    if args.search:
+    if args.search is not None:
         for cand in elliptic_candidates(pair, args.search):
             if cand.direction is None:
                 rep.add("CANDIDATE", f"{cand.origin} {cand.note}")
@@ -205,8 +204,6 @@ def run_bishop(path: str, args) -> Report:
                     f"{cand.origin} ({cdesc}) elliptic={_bool(cand.report.elliptic)} "
                     f"lambda_sq={cand.report.lambda_sq}",
                 )
-    if not args.c and not args.search:
-        raise PreconditionError("bishop needs --c and/or --search")
     return rep
 
 
@@ -380,8 +377,7 @@ def main(argv=None) -> int:
                 return EXIT_INTERNAL
         fn = _GERM_VERBS[args.verb]
         if args.batch:
-            with open(args.batch, "r", encoding="utf-8") as fh:
-                paths = [ln.strip() for ln in fh if ln.strip()]
+            paths = [ln.strip() for ln in read_text(args.batch).splitlines() if ln.strip()]
             if args.jobs > 1:
                 with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                     texts = list(pool.map(lambda pth: _emit(fn(pth, args), args.json), paths))
@@ -395,7 +391,7 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         out.write(_emit(fn(args.germ, args), args.json))
         return EXIT_OK
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -31,9 +31,11 @@ from .numeric import GaussianRational
 from .series import (
     Series,
     bracket_from_exp,
-    parse_term_lines,
-    strip_comment,
+    content_errors,
     format_term_lines,
+    parse_terms,
+    read_records,
+    read_text,
 )
 
 _TWO_I = GaussianRational(0, 2)
@@ -109,7 +111,7 @@ def verify_witness(germ: Germ, field: TangentField, chi: Series | None = None) -
 
 @dataclass(frozen=True)
 class BracketData:
-    """Coefficients of [L, conj L] (lambda) and [L, [L, conj L]] (gamma)."""
+    """Coefficients of [L, conj L] (lambda) and [L, [L, conj L]] (gamma) of a field L."""
 
     lambda1: Series
     lambda2: Series
@@ -123,6 +125,7 @@ class BracketData:
     gamma4: Series
     gamma5: Series
     gamma6: Series
+    field: TangentField
 
 
 def bracket_data(germ: Germ) -> BracketData:
@@ -160,7 +163,7 @@ def bracket_data(germ: Germ) -> BracketData:
     gam5 = L(lam5) + T(b)
     gam6 = L(lam6) - T(c)
     return BracketData(
-        lam1, lam2, lam3, lam4, lam5, lam6, gam1, gam2, gam3, gam4, gam5, gam6
+        lam1, lam2, lam3, lam4, lam5, lam6, gam1, gam2, gam3, gam4, gam5, gam6, f
     )
 
 
@@ -190,11 +193,10 @@ def achievable_order(trunc: int) -> int:
 
 def obstruction_series(germ: Germ) -> tuple[Series, Series, Series, Series]:
     """The four product factors of the non-minimality identity."""
-    f = build_canonical_field(germ)
-    a = f.cf_z1
-    b = -f.cf_z2
-    ab, bb = a.conj(), b.conj()
     d = bracket_data(germ)
+    a = d.field.cf_z1
+    b = -d.field.cf_z2
+    ab, bb = a.conj(), b.conj()
     x1 = bb * d.gamma1 + ab * d.gamma2
     x2 = d.lambda4 * b + d.lambda5 * a
     y1 = b * d.gamma4 + a * d.gamma5
@@ -238,52 +240,27 @@ def obstruction(germ: Germ, order: int) -> ObstructionReport:
 #     coef w
 #     <term lines>
 
+_FIELD_BLOCKS = ("z1", "z2", "w")
+
 
 def loads_field(text: str) -> TangentField:
-    nvars = order = None
-    blocks: dict[str, list[str]] = {"z1": [], "z2": [], "w": []}
-    current: Optional[str] = None
-    for raw in text.splitlines():
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vars":
-            nvars = int(parts[1])
-            continue
-        if parts[0] == "order":
-            order = int(parts[1])
-            continue
-        if parts[0] == "coef":
-            if len(parts) != 2 or parts[1] not in blocks:
-                raise ParseError(f"unknown field block {line!r}")
-            current = parts[1]
-            continue
-        if current is None:
-            raise ParseError("term line before any 'coef' block")
-        blocks[current].append(line)
-    if nvars is None or order is None:
-        raise ParseError("field file needs 'vars' and 'order' headers")
+    (nvars, order), rows = read_records(text, ("vars", "order"), _FIELD_BLOCKS)
     if nvars != 2:
         raise ParseError("field files are two-variable")
-    return TangentField(
-        parse_term_lines(blocks["z1"], nvars, order),
-        parse_term_lines(blocks["z2"], nvars, order),
-        parse_term_lines(blocks["w"], nvars, order),
-    )
+    with content_errors():
+        return TangentField(*(Series(2, order, parse_terms(rows[b], 4)) for b in _FIELD_BLOCKS))
 
 
 def dumps_field(field: TangentField) -> str:
     lines = [f"vars {field.cf_z1.nvars}", f"order {field.cf_z1.trunc}"]
-    for label, series in (("z1", field.cf_z1), ("z2", field.cf_z2), ("w", field.cf_w)):
+    for label, series in zip(_FIELD_BLOCKS, (field.cf_z1, field.cf_z2, field.cf_w)):
         lines.append(f"coef {label}")
         lines.extend(format_term_lines(series))
     return "\n".join(lines) + "\n"
 
 
 def load_field(path) -> TangentField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_field(fh.read())
+    return loads_field(read_text(path))
 
 
 def save_field(field: TangentField, path) -> None:

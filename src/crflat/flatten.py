@@ -586,11 +586,6 @@ class FlattenReport:
     steps: list[FlattenStep]
     obstruction_degree: Optional[int] = None
 
-    def remainder_at_obstruction(self) -> Optional[HTable]:
-        if self.obstruction_degree is None:
-            return None
-        return self.steps[-1].remainder
-
 
 def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     """Iterate the unique kernel solve and shear through degree n.

@@ -30,15 +30,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ParseError, PreconditionError
-from .numeric import GaussianRational, ZERO, parse_rational
+from .errors import PreconditionError
+from .numeric import GaussianRational, ZERO
 from .quadratic import QuadraticPair
 from .linalg import ExactMatrix
 from .series import (
     Series,
+    content_errors,
     dumps_series,
-    parse_term_lines,
-    strip_comment,
+    loads_series,
+    parse_terms,
+    read_records,
+    read_text,
     subst_w,
 )
 
@@ -101,7 +104,6 @@ class Germ:
 
         b = [[q.coeff(unit(j, n + k)) for k in range(n)] for j in range(n)]
         hol = [[ZERO] * n for _ in range(n)]
-        anti = [[ZERO] * n for _ in range(n)]
         for j in range(n):
             for k in range(j, n):
                 hz = q.coeff(unit(j, k))
@@ -115,7 +117,6 @@ class Germ:
                     hol[j][j] = hz
                 else:
                     hol[j][k] = hol[k][j] = hz * _HALF
-                anti[j][k] = az
         return QuadraticPair(ExactMatrix.from_rows(hol), ExactMatrix.from_rows(b))
 
     # -- coordinate changes ------------------------------------------------------
@@ -281,26 +282,9 @@ def parabolic_quadric(trunc: int) -> Germ:
 
 
 def loads_germ(text: str) -> Germ:
-    nvars = order = None
-    body: list[str] = []
-    for raw in text.splitlines():
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vars":
-            nvars = int(parts[1])
-        elif parts[0] == "order":
-            order = int(parts[1])
-        else:
-            body.append(line)
-    if nvars is None or order is None:
-        raise ParseError("germ file needs 'vars' and 'order' headers")
-    series = parse_term_lines(body, nvars, order)
-    try:
-        return Germ(nvars, series)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from exc
+    series = loads_series(text)
+    with content_errors():
+        return Germ(series.nvars, series)
 
 
 def dumps_germ(germ: Germ) -> str:
@@ -308,8 +292,7 @@ def dumps_germ(germ: Germ) -> str:
 
 
 def load_germ(path) -> Germ:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_germ(fh.read())
+    return loads_germ(read_text(path))
 
 
 def save_germ(germ: Germ, path) -> None:
@@ -318,34 +301,10 @@ def save_germ(germ: Germ, path) -> None:
 
 
 def loads_kernel(text: str) -> KernelPolynomial:
-    weight = None
-    coeffs: dict[tuple[tuple[int, int], int], GaussianRational] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "weight":
-            weight = int(parts[1])
-            continue
-        if len(parts) != 5:
-            raise ParseError(f"kernel line {lineno}: expected 'a1 a2 j re im'")
-        try:
-            a1, a2, j = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"kernel line {lineno}: bad integer") from exc
-        key = ((a1, a2), j)
-        if key in coeffs:
-            raise ParseError(f"kernel line {lineno}: duplicate key {key}")
-        coeffs[key] = GaussianRational(
-            parse_rational(parts[3]), parse_rational(parts[4])
-        )
-    if weight is None:
-        raise ParseError("kernel file needs a 'weight' header")
-    try:
-        return KernelPolynomial(weight, coeffs)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from exc
+    (weight,), rows = read_records(text, ("weight",))
+    terms = parse_terms(rows[None], 3)
+    with content_errors():
+        return KernelPolynomial(weight, {((a1, a2), j): c for (a1, a2, j), c in terms.items()})
 
 
 def dumps_kernel(kernel: KernelPolynomial) -> str:
@@ -356,8 +315,7 @@ def dumps_kernel(kernel: KernelPolynomial) -> str:
 
 
 def load_kernel(path) -> KernelPolynomial:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_kernel(fh.read())
+    return loads_kernel(read_text(path))
 
 
 def save_kernel(kernel: KernelPolynomial, path) -> None:

@@ -11,7 +11,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -73,9 +72,6 @@ class ExactMatrix:
 
     def to_rows(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
-
-    def column(self, j: int) -> Vector:
-        return [self.at(i, j) for i in range(self.rows)]
 
     # -- algebra --------------------------------------------------------------
 
@@ -142,45 +138,26 @@ class ExactMatrix:
     # -- elimination-backed queries -------------------------------------------
 
     def rank(self) -> int:
-        rows, pivots = _echelon([r[:] for r in self.to_rows()])
+        _rows, pivots, _sign = _echelon(self.to_rows())
         return len(pivots)
 
     def det(self) -> GaussianRational:
         if self.rows != self.cols:
             raise PreconditionError("determinant of a non-square matrix")
-        rows = [r[:] for r in self.to_rows()]
-        n = self.rows
-        sign = 1
-        d = ONE
-        for c in range(n):
-            p = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    p = i
-                    break
-            if p is None:
-                return ZERO
-            if p != c:
-                rows[c], rows[p] = rows[p], rows[c]
-                sign = -sign
-            piv = rows[c][c]
-            d = d * piv
-            for i in range(c + 1, n):
-                f = rows[i][c]
-                if f:
-                    f = f / piv
-                    ri, rc = rows[i], rows[c]
-                    for j in range(c, n):
-                        if rc[j]:
-                            ri[j] = ri[j] - f * rc[j]
-        return d if sign > 0 else -d
+        rows, pivots, sign = _echelon(self.to_rows())
+        if len(pivots) < self.rows:
+            return ZERO
+        d = ONE if sign > 0 else -ONE
+        for r in range(self.rows):
+            d = d * rows[r][r]
+        return d
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise PreconditionError("inverse of a non-square matrix")
         n = self.rows
         aug = [self.row(i) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rows, pivots = _echelon(aug, reduce=True)
+        rows, pivots, _sign = _echelon(aug, reduce=True)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise PreconditionError("matrix is singular")
         inv = [[ZERO] * n for _ in range(n)]
@@ -213,17 +190,20 @@ class ExactMatrix:
         return f"ExactMatrix({self.to_literal()})"
 
 
-def _echelon(rows: list[Vector], reduce: bool = False) -> tuple[list[Vector], list[int]]:
-    """In-place forward elimination; returns (rows, pivot column list).
+def _echelon(rows: list[Vector], reduce: bool = False) -> tuple[list[Vector], list[int], int]:
+    """In-place forward elimination; returns (rows, pivot column list, swap sign).
 
     Pivot selection is deterministic: for each column in order, the first
-    remaining row with a nonzero entry.  With ``reduce=True`` the result is
-    the reduced echelon form (pivots normalized to 1, zeros above pivots).
+    remaining row with a nonzero entry.  The sign is (-1)^(row swaps), so
+    without ``reduce`` a square matrix has determinant sign times the product
+    of the pivots.  With ``reduce=True`` the result is the reduced echelon form
+    (pivots normalized to 1, zeros above pivots).
     """
     if not rows:
-        return rows, []
+        return rows, [], 1
     ncols = len(rows[0])
     pivots: list[int] = []
+    sign = 1
     r = 0
     for c in range(ncols):
         if r >= len(rows):
@@ -235,7 +215,9 @@ def _echelon(rows: list[Vector], reduce: bool = False) -> tuple[list[Vector], li
                 break
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
         piv = rows[r][c]
         if reduce and piv != ONE:
             inv = piv.inverse()
@@ -254,7 +236,7 @@ def _echelon(rows: list[Vector], reduce: bool = False) -> tuple[list[Vector], li
                         ri[j] = ri[j] - f * rr[j]
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return rows, pivots, sign
 
 
 def solve(a: ExactMatrix, b: Sequence) -> Vector:
@@ -270,7 +252,7 @@ def solve(a: ExactMatrix, b: Sequence) -> Vector:
     if len(b) != a.rows:
         raise PreconditionError("dimension mismatch between matrix and right-hand side")
     aug = [a.row(i) + [_coerce_entry(b[i])] for i in range(a.rows)]
-    rows, pivots = _echelon(aug, reduce=True)
+    rows, pivots, _sign = _echelon(aug, reduce=True)
     n = a.cols
     if any(p == n for p in pivots):
         raise InconsistentSystemError("A x = b has no solution")
@@ -290,7 +272,7 @@ def nullspace(a: ExactMatrix) -> list[Vector]:
     Each basis vector carries a 1 in one free column (ascending order) and
     the solved pivot values elsewhere; the span is exactly the kernel.
     """
-    rows, pivots = _echelon([r[:] for r in a.to_rows()], reduce=True)
+    rows, pivots, _sign = _echelon(a.to_rows(), reduce=True)
     n = a.cols
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
@@ -303,11 +285,3 @@ def nullspace(a: ExactMatrix) -> list[Vector]:
         basis.append(v)
     return basis
 
-
-def rank_nullity_ok(a: ExactMatrix) -> bool:
-    return a.rank() + len(nullspace(a)) == a.cols
-
-
-def real_fraction_rows(rows: list[list[Fraction]]) -> ExactMatrix:
-    """Build a matrix of real (Fraction) entries."""
-    return ExactMatrix.from_rows([[GaussianRational(x) for x in row] for row in rows])

@@ -19,11 +19,14 @@ Literal syntax (used by every file format in the package):
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 
 Rational = Fraction
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _as_fraction(x) -> Fraction:
@@ -159,30 +162,21 @@ class GaussianRational:
     def parse(text: str) -> "GaussianRational":
         """Parse a Gaussian literal; inverse of ``str``."""
         s = "".join(text.split())
-        if not s:
-            raise ParseError("empty Gaussian literal")
-        if not s.endswith("i"):
-            try:
-                return GaussianRational(Fraction(s))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational literal {text!r}") from exc
-        body = s[:-1]
-        # locate the sign splitting the real part from the imaginary part:
-        # the last '+'/'-' that directly follows a digit.
-        split = -1
-        for k in range(1, len(body)):
-            if body[k] in "+-" and body[k - 1].isdigit():
-                split = k
-        re_txt, im_txt = (body[:split], body[split:]) if split >= 0 else ("", body)
         try:
-            re_val = Fraction(re_txt) if re_txt else Fraction(0)
-            if im_txt in ("", "+"):
-                im_val = Fraction(1)
-            elif im_txt == "-":
-                im_val = Fraction(-1)
-            else:
-                im_val = Fraction(im_txt)
-        except (ValueError, ZeroDivisionError) as exc:
+            if not s.endswith("i"):
+                return GaussianRational(parse_rational(s))
+            body = s[:-1]
+            # the real part ends at the last '+'/'-' that directly follows a digit
+            split = max(
+                (k for k in range(1, len(body)) if body[k] in "+-" and body[k - 1].isdigit()),
+                default=0,
+            )
+            re_txt, im_txt = body[:split], body[split:]
+            if im_txt in ("", "+", "-"):
+                im_txt += "1"
+            re_val = parse_rational(re_txt) if re_txt else 0
+            im_val = parse_rational(im_txt)
+        except ParseError as exc:
             raise ParseError(f"bad Gaussian literal {text!r}") from exc
         return GaussianRational(re_val, im_val)
 
@@ -198,10 +192,14 @@ def gaussian(re=0, im=0) -> GaussianRational:
 
 
 def parse_rational(text: str) -> Fraction:
+    """Parse a rational literal ``[+-]?digits(/digits)?`` (whitespace ignored)."""
+    s = "".join(text.split())
     try:
-        return Fraction("".join(text.split()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
+        if _RATIONAL.fullmatch(s):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"bad rational literal {text!r}")
 
 
 def sqrt_fraction(x: Fraction) -> Fraction | None:

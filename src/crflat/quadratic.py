@@ -240,7 +240,6 @@ def bishop_slice(pair: QuadraticPair, c: Sequence) -> SliceReport:
         for q in range(pair.n):
             if cc[p] and cc[q]:
                 alpha = alpha + pair.A.at(p, q) * cc[p] * cc[q]
-            if cc[p] and cc[q]:
                 gamma = gamma + pair.B.at(p, q) * cc[p] * cc[q].conj()
     if not gamma:
         raise DegenerateSliceError("slice quadric has no |xi|^2 term")

@@ -18,7 +18,10 @@ series reproducible byte for byte.
 """
 
 from __future__ import annotations
-from typing import Iterable, Iterator, Mapping
+
+import re
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
 from .numeric import ZERO, GaussianRational, parse_rational
@@ -142,16 +145,10 @@ class Series:
     def truncate(self, new_trunc: int) -> "Series":
         """Drop all terms above ``new_trunc`` and lower the truncation."""
         if new_trunc > self.trunc:
-            raise PreconditionError("cannot raise truncation; use with_trunc")
+            raise PreconditionError("cannot raise truncation")
         return self._make(
             {e: c for e, c in self.terms.items() if sum(e) <= new_trunc}, new_trunc
         )
-
-    def with_trunc(self, new_trunc: int) -> "Series":
-        """Re-declare the truncation (for exact polynomials known in full)."""
-        if new_trunc < self.max_degree():
-            raise PreconditionError("declared truncation below stored degree")
-        return self._make(dict(self.terms), new_trunc)
 
     # -- ring operations --------------------------------------------------------
 
@@ -330,44 +327,107 @@ def subst_w(
     return acc
 
 
-# -- term-line file format -----------------------------------------------------
+# -- file formats ----------------------------------------------------------------
 #
-# One term per line: 2n exponent integers followed by the real and imaginary
-# parts of the coefficient as rational literals.  For n = 2 the columns are
-# ``s t h r`` (powers of z1 z2 zb1 zb2).  '#' starts a comment; order is
-# irrelevant; duplicate exponents are an error.
+# Every crflat file is a list of lines; '#' starts a comment and blank lines
+# are ignored.  A line ``name <integer>`` sets a header, which each format
+# requires exactly once.  Every other line is a term line: integers (the 2n
+# exponents of a series, ``a1 a2 j`` in a kernel file) followed by the real and
+# imaginary parts of the coefficient as rational literals.  For n = 2 the
+# exponent columns are ``s t h r`` (powers of z1 z2 zb1 zb2).  Term order is
+# irrelevant and duplicate exponents are an error.  A field file also groups
+# its term lines under ``coef <label>`` lines, each label at most once.
+
+_NATURAL = re.compile(r"[0-9]+")
+
+Row = tuple[int, list[str]]
 
 
-def strip_comment(line: str) -> str:
-    k = line.find("#")
-    return line if k < 0 else line[:k]
+def _natural(token: str, lineno: int) -> int:
+    try:
+        if _NATURAL.fullmatch(token):
+            return int(token)
+    except ValueError:  # longer than the interpreter's integer-string limit
+        pass
+    raise ParseError(f"line {lineno}: expected a nonnegative integer, got {token!r}")
 
 
-def parse_term_lines(lines: Iterable[str], nvars: int, trunc: int) -> Series:
-    terms: dict[Exponent, GaussianRational] = {}
-    width = 2 * nvars
-    for lineno, raw in enumerate(lines, 1):
-        body = strip_comment(raw).strip()
-        if not body:
+def read_records(
+    text: str, headers: Sequence[str], blocks: Sequence[str] = ()
+) -> tuple[tuple[int, ...], dict[str | None, list[Row]]]:
+    """Split file text into header values and term rows.
+
+    Returns the values of ``headers`` in the given order, and the term rows
+    (line number, columns) by block label.  Without ``blocks`` every row goes
+    under the label None; with them, each row goes under the label of the
+    last ``coef`` line before it.
+    """
+    values: dict[str, int] = {}
+    rows: dict[str | None, list[Row]] = {label: [] for label in (None, *blocks)}
+    opened: set[str] = set()
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = body.split()
-        if len(parts) != width + 2:
-            raise ParseError(
-                f"term line {lineno}: expected {width} exponents and 2 rationals"
-            )
+        key = parts[0]
+        if key in headers:
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected '{key} <nonnegative integer>'")
+            if key in values:
+                raise ParseError(f"line {lineno}: second '{key}' header")
+            values[key] = _natural(parts[1], lineno)
+        elif blocks and key == "coef":
+            if len(parts) != 2 or parts[1] not in blocks:
+                raise ParseError(f"line {lineno}: expected 'coef' and one of {', '.join(blocks)}")
+            if parts[1] in opened:
+                raise ParseError(f"line {lineno}: second 'coef {parts[1]}' block")
+            current = parts[1]
+            opened.add(current)
+        elif blocks and current is None:
+            raise ParseError(f"line {lineno}: term line before any 'coef' block")
+        else:
+            rows[current].append((lineno, parts))
+    missing = [h for h in headers if h not in values]
+    if missing:
+        raise ParseError(f"missing header {', '.join(repr(h) for h in missing)}")
+    return tuple(values[h] for h in headers), rows
+
+
+def parse_terms(rows: Iterable[Row], nints: int) -> dict[tuple[int, ...], GaussianRational]:
+    """Term rows of ``nints`` nonnegative integers and two rationals, as a map."""
+    terms: dict[tuple[int, ...], GaussianRational] = {}
+    for lineno, parts in rows:
+        if len(parts) != nints + 2:
+            raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
+        key = tuple(_natural(p, lineno) for p in parts[:nints])
+        if key in terms:
+            raise ParseError(f"line {lineno}: duplicate exponent {key}")
         try:
-            e = tuple(int(p) for p in parts[:width])
-        except ValueError as exc:
-            raise ParseError(f"term line {lineno}: bad exponent") from exc
-        if any(k < 0 for k in e):
-            raise ParseError(f"term line {lineno}: negative exponent")
-        if sum(e) > trunc:
-            raise ParseError(f"term line {lineno}: degree exceeds declared order")
-        if e in terms:
-            raise ParseError(f"term line {lineno}: duplicate exponent {e}")
-        c = GaussianRational(parse_rational(parts[width]), parse_rational(parts[width + 1]))
-        terms[e] = c
-    return Series(nvars, trunc, terms)
+            terms[key] = GaussianRational(parse_rational(parts[nints]), parse_rational(parts[nints + 1]))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return terms
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; unreadable or undecodable files raise ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+@contextmanager
+def content_errors():
+    """Report a PreconditionError raised while building file content as a ParseError."""
+    try:
+        yield
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_term_lines(series: Series) -> list[str]:
@@ -380,22 +440,9 @@ def format_term_lines(series: Series) -> list[str]:
 
 def loads_series(text: str) -> Series:
     """Parse a standalone series file: ``vars n`` / ``order N`` / term lines."""
-    nvars = order = None
-    body: list[str] = []
-    for raw in text.splitlines():
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vars":
-            nvars = int(parts[1])
-        elif parts[0] == "order":
-            order = int(parts[1])
-        else:
-            body.append(line)
-    if nvars is None or order is None:
-        raise ParseError("series file needs 'vars' and 'order' headers")
-    return parse_term_lines(body, nvars, order)
+    (nvars, order), rows = read_records(text, ("vars", "order"))
+    with content_errors():
+        return Series(nvars, order, parse_terms(rows[None], 2 * nvars))
 
 
 def dumps_series(series: Series) -> str:
@@ -405,8 +452,7 @@ def dumps_series(series: Series) -> str:
 
 
 def load_series(path) -> Series:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_series(fh.read())
+    return loads_series(read_text(path))
 
 
 def save_series(series: Series, path) -> None:

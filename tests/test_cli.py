@@ -63,6 +63,23 @@ def test_bishop_direction_and_search():
     assert "CANDIDATE" not in out  # nothing elliptic for the split balanced pair
 
 
+def test_bishop_search_zero_still_searches(tmp_path):
+    code, out = run_cli("bishop", fx("parabolic.germ"), "--search", "0")
+    assert code == 0
+    assert "CANDIDATE recipe:5 (1, 1 i) elliptic=true" in out
+    # A = diag(1/2, 0): the empty grid leaves the (0, 1) direction, which is elliptic
+    germ = tmp_path / "axis.germ"
+    germ.write_text("vars 2\norder 2\n2 0 0 0 1/2 0\n1 0 1 0 1 0\n0 1 0 1 1 0\n0 0 2 0 1/2 0\n")
+    code, out = run_cli("bishop", str(germ), "--search", "0")
+    assert code == 0
+    assert "CANDIDATE search (0, 1) elliptic=true lambda_sq=0" in out
+
+
+def test_bishop_negative_search_bound_is_a_parse_error():
+    code, out = run_cli("bishop", fx("parabolic.germ"), "--search", "-1")
+    assert code == 2 and out == ""
+
+
 def test_bishop_degenerate_slice_is_precondition():
     code, out = run_cli("bishop", fx("ex33.germ"), "--c", "1, 0")
     assert code == 0  # report computed; the slice line carries the verdict

@@ -107,6 +107,18 @@ def test_canonical_field_is_always_tangent(rng):
         assert w.annihilates_h and w.annihilates_h_conj
 
 
+def test_obstruction_builds_the_canonical_field_once(rng, monkeypatch):
+    import crflat.crfields as crfields
+
+    calls = []
+    build = crfields.build_canonical_field
+    monkeypatch.setattr(crfields, "build_canonical_field", lambda g: calls.append(g) or build(g))
+    g = rand_germ(rng, trunc=6)
+    obstruction(g, 3)
+    assert len(calls) == 1
+    assert bracket_data(g).field == build(g)
+
+
 def test_commutator_conjugation_symmetries(rng):
     for _ in range(20):
         g = rand_germ(rng, trunc=5)

@@ -1,0 +1,189 @@
+"""The four file formats: round trips, strict rejection, and the CLI exit-2 contract."""
+
+import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crflat.cli import main
+from crflat.crfields import TangentField, dumps_field, loads_field
+from crflat.errors import ParseError
+from crflat.germ import Germ, KernelPolynomial, dumps_germ, dumps_kernel, loads_germ, loads_kernel
+from crflat.numeric import GaussianRational, parse_rational
+from crflat.series import Series, dumps_series, loads_series
+
+from conftest import FIXTURES
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+fractions = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+gaussians = st.builds(GaussianRational, fractions, fractions)
+
+
+@st.composite
+def series(draw, nvars=None, trunc=None, min_degree=0):
+    nvars = draw(st.integers(1, 3)) if nvars is None else nvars
+    trunc = draw(st.integers(min_degree, 5)) if trunc is None else trunc
+    exps = st.tuples(*[st.integers(0, trunc)] * (2 * nvars)).filter(
+        lambda e: min_degree <= sum(e) <= trunc
+    )
+    return Series(nvars, trunc, draw(st.dictionaries(exps, gaussians, max_size=8)))
+
+
+@st.composite
+def germs(draw):
+    nvars = draw(st.integers(1, 3))
+    return Germ(nvars, draw(series(nvars, draw(st.integers(2, 5)), min_degree=2)))
+
+
+@st.composite
+def fields(draw):
+    trunc = draw(st.integers(0, 5))
+    return TangentField(*(draw(series(2, trunc)) for _ in range(3)))
+
+
+@st.composite
+def kernels(draw):
+    m = draw(st.integers(2, 8))
+    keys = [
+        ((a1, m - 2 * j - a1), j)
+        for j in range(m // 2 + 1)
+        for a1 in range(m - 2 * j + 1)
+        if not (m % 2 == 0 and 2 * j == m)
+    ]
+    return KernelPolynomial(m, draw(st.dictionaries(st.sampled_from(keys), gaussians)))
+
+
+FORMATS = {
+    "series": (series(), loads_series, dumps_series),
+    "germ": (germs(), loads_germ, dumps_germ),
+    "field": (fields(), loads_field, dumps_field),
+    "kernel": (kernels(), loads_kernel, dumps_kernel),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_loads_inverts_dumps_byte_stably(fmt):
+    values, loads, dumps = FORMATS[fmt]
+
+    @SETTINGS
+    @given(values)
+    def check(x):
+        text = dumps(x)
+        back = loads(text)
+        assert back == x
+        assert dumps(back) == text
+
+    check()
+
+
+# words that steer random text into the header, block and term-line branches
+WORDS = ["vars", "order", "weight", "coef", "z1", "z2", "w", "#", "i", "x", "1e9",
+         "0", "1", "2", "3", "4", "-1", "1/2", "-3/4", "1/0", "+2", "99999999999999999999"]
+tokens = st.lists(st.one_of(st.sampled_from(WORDS), st.sampled_from(["\n", " ", "\t"])), max_size=40)
+header_texts = st.tuples(
+    st.sampled_from(["vars 2\norder 4\n", "vars 1\norder 3\n", "weight 3\n", "vars 2\norder 4\ncoef z1\n"]),
+    tokens,
+).map(lambda parts: parts[0] + " ".join(parts[1]))
+texts = st.one_of(st.text(max_size=200), tokens.map(" ".join), header_texts)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_arbitrary_text_gives_a_value_or_parse_error(fmt):
+    _values, loads, _dumps = FORMATS[fmt]
+
+    @settings(SETTINGS, max_examples=200)
+    @given(texts)
+    def check(text):
+        try:
+            loads(text)
+        except ParseError:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("text", ["1e5", "0.5", "1_000", "1/-2", "٣", "+-1", "1/", "/2"])
+def test_rational_literals_are_strict(text):
+    with pytest.raises(ParseError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", [
+    "vars 2\norder 4\n1 0 -1 0 1 0\n",  # negative exponent
+    "vars 2\norder 4\n1 0 1 x 1 0\n",  # not an integer
+    "vars 2\norder 4\n1 0 1 0 0.5 0\n",  # decimal literal
+    "vars 2\nvars 2\norder 4\n",  # second header
+    "vars 2 2\norder 4\n",  # header with two values
+])
+def test_series_reader_rejects(text):
+    with pytest.raises(ParseError):
+        loads_series(text)
+
+
+@pytest.mark.parametrize("text", ["weight\n", "weight x\n", "weight 3 4\n", "weight 3\nweight 3\n",
+                                  "weight 1\n", "weight 3\n1 0 0 1 0\n", "weight 3\n1 0 1 1\n"])
+def test_kernel_reader_rejects(text):
+    with pytest.raises(ParseError):
+        loads_kernel(text)
+
+
+@pytest.mark.parametrize("text", [
+    "vars 2\norder 3\n1 0 0 0 1 0\n",  # term line outside any block
+    "vars 2\norder 3\ncoef z1\ncoef z1\n",  # block given twice
+    "vars 2\norder 3\ncoef z3\n",  # unknown block
+    "vars 1\norder 3\ncoef z1\n",  # one-variable field
+])
+def test_field_reader_rejects(text):
+    with pytest.raises(ParseError):
+        loads_field(text)
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+BAD_GERMS = {
+    "word-value": b"vars two\norder 4\n",
+    "missing-value": b"vars\norder 4\n",
+    "zero-vars": b"vars 0\norder 4\n",
+    "negative-order": b"vars 2\norder -1\n",
+    "no-order-value": b"vars 2\norder\n",
+    "word-order": b"vars 2\norder x\n",
+    "second-order": b"vars 2\norder 4\norder 5\n1 0 1 0 1 0\n",
+    "two-values": b"vars 2\norder 3 4\n",
+    "not-utf8": b"vars 2\norder 4\n1 0 1 0 \xff 0\n",
+    "huge-literal": b"vars 2\norder 4\n1 0 1 0 1e10000000 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GERMS) + ["directory"])
+def test_cli_exits_2_on_malformed_input(tmp_path, name):
+    path = tmp_path / f"{name}.germ"
+    if name == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(BAD_GERMS[name])
+    start = time.perf_counter()
+    code, out, err = run_cli("classify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_exits_2_on_malformed_field_and_chi(tmp_path):
+    germ = str(FIXTURES / "ex31.germ")
+    bad = tmp_path / "bad.field"
+    bad.write_text("vars 2\norder 3\ncoef z1\ncoef z1\n")
+    code, _out, err = run_cli("witness", germ, "--field", str(bad))
+    assert code == 2 and err.count("\n") == 1
+    bad.write_text("vars 2\norder 3\nvars 2\n")
+    code, _out, err = run_cli("witness", germ, "--field", str(FIXTURES / "ex31.field"),
+                              "--chi", str(bad))
+    assert code == 2 and err.count("\n") == 1

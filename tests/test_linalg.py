@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -97,6 +98,21 @@ def test_inverse_and_det():
         inv = a.inverse()
         assert a * inv == ExactMatrix.identity(3)
         assert (a * a).det() == d * d
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
+def test_det_of_permutation_matrix_is_its_sign(perm):
+    inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+    p = ExactMatrix.from_rows([[1 if perm[i] == j else 0 for j in range(4)] for i in range(4)])
+    assert p.det() == (-1) ** inversions
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_det_is_multiplicative(n):
+    rng = random.Random(60 + n)
+    for _ in range(15):
+        a, b = rand_matrix(rng, n), rand_matrix(rng, n)
+        assert (a * b).det() == a.det() * b.det()
 
 
 def test_conj_transpose_and_hermitian():
