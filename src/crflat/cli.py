@@ -52,7 +52,7 @@ from .quadratic import (
 )
 from .series import bracket_from_exp, load_series, read_text
 
-DEFAULT_TRUNC = int(os.environ.get("CRF_TRUNC_DEFAULT", "8"))
+DEFAULT_TRUNC = 8
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -83,6 +83,17 @@ def _bool(x) -> str:
 def _load_pair(path):
     germ = load_germ(path)
     return germ, germ.quadratic_pair()
+
+
+def _write_into(directory: str, name: str, save, obj) -> str:
+    """Save ``obj`` as ``directory/name``, creating the directory if needed."""
+    path = os.path.join(directory, name)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        save(obj, path)
+    except OSError as exc:
+        raise ParseError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def _parse_direction(text: str):
@@ -174,8 +185,6 @@ def run_witness(path: str, args) -> Report:
 def run_bishop(path: str, args) -> Report:
     if args.c is None and args.search is None:
         raise PreconditionError("bishop needs --c and/or --search")
-    if args.search is not None and args.search < 0:
-        raise ParseError(f"--search needs a nonnegative bound, got {args.search}")
     germ, pair = _load_pair(path)
     rep = Report()
     rep.add("INPUT", path)
@@ -229,9 +238,7 @@ def run_flatten(path: str, args) -> Report:
             for (alpha, j), c in step.kernel.items():
                 rep.add("KERNEL_TERM", f"{alpha[0]} {alpha[1]} {j} {c.re} {c.im}")
             if args.emit:
-                os.makedirs(args.emit, exist_ok=True)
-                kpath = os.path.join(args.emit, f"degree{step.m}.kernel")
-                save_kernel(step.kernel, kpath)
+                kpath = _write_into(args.emit, f"degree{step.m}.kernel", save_kernel, step.kernel)
                 rep.add("KERNEL_FILE", kpath)
         rep.add("FUNDAMENTAL_OK", _bool(step.fundamental_ok))
         if step.normalized_zero is None:
@@ -245,10 +252,7 @@ def run_flatten(path: str, args) -> Report:
     if result.ok:
         rep.add("FLATTENED_TO", result.reached)
         if args.emit:
-            os.makedirs(args.emit, exist_ok=True)
-            gpath = os.path.join(args.emit, "final.germ")
-            save_germ(result.final, gpath)
-            rep.add("FINAL_GERM", gpath)
+            rep.add("FINAL_GERM", _write_into(args.emit, "final.germ", save_germ, result.final))
     else:
         rep.add("OBSTRUCTION_AT", result.obstruction_degree)
     return rep
@@ -364,6 +368,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
+        for flag in ("order", "search"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ParseError(f"--{flag} needs a nonnegative bound, got {value}")
         if args.verb == "unique-check":
             out.write(_emit(run_unique_check(args), args.json))
             return EXIT_OK

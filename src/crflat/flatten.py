@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
@@ -49,9 +48,6 @@ from .series import Series, bracket_from_exp, exp_from_bracket
 
 Bracket = tuple[int, int, int, int]
 Table = dict[Bracket, GaussianRational]
-
-_HALF = GaussianRational(Fraction(1, 2))
-_INV_2I = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
 
 _PAD = 4  # headroom so truncation never cuts an exact homogeneous result
 
@@ -133,7 +129,7 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
     _require_parabolic(germ)
     if m > germ.trunc:
         raise PreconditionError("degree exceeds the germ truncation")
-    e = germ.split().e.homogeneous_part(m)
+    _, e = germ.R.homogeneous_part(m).re_im()
     return HTable(m, series_to_table(e))
 
 
@@ -159,14 +155,18 @@ def _linear_forms(trunc: int) -> tuple[Series, Series]:
     return z1 + zb1, z2 + zb2
 
 
+def _table_and_degree(h: HTable | Mapping[Bracket, object], m: int | None) -> tuple[Table, int]:
+    """An HTable's coefficients and degree, or a raw table with its given degree."""
+    if isinstance(h, HTable):
+        return h.coeffs, h.m
+    if m is None:
+        raise PreconditionError("raw tables need an explicit degree")
+    return {k: GaussianRational.coerce(v) for k, v in h.items()}, m
+
+
 def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPsiTables:
     """Both derived operators, computed by plain series arithmetic."""
-    if isinstance(h, HTable):
-        table, m = h.coeffs, h.m
-    else:
-        if m is None:
-            raise PreconditionError("raw tables need an explicit degree")
-        table = {k: GaussianRational.coerce(v) for k, v in h.items()}
+    table, m = _table_and_degree(h, m)
     hs = table_to_series(table, m)
     w1, w2 = _linear_forms(hs.trunc)
     phi = w2 * hs.dzbar(1) - w1 * hs.dzbar(2)
@@ -249,12 +249,7 @@ def recursion_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) 
     Psi coefficients agrees, index by index, with the first-order condition
     series.  Exact equality is required everywhere.
     """
-    if isinstance(h, HTable):
-        table, m = h.coeffs, h.m
-    else:
-        if m is None:
-            raise PreconditionError("raw tables need an explicit degree")
-        table = {k: GaussianRational.coerce(v) for k, v in h.items()}
+    table, m = _table_and_degree(h, m)
     tables = phi_psi(table, m)
     failures = []
     for idx in all_brackets(m):
@@ -327,12 +322,7 @@ def identity_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -
     and for even degree additionally the odd-transform chain at the origin
     slot and the closing three-term identity on H transforms.
     """
-    if isinstance(h, HTable):
-        table, m = h.coeffs, h.m
-    else:
-        if m is None:
-            raise PreconditionError("raw tables need an explicit degree")
-        table = {k: GaussianRational.coerce(v) for k, v in h.items()}
+    table, m = _table_and_degree(h, m)
     tables = phi_psi(table, m)
     fund = check_fundamental(tables)
     if not fund.ok:
@@ -495,10 +485,7 @@ def _kernel_images(m: int) -> tuple:
     images = []
     for (a1, a2), j in kernel_unknowns(m):
         mono = Series(2, m, {(a1, a2, 0, 0): 1})
-        s = mono * q2**j
-        sc = s.conj()
-        im_part = (s - sc).scale(_INV_2I)
-        re_part = (s + sc).scale(_HALF)
+        re_part, im_part = (mono * q2**j).re_im()
         images.append(
             (((a1, a2), j), series_to_table(im_part), series_to_table(re_part))
         )
@@ -516,11 +503,11 @@ def solve_kernel(germ: Germ, m: int) -> KernelPolynomial:
     _require_parabolic(germ)
     if m < 3 or m > germ.trunc:
         raise PreconditionError("degree out of range for this germ")
-    e = germ.split().e
     for d in range(3, m):
-        if not e.homogeneous_part(d).is_zero():
+        # the degree-d imaginary part vanishes exactly when R_d is real
+        if not germ.R.homogeneous_part(d).is_real():
             raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
-    h = series_to_table(e.homogeneous_part(m))
+    h = h_from_germ(germ, m).coeffs
     system = normalization_system(m)
     unknowns = _kernel_images(m)
     rows: list[list[GaussianRational]] = []

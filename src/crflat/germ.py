@@ -46,7 +46,6 @@ from .series import (
 )
 
 _HALF = GaussianRational(Fraction(1, 2))
-_MINUS_I_HALF = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
 
 
 class Germ:
@@ -78,11 +77,8 @@ class Germ:
     # -- derived data ---------------------------------------------------------
 
     def split(self) -> "GESplit":
-        """Real and imaginary parts: G = (R + conj R)/2, E = (R - conj R)/(2i)."""
-        rbar = self.R.conj()
-        g = (self.R + rbar).scale(_HALF)
-        e = (self.R - rbar).scale(_MINUS_I_HALF)
-        return GESplit(g, e)
+        """Real and imaginary parts G + iE = R, as computed by ``Series.re_im``."""
+        return GESplit(*self.R.re_im())
 
     def quadratic_pair(self) -> QuadraticPair:
         """Extract (A, B) with quadratic part = z A z^t + conj(...) + z B zbar^t.

@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
 from .numeric import ZERO, GaussianRational, parse_rational
 
 Exponent = tuple[int, ...]
+
+_HALF = GaussianRational(Fraction(1, 2))
+_INV_2I = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
 
 
 def exp_from_bracket(t: int, s: int, r: int, h: int) -> Exponent:
@@ -232,6 +236,11 @@ class Series:
             {e[n:] + e[:n]: c.conj() for e, c in self.terms.items()}
         )
 
+    def re_im(self) -> tuple["Series", "Series"]:
+        """Real and imaginary parts ((S + conj S)/2, (S - conj S)/(2i)), both real."""
+        sbar = self.conj()
+        return (self + sbar).scale(_HALF), (self - sbar).scale(_INV_2I)
+
     def diff(self, slot: int) -> "Series":
         """Formal partial derivative with respect to a variable slot.
 
@@ -299,31 +308,28 @@ def subst_w(
 ) -> Series:
     """Evaluate a polynomial in (z, zbar, w) at w = ``value``.
 
-    ``template`` maps (exponent, w-power) to a coefficient; each w-power is
-    replaced by the corresponding power of ``value`` and everything is summed
-    at the truncation of ``value``.  The substituted series must have zero
-    constant term, otherwise the truncation grading would be destroyed.
+    ``template`` maps (exponent, w-power) to a coefficient.  The terms of each
+    w-power j form a polynomial P_j(z, zbar), and the result is the sum of
+    P_j * value^j at the truncation of ``value``.  The substituted series must
+    have zero constant term, otherwise the truncation grading would be
+    destroyed.
     """
     if value.coeff((0,) * (2 * value.nvars)):
         raise PreconditionError("substituted series must have zero constant term")
-    powers: dict[int, Series] = {0: Series.const(value.nvars, value.trunc, 1)}
-
-    def wpow(j: int) -> Series:
-        if j not in powers:
-            powers[j] = wpow(j - 1) * value
-        return powers[j]
-
-    acc = Series.zero(value.nvars, value.trunc)
-    for (e, j), c in sorted(template.items(), key=lambda kv: (_grlex_key(kv[0][0]), kv[0][1])):
+    parts: dict[int, dict[Exponent, GaussianRational]] = {}
+    for (e, j), c in template.items():
         if j < 0:
             raise PreconditionError("negative w-power in template")
         c = _coerce_scalar(c)
-        if not c:
-            continue
-        mono = Series(value.nvars, value.trunc, {tuple(e): 1}) if sum(e) <= value.trunc else None
-        if mono is None:
-            continue
-        acc = acc + (mono * wpow(j)).scale(c)
+        if c and sum(e) <= value.trunc:
+            parts.setdefault(j, {})[tuple(e)] = c
+    acc = Series.zero(value.nvars, value.trunc)
+    power = Series.const(value.nvars, value.trunc, 1)
+    for j in range(max(parts, default=-1) + 1):
+        if j:
+            power = power * value
+        if j in parts:
+            acc = acc + Series(value.nvars, value.trunc, parts[j]) * power
     return acc
 
 

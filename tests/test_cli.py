@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 from contextlib import redirect_stdout
 
@@ -8,6 +11,8 @@ from crflat.cli import main
 from crflat.germ import dumps_germ, load_germ
 
 from conftest import FIXTURES
+
+SRC = str(FIXTURES.parent / "src")
 
 
 def run_cli(*argv):
@@ -102,6 +107,18 @@ def test_flatten_and_emit(tmp_path):
     assert final == load_germ(fx("parabolic.germ"))
 
 
+def test_flatten_emit_into_unwritable_path(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a regular file\n")
+    for target in (blocker, blocker / "sub"):
+        code, out = run_cli("flatten", fx("parabolic.germ"), "--order", "4",
+                            "--emit", str(target))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert blocker.read_text() == "a regular file\n"
+
+
 def test_unique_check():
     code, out = run_cli("unique-check", "--m", "5")
     assert code == 0
@@ -118,6 +135,22 @@ def test_case_oracle_match_and_json():
     assert code == 0
     data = json.loads(jout)
     assert ["ORACLE_MATCH", "true"] in data
+
+
+def test_environment_does_not_change_the_truncation():
+    # CRF_TRUNC_DEFAULT is not read: neither a non-integer nor a truncation
+    # too short for the degree-2 series may reach a verb
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for value in ("x", "2"):
+        env["CRF_TRUNC_DEFAULT"] = value
+        argvs = (["classify", fx("parabolic.germ")],
+                 ["case-oracle", "--case", "1a", "--params", "a=1; b=1; d=1; u=3/5+4/5 i"])
+        for argv in argvs:
+            run = subprocess.run([sys.executable, "-m", "crflat.cli", *argv], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+        assert "ORACLE_MATCH true" in run.stdout
 
 
 def test_exit_codes():

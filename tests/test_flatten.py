@@ -207,6 +207,7 @@ def test_solve_kernel_zero_for_flat_and_real_inputs():
     z1, z2, zb1, zb2 = Series.generators(2, 8)
     g = Germ(2, q.R + z1 * z1 * z1 + zb1 * zb1 * zb1)
     assert solve_kernel(g, 3).is_zero()
+    assert solve_kernel(g, 4).is_zero()  # a real nonzero cubic counts as flattened
 
 
 def test_solve_kernel_round_trip_single_shear():
@@ -265,6 +266,16 @@ def test_flatten_halts_on_non_graph_imaginary_part():
     last = rep.steps[-1]
     assert not last.fundamental_ok
     assert last.remainder is not None and not last.remainder.is_zero()
+
+
+def test_flatten_reads_only_the_degree_it_solves(rng, monkeypatch):
+    g = sheared_quadric(rng, (3, 5), trunc=7)
+
+    def whole_germ_split(self):
+        raise AssertionError("the driver split the whole germ")
+
+    monkeypatch.setattr(Germ, "split", whole_germ_split)
+    assert flatten_to_order(g, 7).ok
 
 
 def test_flatten_requires_parabolic():

@@ -187,3 +187,16 @@ def test_cli_exits_2_on_malformed_field_and_chi(tmp_path):
     code, _out, err = run_cli("witness", germ, "--field", str(FIXTURES / "ex31.field"),
                               "--chi", str(bad))
     assert code == 2 and err.count("\n") == 1
+
+
+BAD_ARGS = {
+    "flatten-negative-order": ["flatten", str(FIXTURES / "parabolic.germ"), "--order", "-3"],
+    "nonminimal-negative-order": ["nonminimal-check", str(FIXTURES / "ex31.germ"), "--order", "-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGS))
+def test_cli_exits_2_on_malformed_arguments(name):
+    code, out, err = run_cli(*BAD_ARGS[name])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

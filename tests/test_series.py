@@ -140,6 +140,42 @@ def test_subst_w_square_against_direct_expansion():
 def test_subst_w_requires_zero_constant_term():
     with pytest.raises(PreconditionError):
         subst_w({((0, 0, 0, 0), 1): 1}, Series.const(2, 4, 1))
+    with pytest.raises(PreconditionError):
+        subst_w({((0, 0, 0, 0), -1): 1}, Series.zero(2, 4))
+
+
+def _convolve(a: dict, b: dict, trunc: int) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= trunc:
+                out[e] = out.get(e, G(0)) + c1 * c2
+    return out
+
+
+def test_subst_w_against_termwise_reference():
+    # sum of c * z^e * value^j, each term built from explicit products
+    rng = random.Random(5)
+    z1, _, _, zb2 = gens(7)
+    for _ in range(6):
+        v = (z1.scale(rand_gaussian(rng)) + zb2.scale(rand_gaussian(rng))
+             + rand_series(rng, 2, 7, nterms=3, min_degree=2))
+        template = {((1, 1, 0, 0), 5): 1, ((3, 3, 1, 1), 0): 1}  # degree 8 > trunc
+        for j in (0, 2, 5):
+            for _ in range(3):
+                e = tuple(rng.randint(0, 2) for _ in range(4))
+                template[(e, j)] = rand_gaussian(rng)
+        template[((1, 0, 0, 0), 2)] = 0
+        template[((0, 0, 0, 0), 3)] = G(0)
+        expect = {}
+        for (e, j), c in template.items():
+            term = {e: G.coerce(c)} if sum(e) <= v.trunc else {}
+            for _ in range(j):
+                term = _convolve(term, v.terms, v.trunc)
+            for k, x in term.items():
+                expect[k] = expect.get(k, G(0)) + x
+        assert subst_w(template, v) == Series(2, v.trunc, expect)
 
 
 def test_subst_w_multiplicative():
@@ -152,6 +188,16 @@ def test_subst_w_multiplicative():
         lhs = subst_w(prod_template, v)
         rhs = subst_w({t1: 1}, v) * subst_w({t2: 1}, v)
         assert lhs == rhs
+
+
+def test_re_im_recombines_into_real_parts():
+    rng = random.Random(3)
+    i = G(0, 1)
+    for _ in range(20):
+        s = rand_series(rng, 2, 5, nterms=6)
+        re, im = s.re_im()
+        assert re + im.scale(i) == s
+        assert re.is_real() and im.is_real()
 
 
 def test_homogeneous_part_and_truncate():
