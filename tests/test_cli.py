@@ -180,8 +180,21 @@ def test_batch_matches_serial(tmp_path):
     serial = "".join(run_cli("classify", fx(n))[1] for n in names)
     code, batched = run_cli("classify", "--batch", str(listing))
     assert code == 0 and batched == serial
-    code, threaded = run_cli("classify", "--batch", str(listing), "--jobs", "4")
-    assert code == 0 and threaded == serial
+
+
+def test_batch_keeps_reports_before_an_unreadable_path(tmp_path, capsys):
+    listing = tmp_path / "batch.txt"
+    missing = tmp_path / "missing.germ"
+    names = [fx("ex31.germ"), fx("ex32.germ"), str(missing), fx("ex33.germ")]
+    listing.write_text("".join(n + "\n" for n in names))
+    before = "".join(run_cli("classify", n)[1] for n in names[:2])
+    capsys.readouterr()
+    code = main(["classify", "--batch", str(listing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == before
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:")
 
 
 def test_fixture_files_roundtrip_bit_exactly():

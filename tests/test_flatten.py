@@ -8,6 +8,7 @@ from crflat import (
     Germ,
     HTable,
     KernelPolynomial,
+    NormalizationSystem,
     Series,
     check_fundamental,
     flatten_to_order,
@@ -24,8 +25,10 @@ from crflat import (
     solve_kernel,
     uniqueness_nullspace,
 )
-from crflat.errors import PreconditionError
-from crflat.flatten import kernel_unknowns
+import crflat.flatten as flatten_mod
+from crflat.errors import ConsistencyError, PreconditionError
+from crflat.flatten import all_brackets, kernel_unknowns
+from crflat.linalg import ExactMatrix
 
 from conftest import rand_gaussian, rand_real_bracket_table
 
@@ -291,6 +294,44 @@ def test_flatten_requires_parabolic():
 def test_uniqueness_nullspace_is_trivial(m):
     dim, basis = uniqueness_nullspace(m)
     assert dim == 0 and basis == []
+
+
+@pytest.fixture
+def no_normalization(monkeypatch):
+    # without normalization constraints the kernel has positive dimension,
+    # which reaches the table reconstruction path
+    monkeypatch.setattr(
+        flatten_mod,
+        "normalization_system",
+        lambda m: NormalizationSystem(m, (), m % 2 == 0),
+    )
+
+
+@pytest.mark.parametrize("m, expected", [(3, 8), (4, 12), (5, 18), (6, 24), (7, 32)])
+def test_uniqueness_nullspace_rebuilds_kernel_tables(no_normalization, m, expected):
+    dim, tables = uniqueness_nullspace(m)
+    assert dim == expected and len(tables) == dim
+    families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]
+    families += [(t, 0, m - t, 0) for t in range(m + 1)]
+    for h in tables:
+        assert isinstance(h, HTable) and h.m == m
+        assert check_fundamental(phi_psi(h)).ok
+        assert all(not h.get(idx) for idx in families)
+    # linearly independent over the real coordinates of the tables
+    coords = [
+        [part for idx in all_brackets(m) for part in (h.get(idx).re, h.get(idx).im)]
+        for h in tables
+    ]
+    assert ExactMatrix.from_rows(coords).rank() == dim
+
+
+def test_uniqueness_nullspace_rejects_a_non_rational_basis(monkeypatch):
+    basis = list(fundamental_nullspace(4))
+    idx, c = next(iter(basis[0].items()))
+    basis[0] = {**basis[0], idx: c + I}
+    monkeypatch.setattr(flatten_mod, "fundamental_nullspace", lambda m: tuple(basis))
+    with pytest.raises(ConsistencyError):
+        uniqueness_nullspace(4)
 
 
 def test_fundamental_nullspace_members_satisfy_condition():
