@@ -17,7 +17,7 @@ from .errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from .numeric import GaussianRational, Rational, gaussian, sqrt_fraction, sqrt_gaussian
+from .numeric import GaussianRational, sqrt_fraction, sqrt_gaussian
 from .linalg import ExactMatrix, nullspace, solve
 from .series import Series, subst_w, exp_from_bracket, bracket_from_exp
 from .germ import (

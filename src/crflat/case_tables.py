@@ -19,17 +19,13 @@ from typing import Mapping
 from .errors import PreconditionError
 from .germ import Germ, quadric_germ
 from .linalg import ExactMatrix
-from .numeric import GaussianRational, I as IU, ONE, ZERO
+from .numeric import HALF, GaussianRational, I as IU, ONE, ZERO
 from .quadratic import QuadraticPair
 from .series import Series
 
 CASE_IDS = ("1a", "1b", "1c", "2a", "2b", "2c", "2def", "3", "4")
 
-_G = GaussianRational.coerce
-
-
-def _series(table: Mapping[tuple, object], trunc: int) -> Series:
-    return Series(2, trunc, {k: _G(v) for k, v in table.items()})
+_TRUNC = 2  # the tables hold quadratic parts only
 
 
 def _req(params, *names):
@@ -88,12 +84,12 @@ def normalize_case_id(case_id: str) -> str:
     return cid
 
 
-def reference_series(case_id: str, params: Mapping, trunc: int = 2) -> dict[str, Series]:
+def reference_series(case_id: str, params: Mapping) -> dict[str, Series]:
     """Evaluate the reference X1, X2, Y1, Y2 tables at exact parameters."""
     case_id = normalize_case_id(case_id)
     fn = _CASE_TABLES[case_id]
     tables = fn(dict(params))
-    return {name: _series(tbl, trunc) for name, tbl in tables.items()}
+    return {name: Series(2, _TRUNC, tbl) for name, tbl in tables.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +209,7 @@ def _case_2def(params):
     p.setdefault("d", 0)
     a, d, tau = _req(p, "a", "d", "tau")
     _check_tau(tau)
-    half = GaussianRational(Fraction(1, 2))
-    shape_ok = (a == half) or (a.is_zero() and d == half) or (a.is_zero() and d.is_zero())
+    shape_ok = (a == HALF) or (a.is_zero() and d == HALF) or (a.is_zero() and d.is_zero())
     _check(shape_ok, "need a = 1/2, or a = 0 with d in {1/2, 0}")
     return _family2_tables(a, ZERO, d, tau)
 

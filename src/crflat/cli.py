@@ -49,7 +49,7 @@ from .quadratic import (
     is_hermitianizable,
     recognize_pair,
 )
-from .series import bracket_from_exp, load_series, read_text
+from .series import format_term_lines, load_series, read_text
 
 DEFAULT_TRUNC = 8
 
@@ -77,6 +77,10 @@ class Report:
 
 def _bool(x) -> str:
     return "true" if x else "false"
+
+
+def _exponent_text(e) -> str:
+    return " ".join(str(k) for k in e)
 
 
 def _load_pair(path):
@@ -152,14 +156,13 @@ def run_nonminimal(path: str, args) -> Report:
     rep = Report()
     rep.add("INPUT", path)
     rep.add("ORDER", args.order)
-    for e, c in report.residual.items():
-        t, s, r, h = bracket_from_exp(e)
-        rep.add("RESIDUAL_TERM", f"{s} {t} {h} {r} {c.re} {c.im}")
+    for line in format_term_lines(report.residual):
+        rep.add("RESIDUAL_TERM", line)
     if report.first_nonzero is None:
         rep.add("RESIDUAL_ZERO_TO", args.order)
     else:
-        (t, s, r, h), c = report.first_nonzero
-        rep.add("FIRST_OBSTRUCTION", f"{s} {t} {h} {r} {c}")
+        e, c = report.first_nonzero
+        rep.add("FIRST_OBSTRUCTION", f"{_exponent_text(e)} {c}")
     return rep
 
 
@@ -288,8 +291,7 @@ def run_case_oracle(args) -> Report:
                     mismatches.append((name, e, gv, wv))
     rep.add("ORACLE_MATCH", _bool(not mismatches))
     for name, e, gv, wv in mismatches:
-        t, s, r, h = bracket_from_exp(e)
-        rep.add("DIFF", f"{name} {s} {t} {h} {r} engine={gv} oracle={wv}")
+        rep.add("DIFF", f"{name} {_exponent_text(e)} engine={gv} oracle={wv}")
     if mismatches:
         raise OracleMismatch(rep)
     return rep

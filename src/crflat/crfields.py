@@ -30,16 +30,12 @@ from .germ import Germ
 from .numeric import GaussianRational
 from .series import (
     Series,
-    bracket_from_exp,
     content_errors,
     format_term_lines,
     parse_terms,
     read_records,
     read_text,
 )
-
-_TWO_I = GaussianRational(0, 2)
-_MINUS_I = GaussianRational(0, -1)
 
 
 @dataclass(frozen=True)
@@ -52,17 +48,19 @@ class TangentField:
 
 
 def build_canonical_field(germ: Germ) -> TangentField:
-    """The canonical tangent field of a two-variable germ."""
+    """The canonical tangent field of a two-variable germ.
+
+    Since conj R = G - iE, the coefficients G_j - i E_j are the derivatives
+    d(conj R)/dz_j, and 2i (G_2 E_1 - G_1 E_2) = A R_1 - B R_2 with
+    A = d(conj R)/dz2 and B = d(conj R)/dz1, so R is never split.
+    """
     if germ.n != 2:
         raise PreconditionError("the canonical field needs two variables")
-    sp = germ.split()
-    g, e = sp.g, sp.e
-    g1, g2 = g.dz(1), g.dz(2)
-    e1, e2 = e.dz(1), e.dz(2)
-    a = g2 + e2.scale(_MINUS_I)
-    b = g1 + e1.scale(_MINUS_I)
-    c = (g2 * e1 - g1 * e2).scale(_TWO_I)
-    return TangentField(a, -b, c)
+    r = germ.R
+    rbar = r.conj()
+    a = rbar.dz(2)
+    b = rbar.dz(1)
+    return TangentField(a, -b, a * r.dz(1) - b * r.dz(2))
 
 
 @dataclass(frozen=True)
@@ -138,15 +136,14 @@ def bracket_data(germ: Germ) -> BracketData:
     c = f.cf_w
     ab, bb, cb = a.conj(), b.conj(), c.conj()
 
-    lam1 = a * ab.dz(1) - b * ab.dz(2)
-    lam2 = -(a * bb.dz(1)) + b * bb.dz(2)
-    lam3 = a * cb.dz(1) - b * cb.dz(2)
-    lam4 = -(ab * a.dzbar(1)) + bb * a.dzbar(2)
-    lam5 = ab * b.dzbar(1) - bb * b.dzbar(2)
-    lam6 = -(ab * c.dzbar(1)) + bb * c.dzbar(2)
-
     def L(s: Series) -> Series:
         return a * s.dz(1) - b * s.dz(2)
+
+    def Lbar(s: Series) -> Series:
+        return ab * s.dzbar(1) - bb * s.dzbar(2)
+
+    lam1, lam2, lam3 = L(ab), -L(bb), L(cb)
+    lam4, lam5, lam6 = -Lbar(a), Lbar(b), -Lbar(c)
 
     def T(s: Series) -> Series:
         return (
@@ -169,6 +166,9 @@ def bracket_data(germ: Germ) -> BracketData:
 
 @dataclass(frozen=True)
 class ObstructionReport:
+    """The four factors and their residual; ``first_nonzero`` is the residual's
+    graded-lex least term as (exponent (s, t, h, r), coefficient), or None."""
+
     x1: Series
     x2: Series
     y1: Series
@@ -220,10 +220,7 @@ def obstruction(germ: Germ, order: int) -> ObstructionReport:
         )
     x1, x2, y1, y2 = obstruction_series(germ)
     residual = (x1 * x2 - y1 * y2).truncate(order)
-    first = None
-    for e, cval in residual.items():
-        first = (bracket_from_exp(e), cval)
-        break
+    first = next(residual.items(), None)
     return ObstructionReport(x1, x2, y1, y2, residual, order, first)
 
 

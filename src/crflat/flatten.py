@@ -85,7 +85,7 @@ class HTable:
 
     __slots__ = ("m", "coeffs")
 
-    def __init__(self, m: int, coeffs: Mapping[Bracket, object], check_real: bool = True):
+    def __init__(self, m: int, coeffs: Mapping[Bracket, object]):
         self.m = m
         clean: Table = {}
         for idx, c in coeffs.items():
@@ -95,13 +95,12 @@ class HTable:
             c = GaussianRational.coerce(c)
             if c:
                 clean[idx] = c
-        if check_real:
-            for (t, s, r, h), c in clean.items():
-                if _tget(clean, (r, h, t, s)) != c.conj():
-                    raise PreconditionError(
-                        "table is not real-valued: mirror coefficient mismatch at "
-                        f"{(t, s, r, h)}"
-                    )
+        for (t, s, r, h), c in clean.items():
+            if _tget(clean, (r, h, t, s)) != c.conj():
+                raise PreconditionError(
+                    "table is not real-valued: mirror coefficient mismatch at "
+                    f"{(t, s, r, h)}"
+                )
         self.coeffs = clean
 
     def get(self, idx: Bracket) -> GaussianRational:
@@ -109,9 +108,6 @@ class HTable:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def to_series(self) -> Series:
-        return table_to_series(self.coeffs, self.m)
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -130,6 +126,11 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
     _require_parabolic(germ)
     if m > germ.trunc:
         raise PreconditionError("degree exceeds the germ truncation")
+    return _imaginary_table(germ, m)
+
+
+def _imaginary_table(germ: Germ, m: int) -> HTable:
+    # callers have checked the quadric and the degree
     _, e = germ.R.homogeneous_part(m).re_im()
     return HTable(m, series_to_table(e))
 
@@ -374,6 +375,11 @@ class Constraint:
     kind: str  # "zero" (complex coefficient) or "realpart"
     index: Bracket
 
+    @property
+    def parts(self) -> tuple[str, ...]:
+        """The parts of the coefficient at ``index`` that must vanish."""
+        return ("re", "im") if self.kind == "zero" else ("re",)
+
 
 @dataclass(frozen=True)
 class NormalizationSystem:
@@ -457,9 +463,8 @@ def constraint_residuals(
     """Nonzero constraint values of a table, in system order."""
     out = []
     for con in system.constraints:
-        v = _tget(table, con.index)
-        if con.kind == "realpart":
-            v = GaussianRational(v.re)
+        c = _tget(table, con.index)
+        v = GaussianRational(*(getattr(c, part) for part in con.parts))
         if v:
             out.append((con, v))
     return out
@@ -480,17 +485,28 @@ def kernel_unknowns(m: int) -> list[tuple[tuple[int, int], int]]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_images(m: int) -> tuple:
-    """Per-unknown degree-m tables of Im and Re of z^alpha q2^j."""
+def _normalization_matrix(m: int) -> tuple:
+    """The germ-independent part of the degree-m normalization system.
+
+    Returns (unknowns, constraints, matrix).  Columns are Re b and Im b of
+    each unknown z^alpha w^j in turn; since Im(b z^alpha q2^j) =
+    Re b Im(z^alpha q2^j) + Im b Re(z^alpha q2^j), they hold the tables of
+    Im and Re of z^alpha q2^j.  Rows are the parts of each constraint, in
+    system order.
+    """
+    unknowns = kernel_unknowns(m)
+    constraints = normalization_system(m).constraints
     q2 = quadric_germ(parabolic_pair(), m).R
-    images = []
-    for (a1, a2), j in kernel_unknowns(m):
-        mono = Series(2, m, {(a1, a2, 0, 0): 1})
-        re_part, im_part = (mono * q2**j).re_im()
-        images.append(
-            (((a1, a2), j), series_to_table(im_part), series_to_table(re_part))
-        )
-    return tuple(images)
+    columns = []
+    for (a1, a2), j in unknowns:
+        re_part, im_part = (Series(2, m, {(a1, a2, 0, 0): 1}) * q2**j).re_im()
+        columns += [series_to_table(im_part), series_to_table(re_part)]
+    rows = [
+        [getattr(_tget(col, con.index), part) for col in columns]
+        for con in constraints
+        for part in con.parts
+    ]
+    return tuple(unknowns), constraints, ExactMatrix.from_rows(rows)
 
 
 def solve_kernel(germ: Germ, m: int) -> KernelPolynomial:
@@ -508,30 +524,9 @@ def solve_kernel(germ: Germ, m: int) -> KernelPolynomial:
         # the degree-d imaginary part vanishes exactly when R_d is real
         if not germ.R.homogeneous_part(d).is_real():
             raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
-    h = h_from_germ(germ, m).coeffs
-    system = normalization_system(m)
-    unknowns = _kernel_images(m)
-    rows: list[list[GaussianRational]] = []
-    rhs: list[GaussianRational] = []
-
-    def push(values: list[GaussianRational], target: GaussianRational):
-        rows.append(values)
-        rhs.append(target)
-
-    for con in system.constraints:
-        idx = con.index
-        h_val = _tget(h, idx)
-        re_coeffs = []
-        im_coeffs = []
-        for _, im_t, re_t in unknowns:
-            ci = _tget(im_t, idx)  # multiplies Re b
-            cr = _tget(re_t, idx)  # multiplies Im b
-            re_coeffs.extend([GaussianRational(ci.re), GaussianRational(cr.re)])
-            im_coeffs.extend([GaussianRational(ci.im), GaussianRational(cr.im)])
-        push(re_coeffs, GaussianRational(-h_val.re))
-        if con.kind == "zero":
-            push(im_coeffs, GaussianRational(-h_val.im))
-    mat = ExactMatrix.from_rows(rows)
+    h = _imaginary_table(germ, m).coeffs
+    unknowns, constraints, mat = _normalization_matrix(m)
+    rhs = [-getattr(_tget(h, con.index), part) for con in constraints for part in con.parts]
     try:
         sol = solve(mat, rhs)
     except UnderdeterminedSystemError as exc:
@@ -543,7 +538,7 @@ def solve_kernel(germ: Germ, m: int) -> KernelPolynomial:
             f"normalization system inconsistent at degree {m}", diagnostic=str(exc)
         ) from exc
     coeffs = {}
-    for pos, (key, _, _) in enumerate(unknowns):
+    for pos, key in enumerate(unknowns):
         x = sol[2 * pos]
         y = sol[2 * pos + 1]
         if x.im or y.im:
@@ -590,7 +585,8 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     kernels: dict[int, KernelPolynomial] = {}
     steps: list[FlattenStep] = []
     for m in range(3, n + 1):
-        h = h_from_germ(current, m)
+        # shears of weight >= 3 leave the quadric alone, so it is checked once
+        h = _imaginary_table(current, m)
         fund = check_fundamental(phi_psi(h))
         try:
             kern = solve_kernel(current, m)
@@ -601,7 +597,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
         kernels[m] = kern
-        h2 = h_from_germ(current, m)
+        h2 = _imaginary_table(current, m)
         if not h2.is_zero():
             steps.append(FlattenStep(m, kern, False, h2, fund.ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
@@ -612,7 +608,6 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
 # -- uniqueness of the normalized solution ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _fundamental_matrix(m: int) -> tuple:
     """Columns: basis tables of degree m; rows: condition coefficients."""
     unknowns = all_brackets(m)
@@ -685,10 +680,11 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
         here, there = values((t, s, r, h)), values((r, h, t, s))
         x_rows.append([a - b for a, b in zip(here, there)])
         y_rows.append([a + b for a, b in zip(here, there)])
+    # Re H[idx] = sum x_j b_j[idx] and Im H[idx] = sum y_j b_j[idx]
+    blocks = {"re": x_rows, "im": y_rows}
     for con in normalization_system(m).constraints:
-        x_rows.append(values(con.index))
-        if con.kind == "zero":
-            y_rows.append(values(con.index))
+        for part in con.parts:
+            blocks[part].append(values(con.index))
     families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]
     families += [(t, 0, m - t, 0) for t in range(m + 1)]
     for idx in families:

@@ -27,11 +27,10 @@ Both round-trip byte-stably: writers emit canonical ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import PreconditionError
-from .numeric import GaussianRational, ZERO
+from .numeric import HALF, GaussianRational, ZERO
 from .quadratic import QuadraticPair
 from .linalg import ExactMatrix
 from .series import (
@@ -44,8 +43,6 @@ from .series import (
     read_text,
     subst_w,
 )
-
-_HALF = GaussianRational(Fraction(1, 2))
 
 
 class Germ:
@@ -112,7 +109,7 @@ class Germ:
                 if j == k:
                     hol[j][j] = hz
                 else:
-                    hol[j][k] = hol[k][j] = hz * _HALF
+                    hol[j][k] = hol[k][j] = hz * HALF
         return QuadraticPair(ExactMatrix.from_rows(hol), ExactMatrix.from_rows(b))
 
     # -- coordinate changes ------------------------------------------------------
@@ -265,8 +262,7 @@ def quadric_germ(pair: QuadraticPair, trunc: int) -> Germ:
 
 def parabolic_pair() -> QuadraticPair:
     """The pair of |z1|^2 + |z2|^2 + (z1^2 + z2^2 + conj)/2."""
-    half = GaussianRational(Fraction(1, 2))
-    a = ExactMatrix.from_rows([[half, ZERO], [ZERO, half]])
+    a = ExactMatrix.from_rows([[HALF, ZERO], [ZERO, HALF]])
     return QuadraticPair(a, ExactMatrix.identity(2))
 
 

@@ -23,10 +23,6 @@ from .numeric import ONE, ZERO, GaussianRational
 Vector = list[GaussianRational]
 
 
-def _coerce_entry(x) -> GaussianRational:
-    return GaussianRational.coerce(x)
-
-
 class ExactMatrix:
     """Dense matrix with Gaussian-rational entries, stored row-major."""
 
@@ -35,7 +31,7 @@ class ExactMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable):
         self.rows = rows
         self.cols = cols
-        self._e = [_coerce_entry(x) for x in entries]
+        self._e = [GaussianRational.coerce(x) for x in entries]
         if len(self._e) != rows * cols:
             raise PreconditionError(
                 f"matrix needs {rows * cols} entries, got {len(self._e)}"
@@ -84,7 +80,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
 
     def scale(self, c) -> "ExactMatrix":
-        c = _coerce_entry(c)
+        c = GaussianRational.coerce(c)
         return ExactMatrix(self.rows, self.cols, [c * a for a in self._e])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -107,7 +103,7 @@ class ExactMatrix:
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise PreconditionError("dimension mismatch in matrix-vector product")
-        vv = [_coerce_entry(x) for x in v]
+        vv = [GaussianRational.coerce(x) for x in v]
         out = []
         for i in range(self.rows):
             s = ZERO
@@ -138,26 +134,21 @@ class ExactMatrix:
     # -- elimination-backed queries -------------------------------------------
 
     def rank(self) -> int:
-        _rows, pivots, _sign = _echelon(self.to_rows())
+        _rows, pivots, _scale = _echelon(self.to_rows())
         return len(pivots)
 
     def det(self) -> GaussianRational:
         if self.rows != self.cols:
             raise PreconditionError("determinant of a non-square matrix")
-        rows, pivots, sign = _echelon(self.to_rows())
-        if len(pivots) < self.rows:
-            return ZERO
-        d = ONE if sign > 0 else -ONE
-        for r in range(self.rows):
-            d = d * rows[r][r]
-        return d
+        _rows, pivots, scale = _echelon(self.to_rows())
+        return scale if len(pivots) == self.rows else ZERO
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise PreconditionError("inverse of a non-square matrix")
         n = self.rows
         aug = [self.row(i) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rows, pivots, _sign = _echelon(aug, reduce=True)
+        rows, pivots, _scale = _echelon(aug)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise PreconditionError("matrix is singular")
         inv = [[ZERO] * n for _ in range(n)]
@@ -190,20 +181,20 @@ class ExactMatrix:
         return f"ExactMatrix({self.to_literal()})"
 
 
-def _echelon(rows: list[Vector], reduce: bool = False) -> tuple[list[Vector], list[int], int]:
-    """In-place forward elimination; returns (rows, pivot column list, swap sign).
+def _echelon(rows: list[Vector]) -> tuple[list[Vector], list[int], GaussianRational]:
+    """In-place reduction to reduced echelon form; returns (rows, pivot columns, scale).
 
     Pivot selection is deterministic: for each column in order, the first
-    remaining row with a nonzero entry.  The sign is (-1)^(row swaps), so
-    without ``reduce`` a square matrix has determinant sign times the product
-    of the pivots.  With ``reduce=True`` the result is the reduced echelon form
-    (pivots normalized to 1, zeros above pivots).
+    remaining row with a nonzero entry.  Each pivot row is divided by its
+    pivot and the pivot column cleared in every other row.  The scale is
+    (-1)^(row swaps) times the product of the pivots, so a square matrix of
+    full rank has determinant scale.
     """
     if not rows:
-        return rows, [], 1
+        return rows, [], ONE
     ncols = len(rows[0])
     pivots: list[int] = []
-    sign = 1
+    scale = ONE
     r = 0
     for c in range(ncols):
         if r >= len(rows):
@@ -217,26 +208,23 @@ def _echelon(rows: list[Vector], reduce: bool = False) -> tuple[list[Vector], li
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
+            scale = -scale
         piv = rows[r][c]
-        if reduce and piv != ONE:
+        scale = scale * piv
+        if piv != ONE:
             inv = piv.inverse()
             rows[r] = [inv * x for x in rows[r]]
-            piv = ONE
-        rng = range(len(rows)) if reduce else range(r + 1, len(rows))
-        for i in rng:
-            if i == r:
-                continue
+        rr = rows[r]
+        for i in range(len(rows)):
             f = rows[i][c]
-            if f:
-                f = f / piv
-                ri, rr = rows[i], rows[r]
+            if i != r and f:
+                ri = rows[i]
                 for j in range(c, ncols):
                     if rr[j]:
                         ri[j] = ri[j] - f * rr[j]
         pivots.append(c)
         r += 1
-    return rows, pivots, sign
+    return rows, pivots, scale
 
 
 def solve(a: ExactMatrix, b: Sequence) -> Vector:
@@ -251,8 +239,8 @@ def solve(a: ExactMatrix, b: Sequence) -> Vector:
         raise PreconditionError("empty system")
     if len(b) != a.rows:
         raise PreconditionError("dimension mismatch between matrix and right-hand side")
-    aug = [a.row(i) + [_coerce_entry(b[i])] for i in range(a.rows)]
-    rows, pivots, _sign = _echelon(aug, reduce=True)
+    aug = [a.row(i) + [GaussianRational.coerce(b[i])] for i in range(a.rows)]
+    rows, pivots, _scale = _echelon(aug)
     n = a.cols
     if any(p == n for p in pivots):
         raise InconsistentSystemError("A x = b has no solution")
@@ -272,7 +260,7 @@ def nullspace(a: ExactMatrix) -> list[Vector]:
     Each basis vector carries a 1 in one free column (ascending order) and
     the solved pivot values elsewhere; the span is exactly the kernel.
     """
-    rows, pivots, _sign = _echelon(a.to_rows(), reduce=True)
+    rows, pivots, _scale = _echelon(a.to_rows())
     n = a.cols
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]

@@ -24,8 +24,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Rational = Fraction
-
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
@@ -183,12 +181,8 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+HALF = GaussianRational(Fraction(1, 2))
 I = GaussianRational(0, 1)
-
-
-def gaussian(re=0, im=0) -> GaussianRational:
-    """Convenience constructor accepting ints or Fractions."""
-    return GaussianRational(re, im)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DegenerateSliceError, PreconditionError
 from .linalg import ExactMatrix
-from .numeric import I, ONE, ZERO, GaussianRational, sqrt_fraction, sqrt_gaussian
+from .numeric import HALF, I, ONE, ZERO, GaussianRational, sqrt_fraction, sqrt_gaussian
 
 if TYPE_CHECKING:  # pragma: no cover
     from .germ import Germ
@@ -50,8 +50,7 @@ class QuadraticPair:
         if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
             raise PreconditionError("pair needs two square matrices of equal size")
         self.n = a.rows
-        half = GaussianRational(Fraction(1, 2))
-        self.A = (a + a.transpose()).scale(half)
+        self.A = (a + a.transpose()).scale(HALF)
         self.B = b
 
     def transform(self, p: ExactMatrix, mu: GaussianRational) -> "QuadraticPair":
@@ -262,8 +261,6 @@ class DirectionCandidate:
 # pair that is not literally in normal form is not recognized (use
 # coarse_b_class for congruence-invariant information).
 
-_HALF = Fraction(1, 2)
-
 
 def _is_real(x: GaussianRational) -> bool:
     return x.is_real()
@@ -308,9 +305,9 @@ def recognize_pair(pair: QuadraticPair) -> Optional[tuple[str, dict]]:
             return "2b", {"b": a01, "d": a11, "tau": tau}
         if not a00 and _pos(a01) and not a11:
             return "2c", {"b": a01, "tau": tau}
-        if a00 == GaussianRational(_HALF) and not a01:
+        if a00 == HALF and not a01:
             return "2d", {"d": a11, "tau": tau}
-        if not a00 and not a01 and a11 == GaussianRational(_HALF):
+        if not a00 and not a01 and a11 == HALF:
             return "2e", {"tau": tau}
         if not a00 and not a01 and not a11:
             return "2f", {"tau": tau}
@@ -326,15 +323,15 @@ def recognize_pair(pair: QuadraticPair) -> Optional[tuple[str, dict]]:
         return None
     # family 4: B = [[0, 1], [0, 0]]
     if not b00 and b01 == ONE and not b10 and not b11:
-        if _pos(a01) and a11 == GaussianRational(_HALF):
+        if _pos(a01) and a11 == HALF:
             return "4a", {"a": a00, "b": a01}
-        if a00 == GaussianRational(_HALF) and _pos(a01) and not a11:
+        if a00 == HALF and _pos(a01) and not a11:
             return "4b", {"b": a01}
         if not a00 and _pos(a01) and not a11:
             return "4c", {"b": a01}
-        if _nonneg(a00) and not a01 and a11 == GaussianRational(_HALF):
+        if _nonneg(a00) and not a01 and a11 == HALF:
             return "4d", {"a": a00}
-        if a00 == GaussianRational(_HALF) and not a01 and not a11:
+        if a00 == HALF and not a01 and not a11:
             return "4e", {}
         if not a00 and not a01 and not a11:
             return "4f", {}
@@ -349,13 +346,13 @@ def recognize_pair(pair: QuadraticPair) -> Optional[tuple[str, dict]]:
             return "6a", {"lambda1": a00, "lambda2": a11}
         if not a00 and not a11 and _pos(a01):
             return "6b", {"lambda": a01}
-        if a00 == GaussianRational(_HALF) and a01 == GaussianRational(_HALF) and a11 == GaussianRational(_HALF):
+        if a00 == HALF and a01 == HALF and a11 == HALF:
             return "6c", {}
         return None
     if not b00 and b01 == ONE and b10 == ONE and not b11:
-        if not a00 and _pos(a01) and a11 == GaussianRational(_HALF):
+        if not a00 and _pos(a01) and a11 == HALF:
             return "7a", {"b": a01}
-        if a00 == GaussianRational(_HALF) and not a01 and a11.im > 0:
+        if a00 == HALF and not a01 and a11.im > 0:
             return "7b", {"d": a11}
         return None
     if b00 == ONE and not b01 and not b10 and not b11:
@@ -433,7 +430,7 @@ def _search_grid(bound: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def elliptic_candidates(pair: QuadraticPair, search_bound: int = 6) -> list[DirectionCandidate]:
+def elliptic_candidates(pair: QuadraticPair, search_bound: int) -> list[DirectionCandidate]:
     """Per-shape candidate directions plus a bounded deterministic search.
 
     The search normalizes directions to (1, x + i y) with x, y rationals of

@@ -25,11 +25,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .numeric import ZERO, GaussianRational, parse_rational
+from .numeric import HALF, ZERO, GaussianRational, parse_rational
 
 Exponent = tuple[int, ...]
 
-_HALF = GaussianRational(Fraction(1, 2))
 _INV_2I = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
 
 
@@ -46,10 +45,6 @@ def bracket_from_exp(e: Exponent) -> tuple[int, int, int, int]:
 
 def _grlex_key(e: Exponent):
     return (sum(e), e)
-
-
-def _coerce_scalar(x) -> GaussianRational:
-    return GaussianRational.coerce(x)
 
 
 class Series:
@@ -75,7 +70,7 @@ class Series:
                     raise PreconditionError(
                         f"exponent {e} exceeds truncation {trunc}"
                     )
-                c = _coerce_scalar(c)
+                c = GaussianRational.coerce(c)
                 if c:
                     clean[e] = c
         self.terms = clean
@@ -89,7 +84,7 @@ class Series:
     @staticmethod
     def const(nvars: int, trunc: int, c) -> "Series":
         e = (0,) * (2 * nvars)
-        return Series(nvars, trunc, {e: _coerce_scalar(c)})
+        return Series(nvars, trunc, {e: GaussianRational.coerce(c)})
 
     @staticmethod
     def variable(nvars: int, trunc: int, slot: int) -> "Series":
@@ -136,9 +131,6 @@ class Series:
             if self.terms.get(mirror, ZERO) != c.conj():
                 return False
         return True
-
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def min_degree(self) -> int:
         return min((sum(e) for e in self.terms), default=0)
@@ -214,7 +206,7 @@ class Series:
         return self.scale(other)
 
     def scale(self, c) -> "Series":
-        c = _coerce_scalar(c)
+        c = GaussianRational.coerce(c)
         if not c:
             return self._make({})
         return self._make({e: c * v for e, v in self.terms.items()})
@@ -239,7 +231,7 @@ class Series:
     def re_im(self) -> tuple["Series", "Series"]:
         """Real and imaginary parts ((S + conj S)/2, (S - conj S)/(2i)), both real."""
         sbar = self.conj()
-        return (self + sbar).scale(_HALF), (self - sbar).scale(_INV_2I)
+        return (self + sbar).scale(HALF), (self - sbar).scale(_INV_2I)
 
     def diff(self, slot: int) -> "Series":
         """Formal partial derivative with respect to a variable slot.
@@ -320,7 +312,7 @@ def subst_w(
     for (e, j), c in template.items():
         if j < 0:
             raise PreconditionError("negative w-power in template")
-        c = _coerce_scalar(c)
+        c = GaussianRational.coerce(c)
         if c and sum(e) <= value.trunc:
             parts.setdefault(j, {})[tuple(e)] = c
     acc = Series.zero(value.nvars, value.trunc)

@@ -107,6 +107,21 @@ def test_canonical_field_is_always_tangent(rng):
         assert w.annihilates_h and w.annihilates_h_conj
 
 
+def test_canonical_field_matches_the_split_formula(rng):
+    # L = (G_2 - i E_2) d/dz1 - (G_1 - i E_1) d/dz2 + 2i (G_2 E_1 - G_1 E_2) d/dw
+    for _ in range(20):
+        g = rand_germ(rng, trunc=6)
+        sp = g.split()
+        g1, g2 = sp.g.dz(1), sp.g.dz(2)
+        e1, e2 = sp.e.dz(1), sp.e.dz(2)
+        want = TangentField(
+            g2 - e2.scale(I), -(g1 - e1.scale(I)), (g2 * e1 - g1 * e2).scale(G(0, 2))
+        )
+        got = build_canonical_field(g)
+        assert got == want
+        assert [s.trunc for s in (got.cf_z1, got.cf_z2, got.cf_w)] == [g.trunc - 1] * 3
+
+
 def test_obstruction_builds_the_canonical_field_once(rng, monkeypatch):
     import crflat.crfields as crfields
 

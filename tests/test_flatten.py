@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from crflat import (
+    Constraint,
     GaussianRational,
     Germ,
     HTable,
@@ -189,6 +190,21 @@ def test_normalization_m4_and_m6():
         normalization_system(2)
 
 
+def test_constraint_parts_follow_the_kind():
+    assert Constraint("c", "zero", (3, 0, 0, 0)).parts == ("re", "im")
+    assert Constraint("c", "realpart", (1, 1, 1, 1)).parts == ("re",)
+
+
+def test_constraint_residuals_read_only_the_pinned_parts():
+    sys4 = normalization_system(4)
+    (real,) = [c for c in sys4.constraints if c.kind == "realpart"]
+    zero = sys4.constraints[0]
+    # an imaginary part at the realpart index is free, a real part is not
+    assert flatten_mod.constraint_residuals(sys4, {real.index: I}) == []
+    assert flatten_mod.constraint_residuals(sys4, {real.index: G(2, 3)}) == [(real, G(2))]
+    assert flatten_mod.constraint_residuals(sys4, {zero.index: I}) == [(zero, I)]
+
+
 def test_normalization_mixed_family_membership():
     sys5 = normalization_system(5)
     idx = {c.index for c in sys5.constraints}
@@ -279,6 +295,26 @@ def test_flatten_reads_only_the_degree_it_solves(rng, monkeypatch):
 
     monkeypatch.setattr(Germ, "split", whole_germ_split)
     assert flatten_to_order(g, 7).ok
+
+
+def test_flatten_checks_the_quadric_once_per_entry_point(rng, monkeypatch):
+    g = sheared_quadric(rng, (3, 5), trunc=7)
+    calls = []
+    pair = Germ.quadratic_pair
+    monkeypatch.setattr(Germ, "quadratic_pair", lambda self: calls.append(1) or pair(self))
+    assert flatten_to_order(g, 7).ok
+    # once for the driver, once per solve_kernel call at degrees 3..7
+    assert len(calls) <= 1 + 5
+
+
+def test_solve_kernel_builds_each_degree_system_once(rng):
+    flatten_mod._normalization_matrix.cache_clear()
+    q = parabolic_quadric(8)
+    g = q.shear(random_kernel(rng, 5, density=1.0))
+    assert solve_kernel(q, 5).is_zero()
+    assert not solve_kernel(g, 5).is_zero()
+    info = flatten_mod._normalization_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_flatten_requires_parabolic():

@@ -115,6 +115,29 @@ def test_det_is_multiplicative(n):
         assert (a * b).det() == a.det() * b.det()
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_det_vanishes_exactly_below_full_rank(n):
+    rng = random.Random(70 + n)
+    kinds = set()
+    for k in range(20):
+        a = rand_matrix(rng, n)
+        if k % 2:
+            # the last row a combination of the first two: rank below n
+            rows = a.to_rows()
+            c1, c2 = rand_gaussian(rng), rand_gaussian(rng)
+            rows[-1] = [c1 * x + c2 * y for x, y in zip(rows[0], rows[1])]
+            a = ExactMatrix.from_rows(rows)
+        singular = a.rank() < n
+        kinds.add(singular)
+        assert (a.det() == 0) == singular
+        if singular:
+            with pytest.raises(PreconditionError):
+                a.inverse()
+        else:
+            assert a.inverse() * a == ExactMatrix.identity(n)
+    assert kinds == {True, False}
+
+
 def test_conj_transpose_and_hermitian():
     a = ExactMatrix.from_rows([[1, G(2, 1)], [G(2, -1), -3]])
     assert a.is_hermitian()
