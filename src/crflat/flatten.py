@@ -497,9 +497,12 @@ def _normalization_matrix(m: int) -> tuple:
     unknowns = kernel_unknowns(m)
     constraints = normalization_system(m).constraints
     q2 = quadric_germ(parabolic_pair(), m).R
+    q2_powers = [Series.const(2, m, 1)]
+    for _ in range(m // 2):
+        q2_powers.append(q2_powers[-1] * q2)
     columns = []
     for (a1, a2), j in unknowns:
-        re_part, im_part = (Series(2, m, {(a1, a2, 0, 0): 1}) * q2**j).re_im()
+        re_part, im_part = (Series(2, m, {(a1, a2, 0, 0): 1}) * q2_powers[j]).re_im()
         columns += [series_to_table(im_part), series_to_table(re_part)]
     rows = [
         [getattr(_tget(col, con.index), part) for col in columns]

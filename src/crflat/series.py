@@ -15,10 +15,20 @@ authority for that correspondence.
 Term iteration is always sorted in graded lexicographic order (total degree
 first, then the exponent tuple), which makes every report built from a
 series reproducible byte for byte.
+
+Every product goes through :meth:`Series.__mul__`, which is graded and works
+in integers.  It brings the kept terms of each operand (degree <= the result
+truncation) to one common denominator, buckets them by degree and stops a
+row of buckets once the degrees sum past the truncation.  Partial products
+add into integer (re, im) pairs per exponent, and each nonzero output term
+is normalized once, as a ``Fraction`` over the product of the two common
+denominators.  ``Fraction`` normal form makes the result identical to
+termwise Gaussian-rational arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -45,6 +55,25 @@ def bracket_from_exp(e: Exponent) -> tuple[int, int, int, int]:
 
 def _grlex_key(e: Exponent):
     return (sum(e), e)
+
+
+def _graded_integer_terms(terms: Mapping[Exponent, GaussianRational], trunc: int, base: int):
+    """The terms of degree <= trunc as integers over one common denominator D.
+
+    Returns D and the list of (degree, [(key, D * re, D * im), ...]) in
+    ascending degree, where key packs the exponent e as sum e_i * base^i.
+    """
+    kept = [(sum(e), e, c) for e, c in terms.items() if sum(e) <= trunc]
+    den = math.lcm(*(x.denominator for _, _, c in kept for x in (c.re, c.im)))
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for d, e, c in kept:
+        key = 0
+        for k in reversed(e):
+            key = key * base + k
+        re_num = c.re.numerator * (den // c.re.denominator)
+        im_num = c.im.numerator * (den // c.im.denominator)
+        buckets.setdefault(d, []).append((key, re_num, im_num))
+    return den, sorted(buckets.items())
 
 
 class Series:
@@ -111,9 +140,6 @@ class Series:
     def coeff(self, e: Iterable[int]) -> GaussianRational:
         """Stored coefficient at the exponent, or 0 (also for out-of-range)."""
         return self.terms.get(tuple(e), ZERO)
-
-    def coeff4(self, s: int, t: int, h: int, r: int) -> GaussianRational:
-        return self.terms.get((s, t, h, r), ZERO)
 
     def items(self) -> Iterator[tuple[Exponent, GaussianRational]]:
         """Terms in graded-lex order."""
@@ -182,24 +208,37 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
+        """Truncated product, accumulated in integers (see the module docstring)."""
         if not isinstance(other, Series):
             return self.scale(other)
         self._check_compat(other)
         trunc = min(self.trunc, other.trunc)
+        base = trunc + 1
+        den1, left = _graded_integer_terms(self.terms, trunc, base)
+        den2, right = _graded_integer_terms(other.terms, trunc, base)
+        acc: dict[int, list[int]] = {}
+        for d1, terms1 in left:
+            for d2, terms2 in right:
+                if d1 + d2 > trunc:
+                    break
+                for k1, a, b in terms1:
+                    for k2, c, d in terms2:
+                        pair = acc.get(k1 + k2)
+                        if pair is None:
+                            acc[k1 + k2] = [a * c - b * d, a * d + b * c]
+                        else:
+                            pair[0] += a * c - b * d
+                            pair[1] += a * d + b * c
+        den = den1 * den2
+        width = 2 * self.nvars
         out: dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > trunc:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > trunc:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, ZERO) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+        for key, (x, y) in acc.items():
+            if x or y:
+                e = []
+                for _ in range(width):
+                    key, k = divmod(key, base)
+                    e.append(k)
+                out[tuple(e)] = GaussianRational(Fraction(x, den), Fraction(y, den))
         return self._make(out, trunc)
 
     def __rmul__(self, other):
@@ -451,8 +490,3 @@ def dumps_series(series: Series) -> str:
 
 def load_series(path) -> Series:
     return loads_series(read_text(path))
-
-
-def save_series(series: Series, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_series(series))

@@ -131,7 +131,7 @@ def test_criterion_03_case_oracle_regression():
         zip(("X1", "X2", "Y1", "Y2"),
             obstruction_series(germ_for_case("1a", SAMPLES_1A[0], trunc=6)))
     )
-    assert sample_engine["X2"].coeff4(1, 0, 1, 0) == G(7, -4)
+    assert sample_engine["X2"].coeff((1, 0, 1, 0)) == G(7, -4)
     report(3, "engine X1, X2, Y1, Y2 match the transcribed tables termwise "
               "(cases 1a, 2a, 3; three samples each); 1a sample gives 7-4 i")
 
@@ -139,7 +139,7 @@ def test_criterion_03_case_oracle_regression():
 def test_criterion_04_obstruction_certificate():
     germ = germ_for_case("1a", SAMPLES_1A[0], trunc=8)
     rep = obstruction(germ, 4)
-    coeff = rep.residual.coeff4(0, 0, 4, 0)  # zb1^4
+    coeff = rep.residual.coeff((0, 0, 4, 0))  # zb1^4
     assert coeff.abs2() == F(64, 5) ** 2
     # engine sign: the residual carries -8 a conj(b) d (u - conj u) = -64/5 i
     assert coeff == G(0, F(-64, 5))

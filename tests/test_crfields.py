@@ -190,7 +190,7 @@ def test_obstruction_certificate_case_1a():
     u = UNIMODULAR[0]
     g = germ_for_case("1a", {"a": 1, "b": 1, "d": 1, "u": u}, trunc=8)
     rep = obstruction(g, 4)
-    coeff = rep.residual.coeff4(0, 0, 4, 0)  # zb1^4
+    coeff = rep.residual.coeff((0, 0, 4, 0))  # zb1^4
     assert coeff == (u - u.conj()) * -8  # -8 a conj(b) d (u - 1/u) at a=b=d=1
     assert coeff == G(0, F(-64, 5))
     assert coeff.abs2() == F(64, 5) ** 2
@@ -203,7 +203,7 @@ def test_obstruction_certificate_case_1a_b_zero():
     u = UNIMODULAR[0]
     g = germ_for_case("1a", {"a": 1, "b": 0, "d": 1, "u": u}, trunc=8)
     rep = obstruction(g, 4)
-    coeff = rep.residual.coeff4(0, 3, 1, 0)  # z2^3 zb1
+    coeff = rep.residual.coeff((0, 3, 1, 0))  # z2^3 zb1
     expect = 24 * (1 - u * u)
     assert coeff == expect
     assert coeff

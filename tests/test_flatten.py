@@ -271,6 +271,21 @@ def test_flatten_round_trip_weights_345(rng):
         assert e.is_zero()
 
 
+def test_flatten_to_order_14():
+    # fixed Gaussian-integer shears at every weight 3..14
+    g = parabolic_quadric(14)
+    for m in range(3, 15):
+        coeffs = {
+            key: G((k + m) % 5 - 2, (k * m) % 3 - 1)
+            for k, key in enumerate(kernel_unknowns(m))
+        }
+        g = g.shear(KernelPolynomial(m, coeffs))
+    assert not g.R.homogeneous_part(3).is_real()
+    rep = flatten_to_order(g, 14)
+    assert rep.ok and rep.reached == 14
+    assert all(rep.final.R.homogeneous_part(d).is_real() for d in range(3, 15))
+
+
 def test_flatten_halts_on_non_graph_imaginary_part():
     # an imaginary cubic that fails the first-order condition cannot arise
     # from a shear; the driver stops at degree 3 with a certificate

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crflat import GaussianRational, Series, subst_w
 from crflat.errors import ParseError, PreconditionError
@@ -152,6 +153,79 @@ def _convolve(a: dict, b: dict, trunc: int) -> dict:
             if sum(e) <= trunc:
                 out[e] = out.get(e, G(0)) + c1 * c2
     return out
+
+
+# -- the product against the termwise double loop -------------------------------------
+
+PRODUCT_SETTINGS = settings(derandomize=True, deadline=None, max_examples=80)
+
+# dyadic denominators, as in sheared quadrics, mixed with 3, 7 and 21
+_rationals = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 4, 8, 3, 7, 21]))
+
+
+@st.composite
+def _coefficients(draw, kind):
+    re, im = draw(_rationals), draw(_rationals)
+    return G(0 if kind == "imaginary" else re, 0 if kind == "real" else im)
+
+
+@st.composite
+def product_series(draw, nvars, trunc=None):
+    """A series whose terms may reach up to its own truncation."""
+    trunc = draw(st.integers(0, 6)) if trunc is None else trunc
+    kind = draw(st.sampled_from(["complex", "real", "imaginary"]))
+    exps = st.tuples(*[st.integers(0, trunc)] * (2 * nvars)).filter(lambda e: sum(e) <= trunc)
+    return Series(nvars, trunc, draw(st.dictionaries(exps, _coefficients(kind), max_size=7)))
+
+
+@st.composite
+def operand_pairs(draw):
+    nvars = draw(st.integers(1, 3))
+    return draw(product_series(nvars)), draw(product_series(nvars))
+
+
+def _assert_product(a, b, product):
+    trunc = min(a.trunc, b.trunc)
+    expect = _convolve(a.terms, b.terms, trunc)
+    assert product.trunc == trunc
+    assert product.terms == {e: c for e, c in expect.items() if c}
+    assert all(product.terms.values())  # no stored zero coefficient
+
+
+@PRODUCT_SETTINGS
+@given(operand_pairs())
+def test_product_matches_termwise_convolution(pair):
+    a, b = pair
+    _assert_product(a, b, a * b)
+    # cross terms cancel exactly: (a + b)(a - b) = a^2 - b^2
+    _assert_product(a + b, a - b, (a + b) * (a - b))
+    assert (a * b + a * (-b)).is_zero()
+
+
+@PRODUCT_SETTINGS
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(*[product_series(n)] * 3)))
+def test_product_is_commutative_associative_and_distributive(abc):
+    a, b, c = abc
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+def test_product_edge_cases():
+    z1, _, zb1, _ = gens(4)
+    diff = (z1 + zb1) * (z1 - zb1)
+    assert diff == z1 * z1 - zb1 * zb1 and (1, 0, 1, 0) not in diff.terms
+    # one slot at the truncation: the packed exponent must not carry
+    top = Series(2, 4, {(4, 0, 0, 0): F(5, 7), (0, 0, 0, 4): G(0, F(1, 3))})
+    one = Series.const(2, 4, 1)
+    assert top * one == top and one * top == top
+    assert (top * z1).is_zero()
+    high = Series(2, 6, {(0, 5, 0, 0): 1, (1, 0, 0, 0): F(1, 3)})
+    low = Series(2, 2, {(0, 0, 1, 0): F(3, 2)})
+    assert high * low == Series(2, 2, {(1, 0, 1, 0): F(1, 2)})
+    c = Series.const(1, 0, G(F(1, 3), F(5, 7)))
+    assert (c * c).coeff((0, 0)) == G(F(1, 9) - F(25, 49), F(10, 21))
+    assert (Series.zero(2, 3) * top).is_zero()
 
 
 def test_subst_w_against_termwise_reference():
