@@ -43,8 +43,8 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
-from .linalg import ExactMatrix, nullspace, solve
-from .numeric import GaussianRational, ZERO
+from .linalg import ExactMatrix, nullspace, rank_mod_p, solve
+from .numeric import I, ONE, GaussianRational, ZERO
 from .series import Series, bracket_from_exp, exp_from_bracket
 
 Bracket = tuple[int, int, int, int]
@@ -635,66 +635,82 @@ def fundamental_nullspace(m: int) -> tuple[Table, ...]:
     return tuple(basis)
 
 
+def _integer_rows(mat: ExactMatrix, m: int) -> list[dict[int, int]]:
+    """The nonzero rows of the condition matrix as sparse integer rows."""
+    rows = []
+    for row in mat.to_rows():
+        out = {}
+        for j, c in enumerate(row):
+            if c:
+                if c.im or c.re.denominator != 1:
+                    raise ConsistencyError(
+                        f"condition matrix of degree {m} has the non-integer entry {c}"
+                    )
+                out[j] = c.re.numerator
+        if out:
+            rows.append(out)
+    return rows
+
+
 def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
     """Kernel of the combined system: first-order condition, reality,
     normalization, and the two vanishing coefficient families.
 
-    The condition matrix is integral, so its kernel has a rational basis
-    b_j; this is checked, and a non-real coefficient raises.  Writing
-    H = sum (x_j + i y_j) b_j with real x and y, every constraint splits into
-    one real row on x and one on y, giving two blocks Mx and My:
+    H is written in its table coordinates, x = Re H and y = Im H over
+    ``all_brackets(m)``.  The condition matrix is integral (this is checked),
+    so every constraint splits into one integer row on x and one on y,
+    giving two blocks Mx and My:
 
-    * reality H[idx] = conj H[mirror]: b_j[idx] - b_j[mirror] in Mx,
-      b_j[idx] + b_j[mirror] in My, once per unordered pair;
-    * a "zero" constraint or a vanishing-family index: b_j[idx] in both;
-    * a "realpart" constraint: b_j[idx] in Mx only.
+    * the first-order condition: its rows in both;
+    * reality H[idx] = conj H[mirror]: x[idx] - x[mirror] in Mx,
+      y[idx] + y[mirror] in My, once per unordered pair;
+    * a "zero" constraint or a vanishing-family index: x[idx] in Mx and
+      y[idx] in My;
+    * a "realpart" constraint: x[idx] in Mx only.
 
-    The kernel is ker Mx (tables sum x_j b_j) plus ker My (tables
-    i sum y_j b_j), so its dimension is dim ker Mx + dim ker My.  The
-    expected dimension is 0 for every degree.
+    The kernel is ker Mx (real tables) plus ker My (i times real tables).
+    Full column rank of both blocks mod a prime certifies that it is
+    trivial, since rank mod p never exceeds the rank over Q; that is the
+    expected answer at every degree.  Otherwise both blocks are eliminated
+    exactly, every kernel vector is checked against its block, and the
+    exact nullity is checked against the bound the modular rank gives.
     """
     if m < 3:
         raise PreconditionError("uniqueness check starts at degree 3")
-    basis = fundamental_nullspace(m)
-    if any(c.im for b in basis for c in b.values()):
-        raise ConsistencyError(f"condition kernel basis of degree {m} is not rational")
-    real_basis = [{idx: c.re for idx, c in b.items()} for b in basis]
-
-    def values(idx: Bracket) -> list:
-        return [b.get(idx, 0) for b in real_basis]
-
-    def table(vec, imaginary: bool) -> HTable:
-        # H = sum x_j b_j for an x-vector, H = i * sum y_j b_j for a y-vector
-        coeffs = {}
-        for c, b in zip(vec, real_basis):
-            if c:
-                for idx, v in b.items():
-                    coeffs[idx] = coeffs.get(idx, 0) + c.re * v
-        if imaginary:
-            coeffs = {idx: GaussianRational(0, v) for idx, v in coeffs.items()}
-        return HTable(m, coeffs)
-
-    x_rows, y_rows = [], []
-    seen = set()
-    for t, s, r, h in all_brackets(m):
-        if (r, h, t, s) in seen:
-            continue
-        seen.add((t, s, r, h))
-        here, there = values((t, s, r, h)), values((r, h, t, s))
-        x_rows.append([a - b for a, b in zip(here, there)])
-        y_rows.append([a + b for a, b in zip(here, there)])
-    # Re H[idx] = sum x_j b_j[idx] and Im H[idx] = sum y_j b_j[idx]
-    blocks = {"re": x_rows, "im": y_rows}
+    unknowns, mat = _fundamental_matrix(m)
+    col = {idx: j for j, idx in enumerate(unknowns)}
+    condition = _integer_rows(mat, m)
+    blocks = {"re": list(condition), "im": list(condition)}
+    for t, s, r, h in unknowns:
+        here, there = col[(t, s, r, h)], col[(r, h, t, s)]
+        if here < there:
+            blocks["re"].append({here: 1, there: -1})
+            blocks["im"].append({here: 1, there: 1})
+        elif here == there:
+            blocks["im"].append({here: 2})
     for con in normalization_system(m).constraints:
         for part in con.parts:
-            blocks[part].append(values(con.index))
+            blocks[part].append({col[con.index]: 1})
     families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]
     families += [(t, 0, m - t, 0) for t in range(m + 1)]
     for idx in families:
-        x_rows.append(values(idx))
-        y_rows.append(values(idx))
-    tables = [table(v, False) for v in nullspace(ExactMatrix.from_rows(x_rows))]
-    tables += [table(v, True) for v in nullspace(ExactMatrix.from_rows(y_rows))]
+        for rows in blocks.values():
+            rows.append({col[idx]: 1})
+    n = len(unknowns)
+    ranks = {part: rank_mod_p(rows, n) for part, rows in blocks.items()}
+    if all(rank == n for rank in ranks.values()):
+        return 0, []
+    tables = []
+    for part, name, unit in (("re", "x", ONE), ("im", "y", I)):
+        dense = ExactMatrix.from_rows(
+            [[row.get(j, 0) for j in range(n)] for row in blocks[part]]
+        )
+        kernel = nullspace(dense)
+        if len(kernel) > n - ranks[part] or any(any(dense.matvec(v)) for v in kernel):
+            raise ConsistencyError(
+                f"exact kernel of the {name} block of degree {m} fails its certificate"
+            )
+        tables += [HTable(m, {idx: unit * c for idx, c in zip(unknowns, v)}) for v in kernel]
     return len(tables), tables
 
 

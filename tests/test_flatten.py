@@ -29,7 +29,7 @@ from crflat import (
 import crflat.flatten as flatten_mod
 from crflat.errors import ConsistencyError, PreconditionError
 from crflat.flatten import all_brackets, kernel_unknowns
-from crflat.linalg import ExactMatrix
+from crflat.linalg import ExactMatrix, nullspace
 
 from conftest import rand_gaussian, rand_real_bracket_table
 
@@ -376,12 +376,68 @@ def test_uniqueness_nullspace_rebuilds_kernel_tables(no_normalization, m, expect
     assert ExactMatrix.from_rows(coords).rank() == dim
 
 
-def test_uniqueness_nullspace_rejects_a_non_rational_basis(monkeypatch):
-    basis = list(fundamental_nullspace(4))
-    idx, c = next(iter(basis[0].items()))
-    basis[0] = {**basis[0], idx: c + I}
-    monkeypatch.setattr(flatten_mod, "fundamental_nullspace", lambda m: tuple(basis))
-    with pytest.raises(ConsistencyError):
+@pytest.mark.parametrize("m", range(3, 7))
+def test_uniqueness_reality_rows_leave_exactly_the_real_tables(no_normalization, monkeypatch, m):
+    # without the condition, the kernel is every real table vanishing on the
+    # two families, which are closed under the mirror and hold 2m indices
+    unknowns, _mat = flatten_mod._fundamental_matrix(m)
+    no_condition = ExactMatrix.zero(1, len(unknowns))
+    monkeypatch.setattr(flatten_mod, "_fundamental_matrix", lambda m: (unknowns, no_condition))
+    dim, tables = uniqueness_nullspace(m)
+    assert dim == len(unknowns) - 2 * m and len(tables) == dim
+
+
+def test_uniqueness_certified_beyond_degree_10(monkeypatch):
+    # a full modular rank certifies the kernel without any exact elimination
+    def no_exact(*args):
+        raise AssertionError("exact elimination on the certified path")
+
+    monkeypatch.setattr(flatten_mod, "nullspace", no_exact)
+    monkeypatch.setattr(flatten_mod, "fundamental_nullspace", no_exact)
+    for m in range(11, 15):
+        assert uniqueness_nullspace(m) == (0, [])
+
+
+@pytest.fixture
+def rank_one_short(monkeypatch):
+    calls = []
+
+    def exact(mat):
+        calls.append(mat)
+        return nullspace(mat)
+
+    monkeypatch.setattr(flatten_mod, "rank_mod_p", lambda rows, ncols: ncols - 1)
+    monkeypatch.setattr(flatten_mod, "nullspace", exact)
+    return calls
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_uniqueness_nullspace_falls_back_to_exact_elimination(rank_one_short, m):
+    assert uniqueness_nullspace(m) == (0, [])
+    assert len(rank_one_short) == 2
+
+
+def test_uniqueness_fallback_bounds_the_exact_nullity(no_normalization, rank_one_short):
+    # the exact nullity 4 of each block exceeds the bound n - rank_p = 1
+    with pytest.raises(ConsistencyError, match="x block of degree 3"):
+        uniqueness_nullspace(3)
+
+
+def test_uniqueness_fallback_checks_every_kernel_vector(rank_one_short, monkeypatch):
+    monkeypatch.setattr(flatten_mod, "nullspace", lambda mat: [[G(1)] * mat.cols])
+    with pytest.raises(ConsistencyError, match="x block of degree 4"):
+        uniqueness_nullspace(4)
+
+
+@pytest.mark.parametrize("entry", [G(F(1, 2)), I], ids=["half", "i"])
+def test_uniqueness_nullspace_rejects_a_non_integer_condition_entry(monkeypatch, entry):
+    unknowns, mat = flatten_mod._fundamental_matrix(4)
+    rows = mat.to_rows()
+    rows[3][5] = entry
+    monkeypatch.setattr(
+        flatten_mod, "_fundamental_matrix", lambda m: (unknowns, ExactMatrix.from_rows(rows))
+    )
+    with pytest.raises(ConsistencyError, match="degree 4"):
         uniqueness_nullspace(4)
 
 

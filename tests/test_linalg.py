@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crflat import ExactMatrix, GaussianRational, nullspace, solve
 from crflat.errors import (
@@ -10,6 +11,7 @@ from crflat.errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
+from crflat.linalg import MODULUS, rank_mod_p
 
 from conftest import rand_gaussian, rand_matrix
 
@@ -149,3 +151,57 @@ def test_conj_transpose_and_hermitian():
 def test_to_literal():
     a = ExactMatrix.from_rows([[0, G(0, 1)], [G(F(1, 2)), 0]])
     assert a.to_literal() == "[[0, 1 i], [1/2, 0]]"
+
+
+# -- rank modulo the prime ----------------------------------------------------------
+
+
+def integer_matrices(entries):
+    return st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda shape: st.lists(
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+
+
+def sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    integer_matrices(
+        st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from([MODULUS, -MODULUS, 2 * MODULUS, MODULUS + 1, 2**64]),
+        )
+    )
+)
+def test_rank_mod_p_never_exceeds_the_rational_rank(rows):
+    assert rank_mod_p(sparse(rows), len(rows[0])) <= ExactMatrix.from_rows(rows).rank()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(integer_matrices(st.integers(-3, 3)))
+def test_rank_mod_p_is_the_rational_rank_for_small_entries(rows):
+    # every minor of a 5x5 matrix with entries in [-3, 3] is below the prime
+    # in absolute value, so no minor vanishes mod p that is nonzero over Q
+    assert rank_mod_p(sparse(rows), len(rows[0])) == ExactMatrix.from_rows(rows).rank()
+
+
+def test_rank_mod_p_loses_rank_at_a_multiple_of_the_prime():
+    rows = [[MODULUS, 0], [0, 1]]
+    assert ExactMatrix.from_rows(rows).rank() == 2
+    assert rank_mod_p(sparse(rows), 2) == 1
+    rows = [[1, 1], [1, 1 + MODULUS]]
+    assert ExactMatrix.from_rows(rows).rank() == 2
+    assert rank_mod_p(sparse(rows), 2) == 1
+
+
+def test_rank_mod_p_edge_cases():
+    assert rank_mod_p([], 3) == 0
+    assert rank_mod_p([{}, {1: 0}], 3) == 0
+    assert rank_mod_p([{0: 1}, {0: 2}, {0: 3}], 1) == 1
+    assert rank_mod_p([{2: 5}, {0: 1, 2: 1}, {1: -4}], 3) == 3
