@@ -129,9 +129,6 @@ class ExactMatrix:
     def conj_transpose(self) -> "ExactMatrix":
         return self.transpose().conj()
 
-    def is_hermitian(self) -> bool:
-        return self.rows == self.cols and self == self.conj_transpose()
-
     def is_zero(self) -> bool:
         return all(not a for a in self._e)
 

@@ -24,12 +24,13 @@ Provided decisions and invariants:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import DegenerateSliceError, PreconditionError
+from .errors import ConsistencyError, DegenerateSliceError, PreconditionError
 from .linalg import ExactMatrix
 from .numeric import HALF, I, ONE, ZERO, GaussianRational, sqrt_fraction, sqrt_gaussian
 
@@ -430,35 +431,96 @@ def _search_grid(bound: int) -> list[Fraction]:
     return sorted(vals)
 
 
+def _abs2_coeffs(p0, p1, p2) -> tuple[Fraction, ...]:
+    """Coefficients in y of |p0 + p1 y + p2 y^2|^2 for real y."""
+
+    def dot(u, v):
+        return u.re * v.re + u.im * v.im
+
+    return (
+        dot(p0, p0),
+        2 * dot(p0, p1),
+        2 * dot(p0, p2) + dot(p1, p1),
+        2 * dot(p1, p2),
+        dot(p2, p2),
+    )
+
+
+def _row_quartic(pair: QuadraticPair, x: Fraction) -> list[int]:
+    """Integers f0..f4 with sum f_k y^k a positive multiple of 4|alpha|^2 - |gamma|^2.
+
+    alpha and gamma are the slice coefficients along c = (1, x + i y), written
+    as quadratics in y: with s = A01 + A10,
+    alpha = A00 + s x + A11 x^2 + i (s + 2 A11 x) y - A11 y^2 and
+    gamma = B00 + (B01 + B10) x + B11 x^2 + i (B10 - B01) y + B11 y^2.
+    """
+    a, b = pair.A, pair.B
+    s = a.at(0, 1) + a.at(1, 0)
+    alpha = _abs2_coeffs(
+        a.at(0, 0) + (s + a.at(1, 1) * x) * x, I * (s + 2 * a.at(1, 1) * x), -a.at(1, 1)
+    )
+    gamma = _abs2_coeffs(
+        b.at(0, 0) + (b.at(0, 1) + b.at(1, 0) + b.at(1, 1) * x) * x,
+        I * (b.at(1, 0) - b.at(0, 1)),
+        b.at(1, 1),
+    )
+    f = [4 * u - v for u, v in zip(alpha, gamma)]
+    scale = math.lcm(*(c.denominator for c in f))
+    return [c.numerator * (scale // c.denominator) for c in f]
+
+
+def _first_grid_hit(
+    pair: QuadraticPair, grid: list[Fraction]
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The first (x, y), row by row, with q^4 F_x(p/q) < 0 for y = p/q."""
+    powers = [(y.numerator, y.denominator, y.denominator**2, y.denominator**3, y.denominator**4)
+              for y in grid]
+    for x in grid:
+        f0, f1, f2, f3, f4 = _row_quartic(pair, x)
+        for y, (p, q, q2, q3, q4) in zip(grid, powers):
+            if (((f4 * p + f3 * q) * p + f2 * q2) * p + f1 * q3) * p + f0 * q4 < 0:
+                return x, y
+    return None
+
+
 def elliptic_candidates(pair: QuadraticPair, search_bound: int) -> list[DirectionCandidate]:
     """Per-shape candidate directions plus a bounded deterministic search.
 
     The search normalizes directions to (1, x + i y) with x, y rationals of
     numerator and denominator up to the bound (plus the direction (0, 1)),
     which covers all directions up to complex scaling of the first slot; the
-    verdict is scale-invariant.  The first verified elliptic direction found
-    is appended; an empty result means the search exhausted the grid.
+    verdict is scale-invariant.  The first elliptic direction found is
+    appended; an empty result means the search exhausted the grid.
+
+    The grid is scanned row by row without a slice per point.  For each x,
+    F_x(y) = 4|alpha|^2 - |gamma|^2 along (1, x + i y) is a real quartic in
+    y; scaled by the positive lcm of its denominators it has integer
+    coefficients f0..f4, and at y = p/q the sign of
+    q^4 F_x(p/q) = sum f_k p^k q^(4-k) is found by integer Horner.  The slice
+    is elliptic exactly when F_x(y) < 0: that is the slice test itself, and
+    it implies gamma != 0, because gamma = 0 gives F_x(y) >= 0.  So every
+    verdict and the scan order equal those of a slice per point.  The first
+    hit is re-checked with ``bishop_slice``, whose report is the one
+    appended; a hit that the slice does not confirm raises
+    ``ConsistencyError``.
     """
     if pair.n != 2:
         raise PreconditionError("candidate search is for two variables")
     out = _recipe_candidates(pair)
-    grid = _search_grid(search_bound)
-    found = None
-    for x in grid:
-        for y in grid:
-            c = (ONE, GaussianRational(x, y))
-            rep = _try_slice(pair, c)
-            if rep is not None and rep.elliptic:
-                found = DirectionCandidate("search", c, rep)
-                break
-        if found:
-            break
-    if not found:
+    hit = _first_grid_hit(pair, _search_grid(search_bound))
+    if hit is not None:
+        c = (ONE, GaussianRational(*hit))
+        rep = _try_slice(pair, c)
+        if rep is None or not rep.elliptic:
+            raise ConsistencyError(
+                f"grid direction ({', '.join(map(str, c))}) has a negative quartic "
+                "but its slice is not elliptic"
+            )
+        out.append(DirectionCandidate("search", c, rep))
+    else:
         rep = _try_slice(pair, (ZERO, ONE))
         if rep is not None and rep.elliptic:
-            found = DirectionCandidate("search", (ZERO, ONE), rep)
-    if found:
-        out.append(found)
+            out.append(DirectionCandidate("search", (ZERO, ONE), rep))
     return out
 
 

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 
+from crflat import GaussianRational, quadratic
 from crflat.cli import main
 from crflat.germ import dumps_germ, load_germ
 
@@ -78,6 +80,23 @@ def test_bishop_search_zero_still_searches(tmp_path):
     code, out = run_cli("bishop", str(germ), "--search", "0")
     assert code == 0
     assert "CANDIDATE search (0, 1) elliptic=true lambda_sq=0" in out
+
+
+def test_bishop_search_exhausts_the_bound_16_grid():
+    # no direction (1, x + i y) with x, y in the bound-16 grid, nor (0, 1), is elliptic
+    code, out = run_cli("bishop", fx("m1.germ"), "--search", "16")
+    assert code == 0
+    assert out == f"INPUT {fx('m1.germ')}\n"
+
+
+def test_bishop_search_hit_not_confirmed_by_its_slice(monkeypatch, capsys):
+    flat = quadratic.SliceReport(GaussianRational(1), GaussianRational(1), Fraction(1), False)
+    monkeypatch.setattr(quadratic, "bishop_slice", lambda pair, c: flat)
+    code, out = run_cli("bishop", fx("parabolic.germ"), "--search", "2")
+    err = capsys.readouterr().err
+    assert code == 4 and out == ""
+    assert err == "error: grid direction (1, -2-2 i) has a negative quartic " \
+                  "but its slice is not elliptic\n"
 
 
 def test_bishop_negative_search_bound_is_a_parse_error():

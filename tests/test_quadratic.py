@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from crflat import (
     CoarseClass,
@@ -16,13 +17,15 @@ from crflat import (
     cr_singular_linearization,
     elliptic_candidates,
     is_hermitianizable,
+    quadratic,
     max_null_dim,
     parabolic_pair,
     quadric_germ,
     recognize_pair,
     subslice_pair,
 )
-from crflat.errors import DegenerateSliceError, PreconditionError
+from crflat.errors import ConsistencyError, DegenerateSliceError, PreconditionError
+from crflat.quadratic import DirectionCandidate, SliceReport
 
 from conftest import (
     UNIMODULAR,
@@ -75,7 +78,8 @@ def test_hermitian_b_witness_consistency(rng):
         v = is_hermitianizable(QuadraticPair(ExactMatrix.zero(2, 2), b))
         assert v.flattenable
         assert b == b.conj_transpose().scale(v.lam)
-        assert b.scale(v.mu_witness.inverse()).is_hermitian()
+        h = b.scale(v.mu_witness.inverse())
+        assert h == h.conj_transpose()
 
 
 def test_hermitianizable_invariant_under_congruence(rng):
@@ -238,7 +242,7 @@ def test_subslice_diagonal_and_hermitian(rng):
         h = h + h.conj_transpose()
         p3 = QuadraticPair(ExactMatrix.zero(3, 3), h)
         sl = subslice_pair(p3, 0, 2)
-        assert sl.B.is_hermitian()
+        assert sl.B == sl.B.conj_transpose()
         assert is_hermitianizable(sl).flattenable
     with pytest.raises(PreconditionError):
         subslice_pair(p3, 1, 1)
@@ -295,8 +299,97 @@ def test_definite_hermitian_null_alpha_directions_are_elliptic():
 def test_grid_search_finds_nothing_for_split_balanced_pair():
     for lam in (F(1, 2), F(1)):
         p0 = pair([[lam, 0], [0, lam]], [[1, 0], [0, -1]])
-        cands = elliptic_candidates(p0, 6)
+        cands = elliptic_candidates(p0, 12)
         assert cands == []
+
+
+def _brute_candidates(p0, bound):
+    """Reference search: one ``bishop_slice`` per grid point, row by row."""
+    out = quadratic._recipe_candidates(p0)
+    grid = quadratic._search_grid(bound)
+    for x in grid:
+        for y in grid:
+            c = (G(1), G(x, y))
+            rep = quadratic._try_slice(p0, c)
+            if rep is not None and rep.elliptic:
+                return out + [DirectionCandidate("search", c, rep)]
+    rep = quadratic._try_slice(p0, (G(0), G(1)))
+    if rep is not None and rep.elliptic:
+        out.append(DirectionCandidate("search", (G(0), G(1)), rep))
+    return out
+
+
+_RATIONAL = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+_ENTRY = st.one_of(
+    st.just(G(0)),
+    _RATIONAL.map(G),
+    _RATIONAL.map(lambda r: G(0, r)),
+    st.builds(G, _RATIONAL, _RATIONAL),
+)
+_MATRIX = st.lists(_ENTRY, min_size=4, max_size=4).map(
+    lambda e: ExactMatrix.from_rows([e[:2], e[2:]])
+)
+_SINGULAR = st.lists(_ENTRY, min_size=4, max_size=4).map(
+    lambda e: ExactMatrix.from_rows([[e[0] * e[2], e[0] * e[3]], [e[1] * e[2], e[1] * e[3]]])
+)
+_ZERO = st.just(ExactMatrix.zero(2, 2))
+_PAIRS = st.builds(
+    QuadraticPair, st.one_of(_ZERO, _MATRIX), st.one_of(_ZERO, _MATRIX, _SINGULAR)
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_PAIRS)
+def test_grid_scan_matches_a_slice_per_point(p0):
+    for bound in range(5):
+        assert elliptic_candidates(p0, bound) == _brute_candidates(p0, bound)
+
+
+def test_grid_scan_hand_made_cases():
+    # A = 0, B = diag(2, 1): every direction is elliptic, so the first grid point hits
+    p0 = pair([[0, 0], [0, 0]], [[2, 0], [0, 1]])
+    got = elliptic_candidates(p0, 3)
+    assert [c.direction for c in got] == [(G(1), G(-3, -3))]
+    assert got == _brute_candidates(p0, 3)
+    # 4 |1 + 20 w|^2 >= |w|^4 on the whole grid; only (0, 1) is elliptic
+    p0 = pair([[1, 10], [10, 0]], [[0, 0], [0, 1]])
+    for bound in (0, 4, 16):
+        got = elliptic_candidates(p0, bound)
+        assert [c.direction for c in got] == [(G(0), G(1))] and got[0].report.elliptic
+    assert got == _brute_candidates(p0, 4)
+    # the split balanced pair exhausts the grid
+    p0 = pair([[1, 0], [0, 1]], [[1, 0], [0, -1]])
+    assert elliptic_candidates(p0, 4) == _brute_candidates(p0, 4) == []
+
+
+def test_grid_scan_slices_only_recipes_and_the_hit(monkeypatch):
+    calls = []
+    real = quadratic.bishop_slice
+
+    def counted(p0, c):
+        calls.append(c)
+        return real(p0, c)
+
+    monkeypatch.setattr(quadratic, "bishop_slice", counted)
+    cases = [
+        (parabolic_pair(), 6),  # a recipe and a grid hit
+        (pair([[1, 0], [0, 10]], [[1, 0], [0, 1]]), 4),  # a failing recipe
+        (pair([[1, 10], [10, 0]], [[0, 0], [0, 1]]), 8),  # hit at (0, 1)
+        (pair([[1, 0], [0, 1]], [[1, 0], [0, -1]]), 8),  # exhausted grid
+    ]
+    for p0, bound in cases:
+        recipes = len(quadratic._recipe_candidates(p0))
+        calls.clear()
+        elliptic_candidates(p0, bound)
+        assert len(calls) <= recipes + 2
+
+
+def test_grid_hit_is_certified_by_its_slice(monkeypatch):
+    p0 = pair([[0, 0], [0, 0]], [[2, 0], [0, 1]])
+    flat = SliceReport(G(1), G(1), F(1), False)
+    monkeypatch.setattr(quadratic, "bishop_slice", lambda p, c: flat)
+    with pytest.raises(ConsistencyError, match=r"\(1, -2-2 i\)"):
+        elliptic_candidates(p0, 2)
 
 
 def test_candidates_for_recipe_shapes():
