@@ -1,7 +1,7 @@
 """Exact-arithmetic analysis of codimension-two CR singular graph germs.
 
 Subpackages by layer: ``numeric``/``linalg`` (Gaussian-rational scalars and
-exact dense linear algebra), ``series`` (truncated polynomial ring in z and
+exact sparse linear algebra), ``series`` (truncated polynomial ring in z and
 zbar), ``germ`` (graph germs and their coordinate changes), ``quadratic``
 (flattenability, coarse classification, Bishop slices), ``crfields``
 (tangent-field brackets and the non-minimality obstruction), ``flatten``
@@ -18,7 +18,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .numeric import GaussianRational, sqrt_fraction, sqrt_gaussian
-from .linalg import ExactMatrix, nullspace, solve
+from .linalg import ExactMatrix, nullspace, solve, sparse_nullspace
 from .series import Series, subst_w, exp_from_bracket, bracket_from_exp
 from .germ import (
     Germ,

@@ -43,7 +43,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
-from .linalg import ExactMatrix, nullspace, rank_mod_p, solve
+from .linalg import ExactMatrix, rank_mod_p, solve, sparse_nullspace
 from .numeric import I, ONE, GaussianRational, ZERO
 from .series import Series, bracket_from_exp, exp_from_bracket
 
@@ -611,45 +611,69 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
 # -- uniqueness of the normalized solution ----------------------------------------------
 
 
-def _fundamental_matrix(m: int) -> tuple:
-    """Columns: basis tables of degree m; rows: condition coefficients."""
+def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int]]]:
+    """The condition on degree-m tables as sparse integer rows.
+
+    Column j is the unit table at ``all_brackets(m)[j]``; each nonzero row
+    maps columns to the integer coefficient of one degree-(m + 1) bracket of
+    the condition series, rows in bracket order.  A non-integer coefficient
+    raises :class:`ConsistencyError`.
+    """
     unknowns = all_brackets(m)
-    col_tables = []
-    for idx in unknowns:
-        tables = phi_psi({idx: GaussianRational(1)}, m)
-        col_tables.append(series_to_table(fundamental_series(tables)))
-    rows_idx = all_brackets(m + 1)
-    rows = []
-    for ridx in rows_idx:
-        rows.append([_tget(col, ridx) for col in col_tables])
-    return tuple(unknowns), ExactMatrix.from_rows(rows)
+    by_bracket: dict[Bracket, dict[int, int]] = {}
+    for j, idx in enumerate(unknowns):
+        series = fundamental_series(phi_psi({idx: ONE}, m))
+        for e, c in series.items():
+            if c.im or c.re.denominator != 1:
+                raise ConsistencyError(
+                    f"condition matrix of degree {m} has the non-integer entry {c}"
+                )
+            by_bracket.setdefault(bracket_from_exp(e), {})[j] = c.re.numerator
+    return tuple(unknowns), [by_bracket[b] for b in sorted(by_bracket)]
+
+
+def _kills(rows: list[dict[int, int]], vec: list[GaussianRational]) -> bool:
+    """Whether integer rows vanish on ``vec``, checked in integers.
+
+    The real and imaginary parts of ``vec`` are each scaled by the lcm of
+    their denominators; integer rows vanish on ``vec`` exactly when they
+    vanish on both scaled parts.
+    """
+    for part in ([x.re for x in vec], [x.im for x in vec]):
+        d = math.lcm(*(x.denominator for x in part))
+        u = [x.numerator * (d // x.denominator) for x in part]
+        if any(sum(c * u[j] for j, c in row.items()) for row in rows):
+            return False
+    return True
+
+
+def _certified_kernel(rows: list[dict[int, int]], n: int, rank_p: int, what: str) -> list:
+    """The exact kernel of integer rows in ``n`` columns, certified.
+
+    Every basis vector must vanish under the rows, and the nullity may not
+    exceed n - ``rank_p``, the bound a rank modulo a prime gives (that rank
+    never exceeds the rank over Q).  A failure raises
+    :class:`ConsistencyError` naming ``what``.
+    """
+    kernel = sparse_nullspace(rows, n)
+    if len(kernel) > n - rank_p or not all(_kills(rows, v) for v in kernel):
+        raise ConsistencyError(f"exact kernel of {what} fails its certificate")
+    return kernel
 
 
 @lru_cache(maxsize=None)
 def fundamental_nullspace(m: int) -> tuple[Table, ...]:
-    """A deterministic basis of all degree-m tables killed by the condition."""
-    unknowns, mat = _fundamental_matrix(m)
-    basis = []
-    for vec in nullspace(mat):
-        basis.append({idx: c for idx, c in zip(unknowns, vec) if c})
-    return tuple(basis)
+    """A deterministic basis of all degree-m tables killed by the condition.
 
-
-def _integer_rows(mat: ExactMatrix, m: int) -> list[dict[int, int]]:
-    """The nonzero rows of the condition matrix as sparse integer rows."""
-    rows = []
-    for row in mat.to_rows():
-        out = {}
-        for j, c in enumerate(row):
-            if c:
-                if c.im or c.re.denominator != 1:
-                    raise ConsistencyError(
-                        f"condition matrix of degree {m} has the non-integer entry {c}"
-                    )
-                out[j] = c.re.numerator
-        if out:
-            rows.append(out)
-    return rows
+    The basis is certified against the condition rows (see
+    ``_certified_kernel``).
+    """
+    unknowns, rows = _fundamental_matrix(m)
+    n = len(unknowns)
+    kernel = _certified_kernel(
+        rows, n, rank_mod_p(rows, n), f"the condition of degree {m}"
+    )
+    return tuple({idx: c for idx, c in zip(unknowns, v) if c} for v in kernel)
 
 
 def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
@@ -677,9 +701,8 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
     """
     if m < 3:
         raise PreconditionError("uniqueness check starts at degree 3")
-    unknowns, mat = _fundamental_matrix(m)
+    unknowns, condition = _fundamental_matrix(m)
     col = {idx: j for j, idx in enumerate(unknowns)}
-    condition = _integer_rows(mat, m)
     blocks = {"re": list(condition), "im": list(condition)}
     for t, s, r, h in unknowns:
         here, there = col[(t, s, r, h)], col[(r, h, t, s)]
@@ -702,14 +725,9 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
         return 0, []
     tables = []
     for part, name, unit in (("re", "x", ONE), ("im", "y", I)):
-        dense = ExactMatrix.from_rows(
-            [[row.get(j, 0) for j in range(n)] for row in blocks[part]]
+        kernel = _certified_kernel(
+            blocks[part], n, ranks[part], f"the {name} block of degree {m}"
         )
-        kernel = nullspace(dense)
-        if len(kernel) > n - ranks[part] or any(any(dense.matvec(v)) for v in kernel):
-            raise ConsistencyError(
-                f"exact kernel of the {name} block of degree {m} fails its certificate"
-            )
         tables += [HTable(m, {idx: unit * c for idx, c in zip(unknowns, v)}) for v in kernel]
     return len(tables), tables
 

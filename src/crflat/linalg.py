@@ -1,12 +1,14 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
-Provides a row-major dense matrix type plus Gaussian-elimination based
-solve, nullspace, rank, determinant and inverse, and a sparse rank of an
-integer matrix modulo a fixed prime, which certifies full column rank over
-the rationals without rational arithmetic.  Pivoting is deterministic
-(first nonzero entry in row-major order), so every derived object --
-echelon forms, nullspace bases, reports built on them -- is reproducible
-byte for byte.
+Provides a row-major dense matrix type; one sparse reduced elimination,
+over rows that map a column to its nonzero entry, behind solve, nullspace,
+rank, determinant and inverse; and a sparse rank of an integer matrix
+modulo a fixed prime, which certifies full column rank over the rationals
+without rational arithmetic.  The elimination runs over ``Fraction`` when
+no entry has an imaginary part and over ``GaussianRational`` otherwise.
+Pivot columns are taken in order, so the reduced echelon form -- which is
+unique -- and everything derived from it (nullspace bases, solutions,
+reports built on them) is reproducible byte for byte.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -135,26 +137,26 @@ class ExactMatrix:
     # -- elimination-backed queries -------------------------------------------
 
     def rank(self) -> int:
-        _rows, pivots, _scale = _echelon(self.to_rows())
+        _rows, pivots, _scale = _echelon(_sparse(self))
         return len(pivots)
 
     def det(self) -> GaussianRational:
         if self.rows != self.cols:
             raise PreconditionError("determinant of a non-square matrix")
-        _rows, pivots, scale = _echelon(self.to_rows())
-        return scale if len(pivots) == self.rows else ZERO
+        _rows, pivots, scale = _echelon(_sparse(self))
+        return GaussianRational.coerce(scale) if len(pivots) == self.rows else ZERO
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise PreconditionError("inverse of a non-square matrix")
         n = self.rows
-        aug = [self.row(i) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rows, pivots, _scale = _echelon(aug)
+        unit = [{i: 1} for i in range(n)]
+        rows, pivots, _scale = _echelon(_sparse(self, unit))
         if len(pivots) < n or any(p >= n for p in pivots):
             raise PreconditionError("matrix is singular")
         inv = [[ZERO] * n for _ in range(n)]
-        for r, c in enumerate(pivots):
-            inv[c] = rows[r][n:]
+        for row, c in zip(rows, pivots):
+            inv[c] = [row.get(n + j, ZERO) for j in range(n)]
         return ExactMatrix.from_rows(inv)
 
     # -- misc -------------------------------------------------------------------
@@ -182,50 +184,86 @@ class ExactMatrix:
         return f"ExactMatrix({self.to_literal()})"
 
 
-def _echelon(rows: list[Vector]) -> tuple[list[Vector], list[int], GaussianRational]:
-    """In-place reduction to reduced echelon form; returns (rows, pivot columns, scale).
+def _scalar_rows(rows: Iterable[Mapping[int, object]]) -> list[dict[int, object]]:
+    """Sparse copies of ``rows`` without zero entries, in one scalar type.
 
-    Pivot selection is deterministic: for each column in order, the first
-    remaining row with a nonzero entry.  Each pivot row is divided by its
-    pivot and the pivot column cleared in every other row.  The scale is
-    (-1)^(row swaps) times the product of the pivots, so a square matrix of
-    full rank has determinant scale.
+    Entries become ``Fraction`` when none has an imaginary part and
+    ``GaussianRational`` otherwise; both support the field operations the
+    elimination uses, and real rationals skip the imaginary halves.
     """
-    if not rows:
-        return rows, [], ONE
-    ncols = len(rows[0])
+    out = [
+        {j: GaussianRational.coerce(v) for j, v in row.items() if v} for row in rows
+    ]
+    if any(v.im for row in out for v in row.values()):
+        return out
+    return [{j: v.re for j, v in row.items()} for row in out]
+
+
+def _echelon(
+    rows: Iterable[Mapping[int, object]],
+) -> tuple[list[dict[int, object]], list[int], object]:
+    """Reduced echelon form of sparse rows (see ``sparse_nullspace``).
+
+    Returns (rows, pivot columns, scale); row k of the result holds the
+    pivot of column ``pivots[k]``, and its entries are in the scalar type
+    ``_scalar_rows`` picks.  Columns are taken in order.  Within a column the
+    pivot is the remaining row with the fewest nonzeros (the first such row
+    on a tie), which keeps fill-in low; the reduced echelon form is unique,
+    so the choice changes no result.  The chosen row is swapped into place,
+    divided by its pivot, and the pivot column cleared in every other row.
+    The scale is (-1)^(row swaps) times the product of the pivots, so a
+    square matrix of full rank has determinant scale.
+    """
+    rows = _scalar_rows(rows)
+    ncols = 1 + max((j for row in rows for j in row), default=-1)
     pivots: list[int] = []
-    scale = ONE
+    scale = 1
     r = 0
     for c in range(ncols):
         if r >= len(rows):
             break
         p = None
         for i in range(r, len(rows)):
-            if rows[i][c]:
+            if c in rows[i] and (p is None or len(rows[i]) < len(rows[p])):
                 p = i
-                break
         if p is None:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             scale = -scale
-        piv = rows[r][c]
+        prow = rows[r]
+        piv = prow[c]
         scale = scale * piv
-        if piv != ONE:
-            inv = piv.inverse()
-            rows[r] = [inv * x for x in rows[r]]
-        rr = rows[r]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                ri = rows[i]
-                for j in range(c, ncols):
-                    if rr[j]:
-                        ri[j] = ri[j] - f * rr[j]
+        if piv != 1:
+            inv = 1 / piv
+            prow = rows[r] = {j: inv * v for j, v in prow.items()}
+        others = [(j, v) for j, v in prow.items() if j != c]
+        for i, ri in enumerate(rows):
+            f = ri.get(c) if i != r else None
+            if f is None:
+                continue
+            del ri[c]
+            for j, v in others:
+                w = ri.get(j)
+                if w is None:
+                    ri[j] = -(f * v)
+                else:
+                    w = w - f * v
+                    if w:
+                        ri[j] = w
+                    else:
+                        del ri[j]
         pivots.append(c)
         r += 1
     return rows, pivots, scale
+
+
+def _sparse(a: ExactMatrix, extra=()) -> list[dict[int, GaussianRational]]:
+    """The rows of ``a`` as sparse dicts, row i extended by ``extra[i]``."""
+    rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
+    for row, more in zip(rows, extra):
+        row.update((a.cols + j, x) for j, x in more.items())
+    return rows
 
 
 def solve(a: ExactMatrix, b: Sequence) -> Vector:
@@ -240,8 +278,7 @@ def solve(a: ExactMatrix, b: Sequence) -> Vector:
         raise PreconditionError("empty system")
     if len(b) != a.rows:
         raise PreconditionError("dimension mismatch between matrix and right-hand side")
-    aug = [a.row(i) + [GaussianRational.coerce(b[i])] for i in range(a.rows)]
-    rows, pivots, _scale = _echelon(aug)
+    rows, pivots, _scale = _echelon(_sparse(a, [{0: x} for x in b]))
     n = a.cols
     if any(p == n for p in pivots):
         raise InconsistentSystemError("A x = b has no solution")
@@ -250,29 +287,39 @@ def solve(a: ExactMatrix, b: Sequence) -> Vector:
             f"solution space has dimension {n - len(pivots)}"
         )
     x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
+    for row, c in zip(rows, pivots):
+        x[c] = GaussianRational.coerce(row.get(n, 0))
     return x
 
 
-def nullspace(a: ExactMatrix) -> list[Vector]:
-    """Deterministic basis of {v : A v = 0} from the reduced echelon form.
+def sparse_nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Vector]:
+    """Deterministic basis of {v : A v = 0} for A given by sparse rows.
 
-    Each basis vector carries a 1 in one free column (ascending order) and
-    the solved pivot values elsewhere; the span is exactly the kernel.
+    Each row maps a column below ``ncols`` to its entry (an int, Fraction or
+    GaussianRational), absent entries being zero.  Each basis vector carries
+    a 1 in one free column (ascending order) and the solved pivot values
+    elsewhere, read off the reduced echelon form; the span is exactly the
+    kernel.
     """
-    rows, pivots, _scale = _echelon(a.to_rows())
-    n = a.cols
+    reduced, pivots, _scale = _echelon(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for f in free:
-        v = [ZERO] * n
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [ZERO] * ncols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+        for row, c in zip(reduced, pivots):
+            x = row.get(f)
+            if x is not None:
+                v[c] = GaussianRational.coerce(-x)
         basis.append(v)
     return basis
+
+
+def nullspace(a: ExactMatrix) -> list[Vector]:
+    """``sparse_nullspace`` of the rows of ``a``."""
+    return sparse_nullspace(_sparse(a), a.cols)
 
 
 def rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> int:

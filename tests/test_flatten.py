@@ -29,7 +29,7 @@ from crflat import (
 import crflat.flatten as flatten_mod
 from crflat.errors import ConsistencyError, PreconditionError
 from crflat.flatten import all_brackets, kernel_unknowns
-from crflat.linalg import ExactMatrix, nullspace
+from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
 
 from conftest import rand_gaussian, rand_real_bracket_table
 
@@ -380,9 +380,8 @@ def test_uniqueness_nullspace_rebuilds_kernel_tables(no_normalization, m, expect
 def test_uniqueness_reality_rows_leave_exactly_the_real_tables(no_normalization, monkeypatch, m):
     # without the condition, the kernel is every real table vanishing on the
     # two families, which are closed under the mirror and hold 2m indices
-    unknowns, _mat = flatten_mod._fundamental_matrix(m)
-    no_condition = ExactMatrix.zero(1, len(unknowns))
-    monkeypatch.setattr(flatten_mod, "_fundamental_matrix", lambda m: (unknowns, no_condition))
+    unknowns, _rows = flatten_mod._fundamental_matrix(m)
+    monkeypatch.setattr(flatten_mod, "_fundamental_matrix", lambda m: (unknowns, []))
     dim, tables = uniqueness_nullspace(m)
     assert dim == len(unknowns) - 2 * m and len(tables) == dim
 
@@ -392,7 +391,7 @@ def test_uniqueness_certified_beyond_degree_10(monkeypatch):
     def no_exact(*args):
         raise AssertionError("exact elimination on the certified path")
 
-    monkeypatch.setattr(flatten_mod, "nullspace", no_exact)
+    monkeypatch.setattr(flatten_mod, "sparse_nullspace", no_exact)
     monkeypatch.setattr(flatten_mod, "fundamental_nullspace", no_exact)
     for m in range(11, 15):
         assert uniqueness_nullspace(m) == (0, [])
@@ -402,12 +401,12 @@ def test_uniqueness_certified_beyond_degree_10(monkeypatch):
 def rank_one_short(monkeypatch):
     calls = []
 
-    def exact(mat):
-        calls.append(mat)
-        return nullspace(mat)
+    def exact(rows, ncols):
+        calls.append(rows)
+        return sparse_nullspace(rows, ncols)
 
     monkeypatch.setattr(flatten_mod, "rank_mod_p", lambda rows, ncols: ncols - 1)
-    monkeypatch.setattr(flatten_mod, "nullspace", exact)
+    monkeypatch.setattr(flatten_mod, "sparse_nullspace", exact)
     return calls
 
 
@@ -424,19 +423,21 @@ def test_uniqueness_fallback_bounds_the_exact_nullity(no_normalization, rank_one
 
 
 def test_uniqueness_fallback_checks_every_kernel_vector(rank_one_short, monkeypatch):
-    monkeypatch.setattr(flatten_mod, "nullspace", lambda mat: [[G(1)] * mat.cols])
+    monkeypatch.setattr(flatten_mod, "sparse_nullspace", lambda rows, ncols: [[G(1)] * ncols])
     with pytest.raises(ConsistencyError, match="x block of degree 4"):
         uniqueness_nullspace(4)
 
 
 @pytest.mark.parametrize("entry", [G(F(1, 2)), I], ids=["half", "i"])
 def test_uniqueness_nullspace_rejects_a_non_integer_condition_entry(monkeypatch, entry):
-    unknowns, mat = flatten_mod._fundamental_matrix(4)
-    rows = mat.to_rows()
-    rows[3][5] = entry
-    monkeypatch.setattr(
-        flatten_mod, "_fundamental_matrix", lambda m: (unknowns, ExactMatrix.from_rows(rows))
-    )
+    # one degree-5 coefficient of every condition series made non-integral
+    real = flatten_mod.fundamental_series
+
+    def corrupted(tables):
+        s = real(tables)
+        return s + Series(2, s.trunc, {(2, 1, 1, 1): entry})
+
+    monkeypatch.setattr(flatten_mod, "fundamental_series", corrupted)
     with pytest.raises(ConsistencyError, match="degree 4"):
         uniqueness_nullspace(4)
 
@@ -445,6 +446,57 @@ def test_fundamental_nullspace_members_satisfy_condition():
     for m in (3, 5):
         for table in fundamental_nullspace(m):
             assert check_fundamental(phi_psi(table, m)).ok
+
+
+def test_condition_rows_are_the_condition_series():
+    m = 5
+    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    assert unknowns == tuple(all_brackets(m)) and all(rows)
+    assert all(type(c) is int for row in rows for c in row.values())
+    # a random table's condition series, read off the rows, in bracket order
+    rng = random.Random(12)
+    table = rand_real_bracket_table(rng, m)
+    values = [sum(c * table.get(unknowns[j], 0) for j, c in row.items()) for row in rows]
+    series = check_fundamental(phi_psi(table, m)).violations
+    assert [v for v in values if v] == [c for _, c in sorted(series)]
+
+
+@pytest.fixture
+def fresh_fundamental_nullspace():
+    flatten_mod.fundamental_nullspace.cache_clear()
+    yield flatten_mod.fundamental_nullspace
+    flatten_mod.fundamental_nullspace.cache_clear()
+
+
+@pytest.mark.parametrize("delta", [G(1), I], ids=["re", "im"])
+def test_fundamental_nullspace_checks_every_basis_vector(
+    fresh_fundamental_nullspace, monkeypatch, delta
+):
+    def corrupted(rows, ncols):
+        basis = sparse_nullspace(rows, ncols)
+        j = min(rows[0])  # a column the first condition row reads
+        basis[2][j] += delta
+        return basis
+
+    monkeypatch.setattr(flatten_mod, "sparse_nullspace", corrupted)
+    with pytest.raises(ConsistencyError, match="condition of degree 5"):
+        fresh_fundamental_nullspace(5)
+
+
+def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):
+    # claiming one more modular rank than the rational rank must fail
+    monkeypatch.setattr(flatten_mod, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
+    with pytest.raises(ConsistencyError, match="condition of degree 4"):
+        fresh_fundamental_nullspace(4)
+
+
+@pytest.mark.parametrize("m", [11, 12])
+def test_identity_audit_on_higher_degree_condition_kernels(m):
+    basis = fundamental_nullspace(m)
+    assert basis
+    for table in basis:
+        rep = identity_audit(table, m)
+        assert rep.ok, (m, rep.failures)
 
 
 # -- parity -------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from crflat.errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from crflat.linalg import MODULUS, rank_mod_p
+from crflat.linalg import MODULUS, _echelon, rank_mod_p, sparse_nullspace
+from crflat.numeric import ONE, ZERO
 
 from conftest import rand_gaussian, rand_matrix
 
@@ -204,3 +205,156 @@ def test_rank_mod_p_edge_cases():
     assert rank_mod_p([{}, {1: 0}], 3) == 0
     assert rank_mod_p([{0: 1}, {0: 2}, {0: 3}], 1) == 1
     assert rank_mod_p([{2: 5}, {0: 1, 2: 1}, {1: -4}], 3) == 3
+
+
+# -- the sparse elimination against the dense one it replaced -------------------------
+
+
+def _dense_echelon(rows):
+    """Dense reduced echelon form over GaussianRational, first-row pivots.
+
+    The elimination the sparse one replaced, kept as its oracle; returns
+    (rows, pivot columns, scale) with scale = (-1)^(row swaps) times the
+    product of the pivots.
+    """
+    if not rows:
+        return rows, [], ONE
+    ncols = len(rows[0])
+    pivots = []
+    scale = ONE
+    r = 0
+    for c in range(ncols):
+        if r >= len(rows):
+            break
+        p = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            scale = -scale
+        piv = rows[r][c]
+        scale = scale * piv
+        if piv != ONE:
+            inv = piv.inverse()
+            rows[r] = [inv * x for x in rows[r]]
+        rr = rows[r]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                ri = rows[i]
+                for j in range(c, ncols):
+                    if rr[j]:
+                        ri[j] = ri[j] - f * rr[j]
+        pivots.append(c)
+        r += 1
+    return rows, pivots, scale
+
+
+@st.composite
+def structured_matrices(draw, max_rows=5, max_cols=6):
+    """Real or complex matrices, often sparse, with dependent and zero lines.
+
+    Duplicate rows, combinations of rows, zero rows and zero columns make
+    them rank-deficient; a final shuffle of the rows forces row swaps.
+    """
+    complex_entries = draw(st.booleans())
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    part = st.one_of(
+        st.just(0), st.just(0), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4)
+    )
+    entry = st.builds(G, part, part if complex_entries else st.just(0))
+    rows = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    )
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c1, c2 = draw(entry), draw(entry)
+        rows.append([c1 * x + c2 * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [ZERO] * ncols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        rows = [row[:j] + [ZERO] + row[j + 1 :] for row in rows]
+    return draw(st.permutations(rows))
+
+
+def _dense(reduced, ncols):
+    return [[G.coerce(row.get(j, 0)) for j in range(ncols)] for row in reduced]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(structured_matrices())
+def test_sparse_elimination_matches_the_dense_one(rows):
+    ncols = len(rows[0])
+    want, want_pivots, want_scale = _dense_echelon([list(r) for r in rows])
+    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    got, pivots, _scale = _echelon(sparse_rows)
+    assert pivots == want_pivots
+    rank = len(pivots)
+    assert _dense(got[:rank], ncols) == want[:rank]
+    assert all(not row for row in got[rank:])
+    real = all(not x.im for r in rows for x in r)
+    assert all(type(x) is (F if real else G) for row in got for x in row.values())
+    a = ExactMatrix.from_rows(rows)
+    assert a.rank() == rank
+    if len(rows) == ncols:
+        assert a.det() == (want_scale if rank == ncols else 0)
+    # the basis read off the dense reduced form, free columns ascending
+    basis = []
+    for f in (c for c in range(ncols) if c not in want_pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, c in enumerate(want_pivots):
+            v[c] = -want[r][f]
+        basis.append(v)
+    assert nullspace(a) == basis
+    assert sparse_nullspace(sparse_rows, ncols) == basis
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(structured_matrices(max_rows=4, max_cols=4), st.data())
+def test_solve_and_inverse_round_trips(rows, data):
+    a = ExactMatrix.from_rows(rows)
+    n = a.cols
+    part = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+    x = data.draw(st.lists(st.builds(G, part, part), min_size=n, max_size=n))
+    rank = a.rank()
+    if rank == n:
+        assert solve(a, a.matvec(x)) == x
+    else:
+        with pytest.raises(UnderdeterminedSystemError):
+            solve(a, a.matvec(x))
+    # a right-hand side outside the column space, decided by the dense oracle
+    b = data.draw(st.lists(st.builds(G, part, part), min_size=a.rows, max_size=a.rows))
+    _, aug_pivots, _ = _dense_echelon([list(r) + [y] for r, y in zip(rows, b)])
+    if n in aug_pivots:
+        with pytest.raises(InconsistentSystemError):
+            solve(a, b)
+    if a.rows == n:
+        if rank == n:
+            inv = a.inverse()
+            assert a * inv == ExactMatrix.identity(n) == inv * a
+        else:
+            with pytest.raises(PreconditionError, match="singular"):
+                a.inverse()
+
+
+def test_sparse_pivot_is_the_shortest_candidate_row():
+    # column 0 is nonzero in both rows; the shorter second row is the pivot
+    # and its swap into place flips the sign of the scale
+    got, pivots, scale = _echelon([{0: 2, 1: 1, 2: 1}, {0: 3}])
+    assert pivots == [0, 1]
+    assert got == [{0: 1}, {1: 1, 2: 1}]
+    assert scale == -3
+
+
+def test_sparse_nullspace_accepts_integer_rows():
+    assert sparse_nullspace([{0: 1, 1: -1}, {}], 3) == [[G(1), G(1), G(0)], [G(0), G(0), G(1)]]
+    assert sparse_nullspace([], 2) == [[G(1), G(0)], [G(0), G(1)]]
