@@ -19,7 +19,7 @@ from .errors import (
 )
 from .numeric import GaussianRational, sqrt_fraction, sqrt_gaussian
 from .linalg import ExactMatrix, nullspace, solve, sparse_nullspace
-from .series import Series, subst_w, exp_from_bracket, bracket_from_exp
+from .series import Series, subst_w, sum_of_products, exp_from_bracket, bracket_from_exp
 from .germ import (
     Germ,
     GESplit,

@@ -16,6 +16,11 @@ satisfy X1 X2 = Y1 Y2 identically.  A nonzero coefficient in the residual
 X1 X2 - Y1 Y2 is therefore a finite-order certificate that no such
 non-minimal structure exists; the converse direction is not decided here.
 
+Each lambda, Gamma, X and Y above, and the residual, is a short sum of
+series products with weights +-1 (Gamma_4..Gamma_6 are L(lambda) +- T(.),
+six products), and each is computed by one call of
+:func:`crflat.series.sum_of_products`.
+
 The coefficient names cf_* avoid a clash with the quadratic matrices, which
 the surrounding literature also calls A and B.
 """
@@ -35,6 +40,7 @@ from .series import (
     parse_terms,
     read_records,
     read_text,
+    sum_of_products,
 )
 
 
@@ -60,7 +66,7 @@ def build_canonical_field(germ: Germ) -> TangentField:
     rbar = r.conj()
     a = rbar.dz(2)
     b = rbar.dz(1)
-    return TangentField(a, -b, a * r.dz(1) - b * r.dz(2))
+    return TangentField(a, -b, sum_of_products(((1, a, r.dz(1)), (-1, b, r.dz(2)))))
 
 
 @dataclass(frozen=True)
@@ -136,29 +142,29 @@ def bracket_data(germ: Germ) -> BracketData:
     c = f.cf_w
     ab, bb, cb = a.conj(), b.conj(), c.conj()
 
-    def L(s: Series) -> Series:
-        return a * s.dz(1) - b * s.dz(2)
+    # each helper returns the (weight, factor, factor) pairs of k times the
+    # operator applied to s, so every coefficient is one sum of products
+    def L(s: Series, k: int = 1) -> list:
+        return [(k, a, s.dz(1)), (-k, b, s.dz(2))]
 
-    def Lbar(s: Series) -> Series:
-        return ab * s.dzbar(1) - bb * s.dzbar(2)
+    def Lbar(s: Series, k: int) -> list:
+        return [(k, ab, s.dzbar(1)), (-k, bb, s.dzbar(2))]
 
-    lam1, lam2, lam3 = L(ab), -L(bb), L(cb)
-    lam4, lam5, lam6 = -Lbar(a), Lbar(b), -Lbar(c)
+    lam1, lam2, lam3 = (sum_of_products(L(s, k)) for s, k in ((ab, 1), (bb, -1), (cb, 1)))
+    lam4, lam5, lam6 = (sum_of_products(Lbar(s, k)) for s, k in ((a, -1), (b, 1), (c, -1)))
 
-    def T(s: Series) -> Series:
-        return (
-            lam1 * s.dzbar(1)
-            + lam2 * s.dzbar(2)
-            + lam4 * s.dz(1)
-            + lam5 * s.dz(2)
-        )
+    def T(s: Series, k: int) -> list:
+        return [
+            (k, lam1, s.dzbar(1)),
+            (k, lam2, s.dzbar(2)),
+            (k, lam4, s.dz(1)),
+            (k, lam5, s.dz(2)),
+        ]
 
-    gam1 = L(lam1)
-    gam2 = L(lam2)
-    gam3 = L(lam3)
-    gam4 = L(lam4) - T(a)
-    gam5 = L(lam5) + T(b)
-    gam6 = L(lam6) - T(c)
+    gam1, gam2, gam3 = (sum_of_products(L(s)) for s in (lam1, lam2, lam3))
+    gam4 = sum_of_products(L(lam4) + T(a, -1))
+    gam5 = sum_of_products(L(lam5) + T(b, 1))
+    gam6 = sum_of_products(L(lam6) + T(c, -1))
     return BracketData(
         lam1, lam2, lam3, lam4, lam5, lam6, gam1, gam2, gam3, gam4, gam5, gam6, f
     )
@@ -197,10 +203,10 @@ def obstruction_series(germ: Germ) -> tuple[Series, Series, Series, Series]:
     a = d.field.cf_z1
     b = -d.field.cf_z2
     ab, bb = a.conj(), b.conj()
-    x1 = bb * d.gamma1 + ab * d.gamma2
-    x2 = d.lambda4 * b + d.lambda5 * a
-    y1 = b * d.gamma4 + a * d.gamma5
-    y2 = d.lambda1 * bb + d.lambda2 * ab
+    x1 = sum_of_products(((1, bb, d.gamma1), (1, ab, d.gamma2)))
+    x2 = sum_of_products(((1, d.lambda4, b), (1, d.lambda5, a)))
+    y1 = sum_of_products(((1, b, d.gamma4), (1, a, d.gamma5)))
+    y2 = sum_of_products(((1, d.lambda1, bb), (1, d.lambda2, ab)))
     return x1, x2, y1, y2
 
 
@@ -219,7 +225,7 @@ def obstruction(germ: Germ, order: int) -> ObstructionReport:
             f"for truncation {germ.trunc}"
         )
     x1, x2, y1, y2 = obstruction_series(germ)
-    residual = (x1 * x2 - y1 * y2).truncate(order)
+    residual = sum_of_products(((1, x1, x2), (-1, y1, y2))).truncate(order)
     first = next(residual.items(), None)
     return ObstructionReport(x1, x2, y1, y2, residual, order, first)
 

@@ -45,7 +45,7 @@ from .errors import (
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
 from .linalg import ExactMatrix, rank_mod_p, solve, sparse_nullspace
 from .numeric import I, ONE, GaussianRational, ZERO
-from .series import Series, bracket_from_exp, exp_from_bracket
+from .series import Series, bracket_from_exp, exp_from_bracket, sum_of_products
 
 Bracket = tuple[int, int, int, int]
 Table = dict[Bracket, GaussianRational]
@@ -171,15 +171,15 @@ def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPs
     table, m = _table_and_degree(h, m)
     hs = table_to_series(table, m)
     w1, w2 = _linear_forms(hs.trunc)
-    phi = w2 * hs.dzbar(1) - w1 * hs.dzbar(2)
-    psi = w2 * w2 * phi.dz(1) - w2 * w1 * phi.dz(2) + w1 * phi
+    phi = sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))))
+    psi = sum_of_products(((1, w2 * w2, phi.dz(1)), (-1, w2 * w1, phi.dz(2)), (1, w1, phi)))
     return PhiPsiTables(m, series_to_table(phi), series_to_table(psi))
 
 
 def fundamental_series(tables: PhiPsiTables) -> Series:
     psi = table_to_series(tables.psi, tables.m + 1)
     w1, w2 = _linear_forms(psi.trunc)
-    return w2 * psi.dz(1) - w1 * psi.dz(2)
+    return sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))))
 
 
 @dataclass(frozen=True)

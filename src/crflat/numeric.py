@@ -71,36 +71,56 @@ class GaussianRational:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, GaussianRational):
+            if not other.im:
+                return _exact(self.re + other.re, self.im)
+            if not self.im:
+                return _exact(self.re + other.re, other.im)
+            return _exact(self.re + other.re, self.im + other.im)
+        if isinstance(other, int):
+            return _exact(self.re + other, self.im)
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _exact(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _exact(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = GaussianRational.coerce(other)
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _exact(o.re - self.re, o.im - self.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def __mul__(self, other):
+        if isinstance(other, GaussianRational):
+            if not other.im:
+                r = other.re
+                return _exact(self.re * r, self.im * r if self.im else self.im)
+            if not self.im:
+                r = self.re
+                return _exact(r * other.re, r * other.im if r else r)
+            return _exact(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, (int, Fraction)):
+            return _exact(self.re * other, self.im * other if self.im else self.im)
         o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        return _exact(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _exact(1 / self.re, self.im)
         n = self.abs2()
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _exact(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -123,7 +143,7 @@ class GaussianRational:
         return r
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus re^2 + im^2 (a rational)."""
@@ -177,6 +197,18 @@ class GaussianRational:
         except ParseError as exc:
             raise ParseError(f"bad Gaussian literal {text!r}") from exc
         return GaussianRational(re_val, im_val)
+
+
+def _exact(re: Fraction, im: Fraction) -> GaussianRational:
+    """A GaussianRational from two parts the caller knows to be ``Fraction``.
+
+    It skips the type check of ``__init__``; every arithmetic result is made
+    here, so ``re`` and ``im`` are always ``Fraction``.
+    """
+    g = object.__new__(GaussianRational)
+    g.re = re
+    g.im = im
+    return g
 
 
 ZERO = GaussianRational(0)

@@ -16,14 +16,17 @@ Term iteration is always sorted in graded lexicographic order (total degree
 first, then the exponent tuple), which makes every report built from a
 series reproducible byte for byte.
 
-Every product goes through :meth:`Series.__mul__`, which is graded and works
-in integers.  It brings the kept terms of each operand (degree <= the result
-truncation) to one common denominator, buckets them by degree and stops a
-row of buckets once the degrees sum past the truncation.  Partial products
-add into integer (re, im) pairs per exponent, and each nonzero output term
-is normalized once, as a ``Fraction`` over the product of the two common
-denominators.  ``Fraction`` normal form makes the result identical to
-termwise Gaussian-rational arithmetic.
+Every product goes through one integer kernel, :func:`sum_of_products`, which
+returns a sum k_1 p_1 q_1 + ... + k_r p_r q_r with integer weights k_i;
+:meth:`Series.__mul__` is its one-pair call.  For each pair it brings the
+kept terms of each operand (degree <= the result truncation) to one common
+denominator, buckets them by degree and stops a row of buckets once the
+degrees sum past the truncation.  A pair's partial products are scaled by
+k * (D // (den_p * den_q)), D the lcm over all pairs, and every pair adds
+into one integer (re, im) accumulator per exponent.  Each nonzero output
+term is normalized once, as ``Fraction(x, D)``.  ``Fraction`` normal form
+makes the result identical to chaining ``*``, ``+`` and ``-`` termwise in
+Gaussian-rational arithmetic.
 """
 
 from __future__ import annotations
@@ -35,11 +38,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .numeric import HALF, ZERO, GaussianRational, parse_rational
+from .numeric import ZERO, GaussianRational, _exact, parse_rational
 
 Exponent = tuple[int, ...]
-
-_INV_2I = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
 
 
 def exp_from_bracket(t: int, s: int, r: int, h: int) -> Exponent:
@@ -208,38 +209,10 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        """Truncated product, accumulated in integers (see the module docstring)."""
+        """Truncated product: the one-pair case of :func:`sum_of_products`."""
         if not isinstance(other, Series):
             return self.scale(other)
-        self._check_compat(other)
-        trunc = min(self.trunc, other.trunc)
-        base = trunc + 1
-        den1, left = _graded_integer_terms(self.terms, trunc, base)
-        den2, right = _graded_integer_terms(other.terms, trunc, base)
-        acc: dict[int, list[int]] = {}
-        for d1, terms1 in left:
-            for d2, terms2 in right:
-                if d1 + d2 > trunc:
-                    break
-                for k1, a, b in terms1:
-                    for k2, c, d in terms2:
-                        pair = acc.get(k1 + k2)
-                        if pair is None:
-                            acc[k1 + k2] = [a * c - b * d, a * d + b * c]
-                        else:
-                            pair[0] += a * c - b * d
-                            pair[1] += a * d + b * c
-        den = den1 * den2
-        width = 2 * self.nvars
-        out: dict[Exponent, GaussianRational] = {}
-        for key, (x, y) in acc.items():
-            if x or y:
-                e = []
-                for _ in range(width):
-                    key, k = divmod(key, base)
-                    e.append(k)
-                out[tuple(e)] = GaussianRational(Fraction(x, den), Fraction(y, den))
-        return self._make(out, trunc)
+        return sum_of_products(((1, self, other),))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -268,9 +241,34 @@ class Series:
         )
 
     def re_im(self) -> tuple["Series", "Series"]:
-        """Real and imaginary parts ((S + conj S)/2, (S - conj S)/(2i)), both real."""
-        sbar = self.conj()
-        return (self + sbar).scale(HALF), (self - sbar).scale(_INV_2I)
+        """Real and imaginary parts ((S + conj S)/2, (S - conj S)/(2i)), both real.
+
+        One pass: the term c at e and the term d at the mirror exponent give
+        Re = ((c.re + d.re)/2, (c.im - d.im)/2) and
+        Im = ((c.im + d.im)/2, (d.re - c.re)/2) at e.  A term whose mirror is
+        absent also writes its conjugates at the mirror.
+        """
+        n = self.nvars
+        terms = self.terms
+        re: dict[Exponent, GaussianRational] = {}
+        im: dict[Exponent, GaussianRational] = {}
+        for e, c in terms.items():
+            mirror = e[n:] + e[:n]
+            d = terms.get(mirror)
+            if d is None:
+                x, y = c.re / 2, c.im / 2
+                re[mirror] = _exact(x, -y)
+                im[mirror] = _exact(y, x)
+                re[e] = _exact(x, y)
+                im[e] = _exact(y, -x)
+                continue
+            part = _exact((c.re + d.re) / 2, (c.im - d.im) / 2)
+            if part:
+                re[e] = part
+            part = _exact((c.im + d.im) / 2, (d.re - c.re) / 2)
+            if part:
+                im[e] = part
+        return self._make(re), self._make(im)
 
     def diff(self, slot: int) -> "Series":
         """Formal partial derivative with respect to a variable slot.
@@ -285,7 +283,7 @@ class Series:
             k = e[slot]
             if k:
                 e2 = e[:slot] + (k - 1,) + e[slot + 1 :]
-                out[e2] = c * k
+                out[e2] = c if k == 1 else c * k
         return self._make(out, max(self.trunc - 1, 0))
 
     def dz(self, j: int) -> "Series":
@@ -333,6 +331,69 @@ class Series:
         return f"Series(n={self.nvars}, trunc={self.trunc}, {self})"
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
+def sum_of_products(terms: Sequence[tuple[int, Series, Series]]) -> Series:
+    """The truncated sum of k * p * q over (k, p, q) with integer weights k.
+
+    The truncation is the least over all operands.  Each pair's operands
+    come to their own common denominators and go through the graded integer
+    loop; its partial products are scaled by k * (D // (den_p * den_q)),
+    D the lcm over all pairs, and added into one integer (re, im)
+    accumulator per exponent.  Each nonzero output term is normalized once,
+    as ``Fraction(x, D)``.
+    """
+    if not terms:
+        raise PreconditionError("a sum of products needs at least one pair")
+    first = terms[0][1]
+    trunc = first.trunc
+    for _, p, q in terms:
+        first._check_compat(p)
+        first._check_compat(q)
+        trunc = min(trunc, p.trunc, q.trunc)
+    base = trunc + 1
+    pairs = []
+    for k, p, q in terms:
+        if k:
+            den_p, left = _graded_integer_terms(p.terms, trunc, base)
+            den_q, right = _graded_integer_terms(q.terms, trunc, base)
+            if left and right:
+                pairs.append((k, den_p * den_q, left, right))
+    den = math.lcm(*(pair_den for _, pair_den, _, _ in pairs))
+    acc: dict[int, list[int]] = {}
+    for k, pair_den, left, right in pairs:
+        scale = k * (den // pair_den)
+        if scale != 1:
+            left = [(d1, [(k1, a * scale, b * scale) for k1, a, b in terms1])
+                    for d1, terms1 in left]
+        for d1, terms1 in left:
+            for d2, terms2 in right:
+                if d1 + d2 > trunc:
+                    break
+                for k1, a, b in terms1:
+                    for k2, c, d in terms2:
+                        pair = acc.get(k1 + k2)
+                        if pair is None:
+                            acc[k1 + k2] = [a * c - b * d, a * d + b * c]
+                        else:
+                            pair[0] += a * c - b * d
+                            pair[1] += a * d + b * c
+    width = 2 * first.nvars
+    out: dict[Exponent, GaussianRational] = {}
+    for key, (x, y) in acc.items():
+        if x or y:
+            e = []
+            for _ in range(width):
+                key, power = divmod(key, base)
+                e.append(power)
+            out[tuple(e)] = _exact(
+                Fraction(x, den) if x else _FRACTION_ZERO,
+                Fraction(y, den) if y else _FRACTION_ZERO,
+            )
+    return first._make(out, trunc)
+
+
 def subst_w(
     template: Mapping[tuple[Exponent, int], object],
     value: Series,
@@ -354,14 +415,16 @@ def subst_w(
         c = GaussianRational.coerce(c)
         if c and sum(e) <= value.trunc:
             parts.setdefault(j, {})[tuple(e)] = c
-    acc = Series.zero(value.nvars, value.trunc)
+    if not parts:
+        return Series.zero(value.nvars, value.trunc)
+    products = []
     power = Series.const(value.nvars, value.trunc, 1)
-    for j in range(max(parts, default=-1) + 1):
+    for j in range(max(parts) + 1):
         if j:
             power = power * value
         if j in parts:
-            acc = acc + Series(value.nvars, value.trunc, parts[j]) * power
-    return acc
+            products.append((1, Series(value.nvars, value.trunc, parts[j]), power))
+    return sum_of_products(products)
 
 
 # -- file formats ----------------------------------------------------------------

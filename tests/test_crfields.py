@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -175,6 +176,62 @@ def test_bracket_data_against_generic_lie_bracket(rng):
         assert LT.get("z1", zero) == d.gamma4
         assert LT.get("z2", zero) == d.gamma5
         assert LT.get("w", zero) == d.gamma6
+
+
+# -- the bracket engine against its chained-operator form ---------------------------
+
+
+def _plain_brackets(germ):
+    """lambda_1..6, gamma_1..6 and X1, X2, Y1, Y2 by chained *, + and -."""
+    f = build_canonical_field(germ)
+    a, b, c = f.cf_z1, -f.cf_z2, f.cf_w
+    ab, bb, cb = a.conj(), b.conj(), c.conj()
+
+    def L(s):
+        return a * s.dz(1) - b * s.dz(2)
+
+    def Lbar(s):
+        return ab * s.dzbar(1) - bb * s.dzbar(2)
+
+    lam = [L(ab), -L(bb), L(cb), -Lbar(a), Lbar(b), -Lbar(c)]
+
+    def T(s):
+        return lam[0] * s.dzbar(1) + lam[1] * s.dzbar(2) + lam[3] * s.dz(1) + lam[4] * s.dz(2)
+
+    gam = [L(lam[0]), L(lam[1]), L(lam[2]),
+           L(lam[3]) - T(a), L(lam[4]) + T(b), L(lam[5]) - T(c)]
+    x1 = bb * gam[0] + ab * gam[1]
+    x2 = lam[3] * b + lam[4] * a
+    y1 = b * gam[3] + a * gam[4]
+    y2 = lam[0] * bb + lam[1] * ab
+    return lam, gam, (x1, x2, y1, y2)
+
+
+def _same(got, want):
+    assert got == want and got.trunc == want.trunc
+
+
+def test_bracket_engine_matches_the_chained_operators():
+    rng = random.Random(41)
+    nonzero = 0
+    for trunc in range(5, 10):
+        for _ in range(3):
+            g = rand_germ(rng, trunc=trunc, extra_terms=5)
+            lam, gam, factors = _plain_brackets(g)
+            d = bracket_data(g)
+            for k in range(6):
+                _same(getattr(d, f"lambda{k + 1}"), lam[k])
+                _same(getattr(d, f"gamma{k + 1}"), gam[k])
+            for got, want in zip(obstruction_series(g), factors):
+                _same(got, want)
+            order = achievable_order(trunc)
+            x1, x2, y1, y2 = factors
+            rep = obstruction(g, order)
+            _same(rep.residual, (x1 * x2 - y1 * y2).truncate(order))
+            nonzero += not rep.residual_zero()
+            if order > 2:
+                _same(obstruction(g, order - 2).residual, rep.residual.truncate(order - 2))
+    assert nonzero >= 5  # most of the residuals compared are nonzero certificates
 
 
 def test_obstruction_vanishes_on_nonminimal_fixtures():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crflat import GaussianRational, ParseError, sqrt_fraction, sqrt_gaussian
 from crflat.numeric import I, ONE, ZERO
@@ -41,6 +42,49 @@ def test_field_axioms_on_random_triples():
         a = rand_nonzero_gaussian(rng)
         assert a * a.inverse() == ONE
         assert (ONE / a) * a == ONE
+
+
+# -- the fast paths against the general formulas ------------------------------------
+
+_fractions = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 7]))
+_gaussians = st.one_of(
+    st.builds(G, _fractions, _fractions),
+    st.builds(G, _fractions),  # real
+    st.builds(lambda y: G(0, y), _fractions),  # pure imaginary
+    st.just(G(0)),
+)
+# every operand kind the arithmetic accepts
+_operands = st.one_of(_gaussians, st.integers(-9, 9), st.booleans(), _fractions)
+
+
+def _parts(x) -> tuple[F, F]:
+    return (x.re, x.im) if isinstance(x, G) else (F(x), F(0))
+
+
+def _assert_exact(result: G, re: F, im: F):
+    assert type(result.re) is F and type(result.im) is F
+    assert (result.re, result.im) == (re, im)
+    assert result == G(re, im) and hash(result) == hash(G(re, im))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_gaussians, _operands)
+def test_fast_paths_match_the_general_formulas(a, x):
+    (p, q), (r, s) = _parts(a), _parts(x)
+    for product in (a * x, x * a):
+        _assert_exact(product, p * r - q * s, p * s + q * r)
+    for total in (a + x, x + a):
+        _assert_exact(total, p + r, q + s)
+    _assert_exact(a - x, p - r, q - s)
+    _assert_exact(x - a, r - p, s - q)
+    _assert_exact(-a, -p, -q)
+    _assert_exact(a.conj(), p, -q)
+    if a:
+        n = p * p + q * q
+        _assert_exact(a.inverse(), p / n, -q / n)
+    else:
+        with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+            a.inverse()
 
 
 def test_abs2_and_unimodular():

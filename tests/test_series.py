@@ -11,6 +11,7 @@ from crflat.series import (
     dumps_series,
     exp_from_bracket,
     loads_series,
+    sum_of_products,
 )
 
 from conftest import rand_gaussian, rand_series
@@ -209,6 +210,72 @@ def test_product_is_commutative_associative_and_distributive(abc):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+# -- the sum-of-products kernel against termwise sums of convolutions ------------------
+
+
+@st.composite
+def weighted_products(draw):
+    """One to four (k, p, q) with k in 0, +-1, +-3, mixed truncations, n = 1..3."""
+    nvars = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    weights = st.sampled_from([0, 1, -1, 3, -3])
+    return [(draw(weights), draw(product_series(nvars)), draw(product_series(nvars)))
+            for _ in range(count)]
+
+
+def _sum_of_convolutions(terms) -> tuple[int, dict]:
+    trunc = min(min(p.trunc, q.trunc) for _, p, q in terms)
+    expect = {}
+    for k, p, q in terms:
+        for e, c in _convolve(p.terms, q.terms, trunc).items():
+            expect[e] = expect.get(e, G(0)) + c * G(k)
+    return trunc, {e: c for e, c in expect.items() if c}
+
+
+@PRODUCT_SETTINGS
+@given(weighted_products())
+def test_sum_of_products_matches_summed_convolutions(terms):
+    out = sum_of_products(terms)
+    trunc, expect = _sum_of_convolutions(terms)
+    assert out.trunc == trunc
+    assert out.terms == expect
+    assert all(type(x) is F for c in out.terms.values() for x in (c.re, c.im))
+    # the one-pair call is the product
+    _, p, q = terms[0]
+    assert p * q == sum_of_products([(1, p, q)])
+    assert (p * q).trunc == sum_of_products([(1, p, q)]).trunc
+
+
+def test_sum_of_products_edge_cases():
+    z1, z2, zb1, zb2 = gens(4)
+    zero = Series.zero(2, 3)
+    # zero series, zero weights and exact cancellation all give the zero series
+    assert sum_of_products([(1, zero, z1)]) == zero
+    assert sum_of_products([(1, zero, z1)]).trunc == 3
+    assert sum_of_products([(0, z1, z2), (0, zb1, zb2)]).is_zero()
+    assert sum_of_products([(3, z1, z2), (-1, z2, z1), (-2, z1, z2)]).is_zero()
+    # weights scale the common denominator: 3 * (1/3) z1 * z2 - (1/2) z1 * z2
+    third = z1.scale(G(F(1, 3)))
+    half = z2.scale(G(0, F(1, 2)))
+    out = sum_of_products([(3, third, z2), (-1, z1, half)])
+    assert out == Series(2, 4, {(1, 1, 0, 0): G(1, F(-1, 2))})
+    with pytest.raises(PreconditionError):
+        sum_of_products([])
+    with pytest.raises(PreconditionError):
+        sum_of_products([(1, z1, Series.zero(3, 4))])
+
+
+@PRODUCT_SETTINGS
+@given(st.integers(1, 3).flatmap(product_series))
+def test_re_im_matches_the_conjugate_formula(s):
+    re, im = s.re_im()
+    sbar = s.conj()
+    assert re == (s + sbar).scale(G(F(1, 2)))
+    assert im == (s - sbar).scale(G(0, F(-1, 2)))
+    assert re.trunc == im.trunc == s.trunc
+    assert all(re.terms.values()) and all(im.terms.values())
 
 
 def test_product_edge_cases():
