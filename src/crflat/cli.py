@@ -275,7 +275,7 @@ def run_case_oracle(args) -> Report:
     case = case_tables.normalize_case_id(args.case)
     germ = case_tables.germ_for_case(case, params, trunc=DEFAULT_TRUNC)
     oracle = case_tables.reference_series(case, params)
-    engine = dict(zip(("X1", "X2", "Y1", "Y2"), obstruction_series(germ)))
+    engine = dict(zip(("X1", "X2", "Y1", "Y2"), obstruction_series(germ, 2)))
     rep = Report()
     rep.add("CASE", case)
     rep.add("PARAMS", "; ".join(f"{k}={v}" for k, v in sorted(params.items())))

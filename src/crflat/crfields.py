@@ -21,6 +21,15 @@ series products with weights +-1 (Gamma_4..Gamma_6 are L(lambda) +- T(.),
 six products), and each is computed by one call of
 :func:`crflat.series.sum_of_products`.
 
+Demand schedule.  R starts in degree 2, so A, B, each lambda and each
+Gamma start in degree 1 and each of X1..Y2 in degree 2.  The residual
+through order k therefore reads X1..Y2 only through k - 2, and those read
+the lambda and Gamma families only through k - 3.  :func:`obstruction`
+asks for exactly that, with d = max(k, 4) - 2: the families through d - 1,
+the factors through d and the residual through k.  The kernel certifies
+every such truncation from its operands' lowest degrees, and raises
+instead of over-claiming.
+
 The coefficient names cf_* avoid a clash with the quadratic matrices, which
 the surrounding literature also calls A and B.
 """
@@ -132,8 +141,13 @@ class BracketData:
     field: TangentField
 
 
-def bracket_data(germ: Germ) -> BracketData:
-    """Both commutator coefficient families, exact at working truncation."""
+def bracket_data(germ: Germ, degree: int | None = None) -> BracketData:
+    """Both commutator coefficient families.
+
+    By default they are exact at working truncation (lambda through
+    trunc - 2, Gamma through trunc - 3); with ``degree`` every family is
+    computed through that degree only.
+    """
     if germ.n != 2:
         raise PreconditionError("bracket calculus needs two variables")
     f = build_canonical_field(germ)
@@ -150,8 +164,10 @@ def bracket_data(germ: Germ) -> BracketData:
     def Lbar(s: Series, k: int) -> list:
         return [(k, ab, s.dzbar(1)), (-k, bb, s.dzbar(2))]
 
-    lam1, lam2, lam3 = (sum_of_products(L(s, k)) for s, k in ((ab, 1), (bb, -1), (cb, 1)))
-    lam4, lam5, lam6 = (sum_of_products(Lbar(s, k)) for s, k in ((a, -1), (b, 1), (c, -1)))
+    lam1, lam2, lam3 = (sum_of_products(L(s, k), trunc=degree)
+                        for s, k in ((ab, 1), (bb, -1), (cb, 1)))
+    lam4, lam5, lam6 = (sum_of_products(Lbar(s, k), trunc=degree)
+                        for s, k in ((a, -1), (b, 1), (c, -1)))
 
     def T(s: Series, k: int) -> list:
         return [
@@ -161,10 +177,10 @@ def bracket_data(germ: Germ) -> BracketData:
             (k, lam5, s.dz(2)),
         ]
 
-    gam1, gam2, gam3 = (sum_of_products(L(s)) for s in (lam1, lam2, lam3))
-    gam4 = sum_of_products(L(lam4) + T(a, -1))
-    gam5 = sum_of_products(L(lam5) + T(b, 1))
-    gam6 = sum_of_products(L(lam6) + T(c, -1))
+    gam1, gam2, gam3 = (sum_of_products(L(s), trunc=degree) for s in (lam1, lam2, lam3))
+    gam4 = sum_of_products(L(lam4) + T(a, -1), trunc=degree)
+    gam5 = sum_of_products(L(lam5) + T(b, 1), trunc=degree)
+    gam6 = sum_of_products(L(lam6) + T(c, -1), trunc=degree)
     return BracketData(
         lam1, lam2, lam3, lam4, lam5, lam6, gam1, gam2, gam3, gam4, gam5, gam6, f
     )
@@ -192,21 +208,32 @@ def achievable_order(trunc: int) -> int:
 
     The field coefficients cost one derivative, each lambda a second and
     each gamma a third, so the residual of products is exact only through
-    trunc - 3.
+    trunc - 3.  This bound is conservative: counting the factors' lowest
+    degrees, the residual is fixed by R through trunc as far as trunc + 2
+    (on five random germs it did not depend on the terms of R above trunc).
+    The limit stays at trunc - 3 because raising it changes which orders
+    the command line accepts.
     """
     return trunc - 3
 
 
-def obstruction_series(germ: Germ) -> tuple[Series, Series, Series, Series]:
-    """The four product factors of the non-minimality identity."""
-    d = bracket_data(germ)
+def obstruction_series(
+    germ: Germ, degree: int | None = None
+) -> tuple[Series, Series, Series, Series]:
+    """The four product factors of the non-minimality identity.
+
+    By default they are exact at working truncation (trunc - 3); with
+    ``degree`` they are computed through that degree from the families
+    through ``degree - 1``: A and B start in degree 1.
+    """
+    d = bracket_data(germ, None if degree is None else max(degree - 1, 0))
     a = d.field.cf_z1
     b = -d.field.cf_z2
     ab, bb = a.conj(), b.conj()
-    x1 = sum_of_products(((1, bb, d.gamma1), (1, ab, d.gamma2)))
-    x2 = sum_of_products(((1, d.lambda4, b), (1, d.lambda5, a)))
-    y1 = sum_of_products(((1, b, d.gamma4), (1, a, d.gamma5)))
-    y2 = sum_of_products(((1, d.lambda1, bb), (1, d.lambda2, ab)))
+    x1 = sum_of_products(((1, bb, d.gamma1), (1, ab, d.gamma2)), trunc=degree)
+    x2 = sum_of_products(((1, d.lambda4, b), (1, d.lambda5, a)), trunc=degree)
+    y1 = sum_of_products(((1, b, d.gamma4), (1, a, d.gamma5)), trunc=degree)
+    y2 = sum_of_products(((1, d.lambda1, bb), (1, d.lambda2, ab)), trunc=degree)
     return x1, x2, y1, y2
 
 
@@ -215,17 +242,24 @@ def obstruction(germ: Germ, order: int) -> ObstructionReport:
 
     A vanishing residual is necessary for CR non-minimality near the origin;
     the first nonzero term (graded-lex least) is a certified obstruction.
+    The reported factors X1..Y2 are exact through max(order, 4) - 2, all
+    the residual reads.
     """
     if germ.n != 2:
         raise PreconditionError("obstruction calculus needs two variables")
+    if order < 0:
+        raise PreconditionError(f"negative residual order {order}")
     max_order = achievable_order(germ.trunc)
     if order > max_order:
         raise PreconditionError(
             f"order {order} exceeds the achievable residual order {max_order} "
             f"for truncation {germ.trunc}"
         )
-    x1, x2, y1, y2 = obstruction_series(germ)
-    residual = sum_of_products(((1, x1, x2), (-1, y1, y2))).truncate(order)
+    # X1..Y2 start in degree 2, so the residual through order reads them
+    # through order - 2; asking at least degree 2 lets their truncation show
+    # where they start, which is what certifies the residual's truncation
+    x1, x2, y1, y2 = obstruction_series(germ, max(order, 4) - 2)
+    residual = sum_of_products(((1, x1, x2), (-1, y1, y2)), trunc=order)
     first = next(residual.items(), None)
     return ObstructionReport(x1, x2, y1, y2, residual, order, first)
 

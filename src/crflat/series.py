@@ -27,6 +27,15 @@ into one integer (re, im) accumulator per exponent.  Each nonzero output
 term is normalized once, as ``Fraction(x, D)``.  ``Fraction`` normal form
 makes the result identical to chaining ``*``, ``+`` and ``-`` termwise in
 Gaussian-rational arithmetic.
+
+Certified truncation.  By default a result is cut at the least operand
+truncation, but a product can be exact further.  Write T_s for the
+truncation of s and low(s) for the least degree of a stored term of s
+(T_s + 1 when s stores none): every term of the untruncated s missing from
+s has degree > T_s, so p * q is exact through min(T_p + low(q), T_q + low(p)).
+A caller may ask the kernel for any truncation up to that bound over all
+pairs; asking more raises ``PreconditionError``.  Asking less computes
+fewer degrees.
 """
 
 from __future__ import annotations
@@ -169,6 +178,8 @@ class Series:
         """Drop all terms above ``new_trunc`` and lower the truncation."""
         if new_trunc > self.trunc:
             raise PreconditionError("cannot raise truncation")
+        if new_trunc < 0:
+            raise PreconditionError("negative truncation")
         return self._make(
             {e: c for e, c in self.terms.items() if sum(e) <= new_trunc}, new_trunc
         )
@@ -334,24 +345,46 @@ class Series:
 _FRACTION_ZERO = Fraction(0)
 
 
-def sum_of_products(terms: Sequence[tuple[int, Series, Series]]) -> Series:
+def _low(s: Series) -> int:
+    """Least degree of a stored term, or T + 1 when the series stores none."""
+    return min((sum(e) for e in s.terms), default=s.trunc + 1)
+
+
+def sum_of_products(
+    terms: Sequence[tuple[int, Series, Series]], *, trunc: int | None = None
+) -> Series:
     """The truncated sum of k * p * q over (k, p, q) with integer weights k.
 
-    The truncation is the least over all operands.  Each pair's operands
-    come to their own common denominators and go through the graded integer
-    loop; its partial products are scaled by k * (D // (den_p * den_q)),
-    D the lcm over all pairs, and added into one integer (re, im)
-    accumulator per exponent.  Each nonzero output term is normalized once,
-    as ``Fraction(x, D)``.
+    With ``trunc=None`` the truncation is the least over all operands.  A
+    lower ``trunc`` only computes fewer degrees.  A higher one must be
+    certified by every pair: trunc <= min(T_p + low(q), T_q + low(p)), where
+    T is an operand's truncation and low the least degree of its stored
+    terms (T + 1 when it stores none); otherwise ``PreconditionError``.
+
+    Each pair's operands come to their own common denominators and go
+    through the graded integer loop; its partial products are scaled by
+    k * (D // (den_p * den_q)), D the lcm over all pairs, and added into one
+    integer (re, im) accumulator per exponent.  Each nonzero output term is
+    normalized once, as ``Fraction(x, D)``.
     """
     if not terms:
         raise PreconditionError("a sum of products needs at least one pair")
     first = terms[0][1]
-    trunc = first.trunc
+    least = first.trunc
     for _, p, q in terms:
         first._check_compat(p)
         first._check_compat(q)
-        trunc = min(trunc, p.trunc, q.trunc)
+        least = min(least, p.trunc, q.trunc)
+    if trunc is None:
+        trunc = least
+    elif trunc < 0:
+        raise PreconditionError("negative truncation")
+    elif trunc > least:
+        bound = min(min(p.trunc + _low(q), q.trunc + _low(p)) for _, p, q in terms)
+        if trunc > bound:
+            raise PreconditionError(
+                f"truncation {trunc} exceeds the certified product truncation {bound}"
+            )
     base = trunc + 1
     pairs = []
     for k, p, q in terms:
@@ -402,9 +435,14 @@ def subst_w(
 
     ``template`` maps (exponent, w-power) to a coefficient.  The terms of each
     w-power j form a polynomial P_j(z, zbar), and the result is the sum of
-    P_j * value^j at the truncation of ``value``.  The substituted series must
+    P_j * value^j at the truncation T of ``value``.  The substituted series must
     have zero constant term, otherwise the truncation grading would be
     destroyed.
+
+    Each power is formed only through the degree it is read at: value^j
+    through reach_j = max(T - low(P_j), reach_{j+1} - low(value), 0), which
+    its own product and the next power need, and each product certifies
+    the truncation it is asked for (see :func:`sum_of_products`).
     """
     if value.coeff((0,) * (2 * value.nvars)):
         raise PreconditionError("substituted series must have zero constant term")
@@ -417,14 +455,24 @@ def subst_w(
             parts.setdefault(j, {})[tuple(e)] = c
     if not parts:
         return Series.zero(value.nvars, value.trunc)
+    trunc = value.trunc
+    polys = {j: Series(value.nvars, trunc, terms) for j, terms in parts.items()}
+    step = _low(value)
+    reach = [0] * (max(polys) + 1)
+    need = 0
+    for j in reversed(range(len(reach))):
+        if j in polys:
+            need = max(need, trunc - _low(polys[j]))
+        reach[j] = need
+        need = max(need - step, 0)
     products = []
-    power = Series.const(value.nvars, value.trunc, 1)
-    for j in range(max(parts) + 1):
+    power = Series.const(value.nvars, reach[0], 1)
+    for j, upto in enumerate(reach):
         if j:
-            power = power * value
-        if j in parts:
-            products.append((1, Series(value.nvars, value.trunc, parts[j]), power))
-    return sum_of_products(products)
+            power = sum_of_products(((1, power, value),), trunc=upto)
+        if j in polys:
+            products.append((1, polys[j], power))
+    return sum_of_products(products, trunc=trunc)
 
 
 # -- file formats ----------------------------------------------------------------

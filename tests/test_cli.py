@@ -61,6 +61,15 @@ def test_nonminimal_check():
     assert "RESIDUAL_ZERO_TO 6" in out
 
 
+def test_nonminimal_check_reproduces_the_case_1a_certificate(monkeypatch):
+    # the one fixture with a nonzero residual, against its committed report
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out = run_cli("nonminimal-check", "fixtures/case_1a.germ", "--order", "6")
+    assert code == 0
+    assert out == (FIXTURES / "case_1a.order6.report").read_text()
+    assert "FIRST_OBSTRUCTION 0 0 0 4 -1536/125+448/125 i" in out
+
+
 def test_bishop_direction_and_search():
     code, out = run_cli("bishop", fx("parabolic.germ"), "--c", "1, i")
     assert code == 0

@@ -224,13 +224,20 @@ def test_bracket_engine_matches_the_chained_operators():
                 _same(getattr(d, f"gamma{k + 1}"), gam[k])
             for got, want in zip(obstruction_series(g), factors):
                 _same(got, want)
-            order = achievable_order(trunc)
+            # the demand schedule: every order from the families cut short
             x1, x2, y1, y2 = factors
-            rep = obstruction(g, order)
-            _same(rep.residual, (x1 * x2 - y1 * y2).truncate(order))
+            full = x1 * x2 - y1 * y2
+            for order in range(achievable_order(trunc) + 1):
+                rep = obstruction(g, order)
+                _same(rep.residual, full.truncate(order))
             nonzero += not rep.residual_zero()
-            if order > 2:
-                _same(obstruction(g, order - 2).residual, rep.residual.truncate(order - 2))
+            for degree in range(trunc - 2):
+                cut = bracket_data(g, degree)
+                for k in range(6):
+                    _same(getattr(cut, f"lambda{k + 1}"), lam[k].truncate(degree))
+                    _same(getattr(cut, f"gamma{k + 1}"), gam[k].truncate(degree))
+                for got, want in zip(obstruction_series(g, degree), factors):
+                    _same(got, want.truncate(degree))
     assert nonzero >= 5  # most of the residuals compared are nonzero certificates
 
 
@@ -271,6 +278,8 @@ def test_obstruction_order_bookkeeping():
     assert achievable_order(9) == 6
     with pytest.raises(PreconditionError):
         obstruction(g, 7)
+    with pytest.raises(PreconditionError):
+        obstruction(g, -1)
 
 
 def test_field_file_roundtrip():

@@ -267,6 +267,75 @@ def test_sum_of_products_edge_cases():
         sum_of_products([(1, z1, Series.zero(3, 4))])
 
 
+# -- certified truncation: exact beyond the least operand truncation ------------------
+
+
+@st.composite
+def _cut_operand(draw, nvars):
+    """A polynomial of degree <= 6 with a drawn lowest degree, and a cut of it."""
+    low = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 6)] * (2 * nvars)).filter(lambda e: low <= sum(e) <= 6)
+    full = draw(st.dictionaries(exps, _coefficients("complex"), max_size=5))
+    cut = draw(st.integers(0, 6))
+    return full, Series(nvars, cut, {e: c for e, c in full.items() if sum(e) <= cut})
+
+
+@st.composite
+def cut_products(draw):
+    """One to three (k, full p, full q, cut p, cut q), k in 0, +-1, +-3, n = 1..3."""
+    nvars = draw(st.integers(1, 3))
+    weights = st.sampled_from([0, 1, -1, 3, -3])
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        full_p, p = draw(_cut_operand(nvars))
+        full_q, q = draw(_cut_operand(nvars))
+        out.append((draw(weights), full_p, full_q, p, q))
+    return out
+
+
+def _low(s):
+    return min((sum(e) for e in s.terms), default=s.trunc + 1)
+
+
+@PRODUCT_SETTINGS
+@given(cut_products())
+def test_sum_of_products_is_exact_through_the_certified_truncation(data):
+    terms = [(k, p, q) for k, _, _, p, q in data]
+    least = min(min(p.trunc, q.trunc) for _, p, q in terms)
+    bound = min(min(p.trunc + _low(q), q.trunc + _low(p)) for _, p, q in terms)
+    for trunc in range(bound + 1):
+        expect = {}
+        for k, full_p, full_q, _, _ in data:
+            for e, c in _convolve(full_p, full_q, trunc).items():
+                expect[e] = expect.get(e, G(0)) + c * G(k)
+        out = sum_of_products(terms, trunc=trunc)
+        assert out.trunc == trunc
+        assert out.terms == {e: c for e, c in expect.items() if c}
+        if trunc == least:
+            default = sum_of_products(terms)
+            assert default.terms == out.terms and default.trunc == least
+    with pytest.raises(PreconditionError):
+        sum_of_products(terms, trunc=bound + 1)
+
+
+def test_sum_of_products_refuses_an_over_claimed_truncation():
+    z1, z2, _, _ = gens(4)
+    # z1 and z2 start in degree 1, so z1 * z2 is exact through 4 + 1
+    assert sum_of_products([(1, z1, z2)], trunc=5) == z1 * z2
+    assert sum_of_products([(1, z1, z2)], trunc=5).trunc == 5
+    with pytest.raises(PreconditionError):
+        sum_of_products([(1, z1, z2)], trunc=6)
+    # a constant operand certifies nothing beyond the other's truncation
+    one = Series.const(2, 8, 1)
+    with pytest.raises(PreconditionError):
+        sum_of_products([(1, z1, one)], trunc=5)
+    # every pair must certify, a zero weight included
+    with pytest.raises(PreconditionError):
+        sum_of_products([(1, z1, z2), (0, z1, one)], trunc=5)
+    with pytest.raises(PreconditionError):
+        sum_of_products([(1, z1, z2)], trunc=-1)
+
+
 @PRODUCT_SETTINGS
 @given(st.integers(1, 3).flatmap(product_series))
 def test_re_im_matches_the_conjugate_formula(s):
@@ -331,6 +400,27 @@ def test_subst_w_multiplicative():
         assert lhs == rhs
 
 
+def test_subst_w_matches_summed_powers():
+    # sum of P_j * value**j, with each P_j of mixed degrees and j = 1 missing
+    rng = random.Random(17)
+    for trunc in (5, 7, 8):
+        for low in (1, 2):
+            v = rand_series(rng, 2, trunc, nterms=5, min_degree=low)
+            for value in (v, Series.zero(2, trunc)):
+                template = {}
+                for j in (0, 2, 3):
+                    for _ in range(3):
+                        e = tuple(rng.randint(0, 3) for _ in range(4))
+                        template[(e, j)] = rand_gaussian(rng)
+                expect = Series.zero(2, trunc)
+                for j in (0, 2, 3):
+                    p_j = Series(2, trunc, {e: c for (e, k), c in template.items()
+                                            if k == j and sum(e) <= trunc})
+                    expect = expect + p_j * value ** j
+                out = subst_w(template, value)
+                assert out == expect and out.trunc == expect.trunc == trunc
+
+
 def test_re_im_recombines_into_real_parts():
     rng = random.Random(3)
     i = G(0, 1)
@@ -348,6 +438,8 @@ def test_homogeneous_part_and_truncate():
     assert s.truncate(2) == z1 + z1 * zb1
     with pytest.raises(PreconditionError):
         s.truncate(9)
+    with pytest.raises(PreconditionError):
+        s.truncate(-3)
 
 
 def test_file_roundtrip():
