@@ -22,10 +22,13 @@ unsolvable normalization) is returned as an obstruction certificate.
 Homogeneous coefficient tables are indexed by brackets [t s r h] (the
 coefficient of z1^s z2^t zb1^h zb2^r); lookups at negative indices are zero
 by convention, which every recursion identity below relies on.  The
-definitional operators are implemented by generic series arithmetic, while
-the recursions (coefficient shifts, alternating-sum transforms and their
-identities) exist only as audit code paths: each side is an independent
-implementation of the same mathematics and the audits force them to agree.
+operators have three independent implementations.  Generic series arithmetic
+defines them.  The recursions (coefficient shifts, alternating-sum transforms
+and their identities) exist only as audit code paths, and the audits force
+them to agree with the series.  Two elementary integer maps on monomial
+exponents (a derivative and a multiplication by z_i + zb_i) build the
+condition matrix for all unit tables at once, and each build is checked
+against the series operators on one dense table.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
 from .linalg import ExactMatrix, rank_mod_p, solve, sparse_nullspace
 from .numeric import I, ONE, GaussianRational, ZERO
-from .series import Series, bracket_from_exp, exp_from_bracket, sum_of_products
+from .series import Exponent, Series, bracket_from_exp, exp_from_bracket, sum_of_products
 
 Bracket = tuple[int, int, int, int]
 Table = dict[Bracket, GaussianRational]
@@ -512,22 +515,32 @@ def _normalization_matrix(m: int) -> tuple:
     return tuple(unknowns), constraints, ExactMatrix.from_rows(rows)
 
 
-def solve_kernel(germ: Germ, m: int) -> KernelPolynomial:
+def solve_kernel(source: Germ | HTable, m: int) -> KernelPolynomial:
     """The unique weight-m shear datum normalizing the degree-m imaginary part.
 
-    The germ must carry the parabolic quadric and be flattened below m.  The
-    normalization conditions on H' = H + Im B(z, q2) form an overdetermined
-    real-linear system in (Re b, Im b); uniqueness and consistency are
-    verified by the exact solve, and failure raises with a diagnostic.
+    ``source`` is a germ, which must carry the parabolic quadric and be
+    flattened below m, or the degree-m table H itself (the flattening driver
+    passes the table it has already read and checked).  The normalization
+    conditions on H' = H + Im B(z, q2) form an overdetermined real-linear
+    system in (Re b, Im b); uniqueness and consistency are verified by the
+    exact solve, and failure raises with a diagnostic.
     """
-    _require_parabolic(germ)
-    if m < 3 or m > germ.trunc:
+    if isinstance(source, HTable):
+        if m < 3 or source.m != m:
+            raise PreconditionError(f"a degree-{source.m} table cannot be solved at degree {m}")
+        return _solve_table(source.coeffs, m)
+    _require_parabolic(source)
+    if m < 3 or m > source.trunc:
         raise PreconditionError("degree out of range for this germ")
     for d in range(3, m):
         # the degree-d imaginary part vanishes exactly when R_d is real
-        if not germ.R.homogeneous_part(d).is_real():
+        if not source.R.homogeneous_part(d).is_real():
             raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
-    h = _imaginary_table(germ, m).coeffs
+    return _solve_table(_imaginary_table(source, m).coeffs, m)
+
+
+def _solve_table(h: Table, m: int) -> KernelPolynomial:
+    """The kernel solve of a degree-m table whose source has been checked."""
     unknowns, constraints, mat = _normalization_matrix(m)
     rhs = [-getattr(_tget(h, con.index), part) for con in constraints for part in con.parts]
     try:
@@ -592,7 +605,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         h = _imaginary_table(current, m)
         fund = check_fundamental(phi_psi(h))
         try:
-            kern = solve_kernel(current, m)
+            kern = solve_kernel(h, m)
         except NormalizationError as exc:
             steps.append(
                 FlattenStep(m, None, None, h, fund.ok, note=str(exc))
@@ -611,25 +624,70 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
 # -- uniqueness of the normalized solution ----------------------------------------------
 
 
+# exponent slots of w_i = z_i + zb_i in an exponent (z1, z2, zb1, zb2)
+_W_SLOTS = {1: (0, 2), 2: (1, 3)}
+
+# polynomials with integer coefficient vectors: {exponent: {column: value}}
+Family = dict[Exponent, dict[int, int]]
+
+
+def _derivative(family: Family, slot: int) -> Family:
+    """d/d(slot) of a family of polynomials: e -> e_k (e - unit_k)."""
+    out = {}
+    for e, vec in family.items():
+        k = e[slot]
+        if k:
+            out[e[:slot] + (k - 1,) + e[slot + 1 :]] = {j: k * c for j, c in vec.items()}
+    return out
+
+
+def _w_sum(terms: tuple[tuple[int, int, Family], ...]) -> Family:
+    """The sum of k * w_i * F over (k, i, F): e -> (e + unit_z_i) + (e + unit_zb_i)."""
+    acc: Family = {}
+    for k, i, family in terms:
+        for slot in _W_SLOTS[i]:
+            for e, vec in family.items():
+                row = acc.setdefault(e[:slot] + (e[slot] + 1,) + e[slot + 1 :], {})
+                for j, c in vec.items():
+                    row[j] = row.get(j, 0) + k * c
+    out = {}
+    for e, row in acc.items():
+        row = {j: c for j, c in row.items() if c}
+        if row:
+            out[e] = row
+    return out
+
+
 def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int]]]:
     """The condition on degree-m tables as sparse integer rows.
 
     Column j is the unit table at ``all_brackets(m)[j]``; each nonzero row
     maps columns to the integer coefficient of one degree-(m + 1) bracket of
-    the condition series, rows in bracket order.  A non-integer coefficient
-    raises :class:`ConsistencyError`.
+    the condition series, rows in bracket order.  The rows come from the
+    family of all unit tables at once, carried through Phi, Psi and the
+    condition by the two elementary maps (``_derivative`` and ``_w_sum``)
+    on monomial exponents; this is a third implementation of the operators,
+    beside the series arithmetic that defines them and the recursions that
+    audit them.  It checks itself against the series operators on one dense
+    integer table, and a disagreement raises :class:`ConsistencyError`.
     """
     unknowns = all_brackets(m)
-    by_bracket: dict[Bracket, dict[int, int]] = {}
-    for j, idx in enumerate(unknowns):
-        series = fundamental_series(phi_psi({idx: ONE}, m))
-        for e, c in series.items():
-            if c.im or c.re.denominator != 1:
-                raise ConsistencyError(
-                    f"condition matrix of degree {m} has the non-integer entry {c}"
-                )
-            by_bracket.setdefault(bracket_from_exp(e), {})[j] = c.re.numerator
-    return tuple(unknowns), [by_bracket[b] for b in sorted(by_bracket)]
+    h = {exp_from_bracket(*idx): {j: 1} for j, idx in enumerate(unknowns)}
+    phi = _w_sum(((1, 2, _derivative(h, 2)), (-1, 1, _derivative(h, 3))))
+    # Psi = w2 (w2 dPhi/dz1 - w1 dPhi/dz2) + w1 Phi
+    turned = _w_sum(((1, 2, _derivative(phi, 0)), (-1, 1, _derivative(phi, 1))))
+    psi = _w_sum(((1, 2, turned), (1, 1, phi)))
+    condition = _w_sum(((1, 2, _derivative(psi, 0)), (-1, 1, _derivative(psi, 1))))
+    by_bracket = sorted((bracket_from_exp(e), row) for e, row in condition.items())
+    # a dense probe table whose entries follow no linear pattern in j
+    probe = [pow(3, j, 65521) for j in range(len(unknowns))]
+    applied = ((b, sum(c * probe[j] for j, c in row.items())) for b, row in by_bracket)
+    expected = fundamental_series(phi_psi(dict(zip(unknowns, probe)), m))
+    if {b: v for b, v in applied if v} != series_to_table(expected):
+        raise ConsistencyError(
+            f"condition matrix of degree {m} disagrees with the condition series"
+        )
+    return tuple(unknowns), [row for _, row in by_bracket]
 
 
 def _kills(rows: list[dict[int, int]], vec: list[GaussianRational]) -> bool:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crflat import (
     Constraint,
@@ -30,6 +31,7 @@ import crflat.flatten as flatten_mod
 from crflat.errors import ConsistencyError, PreconditionError
 from crflat.flatten import all_brackets, kernel_unknowns
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
+from crflat.series import bracket_from_exp
 
 from conftest import rand_gaussian, rand_real_bracket_table
 
@@ -314,12 +316,24 @@ def test_flatten_reads_only_the_degree_it_solves(rng, monkeypatch):
 
 def test_flatten_checks_the_quadric_once_per_entry_point(rng, monkeypatch):
     g = sheared_quadric(rng, (3, 5), trunc=7)
-    calls = []
-    pair = Germ.quadratic_pair
+    calls, reads = [], []
+    pair, read = Germ.quadratic_pair, flatten_mod._imaginary_table
     monkeypatch.setattr(Germ, "quadratic_pair", lambda self: calls.append(1) or pair(self))
+    monkeypatch.setattr(flatten_mod, "_imaginary_table", lambda g, m: reads.append(m) or read(g, m))
     assert flatten_to_order(g, 7).ok
-    # once for the driver, once per solve_kernel call at degrees 3..7
-    assert len(calls) <= 1 + 5
+    # the driver hands each table it reads to solve_kernel, so the quadric is
+    # checked once and each degree is read before its solve and after its shear
+    assert len(calls) == 1
+    assert reads == [m for m in range(3, 8) for _ in ("before", "after")]
+
+
+def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
+    g = parabolic_quadric(8).shear(random_kernel(rng, 5, density=1.0))
+    h = h_from_germ(g, 5)
+    assert not h.is_zero() and solve_kernel(h, 5) == solve_kernel(g, 5)
+    for m in (2, 4, 6):
+        with pytest.raises(PreconditionError, match=f"degree-5 table cannot be solved at degree {m}"):
+            solve_kernel(h, m)
 
 
 def test_solve_kernel_builds_each_degree_system_once(rng):
@@ -461,6 +475,57 @@ def test_condition_rows_are_the_condition_series():
     assert [v for v in values if v] == [c for _, c in sorted(series)]
 
 
+def series_built_matrix(m):
+    """The condition rows read off the series operators, one unit table at a time."""
+    unknowns = all_brackets(m)
+    by_bracket = {}
+    for j, idx in enumerate(unknowns):
+        for e, c in flatten_mod.fundamental_series(phi_psi({idx: 1}, m)).items():
+            assert not c.im and c.re.denominator == 1
+            by_bracket.setdefault(bracket_from_exp(e), {})[j] = c.re.numerator
+    return tuple(unknowns), [by_bracket[b] for b in sorted(by_bracket)]
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_condition_matrix_equals_the_series_built_rows(m):
+    assert flatten_mod._fundamental_matrix(m) == series_built_matrix(m)
+
+
+_rationals = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 4, 3, 7]))
+
+
+@st.composite
+def gaussian_tables(draw):
+    m = draw(st.integers(3, 8))
+    entries = st.builds(G, _rationals, _rationals)
+    return m, draw(st.dictionaries(st.sampled_from(all_brackets(m)), entries, max_size=20))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(gaussian_tables())
+def test_condition_rows_apply_as_the_condition_series(case):
+    m, table = case
+    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    values = [sum(c * table.get(unknowns[j], 0) for j, c in row.items()) for row in rows]
+    series = check_fundamental(phi_psi(table, m)).violations
+    assert [v for v in values if v] == [c for _, c in sorted(series)]
+
+
+def _unscaled_derivative(family, slot):
+    return {e[:slot] + (e[slot] - 1,) + e[slot + 1 :]: vec for e, vec in family.items() if e[slot]}
+
+
+@pytest.fixture(params=["w2-without-zb2", "unscaled-derivative", "negated-series"])
+def corrupted_condition(request, monkeypatch):
+    if request.param == "w2-without-zb2":
+        monkeypatch.setitem(flatten_mod._W_SLOTS, 2, (1,))
+    elif request.param == "unscaled-derivative":
+        monkeypatch.setattr(flatten_mod, "_derivative", _unscaled_derivative)
+    else:
+        real = flatten_mod.fundamental_series
+        monkeypatch.setattr(flatten_mod, "fundamental_series", lambda tables: -real(tables))
+
+
 @pytest.fixture
 def fresh_fundamental_nullspace():
     flatten_mod.fundamental_nullspace.cache_clear()
@@ -481,6 +546,16 @@ def test_fundamental_nullspace_checks_every_basis_vector(
     monkeypatch.setattr(flatten_mod, "sparse_nullspace", corrupted)
     with pytest.raises(ConsistencyError, match="condition of degree 5"):
         fresh_fundamental_nullspace(5)
+
+
+@pytest.mark.parametrize("m", [4, 7])
+def test_a_corrupted_condition_build_fails_its_spot_check(
+    corrupted_condition, fresh_fundamental_nullspace, m
+):
+    with pytest.raises(ConsistencyError, match=f"condition matrix of degree {m} "):
+        uniqueness_nullspace(m)
+    with pytest.raises(ConsistencyError, match=f"condition matrix of degree {m} "):
+        fresh_fundamental_nullspace(m)
 
 
 def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):
