@@ -10,14 +10,26 @@ Pivot columns are taken in order, so the reduced echelon form -- which is
 unique -- and everything derived from it (nullspace bases, solutions,
 reports built on them) is reproducible byte for byte.
 
-All values are immutable after construction and all operations are pure.
+``solve`` factors each matrix once: the first solve eliminates [A | I] and
+keeps a left inverse L, checked by L A = I on the pivot columns, as integer
+rows over one common denominator; the matrix holds it for later solves.
+Every solve then applies L to b and certifies A x = b, both in integers;
+that product also decides consistency exactly.
+
+All values are immutable after construction and all operations are pure;
+the memoized factor is derived from the entries and never changes them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    ConsistencyError,
     InconsistentSystemError,
     PreconditionError,
     UnderdeterminedSystemError,
@@ -32,12 +44,13 @@ MODULUS = 2**61 - 1  # a Mersenne prime
 class ExactMatrix:
     """Dense matrix with Gaussian-rational entries, stored row-major."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_e", "_factor")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         self.rows = rows
         self.cols = cols
         self._e = [GaussianRational.coerce(x) for x in entries]
+        self._factor = None  # the _LeftInverse of the first solve
         if len(self._e) != rows * cols:
             raise PreconditionError(
                 f"matrix needs {rows * cols} entries, got {len(self._e)}"
@@ -149,15 +162,11 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise PreconditionError("inverse of a non-square matrix")
-        n = self.rows
-        unit = [{i: 1} for i in range(n)]
-        rows, pivots, _scale = _echelon(_sparse(self, unit))
-        if len(pivots) < n or any(p >= n for p in pivots):
+        factor = _factor(self)
+        if len(factor.pivots) < self.rows:
             raise PreconditionError("matrix is singular")
-        inv = [[ZERO] * n for _ in range(n)]
-        for row, c in zip(rows, pivots):
-            inv[c] = [row.get(n + j, ZERO) for j in range(n)]
-        return ExactMatrix.from_rows(inv)
+        # full rank: L is the two-sided inverse
+        return ExactMatrix.from_rows([factor.row(c) for c in range(self.rows)])
 
     # -- misc -------------------------------------------------------------------
 
@@ -258,12 +267,156 @@ def _echelon(
     return rows, pivots, scale
 
 
-def _sparse(a: ExactMatrix, extra=()) -> list[dict[int, GaussianRational]]:
-    """The rows of ``a`` as sparse dicts, row i extended by ``extra[i]``."""
-    rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
-    for row, more in zip(rows, extra):
-        row.update((a.cols + j, x) for j, x in more.items())
-    return rows
+def _sparse(a: ExactMatrix) -> list[dict[int, GaussianRational]]:
+    """The rows of ``a`` as sparse dicts."""
+    return [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
+
+
+def _parts(v) -> tuple:
+    """(re, im) of a Fraction or GaussianRational."""
+    return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+
+
+def _denominator(values: Iterable) -> int:
+    """The least common denominator of Fraction or GaussianRational values."""
+    return lcm(*(q.denominator for v in values for q in _parts(v)))
+
+
+def _integers(values: Iterable, den: int) -> tuple[list[int], list[int] | None]:
+    """The real and imaginary parts of ``den * v`` for each value, as integers.
+
+    ``den`` must be a common denominator of the values; the imaginary list
+    is None exactly when every value is real.
+    """
+    re, im = [], []
+    for v in values:
+        x, y = _parts(v)
+        re.append(x.numerator * (den // x.denominator))
+        im.append(y.numerator * (den // y.denominator))
+    return re, (im if any(im) else None)
+
+
+def _integer_rows(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[tuple]]:
+    """Sparse rows as (common denominator, [(columns, re, im)]) over integers."""
+    den = _denominator(v for row in rows for v in row.values())
+    return den, [(tuple(row), *_integers(row.values(), den)) for row in rows]
+
+
+def _apply(rows: list[tuple], re: list[int], im: list[int] | None) -> tuple:
+    """Integer rows times the integer vector re + i im, as (re, im).
+
+    A None imaginary part, of a row or of the vector, is zero; that of the
+    result is None exactly when it is zero.  A real vector through real
+    rows takes only the real products.
+    """
+    out_re, out_im = [], []
+    for cols, rre, rim in rows:
+        vre = [re[j] for j in cols]
+        x = sum(map(mul, rre, vre))
+        y = 0
+        if im is not None:
+            vim = [im[j] for j in cols]
+            y = sum(map(mul, rre, vim))
+            if rim is not None:
+                x -= sum(map(mul, rim, vim))
+        if rim is not None:
+            y += sum(map(mul, rim, vre))
+        out_re.append(x)
+        out_im.append(y)
+    return out_re, (out_im if any(out_im) else None)
+
+
+class _LeftInverse:
+    """A matrix A factored once for exact solves of A x = b, in integers.
+
+    The reduced echelon form of [A | I] is E [A | I] for an invertible E.
+    Its first rows carry the pivots of A, and their identity block is L:
+    with the free unknowns at zero, x = L b gives E A x = E b in every
+    pivot row, and the remaining rows read 0 = E b.  So A (L b) = b exactly
+    when b lies in the column space of A, and then x = L b is a solution,
+    the only one when every column of A holds a pivot.  L and A are kept
+    as integer rows over one common denominator each (``den`` and
+    ``a_den``).  Building checks L A = I on the pivot columns in integers,
+    and a disagreement raises :class:`ConsistencyError`.
+    """
+
+    __slots__ = ("cols", "pivots", "den", "left", "a_den", "a_rows")
+
+    def __init__(self, a: ExactMatrix):
+        n = self.cols = a.cols
+        rows = _sparse(a)
+        reduced, pivots, _scale = _echelon([{**row, n + i: 1} for i, row in enumerate(rows)])
+        self.pivots = [c for c in pivots if c < n]
+        # row c of ``left`` is the row of L that solves for unknown c; free
+        # unknowns get empty rows, so L b is x with them at zero
+        left = [{} for _ in range(n)]
+        for c, row in zip(self.pivots, reduced):
+            left[c] = {j - n: v for j, v in row.items() if j >= n}
+        self.den, self.left = _integer_rows(left)
+        self.a_den, self.a_rows = _integer_rows(rows)
+        # the certificate of the factor: L A is the identity on the pivot columns
+        unit = (self.den * self.a_den, 0)
+        pivot_set = set(self.pivots)
+        a_pivot = [
+            [(j, r, u) for j, r, u in zip(cols, re, im or repeat(0)) if j in pivot_set]
+            for cols, re, im in self.a_rows
+        ]
+        for c in self.pivots:
+            cols, lre, lim = self.left[c]
+            acc = {}
+            for i, p, q in zip(cols, lre, lim or repeat(0)):
+                for j, r, u in a_pivot[i]:
+                    x, y = acc.get(j, (0, 0))
+                    acc[j] = (x + p * r - q * u, y + p * u + q * r)
+            if {j: v for j, v in acc.items() if v != (0, 0)} != {c: unit}:
+                raise ConsistencyError(
+                    f"left inverse row {c} of a {a.rows}x{n} matrix is not the"
+                    " identity on the pivot columns"
+                )
+
+    def row(self, c: int) -> Vector:
+        """The row of L for unknown c as exact values (length: the rows of A)."""
+        out = [ZERO] * len(self.a_rows)
+        cols, re, im = self.left[c]
+        for t, j in enumerate(cols):
+            out[j] = GaussianRational(
+                Fraction(re[t], self.den), Fraction(im[t], self.den) if im is not None else 0
+            )
+        return out
+
+    def solve(self, b: Sequence) -> Vector:
+        """The certified solution of A x = b (see :func:`solve`)."""
+        vals = [GaussianRational.coerce(v) for v in b]
+        b_den = _denominator(vals)
+        bre, bim = _integers(vals, b_den)
+        # x = L b over the denominator den * b_den
+        xre, xim = _apply(self.left, bre, bim)
+        # the certificate of x: A x = b, both sides times a_den * den * b_den;
+        # a None imaginary part means zero on both sides
+        are, aim = _apply(self.a_rows, xre, xim)
+        scale = self.a_den * self.den
+        if are != [scale * v for v in bre] or aim != (
+            None if bim is None else [scale * v for v in bim]
+        ):
+            raise InconsistentSystemError("A x = b has no solution")
+        if len(self.pivots) < self.cols:
+            raise UnderdeterminedSystemError(
+                f"solution space has dimension {self.cols - len(self.pivots)}"
+            )
+        den = self.den * b_den
+        if xim is None:
+            return [GaussianRational(Fraction(v, den)) for v in xre]
+        return [GaussianRational(Fraction(v, den), Fraction(w, den)) for v, w in zip(xre, xim)]
+
+
+def _factor(a: ExactMatrix) -> _LeftInverse:
+    """The memoized factor of ``a``, built by its first use.
+
+    Two threads that race here build equal factors, and either one is kept.
+    """
+    if a._factor is None:
+        a._factor = _LeftInverse(a)
+    return a._factor
 
 
 def solve(a: ExactMatrix, b: Sequence) -> Vector:
@@ -271,25 +424,16 @@ def solve(a: ExactMatrix, b: Sequence) -> Vector:
 
     Raises :class:`InconsistentSystemError` when no solution exists and
     :class:`UnderdeterminedSystemError` when the solution space has positive
-    dimension.  The input may be rectangular; consistency of redundant rows
-    is checked exactly.
+    dimension, in that order of precedence.  The input may be rectangular;
+    consistency of redundant rows is checked exactly.  The first solve with
+    a matrix factors it (see :class:`_LeftInverse`); each solve applies the
+    factor and certifies A x = b in integers.
     """
     if a.rows == 0 or a.cols == 0:
         raise PreconditionError("empty system")
     if len(b) != a.rows:
         raise PreconditionError("dimension mismatch between matrix and right-hand side")
-    rows, pivots, _scale = _echelon(_sparse(a, [{0: x} for x in b]))
-    n = a.cols
-    if any(p == n for p in pivots):
-        raise InconsistentSystemError("A x = b has no solution")
-    if len(pivots) < n:
-        raise UnderdeterminedSystemError(
-            f"solution space has dimension {n - len(pivots)}"
-        )
-    x = [ZERO] * n
-    for row, c in zip(rows, pivots):
-        x[c] = GaussianRational.coerce(row.get(n, 0))
-    return x
+    return _factor(a).solve(b)
 
 
 def sparse_nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Vector]:

@@ -48,10 +48,13 @@ class GaussianRational:
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
+        """``x`` itself, or the real value of an int (bool included) or Fraction."""
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, Fraction):
+            return _exact(x, _FRACTION_ZERO)
+        if isinstance(x, int):
+            return _exact(Fraction(x), _FRACTION_ZERO)
         raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
 
     # -- predicates -------------------------------------------------------
@@ -211,6 +214,7 @@ def _exact(re: Fraction, im: Fraction) -> GaussianRational:
     return g
 
 
+_FRACTION_ZERO = Fraction(0)  # the shared imaginary part of every coerced real
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 HALF = GaussianRational(Fraction(1, 2))

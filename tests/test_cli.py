@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import pytest
 
 from crflat import GaussianRational, quadratic
 from crflat.cli import main
@@ -68,6 +69,28 @@ def test_nonminimal_check_reproduces_the_case_1a_certificate(monkeypatch):
     assert code == 0
     assert out == (FIXTURES / "case_1a.order6.report").read_text()
     assert "FIRST_OBSTRUCTION 0 0 0 4 -1536/125+448/125 i" in out
+
+
+@pytest.mark.parametrize(
+    "name, last",
+    [
+        ("sheared", ["H_NORMALIZED_ZERO true", "FLATTENED_TO 8"]),
+        (
+            "sheared_inconsistent",
+            ["H_NORMALIZED_ZERO unsolvable", "NOTE normalization system inconsistent at degree 6"],
+        ),
+    ],
+)
+def test_flatten_reproduces_the_golden_reports(monkeypatch, name, last):
+    # a quadric sheared at weights 3..8, and a copy with one coefficient moved
+    # off the normalizable germs, against their committed order-8 reports
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out = run_cli("flatten", f"fixtures/{name}.germ", "--order", "8")
+    assert code == 0
+    assert out == (FIXTURES / f"{name}.order8.report").read_text()
+    lines = out.splitlines()
+    for line in last:
+        assert line in lines
 
 
 def test_bishop_direction_and_search():

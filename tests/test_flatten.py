@@ -28,6 +28,7 @@ from crflat import (
     uniqueness_nullspace,
 )
 import crflat.flatten as flatten_mod
+import crflat.linalg as linalg
 from crflat.errors import ConsistencyError, PreconditionError
 from crflat.flatten import all_brackets, kernel_unknowns
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
@@ -336,12 +337,18 @@ def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
             solve_kernel(h, m)
 
 
-def test_solve_kernel_builds_each_degree_system_once(rng):
+def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):
     flatten_mod._normalization_matrix.cache_clear()
     q = parabolic_quadric(8)
     g = q.shear(random_kernel(rng, 5, density=1.0))
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or echelon(rows))
+    # the first solve at a degree factors its system, the second reuses the factor
     assert solve_kernel(q, 5).is_zero()
+    assert len(calls) == 1
     assert not solve_kernel(g, 5).is_zero()
+    assert len(calls) == 1
     info = flatten_mod._normalization_matrix.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 

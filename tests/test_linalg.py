@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crflat import ExactMatrix, GaussianRational, nullspace, solve
+from crflat import linalg
 from crflat.errors import (
+    ConsistencyError,
     InconsistentSystemError,
     PreconditionError,
     UnderdeterminedSystemError,
@@ -324,19 +326,35 @@ def test_solve_and_inverse_round_trips(rows, data):
     a = ExactMatrix.from_rows(rows)
     n = a.cols
     part = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
-    x = data.draw(st.lists(st.builds(G, part, part), min_size=n, max_size=n))
+
+    def vector(size):
+        return data.draw(st.lists(st.builds(G, part, part), min_size=size, max_size=size))
+
+    def check(b):
+        # one solve with the memoized factor against the dense oracle on [A | b]
+        want, pivots, _ = _dense_echelon([list(r) + [y] for r, y in zip(rows, b)])
+        if n in pivots:
+            with pytest.raises(InconsistentSystemError, match="^A x = b has no solution$"):
+                solve(a, b)
+        elif len(pivots) < n:
+            with pytest.raises(
+                UnderdeterminedSystemError, match=f"^solution space has dimension {n - len(pivots)}$"
+            ):
+                solve(a, b)
+        else:
+            assert solve(a, b) == [want[k][n] for k in range(n)]
+
     rank = a.rank()
+    # one matrix object, several right-hand sides in turn: inside the column
+    # space, a random one (outside it whenever the oracle says so), inside again
+    x = vector(n)
+    check(a.matvec(x))
+    factor = a._factor
     if rank == n:
         assert solve(a, a.matvec(x)) == x
-    else:
-        with pytest.raises(UnderdeterminedSystemError):
-            solve(a, a.matvec(x))
-    # a right-hand side outside the column space, decided by the dense oracle
-    b = data.draw(st.lists(st.builds(G, part, part), min_size=a.rows, max_size=a.rows))
-    _, aug_pivots, _ = _dense_echelon([list(r) + [y] for r, y in zip(rows, b)])
-    if n in aug_pivots:
-        with pytest.raises(InconsistentSystemError):
-            solve(a, b)
+    check(vector(a.rows))
+    check(a.matvec(vector(n)))
+    assert a._factor is factor
     if a.rows == n:
         if rank == n:
             inv = a.inverse()
@@ -344,6 +362,61 @@ def test_solve_and_inverse_round_trips(rows, data):
         else:
             with pytest.raises(PreconditionError, match="singular"):
                 a.inverse()
+
+
+def _tall_system(complex_entries):
+    # a 6x4 matrix of full column rank without zero rows, and a solution of it
+    rng = random.Random(5)
+    while True:
+        a = ExactMatrix.from_rows(
+            [
+                [G(rng.randint(-3, 3), rng.randint(-3, 3) if complex_entries else 0) for _ in range(4)]
+                for _ in range(6)
+            ]
+        )
+        if a.rank() == 4 and all(any(row) for row in a.to_rows()):
+            break
+    x = [G(F(k + 1, 2), k if complex_entries else 0) for k in range(4)]
+    return a, x
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_a_corrupted_factor_never_returns_a_wrong_solution(monkeypatch, complex_entries):
+    a, x = _tall_system(complex_entries)
+    b = a.matvec(x)
+    assert solve(a, b) == x
+    factor = a._factor
+    caught = 0
+    for k, (cols, re, im) in enumerate(factor.left):
+        for t in range(len(cols)):
+            with monkeypatch.context() as mp:
+                left = list(factor.left)
+                left[k] = (cols, re[:t] + [re[t] + 1] + re[t + 1 :], im)
+                mp.setattr(factor, "left", left)
+                try:
+                    got = solve(a, b)
+                except InconsistentSystemError:
+                    caught += 1
+                else:
+                    assert got == x
+    assert caught > 0
+    assert solve(a, b) == x
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_a_corrupted_elimination_fails_the_factor_certificate(monkeypatch, complex_entries):
+    a, x = _tall_system(complex_entries)
+    echelon = linalg._echelon
+
+    def corrupted(rows):
+        reduced, pivots, scale = echelon(rows)
+        reduced[0][max(reduced[0])] += 1  # an entry of the first row of L
+        return reduced, pivots, scale
+
+    monkeypatch.setattr(linalg, "_echelon", corrupted)
+    with pytest.raises(ConsistencyError, match="identity on the pivot columns"):
+        solve(a, a.matvec(x))
+    assert a._factor is None
 
 
 def test_sparse_pivot_is_the_shortest_candidate_row():

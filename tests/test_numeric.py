@@ -19,6 +19,25 @@ def test_construction_normalizes():
     assert not G(0)
 
 
+@pytest.mark.parametrize(
+    "value, re",
+    [(0, F(0)), (-7, F(-7)), (True, F(1)), (False, F(0)), (F(-3, 4), F(-3, 4)), (10**30, F(10**30))],
+)
+def test_coerce_takes_ints_and_fractions_as_real_values(value, re):
+    g = G.coerce(value)
+    assert type(g) is G and type(g.re) is F and type(g.im) is F
+    assert (g.re, g.im) == (re, 0)
+    assert g == G(value) and hash(g) == hash(G(value))
+    assert type(g.re.numerator) is int  # a bool is read as its integer value
+    assert G.coerce(g) is g
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, "1", "i", None, complex(1, 1)])
+def test_coerce_rejects_inexact_and_textual_values(value):
+    with pytest.raises(TypeError, match="Gaussian rational"):
+        G.coerce(value)
+
+
 def test_arithmetic_basics():
     a = G(1, 2)
     b = G(F(1, 2), -1)
