@@ -308,43 +308,53 @@ class OracleMismatch(ConsistencyError):
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="crflat", description=__doc__.splitlines()[0])
-    p.add_argument("--json", action="store_true", help="emit the JSON mirror of the report")
+    json_help = "emit the JSON mirror of the report"
+    p.add_argument("--json", action="store_true", help=json_help)
+    # --json may also follow the verb; a suppressed default keeps a verb that
+    # lacks it from resetting the flag given before the verb
+    after_verb = argparse.ArgumentParser(add_help=False)
+    after_verb.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help=json_help
+    )
     sub = p.add_subparsers(dest="verb", required=True)
+
+    def add_verb(name, help):
+        return sub.add_parser(name, help=help, parents=[after_verb])
 
     def add_input(sp):
         sp.add_argument("germ", nargs="?", help="germ file")
         sp.add_argument("--batch", help="file listing one germ path per line")
 
-    sp = sub.add_parser("classify", help="quadratic-level classification")
+    sp = add_verb("classify", help="quadratic-level classification")
     add_input(sp)
 
-    sp = sub.add_parser("nonminimal-check", help="bracket identity residual")
+    sp = add_verb("nonminimal-check", help="bracket identity residual")
     add_input(sp)
     sp.add_argument("--order", type=int, required=True)
 
-    sp = sub.add_parser("witness", help="verify a tangent-field witness")
+    sp = add_verb("witness", help="verify a tangent-field witness")
     add_input(sp)
     sp.add_argument("--field", required=True)
     sp.add_argument("--chi")
 
-    sp = sub.add_parser("bishop", help="slice invariants and elliptic directions")
+    sp = add_verb("bishop", help="slice invariants and elliptic directions")
     add_input(sp)
     sp.add_argument("--c", help="direction, e.g. '1, -4/3'")
     sp.add_argument("--search", type=int, nargs="?", const=6, default=None,
                     help="grid-search bound (default 6 when given)")
 
-    sp = sub.add_parser("jacobian", help="CR-singular-locus linearization")
+    sp = add_verb("jacobian", help="CR-singular-locus linearization")
     add_input(sp)
 
-    sp = sub.add_parser("flatten", help="order-by-order formal flattening")
+    sp = add_verb("flatten", help="order-by-order formal flattening")
     add_input(sp)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--emit", help="directory for kernel and final-germ files")
 
-    sp = sub.add_parser("unique-check", help="uniqueness-system kernel dimension")
+    sp = add_verb("unique-check", help="uniqueness-system kernel dimension")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("case-oracle", help="reference expansions vs engine")
+    sp = add_verb("case-oracle", help="reference expansions vs engine")
     sp.add_argument("--case", required=True)
     sp.add_argument("--params", help="e.g. 'a=1; b=1; d=1; u=3/5+4/5 i'")
     return p

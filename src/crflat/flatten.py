@@ -26,9 +26,11 @@ operators have three independent implementations.  Generic series arithmetic
 defines them.  The recursions (coefficient shifts, alternating-sum transforms
 and their identities) exist only as audit code paths, and the audits force
 them to agree with the series.  Two elementary integer maps on monomial
-exponents (a derivative and a multiplication by z_i + zb_i) build the
-condition matrix for all unit tables at once, and each build is checked
-against the series operators on one dense table.
+exponents (a derivative and a multiplication by z_i + zb_i) carry the
+condition too.  They build the condition matrix for all unit tables at once,
+each build checked against the series operators on one dense table, and they
+decide the flattening driver's per-degree condition check exactly, on the
+degree-m table written as two integer columns (D Re H and D Im H).
 """
 
 from __future__ import annotations
@@ -563,65 +565,7 @@ def _solve_table(h: Table, m: int) -> KernelPolynomial:
     return KernelPolynomial(m, coeffs)
 
 
-# -- the order-by-order driver -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlattenStep:
-    m: int
-    kernel: Optional[KernelPolynomial]
-    normalized_zero: Optional[bool]
-    remainder: Optional[HTable]
-    fundamental_ok: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class FlattenReport:
-    ok: bool
-    reached: int
-    kernels: dict[int, KernelPolynomial]
-    final: Germ
-    steps: list[FlattenStep]
-    obstruction_degree: Optional[int] = None
-
-
-def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
-    """Iterate the unique kernel solve and shear through degree n.
-
-    Each degree verifies the normalized remainder: zero lets the iteration
-    continue, a nonzero remainder (or an unsolvable normalization) stops it
-    and is reported as an obstruction certificate together with the
-    violations of the first-order condition that explain it.
-    """
-    _require_parabolic(germ)
-    if n > germ.trunc:
-        raise PreconditionError("target order exceeds the germ truncation")
-    current = germ
-    kernels: dict[int, KernelPolynomial] = {}
-    steps: list[FlattenStep] = []
-    for m in range(3, n + 1):
-        # shears of weight >= 3 leave the quadric alone, so it is checked once
-        h = _imaginary_table(current, m)
-        fund = check_fundamental(phi_psi(h))
-        try:
-            kern = solve_kernel(h, m)
-        except NormalizationError as exc:
-            steps.append(
-                FlattenStep(m, None, None, h, fund.ok, note=str(exc))
-            )
-            return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
-        current = current.shear(kern)
-        kernels[m] = kern
-        h2 = _imaginary_table(current, m)
-        if not h2.is_zero():
-            steps.append(FlattenStep(m, kern, False, h2, fund.ok))
-            return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
-        steps.append(FlattenStep(m, kern, True, None, fund.ok))
-    return FlattenReport(True, n, kernels, current, steps)
-
-
-# -- uniqueness of the normalized solution ----------------------------------------------
+# -- the condition by two elementary integer maps ---------------------------------
 
 
 # exponent slots of w_i = z_i + zb_i in an exponent (z1, z2, zb1, zb2)
@@ -658,6 +602,97 @@ def _w_sum(terms: tuple[tuple[int, int, Family], ...]) -> Family:
     return out
 
 
+def _condition(family: Family) -> Family:
+    """The condition series of each polynomial of a family, by the elementary maps.
+
+    The maps are integer-linear, so each column of the result is the
+    condition of that column's polynomial; a column that vanishes everywhere
+    is absent, and an empty result means every polynomial satisfies it.
+    """
+    phi = _w_sum(((1, 2, _derivative(family, 2)), (-1, 1, _derivative(family, 3))))
+    # Psi = w2 (w2 dPhi/dz1 - w1 dPhi/dz2) + w1 Phi
+    turned = _w_sum(((1, 2, _derivative(phi, 0)), (-1, 1, _derivative(phi, 1))))
+    psi = _w_sum(((1, 2, turned), (1, 1, phi)))
+    return _w_sum(((1, 2, _derivative(psi, 0)), (-1, 1, _derivative(psi, 1))))
+
+
+def _satisfies_condition(table: Mapping[Bracket, GaussianRational]) -> bool:
+    """Whether a homogeneous table satisfies the first-order condition, exactly.
+
+    The table becomes a two-column integer family, x = D Re and y = D Im of
+    each coefficient with D the lcm of all their denominators; since
+    ``_condition`` is integer-linear, the table satisfies the condition
+    exactly when the family's condition is empty.
+    """
+    d = math.lcm(*(x.denominator for c in table.values() for x in (c.re, c.im)))
+    family = {}
+    for idx, c in table.items():
+        family[exp_from_bracket(*idx)] = {
+            j: x.numerator * (d // x.denominator) for j, x in enumerate((c.re, c.im))
+        }
+    return not _condition(family)
+
+
+# -- the order-by-order driver -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FlattenStep:
+    m: int
+    kernel: Optional[KernelPolynomial]
+    normalized_zero: Optional[bool]
+    remainder: Optional[HTable]
+    fundamental_ok: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class FlattenReport:
+    ok: bool
+    reached: int
+    kernels: dict[int, KernelPolynomial]
+    final: Germ
+    steps: list[FlattenStep]
+    obstruction_degree: Optional[int] = None
+
+
+def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
+    """Iterate the unique kernel solve and shear through degree n.
+
+    Each degree verifies the normalized remainder: zero lets the iteration
+    continue, a nonzero remainder (or an unsolvable normalization) stops it
+    and is reported as an obstruction certificate.  Each step also records
+    whether H satisfies the first-order condition (``_satisfies_condition``);
+    a nonzero remainder is read only when R_m is not real after the shear.
+    """
+    _require_parabolic(germ)
+    if n > germ.trunc:
+        raise PreconditionError("target order exceeds the germ truncation")
+    current = germ
+    kernels: dict[int, KernelPolynomial] = {}
+    steps: list[FlattenStep] = []
+    for m in range(3, n + 1):
+        # shears of weight >= 3 leave the quadric alone, so it is checked once
+        h = _imaginary_table(current, m)
+        fund_ok = _satisfies_condition(h.coeffs)
+        try:
+            kern = solve_kernel(h, m)
+        except NormalizationError as exc:
+            steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
+            return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
+        current = current.shear(kern)
+        kernels[m] = kern
+        # the remainder vanishes exactly when R_m is real; it is read only if not
+        if not current.R.homogeneous_part(m).is_real():
+            steps.append(FlattenStep(m, kern, False, _imaginary_table(current, m), fund_ok))
+            return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
+        steps.append(FlattenStep(m, kern, True, None, fund_ok))
+    return FlattenReport(True, n, kernels, current, steps)
+
+
+# -- uniqueness of the normalized solution ----------------------------------------------
+
+
 def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int]]]:
     """The condition on degree-m tables as sparse integer rows.
 
@@ -665,19 +700,16 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     maps columns to the integer coefficient of one degree-(m + 1) bracket of
     the condition series, rows in bracket order.  The rows come from the
     family of all unit tables at once, carried through Phi, Psi and the
-    condition by the two elementary maps (``_derivative`` and ``_w_sum``)
-    on monomial exponents; this is a third implementation of the operators,
-    beside the series arithmetic that defines them and the recursions that
-    audit them.  It checks itself against the series operators on one dense
-    integer table, and a disagreement raises :class:`ConsistencyError`.
+    condition by ``_condition``, the two elementary maps (``_derivative``
+    and ``_w_sum``) on monomial exponents; this is a third implementation of
+    the operators, beside the series arithmetic that defines them and the
+    recursions that audit them.  The same maps decide the flattening
+    driver's per-degree condition check (``_satisfies_condition``).  The
+    build checks itself against the series operators on one dense integer
+    table, and a disagreement raises :class:`ConsistencyError`.
     """
     unknowns = all_brackets(m)
-    h = {exp_from_bracket(*idx): {j: 1} for j, idx in enumerate(unknowns)}
-    phi = _w_sum(((1, 2, _derivative(h, 2)), (-1, 1, _derivative(h, 3))))
-    # Psi = w2 (w2 dPhi/dz1 - w1 dPhi/dz2) + w1 Phi
-    turned = _w_sum(((1, 2, _derivative(phi, 0)), (-1, 1, _derivative(phi, 1))))
-    psi = _w_sum(((1, 2, turned), (1, 1, phi)))
-    condition = _w_sum(((1, 2, _derivative(psi, 0)), (-1, 1, _derivative(psi, 1))))
+    condition = _condition({exp_from_bracket(*idx): {j: 1} for j, idx in enumerate(unknowns)})
     by_bracket = sorted((bracket_from_exp(e), row) for e, row in condition.items())
     # a dense probe table whose entries follow no linear pattern in j
     probe = [pow(3, j, 65521) for j in range(len(unknowns))]

@@ -79,11 +79,13 @@ def test_nonminimal_check_reproduces_the_case_1a_certificate(monkeypatch):
             "sheared_inconsistent",
             ["H_NORMALIZED_ZERO unsolvable", "NOTE normalization system inconsistent at degree 6"],
         ),
+        ("nongraph", ["FUNDAMENTAL_OK false", "H' 1 0 2 0 1 0", "OBSTRUCTION_AT 3"]),
     ],
 )
 def test_flatten_reproduces_the_golden_reports(monkeypatch, name, last):
-    # a quadric sheared at weights 3..8, and a copy with one coefficient moved
-    # off the normalizable germs, against their committed order-8 reports
+    # a quadric sheared at weights 3..8, a copy with one coefficient moved
+    # off the normalizable germs, and the quadric plus an imaginary cubic that
+    # fails the first-order condition, against their committed order-8 reports
     monkeypatch.chdir(FIXTURES.parent)
     code, out = run_cli("flatten", f"fixtures/{name}.germ", "--order", "8")
     assert code == 0
@@ -91,6 +93,26 @@ def test_flatten_reproduces_the_golden_reports(monkeypatch, name, last):
     lines = out.splitlines()
     for line in last:
         assert line in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flatten", fx("sheared.germ"), "--order", "8"),
+        ("unique-check", "--m", "5"),
+        ("case-oracle", "--case", "1a", "--params", "a=1; b=1; d=1; u=3/5+4/5 i"),
+    ],
+    ids=["flatten", "unique-check", "case-oracle"],
+)
+def test_json_may_precede_or_follow_the_verb(argv):
+    verb, rest = argv[0], list(argv[1:])
+    before = run_cli("--json", verb, *rest)
+    assert before[0] == 0 and json.loads(before[1].splitlines()[0])
+    assert run_cli(verb, *rest, "--json") == before
+    assert run_cli(verb, "--json", *rest) == before
+    assert run_cli("--json", verb, *rest, "--json") == before
+    plain = run_cli(verb, *rest)
+    assert plain[0] == 0 and plain[1] != before[1]
 
 
 def test_bishop_direction_and_search():

@@ -31,10 +31,11 @@ import crflat.flatten as flatten_mod
 import crflat.linalg as linalg
 from crflat.errors import ConsistencyError, PreconditionError
 from crflat.flatten import all_brackets, kernel_unknowns
+from crflat.germ import load_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
 from crflat.series import bracket_from_exp
 
-from conftest import rand_gaussian, rand_real_bracket_table
+from conftest import FIXTURES, rand_gaussian, rand_real_bracket_table
 
 G = GaussianRational
 I = G(0, 1)
@@ -289,13 +290,19 @@ def test_flatten_to_order_14():
     assert all(rep.final.R.homogeneous_part(d).is_real() for d in range(3, 15))
 
 
-def test_flatten_halts_on_non_graph_imaginary_part():
-    # an imaginary cubic that fails the first-order condition cannot arise
-    # from a shear; the driver stops at degree 3 with a certificate
+def non_graph_germ():
+    # fixtures/nongraph.germ: the quadric plus i * z1 zb1 (z1 + zb1)
     q = parabolic_quadric(8)
     z1, z2, zb1, zb2 = Series.generators(2, 8)
     h_real = z1 * zb1 * (z1 + zb1)
-    g = Germ(2, q.R + h_real.scale(I))  # imaginary part is exactly h_real
+    return Germ(2, q.R + h_real.scale(I))  # imaginary part is exactly h_real
+
+
+def test_flatten_halts_on_non_graph_imaginary_part():
+    # an imaginary cubic that fails the first-order condition cannot arise
+    # from a shear; the driver stops at degree 3 with a certificate
+    g = non_graph_germ()
+    assert load_germ(FIXTURES / "nongraph.germ") == g
     h = h_from_germ(g, 3)
     assert not check_fundamental(phi_psi(h)).ok
     rep = flatten_to_order(g, 8)
@@ -323,9 +330,21 @@ def test_flatten_checks_the_quadric_once_per_entry_point(rng, monkeypatch):
     monkeypatch.setattr(flatten_mod, "_imaginary_table", lambda g, m: reads.append(m) or read(g, m))
     assert flatten_to_order(g, 7).ok
     # the driver hands each table it reads to solve_kernel, so the quadric is
-    # checked once and each degree is read before its solve and after its shear
+    # checked once; each degree is read before its solve, and after its shear
+    # only R_m's reality is tested
     assert len(calls) == 1
-    assert reads == [m for m in range(3, 8) for _ in ("before", "after")]
+    assert reads == list(range(3, 8))
+
+
+def test_flatten_reads_and_reports_a_nonzero_remainder(monkeypatch):
+    reads, read = [], flatten_mod._imaginary_table
+    monkeypatch.setattr(flatten_mod, "_imaginary_table", lambda g, m: reads.append(m) or read(g, m))
+    rep = flatten_to_order(non_graph_germ(), 8)
+    assert not rep.ok and rep.obstruction_degree == 3
+    assert reads == [3, 3]
+    last = rep.steps[-1]
+    assert last.normalized_zero is False and not last.remainder.is_zero()
+    assert last.remainder == h_from_germ(rep.final, 3)
 
 
 def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
@@ -518,6 +537,39 @@ def test_condition_rows_apply_as_the_condition_series(case):
     assert [v for v in values if v] == [c for _, c in sorted(series)]
 
 
+@st.composite
+def condition_cases(draw, m):
+    """A degree-m table and whether it must satisfy the condition.
+
+    Half are random real-valued tables; the others combine up to four of the
+    condition kernel's basis tables with Gaussian-rational weights, and hold.
+    """
+    gaussian = st.builds(G, _rationals, _rationals)
+    table = {}
+    if draw(st.booleans()):
+        brackets = st.sampled_from(all_brackets(m))
+        drawn = draw(st.dictionaries(brackets, gaussian, min_size=1, max_size=12))
+        for (t, s, r, h), c in drawn.items():
+            for idx, val in (((t, s, r, h), c), ((r, h, t, s), c.conj())):
+                table[idx] = table.get(idx, G(0)) + val
+        return {k: v for k, v in table.items() if v}, False
+    picks = st.tuples(gaussian, st.sampled_from(fundamental_nullspace(m)))
+    for weight, basis_table in draw(st.lists(picks, min_size=1, max_size=4)):
+        for idx, c in basis_table.items():
+            table[idx] = table.get(idx, G(0)) + weight * c
+    return {k: v for k, v in table.items() if v}, True
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_the_driver_condition_check_equals_the_condition_series(m, data):
+    table, holds = data.draw(condition_cases(m))
+    ok = check_fundamental(phi_psi(table, m)).ok
+    assert flatten_mod._satisfies_condition(table) == ok
+    assert ok or not holds
+
+
 def _unscaled_derivative(family, slot):
     return {e[:slot] + (e[slot] - 1,) + e[slot + 1 :]: vec for e, vec in family.items() if e[slot]}
 
@@ -563,6 +615,16 @@ def test_a_corrupted_condition_build_fails_its_spot_check(
         uniqueness_nullspace(m)
     with pytest.raises(ConsistencyError, match=f"condition matrix of degree {m} "):
         fresh_fundamental_nullspace(m)
+
+
+@pytest.mark.parametrize(
+    "corrupted_condition", ["w2-without-zb2", "unscaled-derivative"], indirect=True
+)
+def test_a_corrupted_elementary_map_fails_the_driver_condition(corrupted_condition):
+    # every degree of a sheared quadric satisfies the condition, and the
+    # driver decides it through the maps alone
+    rep = flatten_to_order(load_germ(FIXTURES / "sheared.germ"), 8)
+    assert rep.ok and not all(step.fundamental_ok for step in rep.steps)
 
 
 def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):
