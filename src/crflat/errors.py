@@ -35,7 +35,3 @@ class DegenerateSliceError(PreconditionError):
 
 class NormalizationError(CrflatError):
     """The degree-m normalization solve failed (singular or inconsistent)."""
-
-    def __init__(self, message, diagnostic=None):
-        super().__init__(message)
-        self.diagnostic = diagnostic

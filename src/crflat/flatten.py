@@ -30,7 +30,10 @@ exponents (a derivative and a multiplication by z_i + zb_i) carry the
 condition too.  They build the condition matrix for all unit tables at once,
 each build checked against the series operators on one dense table, and they
 decide the flattening driver's per-degree condition check exactly, on the
-degree-m table written as two integer columns (D Re H and D Im H).
+degree-m table written as two integer columns (D Re H and D Im H, lifted by
+``numeric.integer_parts``).  Every kernel returned here, of the condition
+and of the uniqueness blocks, comes from ``linalg.certified_nullspace``,
+which certifies it beside the elimination that computes it.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
-from .linalg import ExactMatrix, rank_mod_p, solve, sparse_nullspace
-from .numeric import I, ONE, GaussianRational, ZERO
+from .linalg import ExactMatrix, certified_nullspace, solve
+from .numeric import I, ONE, GaussianRational, ZERO, integer_parts
 from .series import Exponent, Series, bracket_from_exp, exp_from_bracket, sum_of_products
 
 Bracket = tuple[int, int, int, int]
@@ -525,7 +528,7 @@ def solve_kernel(source: Germ | HTable, m: int) -> KernelPolynomial:
     passes the table it has already read and checked).  The normalization
     conditions on H' = H + Im B(z, q2) form an overdetermined real-linear
     system in (Re b, Im b); uniqueness and consistency are verified by the
-    exact solve, and failure raises with a diagnostic.
+    exact solve, and failure raises :class:`NormalizationError`.
     """
     if isinstance(source, HTable):
         if m < 3 or source.m != m:
@@ -548,13 +551,9 @@ def _solve_table(h: Table, m: int) -> KernelPolynomial:
     try:
         sol = solve(mat, rhs)
     except UnderdeterminedSystemError as exc:
-        raise NormalizationError(
-            f"normalization system singular at degree {m}", diagnostic=mat.to_literal()
-        ) from exc
+        raise NormalizationError(f"normalization system singular at degree {m}") from exc
     except LinearSolveError as exc:
-        raise NormalizationError(
-            f"normalization system inconsistent at degree {m}", diagnostic=str(exc)
-        ) from exc
+        raise NormalizationError(f"normalization system inconsistent at degree {m}") from exc
     coeffs = {}
     for pos, key in enumerate(unknowns):
         x = sol[2 * pos]
@@ -620,16 +619,12 @@ def _satisfies_condition(table: Mapping[Bracket, GaussianRational]) -> bool:
     """Whether a homogeneous table satisfies the first-order condition, exactly.
 
     The table becomes a two-column integer family, x = D Re and y = D Im of
-    each coefficient with D the lcm of all their denominators; since
-    ``_condition`` is integer-linear, the table satisfies the condition
-    exactly when the family's condition is empty.
+    each coefficient with D the lcm of all their denominators
+    (``integer_parts``); since ``_condition`` is integer-linear, the table
+    satisfies the condition exactly when the family's condition is empty.
     """
-    d = math.lcm(*(x.denominator for c in table.values() for x in (c.re, c.im)))
-    family = {}
-    for idx, c in table.items():
-        family[exp_from_bracket(*idx)] = {
-            j: x.numerator * (d // x.denominator) for j, x in enumerate((c.re, c.im))
-        }
+    _den, re, im = integer_parts(table.values())
+    family = {exp_from_bracket(*idx): {0: x, 1: y} for idx, x, y in zip(table, re, im)}
     return not _condition(family)
 
 
@@ -722,47 +717,15 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     return tuple(unknowns), [row for _, row in by_bracket]
 
 
-def _kills(rows: list[dict[int, int]], vec: list[GaussianRational]) -> bool:
-    """Whether integer rows vanish on ``vec``, checked in integers.
-
-    The real and imaginary parts of ``vec`` are each scaled by the lcm of
-    their denominators; integer rows vanish on ``vec`` exactly when they
-    vanish on both scaled parts.
-    """
-    for part in ([x.re for x in vec], [x.im for x in vec]):
-        d = math.lcm(*(x.denominator for x in part))
-        u = [x.numerator * (d // x.denominator) for x in part]
-        if any(sum(c * u[j] for j, c in row.items()) for row in rows):
-            return False
-    return True
-
-
-def _certified_kernel(rows: list[dict[int, int]], n: int, rank_p: int, what: str) -> list:
-    """The exact kernel of integer rows in ``n`` columns, certified.
-
-    Every basis vector must vanish under the rows, and the nullity may not
-    exceed n - ``rank_p``, the bound a rank modulo a prime gives (that rank
-    never exceeds the rank over Q).  A failure raises
-    :class:`ConsistencyError` naming ``what``.
-    """
-    kernel = sparse_nullspace(rows, n)
-    if len(kernel) > n - rank_p or not all(_kills(rows, v) for v in kernel):
-        raise ConsistencyError(f"exact kernel of {what} fails its certificate")
-    return kernel
-
-
 @lru_cache(maxsize=None)
 def fundamental_nullspace(m: int) -> tuple[Table, ...]:
     """A deterministic basis of all degree-m tables killed by the condition.
 
     The basis is certified against the condition rows (see
-    ``_certified_kernel``).
+    :func:`crflat.linalg.certified_nullspace`).
     """
     unknowns, rows = _fundamental_matrix(m)
-    n = len(unknowns)
-    kernel = _certified_kernel(
-        rows, n, rank_mod_p(rows, n), f"the condition of degree {m}"
-    )
+    kernel = certified_nullspace(rows, len(unknowns), f"the condition of degree {m}")
     return tuple({idx: c for idx, c in zip(unknowns, v) if c} for v in kernel)
 
 
@@ -782,12 +745,13 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
       y[idx] in My;
     * a "realpart" constraint: x[idx] in Mx only.
 
-    The kernel is ker Mx (real tables) plus ker My (i times real tables).
-    Full column rank of both blocks mod a prime certifies that it is
-    trivial, since rank mod p never exceeds the rank over Q; that is the
-    expected answer at every degree.  Otherwise both blocks are eliminated
-    exactly, every kernel vector is checked against its block, and the
-    exact nullity is checked against the bound the modular rank gives.
+    The kernel is ker Mx (real tables) plus ker My (i times real tables),
+    each block's kernel from one :func:`crflat.linalg.certified_nullspace`.
+    Full column rank of a block mod a prime certifies its kernel trivial,
+    since rank mod p never exceeds the rank over Q; that is the expected
+    answer at every degree.  Otherwise the block is eliminated exactly,
+    every kernel vector is checked against it, and the exact nullity is
+    checked against the bound the modular rank gives.
     """
     if m < 3:
         raise PreconditionError("uniqueness check starts at degree 3")
@@ -810,14 +774,9 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
         for rows in blocks.values():
             rows.append({col[idx]: 1})
     n = len(unknowns)
-    ranks = {part: rank_mod_p(rows, n) for part, rows in blocks.items()}
-    if all(rank == n for rank in ranks.values()):
-        return 0, []
     tables = []
     for part, name, unit in (("re", "x", ONE), ("im", "y", I)):
-        kernel = _certified_kernel(
-            blocks[part], n, ranks[part], f"the {name} block of degree {m}"
-        )
+        kernel = certified_nullspace(blocks[part], n, f"the {name} block of degree {m}")
         tables += [HTable(m, {idx: unit * c for idx, c in zip(unknowns, v)}) for v in kernel]
     return len(tables), tables
 

@@ -16,6 +16,12 @@ rows over one common denominator; the matrix holds it for later solves.
 Every solve then applies L to b and certifies A x = b, both in integers;
 that product also decides consistency exactly.
 
+``certified_nullspace`` is the certified kernel of integer rows: a full
+modular rank proves it trivial without exact elimination; otherwise each
+vector of the exact basis is checked by A v = 0 in integers, and the
+nullity is bounded by the column count minus the modular rank.  Every
+integer form here comes from :func:`crflat.numeric.integer_parts`.
+
 All values are immutable after construction and all operations are pure;
 the memoized factor is derived from the entries and never changes them.
 """
@@ -24,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +39,7 @@ from .errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from .numeric import ONE, ZERO, GaussianRational
+from .numeric import ONE, ZERO, GaussianRational, integer_parts
 
 Vector = list[GaussianRational]
 
@@ -272,34 +277,20 @@ def _sparse(a: ExactMatrix) -> list[dict[int, GaussianRational]]:
     return [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
 
 
-def _parts(v) -> tuple:
-    """(re, im) of a Fraction or GaussianRational."""
-    return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-
-
-def _denominator(values: Iterable) -> int:
-    """The least common denominator of Fraction or GaussianRational values."""
-    return lcm(*(q.denominator for v in values for q in _parts(v)))
-
-
-def _integers(values: Iterable, den: int) -> tuple[list[int], list[int] | None]:
-    """The real and imaginary parts of ``den * v`` for each value, as integers.
-
-    ``den`` must be a common denominator of the values; the imaginary list
-    is None exactly when every value is real.
-    """
-    re, im = [], []
-    for v in values:
-        x, y = _parts(v)
-        re.append(x.numerator * (den // x.denominator))
-        im.append(y.numerator * (den // y.denominator))
-    return re, (im if any(im) else None)
-
-
 def _integer_rows(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[tuple]]:
-    """Sparse rows as (common denominator, [(columns, re, im)]) over integers."""
-    den = _denominator(v for row in rows for v in row.values())
-    return den, [(tuple(row), *_integers(row.values(), den)) for row in rows]
+    """Sparse rows as (common denominator, [(columns, re, im)]) over integers.
+
+    The imaginary list of a row is None exactly when the row is real.
+    """
+    den, re, im = integer_parts([v for row in rows for v in row.values()])
+    out = []
+    start = 0
+    for row in rows:
+        end = start + len(row)
+        row_im = im[start:end]
+        out.append((tuple(row), re[start:end], row_im if any(row_im) else None))
+        start = end
+    return den, out
 
 
 def _apply(rows: list[tuple], re: list[int], im: list[int] | None) -> tuple:
@@ -386,9 +377,8 @@ class _LeftInverse:
 
     def solve(self, b: Sequence) -> Vector:
         """The certified solution of A x = b (see :func:`solve`)."""
-        vals = [GaussianRational.coerce(v) for v in b]
-        b_den = _denominator(vals)
-        bre, bim = _integers(vals, b_den)
+        b_den, bre, bim = integer_parts(b)
+        bim = bim if any(bim) else None
         # x = L b over the denominator den * b_den
         xre, xim = _apply(self.left, bre, bim)
         # the certificate of x: A x = b, both sides times a_den * den * b_den;
@@ -497,3 +487,27 @@ def rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> int:
                 else:
                     del r[j]
     return len(pivots)
+
+
+def certified_nullspace(rows: Sequence[Mapping[int, int]], ncols: int, what: str) -> list[Vector]:
+    """``sparse_nullspace`` of integer rows, certified in integers.
+
+    A full ``rank_mod_p`` certifies the trivial kernel without exact
+    elimination.  Otherwise every basis vector v must satisfy A v = 0, and
+    the nullity may not exceed ncols - rank_p, the bound the modular rank
+    gives.  A failure raises :class:`ConsistencyError` naming ``what``.
+    """
+    rank_p = rank_mod_p(rows, ncols)
+    if rank_p == ncols:
+        return []
+    basis = sparse_nullspace(rows, ncols)
+    if len(basis) <= ncols - rank_p:
+        _den, int_rows = _integer_rows(rows)
+        for v in basis:
+            _vden, re, im = integer_parts(v)
+            out_re, out_im = _apply(int_rows, re, im if any(im) else None)
+            if any(out_re) or out_im is not None:
+                break
+        else:
+            return basis
+    raise ConsistencyError(f"exact kernel of {what} fails its certificate")

@@ -5,6 +5,8 @@ and imaginary parts are exact rationals.  ``fractions.Fraction`` supplies the
 rational layer (normalized, arbitrary precision); :class:`GaussianRational`
 wraps a (re, im) pair and provides field arithmetic, conjugation, exact
 modulus-squared, literal parsing and canonical formatting.
+:func:`integer_parts` is the one lift of exact values to integers over a
+common denominator, which every integer kernel of the package starts from.
 
 Values are immutable; all operations are pure and safe to share between
 workers.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -219,6 +222,31 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 HALF = GaussianRational(Fraction(1, 2))
 I = GaussianRational(0, 1)
+
+
+def integer_parts(values: Iterable) -> tuple[int, list[int], list[int]]:
+    """Exact values as integers over their least common denominator.
+
+    ``values`` are ints, ``Fraction``s or ``GaussianRational``s.  Returns
+    (D, re, im) with D the lcm of the denominators of all their real and
+    imaginary parts (1 for no values) and re[k] + i im[k] = D values[k].
+    """
+    re_parts, im_parts = [], []
+    for v in values:
+        if isinstance(v, GaussianRational):
+            re_parts.append(v.re)
+            im_parts.append(v.im)
+        else:
+            re_parts.append(_as_fraction(v))
+            im_parts.append(_FRACTION_ZERO)
+    den = math.lcm(*(x.denominator for x in re_parts), *(y.denominator for y in im_parts))
+    if den == 1:  # integer values, common in products: no divisions needed
+        return 1, [x.numerator for x in re_parts], [y.numerator for y in im_parts]
+    return (
+        den,
+        [x.numerator * (den // x.denominator) for x in re_parts],
+        [y.numerator * (den // y.denominator) for y in im_parts],
+    )
 
 
 def parse_rational(text: str) -> Fraction:

@@ -24,7 +24,6 @@ Provided decisions and invariants:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConsistencyError, DegenerateSliceError, PreconditionError
 from .linalg import ExactMatrix
-from .numeric import HALF, I, ONE, ZERO, GaussianRational, sqrt_fraction, sqrt_gaussian
+from .numeric import HALF, I, ONE, ZERO, GaussianRational, integer_parts, sqrt_fraction, sqrt_gaussian
 
 if TYPE_CHECKING:  # pragma: no cover
     from .germ import Germ
@@ -465,8 +464,8 @@ def _row_quartic(pair: QuadraticPair, x: Fraction) -> list[int]:
         b.at(1, 1),
     )
     f = [4 * u - v for u, v in zip(alpha, gamma)]
-    scale = math.lcm(*(c.denominator for c in f))
-    return [c.numerator * (scale // c.denominator) for c in f]
+    _scale, coeffs, _zero = integer_parts(f)
+    return coeffs
 
 
 def _first_grid_hit(

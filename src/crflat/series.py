@@ -20,13 +20,13 @@ Every product goes through one integer kernel, :func:`sum_of_products`, which
 returns a sum k_1 p_1 q_1 + ... + k_r p_r q_r with integer weights k_i;
 :meth:`Series.__mul__` is its one-pair call.  For each pair it brings the
 kept terms of each operand (degree <= the result truncation) to one common
-denominator, buckets them by degree and stops a row of buckets once the
-degrees sum past the truncation.  A pair's partial products are scaled by
-k * (D // (den_p * den_q)), D the lcm over all pairs, and every pair adds
-into one integer (re, im) accumulator per exponent.  Each nonzero output
-term is normalized once, as ``Fraction(x, D)``.  ``Fraction`` normal form
-makes the result identical to chaining ``*``, ``+`` and ``-`` termwise in
-Gaussian-rational arithmetic.
+denominator by :func:`crflat.numeric.integer_parts`, buckets them by degree
+and stops a row of buckets once the degrees sum past the truncation.  A
+pair's partial products are scaled by k * (D // (den_p * den_q)), D the lcm
+over all pairs, and every pair adds into one integer (re, im) accumulator
+per exponent.  Each nonzero output term is normalized once, as
+``Fraction(x, D)``.  ``Fraction`` normal form makes the result identical to
+chaining ``*``, ``+`` and ``-`` termwise in Gaussian-rational arithmetic.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .numeric import ZERO, GaussianRational, _exact, parse_rational
+from .numeric import ZERO, GaussianRational, _exact, integer_parts, parse_rational
 
 Exponent = tuple[int, ...]
 
@@ -74,14 +74,12 @@ def _graded_integer_terms(terms: Mapping[Exponent, GaussianRational], trunc: int
     ascending degree, where key packs the exponent e as sum e_i * base^i.
     """
     kept = [(sum(e), e, c) for e, c in terms.items() if sum(e) <= trunc]
-    den = math.lcm(*(x.denominator for _, _, c in kept for x in (c.re, c.im)))
+    den, re_nums, im_nums = integer_parts([c for _, _, c in kept])
     buckets: dict[int, list[tuple[int, int, int]]] = {}
-    for d, e, c in kept:
+    for (d, e, _), re_num, im_num in zip(kept, re_nums, im_nums):
         key = 0
         for k in reversed(e):
             key = key * base + k
-        re_num = c.re.numerator * (den // c.re.denominator)
-        im_num = c.im.numerator * (den // c.im.denominator)
         buckets.setdefault(d, []).append((key, re_num, im_num))
     return den, sorted(buckets.items())
 

@@ -431,7 +431,7 @@ def test_uniqueness_certified_beyond_degree_10(monkeypatch):
     def no_exact(*args):
         raise AssertionError("exact elimination on the certified path")
 
-    monkeypatch.setattr(flatten_mod, "sparse_nullspace", no_exact)
+    monkeypatch.setattr(linalg, "sparse_nullspace", no_exact)
     monkeypatch.setattr(flatten_mod, "fundamental_nullspace", no_exact)
     for m in range(11, 15):
         assert uniqueness_nullspace(m) == (0, [])
@@ -445,8 +445,8 @@ def rank_one_short(monkeypatch):
         calls.append(rows)
         return sparse_nullspace(rows, ncols)
 
-    monkeypatch.setattr(flatten_mod, "rank_mod_p", lambda rows, ncols: ncols - 1)
-    monkeypatch.setattr(flatten_mod, "sparse_nullspace", exact)
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: ncols - 1)
+    monkeypatch.setattr(linalg, "sparse_nullspace", exact)
     return calls
 
 
@@ -463,7 +463,7 @@ def test_uniqueness_fallback_bounds_the_exact_nullity(no_normalization, rank_one
 
 
 def test_uniqueness_fallback_checks_every_kernel_vector(rank_one_short, monkeypatch):
-    monkeypatch.setattr(flatten_mod, "sparse_nullspace", lambda rows, ncols: [[G(1)] * ncols])
+    monkeypatch.setattr(linalg, "sparse_nullspace", lambda rows, ncols: [[G(1)] * ncols])
     with pytest.raises(ConsistencyError, match="x block of degree 4"):
         uniqueness_nullspace(4)
 
@@ -602,7 +602,7 @@ def test_fundamental_nullspace_checks_every_basis_vector(
         basis[2][j] += delta
         return basis
 
-    monkeypatch.setattr(flatten_mod, "sparse_nullspace", corrupted)
+    monkeypatch.setattr(linalg, "sparse_nullspace", corrupted)
     with pytest.raises(ConsistencyError, match="condition of degree 5"):
         fresh_fundamental_nullspace(5)
 
@@ -629,7 +629,7 @@ def test_a_corrupted_elementary_map_fails_the_driver_condition(corrupted_conditi
 
 def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):
     # claiming one more modular rank than the rational rank must fail
-    monkeypatch.setattr(flatten_mod, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
     with pytest.raises(ConsistencyError, match="condition of degree 4"):
         fresh_fundamental_nullspace(4)
 

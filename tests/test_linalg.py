@@ -13,7 +13,7 @@ from crflat.errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from crflat.linalg import MODULUS, _echelon, rank_mod_p, sparse_nullspace
+from crflat.linalg import MODULUS, _echelon, certified_nullspace, rank_mod_p, sparse_nullspace
 from crflat.numeric import ONE, ZERO
 
 from conftest import rand_gaussian, rand_matrix
@@ -200,6 +200,64 @@ def test_rank_mod_p_loses_rank_at_a_multiple_of_the_prime():
     rows = [[1, 1], [1, 1 + MODULUS]]
     assert ExactMatrix.from_rows(rows).rank() == 2
     assert rank_mod_p(sparse(rows), 2) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(integer_matrices(st.integers(-3, 3)), st.booleans())
+def test_certified_nullspace_is_the_exact_nullspace(rows, repeat_column):
+    if repeat_column:
+        # a repeated column makes the matrix rank-deficient
+        rows = [row + [row[0]] for row in rows]
+    ncols = len(rows[0])
+    assert certified_nullspace(sparse(rows), ncols, "t") == sparse_nullspace(sparse(rows), ncols)
+
+
+def test_certified_nullspace_when_the_prime_divides_a_minor():
+    # rank_p = 1 < 2 = rank over Q: the exact kernel is empty, within the bound
+    assert certified_nullspace(sparse([[MODULUS, 0], [0, 1]]), 2, "t") == []
+    assert certified_nullspace(sparse([[MODULUS, 0, 0], [0, 1, 0]]), 3, "t") == [
+        [G(0), G(0), G(1)]
+    ]
+
+
+def test_certified_nullspace_of_full_modular_rank_skips_elimination(monkeypatch):
+    def no_exact(*args):
+        raise AssertionError("exact elimination at full modular rank")
+
+    monkeypatch.setattr(linalg, "sparse_nullspace", no_exact)
+    assert certified_nullspace([{0: 2, 1: 1}, {1: 3}, {0: 1, 1: 1}], 2, "t") == []
+    assert certified_nullspace([], 0, "t") == []
+
+
+ROWS = [{0: 1, 1: -1}, {2: 2, 3: 1}]  # rank 2 in 4 columns
+
+
+@pytest.mark.parametrize("delta", [G(1), G(0, 1)], ids=["re", "im"])
+def test_certified_nullspace_rejects_a_vector_outside_the_kernel(monkeypatch, delta):
+    def corrupted(rows, ncols):
+        basis = sparse_nullspace(rows, ncols)
+        basis[1][3] += delta
+        return basis
+
+    monkeypatch.setattr(linalg, "sparse_nullspace", corrupted)
+    with pytest.raises(ConsistencyError, match="exact kernel of the probe fails"):
+        certified_nullspace(ROWS, 4, "the probe")
+
+
+def test_certified_nullspace_rejects_a_basis_beyond_the_modular_bound(monkeypatch):
+    # one more modular rank than the rational rank leaves room for one vector
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
+    with pytest.raises(ConsistencyError, match="exact kernel of the probe fails"):
+        certified_nullspace(ROWS, 4, "the probe")
+
+
+def test_certified_nullspace_rejects_a_padded_basis(monkeypatch):
+    # every vector lies in the kernel, but there are more than 4 - 2 of them
+    monkeypatch.setattr(
+        linalg, "sparse_nullspace", lambda rows, ncols: 3 * [sparse_nullspace(rows, ncols)[0]]
+    )
+    with pytest.raises(ConsistencyError, match="exact kernel of the probe fails"):
+        certified_nullspace(ROWS, 4, "the probe")
 
 
 def test_rank_mod_p_edge_cases():

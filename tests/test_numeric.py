@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crflat import GaussianRational, ParseError, sqrt_fraction, sqrt_gaussian
-from crflat.numeric import I, ONE, ZERO
+from crflat.numeric import I, ONE, ZERO, integer_parts
 
 from conftest import rand_gaussian, rand_nonzero_gaussian
 
@@ -104,6 +105,28 @@ def test_fast_paths_match_the_general_formulas(a, x):
     else:
         with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
             a.inverse()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_operands, max_size=6))
+def test_integer_parts_lifts_over_the_least_common_denominator(values):
+    den, re, im = integer_parts(iter(values))
+    assert den == math.lcm(*(x.denominator for v in values for x in _parts(v)))
+    assert len(re) == len(im) == len(values)
+    assert all(type(x) is int for x in re + im)
+    for v, x, y in zip(values, re, im):
+        assert F(x, den) + I * F(y, den) == v
+
+
+def test_integer_parts_examples():
+    assert integer_parts([]) == (1, [], [])
+    assert integer_parts([F(1, 2), G(F(1, 3), F(-1, 4)), 5, G(0, F(5, 6))]) == (
+        12,
+        [6, 4, 60, 0],
+        [0, -3, 0, 10],
+    )
+    with pytest.raises(TypeError, match="exact rational"):
+        integer_parts([F(1, 2), 0.5])
 
 
 def test_abs2_and_unimodular():
