@@ -19,7 +19,8 @@ format error, 3 = precondition violation, 4 = internal consistency failure
 Reports are plain ``KEY value`` lines with deterministic ordering; ``--json``
 mirrors the same key/value pairs as a JSON array.  ``--batch FILE`` runs one
 verb over many inputs (one path per line), writing each report as soon as
-it is made, in listed order.
+it is made, in listed order; an error there names its input, as
+``error: <path>: <message>``.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def run_case_oracle(args) -> Report:
         got = engine[name].homogeneous_part(2)
         want = oracle[name]
         if got != want:
-            keys = sorted(set(got.terms) | set(want.terms))
+            keys = sorted(got.nums.keys() | want.nums.keys())
             for e in keys:
                 gv, wv = got.coeff(e), want.coeff(e)
                 if gv != wv:
@@ -377,6 +378,7 @@ def _emit(report: Report, as_json: bool) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
+    source = ""  # in a batch, the input an error message names
     try:
         for flag in ("order", "search"):
             value = getattr(args, flag, None)
@@ -397,6 +399,7 @@ def main(argv=None) -> int:
         if args.batch:
             paths = [ln.strip() for ln in read_text(args.batch).splitlines() if ln.strip()]
             for pth in paths:
+                source = f"{pth}: "
                 out.write(_emit(fn(pth, args), args.json))
             return EXIT_OK
         if not args.germ:
@@ -404,18 +407,11 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         out.write(_emit(fn(args.germ, args), args.json))
         return EXIT_OK
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
-    except ConsistencyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INTERNAL
     except CrflatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+        sys.stderr.write(f"error: {source}{exc}\n")
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        return EXIT_INTERNAL if isinstance(exc, ConsistencyError) else EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

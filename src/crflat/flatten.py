@@ -30,10 +30,10 @@ exponents (a derivative and a multiplication by z_i + zb_i) carry the
 condition too.  They build the condition matrix for all unit tables at once,
 each build checked against the series operators on one dense table, and they
 decide the flattening driver's per-degree condition check exactly, on the
-degree-m table written as two integer columns (D Re H and D Im H, lifted by
-``numeric.integer_parts``).  Every kernel returned here, of the condition
-and of the uniqueness blocks, comes from ``linalg.certified_nullspace``,
-which certifies it beside the elimination that computes it.
+integer pairs (re, im) of the series Im R_m as two integer columns.  Every
+kernel returned here, of the condition and of the uniqueness blocks, comes
+from ``linalg.certified_nullspace``, which certifies it beside the
+elimination that computes it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
 from .linalg import ExactMatrix, certified_nullspace, solve
-from .numeric import I, ONE, GaussianRational, ZERO, integer_parts
+from .numeric import I, ONE, GaussianRational, ZERO
 from .series import Exponent, Series, bracket_from_exp, exp_from_bracket, sum_of_products
 
 Bracket = tuple[int, int, int, int]
@@ -71,12 +71,7 @@ def all_brackets(degree: int) -> list[Bracket]:
 
 
 def table_to_series(table: Mapping[Bracket, object], degree: int) -> Series:
-    terms = {}
-    for idx, c in table.items():
-        c = GaussianRational.coerce(c)
-        if c:
-            terms[exp_from_bracket(*idx)] = c
-    return Series(2, degree + _PAD, terms)
+    return Series(2, degree + _PAD, {exp_from_bracket(*idx): c for idx, c in table.items()})
 
 
 def series_to_table(series: Series) -> Table:
@@ -134,13 +129,12 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
     _require_parabolic(germ)
     if m > germ.trunc:
         raise PreconditionError("degree exceeds the germ truncation")
-    return _imaginary_table(germ, m)
+    return HTable(m, series_to_table(_imaginary_table(germ, m)))
 
 
-def _imaginary_table(germ: Germ, m: int) -> HTable:
-    # callers have checked the quadric and the degree
-    _, e = germ.R.homogeneous_part(m).re_im()
-    return HTable(m, series_to_table(e))
+def _imaginary_table(germ: Germ, m: int) -> Series:
+    # the degree-m table of Im R as a series; callers have checked the quadric and the degree
+    return germ.R.homogeneous_part(m).re_im()[1]
 
 
 def _require_parabolic(germ: Germ):
@@ -541,7 +535,7 @@ def solve_kernel(source: Germ | HTable, m: int) -> KernelPolynomial:
         # the degree-d imaginary part vanishes exactly when R_d is real
         if not source.R.homogeneous_part(d).is_real():
             raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
-    return _solve_table(_imaginary_table(source, m).coeffs, m)
+    return _solve_table(series_to_table(_imaginary_table(source, m)), m)
 
 
 def _solve_table(h: Table, m: int) -> KernelPolynomial:
@@ -615,17 +609,14 @@ def _condition(family: Family) -> Family:
     return _w_sum(((1, 2, _derivative(psi, 0)), (-1, 1, _derivative(psi, 1))))
 
 
-def _satisfies_condition(table: Mapping[Bracket, GaussianRational]) -> bool:
-    """Whether a homogeneous table satisfies the first-order condition, exactly.
+def _satisfies_condition(h: Series) -> bool:
+    """Whether a homogeneous series satisfies the first-order condition, exactly.
 
-    The table becomes a two-column integer family, x = D Re and y = D Im of
-    each coefficient with D the lcm of all their denominators
-    (``integer_parts``); since ``_condition`` is integer-linear, the table
-    satisfies the condition exactly when the family's condition is empty.
+    Its integer pairs (re, im) over its denominator form a two-column
+    family; since ``_condition`` is integer-linear, the series satisfies the
+    condition exactly when the family's condition is empty.
     """
-    _den, re, im = integer_parts(table.values())
-    family = {exp_from_bracket(*idx): {0: x, 1: y} for idx, x, y in zip(table, re, im)}
-    return not _condition(family)
+    return not _condition({e: {0: x, 1: y} for e, (x, y) in h.nums.items()})
 
 
 # -- the order-by-order driver -------------------------------------------------------
@@ -668,8 +659,9 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     steps: list[FlattenStep] = []
     for m in range(3, n + 1):
         # shears of weight >= 3 leave the quadric alone, so it is checked once
-        h = _imaginary_table(current, m)
-        fund_ok = _satisfies_condition(h.coeffs)
+        im_part = _imaginary_table(current, m)
+        h = HTable(m, series_to_table(im_part))
+        fund_ok = _satisfies_condition(im_part)
         try:
             kern = solve_kernel(h, m)
         except NormalizationError as exc:
@@ -679,7 +671,8 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         kernels[m] = kern
         # the remainder vanishes exactly when R_m is real; it is read only if not
         if not current.R.homogeneous_part(m).is_real():
-            steps.append(FlattenStep(m, kern, False, _imaginary_table(current, m), fund_ok))
+            remainder = HTable(m, series_to_table(_imaginary_table(current, m)))
+            steps.append(FlattenStep(m, kern, False, remainder, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         steps.append(FlattenStep(m, kern, True, None, fund_ok))
     return FlattenReport(True, n, kernels, current, steps)

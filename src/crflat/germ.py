@@ -241,10 +241,7 @@ def quadric_germ(pair: QuadraticPair, trunc: int) -> Germ:
     terms: dict[tuple, GaussianRational] = {}
 
     def add(e, c):
-        if c:
-            terms[e] = terms.get(e, ZERO) + c
-            if not terms[e]:
-                del terms[e]
+        terms[e] = terms.get(e, ZERO) + c
 
     def unit(*slots):
         e = [0] * (2 * n)

@@ -16,17 +16,22 @@ Term iteration is always sorted in graded lexicographic order (total degree
 first, then the exponent tuple), which makes every report built from a
 series reproducible byte for byte.
 
+A series stores one positive denominator ``den`` and ``nums``, integer
+pairs (re, im) by exponent: the coefficient at e is (re + i im) / den.  No
+(0, 0) pair is stored, and ``den`` is canonical (its gcd with all the
+numerators is 1), so two series are equal exactly when their ``den`` and
+``nums`` are.  The constructor lifts its coefficients once, by
+:func:`crflat.numeric.integer_parts`; every operation works on integers and
+brings its result to the canonical denominator.  ``coeff``, ``items`` and
+the read-only ``terms`` view build ``GaussianRational`` values on demand.
+
 Every product goes through one integer kernel, :func:`sum_of_products`, which
 returns a sum k_1 p_1 q_1 + ... + k_r p_r q_r with integer weights k_i;
-:meth:`Series.__mul__` is its one-pair call.  For each pair it brings the
-kept terms of each operand (degree <= the result truncation) to one common
-denominator by :func:`crflat.numeric.integer_parts`, buckets them by degree
-and stops a row of buckets once the degrees sum past the truncation.  A
-pair's partial products are scaled by k * (D // (den_p * den_q)), D the lcm
-over all pairs, and every pair adds into one integer (re, im) accumulator
-per exponent.  Each nonzero output term is normalized once, as
-``Fraction(x, D)``.  ``Fraction`` normal form makes the result identical to
-chaining ``*``, ``+`` and ``-`` termwise in Gaussian-rational arithmetic.
+:meth:`Series.__mul__` is its one-pair call.  It buckets the kept pairs of
+each operand (degree <= the result truncation) by degree, stops a row of
+buckets once the degrees sum past the truncation, scales a pair's partial
+products by k * (D // (den_p * den_q)), D the lcm over all pairs, and adds
+them into one integer (re, im) accumulator per exponent: the result over D.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -44,12 +49,14 @@ import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .numeric import ZERO, GaussianRational, _exact, integer_parts, parse_rational
+from .numeric import GaussianRational, _exact, integer_parts, parse_rational
 
 Exponent = tuple[int, ...]
+Pair = tuple[int, int]
 
 
 def exp_from_bracket(t: int, s: int, r: int, h: int) -> Exponent:
@@ -67,36 +74,23 @@ def _grlex_key(e: Exponent):
     return (sum(e), e)
 
 
-def _graded_integer_terms(terms: Mapping[Exponent, GaussianRational], trunc: int, base: int):
-    """The terms of degree <= trunc as integers over one common denominator D.
-
-    Returns D and the list of (degree, [(key, D * re, D * im), ...]) in
-    ascending degree, where key packs the exponent e as sum e_i * base^i.
-    """
-    kept = [(sum(e), e, c) for e, c in terms.items() if sum(e) <= trunc]
-    den, re_nums, im_nums = integer_parts([c for _, _, c in kept])
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
-    for (d, e, _), re_num, im_num in zip(kept, re_nums, im_nums):
-        key = 0
-        for k in reversed(e):
-            key = key * base + k
-        buckets.setdefault(d, []).append((key, re_num, im_num))
-    return den, sorted(buckets.items())
+def _coefficient(pair: Pair, den: int) -> GaussianRational:
+    """The Gaussian rational (re + i im) / den of an integer pair."""
+    x, y = pair
+    return _exact(Fraction(x, den), Fraction(y, den))
 
 
 class Series:
     """Sparse truncated polynomial in (z, zbar) with exact coefficients."""
 
-    __slots__ = ("nvars", "trunc", "terms")
+    __slots__ = ("nvars", "trunc", "den", "nums")
 
     def __init__(self, nvars: int, trunc: int, terms: Mapping[Exponent, object] | None = None):
         if nvars < 1:
             raise PreconditionError("need at least one variable")
         if trunc < 0:
             raise PreconditionError("negative truncation")
-        self.nvars = nvars
-        self.trunc = trunc
-        clean: dict[Exponent, GaussianRational] = {}
+        clean = {}
         if terms:
             width = 2 * nvars
             for e, c in terms.items():
@@ -107,10 +101,13 @@ class Series:
                     raise PreconditionError(
                         f"exponent {e} exceeds truncation {trunc}"
                     )
-                c = GaussianRational.coerce(c)
-                if c:
-                    clean[e] = c
-        self.terms = clean
+                clean[e] = c
+        # the lcm of reduced denominators shares no factor with all numerators
+        den, re_nums, im_nums = integer_parts(clean.values())
+        self.nvars = nvars
+        self.trunc = trunc
+        self.den = den
+        self.nums = {e: (x, y) for e, x, y in zip(clean, re_nums, im_nums) if x or y}
 
     # -- constructors ---------------------------------------------------------
 
@@ -120,8 +117,7 @@ class Series:
 
     @staticmethod
     def const(nvars: int, trunc: int, c) -> "Series":
-        e = (0,) * (2 * nvars)
-        return Series(nvars, trunc, {e: GaussianRational.coerce(c)})
+        return Series(nvars, trunc, {(0,) * (2 * nvars): c})
 
     @staticmethod
     def variable(nvars: int, trunc: int, slot: int) -> "Series":
@@ -136,41 +132,49 @@ class Series:
         """All 2n generators: (z1, .., zn, zb1, .., zbn)."""
         return tuple(Series.variable(nvars, trunc, k) for k in range(2 * nvars))
 
-    def _make(self, terms: dict[Exponent, GaussianRational], trunc: int | None = None) -> "Series":
+    def _make(self, den: int, nums: dict[Exponent, Pair], trunc: int | None = None) -> "Series":
+        """A series in the same variables from nonzero pairs over ``den``, in lowest terms."""
+        g = math.gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1:
+            den //= g
+            nums = {e: (x // g, y // g) for e, (x, y) in nums.items()}
         s = Series.__new__(Series)
         s.nvars = self.nvars
         s.trunc = self.trunc if trunc is None else trunc
-        s.terms = terms
+        s.den = den
+        s.nums = nums
         return s
 
     # -- inspection ------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponent, GaussianRational]:
+        """The stored coefficients as Gaussian rationals, in a new dict."""
+        return {e: _coefficient(pair, self.den) for e, pair in self.nums.items()}
+
     def coeff(self, e: Iterable[int]) -> GaussianRational:
         """Stored coefficient at the exponent, or 0 (also for out-of-range)."""
-        return self.terms.get(tuple(e), ZERO)
+        return _coefficient(self.nums.get(tuple(e), (0, 0)), self.den)
 
     def items(self) -> Iterator[tuple[Exponent, GaussianRational]]:
         """Terms in graded-lex order."""
-        for e in sorted(self.terms, key=_grlex_key):
-            yield e, self.terms[e]
+        for e in sorted(self.nums, key=_grlex_key):
+            yield e, _coefficient(self.nums[e], self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_real(self) -> bool:
         """True iff the series equals its own conjugate termwise."""
         n = self.nvars
-        for e, c in self.terms.items():
-            mirror = e[n:] + e[:n]
-            if self.terms.get(mirror, ZERO) != c.conj():
-                return False
-        return True
+        nums = self.nums
+        return all(nums.get(e[n:] + e[:n]) == (x, -y) for e, (x, y) in nums.items())
 
     def min_degree(self) -> int:
-        return min((sum(e) for e in self.terms), default=0)
+        return min((sum(e) for e in self.nums), default=0)
 
     def homogeneous_part(self, d: int) -> "Series":
-        return self._make({e: c for e, c in self.terms.items() if sum(e) == d})
+        return self._make(self.den, {e: p for e, p in self.nums.items() if sum(e) == d})
 
     def truncate(self, new_trunc: int) -> "Series":
         """Drop all terms above ``new_trunc`` and lower the truncation."""
@@ -179,7 +183,7 @@ class Series:
         if new_trunc < 0:
             raise PreconditionError("negative truncation")
         return self._make(
-            {e: c for e, c in self.terms.items() if sum(e) <= new_trunc}, new_trunc
+            self.den, {e: p for e, p in self.nums.items() if sum(e) <= new_trunc}, new_trunc
         )
 
     # -- ring operations --------------------------------------------------------
@@ -193,21 +197,26 @@ class Series:
             return self + Series.const(self.nvars, self.trunc, other)
         self._check_compat(other)
         trunc = min(self.trunc, other.trunc)
-        out = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
-        for e, c in other.terms.items():
+        den = math.lcm(self.den, other.den)
+        k = den // self.den
+        out = {e: (k * x, k * y) for e, (x, y) in self.nums.items() if sum(e) <= trunc}
+        k = den // other.den
+        for e, (x, y) in other.nums.items():
             if sum(e) > trunc:
                 continue
-            v = out.get(e, ZERO) + c
-            if v:
-                out[e] = v
+            u, v = out.get(e, (0, 0))
+            u += k * x
+            v += k * y
+            if u or v:
+                out[e] = (u, v)
             else:
                 out.pop(e, None)
-        return self._make(out, trunc)
+        return self._make(den, out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make({e: -c for e, c in self.terms.items()})
+        return self._make(self.den, {e: (-x, -y) for e, (x, y) in self.nums.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -227,10 +236,13 @@ class Series:
         return self.scale(other)
 
     def scale(self, c) -> "Series":
-        c = GaussianRational.coerce(c)
-        if not c:
-            return self._make({})
-        return self._make({e: c * v for e, v in self.terms.items()})
+        """The series times an exact scalar c = (p + i q) / d."""
+        d, (p,), (q,) = integer_parts([c])
+        if not (p or q):
+            return self._make(1, {})
+        return self._make(
+            self.den * d, {e: (x * p - y * q, x * q + y * p) for e, (x, y) in self.nums.items()}
+        )
 
     def __pow__(self, k: int) -> "Series":
         if not isinstance(k, int) or k < 0:
@@ -245,39 +257,27 @@ class Series:
     def conj(self) -> "Series":
         """Swap each z_j power with the zbar_j power and conjugate coefficients."""
         n = self.nvars
-        return self._make(
-            {e[n:] + e[:n]: c.conj() for e, c in self.terms.items()}
-        )
+        return self._make(self.den, {e[n:] + e[:n]: (x, -y) for e, (x, y) in self.nums.items()})
 
     def re_im(self) -> tuple["Series", "Series"]:
         """Real and imaginary parts ((S + conj S)/2, (S - conj S)/(2i)), both real.
 
-        One pass: the term c at e and the term d at the mirror exponent give
-        Re = ((c.re + d.re)/2, (c.im - d.im)/2) and
-        Im = ((c.im + d.im)/2, (d.re - c.re)/2) at e.  A term whose mirror is
-        absent also writes its conjugates at the mirror.
+        Over 2 den, the pair (x, y) at e and the pair (u, v) at the mirror
+        exponent give Re = (x + u, y - v) and Im = (y + v, u - x) at e; an
+        absent pair is (0, 0), so every stored exponent and its mirror is read.
         """
         n = self.nvars
-        terms = self.terms
-        re: dict[Exponent, GaussianRational] = {}
-        im: dict[Exponent, GaussianRational] = {}
-        for e, c in terms.items():
-            mirror = e[n:] + e[:n]
-            d = terms.get(mirror)
-            if d is None:
-                x, y = c.re / 2, c.im / 2
-                re[mirror] = _exact(x, -y)
-                im[mirror] = _exact(y, x)
-                re[e] = _exact(x, y)
-                im[e] = _exact(y, -x)
-                continue
-            part = _exact((c.re + d.re) / 2, (c.im - d.im) / 2)
-            if part:
-                re[e] = part
-            part = _exact((c.im + d.im) / 2, (d.re - c.re) / 2)
-            if part:
-                im[e] = part
-        return self._make(re), self._make(im)
+        nums = self.nums
+        re: dict[Exponent, Pair] = {}
+        im: dict[Exponent, Pair] = {}
+        for e in nums.keys() | {e[n:] + e[:n] for e in nums}:
+            x, y = nums.get(e, (0, 0))
+            u, v = nums.get(e[n:] + e[:n], (0, 0))
+            if x + u or y - v:
+                re[e] = (x + u, y - v)
+            if y + v or u - x:
+                im[e] = (y + v, u - x)
+        return self._make(2 * self.den, re), self._make(2 * self.den, im)
 
     def diff(self, slot: int) -> "Series":
         """Formal partial derivative with respect to a variable slot.
@@ -287,13 +287,12 @@ class Series:
         """
         if not 0 <= slot < 2 * self.nvars:
             raise PreconditionError(f"unknown variable slot {slot}")
-        out: dict[Exponent, GaussianRational] = {}
-        for e, c in self.terms.items():
+        out: dict[Exponent, Pair] = {}
+        for e, (x, y) in self.nums.items():
             k = e[slot]
             if k:
-                e2 = e[:slot] + (k - 1,) + e[slot + 1 :]
-                out[e2] = c if k == 1 else c * k
-        return self._make(out, max(self.trunc - 1, 0))
+                out[e[:slot] + (k - 1,) + e[slot + 1 :]] = (k * x, k * y)
+        return self._make(self.den, out, max(self.trunc - 1, 0))
 
     def dz(self, j: int) -> "Series":
         """d/dz_j with 1-based j, matching the usual subscript notation."""
@@ -313,10 +312,10 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         # truncation is bookkeeping, not value: compare stored terms only
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0])))))
+        return hash((self.nvars, self.den, tuple(sorted(self.nums.items()))))
 
     def _monomial_str(self, e: Exponent) -> str:
         n = self.nvars
@@ -330,7 +329,7 @@ class Series:
         return "*".join(parts) if parts else "1"
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         return " + ".join(
             f"({c})*{self._monomial_str(e)}" for e, c in self.items()
@@ -340,12 +339,25 @@ class Series:
         return f"Series(n={self.nvars}, trunc={self.trunc}, {self})"
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 def _low(s: Series) -> int:
     """Least degree of a stored term, or T + 1 when the series stores none."""
-    return min((sum(e) for e in s.terms), default=s.trunc + 1)
+    return min((sum(e) for e in s.nums), default=s.trunc + 1)
+
+
+def _graded_keys(s: Series, trunc: int, base: int):
+    """The pairs of degree <= trunc as ascending (degree, [(key, re, im), ...]).
+
+    The key packs the exponent e as sum e_i * base^i.
+    """
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for e, (x, y) in s.nums.items():
+        d = sum(e)
+        if d <= trunc:
+            key = 0
+            for k in reversed(e):
+                key = key * base + k
+            buckets.setdefault(d, []).append((key, x, y))
+    return sorted(buckets.items())
 
 
 def sum_of_products(
@@ -359,11 +371,10 @@ def sum_of_products(
     T is an operand's truncation and low the least degree of its stored
     terms (T + 1 when it stores none); otherwise ``PreconditionError``.
 
-    Each pair's operands come to their own common denominators and go
-    through the graded integer loop; its partial products are scaled by
-    k * (D // (den_p * den_q)), D the lcm over all pairs, and added into one
-    integer (re, im) accumulator per exponent.  Each nonzero output term is
-    normalized once, as ``Fraction(x, D)``.
+    Each pair's operands go through the graded integer loop; its partial
+    products are scaled by k * (D // (den_p * den_q)), D the lcm over all
+    pairs, and added into one integer (re, im) accumulator per exponent,
+    which is the result over D.
     """
     if not terms:
         raise PreconditionError("a sum of products needs at least one pair")
@@ -387,10 +398,10 @@ def sum_of_products(
     pairs = []
     for k, p, q in terms:
         if k:
-            den_p, left = _graded_integer_terms(p.terms, trunc, base)
-            den_q, right = _graded_integer_terms(q.terms, trunc, base)
+            left = _graded_keys(p, trunc, base)
+            right = _graded_keys(q, trunc, base)
             if left and right:
-                pairs.append((k, den_p * den_q, left, right))
+                pairs.append((k, p.den * q.den, left, right))
     den = math.lcm(*(pair_den for _, pair_den, _, _ in pairs))
     acc: dict[int, list[int]] = {}
     for k, pair_den, left, right in pairs:
@@ -411,18 +422,15 @@ def sum_of_products(
                             pair[0] += a * c - b * d
                             pair[1] += a * d + b * c
     width = 2 * first.nvars
-    out: dict[Exponent, GaussianRational] = {}
+    nums: dict[Exponent, Pair] = {}
     for key, (x, y) in acc.items():
         if x or y:
             e = []
             for _ in range(width):
                 key, power = divmod(key, base)
                 e.append(power)
-            out[tuple(e)] = _exact(
-                Fraction(x, den) if x else _FRACTION_ZERO,
-                Fraction(y, den) if y else _FRACTION_ZERO,
-            )
-    return first._make(out, trunc)
+            nums[tuple(e)] = (x, y)
+    return first._make(den, nums, trunc)
 
 
 def subst_w(
@@ -442,14 +450,13 @@ def subst_w(
     its own product and the next power need, and each product certifies
     the truncation it is asked for (see :func:`sum_of_products`).
     """
-    if value.coeff((0,) * (2 * value.nvars)):
+    if (0,) * (2 * value.nvars) in value.nums:
         raise PreconditionError("substituted series must have zero constant term")
-    parts: dict[int, dict[Exponent, GaussianRational]] = {}
+    parts: dict[int, dict[Exponent, object]] = {}
     for (e, j), c in template.items():
         if j < 0:
             raise PreconditionError("negative w-power in template")
-        c = GaussianRational.coerce(c)
-        if c and sum(e) <= value.trunc:
+        if sum(e) <= value.trunc:
             parts.setdefault(j, {})[tuple(e)] = c
     if not parts:
         return Series.zero(value.nvars, value.trunc)

@@ -180,6 +180,15 @@ def test_flatten_and_emit(tmp_path):
     assert final == load_germ(fx("parabolic.germ"))
 
 
+def test_flatten_emits_the_golden_final_germ(tmp_path):
+    # a quadric sheared at weights 3..9, flattened to order 7: the final germ
+    # keeps fractional coefficients from degree 8 on
+    code, out = run_cli("flatten", fx("sheared9.germ"), "--order", "7", "--emit", str(tmp_path))
+    assert code == 0 and "FLATTENED_TO 7" in out
+    golden = (FIXTURES / "sheared9.order7.final.germ").read_bytes()
+    assert (tmp_path / "final.germ").read_bytes() == golden and b"/" in golden
+
+
 def test_flatten_emit_into_unwritable_path(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a regular file\n")
@@ -268,6 +277,24 @@ def test_batch_keeps_reports_before_an_unreadable_path(tmp_path, capsys):
     assert captured.out == before
     errors = captured.err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error:")
+    assert errors[0].startswith(f"error: {missing}: cannot read {missing}")
+
+
+def test_batch_error_names_the_input_that_failed_its_precondition(tmp_path, capsys):
+    message = "flattening driver requires the standard parabolic quadric quadratic part"
+    # one input alone: the message as it always was
+    code, out = run_cli("flatten", fx("ex31.germ"), "--order", "8")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    listing = tmp_path / "batch.txt"
+    names = [fx("sheared.germ"), fx("ex31.germ"), fx("sheared.germ")]
+    listing.write_text("".join(n + "\n" for n in names))
+    before = run_cli("flatten", names[0], "--order", "8")[1]
+    code = main(["flatten", "--batch", str(listing), "--order", "8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == before and before.startswith(f"INPUT {names[0]}\n")
+    assert captured.err == f"error: {names[1]}: {message}\n"
 
 
 def test_fixture_files_roundtrip_bit_exactly():

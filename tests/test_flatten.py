@@ -30,7 +30,7 @@ from crflat import (
 import crflat.flatten as flatten_mod
 import crflat.linalg as linalg
 from crflat.errors import ConsistencyError, PreconditionError
-from crflat.flatten import all_brackets, kernel_unknowns
+from crflat.flatten import all_brackets, kernel_unknowns, table_to_series
 from crflat.germ import load_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
 from crflat.series import bracket_from_exp
@@ -566,7 +566,7 @@ def condition_cases(draw, m):
 def test_the_driver_condition_check_equals_the_condition_series(m, data):
     table, holds = data.draw(condition_cases(m))
     ok = check_fundamental(phi_psi(table, m)).ok
-    assert flatten_mod._satisfies_condition(table) == ok
+    assert flatten_mod._satisfies_condition(table_to_series(table, m)) == ok
     assert ok or not holds
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -345,6 +346,62 @@ def test_re_im_matches_the_conjugate_formula(s):
     assert im == (s - sbar).scale(G(0, F(-1, 2)))
     assert re.trunc == im.trunc == s.trunc
     assert all(re.terms.values()) and all(im.terms.values())
+
+
+# -- every operation against termwise Gaussian-rational arithmetic ----------------------
+
+_scalars = st.one_of(
+    st.integers(-4, 4), _rationals, st.builds(G, _rationals, _rationals),
+    st.sampled_from([0, F(0), G(0)]),
+)
+
+
+def _mirror(e, n):
+    return e[n:] + e[:n]
+
+
+def _assert_series(s, trunc, expect):
+    """s has truncation trunc, the nonzero terms of expect, and canonical integer pairs."""
+    assert s.trunc == trunc
+    assert s.terms == {e: c for e, c in expect.items() if c}
+    assert all(type(x) is F for c in s.terms.values() for x in (c.re, c.im))
+    assert s.den >= 1 and math.gcd(s.den, *(v for pair in s.nums.values() for v in pair)) == 1
+    assert (0, 0) not in s.nums.values()
+    # equal values are equal series with equal hashes, whatever their history
+    twin = Series(s.nvars, s.trunc, s.terms)
+    assert twin == s and hash(twin) == hash(s)
+
+
+@PRODUCT_SETTINGS
+@given(operand_pairs(), _scalars)
+def test_every_operation_matches_termwise_gaussian_arithmetic(pair, k):
+    a, b = pair
+    n, ta, tb, zero = a.nvars, a.terms, b.terms, G(0)
+    trunc = min(a.trunc, b.trunc)
+    keys = {e for e in ta.keys() | tb.keys() if sum(e) <= trunc}
+    _assert_series(a + b, trunc, {e: ta.get(e, zero) + tb.get(e, zero) for e in keys})
+    _assert_series(a - b, trunc, {e: ta.get(e, zero) - tb.get(e, zero) for e in keys})
+    _assert_series(a * b, trunc, _convolve(ta, tb, trunc))
+    _assert_series(-a, a.trunc, {e: -c for e, c in ta.items()})
+    _assert_series(a.scale(k), a.trunc, {e: c * k for e, c in ta.items()})
+    _assert_series(a.conj(), a.trunc, {_mirror(e, n): c.conj() for e, c in ta.items()})
+    re, im = a.re_im()
+    both = ta.keys() | {_mirror(e, n) for e in ta}
+    bar = {e: ta.get(_mirror(e, n), zero).conj() for e in both}
+    _assert_series(re, a.trunc, {e: (ta.get(e, zero) + bar[e]) * G(F(1, 2)) for e in both})
+    _assert_series(im, a.trunc, {e: (ta.get(e, zero) - bar[e]) * G(0, F(-1, 2)) for e in both})
+    for slot in range(2 * n):
+        lowered = {e[:slot] + (e[slot] - 1,) + e[slot + 1:]: c * e[slot]
+                   for e, c in ta.items() if e[slot]}
+        _assert_series(a.diff(slot), max(a.trunc - 1, 0), lowered)
+    for d in range(a.trunc + 1):
+        _assert_series(a.truncate(d), d, {e: c for e, c in ta.items() if sum(e) <= d})
+        _assert_series(a.homogeneous_part(d), a.trunc, {e: c for e, c in ta.items() if sum(e) == d})
+    # a == b exactly when their terms agree, with equal hashes
+    assert (a == b) == (ta == tb)
+    back = (a + b) - b
+    assert back == a.truncate(trunc) and hash(back) == hash(a.truncate(trunc))
+    assert (back == b) == (back.terms == b.terms)
 
 
 def test_product_edge_cases():
