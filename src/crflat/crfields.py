@@ -19,7 +19,10 @@ non-minimal structure exists; the converse direction is not decided here.
 Each lambda, Gamma, X and Y above, and the residual, is a short sum of
 series products with weights +-1 (Gamma_4..Gamma_6 are L(lambda) +- T(.),
 six products), and each is computed by one call of
-:func:`crflat.series.sum_of_products`.
+:func:`crflat.series.sum_of_products`.  X1..Y2 read eight of the twelve
+families, and those need only A and B, so the obstruction forms neither
+C nor lambda_3, lambda_6, Gamma_3 and Gamma_6; :func:`bracket_data`
+returns all twelve from the same code.
 
 Demand schedule.  R starts in degree 2, so A, B, each lambda and each
 Gamma start in degree 1 and each of X1..Y2 in degree 2.  The residual
@@ -151,10 +154,17 @@ def bracket_data(germ: Germ, degree: int | None = None) -> BracketData:
     if germ.n != 2:
         raise PreconditionError("bracket calculus needs two variables")
     f = build_canonical_field(germ)
-    a = f.cf_z1
-    b = -f.cf_z2
-    c = f.cf_w
-    ab, bb, cb = a.conj(), b.conj(), c.conj()
+    return BracketData(**_families(f.cf_z1, -f.cf_z2, degree, f.cf_w), field=f)
+
+
+def _families(a: Series, b: Series, degree: int | None, c: Series | None = None) -> dict:
+    """The lambda and Gamma families of L = A d/dz1 - B d/dz2 + C d/dw, by name.
+
+    L acts on functions of (z, zbar) through A and B alone, so C enters only
+    lambda_3, lambda_6, Gamma_3 and Gamma_6; without ``c`` those four are
+    skipped and the other eight returned.
+    """
+    ab, bb = a.conj(), b.conj()
 
     # each helper returns the (weight, factor, factor) pairs of k times the
     # operator applied to s, so every coefficient is one sum of products
@@ -164,10 +174,11 @@ def bracket_data(germ: Germ, degree: int | None = None) -> BracketData:
     def Lbar(s: Series, k: int) -> list:
         return [(k, ab, s.dzbar(1)), (-k, bb, s.dzbar(2))]
 
-    lam1, lam2, lam3 = (sum_of_products(L(s, k), trunc=degree)
-                        for s, k in ((ab, 1), (bb, -1), (cb, 1)))
-    lam4, lam5, lam6 = (sum_of_products(Lbar(s, k), trunc=degree)
-                        for s, k in ((a, -1), (b, 1), (c, -1)))
+    out = {}
+    lam1 = out["lambda1"] = sum_of_products(L(ab), trunc=degree)
+    lam2 = out["lambda2"] = sum_of_products(L(bb, -1), trunc=degree)
+    lam4 = out["lambda4"] = sum_of_products(Lbar(a, -1), trunc=degree)
+    lam5 = out["lambda5"] = sum_of_products(Lbar(b, 1), trunc=degree)
 
     def T(s: Series, k: int) -> list:
         return [
@@ -177,13 +188,16 @@ def bracket_data(germ: Germ, degree: int | None = None) -> BracketData:
             (k, lam5, s.dz(2)),
         ]
 
-    gam1, gam2, gam3 = (sum_of_products(L(s), trunc=degree) for s in (lam1, lam2, lam3))
-    gam4 = sum_of_products(L(lam4) + T(a, -1), trunc=degree)
-    gam5 = sum_of_products(L(lam5) + T(b, 1), trunc=degree)
-    gam6 = sum_of_products(L(lam6) + T(c, -1), trunc=degree)
-    return BracketData(
-        lam1, lam2, lam3, lam4, lam5, lam6, gam1, gam2, gam3, gam4, gam5, gam6, f
-    )
+    out["gamma1"] = sum_of_products(L(lam1), trunc=degree)
+    out["gamma2"] = sum_of_products(L(lam2), trunc=degree)
+    out["gamma4"] = sum_of_products(L(lam4) + T(a, -1), trunc=degree)
+    out["gamma5"] = sum_of_products(L(lam5) + T(b, 1), trunc=degree)
+    if c is not None:
+        lam3 = out["lambda3"] = sum_of_products(L(c.conj()), trunc=degree)
+        lam6 = out["lambda6"] = sum_of_products(Lbar(c, -1), trunc=degree)
+        out["gamma3"] = sum_of_products(L(lam3), trunc=degree)
+        out["gamma6"] = sum_of_products(L(lam6) + T(c, -1), trunc=degree)
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,16 +238,20 @@ def obstruction_series(
 
     By default they are exact at working truncation (trunc - 3); with
     ``degree`` they are computed through that degree from the families
-    through ``degree - 1``: A and B start in degree 1.
+    through ``degree - 1``: A and B start in degree 1.  They read lambda_1,
+    lambda_2, lambda_4, lambda_5 and Gamma_1, Gamma_2, Gamma_4, Gamma_5
+    only, built from A and B; the other four families and C are not formed.
     """
-    d = bracket_data(germ, None if degree is None else max(degree - 1, 0))
-    a = d.field.cf_z1
-    b = -d.field.cf_z2
+    if germ.n != 2:
+        raise PreconditionError("bracket calculus needs two variables")
+    rbar = germ.R.conj()
+    a, b = rbar.dz(2), rbar.dz(1)  # the field's A and B (see build_canonical_field)
+    d = _families(a, b, None if degree is None else max(degree - 1, 0))
     ab, bb = a.conj(), b.conj()
-    x1 = sum_of_products(((1, bb, d.gamma1), (1, ab, d.gamma2)), trunc=degree)
-    x2 = sum_of_products(((1, d.lambda4, b), (1, d.lambda5, a)), trunc=degree)
-    y1 = sum_of_products(((1, b, d.gamma4), (1, a, d.gamma5)), trunc=degree)
-    y2 = sum_of_products(((1, d.lambda1, bb), (1, d.lambda2, ab)), trunc=degree)
+    x1 = sum_of_products(((1, bb, d["gamma1"]), (1, ab, d["gamma2"])), trunc=degree)
+    x2 = sum_of_products(((1, d["lambda4"], b), (1, d["lambda5"], a)), trunc=degree)
+    y1 = sum_of_products(((1, b, d["gamma4"]), (1, a, d["gamma5"])), trunc=degree)
+    y2 = sum_of_products(((1, d["lambda1"], bb), (1, d["lambda2"], ab)), trunc=degree)
     return x1, x2, y1, y2
 
 

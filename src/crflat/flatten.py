@@ -34,6 +34,13 @@ integer pairs (re, im) of the series Im R_m as two integer columns.  Every
 kernel returned here, of the condition and of the uniqueness blocks, comes
 from ``linalg.certified_nullspace``, which certifies it beside the
 elimination that computes it.
+
+The same multiplication map builds each degree's normalization system: the
+polynomials z^alpha (2 q2)^j of all unknowns form one integer family, since
+2 q2 = w1^2 + w2^2, and their parts at the constrained exponents and
+mirrors are sparse integer rows, checked against series arithmetic on one
+dense probe.  ``linalg.solve`` factors those rows modulo primes, certifies
+the factor in integers and checks every solution.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
-from .linalg import ExactMatrix, certified_nullspace, solve
+from .linalg import SparseMatrix, certified_nullspace, solve
 from .numeric import I, ONE, GaussianRational, ZERO
 from .series import Exponent, Series, bracket_from_exp, exp_from_bracket, sum_of_products
 
@@ -486,32 +493,79 @@ def kernel_unknowns(m: int) -> list[tuple[tuple[int, int], int]]:
     return out
 
 
+def _shear_family(m: int) -> Family:
+    """The polynomials c_k = z^alpha (2 q2)^j of ``kernel_unknowns(m)`` as one family.
+
+    Column k is c_k for the k-th unknown (alpha, j).  All are built at once
+    by Horner's rule over j with the elementary map
+    2 q2 F = w1 (w1 F) + w2 (w2 F), since 2 q2 = w1^2 + w2^2.
+    """
+    unknowns = kernel_unknowns(m)
+    family: Family = {}
+    for j in range(m // 2, -1, -1):
+        family = _w_sum(((1, 1, _w_sum(((1, 1, family),))), (1, 2, _w_sum(((1, 2, family),)))))
+        for k, ((a1, a2), jk) in enumerate(unknowns):
+            if jk == j:
+                family.setdefault((a1, a2, 0, 0), {})[k] = 1
+    return family
+
+
 @lru_cache(maxsize=None)
 def _normalization_matrix(m: int) -> tuple:
     """The germ-independent part of the degree-m normalization system.
 
-    Returns (unknowns, constraints, matrix).  Columns are Re b and Im b of
-    each unknown z^alpha w^j in turn; since Im(b z^alpha q2^j) =
-    Re b Im(z^alpha q2^j) + Im b Re(z^alpha q2^j), they hold the tables of
-    Im and Re of z^alpha q2^j.  Rows are the parts of each constraint, in
-    system order.
+    Returns (unknowns, constraints, matrix), the matrix a sparse integer
+    ``linalg.SparseMatrix``.  Unknown k = (alpha, j) is b z^alpha w^j, and
+    Im(b z^alpha q2^j) = Re b Im(z^alpha q2^j) + Im b Re(z^alpha q2^j), so
+    columns 2k (Re b) and 2k + 1 (Im b) hold parts of the integer polynomial
+    c_k = z^alpha (2 q2)^j.  Rows are the parts of each constraint, in system
+    order.  At the constraint's exponent e, with mirror e', 2 Re c_k has the
+    coefficient c_k[e] + c_k[e'] and 2 Im c_k the coefficient
+    i (c_k[e'] - c_k[e]); so the "re" row holds c_k[e] + c_k[e'] in column
+    2k + 1 and the "im" row c_k[e'] - c_k[e] in column 2k.  Both columns of
+    unknown k are 2^(j + 1) times those of the system in b, so a solution
+    of this matrix, times 2^(j + 1), solves that system.
+
+    The polynomials c_k come from ``_shear_family``.  The build checks
+    itself against series arithmetic on one dense probe of (Re b, Im b), and
+    a disagreement raises :class:`ConsistencyError`.
     """
     unknowns = kernel_unknowns(m)
     constraints = normalization_system(m).constraints
-    q2 = quadric_germ(parabolic_pair(), m).R
-    q2_powers = [Series.const(2, m, 1)]
+    family = _shear_family(m)
+    rows = []
+    for con in constraints:
+        e = exp_from_bracket(*con.index)
+        here, there = family.get(e, {}), family.get(e[2:] + e[:2], {})
+        for part in con.parts:
+            sign, shift = (1, 1) if part == "re" else (-1, 0)
+            row = {
+                2 * k + shift: there.get(k, 0) + sign * here.get(k, 0)
+                for k in here.keys() | there.keys()
+            }
+            rows.append({c: v for c, v in row.items() if v})
+    # a dense probe b_k = p[2k] + i p[2k + 1] that follows no linear pattern
+    # in k: the rows applied to p are the constraint parts of 2 Im sum b_k c_k
+    probe = [pow(3, c, 65521) for c in range(2 * len(unknowns))]
+    two_q2 = quadric_germ(parabolic_pair(), m).R.scale(2)
+    powers = [Series.const(2, m, 1)]
     for _ in range(m // 2):
-        q2_powers.append(q2_powers[-1] * q2)
-    columns = []
-    for (a1, a2), j in unknowns:
-        re_part, im_part = (Series(2, m, {(a1, a2, 0, 0): 1}) * q2_powers[j]).re_im()
-        columns += [series_to_table(im_part), series_to_table(re_part)]
-    rows = [
-        [getattr(_tget(col, con.index), part) for col in columns]
+        powers.append(powers[-1] * two_q2)
+    polys = [{} for _ in powers]
+    for k, ((a1, a2), j) in enumerate(unknowns):
+        polys[j][(a1, a2, 0, 0)] = GaussianRational(probe[2 * k], probe[2 * k + 1])
+    s = sum_of_products(tuple((1, Series(2, m, p), q) for p, q in zip(polys, powers)))
+    twice_im = s.re_im()[1].scale(2)
+    expected = [
+        getattr(twice_im.coeff(exp_from_bracket(*con.index)), part)
         for con in constraints
         for part in con.parts
     ]
-    return tuple(unknowns), constraints, ExactMatrix.from_rows(rows)
+    if [sum(v * probe[c] for c, v in row.items()) for row in rows] != expected:
+        raise ConsistencyError(
+            f"normalization matrix of degree {m} disagrees with the series"
+        )
+    return tuple(unknowns), constraints, SparseMatrix(rows, 2 * len(unknowns))
 
 
 def solve_kernel(source: Germ | HTable, m: int) -> KernelPolynomial:
@@ -554,7 +608,8 @@ def _solve_table(h: Table, m: int) -> KernelPolynomial:
         y = sol[2 * pos + 1]
         if x.im or y.im:
             raise NormalizationError("real solve returned a non-real solution")
-        coeffs[key] = GaussianRational(x.re, y.re)
+        scale = 2 ** (key[1] + 1)  # the matrix columns hold 2^(j + 1) times b's
+        coeffs[key] = GaussianRational(scale * x.re, scale * y.re)
     return KernelPolynomial(m, coeffs)
 
 

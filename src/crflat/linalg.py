@@ -10,11 +10,15 @@ Pivot columns are taken in order, so the reduced echelon form -- which is
 unique -- and everything derived from it (nullspace bases, solutions,
 reports built on them) is reproducible byte for byte.
 
-``solve`` factors each matrix once: the first solve eliminates [A | I] and
+``solve`` takes a dense ``ExactMatrix`` or a ``SparseMatrix`` of sparse
+rows and factors each matrix once: the first solve eliminates [A | I] and
 keeps a left inverse L, checked by L A = I on the pivot columns, as integer
 rows over one common denominator; the matrix holds it for later solves.
-Every solve then applies L to b and certifies A x = b, both in integers;
-that product also decides consistency exactly.
+Rows of ints are eliminated modulo the ``PRIMES`` instead, and L is lifted
+by the Chinese remainder theorem and rational reconstruction; exact
+elimination is the fallback when no lift certifies.  Every solve then
+applies L to b and certifies A x = b, both in integers; that product also
+decides consistency exactly, whichever left inverse was found.
 
 ``certified_nullspace`` is the certified kernel of integer rows: a full
 modular rank proves it trivial without exact elimination; otherwise each
@@ -28,6 +32,7 @@ the memoized factor is derived from the entries and never changes them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
@@ -44,6 +49,8 @@ from .numeric import ONE, ZERO, GaussianRational, integer_parts
 Vector = list[GaussianRational]
 
 MODULUS = 2**61 - 1  # a Mersenne prime
+# the moduli of the multi-modular factor, in order of use
+PRIMES = (MODULUS, 2**62 - 57)
 
 
 class ExactMatrix:
@@ -198,6 +205,25 @@ class ExactMatrix:
         return f"ExactMatrix({self.to_literal()})"
 
 
+class SparseMatrix:
+    """Sparse rows {column: entry} with ``cols`` columns, for :func:`solve`.
+
+    Entries are ints, ``Fraction``s or ``GaussianRational``s; rows of ints
+    are factored modulo primes (see :class:`_LeftInverse`).  Like
+    ``ExactMatrix``, the matrix keeps the factor of its first solve.
+    """
+
+    __slots__ = ("entries", "rows", "cols", "_factor")
+
+    def __init__(self, entries: Iterable[Mapping[int, object]], cols: int):
+        self.entries = [dict(row) for row in entries]
+        self.rows = len(self.entries)
+        self.cols = cols
+        self._factor = None
+        if any(not 0 <= j < cols for row in self.entries for j in row):
+            raise PreconditionError(f"sparse row entry outside {cols} columns")
+
+
 def _scalar_rows(rows: Iterable[Mapping[int, object]]) -> list[dict[int, object]]:
     """Sparse copies of ``rows`` without zero entries, in one scalar type.
 
@@ -327,15 +353,27 @@ class _LeftInverse:
     when b lies in the column space of A, and then x = L b is a solution,
     the only one when every column of A holds a pivot.  L and A are kept
     as integer rows over one common denominator each (``den`` and
-    ``a_den``).  Building checks L A = I on the pivot columns in integers,
-    and a disagreement raises :class:`ConsistencyError`.
+    ``a_den``).
+
+    Integer rows are factored modulo the ``PRIMES`` first: the reduced form
+    of [A | I] mod p (see :func:`_left_mod_p`), lifted by the Chinese
+    remainder theorem and rational reconstruction (see :func:`_lift`), and
+    certified by L A = I in integers.  A prime that leaves a column of A
+    without a pivot adds nothing; a lift that fails to reconstruct or to
+    certify takes the next prime.  L A = I proves full column rank, and
+    every solve checks A x = b, so x is the unique solution whichever left
+    inverse was found.  After the last prime, and for every other entry
+    type, ``_echelon`` eliminates exactly, and an L that fails L A = I on
+    the pivot columns raises :class:`ConsistencyError`.
     """
 
     __slots__ = ("cols", "pivots", "den", "left", "a_den", "a_rows")
 
-    def __init__(self, a: ExactMatrix):
-        n = self.cols = a.cols
-        rows = _sparse(a)
+    def __init__(self, rows: Sequence[Mapping[int, object]], n: int):
+        self.cols = n
+        self.a_den, self.a_rows = _integer_rows(rows)
+        if all(type(v) is int for row in rows for v in row.values()) and self._modular(rows):
+            return
         reduced, pivots, _scale = _echelon([{**row, n + i: 1} for i, row in enumerate(rows)])
         self.pivots = [c for c in pivots if c < n]
         # row c of ``left`` is the row of L that solves for unknown c; free
@@ -344,8 +382,37 @@ class _LeftInverse:
         for c, row in zip(self.pivots, reduced):
             left[c] = {j - n: v for j, v in row.items() if j >= n}
         self.den, self.left = _integer_rows(left)
-        self.a_den, self.a_rows = _integer_rows(rows)
-        # the certificate of the factor: L A is the identity on the pivot columns
+        bad = self._failed_row()
+        if bad is not None:
+            raise ConsistencyError(
+                f"left inverse row {bad} of a {len(rows)}x{n} matrix is not the"
+                " identity on the pivot columns"
+            )
+
+    def _modular(self, rows: Sequence[Mapping[int, int]]) -> bool:
+        """Factor integer rows modulo the ``PRIMES``; False when no lift certifies."""
+        self.pivots = list(range(self.cols))
+        residues, modulus = None, 1
+        for p in PRIMES:
+            part = _left_mod_p(rows, self.cols, p)
+            if part is None:
+                continue
+            residues = part if residues is None else _crt(residues, modulus, part, p)
+            modulus *= p
+            lifted = _lift(residues, modulus)
+            if lifted is not None:
+                self.den, left = lifted
+                self.left = [(tuple(row), list(row.values()), None) for row in left]
+                if self._failed_row() is None:
+                    return True
+        return False
+
+    def _failed_row(self) -> int | None:
+        """The first pivot whose row of L A is not the unit row there, or None.
+
+        The certificate of the factor: L A is the identity on the pivot
+        columns, over the denominator den * a_den.
+        """
         unit = (self.den * self.a_den, 0)
         pivot_set = set(self.pivots)
         a_pivot = [
@@ -360,10 +427,8 @@ class _LeftInverse:
                     x, y = acc.get(j, (0, 0))
                     acc[j] = (x + p * r - q * u, y + p * u + q * r)
             if {j: v for j, v in acc.items() if v != (0, 0)} != {c: unit}:
-                raise ConsistencyError(
-                    f"left inverse row {c} of a {a.rows}x{n} matrix is not the"
-                    " identity on the pivot columns"
-                )
+                return c
+        return None
 
     def row(self, c: int) -> Vector:
         """The row of L for unknown c as exact values (length: the rows of A)."""
@@ -399,17 +464,130 @@ class _LeftInverse:
         return [GaussianRational(Fraction(v, den), Fraction(w, den)) for v, w in zip(xre, xim)]
 
 
-def _factor(a: ExactMatrix) -> _LeftInverse:
+def _left_mod_p(rows: Sequence[Mapping[int, int]], n: int, p: int) -> list[dict[int, int]] | None:
+    """The rows of L modulo p, from the reduced echelon form of [A | I] mod p.
+
+    The elimination is that of ``_echelon`` over the integers mod p.  The
+    reduced form is unique, so L is the image mod p of the L over Q whenever
+    p divides no minor that decides a pivot.  None when a column of A has no
+    pivot mod p.
+    """
+    if len(rows) < n:
+        return None
+    work = []
+    for i, row in enumerate(rows):
+        r = {j: v % p for j, v in row.items() if v % p}
+        r[n + i] = 1
+        work.append(r)
+    top = 0
+    for c in range(n + len(work)):
+        if top == len(work):
+            break
+        best = None
+        for i in range(top, len(work)):
+            if c in work[i] and (best is None or len(work[i]) < len(work[best])):
+                best = i
+        if best is None:
+            if c < n:
+                return None
+            continue
+        work[top], work[best] = work[best], work[top]
+        prow = work[top]
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            prow = work[top] = {j: v * inv % p for j, v in prow.items()}
+        others = [(j, v) for j, v in prow.items() if j != c]
+        for i, ri in enumerate(work):
+            f = ri.pop(c, None) if i != top else None
+            if f is None:
+                continue
+            for j, v in others:
+                w = (ri.get(j, 0) - f * v) % p
+                if w:
+                    ri[j] = w
+                else:
+                    del ri[j]
+        top += 1
+    return [{j - n: v for j, v in row.items() if j >= n} for row in work[:n]]
+
+
+def _crt(residues: list[dict], modulus: int, part: list[dict], p: int) -> list[dict]:
+    """Rows congruent to ``residues`` mod ``modulus`` and to ``part`` mod p."""
+    inv = pow(modulus, -1, p)
+    out = []
+    for old, new in zip(residues, part):
+        row = {}
+        for j in old.keys() | new.keys():
+            a = old.get(j, 0)
+            row[j] = a + modulus * ((new.get(j, 0) - a) * inv % p)
+        out.append(row)
+    return out
+
+
+def _reconstruct(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(x, d) with x = d u mod ``modulus``, |x| <= bound and 0 < d <= bound, or None.
+
+    The extended Euclidean algorithm on (modulus, u), stopped at the first
+    remainder within the bound; when 2 bound^2 < modulus, a fraction within
+    the bounds that is congruent to u is this one.
+    """
+    r0, r1 = modulus, u
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if not 0 < s1 <= bound:
+        return None
+    return r1, s1
+
+
+def _lift(residues: list[dict[int, int]], modulus: int) -> tuple[int, list[dict[int, int]]] | None:
+    """Residue rows as integer rows over one common denominator, or None.
+
+    Each row keeps a running denominator d: an entry r is the integer u over
+    d when u = r d, taken symmetrically mod ``modulus``, lies within
+    sqrt(modulus / 2); otherwise r d is reconstructed as a fraction, whose
+    denominator joins d.  None when an entry has no reconstruction.
+    """
+    bound = math.isqrt(modulus // 2)
+    half = modulus // 2
+    rows, dens = [], []
+    for res in residues:
+        d = 1
+        row = {}  # column -> (x, e) for the entry x / e, e dividing d
+        for j, r in res.items():
+            u = r * d % modulus
+            if u > half:
+                u -= modulus
+            if -bound <= u <= bound:
+                row[j] = (u, d)
+                continue
+            got = _reconstruct(u % modulus, modulus, bound)
+            if got is None:
+                return None
+            d *= got[1]
+            row[j] = (got[0], d)
+        rows.append({j: x * (d // e) for j, (x, e) in row.items()})
+        dens.append(d)
+    den = math.lcm(*dens)
+    return den, [{j: x * (den // d) for j, x in row.items()} for row, d in zip(rows, dens)]
+
+
+def _factor(a: ExactMatrix | SparseMatrix) -> _LeftInverse:
     """The memoized factor of ``a``, built by its first use.
 
     Two threads that race here build equal factors, and either one is kept.
     """
     if a._factor is None:
-        a._factor = _LeftInverse(a)
+        rows = _sparse(a) if isinstance(a, ExactMatrix) else a.entries
+        a._factor = _LeftInverse(rows, a.cols)
     return a._factor
 
 
-def solve(a: ExactMatrix, b: Sequence) -> Vector:
+def solve(a: ExactMatrix | SparseMatrix, b: Sequence) -> Vector:
     """Solve A x = b exactly for the unique solution.
 
     Raises :class:`InconsistentSystemError` when no solution exists and

@@ -236,6 +236,9 @@ def integer_parts(values: Iterable) -> tuple[int, list[int], list[int]]:
         if isinstance(v, GaussianRational):
             re_parts.append(v.re)
             im_parts.append(v.im)
+        elif type(v) is int:  # its own numerator over 1
+            re_parts.append(v)
+            im_parts.append(0)
         else:
             re_parts.append(_as_fraction(v))
             im_parts.append(_FRACTION_ZERO)

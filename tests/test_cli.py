@@ -189,6 +189,15 @@ def test_flatten_emits_the_golden_final_germ(tmp_path):
     assert (tmp_path / "final.germ").read_bytes() == golden and b"/" in golden
 
 
+def test_flatten_reproduces_the_golden_order_9_report(monkeypatch):
+    # the quadric sheared at weights 3..9, flattened through every degree of
+    # its truncation
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out = run_cli("flatten", "fixtures/sheared9.germ", "--order", "9")
+    assert code == 0 and out.endswith("FLATTENED_TO 9\n")
+    assert out == (FIXTURES / "sheared9.order9.report").read_text()
+
+
 def test_flatten_emit_into_unwritable_path(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a regular file\n")

@@ -15,6 +15,7 @@ from crflat import (
     loads_field,
     obstruction,
     obstruction_series,
+    sum_of_products,
     verify_witness,
 )
 from crflat.errors import PreconditionError
@@ -123,16 +124,27 @@ def test_canonical_field_matches_the_split_formula(rng):
         assert [s.trunc for s in (got.cf_z1, got.cf_z2, got.cf_w)] == [g.trunc - 1] * 3
 
 
-def test_obstruction_builds_the_canonical_field_once(rng, monkeypatch):
-    import crflat.crfields as crfields
-
-    calls = []
-    build = crfields.build_canonical_field
-    monkeypatch.setattr(crfields, "build_canonical_field", lambda g: calls.append(g) or build(g))
-    g = rand_germ(rng, trunc=6)
-    obstruction(g, 3)
-    assert len(calls) == 1
-    assert bracket_data(g).field == build(g)
+def test_obstruction_series_equals_the_factors_of_the_full_bracket_data(rng):
+    # obstruction_series forms eight families from A and B alone; X1..Y2
+    # formed from all twelve of bracket_data, canonical field included, agree
+    for _ in range(12):
+        g = rand_germ(rng, trunc=rng.randint(5, 9), extra_terms=5)
+        for degree in (None, 2, 4, g.trunc - 3):
+            d = bracket_data(g, None if degree is None else max(degree - 1, 0))
+            a, b = d.field.cf_z1, -d.field.cf_z2
+            ab, bb = a.conj(), b.conj()
+            want = tuple(
+                sum_of_products(pairs, trunc=degree)
+                for pairs in (
+                    ((1, bb, d.gamma1), (1, ab, d.gamma2)),
+                    ((1, d.lambda4, b), (1, d.lambda5, a)),
+                    ((1, b, d.gamma4), (1, a, d.gamma5)),
+                    ((1, d.lambda1, bb), (1, d.lambda2, ab)),
+                )
+            )
+            got = obstruction_series(g, degree)
+            assert got == want
+            assert [s.trunc for s in got] == [s.trunc for s in want]
 
 
 def test_commutator_conjugation_symmetries(rng):

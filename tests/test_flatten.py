@@ -30,10 +30,10 @@ from crflat import (
 import crflat.flatten as flatten_mod
 import crflat.linalg as linalg
 from crflat.errors import ConsistencyError, PreconditionError
-from crflat.flatten import all_brackets, kernel_unknowns, table_to_series
+from crflat.flatten import _shear_family, all_brackets, kernel_unknowns, table_to_series
 from crflat.germ import load_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
-from crflat.series import bracket_from_exp
+from crflat.series import bracket_from_exp, exp_from_bracket
 
 from conftest import FIXTURES, rand_gaussian, rand_real_bracket_table
 
@@ -361,8 +361,8 @@ def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):
     q = parabolic_quadric(8)
     g = q.shear(random_kernel(rng, 5, density=1.0))
     calls = []
-    echelon = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or echelon(rows))
+    factor = linalg._LeftInverse
+    monkeypatch.setattr(linalg, "_LeftInverse", lambda *args: calls.append(1) or factor(*args))
     # the first solve at a degree factors its system, the second reuses the factor
     assert solve_kernel(q, 5).is_zero()
     assert len(calls) == 1
@@ -370,6 +370,84 @@ def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):
     assert len(calls) == 1
     info = flatten_mod._normalization_matrix.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _series_normalization_rows(m):
+    # the system in (Re b, Im b) by series arithmetic: per unknown, the
+    # tables of Im and Re of z^alpha q2^j at each constrained part
+    q2 = parabolic_quadric(m).R
+    columns = []
+    for (a1, a2), j in kernel_unknowns(m):
+        re, im = (Series(2, m, {(a1, a2, 0, 0): 1}) * q2**j).re_im()
+        columns += [im, re]
+    return [
+        [getattr(col.coeff(exp_from_bracket(*con.index)), part) for col in columns]
+        for con in normalization_system(m).constraints
+        for part in con.parts
+    ]
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_normalization_rows_are_the_series_system_scaled_per_unknown(m):
+    unknowns, constraints, mat = flatten_mod._normalization_matrix(m)
+    want = _series_normalization_rows(m)
+    assert (mat.rows, mat.cols) == (len(want), 2 * len(unknowns))
+    for row, dense in zip(mat.entries, want):
+        assert all(type(v) is int and v for v in row.values())
+        scaled = [x * 2 ** (unknowns[c // 2][1] + 1) for c, x in enumerate(dense)]
+        assert [row.get(c, 0) for c in range(mat.cols)] == scaled
+
+
+def test_the_normalization_factors_lift_modulo_one_prime(monkeypatch):
+    # the reduced form of [A | I] keeps L small enough for one prime through
+    # m = 16, without exact elimination
+    monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:1])
+    monkeypatch.setattr(linalg, "_echelon", None)
+    for m in (3, 4, 9, 16):
+        _unknowns, _constraints, mat = flatten_mod._normalization_matrix(m)
+        factor = linalg._LeftInverse(mat.entries, mat.cols)
+        assert factor.pivots == list(range(mat.cols))
+
+
+@pytest.fixture
+def fresh_normalization_matrix():
+    flatten_mod._normalization_matrix.cache_clear()
+    yield flatten_mod._normalization_matrix
+    flatten_mod._normalization_matrix.cache_clear()
+
+
+def _family_with_one_entry_off(m):
+    # c_k of the first unknown the first constraint reads, off by one there
+    family = _shear_family(m)
+    e = exp_from_bracket(*normalization_system(m).constraints[0].index)
+    k = min(family[e])
+    family[e] = {**family[e], k: family[e][k] + 1}
+    return family
+
+
+@pytest.mark.parametrize("corruption", ["w2-without-zb2", "w1-with-zb2", "one-entry-off"])
+def test_a_corrupted_map_fails_the_normalization_probe(
+    fresh_normalization_matrix, monkeypatch, corruption
+):
+    if corruption == "w2-without-zb2":
+        monkeypatch.setitem(flatten_mod._W_SLOTS, 2, (1,))
+    elif corruption == "w1-with-zb2":
+        monkeypatch.setitem(flatten_mod._W_SLOTS, 1, (0, 3))
+    else:
+        monkeypatch.setattr(flatten_mod, "_shear_family", _family_with_one_entry_off)
+    for m in (3, 6, 9):
+        with pytest.raises(ConsistencyError, match=f"normalization matrix of degree {m} "):
+            fresh_normalization_matrix(m)
+    assert fresh_normalization_matrix.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_the_shear_family_satisfies_the_condition(m):
+    # shears keep the first-order condition: Im(b z^alpha q2^j) satisfies it
+    # for every b, so each integer polynomial c_k = z^alpha (2 q2)^j does
+    family = _shear_family(m)
+    assert {k for vec in family.values() for k in vec} == set(range(len(kernel_unknowns(m))))
+    assert flatten_mod._condition(family) == {}
 
 
 def test_flatten_requires_parabolic():
@@ -617,10 +695,20 @@ def test_a_corrupted_condition_build_fails_its_spot_check(
         fresh_fundamental_nullspace(m)
 
 
+@pytest.fixture
+def normalization_systems_up_to_8():
+    # the same maps build the normalization systems, whose probe rejects a
+    # corrupted map (see the build tests); these are built before it is
+    for m in range(3, 9):
+        flatten_mod._normalization_matrix(m)
+
+
 @pytest.mark.parametrize(
     "corrupted_condition", ["w2-without-zb2", "unscaled-derivative"], indirect=True
 )
-def test_a_corrupted_elementary_map_fails_the_driver_condition(corrupted_condition):
+def test_a_corrupted_elementary_map_fails_the_driver_condition(
+    normalization_systems_up_to_8, corrupted_condition
+):
     # every degree of a sheared quadric satisfies the condition, and the
     # driver decides it through the maps alone
     rep = flatten_to_order(load_germ(FIXTURES / "sheared.germ"), 8)

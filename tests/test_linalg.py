@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,19 @@ from crflat import linalg
 from crflat.errors import (
     ConsistencyError,
     InconsistentSystemError,
+    LinearSolveError,
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from crflat.linalg import MODULUS, _echelon, certified_nullspace, rank_mod_p, sparse_nullspace
+from crflat.linalg import (
+    MODULUS,
+    PRIMES,
+    SparseMatrix,
+    _echelon,
+    certified_nullspace,
+    rank_mod_p,
+    sparse_nullspace,
+)
 from crflat.numeric import ONE, ZERO
 
 from conftest import rand_gaussian, rand_matrix
@@ -489,3 +499,126 @@ def test_sparse_pivot_is_the_shortest_candidate_row():
 def test_sparse_nullspace_accepts_integer_rows():
     assert sparse_nullspace([{0: 1, 1: -1}, {}], 3) == [[G(1), G(1), G(0)], [G(0), G(0), G(1)]]
     assert sparse_nullspace([], 2) == [[G(1), G(0)], [G(0), G(1)]]
+
+
+# -- the multi-modular factor of integer rows -----------------------------------------
+
+
+def _sparse_system(rows):
+    return SparseMatrix([{j: v for j, v in enumerate(row) if v} for row in rows], len(rows[0]))
+
+
+def _outcome(a, b):
+    try:
+        return solve(a, b)
+    except LinearSolveError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def integer_matrices(draw, max_rows=6, max_cols=5):
+    """Integer matrices with dependent rows and columns, some entries divisible by a prime."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    big = st.sampled_from([PRIMES[0], -PRIMES[1], 2 * PRIMES[0], PRIMES[0] * PRIMES[1], 2**64 + 1])
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), big)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    )
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c1, c2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([c1 * x + c2 * y for x, y in zip(a, b)])
+    if ncols > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(ncols)))[:2]
+        c = draw(st.integers(-2, 2))
+        rows = [row[:j] + [c * row[i]] + row[j + 1 :] for row in rows]
+    return draw(st.permutations(rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(integer_matrices(), st.data())
+def test_the_modular_factor_agrees_with_exact_elimination(rows, data):
+    n = len(rows[0])
+    a = _sparse_system(rows)
+    part = st.one_of(st.integers(-5, 5), st.fractions(-2, 2, max_denominator=5))
+    x = data.draw(st.lists(part, min_size=n, max_size=n))
+    inside = [sum(v * y for v, y in zip(row, x)) for row in rows]
+    outside = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+    with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as echelon:
+        got = [_outcome(a, b) for b in (inside, outside, inside)]
+    dense = ExactMatrix.from_rows(rows)
+    assert got == [_outcome(dense, b) for b in (inside, outside, inside)]
+    full_rank = len(a._factor.pivots) == n
+    assert full_rank == (dense.rank() == n)
+    if all(abs(v) <= 3 for row in rows for v in row):
+        # small entries: every full-rank system lifts modulo the first prime,
+        # and only a rank-deficient one needs the exact elimination
+        assert echelon.call_count == (0 if full_rank else 1)
+
+
+def test_a_prime_that_divides_a_pivot_falls_back_to_exact_elimination(monkeypatch):
+    # modulo 3 the first column has no pivot
+    rows = [[3, 1], [0, 1], [6, 2]]
+    echelon = mock.Mock(wraps=linalg._echelon)
+    monkeypatch.setattr(linalg, "_echelon", echelon)
+    monkeypatch.setattr(linalg, "PRIMES", (3,))
+    a = _sparse_system(rows)
+    assert solve(a, [4, 1, 8]) == [G(1), G(1)]
+    assert echelon.call_count == 1 and a._factor.pivots == [0, 1]
+    # a prime without the pivot adds nothing to the next one
+    monkeypatch.setattr(linalg, "PRIMES", (3, MODULUS))
+    a = _sparse_system(rows)
+    assert solve(a, [4, 1, 8]) == [G(1), G(1)]
+    assert echelon.call_count == 1
+
+
+def test_a_failed_reconstruction_takes_the_next_prime_then_exact_elimination(monkeypatch):
+    # L = diag(1, 1/37): 37 lies beyond sqrt(101 / 2) but within sqrt(101 * 103 / 2)
+    rows = [[1, 0], [0, 37], [1, 37]]
+    b = [2, 37, 39]
+    lifts = []
+    lift = linalg._lift
+    monkeypatch.setattr(linalg, "_lift", lambda res, mod: lifts.append(lift(res, mod)) or lifts[-1])
+    echelon = mock.Mock(wraps=linalg._echelon)
+    monkeypatch.setattr(linalg, "_echelon", echelon)
+    monkeypatch.setattr(linalg, "PRIMES", (101,))
+    assert solve(_sparse_system(rows), b) == [G(2), G(1)]
+    assert lifts == [None] and echelon.call_count == 1
+    lifts.clear()
+    monkeypatch.setattr(linalg, "PRIMES", (101, 103))
+    a = _sparse_system(rows)
+    assert solve(a, b) == [G(2), G(1)]
+    assert lifts[0] is None and lifts[1] is not None and echelon.call_count == 1
+    assert a._factor.den == 37
+
+
+def test_a_corrupted_lift_never_returns_a_wrong_solution(monkeypatch):
+    a, x = _tall_system(False)
+    rows = [[int(v.re) for v in row] for row in a.to_rows()]
+    b = a.matvec(x)
+    lift = linalg._lift
+    clean = _sparse_system(rows)
+    assert solve(clean, b) == x
+    entries = [(r, j) for r, (cols, _re, _im) in enumerate(clean._factor.left) for j in cols]
+    assert entries
+    for r, j in entries:
+
+        def corrupted(residues, modulus, r=r, j=j):
+            den, left = lift(residues, modulus)
+            left[r] = {**left[r], j: left[r][j] + 1}
+            return den, left
+
+        echelon = mock.Mock(wraps=linalg._echelon)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_lift", corrupted)
+            mp.setattr(linalg, "_echelon", echelon)
+            assert solve(_sparse_system(rows), b) == x
+        assert echelon.call_count == 1
+
+
+def test_sparse_matrix_checks_its_columns():
+    with pytest.raises(PreconditionError, match="outside 2 columns"):
+        SparseMatrix([{0: 1, 2: 1}], 2)
+    with pytest.raises(PreconditionError, match="empty system"):
+        solve(SparseMatrix([], 2), [])
