@@ -198,6 +198,15 @@ def test_flatten_reproduces_the_golden_order_9_report(monkeypatch):
     assert out == (FIXTURES / "sheared9.order9.report").read_text()
 
 
+def test_flatten_reproduces_the_golden_order_18_report(monkeypatch):
+    # the quadric sheared at weights 17 and 18, whose normalization factors
+    # take both primes
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out = run_cli("flatten", "fixtures/sheared18.germ", "--order", "18")
+    assert code == 0 and out.endswith("FLATTENED_TO 18\n")
+    assert out == (FIXTURES / "sheared18.order18.report").read_text()
+
+
 def test_flatten_emit_into_unwritable_path(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a regular file\n")

@@ -409,6 +409,21 @@ def test_the_normalization_factors_lift_modulo_one_prime(monkeypatch):
         assert factor.pivots == list(range(mat.cols))
 
 
+def test_the_normalization_factors_lift_modulo_two_primes_past_order_16(monkeypatch):
+    # at m = 17 and 18 the first prime's residues of L do not reconstruct;
+    # with the second prime they do, still without exact elimination
+    lifts = []
+    lift = linalg._lift
+    monkeypatch.setattr(linalg, "_lift", lambda res, mod: lifts.append(lift(res, mod)) or lifts[-1])
+    monkeypatch.setattr(linalg, "_echelon", None)
+    for m in (17, 18):
+        lifts.clear()
+        _unknowns, _constraints, mat = flatten_mod._normalization_matrix(m)
+        factor = linalg._LeftInverse(mat.entries, mat.cols)
+        assert factor.pivots == list(range(mat.cols))
+        assert lifts[0] is None and lifts[1] is not None and len(lifts) == 2
+
+
 @pytest.fixture
 def fresh_normalization_matrix():
     flatten_mod._normalization_matrix.cache_clear()

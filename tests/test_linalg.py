@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -20,6 +21,7 @@ from crflat.linalg import (
     PRIMES,
     SparseMatrix,
     _echelon,
+    _reduce,
     certified_nullspace,
     rank_mod_p,
     sparse_nullspace,
@@ -516,12 +518,18 @@ def _outcome(a, b):
 
 
 @st.composite
-def integer_matrices(draw, max_rows=6, max_cols=5):
-    """Integer matrices with dependent rows and columns, some entries divisible by a prime."""
+def integer_matrices(draw, max_rows=6, max_cols=5, big=True):
+    """Integer matrices with dependent rows and columns.
+
+    Entries lie in -3..3, and with ``big`` some are divisible by a prime.
+    """
     nrows = draw(st.integers(1, max_rows))
     ncols = draw(st.integers(1, max_cols))
-    big = st.sampled_from([PRIMES[0], -PRIMES[1], 2 * PRIMES[0], PRIMES[0] * PRIMES[1], 2**64 + 1])
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), big)
+    choices = [st.just(0), st.just(0), st.integers(-3, 3)]
+    if big:
+        multiples = [PRIMES[0], -PRIMES[1], 2 * PRIMES[0], PRIMES[0] * PRIMES[1], 2**64 + 1]
+        choices.append(st.sampled_from(multiples))
+    entry = st.one_of(*choices)
     rows = draw(
         st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
     )
@@ -555,6 +563,36 @@ def test_the_modular_factor_agrees_with_exact_elimination(rows, data):
         # small entries: every full-rank system lifts modulo the first prime,
         # and only a rank-deficient one needs the exact elimination
         assert echelon.call_count == (0 if full_rank else 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(integer_matrices(big=False))
+def test_the_elimination_mod_a_prime_is_the_image_of_the_exact_one(rows):
+    # every minor of a matrix of at most 7 x 5 entries of size at most 24 is
+    # below 2^30 by Hadamard's bound, so no pivot vanishes modulo the prime
+    p = PRIMES[0]
+    want, want_pivots, want_scale = _echelon(sparse(rows))
+    residues = [{j: v % p for j, v in row.items() if v % p} for row in sparse(rows)]
+    got, pivots, scale = _reduce(residues, p)
+
+    def image(x):
+        x = F(x)
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    assert pivots == want_pivots
+    # the same entries in the same order, each a / b read as a b^-1 mod p
+    assert [list(row.items()) for row in got] == [
+        [(j, image(x)) for j, x in row.items()] for row in want
+    ]
+    assert scale == image(want_scale)
+    n = len(rows)
+    if n == len(rows[0]) and len(pivots) == n:
+        # the Leibniz formula, apart from any elimination
+        det = 0
+        for perm in itertools.permutations(range(n)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            det += sign * math.prod(rows[i][perm[i]] for i in range(n))
+        assert scale == det % p
 
 
 def test_a_prime_that_divides_a_pivot_falls_back_to_exact_elimination(monkeypatch):
