@@ -19,9 +19,12 @@ for inputs satisfying the first-order condition the normalized remainder
 vanishes, which is verified, never assumed.  A nonzero remainder (or an
 unsolvable normalization) is returned as an obstruction certificate.
 
-Homogeneous coefficient tables are indexed by brackets [t s r h] (the
-coefficient of z1^s z2^t zb1^h zb2^r); lookups at negative indices are zero
-by convention, which every recursion identity below relies on.  The
+The operators exchange ``Series``, each product certified through the degree
+it is asked for (Phi of degree m, Psi and the condition of degree m + 1), so
+a cut degree raises instead of dropping terms.  Bracket tables [t s r h] (the
+coefficient of z1^s z2^t zb1^h zb2^r) stay where the audits index by bracket
+shifts, and in ``HTable``; lookups at negative indices are zero by
+convention, which every recursion identity below relies on.  The
 operators have three independent implementations.  Generic series arithmetic
 defines them.  The recursions (coefficient shifts, alternating-sum transforms
 and their identities) exist only as audit code paths, and the audits force
@@ -65,9 +68,6 @@ from .series import Exponent, Series, bracket_from_exp, exp_from_bracket, sum_of
 Bracket = tuple[int, int, int, int]
 Table = dict[Bracket, GaussianRational]
 
-_PAD = 4  # headroom so truncation never cuts an exact homogeneous result
-
-
 def all_brackets(degree: int) -> list[Bracket]:
     out = []
     for t in range(degree + 1):
@@ -78,7 +78,7 @@ def all_brackets(degree: int) -> list[Bracket]:
 
 
 def table_to_series(table: Mapping[Bracket, object], degree: int) -> Series:
-    return Series(2, degree + _PAD, {exp_from_bracket(*idx): c for idx, c in table.items()})
+    return Series(2, degree, {exp_from_bracket(*idx): c for idx, c in table.items()})
 
 
 def series_to_table(series: Series) -> Table:
@@ -136,11 +136,11 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
     _require_parabolic(germ)
     if m > germ.trunc:
         raise PreconditionError("degree exceeds the germ truncation")
-    return HTable(m, series_to_table(_imaginary_table(germ, m)))
+    return HTable(m, series_to_table(_imaginary_part(germ, m)))
 
 
-def _imaginary_table(germ: Germ, m: int) -> Series:
-    # the degree-m table of Im R as a series; callers have checked the quadric and the degree
+def _imaginary_part(germ: Germ, m: int) -> Series:
+    # the degree-m part of Im R; callers have checked the quadric and the degree
     return germ.R.homogeneous_part(m).re_im()[1]
 
 
@@ -157,8 +157,8 @@ def _require_parabolic(germ: Germ):
 @dataclass(frozen=True)
 class PhiPsiTables:
     m: int
-    phi: Table
-    psi: Table
+    phi: Series
+    psi: Series
 
 
 def _linear_forms(trunc: int) -> tuple[Series, Series]:
@@ -176,19 +176,21 @@ def _table_and_degree(h: HTable | Mapping[Bracket, object], m: int | None) -> tu
 
 
 def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPsiTables:
-    """Both derived operators, computed by plain series arithmetic."""
+    """Both derived operators, by plain series arithmetic, exact through m and m + 1."""
     table, m = _table_and_degree(h, m)
     hs = table_to_series(table, m)
-    w1, w2 = _linear_forms(hs.trunc)
-    phi = sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))))
-    psi = sum_of_products(((1, w2 * w2, phi.dz(1)), (-1, w2 * w1, phi.dz(2)), (1, w1, phi)))
-    return PhiPsiTables(m, series_to_table(phi), series_to_table(psi))
+    w1, w2 = _linear_forms(m + 2)  # through degree 2, so w2 * w2 is exact
+    phi = sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))), trunc=m)
+    terms = ((1, w2 * w2, phi.dz(1)), (-1, w2 * w1, phi.dz(2)), (1, w1, phi))
+    psi = sum_of_products(terms, trunc=m + 1)
+    return PhiPsiTables(m, phi, psi)
 
 
 def fundamental_series(tables: PhiPsiTables) -> Series:
-    psi = table_to_series(tables.psi, tables.m + 1)
-    w1, w2 = _linear_forms(psi.trunc)
-    return sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))))
+    """The condition series, certified exact through degree m + 1."""
+    psi, m = tables.psi, tables.m
+    w1, w2 = _linear_forms(m + 2)
+    return sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))), trunc=m + 1)
 
 
 @dataclass(frozen=True)
@@ -262,16 +264,17 @@ def recursion_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) 
     """
     table, m = _table_and_degree(h, m)
     tables = phi_psi(table, m)
+    phi, psi = series_to_table(tables.phi), series_to_table(tables.psi)
     failures = []
     for idx in all_brackets(m):
-        if _tget(tables.phi, idx) != _phi_recursion(table, idx):
+        if _tget(phi, idx) != _phi_recursion(table, idx):
             failures.append(f"phi-recursion mismatch at {idx}")
     for idx in all_brackets(m + 1):
-        if _tget(tables.psi, idx) != _psi_recursion(tables.phi, idx):
+        if _tget(psi, idx) != _psi_recursion(phi, idx):
             failures.append(f"psi-recursion mismatch at {idx}")
     fund = series_to_table(fundamental_series(tables))
     for idx in all_brackets(m + 1):
-        if _iden_combination(tables.psi, idx) != _tget(fund, idx):
+        if _iden_combination(psi, idx) != _tget(fund, idx):
             failures.append(f"four-term combination differs from condition series at {idx}")
     return AuditReport(not failures, failures)
 
@@ -339,8 +342,9 @@ def identity_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -
     if not fund.ok:
         return AuditReport(False, skipped="first-order condition fails for this table")
     hk = {k: k_transform(table, m, k) for k in range(-1, m + 4)}
-    pk = {k: k_transform(tables.phi, m, k) for k in range(-2, m + 4)}
-    sk = {k: k_transform(tables.psi, m + 1, k) for k in range(-1, m + 4)}
+    phi, psi = series_to_table(tables.phi), series_to_table(tables.psi)
+    pk = {k: k_transform(phi, m, k) for k in range(-2, m + 4)}
+    sk = {k: k_transform(psi, m + 1, k) for k in range(-1, m + 4)}
     failures = []
     for k in range(0, m + 3):
         for s in range(0, m + 3):
@@ -568,34 +572,32 @@ def _normalization_matrix(m: int) -> tuple:
     return tuple(unknowns), constraints, SparseMatrix(rows, 2 * len(unknowns))
 
 
-def solve_kernel(source: Germ | HTable, m: int) -> KernelPolynomial:
+def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
     """The unique weight-m shear datum normalizing the degree-m imaginary part.
 
     ``source`` is a germ, which must carry the parabolic quadric and be
-    flattened below m, or the degree-m table H itself (the flattening driver
-    passes the table it has already read and checked).  The normalization
-    conditions on H' = H + Im B(z, q2) form an overdetermined real-linear
-    system in (Re b, Im b); uniqueness and consistency are verified by the
-    exact solve, and failure raises :class:`NormalizationError`.
+    flattened below m, or the series H = Im R_m itself, which must be real,
+    in two variables and homogeneous of degree m (the flattening driver
+    passes the series it has already read).  The normalization conditions on
+    H' = H + Im B(z, q2) form an overdetermined real-linear system in
+    (Re b, Im b), whose right-hand side is read off H at each constraint's
+    exponent; uniqueness and consistency are verified by the exact solve,
+    and failure raises :class:`NormalizationError`.
     """
-    if isinstance(source, HTable):
-        if m < 3 or source.m != m:
-            raise PreconditionError(f"a degree-{source.m} table cannot be solved at degree {m}")
-        return _solve_table(source.coeffs, m)
-    _require_parabolic(source)
-    if m < 3 or m > source.trunc:
-        raise PreconditionError("degree out of range for this germ")
-    for d in range(3, m):
-        # the degree-d imaginary part vanishes exactly when R_d is real
-        if not source.R.homogeneous_part(d).is_real():
-            raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
-    return _solve_table(series_to_table(_imaginary_table(source, m)), m)
-
-
-def _solve_table(h: Table, m: int) -> KernelPolynomial:
-    """The kernel solve of a degree-m table whose source has been checked."""
+    if isinstance(source, Germ):
+        _require_parabolic(source)
+        if m < 3 or m > source.trunc:
+            raise PreconditionError("degree out of range for this germ")
+        for d in range(3, m):
+            # the degree-d imaginary part vanishes exactly when R_d is real
+            if not source.R.homogeneous_part(d).is_real():
+                raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
+        source = _imaginary_part(source, m)
+    elif source.nvars != 2 or not source.is_real() or any(sum(e) != m for e in source.nums):
+        raise PreconditionError(f"need a real two-variable series homogeneous of degree {m}")
     unknowns, constraints, mat = _normalization_matrix(m)
-    rhs = [-getattr(_tget(h, con.index), part) for con in constraints for part in con.parts]
+    rhs = [-getattr(source.coeff(exp_from_bracket(*c.index)), part)
+           for c in constraints for part in c.parts]
     try:
         sol = solve(mat, rhs)
     except UnderdeterminedSystemError as exc:
@@ -714,19 +716,19 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     steps: list[FlattenStep] = []
     for m in range(3, n + 1):
         # shears of weight >= 3 leave the quadric alone, so it is checked once
-        im_part = _imaginary_table(current, m)
-        h = HTable(m, series_to_table(im_part))
+        im_part = _imaginary_part(current, m)
         fund_ok = _satisfies_condition(im_part)
         try:
-            kern = solve_kernel(h, m)
+            kern = solve_kernel(im_part, m)
         except NormalizationError as exc:
+            h = HTable(m, series_to_table(im_part))
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
         kernels[m] = kern
         # the remainder vanishes exactly when R_m is real; it is read only if not
         if not current.R.homogeneous_part(m).is_real():
-            remainder = HTable(m, series_to_table(_imaginary_table(current, m)))
+            remainder = HTable(m, series_to_table(_imaginary_part(current, m)))
             steps.append(FlattenStep(m, kern, False, remainder, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         steps.append(FlattenStep(m, kern, True, None, fund_ok))
@@ -756,9 +758,9 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     by_bracket = sorted((bracket_from_exp(e), row) for e, row in condition.items())
     # a dense probe table whose entries follow no linear pattern in j
     probe = [pow(3, j, 65521) for j in range(len(unknowns))]
-    applied = ((b, sum(c * probe[j] for j, c in row.items())) for b, row in by_bracket)
+    applied = {e: sum(c * probe[j] for j, c in row.items()) for e, row in condition.items()}
     expected = fundamental_series(phi_psi(dict(zip(unknowns, probe)), m))
-    if {b: v for b, v in applied if v} != series_to_table(expected):
+    if Series(2, m + 1, applied) != expected:
         raise ConsistencyError(
             f"condition matrix of degree {m} disagrees with the condition series"
         )

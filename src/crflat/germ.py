@@ -45,6 +45,14 @@ from .series import (
 )
 
 
+def _unit(width: int, *slots: int) -> tuple[int, ...]:
+    """The exponent of the given width with one added at each slot (repeats add up)."""
+    e = [0] * width
+    for s in slots:
+        e[s] += 1
+    return tuple(e)
+
+
 class Germ:
     """A real codimension-two graph germ w = R(z, zbar), R = O(|z|^2)."""
 
@@ -88,19 +96,12 @@ class Germ:
         n = self.n
         q = self.R.homogeneous_part(2)
         width = 2 * n
-
-        def unit(*slots):
-            e = [0] * width
-            for s in slots:
-                e[s] += 1
-            return tuple(e)
-
-        b = [[q.coeff(unit(j, n + k)) for k in range(n)] for j in range(n)]
+        b = [[q.coeff(_unit(width, j, n + k)) for k in range(n)] for j in range(n)]
         hol = [[ZERO] * n for _ in range(n)]
         for j in range(n):
             for k in range(j, n):
-                hz = q.coeff(unit(j, k))
-                az = q.coeff(unit(n + j, n + k))
+                hz = q.coeff(_unit(width, j, k))
+                az = q.coeff(_unit(width, n + j, n + k))
                 if az != hz.conj():
                     raise PreconditionError(
                         "quadratic part not in graph normal form: the pure "
@@ -139,8 +140,7 @@ class Germ:
             for k in range(n):
                 c = p.at(k, j)
                 if c:
-                    e = tuple(1 if s == k else 0 for s in range(2 * n))
-                    terms[e] = c
+                    terms[_unit(2 * n, k)] = c
             forms.append(Series(n, trunc, terms))
         forms += [f.conj() for f in forms]
         powers: list[dict[int, Series]] = [dict() for _ in range(2 * n)]
@@ -243,17 +243,12 @@ def quadric_germ(pair: QuadraticPair, trunc: int) -> Germ:
     def add(e, c):
         terms[e] = terms.get(e, ZERO) + c
 
-    def unit(*slots):
-        e = [0] * (2 * n)
-        for s in slots:
-            e[s] += 1
-        return tuple(e)
-
+    width = 2 * n
     for j in range(n):
         for k in range(n):
-            add(unit(j, k), pair.A.at(j, k))
-            add(unit(n + j, n + k), pair.A.at(j, k).conj())
-            add(unit(j, n + k), pair.B.at(j, k))
+            add(_unit(width, j, k), pair.A.at(j, k))
+            add(_unit(width, n + j, n + k), pair.A.at(j, k).conj())
+            add(_unit(width, j, n + k), pair.B.at(j, k))
     return Germ(n, Series(n, trunc, terms))
 
 

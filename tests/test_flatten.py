@@ -30,7 +30,14 @@ from crflat import (
 import crflat.flatten as flatten_mod
 import crflat.linalg as linalg
 from crflat.errors import ConsistencyError, PreconditionError
-from crflat.flatten import _shear_family, all_brackets, kernel_unknowns, table_to_series
+from crflat.flatten import (
+    PhiPsiTables,
+    _shear_family,
+    all_brackets,
+    kernel_unknowns,
+    series_to_table,
+    table_to_series,
+)
 from crflat.germ import load_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
 from crflat.series import bracket_from_exp, exp_from_bracket
@@ -91,7 +98,7 @@ def test_h_from_germ_requires_parabolic():
 
 def test_phi_of_z1zb1():
     t = phi_psi(HTable(2, {(0, 1, 0, 1): 1}))
-    assert t.phi == {(1, 1, 0, 0): G(1), (0, 1, 1, 0): G(1)}  # z1 z2 + z1 zb2
+    assert series_to_table(t.phi) == {(1, 1, 0, 0): G(1), (0, 1, 1, 0): G(1)}  # z1 z2 + z1 zb2
     rep = check_fundamental(t)
     assert not rep.ok and rep.violations
 
@@ -107,8 +114,7 @@ def test_phi_of_powers_of_real_line():
         t = phi_psi(line, m)
         z1, z2, zb1, zb2 = Series.generators(2, m + 4)
         expect = ((z2 + zb2) * (z1 + zb1) ** (m - 1)).scale(m)
-        got = Series(2, m + 4, {(s, tt, h, r): c for (tt, s, r, h), c in t.phi.items()})
-        assert got == expect
+        assert t.phi == expect
 
 
 def test_fundamental_for_shear_tables(rng):
@@ -120,6 +126,22 @@ def test_fundamental_for_shear_tables(rng):
             assert check_fundamental(phi_psi(h)).ok
             assert recursion_audit(h).ok
             assert identity_audit(h).ok
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_phi_and_psi_are_certified_through_their_degrees(rng, m):
+    tables = phi_psi(rand_real_bracket_table(rng, m), m)
+    assert (tables.phi.trunc, tables.psi.trunc) == (m, m + 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_a_cut_psi_cannot_pass_for_a_zero_condition(rng, m):
+    # (at m = 0, Series.diff keeps the truncation 0 of the cut Psi's
+    # derivative, so the bound cannot see the cut; that condition is zero)
+    tables = phi_psi(rand_real_bracket_table(rng, m), m)
+    cut = PhiPsiTables(m, tables.phi, tables.psi.truncate(m))
+    with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):
+        flatten_mod.fundamental_series(cut)
 
 
 def test_fundamental_zero_table():
@@ -325,11 +347,11 @@ def test_flatten_reads_only_the_degree_it_solves(rng, monkeypatch):
 def test_flatten_checks_the_quadric_once_per_entry_point(rng, monkeypatch):
     g = sheared_quadric(rng, (3, 5), trunc=7)
     calls, reads = [], []
-    pair, read = Germ.quadratic_pair, flatten_mod._imaginary_table
+    pair, read = Germ.quadratic_pair, flatten_mod._imaginary_part
     monkeypatch.setattr(Germ, "quadratic_pair", lambda self: calls.append(1) or pair(self))
-    monkeypatch.setattr(flatten_mod, "_imaginary_table", lambda g, m: reads.append(m) or read(g, m))
+    monkeypatch.setattr(flatten_mod, "_imaginary_part", lambda g, m: reads.append(m) or read(g, m))
     assert flatten_to_order(g, 7).ok
-    # the driver hands each table it reads to solve_kernel, so the quadric is
+    # the driver hands each series it reads to solve_kernel, so the quadric is
     # checked once; each degree is read before its solve, and after its shear
     # only R_m's reality is tested
     assert len(calls) == 1
@@ -337,8 +359,8 @@ def test_flatten_checks_the_quadric_once_per_entry_point(rng, monkeypatch):
 
 
 def test_flatten_reads_and_reports_a_nonzero_remainder(monkeypatch):
-    reads, read = [], flatten_mod._imaginary_table
-    monkeypatch.setattr(flatten_mod, "_imaginary_table", lambda g, m: reads.append(m) or read(g, m))
+    reads, read = [], flatten_mod._imaginary_part
+    monkeypatch.setattr(flatten_mod, "_imaginary_part", lambda g, m: reads.append(m) or read(g, m))
     rep = flatten_to_order(non_graph_germ(), 8)
     assert not rep.ok and rep.obstruction_degree == 3
     assert reads == [3, 3]
@@ -349,11 +371,46 @@ def test_flatten_reads_and_reports_a_nonzero_remainder(monkeypatch):
 
 def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
     g = parabolic_quadric(8).shear(random_kernel(rng, 5, density=1.0))
-    h = h_from_germ(g, 5)
+    h = flatten_mod._imaginary_part(g, 5)
     assert not h.is_zero() and solve_kernel(h, 5) == solve_kernel(g, 5)
     for m in (2, 4, 6):
-        with pytest.raises(PreconditionError, match=f"degree-5 table cannot be solved at degree {m}"):
+        with pytest.raises(PreconditionError, match=f"homogeneous of degree {m}$"):
             solve_kernel(h, m)
+
+
+def test_solve_kernel_takes_only_a_real_homogeneous_two_variable_series(rng):
+    g = parabolic_quadric(8).shear(random_kernel(rng, 5, density=1.0))
+    h = flatten_mod._imaginary_part(g, 5)
+    assert solve_kernel(h, 5) == flatten_to_order(g, 5).kernels[5]
+    extra = h + Series(2, 6, {(3, 0, 3, 0): 1})  # one real term of degree 6
+    three = Series(3, 5, {(0, 0, 2, 0, 0, 3): 1, (0, 0, 3, 0, 0, 2): 1})
+    for source in (extra, h.scale(I), three):
+        with pytest.raises(PreconditionError, match="need a real two-variable series"):
+            solve_kernel(source, 5)
+    with pytest.raises(PreconditionError, match="normalization starts at degree 3"):
+        solve_kernel(Series(2, 2, {(1, 0, 1, 0): 1}), 2)
+
+
+@pytest.mark.parametrize(
+    "name, built", [("sheared", 0), ("nongraph", 1), ("sheared_inconsistent", 1)]
+)
+def test_the_driver_builds_a_table_only_for_a_failing_degree(monkeypatch, name, built):
+    tables = []
+
+    class CountedTable(flatten_mod.HTable):
+        __slots__ = ()
+
+        def __init__(self, m, coeffs):
+            tables.append(m)
+            super().__init__(m, coeffs)
+
+    monkeypatch.setattr(flatten_mod, "HTable", CountedTable)
+    rep = flatten_to_order(load_germ(FIXTURES / f"{name}.germ"), 8)
+    assert rep.ok == (built == 0) and len(tables) == built
+    if built:  # the remainder of nongraph, the unsolved table of sheared_inconsistent
+        last = rep.steps[-1]
+        assert (last.kernel is None) == (name == "sheared_inconsistent")
+        assert last.remainder is not None and tables == [rep.obstruction_degree]
 
 
 def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):
