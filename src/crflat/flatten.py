@@ -28,12 +28,13 @@ convention, which every recursion identity below relies on.  The
 operators have three independent implementations.  Generic series arithmetic
 defines them.  The recursions (coefficient shifts, alternating-sum transforms
 and their identities) exist only as audit code paths, and the audits force
-them to agree with the series.  Two elementary integer maps on monomial
-exponents (a derivative and a multiplication by z_i + zb_i) carry the
-condition too.  They build the condition matrix for all unit tables at once,
-each build checked against the series operators on one dense table, and they
-decide the flattening driver's per-degree condition check exactly, on the
-integer pairs (re, im) of the series Im R_m as two integer columns.  Every
+them to agree with the series.  Two elementary integer maps carry the
+condition too: a derivative and a multiplication by z_i + zb_i, both integer
+key shifts on a flat packed family {column * base^4 + exponent digits in
+base: coefficient}.  They build the condition matrix for all unit tables at
+once, each build checked against the series operators on one dense table,
+and they decide the flattening driver's per-degree condition check exactly,
+with the integer pairs (re, im) of the series Im R_m in two columns.  Every
 kernel returned here, of the condition and of the uniqueness blocks, comes
 from ``linalg.certified_nullspace``, which certifies it beside the
 elimination that computes it.
@@ -497,20 +498,25 @@ def kernel_unknowns(m: int) -> list[tuple[tuple[int, int], int]]:
     return out
 
 
-def _shear_family(m: int) -> Family:
+def _shear_family(m: int, base: int) -> Family:
     """The polynomials c_k = z^alpha (2 q2)^j of ``kernel_unknowns(m)`` as one family.
 
-    Column k is c_k for the k-th unknown (alpha, j).  All are built at once
-    by Horner's rule over j with the elementary map
-    2 q2 F = w1 (w1 F) + w2 (w2 F), since 2 q2 = w1^2 + w2^2.
+    Column k is c_k for the k-th unknown (alpha, j), packed with ``base``,
+    which must exceed m.  All are built at once by Horner's rule over j with
+    the elementary map 2 q2 F = w1 (w1 F) + w2 (w2 F), since
+    2 q2 = w1^2 + w2^2.
     """
     unknowns = kernel_unknowns(m)
+    cut = base**4
     family: Family = {}
     for j in range(m // 2, -1, -1):
-        family = _w_sum(((1, 1, _w_sum(((1, 1, family),))), (1, 2, _w_sum(((1, 2, family),)))))
+        family = _w_sum(
+            ((1, 1, _w_sum(((1, 1, family),), base)), (1, 2, _w_sum(((1, 2, family),), base))),
+            base,
+        )
         for k, ((a1, a2), jk) in enumerate(unknowns):
             if jk == j:
-                family.setdefault((a1, a2, 0, 0), {})[k] = 1
+                family[k * cut + _pack((a1, a2, 0, 0), base)] = 1
     return family
 
 
@@ -530,17 +536,20 @@ def _normalization_matrix(m: int) -> tuple:
     unknown k are 2^(j + 1) times those of the system in b, so a solution
     of this matrix, times 2^(j + 1), solves that system.
 
-    The polynomials c_k come from ``_shear_family``.  The build checks
-    itself against series arithmetic on one dense probe of (Re b, Im b), and
-    a disagreement raises :class:`ConsistencyError`.
+    The polynomials c_k come from ``_shear_family``, regrouped once by
+    exponent.  The build checks itself against series arithmetic on one
+    dense probe of (Re b, Im b), and a disagreement raises
+    :class:`ConsistencyError`.
     """
     unknowns = kernel_unknowns(m)
     constraints = normalization_system(m).constraints
-    family = _shear_family(m)
+    base = m + 1
+    by_exponent = _regroup(_shear_family(m, base), base)
     rows = []
     for con in constraints:
         e = exp_from_bracket(*con.index)
-        here, there = family.get(e, {}), family.get(e[2:] + e[:2], {})
+        here = by_exponent.get(_pack(e, base), {})
+        there = by_exponent.get(_pack(e[2:] + e[:2], base), {})
         for part in con.parts:
             sign, shift = (1, 1) if part == "re" else (-1, 0)
             row = {
@@ -621,59 +630,95 @@ def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
 # exponent slots of w_i = z_i + zb_i in an exponent (z1, z2, zb1, zb2)
 _W_SLOTS = {1: (0, 2), 2: (1, 3)}
 
-# polynomials with integer coefficient vectors: {exponent: {column: value}}
-Family = dict[Exponent, dict[int, int]]
+# polynomials with integer coefficient vectors, flat: the key
+# column * base^4 + e0 + e1 base + e2 base^2 + e3 base^3 packs a column and an
+# exponent e, for a base above every exponent entry the maps produce, so that
+# adding or removing a unit at a slot is a key shift that never carries
+Family = dict[int, int]
 
 
-def _derivative(family: Family, slot: int) -> Family:
+def _pack(e: Exponent, base: int) -> int:
+    """The key of exponent e in column 0 (column k adds k * base^4)."""
+    return e[0] + base * (e[1] + base * (e[2] + base * e[3]))
+
+
+def _unpack(key: int, base: int) -> Exponent:
+    """The exponent of a key's column-0 part (``key % base^4``)."""
+    e1, e0 = divmod(key, base)
+    e2, e1 = divmod(e1, base)
+    e3, e2 = divmod(e2, base)
+    return e0, e1, e2, e3
+
+
+def _regroup(family: Family, base: int) -> dict[int, dict[int, int]]:
+    """The family as {exponent key: {column: value}}, one row per exponent."""
+    cut = base**4
+    rows: dict[int, dict[int, int]] = {}
+    for key, c in family.items():
+        k, e = divmod(key, cut)
+        rows.setdefault(e, {})[k] = c
+    return rows
+
+
+def _derivative(family: Family, slot: int, base: int) -> Family:
     """d/d(slot) of a family of polynomials: e -> e_k (e - unit_k)."""
+    p = base**slot
     out = {}
-    for e, vec in family.items():
-        k = e[slot]
+    for key, c in family.items():
+        k = key // p % base
         if k:
-            out[e[:slot] + (k - 1,) + e[slot + 1 :]] = {j: k * c for j, c in vec.items()}
+            out[key - p] = k * c
     return out
 
 
-def _w_sum(terms: tuple[tuple[int, int, Family], ...]) -> Family:
+def _w_sum(terms: tuple[tuple[int, int, Family], ...], base: int) -> Family:
     """The sum of k * w_i * F over (k, i, F): e -> (e + unit_z_i) + (e + unit_zb_i)."""
     acc: Family = {}
     for k, i, family in terms:
         for slot in _W_SLOTS[i]:
-            for e, vec in family.items():
-                row = acc.setdefault(e[:slot] + (e[slot] + 1,) + e[slot + 1 :], {})
-                for j, c in vec.items():
-                    row[j] = row.get(j, 0) + k * c
-    out = {}
-    for e, row in acc.items():
-        row = {j: c for j, c in row.items() if c}
-        if row:
-            out[e] = row
-    return out
+            p = base**slot
+            for key, c in family.items():
+                key += p
+                acc[key] = acc.get(key, 0) + k * c
+    return {key: c for key, c in acc.items() if c}
 
 
-def _condition(family: Family) -> Family:
+def _condition(family: Family, base: int) -> Family:
     """The condition series of each polynomial of a family, by the elementary maps.
 
     The maps are integer-linear, so each column of the result is the
     condition of that column's polynomial; a column that vanishes everywhere
-    is absent, and an empty result means every polynomial satisfies it.
+    is absent, and an empty result means every polynomial satisfies it.  The
+    base must exceed every exponent entry of the result: degree + 2 for a
+    family of that degree.
     """
-    phi = _w_sum(((1, 2, _derivative(family, 2)), (-1, 1, _derivative(family, 3))))
+    d = _derivative
+    phi = _w_sum(((1, 2, d(family, 2, base)), (-1, 1, d(family, 3, base))), base)
     # Psi = w2 (w2 dPhi/dz1 - w1 dPhi/dz2) + w1 Phi
-    turned = _w_sum(((1, 2, _derivative(phi, 0)), (-1, 1, _derivative(phi, 1))))
-    psi = _w_sum(((1, 2, turned), (1, 1, phi)))
-    return _w_sum(((1, 2, _derivative(psi, 0)), (-1, 1, _derivative(psi, 1))))
+    turned = _w_sum(((1, 2, d(phi, 0, base)), (-1, 1, d(phi, 1, base))), base)
+    psi = _w_sum(((1, 2, turned), (1, 1, phi)), base)
+    return _w_sum(((1, 2, d(psi, 0, base)), (-1, 1, d(psi, 1, base))), base)
 
 
 def _satisfies_condition(h: Series) -> bool:
-    """Whether a homogeneous series satisfies the first-order condition, exactly.
+    """Whether a series satisfies the first-order condition, exactly.
 
-    Its integer pairs (re, im) over its denominator form a two-column
-    family; since ``_condition`` is integer-linear, the series satisfies the
-    condition exactly when the family's condition is empty.
+    Its integer pairs (re, im) over its denominator form one flat family,
+    re in column 0 and im in column 1, packed with base h.trunc + 2 (its
+    condition reaches degree h.trunc + 1); since ``_condition`` is
+    integer-linear, the series satisfies the condition exactly when the
+    family's condition is empty.
     """
-    return not _condition({e: {0: x, 1: y} for e, (x, y) in h.nums.items()})
+    base = h.trunc + 2
+    cut = base**4
+    family = {}
+    for e, (x, y) in h.nums.items():
+        key = _pack(e, base)
+        if x:
+            family[key] = x
+        if y:
+            family[key + cut] = y
+    return not _condition(family, base)
 
 
 # -- the order-by-order driver -------------------------------------------------------
@@ -744,17 +789,24 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     Column j is the unit table at ``all_brackets(m)[j]``; each nonzero row
     maps columns to the integer coefficient of one degree-(m + 1) bracket of
     the condition series, rows in bracket order.  The rows come from the
-    family of all unit tables at once, carried through Phi, Psi and the
-    condition by ``_condition``, the two elementary maps (``_derivative``
-    and ``_w_sum``) on monomial exponents; this is a third implementation of
-    the operators, beside the series arithmetic that defines them and the
-    recursions that audit them.  The same maps decide the flattening
-    driver's per-degree condition check (``_satisfies_condition``).  The
-    build checks itself against the series operators on one dense integer
-    table, and a disagreement raises :class:`ConsistencyError`.
+    family of all unit tables at once, one flat packed family with base
+    m + 2, carried through Phi, Psi and the condition by ``_condition``, the
+    two elementary maps (``_derivative`` and ``_w_sum``) on packed monomial
+    exponents; this is a third implementation of the operators, beside the
+    series arithmetic that defines them and the recursions that audit them.
+    The result is regrouped once into one {column: value} row per exponent,
+    and each row's exponent is decoded once.  The same maps decide the
+    flattening driver's per-degree condition check
+    (``_satisfies_condition``).  The build checks itself against the series
+    operators on one dense integer table, and a disagreement raises
+    :class:`ConsistencyError`.
     """
     unknowns = all_brackets(m)
-    condition = _condition({exp_from_bracket(*idx): {j: 1} for j, idx in enumerate(unknowns)})
+    base = m + 2
+    cut = base**4
+    units = {j * cut + _pack(exp_from_bracket(*idx), base): 1 for j, idx in enumerate(unknowns)}
+    by_exponent = _regroup(_condition(units, base), base)
+    condition = {_unpack(key, base): row for key, row in by_exponent.items()}
     by_bracket = sorted((bracket_from_exp(e), row) for e, row in condition.items())
     # a dense probe table whose entries follow no linear pattern in j
     probe = [pow(3, j, 65521) for j in range(len(unknowns))]

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .errors import ParseError
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _as_fraction(x) -> Fraction:
@@ -254,10 +254,11 @@ def integer_parts(values: Iterable) -> tuple[int, list[int], list[int]]:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal ``[+-]?digits(/digits)?`` (whitespace ignored)."""
-    s = "".join(text.split())
+    match = _RATIONAL.fullmatch("".join(text.split()))
     try:
-        if _RATIONAL.fullmatch(s):
-            return Fraction(s)
+        if match:
+            num, den = match.groups()
+            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
         pass
     raise ParseError(f"bad rational literal {text!r}")

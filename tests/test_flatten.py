@@ -488,12 +488,12 @@ def fresh_normalization_matrix():
     flatten_mod._normalization_matrix.cache_clear()
 
 
-def _family_with_one_entry_off(m):
+def _family_with_one_entry_off(m, base):
     # c_k of the first unknown the first constraint reads, off by one there
-    family = _shear_family(m)
-    e = exp_from_bracket(*normalization_system(m).constraints[0].index)
-    k = min(family[e])
-    family[e] = {**family[e], k: family[e][k] + 1}
+    family = _shear_family(m, base)
+    e = flatten_mod._pack(exp_from_bracket(*normalization_system(m).constraints[0].index), base)
+    key = min(key for key in family if key % base**4 == e)
+    family[key] += 1
     return family
 
 
@@ -517,9 +517,10 @@ def test_a_corrupted_map_fails_the_normalization_probe(
 def test_the_shear_family_satisfies_the_condition(m):
     # shears keep the first-order condition: Im(b z^alpha q2^j) satisfies it
     # for every b, so each integer polynomial c_k = z^alpha (2 q2)^j does
-    family = _shear_family(m)
-    assert {k for vec in family.values() for k in vec} == set(range(len(kernel_unknowns(m))))
-    assert flatten_mod._condition(family) == {}
+    base = m + 2  # the condition of a degree-m family reaches exponent entries m + 1
+    family = _shear_family(m, base)
+    assert {key // base**4 for key in family} == set(range(len(kernel_unknowns(m))))
+    assert flatten_mod._condition(family, base) == {}
 
 
 def test_flatten_requires_parabolic():
@@ -720,8 +721,36 @@ def test_the_driver_condition_check_equals_the_condition_series(m, data):
     assert ok or not holds
 
 
-def _unscaled_derivative(family, slot):
-    return {e[:slot] + (e[slot] - 1,) + e[slot + 1 :]: vec for e, vec in family.items() if e[slot]}
+@pytest.mark.parametrize("m", range(3, 9))
+def test_the_driver_condition_check_holds_at_the_packing_boundary(m):
+    # A series of truncation m is packed with base m + 2.  Its terms at the
+    # extreme exponents z1^m, z2^m and conjugates hold the entry m, and the
+    # maps carry terms such as z1^(m - 1) zb2 to the entry m + 1 (z1^(m + 1)
+    # in Psi), the largest digit below the base.  Each conjugate pair of
+    # extreme terms is Im(b z_i^m), which satisfies the condition, so a
+    # condition-kernel table keeps holding with them and a unit term at a
+    # mixed bracket with entries m - 1 and 1 breaks it.
+    extremes = {(0, m, 0, 0): G(1, 2), (0, 0, 0, m): G(1, -2)}  # z1^m, zb1^m
+    extremes.update({(m, 0, 0, 0): G(3), (0, 0, m, 0): G(3)})  # z2^m, zb2^m
+    near = [
+        (t, s, r, h)
+        for t, s, r, h in all_brackets(m)
+        if sorted((t, s, r, h)) == [0, 0, 1, m - 1] and t + s and r + h
+    ]
+    tables = [(basis, True) for basis in fundamental_nullspace(m)]
+    tables += [({idx: G(1)}, False) for idx in near]
+    for table, holds in tables:
+        table = {**table, **{idx: table.get(idx, G(0)) + c for idx, c in extremes.items()}}
+        series = table_to_series(table, m)
+        assert series.trunc == m
+        assert {exp_from_bracket(*idx) for idx in extremes} <= series.nums.keys()
+        assert check_fundamental(phi_psi(table, m)).ok == holds
+        assert flatten_mod._satisfies_condition(series) == holds
+
+
+def _unscaled_derivative(family, slot, base):
+    p = base**slot
+    return {key - p: c for key, c in family.items() if key // p % base}
 
 
 @pytest.fixture(params=["w2-without-zb2", "unscaled-derivative", "negated-series"])

@@ -1,6 +1,7 @@
 """The four file formats: round trips, strict rejection, and the CLI exit-2 contract."""
 
 import io
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -106,10 +107,26 @@ def test_arbitrary_text_gives_a_value_or_parse_error(fmt):
     check()
 
 
-@pytest.mark.parametrize("text", ["1e5", "0.5", "1_000", "1/-2", "٣", "+-1", "1/", "/2"])
+@pytest.mark.parametrize(
+    "text", ["1e5", "0.5", "1_000", "1/-2", "٣", "+-1", "1/", "/2", "1/0", "+/3", "3/", "1.5"]
+)
 def test_rational_literals_are_strict(text):
     with pytest.raises(ParseError):
         parse_rational(text)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer-digit limit"
+)
+def test_a_rational_past_the_integer_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_rational("1/" + "9" * (sys.get_int_max_str_digits() + 1))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.fractions())
+def test_parse_rational_reads_back_every_fraction(q):
+    assert parse_rational(str(q)) == q
 
 
 @pytest.mark.parametrize("text", [
