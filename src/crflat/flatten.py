@@ -64,7 +64,14 @@ from .errors import (
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
 from .linalg import SparseMatrix, certified_nullspace, solve
 from .numeric import I, ONE, GaussianRational, ZERO
-from .series import Exponent, Series, bracket_from_exp, exp_from_bracket, sum_of_products
+from .series import (
+    Series,
+    _pack,
+    _unpack,
+    bracket_from_exp,
+    exp_from_bracket,
+    sum_of_products,
+)
 
 Bracket = tuple[int, int, int, int]
 Table = dict[Bracket, GaussianRational]
@@ -632,22 +639,10 @@ _W_SLOTS = {1: (0, 2), 2: (1, 3)}
 
 # polynomials with integer coefficient vectors, flat: the key
 # column * base^4 + e0 + e1 base + e2 base^2 + e3 base^3 packs a column and an
-# exponent e, for a base above every exponent entry the maps produce, so that
-# adding or removing a unit at a slot is a key shift that never carries
+# exponent e (its exponent part is ``series._pack``), for a base above every
+# exponent entry the maps produce, so that adding or removing a unit at a
+# slot is a key shift that never carries
 Family = dict[int, int]
-
-
-def _pack(e: Exponent, base: int) -> int:
-    """The key of exponent e in column 0 (column k adds k * base^4)."""
-    return e[0] + base * (e[1] + base * (e[2] + base * e[3]))
-
-
-def _unpack(key: int, base: int) -> Exponent:
-    """The exponent of a key's column-0 part (``key % base^4``)."""
-    e1, e0 = divmod(key, base)
-    e2, e1 = divmod(e1, base)
-    e3, e2 = divmod(e2, base)
-    return e0, e1, e2, e3
 
 
 def _regroup(family: Family, base: int) -> dict[int, dict[int, int]]:
@@ -806,7 +801,7 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     cut = base**4
     units = {j * cut + _pack(exp_from_bracket(*idx), base): 1 for j, idx in enumerate(unknowns)}
     by_exponent = _regroup(_condition(units, base), base)
-    condition = {_unpack(key, base): row for key, row in by_exponent.items()}
+    condition = {_unpack(key, base, 4): row for key, row in by_exponent.items()}
     by_bracket = sorted((bracket_from_exp(e), row) for e, row in condition.items())
     # a dense probe table whose entries follow no linear pattern in j
     probe = [pow(3, j, 65521) for j in range(len(unknowns))]

@@ -173,7 +173,10 @@ class Germ:
             raise PreconditionError("shears are implemented for two variables")
         if kernel.is_zero():
             return self
-        return Germ(self.n, self.R + subst_w(kernel.subst_template(), self.R))
+        # w + B(z, w): B holds no pure w term (pinned at weight 2, impossible above)
+        template = kernel.subst_template()
+        template[(0, 0, 0, 0), 1] = 1
+        return Germ(self.n, subst_w(template, self.R))
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,16 @@ numerators is 1), so two series are equal exactly when their ``den`` and
 brings its result to the canonical denominator.  ``coeff``, ``items`` and
 the read-only ``terms`` view build ``GaussianRational`` values on demand.
 
-Every product goes through one integer kernel, :func:`sum_of_products`, which
-returns a sum k_1 p_1 q_1 + ... + k_r p_r q_r with integer weights k_i;
-:meth:`Series.__mul__` is its one-pair call.  It buckets the kept pairs of
-each operand (degree <= the result truncation) by degree, stops a row of
-buckets once the degrees sum past the truncation, scales a pair's partial
-products by k * (D // (den_p * den_q)), D the lcm over all pairs, and adds
-them into one integer (re, im) accumulator per exponent: the result over D.
+Every product runs on packed operands: the integer pairs of degree <= the
+result truncation T, each exponent packed into one integer key in base
+T + 1 and bucketed by degree, so that a row of buckets stops once the
+degrees sum past T.  :func:`sum_of_products` returns a sum
+k_1 p_1 q_1 + ... + k_r p_r q_r with integer weights k_i;
+:meth:`Series.__mul__` is its one-pair call.  It scales a
+pair's partial products by k * (D // (den_p * den_q)), D the lcm over all
+pairs, and adds them into one integer (re, im) accumulator per exponent:
+the result over D.  :func:`subst_w` keeps the powers of the substituted
+series packed from one product to the next and unpacks only its sum.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -49,8 +52,9 @@ import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError
 from .numeric import GaussianRational, _exact, integer_parts, parse_rational
@@ -88,7 +92,7 @@ class Series:
     def __init__(self, nvars: int, trunc: int, terms: Mapping[Exponent, object] | None = None):
         if nvars < 1:
             raise PreconditionError("need at least one variable")
-        if trunc < 0:
+        if trunc < -1:
             raise PreconditionError("negative truncation")
         clean = {}
         if terms:
@@ -283,7 +287,9 @@ class Series:
         """Formal partial derivative with respect to a variable slot.
 
         Slots 0..n-1 are z_1..z_n, slots n..2n-1 their conjugates.  The
-        truncation drops by one degree.
+        truncation drops by one degree: a missing term of degree T + 1
+        differentiates into degree T.  So the derivative of a truncation-0
+        series has truncation -1, which certifies no degree.
         """
         if not 0 <= slot < 2 * self.nvars:
             raise PreconditionError(f"unknown variable slot {slot}")
@@ -292,7 +298,7 @@ class Series:
             k = e[slot]
             if k:
                 out[e[:slot] + (k - 1,) + e[slot + 1 :]] = (k * x, k * y)
-        return self._make(self.den, out, max(self.trunc - 1, 0))
+        return self._make(self.den, out, max(self.trunc - 1, -1))
 
     def dz(self, j: int) -> "Series":
         """d/dz_j with 1-based j, matching the usual subscript notation."""
@@ -339,25 +345,178 @@ class Series:
         return f"Series(n={self.nvars}, trunc={self.trunc}, {self})"
 
 
-def _low(s: Series) -> int:
-    """Least degree of a stored term, or T + 1 when the series stores none."""
-    return min((sum(e) for e in s.nums), default=s.trunc + 1)
+# -- packed graded operands -------------------------------------------------------
+#
+# The product loops run on integer keys: an exponent e packs into the key
+# sum e_i * base^i, so the key of a product monomial is the sum of the keys as
+# long as no entry of the product reaches the base.  A packed operand holds
+# its integer pairs as ascending (degree, [(key, re, im), ...]) buckets, so a
+# row of buckets stops once the degrees sum past the truncation, and its
+# least stored degree is the first bucket's.
+
+Buckets = list[tuple[int, list[tuple[int, int, int]]]]
+# integer pairs summed by output degree and key: {degree: {key: [re, im]}}
+Accumulator = dict[int, dict[int, list[int]]]
 
 
-def _graded_keys(s: Series, trunc: int, base: int):
-    """The pairs of degree <= trunc as ascending (degree, [(key, re, im), ...]).
+def _pack(e: Sequence[int], base: int) -> int:
+    """The key sum e_i * base^i of an exponent; the base must exceed every entry."""
+    key = 0
+    for k in reversed(e):
+        key = key * base + k
+    return key
 
-    The key packs the exponent e as sum e_i * base^i.
+
+def _unpack(key: int, base: int, width: int) -> Exponent:
+    """The exponent of ``width`` entries packed into ``key`` by :func:`_pack`."""
+    e = []
+    for _ in range(width):
+        key, k = divmod(key, base)
+        e.append(k)
+    return tuple(e)
+
+
+class _Packed(NamedTuple):
+    """Integer pairs over ``den`` in buckets, certified through ``trunc``.
+
+    ``low`` is the least degree of a stored term, or trunc + 1 when there is
+    none.
     """
+
+    trunc: int
+    low: int
+    den: int
+    buckets: Buckets
+
+
+def _packed(s: Series, cut: int, base: int) -> _Packed:
+    """The series packed with ``base``, its buckets cut at degree ``cut``."""
     buckets: dict[int, list[tuple[int, int, int]]] = {}
+    low = s.trunc + 1
     for e, (x, y) in s.nums.items():
         d = sum(e)
-        if d <= trunc:
-            key = 0
-            for k in reversed(e):
-                key = key * base + k
-            buckets.setdefault(d, []).append((key, x, y))
-    return sorted(buckets.items())
+        if d < low:
+            low = d
+        if d <= cut:
+            buckets.setdefault(d, []).append((_pack(e, base), x, y))
+    return _Packed(s.trunc, low, s.den, sorted(buckets.items()))
+
+
+def _certify(trunc: int, pairs: Iterable[tuple[_Packed, _Packed]]) -> None:
+    """Raise unless every product p * q is exact through ``trunc``."""
+    bound = min(min(p.trunc + q.low, q.trunc + p.low) for p, q in pairs)
+    if trunc > bound:
+        raise PreconditionError(
+            f"truncation {trunc} exceeds the certified product truncation {bound}"
+        )
+
+
+def _mul_into(acc: Accumulator, left: Buckets, right: Buckets, upto: int):
+    """Add left * right through degree ``upto`` to ``acc``."""
+    for d1, terms1 in left:
+        for d2, terms2 in right:
+            if d1 + d2 > upto:
+                break
+            out = acc.setdefault(d1 + d2, {})
+            for k1, a, b in terms1:
+                for k2, c, d in terms2:
+                    pair = out.get(k1 + k2)
+                    if pair is None:
+                        out[k1 + k2] = [a * c - b * d, a * d + b * c]
+                    else:
+                        pair[0] += a * c - b * d
+                        pair[1] += a * d + b * c
+
+
+def _square_into(acc: Accumulator, buckets: Buckets, upto: int):
+    """Add the square of the buckets through degree ``upto`` to ``acc``.
+
+    By symmetry: each unordered pair of terms is multiplied once, and the
+    pairs of two different terms count twice.
+    """
+    for i, (d1, terms1) in enumerate(buckets):
+        if 2 * d1 > upto:
+            break
+        twice = [(k, 2 * a, 2 * b) for k, a, b in terms1]
+        out = acc.setdefault(2 * d1, {})
+        for n, (k1, a, b) in enumerate(terms1):
+            pair = out.setdefault(2 * k1, [0, 0])
+            pair[0] += a * a - b * b
+            pair[1] += 2 * a * b
+            a, b = 2 * a, 2 * b
+            for k2, c, d in terms1[n + 1 :]:
+                pair = out.get(k1 + k2)
+                if pair is None:
+                    out[k1 + k2] = [a * c - b * d, a * d + b * c]
+                else:
+                    pair[0] += a * c - b * d
+                    pair[1] += a * d + b * c
+        _mul_into(acc, [(d1, twice)], buckets[i + 1 :], upto)
+
+
+def _as_packed(acc: Accumulator, den: int, trunc: int) -> _Packed:
+    """An accumulator over ``den`` as a packed operand in lowest terms, zero pairs dropped."""
+    buckets = []
+    g = den
+    for d in sorted(acc):
+        terms = [(k, x, y) for k, (x, y) in acc[d].items() if x or y]
+        if terms:
+            buckets.append((d, terms))
+            for _, x, y in terms:
+                if g == 1:
+                    break
+                g = math.gcd(g, x, y)
+    if g != 1:
+        den //= g
+        buckets = [(d, [(k, x // g, y // g) for k, x, y in terms]) for d, terms in buckets]
+    return _Packed(trunc, buckets[0][0] if buckets else trunc + 1, den, buckets)
+
+
+def _sum_into(
+    terms: Iterable[tuple[int, _Packed, _Packed]], trunc: int
+) -> tuple[int, Accumulator]:
+    """The sum of k * p * q through ``trunc`` as (D, accumulator over D).
+
+    D is the lcm of the pairs' denominators, and a pair's left operand is
+    scaled by k * (D // (den_p * den_q)) before its product is added.
+    """
+    pairs = [(k, p, q) for k, p, q in terms if k and p.buckets and q.buckets]
+    den = math.lcm(*(p.den * q.den for _, p, q in pairs))
+    acc: Accumulator = {}
+    for k, p, q in pairs:
+        left = p.buckets
+        scale = k * (den // (p.den * q.den))
+        if scale != 1:
+            left = [(d, [(key, a * scale, b * scale) for key, a, b in ts]) for d, ts in left]
+        _mul_into(acc, left, q.buckets, trunc)
+    return den, acc
+
+
+@lru_cache(maxsize=None)
+def _digits(base: int, n: int) -> tuple[Exponent, ...]:
+    """The exponents of n entries below ``base``, indexed by their keys."""
+    return tuple(_unpack(key, base, n) for key in range(base**n))
+
+
+def _unpacked(acc: Accumulator, base: int, width: int) -> dict[Exponent, Pair]:
+    """The nonzero accumulated pairs by exponent."""
+    n = width // 2
+    if n > 2:
+        return {
+            _unpack(key, base, width): (x, y)
+            for out in acc.values()
+            for key, (x, y) in out.items()
+            if x or y
+        }
+    # a key is two halves read from a table of base^n exponents, small for n <= 2
+    half = _digits(base, n)
+    cut = base**n
+    return {
+        half[key % cut] + half[key // cut]: (x, y)
+        for out in acc.values()
+        for key, (x, y) in out.items()
+        if x or y
+    }
 
 
 def sum_of_products(
@@ -371,10 +530,10 @@ def sum_of_products(
     T is an operand's truncation and low the least degree of its stored
     terms (T + 1 when it stores none); otherwise ``PreconditionError``.
 
-    Each pair's operands go through the graded integer loop; its partial
-    products are scaled by k * (D // (den_p * den_q)), D the lcm over all
-    pairs, and added into one integer (re, im) accumulator per exponent,
-    which is the result over D.
+    Each operand is packed with base trunc + 1; a pair's partial products
+    are scaled by k * (D // (den_p * den_q)), D the lcm over all pairs, and
+    added into one integer (re, im) accumulator per exponent, which is the
+    result over D.
     """
     if not terms:
         raise PreconditionError("a sum of products needs at least one pair")
@@ -388,49 +547,12 @@ def sum_of_products(
         trunc = least
     elif trunc < 0:
         raise PreconditionError("negative truncation")
-    elif trunc > least:
-        bound = min(min(p.trunc + _low(q), q.trunc + _low(p)) for _, p, q in terms)
-        if trunc > bound:
-            raise PreconditionError(
-                f"truncation {trunc} exceeds the certified product truncation {bound}"
-            )
     base = trunc + 1
-    pairs = []
-    for k, p, q in terms:
-        if k:
-            left = _graded_keys(p, trunc, base)
-            right = _graded_keys(q, trunc, base)
-            if left and right:
-                pairs.append((k, p.den * q.den, left, right))
-    den = math.lcm(*(pair_den for _, pair_den, _, _ in pairs))
-    acc: dict[int, list[int]] = {}
-    for k, pair_den, left, right in pairs:
-        scale = k * (den // pair_den)
-        if scale != 1:
-            left = [(d1, [(k1, a * scale, b * scale) for k1, a, b in terms1])
-                    for d1, terms1 in left]
-        for d1, terms1 in left:
-            for d2, terms2 in right:
-                if d1 + d2 > trunc:
-                    break
-                for k1, a, b in terms1:
-                    for k2, c, d in terms2:
-                        pair = acc.get(k1 + k2)
-                        if pair is None:
-                            acc[k1 + k2] = [a * c - b * d, a * d + b * c]
-                        else:
-                            pair[0] += a * c - b * d
-                            pair[1] += a * d + b * c
-    width = 2 * first.nvars
-    nums: dict[Exponent, Pair] = {}
-    for key, (x, y) in acc.items():
-        if x or y:
-            e = []
-            for _ in range(width):
-                key, power = divmod(key, base)
-                e.append(power)
-            nums[tuple(e)] = (x, y)
-    return first._make(den, nums, trunc)
+    pairs = [(k, _packed(p, trunc, base), _packed(q, trunc, base)) for k, p, q in terms]
+    if trunc > least:
+        _certify(trunc, ((p, q) for _, p, q in pairs))
+    den, acc = _sum_into(pairs, trunc)
+    return first._make(den, _unpacked(acc, base, 2 * first.nvars), trunc)
 
 
 def subst_w(
@@ -445,12 +567,28 @@ def subst_w(
     have zero constant term, otherwise the truncation grading would be
     destroyed.
 
-    Each power is formed only through the degree it is read at: value^j
-    through reach_j = max(T - low(P_j), reach_{j+1} - low(value), 0), which
-    its own product and the next power need, and each product certifies
-    the truncation it is asked for (see :func:`sum_of_products`).
+    The value is packed once, with base T + 1, which exceeds every exponent
+    entry of a term of degree <= T.  Each power stays packed in degree
+    buckets from one product to the next: value^j is the square of
+    value^(j/2) for even j (each unordered pair of terms once, the others
+    doubled) and value^(j-1) * value for odd j, and only the powers these
+    steps and the P_j read are formed.  The P_j * value^j then add into one
+    accumulator, the only one that is unpacked.
+
+    Each power is formed only through the degree it is read at, and every
+    product certifies it.  Write s = low(value).  P_j * value^j needs value^j
+    through T - low(P_j); the square needs value^(j/2) through
+    reach_j - (j/2) s, since low(value^(j/2)) = (j/2) s (the lowest part of
+    a power is the power of the lowest part, never zero); value^(j-1) *
+    value needs value^(j-1) through reach_j - s.  Each power is also formed
+    at least through j s - 1, below which it is zero, so a power with no
+    stored term still certifies its square.  Every product checks
+    min(T_p + low(q), T_q + low(p)) against the degree it is asked for, with
+    each low read from the lowest bucket, and raises ``PreconditionError``
+    past it.
     """
-    if (0,) * (2 * value.nvars) in value.nums:
+    width = 2 * value.nvars
+    if (0,) * width in value.nums:
         raise PreconditionError("substituted series must have zero constant term")
     parts: dict[int, dict[Exponent, object]] = {}
     for (e, j), c in template.items():
@@ -458,26 +596,47 @@ def subst_w(
             raise PreconditionError("negative w-power in template")
         if sum(e) <= value.trunc:
             parts.setdefault(j, {})[tuple(e)] = c
-    if not parts:
-        return Series.zero(value.nvars, value.trunc)
     trunc = value.trunc
-    polys = {j: Series(value.nvars, trunc, terms) for j, terms in parts.items()}
-    step = _low(value)
-    reach = [0] * (max(polys) + 1)
-    need = 0
-    for j in reversed(range(len(reach))):
+    base = trunc + 1
+    polys = {}
+    for j, terms in parts.items():
+        p = _packed(Series(value.nvars, trunc, terms), trunc, base)
+        if p.buckets:
+            polys[j] = p
+    if not polys:
+        return Series.zero(value.nvars, trunc)
+    r = _packed(value, trunc, base)
+    step = r.low
+    reach: dict[int, int] = {}
+    for j in range(max(polys), 0, -1):
         if j in polys:
-            need = max(need, trunc - _low(polys[j]))
-        reach[j] = need
-        need = max(need - step, 0)
-    products = []
-    power = Series.const(value.nvars, reach[0], 1)
-    for j, upto in enumerate(reach):
-        if j:
-            power = sum_of_products(((1, power, value),), trunc=upto)
-        if j in polys:
-            products.append((1, polys[j], power))
-    return sum_of_products(products, trunc=trunc)
+            reach[j] = max(reach.get(j, 0), trunc - polys[j].low)
+        if j in reach:
+            reach[j] = min(trunc, max(reach[j], j * step - 1))
+            if j > 1:
+                k = j - 1 if j % 2 else j // 2
+                reach[k] = max(reach.get(k, 0), reach[j] - (j - k) * step)
+    powers = {0: _Packed(trunc, 0, 1, [(0, [(0, 1, 0)])]), 1: r}
+    for j in sorted(reach):
+        if j < 2:
+            continue
+        upto = reach[j]
+        acc: Accumulator = {}
+        if j % 2:
+            p = powers[j - 1]
+            _certify(upto, ((p, r),))
+            _mul_into(acc, p.buckets, r.buckets, upto)
+            den = p.den * r.den
+        else:
+            p = powers[j // 2]
+            _certify(upto, ((p, p),))
+            _square_into(acc, p.buckets, upto)
+            den = p.den * p.den
+        powers[j] = _as_packed(acc, den, upto)
+    products = [(1, p, powers[j]) for j, p in polys.items()]
+    _certify(trunc, ((p, q) for _, p, q in products))
+    den, acc = _sum_into(products, trunc)
+    return value._make(den, _unpacked(acc, base, width), trunc)
 
 
 # -- file formats ----------------------------------------------------------------

@@ -189,6 +189,14 @@ def test_flatten_emits_the_golden_final_germ(tmp_path):
     assert (tmp_path / "final.germ").read_bytes() == golden and b"/" in golden
 
 
+def test_flatten_emits_the_golden_final_germ_at_depth(tmp_path):
+    # a quadric sheared at weights 17 and 18: the shears form w-powers up to R^7 and R^8
+    code, out = run_cli("flatten", fx("sheared18.germ"), "--order", "18", "--emit", str(tmp_path))
+    assert code == 0 and "FLATTENED_TO 18" in out
+    golden = (FIXTURES / "sheared18.order18.final.germ").read_bytes()
+    assert (tmp_path / "final.germ").read_bytes() == golden
+
+
 def test_flatten_reproduces_the_golden_order_9_report(monkeypatch):
     # the quadric sheared at weights 3..9, flattened through every degree of
     # its truncation

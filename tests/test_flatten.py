@@ -134,10 +134,8 @@ def test_phi_and_psi_are_certified_through_their_degrees(rng, m):
     assert (tables.phi.trunc, tables.psi.trunc) == (m, m + 1)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_a_cut_psi_cannot_pass_for_a_zero_condition(rng, m):
-    # (at m = 0, Series.diff keeps the truncation 0 of the cut Psi's
-    # derivative, so the bound cannot see the cut; that condition is zero)
     tables = phi_psi(rand_real_bracket_table(rng, m), m)
     cut = PhiPsiTables(m, tables.phi, tables.psi.truncate(m))
     with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):

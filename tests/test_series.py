@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crflat.series as series_mod
 from crflat import GaussianRational, Series, subst_w
 from crflat.errors import ParseError, PreconditionError
 from crflat.series import (
@@ -85,6 +86,19 @@ def test_derivatives():
         s = rand_series(rng, 2, 6)
         assert s.dz(1).dz(2) == s.dz(2).dz(1)
         assert s.dz(1).dzbar(2) == s.dzbar(2).dz(1)
+
+
+def test_the_derivative_of_a_truncation_zero_series_certifies_no_degree():
+    d = Series.const(2, 0, 5).diff(0)
+    assert d.trunc == -1 and d.is_zero()
+    assert d.diff(1).trunc == -1
+    # z1 * d is exact through -1 + low(z1) = 0 and no further
+    z1 = Series.variable(2, 4, 0)
+    assert sum_of_products([(1, z1, d)], trunc=0).trunc == 0
+    with pytest.raises(PreconditionError):
+        sum_of_products([(1, z1, d)], trunc=1)
+    with pytest.raises(PreconditionError):
+        Series.zero(2, -2)
 
 
 def test_leibniz_rule():
@@ -393,7 +407,7 @@ def test_every_operation_matches_termwise_gaussian_arithmetic(pair, k):
     for slot in range(2 * n):
         lowered = {e[:slot] + (e[slot] - 1,) + e[slot + 1:]: c * e[slot]
                    for e, c in ta.items() if e[slot]}
-        _assert_series(a.diff(slot), max(a.trunc - 1, 0), lowered)
+        _assert_series(a.diff(slot), a.trunc - 1, lowered)
     for d in range(a.trunc + 1):
         _assert_series(a.truncate(d), d, {e: c for e, c in ta.items() if sum(e) <= d})
         _assert_series(a.homogeneous_part(d), a.trunc, {e: c for e, c in ta.items() if sum(e) == d})
@@ -476,6 +490,84 @@ def test_subst_w_matches_summed_powers():
                     expect = expect + p_j * value ** j
                 out = subst_w(template, value)
                 assert out == expect and out.trunc == expect.trunc == trunc
+
+
+# (z1^2 + 2 z1 z2 - 2 z2^2) / 3, whose square has no z1^2 z2^2 term: 2 (1)(-2) + 2^2 = 0
+_CANCELLING = {(2, 0, 0, 0): F(1, 3), (1, 1, 0, 0): F(2, 3), (0, 2, 0, 0): F(-2, 3)}
+
+# lowest homogeneous parts of the substituted values, by degree, with non-unit denominators
+_LOWEST_PARTS = {
+    1: [{(1, 0, 0, 0): F(1, 2)}, {(1, 0, 0, 0): G(1, F(1, 3)), (0, 0, 0, 1): F(-2, 7)}],
+    2: [_CANCELLING, {(1, 0, 1, 0): G(F(3, 2), 1), (0, 1, 0, 1): F(1, 4)}],
+}
+
+
+@st.composite
+def _exponent(draw, degree):
+    """A two-variable exponent (s, t, h, r) of the given degree."""
+    e = []
+    for _ in range(3):
+        e.append(draw(st.integers(0, degree - sum(e))))
+    return (*e, degree - sum(e))
+
+
+@st.composite
+def substitutions(draw):
+    """A template with w-powers up to 8 or 9 and a value of lowest degree 1 or 2."""
+    low = draw(st.sampled_from([1, 2]))
+    trunc = draw(st.integers(2 * low, 10))
+    degrees = st.integers(low + 1, min(trunc, low + 3))
+    terms = dict(draw(st.sampled_from(_LOWEST_PARTS[low])))
+    for d in draw(st.lists(degrees, min_size=1, max_size=4)):
+        terms[draw(_exponent(d))] = draw(_coefficients("complex"))
+    value = Series(2, trunc, terms)
+    exps = st.integers(0, 2).flatmap(_exponent)
+    powers = draw(st.lists(st.integers(0, 9), max_size=5)) + [draw(st.integers(8, 9))]
+    template = {(draw(exps), j): draw(_coefficients("complex")) for j in powers}
+    return template, value
+
+
+@PRODUCT_SETTINGS
+@given(substitutions())
+def test_subst_w_matches_summed_high_powers(data):
+    # powers up to 8 form odd powers after even ones and squares of squares
+    template, value = data
+    trunc = value.trunc
+    expect = Series.zero(2, trunc)
+    for j in {j for _, j in template}:
+        p_j = Series(2, trunc, {e: c for (e, k), c in template.items()
+                                if k == j and sum(e) <= trunc})
+        expect = expect + p_j * value**j
+    out = subst_w(template, value)
+    assert out == expect and out.trunc == expect.trunc == trunc
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_subst_w_checks_every_power_against_its_certified_truncation(monkeypatch, j):
+    # value^2, the first power formed, claims one degree less than it holds, so
+    # the final sum (j = 2), the odd product w^2 * w (j = 3) or the square
+    # (w^2)^2 (j = 4) must refuse the degree it is asked for
+    formed = series_mod._as_packed
+    powers = []
+
+    def first_cut_short(acc, den, trunc):
+        powers.append(formed(acc, den, trunc))
+        return powers[0]._replace(trunc=trunc - 1) if len(powers) == 1 else powers[-1]
+
+    monkeypatch.setattr(series_mod, "_as_packed", first_cut_short)
+    z1, z2, zb1, _ = gens(6)
+    with pytest.raises(PreconditionError, match="certified product truncation"):
+        subst_w({((0, 0, 0, 0), j): 1}, z1 + zb1 * z2)
+
+
+def test_subst_w_squares_a_power_whose_lowest_terms_cancel():
+    value = Series(2, 9, _CANCELLING)
+    square = value * value
+    assert square.min_degree() == 4 and (2, 2, 0, 0) not in square.nums
+    for j in (2, 4):
+        out = subst_w({((0, 0, 0, 0), j): 1}, value)
+        assert out == value**j and out.trunc == 9
+        assert (2, 2, 0, 0) not in out.nums
 
 
 def test_re_im_recombines_into_real_parts():
