@@ -52,7 +52,6 @@ import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -492,27 +491,10 @@ def _sum_into(
     return den, acc
 
 
-@lru_cache(maxsize=None)
-def _digits(base: int, n: int) -> tuple[Exponent, ...]:
-    """The exponents of n entries below ``base``, indexed by their keys."""
-    return tuple(_unpack(key, base, n) for key in range(base**n))
-
-
 def _unpacked(acc: Accumulator, base: int, width: int) -> dict[Exponent, Pair]:
     """The nonzero accumulated pairs by exponent."""
-    n = width // 2
-    if n > 2:
-        return {
-            _unpack(key, base, width): (x, y)
-            for out in acc.values()
-            for key, (x, y) in out.items()
-            if x or y
-        }
-    # a key is two halves read from a table of base^n exponents, small for n <= 2
-    half = _digits(base, n)
-    cut = base**n
     return {
-        half[key % cut] + half[key // cut]: (x, y)
+        _unpack(key, base, width): (x, y)
         for out in acc.values()
         for key, (x, y) in out.items()
         if x or y

@@ -190,11 +190,15 @@ def test_flatten_emits_the_golden_final_germ(tmp_path):
 
 
 def test_flatten_emits_the_golden_final_germ_at_depth(tmp_path):
-    # a quadric sheared at weights 17 and 18: the shears form w-powers up to R^7 and R^8
-    code, out = run_cli("flatten", fx("sheared18.germ"), "--order", "18", "--emit", str(tmp_path))
+    # a quadric sheared at weights 5 and 6 by one monomial each, truncated at
+    # 20: flattening to 18 takes kernels at 15 weights with w-powers up to
+    # w^6, and reads R^2, R^3 and the square R^4 above their lowest degrees
+    code, out = run_cli("flatten", fx("cascade20.germ"), "--order", "18", "--emit", str(tmp_path))
     assert code == 0 and "FLATTENED_TO 18" in out
-    golden = (FIXTURES / "sheared18.order18.final.germ").read_bytes()
+    golden = (FIXTURES / "cascade20.order18.final.germ").read_bytes()
     assert (tmp_path / "final.germ").read_bytes() == golden
+    # two header lines, the quadric's six terms, then terms of degrees 19 and 20
+    assert len(golden.splitlines()) > 8
 
 
 def test_flatten_reproduces_the_golden_order_9_report(monkeypatch):
