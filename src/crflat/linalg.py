@@ -1,15 +1,16 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Provides a row-major dense matrix type; one sparse Gauss-Jordan loop
-(``_reduce``), over rows that map a column to its nonzero entry, behind
-solve, nullspace, rank, determinant and inverse; and a sparse rank of an
-integer matrix modulo a fixed prime, which certifies full column rank over
-the rationals without rational arithmetic.  The loop runs over
-``Fraction`` when no entry has an imaginary part, over ``GaussianRational``
-otherwise, and over the integers mod p for the modular factor.
-Pivot columns are taken in order, so the reduced echelon form -- which is
-unique -- and everything derived from it (nullspace bases, solutions,
-reports built on them) is reproducible byte for byte.
+Provides a row-major dense matrix type and one sparse Gauss-Jordan loop,
+``_reduce``, over rows that map a column to its nonzero entry.  That loop
+is behind solve, nullspace, rank, determinant and inverse, the modular
+factor, and the rank of an integer matrix modulo a fixed prime, which
+certifies full column rank over the rationals without rational arithmetic.
+It runs over ``Fraction`` when no entry has an imaginary part, over
+``GaussianRational`` otherwise, and over the integers mod p.  It takes the
+rows shortest first and keeps its pivot rows fully reduced; what it
+returns is the reduced echelon form, which is unique, so everything
+derived from it (nullspace bases, solutions, reports built on them) is
+reproducible byte for byte whatever order the rows come in.
 
 ``solve`` takes a dense ``ExactMatrix`` or a ``SparseMatrix`` of sparse
 rows and factors each matrix once: the first solve eliminates [A | I] and
@@ -248,69 +249,90 @@ def _echelon(rows: Iterable[Mapping[int, object]]) -> tuple[list[dict], list[int
     return _reduce(_scalar_rows(rows))
 
 
-def _reduce(rows: list[dict], modulus: int | None = None) -> tuple[list[dict], list[int], object]:
-    """Reduced echelon form of sparse rows without zero entries, in place.
-
-    The one Gauss-Jordan loop of this module (see ``sparse_nullspace``):
-    over the field of the entries, or over the integers mod a prime
-    ``modulus`` when one is given, with entries reduced into 0..modulus-1.
-    Returns (rows, pivot columns, scale); row k of the result holds the
-    pivot of column ``pivots[k]``.  Columns are taken in order.  Within a
-    column the pivot is the remaining row with the fewest nonzeros (the
-    first such row on a tie), which keeps fill-in low; the reduced echelon
-    form is unique, so the choice changes no result.  The chosen row is
-    swapped into place, divided by its pivot, and the pivot column cleared
-    in every other row.  The scale is (-1)^(row swaps) times the product of
-    the pivots, so a square matrix of full rank has determinant scale (mod
-    ``modulus``).  Modulo p, the reduced form is the image of the one over
-    Q whenever p divides no minor that decides a pivot.
-    """
-    ncols = 1 + max((j for row in rows for j in row), default=-1)
-    pivots: list[int] = []
-    scale = 1
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        p = None
-        for i in range(r, len(rows)):
-            if c in rows[i] and (p is None or len(rows[i]) < len(rows[p])):
-                p = i
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            scale = -scale
-        prow = rows[r]
-        piv = prow[c]
-        if modulus is None:
-            scale = scale * piv
-            if piv != 1:
-                inv = 1 / piv
-                prow = rows[r] = {j: inv * v for j, v in prow.items()}
+def _subtract(row: dict, f, other: Iterable[tuple[int, object]], modulus: int | None) -> None:
+    """row -= f * other in place, dropping zeros; entries mod ``modulus`` when given."""
+    for j, v in other:
+        w = row.get(j)
+        w = -(f * v) if w is None else w - f * v
+        if modulus is not None:
+            w %= modulus
+        if w:
+            row[j] = w
         else:
-            scale = scale * piv % modulus
-            if piv != 1:
+            del row[j]
+
+
+def _reduce(rows: list[dict], modulus: int | None = None) -> tuple[list[dict], list[int], object]:
+    """Reduced echelon form of sparse rows: (pivot rows, pivot columns, scale).
+
+    The one Gauss-Jordan loop of this module.  Without ``modulus`` it runs
+    over the field of the entries, on rows without zero entries, which it
+    reduces in place; with a prime ``modulus``, over the integers mod p,
+    each row of integers taken as its residues in 0..p-1.  Row k of the
+    result holds the pivot of column ``pivots[k]``, the columns ascending.
+
+    Rows are taken shortest first, which keeps fill-in low, and each is
+    reduced in one pass against the pivot rows so far, as those are kept
+    fully reduced.  Its least column left becomes its pivot: the row is
+    divided by the pivot, and the column cleared in the other pivot rows.
+    Every entry of a pivot row lies at or right of its pivot, so the result
+    is the reduced echelon form, which is unique whatever the row order.
+    Once every column of the input holds a pivot, the loop stops.
+
+    The scale is the product of the pivots; for a square input of full
+    rank it takes the sign of the permutation from each row to its pivot
+    column, and is then the determinant (mod p).  Modulo p, the reduced
+    form is the image of the one over Q whenever p divides no minor that
+    decides a pivot.
+    """
+    ncols = 1 + max(map(max, filter(None, rows)), default=-1)
+    pivot_rows: dict[int, dict] = {}  # pivot column -> its row, pivot 1
+    holders: dict[int, set[int]] = {}  # column -> pivot columns whose rows may hold it
+    column_of = [0] * len(rows)  # input row -> the pivot column it became
+    scale = 1
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        if len(pivot_rows) == ncols:
+            break
+        r = rows[i]
+        if modulus is not None:
+            r = {j: w for j, v in r.items() if (w := v % modulus)}
+        for c, f in [(c, f) for c, f in r.items() if c in pivot_rows]:
+            _subtract(r, f, pivot_rows[c].items(), modulus)
+        if not r:
+            continue
+        c = min(r)
+        piv = r[c]
+        scale = scale * piv if modulus is None else scale * piv % modulus
+        if piv != 1:
+            if modulus is None:
+                inv = 1 / piv
+                r = {j: inv * v for j, v in r.items()}
+            else:
                 inv = pow(piv, -1, modulus)
-                prow = rows[r] = {j: inv * v % modulus for j, v in prow.items()}
-        others = [(j, v) for j, v in prow.items() if j != c]
-        for i, ri in enumerate(rows):
-            f = ri.get(c) if i != r else None
-            if f is None:
-                continue
-            del ri[c]
-            for j, v in others:
-                w = ri.get(j)
-                w = -(f * v) if w is None else w - f * v
-                if modulus is not None:
-                    w %= modulus
-                if w:
-                    ri[j] = w
-                else:
-                    del ri[j]
-        pivots.append(c)
-        r += 1
-    return rows, pivots, scale
+                r = {j: inv * v % modulus for j, v in r.items()}
+        others = [(j, v) for j, v in r.items() if j != c]
+        for j, _v in others:
+            holders.setdefault(j, set()).add(c)
+        for p in holders.pop(c, ()):
+            prow = pivot_rows[p]
+            f = prow.pop(c, None)  # None once the entry has cancelled
+            if f is not None:
+                _subtract(prow, f, others, modulus)
+                for j, _v in others:
+                    holders[j].add(p)
+        pivot_rows[c] = r
+        column_of[i] = c
+    pivots = sorted(pivot_rows)
+    if len(rows) == len(pivots) == ncols:
+        # the sign of the permutation, one transposition per swap
+        for k in range(ncols):
+            while column_of[k] != k:
+                t = column_of[k]
+                column_of[k], column_of[t] = column_of[t], t
+                scale = -scale
+    if modulus is not None:
+        scale %= modulus
+    return [pivot_rows[c] for c in pivots], pivots, scale
 
 
 def _sparse(a: ExactMatrix) -> list[dict[int, GaussianRational]]:
@@ -367,13 +389,8 @@ def _left_rows(
     L b is x with the free unknowns at zero.  Without a modulus, ``_echelon``
     eliminates over Q; with one, integer rows are eliminated modulo it.
     """
-    if modulus is not None:
-        rows = [{j: v % modulus for j, v in row.items() if v % modulus} for row in rows]
     augmented = [{**row, n + i: 1} for i, row in enumerate(rows)]
-    if modulus is None:
-        reduced, pivots, _scale = _echelon(augmented)
-    else:
-        reduced, pivots, _scale = _reduce(augmented, modulus)
+    reduced, pivots, _ = _echelon(augmented) if modulus is None else _reduce(augmented, modulus)
     a_pivots = [c for c in pivots if c < n]
     left = [{} for _ in range(n)]
     for c, row in zip(a_pivots, reduced):
@@ -620,34 +637,11 @@ def rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> int:
     Reducing mod p can only lose rank, so the result is at most the rank
     over Q, and ``rank_mod_p(rows, ncols) == ncols`` certifies that the
     matrix has a trivial kernel over Q.  A smaller value proves nothing: the
-    prime may divide a minor that is nonzero over Q.  Rows are eliminated
-    shortest first, which keeps fill-in low on sparse systems, and the
-    elimination stops once every column holds a pivot.  This incremental
-    rank stays apart from ``_reduce``, being 3-5x faster: on the two
-    uniqueness blocks of degree m = 8 / 12 / 16 it took 2.9 ms / 42 ms /
-    0.25 s against 13 ms / 120 ms / 0.83 s for the Gauss-Jordan loop mod p
-    (2 cores, Python 3.11.7).
+    prime may divide a minor that is nonzero over Q.  The rank is the pivot
+    count of ``_reduce`` mod p; columns beyond every entry add no pivot, so
+    ``ncols`` bounds the rank but takes no part in the elimination.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        if len(pivots) == ncols:
-            break
-        r = {c: v % MODULUS for c, v in row.items() if v % MODULUS}
-        while r:
-            c = min(r)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(r[c], -1, MODULUS)
-                pivots[c] = {j: v * inv % MODULUS for j, v in r.items()}
-                break
-            f = r[c]
-            for j, v in prow.items():
-                w = (r.get(j, 0) - f * v) % MODULUS
-                if w:
-                    r[j] = w
-                else:
-                    del r[j]
-    return len(pivots)
+    return len(_reduce(list(rows), MODULUS)[1])
 
 
 def certified_nullspace(rows: Sequence[Mapping[int, int]], ncols: int, what: str) -> list[Vector]:

@@ -39,7 +39,15 @@ def _as_fraction(x) -> Fraction:
 
 
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
+
+    ``*`` by an int, a ``Fraction`` or a real value (``im == 0``) skips the
+    four-product formula, ``+`` adds an int or a real value to the real
+    part alone, and ``inverse`` inverts a real value directly.
+    Every arithmetic result is built by ``_exact``, which skips the
+    ``Fraction`` check of ``__init__``, and ``coerce`` is the one int and
+    ``Fraction`` conversion.
+    """
 
     __slots__ = ("re", "im")
 
@@ -220,7 +228,7 @@ def _exact(re: Fraction, im: Fraction) -> GaussianRational:
 _FRACTION_ZERO = Fraction(0)  # the shared imaginary part of every coerced real
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-HALF = GaussianRational(Fraction(1, 2))
+HALF = GaussianRational(Fraction(1, 2))  # the one 1/2 constant
 I = GaussianRational(0, 1)
 
 

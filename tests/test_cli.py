@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from crflat import GaussianRational, quadratic
+from crflat import GaussianRational, Series, case_tables, quadratic
 from crflat.cli import main
 from crflat.germ import dumps_germ, load_germ
 
@@ -249,6 +249,28 @@ def test_case_oracle_match_and_json():
     assert ["ORACLE_MATCH", "true"] in data
 
 
+def test_case_oracle_mismatch_prints_the_report_and_exits_4(monkeypatch, capsys):
+    reference = case_tables.reference_series
+
+    def off_by_one(case, params):
+        out = reference(case, params)
+        x1 = out["X1"]
+        out["X1"] = x1 + Series(2, x1.trunc, {(2, 0, 0, 0): 1})
+        return out
+
+    monkeypatch.setattr(case_tables, "reference_series", off_by_one)
+    code, out = run_cli("case-oracle", "--case", "1a",
+                        "--params", "a=1; b=1; d=1; u=3/5+4/5 i")
+    assert code == 4
+    assert out == (
+        "CASE 1a\n"
+        "PARAMS a=1; b=1; d=1; u=3/5+4/5 i\n"
+        "ORACLE_MATCH false\n"
+        "DIFF X1 2 0 0 0 engine=0 oracle=1\n"
+    )
+    assert capsys.readouterr().err == "error: engine disagrees with the transcribed expansions\n"
+
+
 def test_environment_does_not_change_the_truncation():
     # CRF_TRUNC_DEFAULT is not read: neither a non-integer nor a truncation
     # too short for the degree-2 series may reach a verb
@@ -274,6 +296,21 @@ def test_exit_codes():
     assert code == 3
     code, _ = run_cli("case-oracle", "--case", "2a", "--params", "a=1; b=1; d=1; tau=1/2")
     assert code == 3  # parameter outside the case constraint
+
+
+def test_exit_codes_of_missing_and_malformed_arguments(capsys):
+    code, out = run_cli("flatten", "--order", "4")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: need a germ file or --batch\n"
+    code, out = run_cli("bishop", fx("parabolic.germ"))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: bishop needs --c and/or --search\n"
+    code, out = run_cli("bishop", fx("parabolic.germ"), "--c", ",")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty direction\n"
+    code, out = run_cli("case-oracle", "--case", "1a", "--params", "a")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: bad parameter assignment 'a'\n"
 
 
 def test_reports_are_deterministic():

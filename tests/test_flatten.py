@@ -29,7 +29,7 @@ from crflat import (
 )
 import crflat.flatten as flatten_mod
 import crflat.linalg as linalg
-from crflat.errors import ConsistencyError, PreconditionError
+from crflat.errors import ConsistencyError, NormalizationError, PreconditionError
 from crflat.flatten import (
     PhiPsiTables,
     _shear_family,
@@ -268,6 +268,25 @@ def test_solve_kernel_respects_flattened_precondition():
     g = q.shear(k)
     with pytest.raises(PreconditionError):
         solve_kernel(g, 4)
+
+
+def test_solve_kernel_refuses_a_degree_out_of_range():
+    q = parabolic_quadric(6)
+    for m in (2, 7):
+        with pytest.raises(PreconditionError, match="^degree out of range for this germ$"):
+            solve_kernel(q, m)
+
+
+def test_solve_kernel_refuses_a_singular_normalization_system(monkeypatch):
+    # the system of degree 5 without its first column: consistent for the
+    # flat quadric (every right-hand side is zero), but with a free unknown
+    unknowns, constraints, mat = flatten_mod._normalization_matrix(5)
+    rows = [{j: v for j, v in row.items() if j} for row in mat.entries]
+    singular = linalg.SparseMatrix(rows, mat.cols)
+    system = (unknowns, constraints, singular)
+    monkeypatch.setattr(flatten_mod, "_normalization_matrix", lambda m: system)
+    with pytest.raises(NormalizationError, match="^normalization system singular at degree 5$"):
+        solve_kernel(parabolic_quadric(8), 5)
 
 
 def test_solve_kernel_side_condition(rng):

@@ -490,12 +490,56 @@ def test_a_corrupted_elimination_fails_the_factor_certificate(monkeypatch, compl
 
 
 def test_sparse_pivot_is_the_shortest_candidate_row():
-    # column 0 is nonzero in both rows; the shorter second row is the pivot
-    # and its swap into place flips the sign of the scale
-    got, pivots, scale = _echelon([{0: 2, 1: 1, 2: 1}, {0: 3}])
+    # column 0 is nonzero in both rows; the shorter second row is taken first
+    # and holds its pivot, the first row that of column 1: the transposition
+    # of the two rows gives the determinant its sign
+    got, pivots, scale = _echelon([{0: 2, 1: 1}, {0: 3}])
     assert pivots == [0, 1]
-    assert got == [{0: 1}, {1: 1, 2: 1}]
-    assert scale == -3
+    assert got == [{0: 1}, {1: 1}]
+    assert scale == -3 == 2 * 0 - 1 * 3
+
+
+def _leibniz(rows):
+    """The determinant of a square matrix by the Leibniz formula, apart from any elimination."""
+    n = len(rows)
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        det += sign * math.prod(rows[i][perm[i]] for i in range(n))
+    return det
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_det_when_the_rows_are_not_taken_in_their_order(n, complex_entries, data):
+    # row i keeps at most its first n - i entries, and the rows are shuffled:
+    # the shortest-first order then permutes them, and with it the pivots
+    part = st.integers(-3, 3)
+    entry = st.builds(G, part, part if complex_entries else st.just(0))
+    rows = []
+    for i in range(n):
+        row = data.draw(st.lists(entry, min_size=n, max_size=n))
+        nonzero = data.draw(st.integers(1, n - i))
+        rows.append([v if j < nonzero else ZERO for j, v in enumerate(row)])
+    rows = data.draw(st.permutations(rows))
+    want = _leibniz(rows)
+    assert ExactMatrix.from_rows(rows).det() == want
+    if not complex_entries:
+        ints = [{j: int(v.re) for j, v in row.items()} for row in sparse(rows)]
+        _got, pivots, scale = _reduce(ints, MODULUS)
+        if len(pivots) == n:
+            assert scale == int(want.re) % MODULUS
+
+
+def test_rank_mod_p_with_columns_beyond_every_entry():
+    # the elimination never sees columns 2..4, so it stops at the pivots of
+    # columns 0 and 1; the rank is still that of the 3 x 5 matrix
+    rows = [{0: 1, 1: 1}, {1: 2}, {0: 3, 1: 3}]
+    dense = ExactMatrix.from_rows([[1, 1, 0, 0, 0], [0, 2, 0, 0, 0], [3, 3, 0, 0, 0]])
+    assert rank_mod_p(rows, 5) == 2 == dense.rank()
+    assert rank_mod_p([{3: 1}, {3: -1}], 6) == 1
+    basis = certified_nullspace(rows, 5, "t")
+    assert basis == sparse_nullspace(rows, 5) and len(basis) == 3
 
 
 def test_sparse_nullspace_accepts_integer_rows():
@@ -587,12 +631,7 @@ def test_the_elimination_mod_a_prime_is_the_image_of_the_exact_one(rows):
     assert scale == image(want_scale)
     n = len(rows)
     if n == len(rows[0]) and len(pivots) == n:
-        # the Leibniz formula, apart from any elimination
-        det = 0
-        for perm in itertools.permutations(range(n)):
-            sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-            det += sign * math.prod(rows[i][perm[i]] for i in range(n))
-        assert scale == det % p
+        assert scale == _leibniz(rows) % p
 
 
 def test_a_prime_that_divides_a_pivot_falls_back_to_exact_elimination(monkeypatch):
