@@ -49,7 +49,7 @@ from .series import (
     Series,
     content_errors,
     format_term_lines,
-    parse_terms,
+    parse_pairs,
     read_records,
     read_text,
     sum_of_products,
@@ -303,7 +303,9 @@ def loads_field(text: str) -> TangentField:
     if nvars != 2:
         raise ParseError("field files are two-variable")
     with content_errors():
-        return TangentField(*(Series(2, order, parse_terms(rows[b], 4)) for b in _FIELD_BLOCKS))
+        return TangentField(
+            *(Series._from_pairs(2, order, *parse_pairs(rows[b], 4)) for b in _FIELD_BLOCKS)
+        )
 
 
 def dumps_field(field: TangentField) -> str:

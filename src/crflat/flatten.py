@@ -68,6 +68,7 @@ from .series import (
     Series,
     _pack,
     _unpack,
+    _unpacked,
     bracket_from_exp,
     exp_from_bracket,
     sum_of_products,
@@ -149,7 +150,12 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
 
 def _imaginary_part(germ: Germ, m: int) -> Series:
     # the degree-m part of Im R; callers have checked the quadric and the degree
-    return germ.R.homogeneous_part(m).re_im()[1]
+    return _read_degree(germ, m).re_im()[1]
+
+
+def _read_degree(germ: Germ, m: int) -> Series:
+    """R_m from its bucket of the germ's packed R (an absent bucket is zero)."""
+    return _unpacked(germ._packed_r(), germ.n, germ.trunc + 1, m)
 
 
 def _require_parabolic(germ: Germ):
@@ -606,7 +612,7 @@ def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
             raise PreconditionError("degree out of range for this germ")
         for d in range(3, m):
             # the degree-d imaginary part vanishes exactly when R_d is real
-            if not source.R.homogeneous_part(d).is_real():
+            if not _read_degree(source, d).is_real():
                 raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
         source = _imaginary_part(source, m)
     elif source.nvars != 2 or not source.is_real() or any(sum(e) != m for e in source.nums):
@@ -747,6 +753,10 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     and is reported as an obstruction certificate.  Each step also records
     whether H satisfies the first-order condition (``_satisfies_condition``);
     a nonzero remainder is read only when R_m is not real after the shear.
+
+    R is packed once and stays packed from shear to shear (``Germ.shear``
+    returns a germ that holds only its packed R); each degree is read from
+    its bucket alone, and the final germ decodes R once, when it is read.
     """
     _require_parabolic(germ)
     if n > germ.trunc:
@@ -767,7 +777,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         current = current.shear(kern)
         kernels[m] = kern
         # the remainder vanishes exactly when R_m is real; it is read only if not
-        if not current.R.homogeneous_part(m).is_real():
+        if not _read_degree(current, m).is_real():
             remainder = HTable(m, series_to_table(_imaginary_part(current, m)))
             steps.append(FlattenStep(m, kern, False, remainder, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)

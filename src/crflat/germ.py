@@ -35,13 +35,17 @@ from .quadratic import QuadraticPair
 from .linalg import ExactMatrix
 from .series import (
     Series,
+    _Packed,
+    _packed,
+    _subst_packed,
+    _template_polys,
+    _unpacked,
     content_errors,
     dumps_series,
     loads_series,
     parse_terms,
     read_records,
     read_text,
-    subst_w,
 )
 
 
@@ -54,9 +58,16 @@ def _unit(width: int, *slots: int) -> tuple[int, ...]:
 
 
 class Germ:
-    """A real codimension-two graph germ w = R(z, zbar), R = O(|z|^2)."""
+    """A real codimension-two graph germ w = R(z, zbar), R = O(|z|^2).
 
-    __slots__ = ("n", "R", "trunc")
+    A germ may also hold R packed with base T + 1 (T = ``trunc``, which no
+    shear changes), all its degrees bucketed: :meth:`shear` packs R once,
+    keeps the packed copy, and returns a germ that holds only its packed
+    result, so a chain of shears never unpacks between two of them.  ``R``
+    is decoded from the packed copy when first read.
+    """
+
+    __slots__ = ("n", "trunc", "_r", "_rp")
 
     def __init__(self, n: int, r: Series):
         if r.nvars != n:
@@ -68,8 +79,35 @@ class Germ:
                 "defining series must vanish to second order at the origin"
             )
         self.n = n
-        self.R = r
         self.trunc = r.trunc
+        self._r = r
+        self._rp = None
+
+    @classmethod
+    def _from_packed(cls, n: int, rp: _Packed) -> "Germ":
+        """The germ of an R packed with base T + 1, all degrees; R is decoded when read."""
+        if rp.low < 2:
+            raise PreconditionError(
+                "defining series must vanish to second order at the origin"
+            )
+        germ = cls.__new__(cls)
+        germ.n = n
+        germ.trunc = rp.trunc
+        germ._r = None
+        germ._rp = rp
+        return germ
+
+    @property
+    def R(self) -> Series:
+        if self._r is None:
+            self._r = _unpacked(self._rp, self.n, self.trunc + 1)
+        return self._r
+
+    def _packed_r(self) -> _Packed:
+        """R packed with base T + 1, all degrees bucketed; packed once per germ."""
+        if self._rp is None:
+            self._rp = _packed(self._r, self.trunc, self.trunc + 1)
+        return self._rp
 
     def __eq__(self, other):
         if not isinstance(other, Germ):
@@ -168,15 +206,19 @@ class Germ:
         return Germ(n, acc)
 
     def shear(self, kernel: "KernelPolynomial") -> "Germ":
-        """Apply w' = w + B(z, w): the new graph is R + B(z, R), truncated."""
+        """Apply w' = w + B(z, w): the new graph is R + B(z, R), truncated.
+
+        This is :func:`subst_w` of the shear's template at R on packed
+        operands: the result stays packed and is decoded only when its R is
+        read.
+        """
         if self.n != 2:
             raise PreconditionError("shears are implemented for two variables")
         if kernel.is_zero():
             return self
-        # w + B(z, w): B holds no pure w term (pinned at weight 2, impossible above)
-        template = kernel.subst_template()
-        template[(0, 0, 0, 0), 1] = 1
-        return Germ(self.n, subst_w(template, self.R))
+        base = self.trunc + 1
+        polys = _template_polys(_shear_template(kernel), 2, self.trunc, base)
+        return Germ._from_packed(2, _subst_packed(polys, self._packed_r()))
 
 
 @dataclass(frozen=True)
@@ -233,6 +275,14 @@ class KernelPolynomial:
 
     def __repr__(self):
         return f"KernelPolynomial(m={self.m}, {dict(self.items())!r})"
+
+
+def _shear_template(kernel: KernelPolynomial) -> dict:
+    """The :func:`subst_w` template of w + B(z, w), the new graph of a shear."""
+    # B holds no pure w term (pinned at weight 2, impossible above)
+    template = kernel.subst_template()
+    template[(0, 0, 0, 0), 1] = 1
+    return template
 
 
 # -- quadric builders ------------------------------------------------------------

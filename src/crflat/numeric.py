@@ -260,16 +260,26 @@ def integer_parts(values: Iterable) -> tuple[int, list[int], list[int]]:
     )
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal ``[+-]?digits(/digits)?`` (whitespace ignored)."""
+def rational_parts(text: str) -> tuple[int, int]:
+    """The integers (num, den) of a rational literal ``[+-]?digits(/digits)?``.
+
+    Whitespace is ignored, and den > 0 is read as written, not reduced.
+    """
     match = _RATIONAL.fullmatch("".join(text.split()))
     try:
         if match:
             num, den = match.groups()
-            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
+            den = 1 if den is None else int(den)
+            if den:
+                return int(num), den
+    except ValueError:  # longer than the interpreter's integer-string limit
         pass
     raise ParseError(f"bad rational literal {text!r}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational literal ``[+-]?digits(/digits)?`` (whitespace ignored)."""
+    return Fraction(*rational_parts(text))
 
 
 def sqrt_fraction(x: Fraction) -> Fraction | None:

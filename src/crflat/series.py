@@ -34,7 +34,10 @@ k_1 p_1 q_1 + ... + k_r p_r q_r with integer weights k_i;
 pair's partial products by k * (D // (den_p * den_q)), D the lcm over all
 pairs, and adds them into one integer (re, im) accumulator per exponent:
 the result over D.  :func:`subst_w` keeps the powers of the substituted
-series packed from one product to the next and unpacks only its sum.
+series packed from one product to the next, and its core
+:func:`_subst_packed` returns the sum packed too, so that a caller holding
+a packed operand (a sheared ``Germ`` holds its R packed) never unpacks
+between substitutions; ``subst_w`` decodes the sum once.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -49,17 +52,34 @@ fewer degrees.
 from __future__ import annotations
 
 import math
-import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError
-from .numeric import GaussianRational, _exact, integer_parts, parse_rational
+from .numeric import GaussianRational, _exact, integer_parts, rational_parts
 
 Exponent = tuple[int, ...]
 Pair = tuple[int, int]
+
+
+def _checked(nvars: int, trunc: int, terms: Mapping[Exponent, object]) -> dict:
+    """The terms by exponent tuple, once the shape and every exponent pass the series checks."""
+    if nvars < 1:
+        raise PreconditionError("need at least one variable")
+    if trunc < -1:
+        raise PreconditionError("negative truncation")
+    width = 2 * nvars
+    clean = {}
+    for e, c in terms.items():
+        e = tuple(e)
+        if len(e) != width or min(e) < 0:
+            raise PreconditionError(f"bad exponent {e} for {nvars} variables")
+        if sum(e) > trunc:
+            raise PreconditionError(f"exponent {e} exceeds truncation {trunc}")
+        clean[e] = c
+    return clean
 
 
 def exp_from_bracket(t: int, s: int, r: int, h: int) -> Exponent:
@@ -89,22 +109,7 @@ class Series:
     __slots__ = ("nvars", "trunc", "den", "nums")
 
     def __init__(self, nvars: int, trunc: int, terms: Mapping[Exponent, object] | None = None):
-        if nvars < 1:
-            raise PreconditionError("need at least one variable")
-        if trunc < -1:
-            raise PreconditionError("negative truncation")
-        clean = {}
-        if terms:
-            width = 2 * nvars
-            for e, c in terms.items():
-                e = tuple(e)
-                if len(e) != width or any(k < 0 for k in e):
-                    raise PreconditionError(f"bad exponent {e} for {nvars} variables")
-                if sum(e) > trunc:
-                    raise PreconditionError(
-                        f"exponent {e} exceeds truncation {trunc}"
-                    )
-                clean[e] = c
+        clean = _checked(nvars, trunc, terms or {})
         # the lcm of reduced denominators shares no factor with all numerators
         den, re_nums, im_nums = integer_parts(clean.values())
         self.nvars = nvars
@@ -147,6 +152,12 @@ class Series:
         s.den = den
         s.nums = nums
         return s
+
+    @staticmethod
+    def _from_pairs(nvars: int, trunc: int, den: int, pairs: Mapping[Exponent, Pair]) -> "Series":
+        """A series from integer pairs over ``den``, checked as the constructor checks terms."""
+        nums = {e: p for e, p in _checked(nvars, trunc, pairs).items() if p[0] or p[1]}
+        return Series.zero(nvars, trunc)._make(den, nums)
 
     # -- inspection ------------------------------------------------------------
 
@@ -491,14 +502,26 @@ def _sum_into(
     return den, acc
 
 
-def _unpacked(acc: Accumulator, base: int, width: int) -> dict[Exponent, Pair]:
-    """The nonzero accumulated pairs by exponent."""
-    return {
-        _unpack(key, base, width): (x, y)
-        for out in acc.values()
-        for key, (x, y) in out.items()
-        if x or y
-    }
+def _decoded(
+    items: Iterable[tuple[int, Sequence[int]]], base: int, width: int
+) -> dict[Exponent, Pair]:
+    """The nonzero pairs of (key, (re, im)) items by exponent.
+
+    The one decoder of packed results: of an accumulator's items and of a
+    packed operand's bucket terms.
+    """
+    return {_unpack(key, base, width): (x, y) for key, (x, y) in items if x or y}
+
+
+def _unpacked(p: _Packed, nvars: int, base: int, degree: int | None = None) -> Series:
+    """A packed operand as a series truncated at its ``trunc``, in lowest terms.
+
+    With ``degree``, only that degree's bucket is read, and an absent bucket
+    is the zero series.
+    """
+    buckets = p.buckets if degree is None else [b for b in p.buckets if b[0] == degree]
+    items = ((key, (x, y)) for _, terms in buckets for key, x, y in terms)
+    return Series.zero(nvars, p.trunc)._make(p.den, _decoded(items, base, 2 * nvars))
 
 
 def sum_of_products(
@@ -534,7 +557,8 @@ def sum_of_products(
     if trunc > least:
         _certify(trunc, ((p, q) for _, p, q in pairs))
     den, acc = _sum_into(pairs, trunc)
-    return first._make(den, _unpacked(acc, base, 2 * first.nvars), trunc)
+    items = chain.from_iterable(out.items() for out in acc.values())
+    return first._make(den, _decoded(items, base, 2 * first.nvars), trunc)
 
 
 def subst_w(
@@ -549,45 +573,66 @@ def subst_w(
     have zero constant term, otherwise the truncation grading would be
     destroyed.
 
-    The value is packed once, with base T + 1, which exceeds every exponent
-    entry of a term of degree <= T.  Each power stays packed in degree
-    buckets from one product to the next: value^j is the square of
-    value^(j/2) for even j (each unordered pair of terms once, the others
-    doubled) and value^(j-1) * value for odd j, and only the powers these
-    steps and the P_j read are formed.  The P_j * value^j then add into one
-    accumulator, the only one that is unpacked.
-
-    Each power is formed only through the degree it is read at, and every
-    product certifies it.  Write s = low(value).  P_j * value^j needs value^j
-    through T - low(P_j); the square needs value^(j/2) through
-    reach_j - (j/2) s, since low(value^(j/2)) = (j/2) s (the lowest part of
-    a power is the power of the lowest part, never zero); value^(j-1) *
-    value needs value^(j-1) through reach_j - s.  Each power is also formed
-    at least through j s - 1, below which it is zero, so a power with no
-    stored term still certifies its square.  Every product checks
-    min(T_p + low(q), T_q + low(p)) against the degree it is asked for, with
-    each low read from the lowest bucket, and raises ``PreconditionError``
-    past it.
+    The P_j and the value are packed once, with base T + 1, which exceeds
+    every exponent entry of a term of degree <= T; :func:`_subst_packed` runs
+    the substitution on the packed operands, and its packed sum is decoded
+    once.
     """
     width = 2 * value.nvars
     if (0,) * width in value.nums:
         raise PreconditionError("substituted series must have zero constant term")
+    trunc = value.trunc
+    base = trunc + 1
+    polys = _template_polys(template, value.nvars, trunc, base)
+    if not polys:
+        return Series.zero(value.nvars, trunc)
+    return _unpacked(_subst_packed(polys, _packed(value, trunc, base)), value.nvars, base)
+
+
+def _template_polys(
+    template: Mapping[tuple[Exponent, int], object], nvars: int, trunc: int, base: int
+) -> dict[int, _Packed]:
+    """The nonzero P_j of a :func:`subst_w` template by w-power j, packed with ``base``.
+
+    Terms above degree ``trunc`` are dropped.
+    """
     parts: dict[int, dict[Exponent, object]] = {}
     for (e, j), c in template.items():
         if j < 0:
             raise PreconditionError("negative w-power in template")
-        if sum(e) <= value.trunc:
+        if sum(e) <= trunc:
             parts.setdefault(j, {})[tuple(e)] = c
-    trunc = value.trunc
-    base = trunc + 1
     polys = {}
     for j, terms in parts.items():
-        p = _packed(Series(value.nvars, trunc, terms), trunc, base)
+        p = _packed(Series(nvars, trunc, terms), trunc, base)
         if p.buckets:
             polys[j] = p
-    if not polys:
-        return Series.zero(value.nvars, trunc)
-    r = _packed(value, trunc, base)
+    return polys
+
+
+def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
+    """The sum of P_j * r^j through r.trunc, packed in lowest terms: the core of :func:`subst_w`.
+
+    ``polys`` holds at least one P_j, and r has no constant term; all share
+    one base.  Each power stays packed in degree buckets from one product to
+    the next: r^j is the square of r^(j/2) for even j (each unordered pair
+    of terms once, the others doubled) and r^(j-1) * r for odd j, and only
+    the powers these steps and the P_j read are formed.  The P_j * r^j then
+    add into one accumulator, brought to lowest terms by :func:`_as_packed`
+    with its zero pairs dropped, so nothing is unpacked here.
+
+    Each power is formed only through the degree it is read at, and every
+    product certifies it.  Write T = r.trunc and s = low(r).  P_j * r^j
+    needs r^j through T - low(P_j); the square needs r^(j/2) through
+    reach_j - (j/2) s, since low(r^(j/2)) = (j/2) s (the lowest part of a
+    power is the power of the lowest part, never zero); r^(j-1) * r needs
+    r^(j-1) through reach_j - s.  Each power is also formed at least through
+    j s - 1, below which it is zero, so a power with no stored term still
+    certifies its square.  Every product checks min(T_p + low(q), T_q +
+    low(p)) against the degree it is asked for, with each low read from the
+    lowest bucket, and raises ``PreconditionError`` past it.
+    """
+    trunc = r.trunc
     step = r.low
     reach: dict[int, int] = {}
     for j in range(max(polys), 0, -1):
@@ -618,7 +663,7 @@ def subst_w(
     products = [(1, p, powers[j]) for j, p in polys.items()]
     _certify(trunc, ((p, q) for _, p, q in products))
     den, acc = _sum_into(products, trunc)
-    return value._make(den, _unpacked(acc, base, width), trunc)
+    return _as_packed(acc, den, trunc)
 
 
 # -- file formats ----------------------------------------------------------------
@@ -632,14 +677,12 @@ def subst_w(
 # irrelevant and duplicate exponents are an error.  A field file also groups
 # its term lines under ``coef <label>`` lines, each label at most once.
 
-_NATURAL = re.compile(r"[0-9]+")
-
 Row = tuple[int, list[str]]
 
 
 def _natural(token: str, lineno: int) -> int:
     try:
-        if _NATURAL.fullmatch(token):
+        if token.isascii() and token.isdigit():
             return int(token)
     except ValueError:  # longer than the interpreter's integer-string limit
         pass
@@ -688,20 +731,31 @@ def read_records(
     return tuple(values[h] for h in headers), rows
 
 
-def parse_terms(rows: Iterable[Row], nints: int) -> dict[tuple[int, ...], GaussianRational]:
-    """Term rows of ``nints`` nonnegative integers and two rationals, as a map."""
-    terms: dict[tuple[int, ...], GaussianRational] = {}
+def parse_pairs(rows: Iterable[Row], nints: int) -> tuple[int, dict[tuple[int, ...], Pair]]:
+    """Term rows of ``nints`` nonnegative integers and two rationals, as integer pairs.
+
+    Returns (D, pairs) with D the lcm of the literals' denominators and
+    pairs[e] = (re, im), re + i im = D c_e; they are not in lowest terms.
+    """
+    raw: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
     for lineno, parts in rows:
         if len(parts) != nints + 2:
             raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
-        key = tuple(_natural(p, lineno) for p in parts[:nints])
-        if key in terms:
+        key = tuple([_natural(p, lineno) for p in parts[:nints]])
+        if key in raw:
             raise ParseError(f"line {lineno}: duplicate exponent {key}")
         try:
-            terms[key] = GaussianRational(parse_rational(parts[nints]), parse_rational(parts[nints + 1]))
+            raw[key] = (*rational_parts(parts[nints]), *rational_parts(parts[nints + 1]))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    return terms
+    den = math.lcm(*{d for _, a, _, b in raw.values() for d in (a, b)})
+    return den, {e: (x * (den // a), y * (den // b)) for e, (x, a, y, b) in raw.items()}
+
+
+def parse_terms(rows: Iterable[Row], nints: int) -> dict[tuple[int, ...], GaussianRational]:
+    """Term rows of ``nints`` nonnegative integers and two rationals, as a map."""
+    den, pairs = parse_pairs(rows, nints)
+    return {e: _coefficient(pair, den) for e, pair in pairs.items()}
 
 
 def read_text(path) -> str:
@@ -735,8 +789,9 @@ def format_term_lines(series: Series) -> list[str]:
 def loads_series(text: str) -> Series:
     """Parse a standalone series file: ``vars n`` / ``order N`` / term lines."""
     (nvars, order), rows = read_records(text, ("vars", "order"))
+    den, pairs = parse_pairs(rows[None], 2 * nvars)
     with content_errors():
-        return Series(nvars, order, parse_terms(rows[None], 2 * nvars))
+        return Series._from_pairs(nvars, order, den, pairs)
 
 
 def dumps_series(series: Series) -> str:

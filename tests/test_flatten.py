@@ -28,9 +28,13 @@ from crflat import (
     uniqueness_nullspace,
 )
 import crflat.flatten as flatten_mod
+import crflat.germ as germ_mod
 import crflat.linalg as linalg
+import crflat.series as series_mod
 from crflat.errors import ConsistencyError, NormalizationError, PreconditionError
 from crflat.flatten import (
+    FlattenReport,
+    FlattenStep,
     PhiPsiTables,
     _shear_family,
     all_brackets,
@@ -38,9 +42,9 @@ from crflat.flatten import (
     series_to_table,
     table_to_series,
 )
-from crflat.germ import load_germ
+from crflat.germ import _shear_template, load_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
-from crflat.series import bracket_from_exp, exp_from_bracket
+from crflat.series import bracket_from_exp, exp_from_bracket, subst_w
 
 from conftest import FIXTURES, rand_gaussian, rand_real_bracket_table
 
@@ -428,6 +432,120 @@ def test_the_driver_builds_a_table_only_for_a_failing_degree(monkeypatch, name, 
         last = rep.steps[-1]
         assert (last.kernel is None) == (name == "sheared_inconsistent")
         assert last.remainder is not None and tables == [rep.obstruction_degree]
+
+
+# -- the packed driver against the public path -----------------------------------------
+
+
+def imaginary_part(germ, m):
+    return germ.R.homogeneous_part(m).re_im()[1]
+
+
+def reference_flatten(germ, n):
+    """The driver's loop on decoded series: ``subst_w`` at R and ``homogeneous_part``."""
+    flatten_mod._require_parabolic(germ)
+    if n > germ.trunc:
+        raise PreconditionError("target order exceeds the germ truncation")
+    current, kernels, steps = germ, {}, []
+    for m in range(3, n + 1):
+        h = imaginary_part(current, m)
+        fund_ok = flatten_mod._satisfies_condition(h)
+        try:
+            kern = solve_kernel(h, m)
+        except NormalizationError as exc:
+            table = HTable(m, series_to_table(h))
+            steps.append(FlattenStep(m, None, None, table, fund_ok, note=str(exc)))
+            return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
+        if not kern.is_zero():
+            current = Germ(2, subst_w(_shear_template(kern), current.R))
+        kernels[m] = kern
+        remainder = imaginary_part(current, m)
+        if not remainder.is_zero():
+            table = HTable(m, series_to_table(remainder))
+            steps.append(FlattenStep(m, kern, False, table, fund_ok))
+            return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
+        steps.append(FlattenStep(m, kern, True, None, fund_ok))
+    return FlattenReport(True, n, kernels, current, steps)
+
+
+def assert_driver_matches_reference(germ, n):
+    try:
+        want = reference_flatten(germ, n)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            flatten_to_order(germ, n)
+        return
+    got = flatten_to_order(germ, n)
+    assert got.kernels == want.kernels
+    assert got.steps == want.steps
+    assert got.final == want.final and got.final.trunc == want.final.trunc
+    assert got == want
+
+
+@st.composite
+def perturbed_sheared_quadrics(draw):
+    """A quadric sheared at weights 3..T <= 12, sometimes plus one term that no shear makes."""
+    trunc = draw(st.integers(3, 12))
+    part = st.integers(-2, 2)
+    g = parabolic_quadric(trunc)
+    for m in range(3, trunc + 1):
+        keys = draw(st.lists(st.sampled_from(kernel_unknowns(m)), max_size=4, unique=True))
+        g = g.shear(KernelPolynomial(m, {key: G(draw(part), draw(part)) for key in keys}))
+    if draw(st.booleans()):
+        d = draw(st.integers(3, trunc))
+        e = draw(st.sampled_from([exp_from_bracket(*idx) for idx in all_brackets(d)]))
+        g = Germ(2, g.R + Series(2, trunc, {e: G(draw(part), draw(part))}))
+    return g, draw(st.integers(3, trunc))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(perturbed_sheared_quadrics())
+def test_flatten_matches_the_public_path_on_drawn_germs(case):
+    germ, n = case
+    assert_driver_matches_reference(germ, n)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.germ")), ids=lambda p: p.stem)
+def test_flatten_matches_the_public_path_on_every_fixture(path):
+    # nongraph fails after its degree-3 shear and sheared_inconsistent before
+    # its degree-6 one, so both failure branches' final germs are compared
+    germ = load_germ(path)
+    assert_driver_matches_reference(germ, min(germ.trunc, 18))
+
+
+def test_flatten_packs_the_germ_once_and_decodes_it_once(rng, monkeypatch):
+    r = sheared_quadric(rng, (3, 4, 5, 7), trunc=8).R
+    want = flatten_to_order(Germ(2, r), 8)  # fills the normalization caches
+    want.final.R  # decoded before the count
+    g = Germ(2, r)  # a germ built from a series holds no packed copy yet
+    packed, decoded = [], []
+    pack, unpack = series_mod._packed, series_mod._unpacked
+
+    def counted_pack(s, cut, base):
+        packed.append(s)
+        return pack(s, cut, base)
+
+    def counted_unpack(p, nvars, base, degree=None):
+        decoded.append(degree)
+        return unpack(p, nvars, base, degree)
+
+    for module in (series_mod, germ_mod):
+        monkeypatch.setattr(module, "_packed", counted_pack)
+    for module in (series_mod, germ_mod, flatten_mod):
+        monkeypatch.setattr(module, "_unpacked", counted_unpack)
+    assert flatten_to_order(g, 8) == want
+    # the germ holds conjugate powers; each shear packs only its template, in z alone
+    assert [s for s in packed if any(e[2] or e[3] for e in s.nums)] == [g.R]
+    assert decoded.count(None) == 1
+    assert set(decoded) == {None, *range(3, 9)}
+
+
+def test_an_absent_bucket_reads_as_the_zero_series():
+    q = parabolic_quadric(6)
+    assert flatten_mod._read_degree(q, 2) == q.R
+    for m in (0, 3, 6):
+        got = flatten_mod._read_degree(q, m)
+        assert got.is_zero() and got.trunc == 6 and got.den == 1
 
 
 def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):

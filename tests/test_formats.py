@@ -159,6 +159,47 @@ def test_field_reader_rejects(text):
         loads_field(text)
 
 
+GERM_HEAD = "vars 2\norder 4\n1 0 1 0 1 0\n"
+
+
+@pytest.mark.parametrize("loads, text, message", [
+    (loads_germ, GERM_HEAD + "1 1 0 0 x 0\n", "line 4: bad rational literal 'x'"),
+    (loads_germ, GERM_HEAD + "1 1 0 0 1 3/0\n", "line 4: bad rational literal '3/0'"),
+    (loads_germ, GERM_HEAD + "1 0 1 0 2 0\n", "line 4: duplicate exponent (1, 0, 1, 0)"),
+    (loads_germ, GERM_HEAD + "1 0 1 0 1\n", "line 4: expected 4 integers and 2 rationals"),
+    (loads_germ, GERM_HEAD + "-1 0 1 0 1 0\n", "line 4: expected a nonnegative integer, got '-1'"),
+    (loads_germ, GERM_HEAD + "\u00b2 0 1 0 1 0\n",
+     "line 4: expected a nonnegative integer, got '\u00b2'"),
+    (loads_germ, GERM_HEAD + "0 0 0 0 0 0\n5 0 0 0 0 0\n3 0 3 0 1 0\n",
+     "exponent (5, 0, 0, 0) exceeds truncation 4"),
+    (loads_germ, "vars 0\norder 4\n1 0\n", "need at least one variable"),
+    (loads_kernel, "weight 3\n2 1 0 1/0 0\n", "line 2: bad rational literal '1/0'"),
+    (loads_kernel, "weight 3\n2 1 0 1 0\n2 1 0 1 0\n", "line 3: duplicate exponent (2, 1, 0)"),
+    (loads_field, "vars 2\norder 3\ncoef z1\n1 0 0 0 a 0\ncoef z2\ncoef w\n",
+     "line 4: bad rational literal 'a'"),
+    (loads_field, "vars 2\norder 3\ncoef z1\n1 0 3 0 1 0\ncoef z2\ncoef w\n",
+     "exponent (1, 0, 3, 0) exceeds truncation 3"),
+])
+def test_term_line_errors_keep_their_line_and_message(loads, text, message):
+    with pytest.raises(ParseError) as info:
+        loads(text)
+    assert str(info.value) == message
+
+
+def test_term_lines_read_as_integer_pairs_equal_the_exact_coefficients():
+    # unreduced literals and mixed denominators: the pairs reach lowest terms
+    text = "vars 1\norder 3\n1 1 2/6 -2/6\n0 2 0 0\n2 0 4/2 1\n0 3 -9/12 5/10\n"
+    want = {(1, 1): GaussianRational(F(1, 3), F(-1, 3)), (2, 0): GaussianRational(2, 1),
+            (0, 3): GaussianRational(F(-3, 4), F(1, 2))}
+    got = loads_series(text)
+    assert got == Series(1, 3, want)
+    assert (got.den, got.nums) == (12, {(1, 1): (4, -4), (2, 0): (24, 12), (0, 3): (-9, 6)})
+    field = loads_field("vars 2\norder 2\ncoef z1\n1 0 1 0 3/9 0\ncoef z2\ncoef w\n")
+    assert field.cf_z1 == Series(2, 2, {(1, 0, 1, 0): F(1, 3)}) and field.cf_w.is_zero()
+    kernel = loads_kernel("weight 3\n2 1 0 2/4 -6/8\n0 1 1 0 0\n")
+    assert kernel.coeffs == {((2, 1), 0): GaussianRational(F(1, 2), F(-3, 4))}
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

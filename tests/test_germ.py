@@ -17,6 +17,8 @@ from crflat import (
     quadric_germ,
 )
 from crflat.errors import ParseError, PreconditionError
+from crflat.germ import _shear_template
+from crflat.series import subst_w
 
 from conftest import (
     rand_gaussian,
@@ -209,6 +211,18 @@ def test_shear_with_w_dependence_feeds_back():
     k = KernelPolynomial(3, {((1, 0), 1): 1})
     z1 = Series.generators(2, 4)[0]
     assert q.shear(k).R == q.R + z1 * q.R
+
+
+def test_chained_shears_stay_packed_until_r_is_read():
+    q = parabolic_quadric(7)
+    kernels = [KernelPolynomial(3, {((1, 0), 1): G(1, 2), ((3, 0), 0): 1}),
+               KernelPolynomial(5, {((1, 0), 2): -1, ((2, 1), 1): G(0, 3)})]
+    want = q.R
+    for k in kernels:  # the same shears on decoded series
+        want = subst_w(_shear_template(k), want)
+    g = q.shear(kernels[0]).shear(kernels[1])
+    assert g._r is None and (g.n, g.trunc) == (2, 7)
+    assert g.R == want and g.R is g.R and g == Germ(2, want)
 
 
 def test_kernel_validation():

@@ -170,7 +170,8 @@ def test_to_literal():
 # -- rank modulo the prime ----------------------------------------------------------
 
 
-def integer_matrices(entries):
+def shaped_matrices(entries):
+    """Integer matrices of 1..5 rows and columns with entries drawn from ``entries``."""
     return st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
         lambda shape: st.lists(
             st.lists(entries, min_size=shape[1], max_size=shape[1]),
@@ -186,7 +187,7 @@ def sparse(rows):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
-    integer_matrices(
+    shaped_matrices(
         st.one_of(
             st.integers(-3, 3),
             st.sampled_from([MODULUS, -MODULUS, 2 * MODULUS, MODULUS + 1, 2**64]),
@@ -198,7 +199,7 @@ def test_rank_mod_p_never_exceeds_the_rational_rank(rows):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(integer_matrices(st.integers(-3, 3)))
+@given(shaped_matrices(st.integers(-3, 3)))
 def test_rank_mod_p_is_the_rational_rank_for_small_entries(rows):
     # every minor of a 5x5 matrix with entries in [-3, 3] is below the prime
     # in absolute value, so no minor vanishes mod p that is nonzero over Q
@@ -215,7 +216,7 @@ def test_rank_mod_p_loses_rank_at_a_multiple_of_the_prime():
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(integer_matrices(st.integers(-3, 3)), st.booleans())
+@given(shaped_matrices(st.integers(-3, 3)), st.booleans())
 def test_certified_nullspace_is_the_exact_nullspace(rows, repeat_column):
     if repeat_column:
         # a repeated column makes the matrix rank-deficient

@@ -1,7 +1,7 @@
 """The composition oracle: the driver's shears, composed, map the input to its final germ.
 
 The flattening driver applies one shear w' = w + B_m(z, w) per weight m to the
-graph R, each through ``Germ.shear``.  Composed first, the same shears are one
+graph R, each through the packed core of ``Germ.shear``.  Composed first, the same shears are one
 holomorphic polynomial Psi(z, w) = f_n o ... o f_3 (w), f_m = w + B_m(z, w),
 and Psi(z, R0) must be the final germ.  Psi is built here by plain dictionary
 arithmetic in (z1, z2, w), truncated at weighted degree T (z of weight 1, w of
