@@ -50,7 +50,7 @@ from .quadratic import (
     is_hermitianizable,
     recognize_pair,
 )
-from .series import format_term_lines, load_series, read_text
+from .series import exp_from_bracket, format_term_lines, load_series, read_text, term_line
 
 DEFAULT_TRUNC = 8
 
@@ -239,7 +239,7 @@ def run_flatten(path: str, args) -> Report:
         rep.add("DEGREE", step.m)
         if step.kernel is not None:
             for (alpha, j), c in step.kernel.items():
-                rep.add("KERNEL_TERM", f"{alpha[0]} {alpha[1]} {j} {c.re} {c.im}")
+                rep.add("KERNEL_TERM", term_line((*alpha, j), c))
             if args.emit:
                 kpath = _write_into(args.emit, f"degree{step.m}.kernel", save_kernel, step.kernel)
                 rep.add("KERNEL_FILE", kpath)
@@ -250,8 +250,8 @@ def run_flatten(path: str, args) -> Report:
         else:
             rep.add("H_NORMALIZED_ZERO", _bool(step.normalized_zero))
         if step.remainder is not None:
-            for (t, s, r, h), c in step.remainder.items():
-                rep.add("H'", f"{s} {t} {h} {r} {c.re} {c.im}")
+            for idx, c in step.remainder.items():
+                rep.add("H'", term_line(exp_from_bracket(*idx), c))
     if result.ok:
         rep.add("FLATTENED_TO", result.reached)
         if args.emit:

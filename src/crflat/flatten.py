@@ -51,8 +51,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     ConsistencyError,
@@ -65,10 +66,10 @@ from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
 from .linalg import SparseMatrix, certified_nullspace, solve
 from .numeric import I, ONE, GaussianRational, ZERO
 from .series import (
+    Exponent,
     Series,
     _pack,
     _unpack,
-    _unpacked,
     bracket_from_exp,
     exp_from_bracket,
     sum_of_products,
@@ -150,12 +151,7 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
 
 def _imaginary_part(germ: Germ, m: int) -> Series:
     # the degree-m part of Im R; callers have checked the quadric and the degree
-    return _read_degree(germ, m).re_im()[1]
-
-
-def _read_degree(germ: Germ, m: int) -> Series:
-    """R_m from its bucket of the germ's packed R (an absent bucket is zero)."""
-    return _unpacked(germ._packed_r(), germ.n, germ.trunc + 1, m)
+    return germ.part(m).re_im()[1]
 
 
 def _require_parabolic(germ: Germ):
@@ -520,16 +516,15 @@ def _shear_family(m: int, base: int) -> Family:
     2 q2 = w1^2 + w2^2.
     """
     unknowns = kernel_unknowns(m)
-    cut = base**4
     family: Family = {}
     for j in range(m // 2, -1, -1):
         family = _w_sum(
             ((1, 1, _w_sum(((1, 1, family),), base)), (1, 2, _w_sum(((1, 2, family),), base))),
             base,
         )
-        for k, ((a1, a2), jk) in enumerate(unknowns):
-            if jk == j:
-                family[k * cut + _pack((a1, a2, 0, 0), base)] = 1
+        # the columns of w-power j are new, so they overlap no key of the sum
+        units = (((a1, a2, 0, 0), {k: 1}) for k, ((a1, a2), jk) in enumerate(unknowns) if jk == j)
+        family.update(_family(units, base))
     return family
 
 
@@ -561,8 +556,8 @@ def _normalization_matrix(m: int) -> tuple:
     rows = []
     for con in constraints:
         e = exp_from_bracket(*con.index)
-        here = by_exponent.get(_pack(e, base), {})
-        there = by_exponent.get(_pack(e[2:] + e[:2], base), {})
+        here = by_exponent.get(e, {})
+        there = by_exponent.get(e[2:] + e[:2], {})
         for part in con.parts:
             sign, shift = (1, 1) if part == "re" else (-1, 0)
             row = {
@@ -605,6 +600,10 @@ def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
     (Re b, Im b), whose right-hand side is read off H at each constraint's
     exponent; uniqueness and consistency are verified by the exact solve,
     and failure raises :class:`NormalizationError`.
+
+    The right-hand side is H's integer numerators, so the solve returns
+    den times the system's solution, a real vector: each entry takes its
+    column scale 2^(j + 1) and the 1/den of H in one exact step.
     """
     if isinstance(source, Germ):
         _require_parabolic(source)
@@ -612,28 +611,25 @@ def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
             raise PreconditionError("degree out of range for this germ")
         for d in range(3, m):
             # the degree-d imaginary part vanishes exactly when R_d is real
-            if not _read_degree(source, d).is_real():
+            if not source.part(d).is_real():
                 raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
         source = _imaginary_part(source, m)
     elif source.nvars != 2 or not source.is_real() or any(sum(e) != m for e in source.nums):
         raise PreconditionError(f"need a real two-variable series homogeneous of degree {m}")
     unknowns, constraints, mat = _normalization_matrix(m)
-    rhs = [-getattr(source.coeff(exp_from_bracket(*c.index)), part)
-           for c in constraints for part in c.parts]
+    # a constraint's parts, (re, im) or (re,), are a prefix of its numerator pair
+    pairs = [source.nums.get(exp_from_bracket(*c.index), (0, 0)) for c in constraints]
+    rhs = [-v for c, pair in zip(constraints, pairs) for v in pair[: len(c.parts)]]
     try:
         sol = solve(mat, rhs)
     except UnderdeterminedSystemError as exc:
         raise NormalizationError(f"normalization system singular at degree {m}") from exc
     except LinearSolveError as exc:
         raise NormalizationError(f"normalization system inconsistent at degree {m}") from exc
-    coeffs = {}
-    for pos, key in enumerate(unknowns):
-        x = sol[2 * pos]
-        y = sol[2 * pos + 1]
-        if x.im or y.im:
-            raise NormalizationError("real solve returned a non-real solution")
-        scale = 2 ** (key[1] + 1)  # the matrix columns hold 2^(j + 1) times b's
-        coeffs[key] = GaussianRational(scale * x.re, scale * y.re)
+    # the matrix columns hold 2^(j + 1) times b's, and the solution den times b's
+    scales = [Fraction(2 ** (j + 1), source.den) for _, j in unknowns]
+    entries = zip(unknowns, scales, sol[::2], sol[1::2])
+    coeffs = {key: GaussianRational(k * x.re, k * y.re) for key, k, x, y in entries}
     return KernelPolynomial(m, coeffs)
 
 
@@ -651,14 +647,30 @@ _W_SLOTS = {1: (0, 2), 2: (1, 3)}
 Family = dict[int, int]
 
 
-def _regroup(family: Family, base: int) -> dict[int, dict[int, int]]:
-    """The family as {exponent key: {column: value}}, one row per exponent."""
+def _family(rows: Iterable[tuple[Exponent, Mapping[int, int]]], base: int) -> Family:
+    """The flat family of rows (exponent, {column: value}), each exponent packed once.
+
+    The one builder of families, the inverse of :func:`_regroup`; zero
+    values are dropped.
+    """
+    cut = base**4
+    family: Family = {}
+    for e, row in rows:
+        key = _pack(e, base)
+        for k, c in row.items():
+            if c:
+                family[k * cut + key] = c
+    return family
+
+
+def _regroup(family: Family, base: int) -> dict[Exponent, dict[int, int]]:
+    """The family as {exponent: {column: value}}, one row per exponent, each decoded once."""
     cut = base**4
     rows: dict[int, dict[int, int]] = {}
     for key, c in family.items():
         k, e = divmod(key, cut)
         rows.setdefault(e, {})[k] = c
-    return rows
+    return {_unpack(key, base, 4): row for key, row in rows.items()}
 
 
 def _derivative(family: Family, slot: int, base: int) -> Family:
@@ -711,14 +723,7 @@ def _satisfies_condition(h: Series) -> bool:
     family's condition is empty.
     """
     base = h.trunc + 2
-    cut = base**4
-    family = {}
-    for e, (x, y) in h.nums.items():
-        key = _pack(e, base)
-        if x:
-            family[key] = x
-        if y:
-            family[key + cut] = y
+    family = _family(((e, {0: x, 1: y}) for e, (x, y) in h.nums.items()), base)
     return not _condition(family, base)
 
 
@@ -777,7 +782,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         current = current.shear(kern)
         kernels[m] = kern
         # the remainder vanishes exactly when R_m is real; it is read only if not
-        if not _read_degree(current, m).is_real():
+        if not current.part(m).is_real():
             remainder = HTable(m, series_to_table(_imaginary_part(current, m)))
             steps.append(FlattenStep(m, kern, False, remainder, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
@@ -808,10 +813,8 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     """
     unknowns = all_brackets(m)
     base = m + 2
-    cut = base**4
-    units = {j * cut + _pack(exp_from_bracket(*idx), base): 1 for j, idx in enumerate(unknowns)}
-    by_exponent = _regroup(_condition(units, base), base)
-    condition = {_unpack(key, base, 4): row for key, row in by_exponent.items()}
+    units = _family(((exp_from_bracket(*idx), {j: 1}) for j, idx in enumerate(unknowns)), base)
+    condition = _regroup(_condition(units, base), base)
     by_bracket = sorted((bracket_from_exp(e), row) for e, row in condition.items())
     # a dense probe table whose entries follow no linear pattern in j
     probe = [pow(3, j, 65521) for j in range(len(unknowns))]

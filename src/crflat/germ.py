@@ -21,7 +21,11 @@ Kernel file::
     weight 3
     2 1 0  0 1          # lines: a1 a2 j  re im   (coefficient of z1^a1 z2^a2 w^j)
 
-Both round-trip byte-stably: writers emit canonical ordering.
+Both round-trip byte-stably: writers emit canonical ordering, each term
+line written by :func:`crflat.series.term_line`.
+
+A germ reads the degree-m part R_m of its R from one bucket of its packed
+R (:meth:`Germ.part`); ``crflat.series`` alone decides the packing base.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .series import (
     parse_terms,
     read_records,
     read_text,
+    term_line,
 )
 
 
@@ -60,11 +65,12 @@ def _unit(width: int, *slots: int) -> tuple[int, ...]:
 class Germ:
     """A real codimension-two graph germ w = R(z, zbar), R = O(|z|^2).
 
-    A germ may also hold R packed with base T + 1 (T = ``trunc``, which no
-    shear changes), all its degrees bucketed: :meth:`shear` packs R once,
-    keeps the packed copy, and returns a germ that holds only its packed
-    result, so a chain of shears never unpacks between two of them.  ``R``
-    is decoded from the packed copy when first read.
+    A germ may also hold R packed through T = ``trunc`` (which no shear
+    changes), all its degrees bucketed: :meth:`shear` packs R once, keeps
+    the packed copy, and returns a germ that holds only its packed result,
+    so a chain of shears never unpacks between two of them.  ``R`` is
+    decoded from the packed copy when first read, and :meth:`part` decodes
+    one degree's bucket alone.
     """
 
     __slots__ = ("n", "trunc", "_r", "_rp")
@@ -85,7 +91,7 @@ class Germ:
 
     @classmethod
     def _from_packed(cls, n: int, rp: _Packed) -> "Germ":
-        """The germ of an R packed with base T + 1, all degrees; R is decoded when read."""
+        """The germ of an R packed through its truncation, all degrees; R is decoded when read."""
         if rp.low < 2:
             raise PreconditionError(
                 "defining series must vanish to second order at the origin"
@@ -100,14 +106,18 @@ class Germ:
     @property
     def R(self) -> Series:
         if self._r is None:
-            self._r = _unpacked(self._rp, self.n, self.trunc + 1)
+            self._r = _unpacked(self._rp, self.n)
         return self._r
 
     def _packed_r(self) -> _Packed:
-        """R packed with base T + 1, all degrees bucketed; packed once per germ."""
+        """R packed through T, all degrees bucketed; packed once per germ."""
         if self._rp is None:
-            self._rp = _packed(self._r, self.trunc, self.trunc + 1)
+            self._rp = _packed(self._r, self.trunc)
         return self._rp
+
+    def part(self, m: int) -> Series:
+        """R_m, read from its bucket of the packed R alone (an absent bucket is zero)."""
+        return _unpacked(self._packed_r(), self.n, m)
 
     def __eq__(self, other):
         if not isinstance(other, Germ):
@@ -216,8 +226,7 @@ class Germ:
             raise PreconditionError("shears are implemented for two variables")
         if kernel.is_zero():
             return self
-        base = self.trunc + 1
-        polys = _template_polys(_shear_template(kernel), 2, self.trunc, base)
+        polys = _template_polys(_shear_template(kernel), 2, self.trunc)
         return Germ._from_packed(2, _subst_packed(polys, self._packed_r()))
 
 
@@ -262,9 +271,6 @@ class KernelPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def subst_template(self) -> dict:
-        return {((a1, a2, 0, 0), j): c for ((a1, a2), j), c in self.coeffs.items()}
-
     def items(self):
         return sorted(self.coeffs.items())
 
@@ -280,7 +286,7 @@ class KernelPolynomial:
 def _shear_template(kernel: KernelPolynomial) -> dict:
     """The :func:`subst_w` template of w + B(z, w), the new graph of a shear."""
     # B holds no pure w term (pinned at weight 2, impossible above)
-    template = kernel.subst_template()
+    template = {((a1, a2, 0, 0), j): c for ((a1, a2), j), c in kernel.coeffs.items()}
     template[(0, 0, 0, 0), 1] = 1
     return template
 
@@ -346,8 +352,7 @@ def loads_kernel(text: str) -> KernelPolynomial:
 
 def dumps_kernel(kernel: KernelPolynomial) -> str:
     lines = [f"weight {kernel.m}"]
-    for (alpha, j), c in kernel.items():
-        lines.append(f"{alpha[0]} {alpha[1]} {j} {c.re} {c.im}")
+    lines.extend(term_line((*alpha, j), c) for (alpha, j), c in kernel.items())
     return "\n".join(lines) + "\n"
 
 

@@ -37,7 +37,13 @@ the result over D.  :func:`subst_w` keeps the powers of the substituted
 series packed from one product to the next, and its core
 :func:`_subst_packed` returns the sum packed too, so that a caller holding
 a packed operand (a sheared ``Germ`` holds its R packed) never unpacks
-between substitutions; ``subst_w`` decodes the sum once.
+between substitutions; ``subst_w`` decodes the sum once.  The base is
+decided here alone: :func:`_packed` packs with base cut + 1 and
+:func:`_unpacked` decodes with base trunc + 1, so a caller passes degrees,
+never a base.
+
+Every term line ``cols... re im``, in the files and in the reports, is
+written by :func:`term_line`.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -399,8 +405,9 @@ class _Packed(NamedTuple):
     buckets: Buckets
 
 
-def _packed(s: Series, cut: int, base: int) -> _Packed:
-    """The series packed with ``base``, its buckets cut at degree ``cut``."""
+def _packed(s: Series, cut: int) -> _Packed:
+    """The series packed with base cut + 1, its buckets cut at degree ``cut``."""
+    base = cut + 1
     buckets: dict[int, list[tuple[int, int, int]]] = {}
     low = s.trunc + 1
     for e, (x, y) in s.nums.items():
@@ -513,15 +520,17 @@ def _decoded(
     return {_unpack(key, base, width): (x, y) for key, (x, y) in items if x or y}
 
 
-def _unpacked(p: _Packed, nvars: int, base: int, degree: int | None = None) -> Series:
+def _unpacked(p: _Packed, nvars: int, degree: int | None = None) -> Series:
     """A packed operand as a series truncated at its ``trunc``, in lowest terms.
 
+    The keys are decoded with base p.trunc + 1: the base of a series packed
+    through its own truncation and of every :func:`_subst_packed` result.
     With ``degree``, only that degree's bucket is read, and an absent bucket
     is the zero series.
     """
     buckets = p.buckets if degree is None else [b for b in p.buckets if b[0] == degree]
     items = ((key, (x, y)) for _, terms in buckets for key, x, y in terms)
-    return Series.zero(nvars, p.trunc)._make(p.den, _decoded(items, base, 2 * nvars))
+    return Series.zero(nvars, p.trunc)._make(p.den, _decoded(items, p.trunc + 1, 2 * nvars))
 
 
 def sum_of_products(
@@ -552,13 +561,12 @@ def sum_of_products(
         trunc = least
     elif trunc < 0:
         raise PreconditionError("negative truncation")
-    base = trunc + 1
-    pairs = [(k, _packed(p, trunc, base), _packed(q, trunc, base)) for k, p, q in terms]
+    pairs = [(k, _packed(p, trunc), _packed(q, trunc)) for k, p, q in terms]
     if trunc > least:
         _certify(trunc, ((p, q) for _, p, q in pairs))
     den, acc = _sum_into(pairs, trunc)
     items = chain.from_iterable(out.items() for out in acc.values())
-    return first._make(den, _decoded(items, base, 2 * first.nvars), trunc)
+    return first._make(den, _decoded(items, trunc + 1, 2 * first.nvars), trunc)
 
 
 def subst_w(
@@ -582,17 +590,16 @@ def subst_w(
     if (0,) * width in value.nums:
         raise PreconditionError("substituted series must have zero constant term")
     trunc = value.trunc
-    base = trunc + 1
-    polys = _template_polys(template, value.nvars, trunc, base)
+    polys = _template_polys(template, value.nvars, trunc)
     if not polys:
         return Series.zero(value.nvars, trunc)
-    return _unpacked(_subst_packed(polys, _packed(value, trunc, base)), value.nvars, base)
+    return _unpacked(_subst_packed(polys, _packed(value, trunc)), value.nvars)
 
 
 def _template_polys(
-    template: Mapping[tuple[Exponent, int], object], nvars: int, trunc: int, base: int
+    template: Mapping[tuple[Exponent, int], object], nvars: int, trunc: int
 ) -> dict[int, _Packed]:
-    """The nonzero P_j of a :func:`subst_w` template by w-power j, packed with ``base``.
+    """The nonzero P_j of a :func:`subst_w` template by w-power j, packed with base trunc + 1.
 
     Terms above degree ``trunc`` are dropped.
     """
@@ -602,12 +609,8 @@ def _template_polys(
             raise PreconditionError("negative w-power in template")
         if sum(e) <= trunc:
             parts.setdefault(j, {})[tuple(e)] = c
-    polys = {}
-    for j, terms in parts.items():
-        p = _packed(Series(nvars, trunc, terms), trunc, base)
-        if p.buckets:
-            polys[j] = p
-    return polys
+    packed = {j: _packed(Series(nvars, trunc, terms), trunc) for j, terms in parts.items()}
+    return {j: p for j, p in packed.items() if p.buckets}
 
 
 def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
@@ -778,12 +781,13 @@ def content_errors():
         raise ParseError(str(exc)) from exc
 
 
+def term_line(cols: Iterable[int], c: GaussianRational) -> str:
+    """The term line ``cols... re im`` of a coefficient: the one writer of term lines."""
+    return " ".join([*map(str, cols), str(c.re), str(c.im)])
+
+
 def format_term_lines(series: Series) -> list[str]:
-    out = []
-    for e, c in series.items():
-        cols = [str(k) for k in e] + [str(c.re), str(c.im)]
-        out.append(" ".join(cols))
-    return out
+    return [term_line(e, c) for e, c in series.items()]
 
 
 def loads_series(text: str) -> Series:

@@ -219,6 +219,33 @@ def test_flatten_reproduces_the_golden_order_18_report(monkeypatch):
     assert out == (FIXTURES / "sheared18.order18.report").read_text()
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("sheared9.order9.kernels",
+         ["flatten", "fixtures/sheared9.germ", "--order", "9", "--emit", "{emit}"]),
+        ("ex31.classify.report", ["classify", "fixtures/ex31.germ"]),
+        ("case_c.jacobian.report", ["jacobian", "fixtures/case_c.germ"]),
+        ("ex33.witness.report",
+         ["witness", "fixtures/ex33.germ", "--field", "fixtures/ex33.field",
+          "--chi", "fixtures/ex33.chi"]),
+        ("parabolic.bishop.report",
+         ["bishop", "fixtures/parabolic.germ", "--c", "1, i", "--search", "6"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_writers_reproduce_their_goldens(monkeypatch, tmp_path, golden, argv):
+    # the emitted kernel files, concatenated in weight order, and the README's
+    # example reports, against their committed copies
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out = run_cli(*(a.format(emit=tmp_path) for a in argv))
+    assert code == 0
+    if "--emit" in argv:
+        kernels = sorted(tmp_path.glob("degree*.kernel"), key=lambda p: int(p.stem[6:]))
+        out = "".join(p.read_text() for p in kernels)
+    assert out == (FIXTURES / golden).read_text()
+
+
 def test_flatten_emit_into_unwritable_path(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a regular file\n")

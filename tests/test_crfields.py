@@ -20,8 +20,9 @@ from crflat import (
 )
 from crflat.errors import PreconditionError
 from crflat.case_tables import germ_for_case
+from crflat.germ import load_germ
 
-from conftest import UNIMODULAR, conj_field, lie_bracket, rand_germ
+from conftest import FIXTURES, UNIMODULAR, conj_field, lie_bracket, rand_germ
 
 G = GaussianRational
 I = G(0, 1)
@@ -292,6 +293,47 @@ def test_obstruction_order_bookkeeping():
         obstruction(g, 7)
     with pytest.raises(PreconditionError):
         obstruction(g, -1)
+
+
+def _with_terms_above_trunc(germ, rng, per_degree=4):
+    """The germ's R plus random terms of degrees T + 1..T + 3, truncated at T + 3."""
+    trunc = germ.trunc
+    terms = germ.R.terms
+    for d in range(trunc + 1, trunc + 4):
+        for _ in range(per_degree):
+            cuts = sorted(rng.randint(0, d) for _ in range(3))
+            e = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], d - cuts[2])
+            terms[e] = G(rng.randint(-3, 3), rng.randint(-3, 3))
+    return Germ(2, Series(2, trunc + 3, terms))
+
+
+def _residual_through(germ, degree):
+    """X1 X2 - Y1 Y2 from the factors through ``degree``, certified through degree + 2."""
+    x1, x2, y1, y2 = obstruction_series(germ, degree)
+    return sum_of_products(((1, x1, x2), (-1, y1, y2)), trunc=degree + 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_ignores_the_terms_above_the_truncation(seed):
+    # case 1a (seed 0) and random germs with a full quadratic part: each has a
+    # nonzero residual, and terms of R above T move none of it through T + 2
+    rng = random.Random(seed)
+    if seed == 0:
+        g = load_germ(FIXTURES / "case_1a.germ")
+    else:
+        g = rand_germ(rng, trunc=7, extra_terms=8)
+    trunc = g.trunc
+    longer = _with_terms_above_trunc(g, rng)
+    for k in range(achievable_order(trunc) + 1):
+        assert obstruction(longer, k).residual == obstruction(g, k).residual
+    want = _residual_through(g, trunc)
+    assert not want.is_zero()
+    assert want.truncate(trunc - 3) == obstruction(g, trunc - 3).residual
+    assert _residual_through(longer, trunc) == want
+    # the bound is sharp: the added terms reach the residual in degree T + 3
+    other = _with_terms_above_trunc(g, random.Random(seed + 100))
+    top = [_residual_through(h, trunc + 1).homogeneous_part(trunc + 3) for h in (longer, other)]
+    assert top[0] != top[1]
 
 
 def test_field_file_roundtrip():
