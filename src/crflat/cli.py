@@ -14,13 +14,22 @@ case-oracle      transcribed reference expansions vs the bracket engine
 
 Exit codes: 0 = verdict computed (negative verdicts included), 2 = parse or
 format error, 3 = precondition violation, 4 = internal consistency failure
-(an oracle mismatch is a bug certificate, not a data error).
+(an oracle mismatch is a bug certificate, not a data error, and its report
+is written before the error line).  Malformed arguments exit 2 too: a
+negative bound, a ``--c`` direction with an empty entry, a ``--params`` name
+given twice.
 
 Reports are plain ``KEY value`` lines with deterministic ordering; ``--json``
-mirrors the same key/value pairs as a JSON array.  ``--batch FILE`` runs one
-verb over many inputs (one path per line), writing each report as soon as
-it is made, in listed order; an error there names its input, as
-``error: <path>: <message>``.
+mirrors the same key/value pairs as a JSON array.  The first six verbs take a
+germ file, or ``--batch FILE`` to run over many inputs (one path per line),
+writing each report as soon as it is made, in listed order; a germ verb's
+report starts with its ``INPUT`` line, and an error in a batch names its
+input, as ``error: <path>: <message>``.  The last two take no germ and write
+one report.
+
+One parser, built at import, serves every call of ``main``: each subparser
+carries its verb's ``run(report, path, args)``, which fills the report that
+``main`` starts.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import os
 import sys
 
 from . import case_tables
-from .crfields import load_field, obstruction, verify_witness
+from .crfields import load_field, obstruction, obstruction_series, verify_witness
 from .errors import (
     ConsistencyError,
     CrflatError,
@@ -101,9 +110,11 @@ def _write_into(directory: str, name: str, save, obj) -> str:
 
 
 def _parse_direction(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    if not text.replace(",", "").strip():
         raise ParseError("empty direction")
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ParseError(f"empty entry in direction {text!r}")
     return tuple(GaussianRational.parse(p) for p in parts)
 
 
@@ -116,17 +127,18 @@ def _parse_params(text: str) -> dict:
         if "=" not in chunk:
             raise ParseError(f"bad parameter assignment {chunk!r}")
         key, val = chunk.split("=", 1)
-        out[key.strip()] = GaussianRational.parse(val)
+        key = key.strip()
+        if key in out:
+            raise ParseError(f"parameter {key!r} given twice")
+        out[key] = GaussianRational.parse(val)
     return out
 
 
 # -- verb implementations -----------------------------------------------------------
 
 
-def run_classify(path: str, args) -> Report:
+def run_classify(rep: Report, path: str, args) -> None:
     germ, pair = _load_pair(path)
-    rep = Report()
-    rep.add("INPUT", path)
     rep.add("VARS", germ.n)
     rep.add("A", pair.A.to_literal())
     rep.add("B", pair.B.to_literal())
@@ -148,14 +160,11 @@ def run_classify(path: str, args) -> Report:
             case, params = rec
             detail = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
             rep.add("RECOGNIZED", f"{case} {detail}".strip())
-    return rep
 
 
-def run_nonminimal(path: str, args) -> Report:
+def run_nonminimal(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
     report = obstruction(germ, args.order)
-    rep = Report()
-    rep.add("INPUT", path)
     rep.add("ORDER", args.order)
     for line in format_term_lines(report.residual):
         rep.add("RESIDUAL_TERM", line)
@@ -164,16 +173,13 @@ def run_nonminimal(path: str, args) -> Report:
     else:
         e, c = report.first_nonzero
         rep.add("FIRST_OBSTRUCTION", f"{_exponent_text(e)} {c}")
-    return rep
 
 
-def run_witness(path: str, args) -> Report:
+def run_witness(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
     field = load_field(args.field)
     chi = load_series(args.chi) if args.chi else None
     w = verify_witness(germ, field, chi)
-    rep = Report()
-    rep.add("INPUT", path)
     parts = [
         f"L(h)={'0' if w.annihilates_h else 'NONZERO'}",
         f"L(conj h)={'0' if w.annihilates_h_conj else 'NONZERO'}",
@@ -182,15 +188,12 @@ def run_witness(path: str, args) -> Report:
         parts.append(f"L(chi)={'0' if w.annihilates_chi else 'NONZERO'}")
     rep.add("WITNESS", " ".join(parts))
     rep.add("ALL_ANNIHILATED", _bool(w.all_true()))
-    return rep
 
 
-def run_bishop(path: str, args) -> Report:
+def run_bishop(rep: Report, path: str, args) -> None:
     if args.c is None and args.search is None:
         raise PreconditionError("bishop needs --c and/or --search")
     germ, pair = _load_pair(path)
-    rep = Report()
-    rep.add("INPUT", path)
     if args.c is not None:
         c = _parse_direction(args.c)
         rep.add("C", ", ".join(str(x) for x in c))
@@ -216,25 +219,19 @@ def run_bishop(path: str, args) -> Report:
                     f"{cand.origin} ({cdesc}) elliptic={_bool(cand.report.elliptic)} "
                     f"lambda_sq={cand.report.lambda_sq}",
                 )
-    return rep
 
 
-def run_jacobian(path: str, args) -> Report:
+def run_jacobian(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
     lin = cr_singular_linearization(germ)
-    rep = Report()
-    rep.add("INPUT", path)
     rep.add("MATRIX", lin.matrix.to_literal())
     rep.add("RANK", lin.rank)
     rep.add("CR_SINGULAR_DIM_BOUND", lin.dim_bound)
-    return rep
 
 
-def run_flatten(path: str, args) -> Report:
+def run_flatten(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
     result = flatten_to_order(germ, args.order)
-    rep = Report()
-    rep.add("INPUT", path)
     for step in result.steps:
         rep.add("DEGREE", step.m)
         if step.kernel is not None:
@@ -258,26 +255,20 @@ def run_flatten(path: str, args) -> Report:
             rep.add("FINAL_GERM", _write_into(args.emit, "final.germ", save_germ, result.final))
     else:
         rep.add("OBSTRUCTION_AT", result.obstruction_degree)
-    return rep
 
 
-def run_unique_check(args) -> Report:
+def run_unique_check(rep: Report, _path, args) -> None:
     dim, _basis = uniqueness_nullspace(args.m)
-    rep = Report()
     rep.add("M", args.m)
     rep.add("NULLSPACE_DIM", dim)
-    return rep
 
 
-def run_case_oracle(args) -> Report:
-    from .crfields import obstruction_series
-
+def run_case_oracle(rep: Report, _path, args) -> None:
     params = _parse_params(args.params or "")
     case = case_tables.normalize_case_id(args.case)
     germ = case_tables.germ_for_case(case, params, trunc=DEFAULT_TRUNC)
     oracle = case_tables.reference_series(case, params)
     engine = dict(zip(("X1", "X2", "Y1", "Y2"), obstruction_series(germ, 2)))
-    rep = Report()
     rep.add("CASE", case)
     rep.add("PARAMS", "; ".join(f"{k}={v}" for k, v in sorted(params.items())))
     mismatches = []
@@ -295,7 +286,6 @@ def run_case_oracle(args) -> Report:
         rep.add("DIFF", f"{name} {_exponent_text(e)} engine={gv} oracle={wv}")
     if mismatches:
         raise OracleMismatch(rep)
-    return rep
 
 
 class OracleMismatch(ConsistencyError):
@@ -319,64 +309,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def add_verb(name, help):
-        return sub.add_parser(name, help=help, parents=[after_verb])
+    def add_verb(name, run, help, germ=True):
+        sp = sub.add_parser(name, help=help, parents=[after_verb])
+        sp.set_defaults(run=run)
+        if germ:
+            sp.add_argument("germ", nargs="?", help="germ file")
+            sp.add_argument("--batch", help="file listing one germ path per line")
+        return sp
 
-    def add_input(sp):
-        sp.add_argument("germ", nargs="?", help="germ file")
-        sp.add_argument("--batch", help="file listing one germ path per line")
+    add_verb("classify", run_classify, help="quadratic-level classification")
 
-    sp = add_verb("classify", help="quadratic-level classification")
-    add_input(sp)
-
-    sp = add_verb("nonminimal-check", help="bracket identity residual")
-    add_input(sp)
+    sp = add_verb("nonminimal-check", run_nonminimal, help="bracket identity residual")
     sp.add_argument("--order", type=int, required=True)
 
-    sp = add_verb("witness", help="verify a tangent-field witness")
-    add_input(sp)
+    sp = add_verb("witness", run_witness, help="verify a tangent-field witness")
     sp.add_argument("--field", required=True)
     sp.add_argument("--chi")
 
-    sp = add_verb("bishop", help="slice invariants and elliptic directions")
-    add_input(sp)
+    sp = add_verb("bishop", run_bishop, help="slice invariants and elliptic directions")
     sp.add_argument("--c", help="direction, e.g. '1, -4/3'")
     sp.add_argument("--search", type=int, nargs="?", const=6, default=None,
                     help="grid-search bound (default 6 when given)")
 
-    sp = add_verb("jacobian", help="CR-singular-locus linearization")
-    add_input(sp)
+    add_verb("jacobian", run_jacobian, help="CR-singular-locus linearization")
 
-    sp = add_verb("flatten", help="order-by-order formal flattening")
-    add_input(sp)
+    sp = add_verb("flatten", run_flatten, help="order-by-order formal flattening")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--emit", help="directory for kernel and final-germ files")
 
-    sp = add_verb("unique-check", help="uniqueness-system kernel dimension")
+    sp = add_verb("unique-check", run_unique_check, germ=False,
+                  help="uniqueness-system kernel dimension")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = add_verb("case-oracle", help="reference expansions vs engine")
+    sp = add_verb("case-oracle", run_case_oracle, germ=False,
+                  help="reference expansions vs engine")
     sp.add_argument("--case", required=True)
     sp.add_argument("--params", help="e.g. 'a=1; b=1; d=1; u=3/5+4/5 i'")
     return p
 
 
-_GERM_VERBS = {
-    "classify": run_classify,
-    "nonminimal-check": run_nonminimal,
-    "witness": run_witness,
-    "bishop": run_bishop,
-    "jacobian": run_jacobian,
-    "flatten": run_flatten,
-}
+PARSER = build_parser()
 
 
 def _emit(report: Report, as_json: bool) -> str:
     return report.json() if as_json else report.text()
 
 
+def _inputs(args) -> list:
+    """The germ paths a verb runs on, one report each; [None] for a verb without a germ."""
+    if "germ" not in args:
+        return [None]
+    if args.batch:
+        return [ln.strip() for ln in read_text(args.batch).splitlines() if ln.strip()]
+    if not args.germ:
+        raise ParseError("need a germ file or --batch")
+    return [args.germ]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     out = sys.stdout
     source = ""  # in a batch, the input an error message names
     try:
@@ -384,30 +375,17 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise ParseError(f"--{flag} needs a nonnegative bound, got {value}")
-        if args.verb == "unique-check":
-            out.write(_emit(run_unique_check(args), args.json))
-            return EXIT_OK
-        if args.verb == "case-oracle":
-            try:
-                out.write(_emit(run_case_oracle(args), args.json))
-                return EXIT_OK
-            except OracleMismatch as exc:
-                out.write(_emit(exc.report, args.json))
-                sys.stderr.write(f"error: {exc}\n")
-                return EXIT_INTERNAL
-        fn = _GERM_VERBS[args.verb]
-        if args.batch:
-            paths = [ln.strip() for ln in read_text(args.batch).splitlines() if ln.strip()]
-            for pth in paths:
-                source = f"{pth}: "
-                out.write(_emit(fn(pth, args), args.json))
-            return EXIT_OK
-        if not args.germ:
-            sys.stderr.write("error: need a germ file or --batch\n")
-            return EXIT_PARSE
-        out.write(_emit(fn(args.germ, args), args.json))
+        for path in _inputs(args):
+            rep = Report()
+            if path is not None:
+                rep.add("INPUT", path)
+                source = f"{path}: " if args.batch else ""
+            args.run(rep, path, args)
+            out.write(_emit(rep, args.json))
         return EXIT_OK
     except CrflatError as exc:
+        if isinstance(exc, OracleMismatch):
+            out.write(_emit(exc.report, args.json))
         sys.stderr.write(f"error: {source}{exc}\n")
         if isinstance(exc, ParseError):
             return EXIT_PARSE

@@ -40,6 +40,7 @@ from .linalg import ExactMatrix
 from .series import (
     Series,
     _Packed,
+    _coefficient,
     _packed,
     _subst_packed,
     _template_polys,
@@ -47,7 +48,7 @@ from .series import (
     content_errors,
     dumps_series,
     loads_series,
-    parse_terms,
+    parse_pairs,
     read_records,
     read_text,
     term_line,
@@ -345,9 +346,11 @@ def save_germ(germ: Germ, path) -> None:
 
 def loads_kernel(text: str) -> KernelPolynomial:
     (weight,), rows = read_records(text, ("weight",))
-    terms = parse_terms(rows[None], 3)
+    den, pairs = parse_pairs(rows[None], 3)
     with content_errors():
-        return KernelPolynomial(weight, {((a1, a2), j): c for (a1, a2, j), c in terms.items()})
+        return KernelPolynomial(
+            weight, {((a1, a2), j): _coefficient(p, den) for (a1, a2, j), p in pairs.items()}
+        )
 
 
 def dumps_kernel(kernel: KernelPolynomial) -> str:

@@ -755,12 +755,6 @@ def parse_pairs(rows: Iterable[Row], nints: int) -> tuple[int, dict[tuple[int, .
     return den, {e: (x * (den // a), y * (den // b)) for e, (x, a, y, b) in raw.items()}
 
 
-def parse_terms(rows: Iterable[Row], nints: int) -> dict[tuple[int, ...], GaussianRational]:
-    """Term rows of ``nints`` nonnegative integers and two rationals, as a map."""
-    den, pairs = parse_pairs(rows, nints)
-    return {e: _coefficient(pair, den) for e, pair in pairs.items()}
-
-
 def read_text(path) -> str:
     """The text of a UTF-8 file; unreadable or undecodable files raise ParseError."""
     try:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -338,6 +339,34 @@ def test_exit_codes_of_missing_and_malformed_arguments(capsys):
     code, out = run_cli("case-oracle", "--case", "1a", "--params", "a")
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: bad parameter assignment 'a'\n"
+    # neither a repeated parameter nor an empty direction entry is dropped quietly
+    code, out = run_cli("case-oracle", "--case", "1a",
+                        "--params", "a=5; a=1; b=1; d=1; u=3/5+4/5 i")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: parameter 'a' given twice\n"
+    code, out = run_cli("bishop", fx("parabolic.germ"), "--c", "1,,i")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty entry in direction '1,,i'\n"
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ("classify", fx("ex31.germ")),
+        ("--json", "jacobian", fx("case_c.germ")),
+        ("unique-check", "--m", "3"),
+        ("case-oracle", "--case", "1a", "--params", "a=1; b=1; d=1; u=3/5+4/5 i"),
+        ("flatten", fx("parabolic.germ"), "--order", "4"),
+    ):
+        assert run_cli(*argv)[0] == 0
+    assert built == []
 
 
 def test_reports_are_deterministic():
