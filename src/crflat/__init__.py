@@ -67,7 +67,6 @@ from .crfields import (
     load_field,
     loads_field,
     dumps_field,
-    save_field,
 )
 from .flatten import (
     AuditReport,

@@ -28,11 +28,19 @@ CASE_IDS = ("1a", "1b", "1c", "2a", "2b", "2c", "2def", "3", "4")
 _TRUNC = 2  # the tables hold quadratic parts only
 
 
-def _req(params, *names):
-    missing = [n for n in names if n not in params]
+def _take(params, *required, optional=()):
+    """A case's parameter values: the ``required`` ones, then the ``optional`` ones (0 if absent).
+
+    A missing required name, or a name the case does not take, is a
+    PreconditionError.
+    """
+    unknown = sorted(set(params) - {*required, *optional})
+    if unknown:
+        raise PreconditionError(f"parameters this case does not take: {', '.join(unknown)}")
+    missing = [n for n in required if n not in params]
     if missing:
         raise PreconditionError(f"missing parameters: {', '.join(missing)}")
-    return [GaussianRational.coerce(params[n]) for n in names]
+    return [GaussianRational.coerce(params.get(n, 0)) for n in (*required, *optional)]
 
 
 def _check(cond: bool, msg: str):
@@ -48,27 +56,21 @@ def _check_tau(tau: GaussianRational):
     _check(tau.is_real() and 0 < tau.re < 1, "tau must be a real number strictly between 0 and 1")
 
 
+def _sample(case_id: str, params: Mapping) -> tuple[str, list[GaussianRational]]:
+    """The family of a case and its validated values: a, b, d, then u or tau.
+
+    The pair and the reference tables of a case are both built from these
+    values, so the germ and its oracle always describe the same sample.
+    """
+    case_id = normalize_case_id(case_id)
+    return case_id[0], _CASES[case_id](params)
+
+
 def pair_for_case(case_id: str, params: Mapping) -> QuadraticPair:
     """The (A, B) normal-form pair of a sampled case."""
-    case_id = normalize_case_id(case_id)
-    p = dict(params)
-    a = GaussianRational.coerce(p.get("a", 0))
-    b = GaussianRational.coerce(p.get("b", 0))
-    d = GaussianRational.coerce(p.get("d", 0))
+    family, (a, b, d, *extra) = _sample(case_id, params)
     amat = ExactMatrix.from_rows([[a, b], [b, d]])
-    if case_id in ("1a", "1b", "1c"):
-        (u,) = _req(p, "u")
-        bmat = ExactMatrix.from_rows([[ONE, ZERO], [ZERO, u]])
-    elif case_id in ("2a", "2b", "2c", "2def"):
-        (tau,) = _req(p, "tau")
-        bmat = ExactMatrix.from_rows([[ZERO, ONE], [tau, ZERO]])
-    elif case_id == "3":
-        bmat = ExactMatrix.from_rows([[ZERO, ONE], [ONE, IU]])
-    elif case_id == "4":
-        bmat = ExactMatrix.from_rows([[ZERO, ONE], [ZERO, ZERO]])
-    else:
-        raise PreconditionError(f"unknown case {case_id!r}")
-    return QuadraticPair(amat, bmat)
+    return QuadraticPair(amat, ExactMatrix.from_rows(_FAMILIES[family][0](*extra)))
 
 
 def germ_for_case(case_id: str, params: Mapping, trunc: int = 8) -> Germ:
@@ -86,9 +88,8 @@ def normalize_case_id(case_id: str) -> str:
 
 def reference_series(case_id: str, params: Mapping) -> dict[str, Series]:
     """Evaluate the reference X1, X2, Y1, Y2 tables at exact parameters."""
-    case_id = normalize_case_id(case_id)
-    fn = _CASE_TABLES[case_id]
-    tables = fn(dict(params))
+    family, values = _sample(case_id, params)
+    tables = _FAMILIES[family][1](*values)
     return {name: Series(2, _TRUNC, tbl) for name, tbl in tables.items()}
 
 
@@ -98,27 +99,27 @@ def reference_series(case_id: str, params: Mapping) -> dict[str, Series]:
 
 
 def _case_1a(params):
-    a, b, d, u = _req(params, "a", "b", "d", "u")
+    a, b, d, u = _take(params, "a", "b", "d", "u")
     _check(a.is_real() and a.re > 0, "a must be real positive")
     _check(d.is_real() and d.re > 0, "d must be real positive")
     _check_unimodular_upper(u)
-    return _family1_tables(a, b, d, u)
+    return [a, b, d, u]
 
 
 def _case_1b(params):
-    b, d, u = _req(params, "b", "d", "u")
+    b, d, u = _take(params, "b", "d", "u")
     _check(b.is_real() and b.re >= 0, "b must be real nonnegative")
     _check(d.is_real() and d.re >= 0, "d must be real nonnegative")
     _check_unimodular_upper(u)
-    return _family1_tables(ZERO, b, d, u)
+    return [ZERO, b, d, u]
 
 
 def _case_1c(params):
-    a, b, u = _req(params, "a", "b", "u")
+    a, b, u = _take(params, "a", "b", "u")
     _check(a.is_real() and a.re > 0, "a must be real positive")
     _check(b.is_real() and b.re >= 0, "b must be real nonnegative")
     _check_unimodular_upper(u)
-    return _family1_tables(a, b, ZERO, u)
+    return [a, b, ZERO, u]
 
 
 def _family1_tables(a, b, d, u):
@@ -181,37 +182,34 @@ def _family1_tables(a, b, d, u):
 
 
 def _case_2a(params):
-    a, b, d, tau = _req(params, "a", "b", "d", "tau")
+    a, b, d, tau = _take(params, "a", "b", "d", "tau")
     _check(b.is_real() and b.re > 0, "b must be real positive")
     _check(a.abs2() == Fraction(1, 4), "a must have modulus 1/2")
     _check_tau(tau)
-    return _family2_tables(a, b, d, tau)
+    return [a, b, d, tau]
 
 
 def _case_2b(params):
-    b, d, tau = _req(params, "b", "d", "tau")
+    b, d, tau = _take(params, "b", "d", "tau")
     _check(b.is_real() and b.re > 0, "b must be real positive")
     _check(d.abs2() == Fraction(1, 4), "d must have modulus 1/2")
     _check_tau(tau)
-    return _family2_tables(ZERO, b, d, tau)
+    return [ZERO, b, d, tau]
 
 
 def _case_2c(params):
-    b, tau = _req(params, "b", "tau")
+    b, tau = _take(params, "b", "tau")
     _check(b.is_real() and b.re > 0, "b must be real positive")
     _check_tau(tau)
-    return _family2_tables(ZERO, b, ZERO, tau)
+    return [ZERO, b, ZERO, tau]
 
 
 def _case_2def(params):
-    p = dict(params)
-    p.setdefault("a", 0)
-    p.setdefault("d", 0)
-    a, d, tau = _req(p, "a", "d", "tau")
+    tau, a, d = _take(params, "tau", optional=("a", "d"))
     _check_tau(tau)
     shape_ok = (a == HALF) or (a.is_zero() and d == HALF) or (a.is_zero() and d.is_zero())
     _check(shape_ok, "need a = 1/2, or a = 0 with d in {1/2, 0}")
-    return _family2_tables(a, ZERO, d, tau)
+    return [a, ZERO, d, tau]
 
 
 def _family2_tables(a, b, d, tau):
@@ -277,13 +275,13 @@ def _family2_tables(a, b, d, tau):
 
 
 def _case_3(params):
-    p = dict(params)
-    p.setdefault("a", 0)
-    p.setdefault("b", 0)
-    p.setdefault("d", 0)
-    a, b, d = _req(p, "a", "b", "d")
+    a, b, d = _take(params, optional=("a", "b", "d"))
     _check(a.is_real() and a.re >= 0, "a must be real nonnegative")
     _check(b.is_real(), "b must be real")
+    return [a, b, d]
+
+
+def _family3_tables(a, b, d):
     ac, dc = a.conj(), d.conj()
     aabs, dabs = a.abs2(), d.abs2()
     bb = b * b
@@ -343,13 +341,13 @@ def _case_3(params):
 
 
 def _case_4(params):
-    p = dict(params)
-    p.setdefault("a", 0)
-    p.setdefault("b", 0)
-    p.setdefault("d", 0)
-    a, b, d = _req(p, "a", "b", "d")
+    a, b, d = _take(params, optional=("a", "b", "d"))
     _check(b.is_real(), "b must be real")
     _check(d.is_real(), "d must be real")
+    return [a, b, d]
+
+
+def _family4_tables(a, b, d):
     ac = a.conj()
     aabs = a.abs2()
     bb = b * b
@@ -389,7 +387,7 @@ def _case_4(params):
     return {"X1": x1, "X2": x2, "Y1": y1, "Y2": y2}
 
 
-_CASE_TABLES = {
+_CASES = {  # each case's reader and checker of its parameters
     "1a": _case_1a,
     "1b": _case_1b,
     "1c": _case_1c,
@@ -399,4 +397,11 @@ _CASE_TABLES = {
     "2def": _case_2def,
     "3": _case_3,
     "4": _case_4,
+}
+
+_FAMILIES = {  # family: (the rows of B from u or tau, the reference tables)
+    "1": (lambda u: [[ONE, ZERO], [ZERO, u]], _family1_tables),
+    "2": (lambda tau: [[ZERO, ONE], [tau, ZERO]], _family2_tables),
+    "3": (lambda: [[ZERO, ONE], [ONE, IU]], _family3_tables),
+    "4": (lambda: [[ZERO, ONE], [ZERO, ZERO]], _family4_tables),
 }

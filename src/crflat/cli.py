@@ -15,9 +15,12 @@ case-oracle      transcribed reference expansions vs the bracket engine
 Exit codes: 0 = verdict computed (negative verdicts included), 2 = parse or
 format error, 3 = precondition violation, 4 = internal consistency failure
 (an oracle mismatch is a bug certificate, not a data error, and its report
-is written before the error line).  Malformed arguments exit 2 too: a
-negative bound, a ``--c`` direction with an empty entry, a ``--params`` name
-given twice.
+is written before the error line).  Malformed arguments exit 2 too:
+an integer option outside the integer grammar of ``crflat.numeric``
+(``--m 1_0``), a negative bound, a literal with a space inside a number
+(``--c "1 2, i"``), a ``--c`` direction with an empty entry, and a
+``--params`` name that is empty or given twice.  A ``--params`` name that
+the case does not take exits 3, as a missing one does.
 
 Reports are plain ``KEY value`` lines with deterministic ordering; ``--json``
 mirrors the same key/value pairs as a JSON array.  The first six verbs take a
@@ -50,7 +53,7 @@ from .errors import (
 )
 from .flatten import flatten_to_order, uniqueness_nullspace
 from .germ import load_germ, save_germ, save_kernel
-from .numeric import GaussianRational
+from .numeric import GaussianRational, integer
 from .quadratic import (
     bishop_slice,
     coarse_b_class,
@@ -118,6 +121,14 @@ def _parse_direction(text: str):
     return tuple(GaussianRational.parse(p) for p in parts)
 
 
+def _integer(text: str) -> int:
+    """An integer option's value; argparse reports a bad one as it reports a non-int (exit 2)."""
+    try:
+        return integer(text)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_params(text: str) -> dict:
     out = {}
     for chunk in text.split(";"):
@@ -128,6 +139,8 @@ def _parse_params(text: str) -> dict:
             raise ParseError(f"bad parameter assignment {chunk!r}")
         key, val = chunk.split("=", 1)
         key = key.strip()
+        if not key:
+            raise ParseError(f"empty parameter name in {chunk!r}")
         if key in out:
             raise ParseError(f"parameter {key!r} given twice")
         out[key] = GaussianRational.parse(val)
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_verb("classify", run_classify, help="quadratic-level classification")
 
     sp = add_verb("nonminimal-check", run_nonminimal, help="bracket identity residual")
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", type=_integer, required=True)
 
     sp = add_verb("witness", run_witness, help="verify a tangent-field witness")
     sp.add_argument("--field", required=True)
@@ -328,18 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_verb("bishop", run_bishop, help="slice invariants and elliptic directions")
     sp.add_argument("--c", help="direction, e.g. '1, -4/3'")
-    sp.add_argument("--search", type=int, nargs="?", const=6, default=None,
+    sp.add_argument("--search", type=_integer, nargs="?", const=6, default=None,
                     help="grid-search bound (default 6 when given)")
 
     add_verb("jacobian", run_jacobian, help="CR-singular-locus linearization")
 
     sp = add_verb("flatten", run_flatten, help="order-by-order formal flattening")
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", type=_integer, required=True)
     sp.add_argument("--emit", help="directory for kernel and final-germ files")
 
     sp = add_verb("unique-check", run_unique_check, germ=False,
                   help="uniqueness-system kernel dimension")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_integer, required=True)
 
     sp = add_verb("case-oracle", run_case_oracle, germ=False,
                   help="reference expansions vs engine")

@@ -318,8 +318,3 @@ def dumps_field(field: TangentField) -> str:
 
 def load_field(path) -> TangentField:
     return loads_field(read_text(path))
-
-
-def save_field(field: TangentField, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_field(field))

@@ -64,7 +64,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError
-from .numeric import GaussianRational, _exact, integer_parts, rational_parts
+from .numeric import GaussianRational, _exact, integer_parts, natural, rational_parts
 
 Exponent = tuple[int, ...]
 Pair = tuple[int, int]
@@ -683,15 +683,6 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 Row = tuple[int, list[str]]
 
 
-def _natural(token: str, lineno: int) -> int:
-    try:
-        if token.isascii() and token.isdigit():
-            return int(token)
-    except ValueError:  # longer than the interpreter's integer-string limit
-        pass
-    raise ParseError(f"line {lineno}: expected a nonnegative integer, got {token!r}")
-
-
 def read_records(
     text: str, headers: Sequence[str], blocks: Sequence[str] = ()
 ) -> tuple[tuple[int, ...], dict[str | None, list[Row]]]:
@@ -716,7 +707,10 @@ def read_records(
                 raise ParseError(f"line {lineno}: expected '{key} <nonnegative integer>'")
             if key in values:
                 raise ParseError(f"line {lineno}: second '{key}' header")
-            values[key] = _natural(parts[1], lineno)
+            try:
+                values[key] = natural(parts[1])
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         elif blocks and key == "coef":
             if len(parts) != 2 or parts[1] not in blocks:
                 raise ParseError(f"line {lineno}: expected 'coef' and one of {', '.join(blocks)}")
@@ -744,10 +738,10 @@ def parse_pairs(rows: Iterable[Row], nints: int) -> tuple[int, dict[tuple[int, .
     for lineno, parts in rows:
         if len(parts) != nints + 2:
             raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
-        key = tuple([_natural(p, lineno) for p in parts[:nints]])
-        if key in raw:
-            raise ParseError(f"line {lineno}: duplicate exponent {key}")
         try:
+            key = tuple(map(natural, parts[:nints]))
+            if key in raw:
+                raise ParseError(f"duplicate exponent {key}")
             raw[key] = (*rational_parts(parts[nints]), *rational_parts(parts[nints + 1]))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None

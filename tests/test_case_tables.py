@@ -109,18 +109,25 @@ def test_family1_subcase_values_match_their_printed_tables():
 
 
 def test_parameter_validation():
-    with pytest.raises(PreconditionError):
-        reference_series("2a", {"a": 1, "b": 1, "d": 1, "tau": F(1, 2)})  # |a| != 1/2
-    with pytest.raises(PreconditionError):
-        reference_series("2a", {"a": F(1, 2), "b": 1, "d": 1, "tau": F(3, 2)})
-    with pytest.raises(PreconditionError):
-        reference_series("1a", {"a": -1, "b": 1, "d": 1, "u": U1})
-    with pytest.raises(PreconditionError):
-        reference_series("1a", {"a": 1, "b": 1, "d": 1, "u": G(1, 1)})  # not unimodular
-    with pytest.raises(PreconditionError):
-        reference_series("4", {"a": 1, "b": I, "d": 1})  # b must be real
-    with pytest.raises(PreconditionError):
-        reference_series("nope", {})
+    # the pair, the germ and the tables all read a case's parameters through
+    # its one checker; 2c pins a and d to zero and 1b pins a, so neither takes a
+    invalid = [
+        ("2a", {"a": 1, "b": 1, "d": 1, "tau": F(1, 2)}, "a must have modulus 1/2"),
+        ("2a", {"a": F(1, 2), "b": 1, "d": 1, "tau": F(3, 2)}, "tau must be a real number"),
+        ("1a", {"a": -1, "b": 1, "d": 1, "u": U1}, "a must be real positive"),
+        ("1a", {"a": 1, "b": 1, "d": 1, "u": G(1, 1)}, "u must be unimodular"),
+        ("1a", {"a": 1, "b": 1, "d": 1}, "missing parameters: u"),
+        ("4", {"a": 1, "b": I, "d": 1}, "b must be real"),
+        ("2c", {"b": -1, "tau": F(1, 2)}, "b must be real positive"),
+        ("2c", {"a": 1, "b": 1, "tau": F(1, 2)}, "does not take: a$"),
+        ("1b", {"a": 1, "b": 1, "d": 1, "u": U1, "zz": 7}, "does not take: a, zz$"),
+        ("3", {"tau": F(1, 2)}, "does not take: tau$"),
+        ("nope", {}, "unknown case 'nope'"),
+    ]
+    for build in (pair_for_case, germ_for_case, reference_series):
+        for case, params, message in invalid:
+            with pytest.raises(PreconditionError, match=message):
+                build(case, params)
 
 
 def test_case_id_normalization():

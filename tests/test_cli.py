@@ -315,7 +315,7 @@ def test_environment_does_not_change_the_truncation():
         assert "ORACLE_MATCH true" in run.stdout
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     code, _ = run_cli("classify", fx("missing.germ"))
     assert code == 2
     code, _ = run_cli("flatten", fx("ex31.germ"), "--order", "4")
@@ -324,6 +324,19 @@ def test_exit_codes():
     assert code == 3
     code, _ = run_cli("case-oracle", "--case", "2a", "--params", "a=1; b=1; d=1; tau=1/2")
     assert code == 3  # parameter outside the case constraint
+    code, _ = run_cli("unique-check", "--m", "-1")
+    assert code == 3  # a degree below the uniqueness range
+    capsys.readouterr()
+    # case 2c pins a and d to zero: neither the germ nor the tables may read a = 1
+    code, out = run_cli("case-oracle", "--case", "2c", "--params", "a=1; b=1; tau=1/2")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: parameters this case does not take: a\n"
+    code, out = run_cli("case-oracle", "--case", "1a",
+                        "--params", "a=1; b=1; d=1; u=3/5+4/5 i; zz=7")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: parameters this case does not take: zz\n"
+    code, out = run_cli("case-oracle", "--case", "2c", "--params", "b=1; tau=1/2")
+    assert code == 0 and "ORACLE_MATCH true" in out
 
 
 def test_exit_codes_of_missing_and_malformed_arguments(capsys):
@@ -347,6 +360,26 @@ def test_exit_codes_of_missing_and_malformed_arguments(capsys):
     code, out = run_cli("bishop", fx("parabolic.germ"), "--c", "1,,i")
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: empty entry in direction '1,,i'\n"
+    # a space never joins the digits of a literal, and a parameter needs a name
+    code, out = run_cli("bishop", fx("parabolic.germ"), "--c", "1 2, i")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: bad Gaussian literal '1 2'\n"
+    code, out = run_cli("case-oracle", "--case", "1a", "--params", "a=1 2; b=1; d=1; u=i")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: bad Gaussian literal '1 2'\n"
+    code, out = run_cli("case-oracle", "--case", "1a",
+                        "--params", "=3; a=1; b=1; d=1; u=3/5+4/5 i")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty parameter name in '=3'\n"
+    # integer options follow the integer grammar; argparse reports them as a non-int
+    for argv in (("unique-check", "--m", "1_0"),
+                 ("flatten", fx("parabolic.germ"), "--order", "\u0663"),
+                 ("bishop", fx("parabolic.germ"), "--search", "1_0")):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
 
 
 def test_the_parser_is_built_once_per_process(monkeypatch):

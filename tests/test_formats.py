@@ -13,7 +13,7 @@ from crflat.cli import main
 from crflat.crfields import TangentField, dumps_field, loads_field
 from crflat.errors import ParseError
 from crflat.germ import Germ, KernelPolynomial, dumps_germ, dumps_kernel, loads_germ, loads_kernel
-from crflat.numeric import GaussianRational, parse_rational
+from crflat.numeric import GaussianRational, integer, natural, rational_parts
 from crflat.series import Series, dumps_series, loads_series
 
 from conftest import FIXTURES
@@ -108,25 +108,30 @@ def test_arbitrary_text_gives_a_value_or_parse_error(fmt):
 
 
 @pytest.mark.parametrize(
-    "text", ["1e5", "0.5", "1_000", "1/-2", "٣", "+-1", "1/", "/2", "1/0", "+/3", "3/", "1.5"]
+    "text", ["1e5", "0.5", "1_000", "1/-2", "٣", "+-1", "1/", "/2", "1/0", "+/3", "3/", "1.5",
+             "1 2", "- 1", "1 /2", "1/ 2"]
 )
 def test_rational_literals_are_strict(text):
-    with pytest.raises(ParseError):
-        parse_rational(text)
+    with pytest.raises(ParseError, match="bad rational literal"):
+        rational_parts(text)
 
 
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer-digit limit"
 )
 def test_a_rational_past_the_integer_digit_limit_is_a_parse_error():
-    with pytest.raises(ParseError):
-        parse_rational("1/" + "9" * (sys.get_int_max_str_digits() + 1))
+    run = "9" * (sys.get_int_max_str_digits() + 1)
+    for read, text in ((rational_parts, "1/" + run), (natural, run), (integer, "-" + run),
+                       (GaussianRational.parse, f"1+{run} i")):
+        with pytest.raises(ParseError):
+            read(text)
 
 
 @settings(derandomize=True, max_examples=200)
 @given(st.fractions())
-def test_parse_rational_reads_back_every_fraction(q):
-    assert parse_rational(str(q)) == q
+def test_rational_parts_reads_back_every_fraction(q):
+    assert F(*rational_parts(str(q))) == q
+    assert F(*rational_parts(f" {q}\t")) == q  # whitespace may surround a literal
 
 
 @pytest.mark.parametrize("text", [

@@ -157,6 +157,10 @@ def test_pow():
         ("2 i", G(0, 2)),
         ("-3/7 i", G(0, F(-3, 7))),
         ("0", ZERO),
+        ("3/5 + 4/5 i", G(F(3, 5), F(4, 5))),
+        (" -i ", -I),
+        ("1 i", I),
+        ("1/2 -\ti", G(F(1, 2), -1)),
     ],
 )
 def test_parse_literals(text, expected):
@@ -171,9 +175,37 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1/0", "x", "1+2", "i i", "1+", "--1"):
-        with pytest.raises(ParseError):
+    # the second row puts whitespace inside a number
+    for bad in ("", "1/0", "x", "1+2", "i i", "1+", "--1",
+                "1 2", "1 2 i", "- 1/2", "1 / 2", "3 /4 i", "1/ 2"):
+        with pytest.raises(ParseError, match="bad Gaussian literal"):
             G.parse(bad)
+
+
+LITERAL_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+spaces = st.sampled_from([" ", "  ", "\t"])
+
+
+@LITERAL_SETTINGS
+@given(st.fractions(), st.fractions(), spaces)
+def test_parse_inverts_str_with_whitespace_around_the_joining_sign(re, im, space):
+    g = G(re, im)
+    text = str(g)
+    assert G.parse(text) == g
+    assert G.parse(space + text + space) == g
+    if g.re and g.im:  # abs(im) is printed, so the last sign is the joining one
+        k = max(text.rfind("+"), text.rfind("-"))
+        assert G.parse(text[:k] + space + text[k] + space + text[k + 1:]) == g
+
+
+@LITERAL_SETTINGS
+@given(st.fractions(), st.fractions())
+def test_a_space_inside_a_digit_run_is_a_parse_error(re, im):
+    text = str(G(re, im))
+    for k in range(1, len(text)):
+        if text[k - 1].isdigit() and text[k].isdigit():
+            with pytest.raises(ParseError):
+                G.parse(text[:k] + " " + text[k:])
 
 
 def test_sqrt_fraction():
