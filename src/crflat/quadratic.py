@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConsistencyError, DegenerateSliceError, PreconditionError
@@ -425,57 +426,74 @@ def _recipe_candidates(pair: QuadraticPair) -> list[DirectionCandidate]:
     return out
 
 
-def _search_grid(bound: int) -> list[Fraction]:
+@lru_cache(maxsize=8)
+def _search_grid(bound: int) -> tuple[Fraction, ...]:
+    """The sorted values p/q with |p| <= bound and 1 <= q <= bound, built once per bound."""
     vals = {Fraction(p, q) for q in range(1, bound + 1) for p in range(-bound, bound + 1)}
-    return sorted(vals)
+    return tuple(sorted(vals))
 
 
-def _abs2_coeffs(p0, p1, p2) -> tuple[Fraction, ...]:
-    """Coefficients in y of |p0 + p1 y + p2 y^2|^2 for real y."""
-
-    def dot(u, v):
-        return u.re * v.re + u.im * v.im
-
-    return (
-        dot(p0, p0),
-        2 * dot(p0, p1),
-        2 * dot(p0, p2) + dot(p1, p1),
-        2 * dot(p1, p2),
-        dot(p2, p2),
+@lru_cache(maxsize=8)
+def _grid_powers(bound: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(p, q, q^2, q^3, q^4) for each value p/q of ``_search_grid(bound)``, in its order."""
+    return tuple(
+        (y.numerator, y.denominator, y.denominator**2, y.denominator**3, y.denominator**4)
+        for y in _search_grid(bound)
     )
 
 
-def _row_quartic(pair: QuadraticPair, x: Fraction) -> list[int]:
-    """Integers f0..f4 with sum f_k y^k a positive multiple of 4|alpha|^2 - |gamma|^2.
+def _abs2(terms) -> list[list[int]]:
+    """Integer coefficients of |P|^2 for real x, y, that of x^j y^k at [k][j].
 
-    alpha and gamma are the slice coefficients along c = (1, x + i y), written
-    as quadratics in y: with s = A01 + A10,
-    alpha = A00 + s x + A11 x^2 + i (s + 2 A11 x) y - A11 y^2 and
-    gamma = B00 + (B01 + B10) x + B11 x^2 + i (B10 - B01) y + B11 y^2.
+    P is the sum of (re + i im) x^j y^k over the terms (j, k, re, im).
     """
-    a, b = pair.A, pair.B
-    s = a.at(0, 1) + a.at(1, 0)
-    alpha = _abs2_coeffs(
-        a.at(0, 0) + (s + a.at(1, 1) * x) * x, I * (s + 2 * a.at(1, 1) * x), -a.at(1, 1)
-    )
-    gamma = _abs2_coeffs(
-        b.at(0, 0) + (b.at(0, 1) + b.at(1, 0) + b.at(1, 1) * x) * x,
-        I * (b.at(1, 0) - b.at(0, 1)),
-        b.at(1, 1),
-    )
-    f = [4 * u - v for u, v in zip(alpha, gamma)]
-    _scale, coeffs, _zero = integer_parts(f)
-    return coeffs
+    out = [[0] * 5 for _ in range(5)]
+    for j, k, re, im in terms:
+        for j2, k2, re2, im2 in terms:
+            out[k + k2][j + j2] += re * re2 + im * im2
+    return out
 
 
-def _first_grid_hit(
-    pair: QuadraticPair, grid: list[Fraction]
-) -> Optional[tuple[Fraction, Fraction]]:
-    """The first (x, y), row by row, with q^4 F_x(p/q) < 0 for y = p/q."""
-    powers = [(y.numerator, y.denominator, y.denominator**2, y.denominator**3, y.denominator**4)
-              for y in grid]
-    for x in grid:
-        f0, f1, f2, f3, f4 = _row_quartic(pair, x)
+def _pair_quartic(pair: QuadraticPair) -> list[list[int]]:
+    """Integers C[k][j] with sum C[k][j] x^j y^k = D^2 (4|alpha|^2 - |gamma|^2).
+
+    alpha and gamma are the slice coefficients along c = (1, x + i y) and
+    D > 0 is the lcm of the denominators of A and B.  With s = A01 + A10,
+    alpha = A00 + s x + i s y + A11 (x^2 - y^2) + 2 i A11 x y and
+    gamma = B00 + (B01 + B10) x + i (B10 - B01) y + B11 (x^2 + y^2).
+    """
+    _d, re, im = integer_parts(m.at(p, q) for m in (pair.A, pair.B) for p in (0, 1) for q in (0, 1))
+    a00, a01, a10, a11, b00, b01, b10, b11 = zip(re, im)
+    sr, si = a01[0] + a10[0], a01[1] + a10[1]
+    tr, ti = a11
+    alpha = _abs2([
+        (0, 0, *a00), (1, 0, sr, si), (0, 1, -si, sr),
+        (2, 0, tr, ti), (0, 2, -tr, -ti), (1, 1, -2 * ti, 2 * tr),
+    ])
+    dr, di = b10[0] - b01[0], b10[1] - b01[1]
+    gamma = _abs2([
+        (0, 0, *b00), (1, 0, b01[0] + b10[0], b01[1] + b10[1]), (0, 1, -di, dr),
+        (2, 0, *b11), (0, 2, *b11),
+    ])
+    return [[4 * u - v for u, v in zip(ra, rg)] for ra, rg in zip(alpha, gamma)]
+
+
+def _first_grid_hit(pair: QuadraticPair, bound: int) -> Optional[tuple[Fraction, Fraction]]:
+    """The first grid point (x, y), row by row, where 4|alpha|^2 - |gamma|^2 < 0.
+
+    Row x = u/v reads the quartic f0 + f1 y + ... + f4 y^4, with
+    f_k = sum_j C[k][j] u^j v^(4-j) = v^4 sum_j C[k][j] x^j, from the pair's
+    integer coefficients C by Horner; each y = p/q of the row is then the
+    sign of sum f_k p^k q^(4-k).  Both scalings are positive, so the signs
+    are those of 4|alpha|^2 - |gamma|^2, and only integers are multiplied.
+    """
+    quartic = _pair_quartic(pair)
+    grid, powers = _search_grid(bound), _grid_powers(bound)
+    for x, (u, v, v2, v3, v4) in zip(grid, powers):
+        f0, f1, f2, f3, f4 = (
+            (((c[4] * u + c[3] * v) * u + c[2] * v2) * u + c[1] * v3) * u + c[0] * v4
+            for c in quartic
+        )
         for y, (p, q, q2, q3, q4) in zip(grid, powers):
             if (((f4 * p + f3 * q) * p + f2 * q2) * p + f1 * q3) * p + f0 * q4 < 0:
                 return x, y
@@ -491,22 +509,23 @@ def elliptic_candidates(pair: QuadraticPair, search_bound: int) -> list[Directio
     verdict is scale-invariant.  The first elliptic direction found is
     appended; an empty result means the search exhausted the grid.
 
-    The grid is scanned row by row without a slice per point.  For each x,
-    F_x(y) = 4|alpha|^2 - |gamma|^2 along (1, x + i y) is a real quartic in
-    y; scaled by the positive lcm of its denominators it has integer
-    coefficients f0..f4, and at y = p/q the sign of
-    q^4 F_x(p/q) = sum f_k p^k q^(4-k) is found by integer Horner.  The slice
-    is elliptic exactly when F_x(y) < 0: that is the slice test itself, and
-    it implies gamma != 0, because gamma = 0 gives F_x(y) >= 0.  So every
-    verdict and the scan order equal those of a slice per point.  The first
-    hit is re-checked with ``bishop_slice``, whose report is the one
-    appended; a hit that the slice does not confirm raises
-    ``ConsistencyError``.
+    The grid is scanned row by row without a slice per point.  Along
+    (1, x + i y), F(x, y) = 4|alpha|^2 - |gamma|^2 is one real polynomial
+    of degree at most 4 in each of x and y; its integer coefficients are
+    built once per pair (A and B over their common denominator), and each
+    row and point is an integer Horner evaluation of a positive multiple of
+    F (see ``_first_grid_hit``).  The slice is elliptic exactly when
+    F(x, y) < 0: that is the slice test itself, and it implies gamma != 0,
+    because gamma = 0 gives F >= 0.  So every verdict and the scan order
+    equal those of a slice per point.  The sorted grid and its powers are
+    built once per bound and process.  The first hit is re-checked with
+    ``bishop_slice``, whose report is the one appended; a hit that the
+    slice does not confirm raises ``ConsistencyError``.
     """
     if pair.n != 2:
         raise PreconditionError("candidate search is for two variables")
     out = _recipe_candidates(pair)
-    hit = _first_grid_hit(pair, _search_grid(search_bound))
+    hit = _first_grid_hit(pair, search_bound)
     if hit is not None:
         c = (ONE, GaussianRational(*hit))
         rep = _try_slice(pair, c)

@@ -362,6 +362,66 @@ def test_grid_scan_hand_made_cases():
     assert elliptic_candidates(p0, 4) == _brute_candidates(p0, 4) == []
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_PAIRS)
+def test_pair_quartic_is_a_positive_multiple_of_the_slice_test(p0):
+    quartic = quadratic._pair_quartic(p0)
+    grid = quadratic._search_grid(3)
+    ratios = set()
+    for x in grid:
+        row = [sum(ckj * x**j for j, ckj in enumerate(ck)) for ck in quartic]
+        for y in grid:
+            c = (G(1), G(x, y))
+            alpha = gamma = G(0)
+            for i in range(2):
+                for j in range(2):
+                    alpha = alpha + p0.A.at(i, j) * c[i] * c[j]
+                    gamma = gamma + p0.B.at(i, j) * c[i] * c[j].conj()
+            f = 4 * alpha.abs2() - gamma.abs2()
+            value = sum(fk * y**k for k, fk in enumerate(row))
+            assert (value == 0) == (f == 0)
+            if f:
+                ratios.add(value / f)
+    assert len(ratios) <= 1 and all(k > 0 for k in ratios)
+
+
+def _elliptic_disc(w0, a11, b_rows):
+    """alpha = a11 (w - w0)^2 along (1, w): elliptic only in a small disc about w0."""
+    return pair([[a11 * w0 * w0, -a11 * w0], [-a11 * w0, a11]], b_rows)
+
+
+def test_grid_scan_matches_a_slice_per_point_at_bound_8():
+    # first hits in rows of denominators 7, 8 and 5, which no bound below 5 has
+    cases = [
+        (_elliptic_disc(G(F(-3, 7), F(2, 5)), 1000, [[1, 0], [0, 0]]), G(F(-3, 7), F(2, 5))),
+        (_elliptic_disc(G(F(-7, 8), F(-5, 6)), 2000, [[2, I], [-I, 3]]), G(F(-7, 8), F(-6, 7))),
+        (_elliptic_disc(G(F(-4, 5), F(1, 6)), G(300, 400), [[1, 0], [0, 0]]), G(F(-4, 5), F(1, 7))),
+        (pair([[1, 0], [0, 1]], [[1, 0], [0, -1]]), None),  # exhausts the grid
+    ]
+    for p0, hit in cases:
+        got = elliptic_candidates(p0, 8)
+        assert [c.direction for c in got] == ([(G(1), hit)] if hit else [])
+        assert got == _brute_candidates(p0, 8)
+
+
+def test_grid_scan_does_no_gaussian_arithmetic_per_row(monkeypatch):
+    calls = []
+    real = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    p0 = pair([[1, 0], [0, 1]], [[1, 0], [0, -1]])
+    counts = []
+    for bound in (4, 16):
+        calls.clear()
+        elliptic_candidates(p0, bound)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_grid_scan_slices_only_recipes_and_the_hit(monkeypatch):
     calls = []
     real = quadratic.bishop_slice
