@@ -18,11 +18,17 @@ non-minimal structure exists; the converse direction is not decided here.
 
 Each lambda, Gamma, X and Y above, and the residual, is a short sum of
 series products with weights +-1 (Gamma_4..Gamma_6 are L(lambda) +- T(.),
-six products), and each is computed by one call of
-:func:`crflat.series.sum_of_products`.  X1..Y2 read eight of the twelve
-families, and those need only A and B, so the obstruction forms neither
-C nor lambda_3, lambda_6, Gamma_3 and Gamma_6; :func:`bracket_data`
-returns all twelve from the same code.
+six products).  The obstruction runs as one packed chain: the germ's R is
+packed once, with base trunc + 1 (every term the chain keeps has degree
+<= trunc, so no key sum carries), A and B are its packed conjugate's
+derivatives, and every family, factor and the residual is one call of the
+packed product core :func:`crflat.series._sum_of_packed` on packed
+derivatives and conjugates; only the residual is decoded.  X1..Y2 read
+eight of the twelve families, and those need only A and B, so the
+obstruction forms neither C nor lambda_3, lambda_6, Gamma_3 and Gamma_6;
+:func:`bracket_data` returns all twelve from the same code, with C packed
+at R's base, and decodes them, as :func:`obstruction_series` decodes its
+four factors.
 
 Demand schedule.  R starts in degree 2, so A, B, each lambda and each
 Gamma start in degree 1 and each of X1..Y2 in degree 2.  The residual
@@ -47,6 +53,12 @@ from .germ import Germ
 from .numeric import GaussianRational
 from .series import (
     Series,
+    _Packed,
+    _packed,
+    _packed_conj,
+    _packed_diff,
+    _sum_of_packed,
+    _unpacked,
     content_errors,
     format_term_lines,
     parse_pairs,
@@ -154,61 +166,71 @@ def bracket_data(germ: Germ, degree: int | None = None) -> BracketData:
     if germ.n != 2:
         raise PreconditionError("bracket calculus needs two variables")
     f = build_canonical_field(germ)
-    return BracketData(**_families(f.cf_z1, -f.cf_z2, degree, f.cf_w), field=f)
+    families = _families(*_field_ab(germ), degree, _packed(f.cf_w, germ.trunc))
+    return BracketData(**{k: _unpacked(p, 2) for k, p in families.items()}, field=f)
 
 
-def _families(a: Series, b: Series, degree: int | None, c: Series | None = None) -> dict:
-    """The lambda and Gamma families of L = A d/dz1 - B d/dz2 + C d/dw, by name.
+def _field_ab(germ: Germ) -> tuple[_Packed, _Packed]:
+    """The field's A = d(conj R)/dz2 and B = d(conj R)/dz1 (see
+    :func:`build_canonical_field`), from the germ's packed R."""
+    rbar = _packed_conj(germ._packed_r(), 2)
+    return _packed_diff(rbar, 1), _packed_diff(rbar, 0)
 
-    L acts on functions of (z, zbar) through A and B alone, so C enters only
-    lambda_3, lambda_6, Gamma_3 and Gamma_6; without ``c`` those four are
-    skipped and the other eight returned.
+
+def _families(a: _Packed, b: _Packed, degree: int | None, c: _Packed | None = None) -> dict:
+    """The lambda and Gamma families of L = A d/dz1 - B d/dz2 + C d/dw, by name, packed.
+
+    The operands share one base.  L acts on functions of (z, zbar) through A
+    and B alone, so C enters only lambda_3, lambda_6, Gamma_3 and Gamma_6;
+    without ``c`` those four are skipped and the other eight returned.
     """
-    ab, bb = a.conj(), b.conj()
+    ab, bb = _packed_conj(a, 2), _packed_conj(b, 2)
+
+    def grad(s: _Packed, slots: int = 2) -> list:
+        return [_packed_diff(s, k) for k in range(slots)]
+
+    # the derivatives of A and B (and C) are read twice, so they are formed once
+    da, db = grad(a, 4), grad(b, 4)
 
     # each helper returns the (weight, factor, factor) pairs of k times the
-    # operator applied to s, so every coefficient is one sum of products
-    def L(s: Series, k: int = 1) -> list:
-        return [(k, a, s.dz(1)), (-k, b, s.dz(2))]
+    # operator applied to s, given s's derivatives ds, so every coefficient is
+    # one sum of products
+    def L(ds: list, k: int = 1) -> list:
+        return [(k, a, ds[0]), (-k, b, ds[1])]
 
-    def Lbar(s: Series, k: int) -> list:
-        return [(k, ab, s.dzbar(1)), (-k, bb, s.dzbar(2))]
+    def Lbar(ds: list, k: int) -> list:
+        return [(k, ab, ds[2]), (-k, bb, ds[3])]
+
+    def family(pairs: list) -> _Packed:
+        return _sum_of_packed(pairs, degree)
 
     out = {}
-    lam1 = out["lambda1"] = sum_of_products(L(ab), trunc=degree)
-    lam2 = out["lambda2"] = sum_of_products(L(bb, -1), trunc=degree)
-    lam4 = out["lambda4"] = sum_of_products(Lbar(a, -1), trunc=degree)
-    lam5 = out["lambda5"] = sum_of_products(Lbar(b, 1), trunc=degree)
+    lam1 = out["lambda1"] = family(L(grad(ab)))
+    lam2 = out["lambda2"] = family(L(grad(bb), -1))
+    lam4 = out["lambda4"] = family(Lbar(da, -1))
+    lam5 = out["lambda5"] = family(Lbar(db, 1))
 
-    def T(s: Series, k: int) -> list:
-        return [
-            (k, lam1, s.dzbar(1)),
-            (k, lam2, s.dzbar(2)),
-            (k, lam4, s.dz(1)),
-            (k, lam5, s.dz(2)),
-        ]
+    def T(ds: list, k: int) -> list:
+        return [(k, lam1, ds[2]), (k, lam2, ds[3]), (k, lam4, ds[0]), (k, lam5, ds[1])]
 
-    out["gamma1"] = sum_of_products(L(lam1), trunc=degree)
-    out["gamma2"] = sum_of_products(L(lam2), trunc=degree)
-    out["gamma4"] = sum_of_products(L(lam4) + T(a, -1), trunc=degree)
-    out["gamma5"] = sum_of_products(L(lam5) + T(b, 1), trunc=degree)
+    out["gamma1"] = family(L(grad(lam1)))
+    out["gamma2"] = family(L(grad(lam2)))
+    out["gamma4"] = family(L(grad(lam4)) + T(da, -1))
+    out["gamma5"] = family(L(grad(lam5)) + T(db, 1))
     if c is not None:
-        lam3 = out["lambda3"] = sum_of_products(L(c.conj()), trunc=degree)
-        lam6 = out["lambda6"] = sum_of_products(Lbar(c, -1), trunc=degree)
-        out["gamma3"] = sum_of_products(L(lam3), trunc=degree)
-        out["gamma6"] = sum_of_products(L(lam6) + T(c, -1), trunc=degree)
+        dc = grad(c, 4)
+        lam3 = out["lambda3"] = family(L(grad(_packed_conj(c, 2))))
+        lam6 = out["lambda6"] = family(Lbar(dc, -1))
+        out["gamma3"] = family(L(grad(lam3)))
+        out["gamma6"] = family(L(grad(lam6)) + T(dc, -1))
     return out
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """The four factors and their residual; ``first_nonzero`` is the residual's
+    """The residual X1 X2 - Y1 Y2 through ``order``; ``first_nonzero`` is its
     graded-lex least term as (exponent (s, t, h, r), coefficient), or None."""
 
-    x1: Series
-    x2: Series
-    y1: Series
-    y2: Series
     residual: Series
     order: int
     first_nonzero: Optional[tuple[tuple[int, int, int, int], GaussianRational]]
@@ -231,6 +253,19 @@ def achievable_order(trunc: int) -> int:
     return trunc - 3
 
 
+def _factors(germ: Germ, degree: int | None) -> tuple[_Packed, _Packed, _Packed, _Packed]:
+    """X1, X2, Y1 and Y2 packed, through ``degree`` (see :func:`obstruction_series`)."""
+    a, b = _field_ab(germ)
+    d = _families(a, b, None if degree is None else max(degree - 1, 0))
+    ab, bb = _packed_conj(a, 2), _packed_conj(b, 2)
+    return (
+        _sum_of_packed(((1, bb, d["gamma1"]), (1, ab, d["gamma2"])), degree),
+        _sum_of_packed(((1, d["lambda4"], b), (1, d["lambda5"], a)), degree),
+        _sum_of_packed(((1, b, d["gamma4"]), (1, a, d["gamma5"])), degree),
+        _sum_of_packed(((1, d["lambda1"], bb), (1, d["lambda2"], ab)), degree),
+    )
+
+
 def obstruction_series(
     germ: Germ, degree: int | None = None
 ) -> tuple[Series, Series, Series, Series]:
@@ -244,15 +279,7 @@ def obstruction_series(
     """
     if germ.n != 2:
         raise PreconditionError("bracket calculus needs two variables")
-    rbar = germ.R.conj()
-    a, b = rbar.dz(2), rbar.dz(1)  # the field's A and B (see build_canonical_field)
-    d = _families(a, b, None if degree is None else max(degree - 1, 0))
-    ab, bb = a.conj(), b.conj()
-    x1 = sum_of_products(((1, bb, d["gamma1"]), (1, ab, d["gamma2"])), trunc=degree)
-    x2 = sum_of_products(((1, d["lambda4"], b), (1, d["lambda5"], a)), trunc=degree)
-    y1 = sum_of_products(((1, b, d["gamma4"]), (1, a, d["gamma5"])), trunc=degree)
-    y2 = sum_of_products(((1, d["lambda1"], bb), (1, d["lambda2"], ab)), trunc=degree)
-    return x1, x2, y1, y2
+    return tuple(_unpacked(p, 2) for p in _factors(germ, degree))
 
 
 def obstruction(germ: Germ, order: int) -> ObstructionReport:
@@ -260,8 +287,8 @@ def obstruction(germ: Germ, order: int) -> ObstructionReport:
 
     A vanishing residual is necessary for CR non-minimality near the origin;
     the first nonzero term (graded-lex least) is a certified obstruction.
-    The reported factors X1..Y2 are exact through max(order, 4) - 2, all
-    the residual reads.
+    The factors X1..Y2 are formed through max(order, 4) - 2, all the
+    residual reads, and only the residual is decoded.
     """
     if germ.n != 2:
         raise PreconditionError("obstruction calculus needs two variables")
@@ -276,10 +303,9 @@ def obstruction(germ: Germ, order: int) -> ObstructionReport:
     # X1..Y2 start in degree 2, so the residual through order reads them
     # through order - 2; asking at least degree 2 lets their truncation show
     # where they start, which is what certifies the residual's truncation
-    x1, x2, y1, y2 = obstruction_series(germ, max(order, 4) - 2)
-    residual = sum_of_products(((1, x1, x2), (-1, y1, y2)), trunc=order)
-    first = next(residual.items(), None)
-    return ObstructionReport(x1, x2, y1, y2, residual, order, first)
+    x1, x2, y1, y2 = _factors(germ, max(order, 4) - 2)
+    residual = _unpacked(_sum_of_packed(((1, x1, x2), (-1, y1, y2)), order), 2)
+    return ObstructionReport(residual, order, next(residual.items(), None))
 
 
 # -- field file format -----------------------------------------------------------

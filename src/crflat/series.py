@@ -26,24 +26,30 @@ brings its result to the canonical denominator.  ``coeff``, ``items`` and
 the read-only ``terms`` view build ``GaussianRational`` values on demand.
 
 Every product runs on packed operands: the integer pairs of degree <= the
-result truncation T, each exponent packed into one integer key in base
-T + 1 and bucketed by degree, so that a row of buckets stops once the
+result truncation T, each exponent packed into one integer key in a base
+above T and bucketed by degree, so that a row of buckets stops once the
 degrees sum past T.  :func:`sum_of_products` returns a sum
 k_1 p_1 q_1 + ... + k_r p_r q_r with integer weights k_i;
-:meth:`Series.__mul__` is its one-pair call.  It scales a
-pair's partial products by k * (D // (den_p * den_q)), D the lcm over all
-pairs, and adds them into one integer (re, im) accumulator per exponent:
-the result over D.  :func:`subst_w` keeps the powers of the substituted
-series packed from one product to the next, and its core
-:func:`_subst_packed` returns the sum packed too, so that a caller holding
-a packed operand (a sheared ``Germ`` holds its R packed) never unpacks
-between substitutions; ``subst_w`` decodes the sum once.  The base is
-decided here alone: :func:`_packed` packs with base cut + 1 and
-:func:`_unpacked` decodes with base trunc + 1, so a caller passes degrees,
-never a base.
+:meth:`Series.__mul__` is its one-pair call.  It packs its operands with
+base T + 1, and its packed core :func:`_sum_of_packed` scales a pair's
+partial products by k * (D // (den_p * den_q)), D the lcm over all pairs,
+and adds them into one integer (re, im) accumulator per exponent: the
+result over D, returned packed and decoded once.  :func:`_packed_diff` and
+:func:`_packed_conj` differentiate and conjugate packed keys, so a caller
+holding packed operands (the obstruction chain of ``crflat.crfields``)
+multiplies, differentiates and conjugates without unpacking between steps.
+:func:`subst_w` keeps the powers of the substituted series packed from one
+product to the next, and its core :func:`_subst_packed` returns the sum
+packed too, so that a caller holding a packed operand (a sheared ``Germ``
+holds its R packed) never unpacks between substitutions; ``subst_w``
+decodes the sum once.  The base is decided here alone: :func:`_packed`
+packs with base cut + 1, every packed operand carries its base to the
+results formed from it, and :func:`_unpacked` decodes with the operand's
+base, so a caller passes degrees, never a base.
 
 Every term line ``cols... re im``, in the files and in the reports, is
-written by :func:`term_line`.
+written by :func:`term_line`; :func:`format_term_lines` prints each
+coefficient straight from its integer pair over ``den``.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -146,24 +152,29 @@ class Series:
         """All 2n generators: (z1, .., zn, zb1, .., zbn)."""
         return tuple(Series.variable(nvars, trunc, k) for k in range(2 * nvars))
 
-    def _make(self, den: int, nums: dict[Exponent, Pair], trunc: int | None = None) -> "Series":
-        """A series in the same variables from nonzero pairs over ``den``, in lowest terms."""
+    @staticmethod
+    def _canonical(nvars: int, trunc: int, den: int, nums: dict[Exponent, Pair]) -> "Series":
+        """A series from nonzero pairs over ``den``, in lowest terms; nothing is checked."""
         g = math.gcd(den, *chain.from_iterable(nums.values()))
         if g != 1:
             den //= g
             nums = {e: (x // g, y // g) for e, (x, y) in nums.items()}
         s = Series.__new__(Series)
-        s.nvars = self.nvars
-        s.trunc = self.trunc if trunc is None else trunc
+        s.nvars = nvars
+        s.trunc = trunc
         s.den = den
         s.nums = nums
         return s
+
+    def _make(self, den: int, nums: dict[Exponent, Pair], trunc: int | None = None) -> "Series":
+        """A series in the same variables from nonzero pairs over ``den``, in lowest terms."""
+        return Series._canonical(self.nvars, self.trunc if trunc is None else trunc, den, nums)
 
     @staticmethod
     def _from_pairs(nvars: int, trunc: int, den: int, pairs: Mapping[Exponent, Pair]) -> "Series":
         """A series from integer pairs over ``den``, checked as the constructor checks terms."""
         nums = {e: p for e, p in _checked(nvars, trunc, pairs).items() if p[0] or p[1]}
-        return Series.zero(nvars, trunc)._make(den, nums)
+        return Series._canonical(nvars, trunc, den, nums)
 
     # -- inspection ------------------------------------------------------------
 
@@ -396,13 +407,15 @@ class _Packed(NamedTuple):
     """Integer pairs over ``den`` in buckets, certified through ``trunc``.
 
     ``low`` is the least degree of a stored term, or trunc + 1 when there is
-    none.
+    none.  ``base`` is the base its keys are packed in; operands of one
+    product share it, and :func:`_unpacked` decodes with it.
     """
 
     trunc: int
     low: int
     den: int
     buckets: Buckets
+    base: int
 
 
 def _packed(s: Series, cut: int) -> _Packed:
@@ -416,7 +429,40 @@ def _packed(s: Series, cut: int) -> _Packed:
             low = d
         if d <= cut:
             buckets.setdefault(d, []).append((_pack(e, base), x, y))
-    return _Packed(s.trunc, low, s.den, sorted(buckets.items()))
+    return _Packed(s.trunc, low, s.den, sorted(buckets.items()), base)
+
+
+def _packed_diff(p: _Packed, slot: int) -> _Packed:
+    """The derivative in a variable slot of an operand packed with all its degrees.
+
+    A term's entry k at the slot is (key // base^slot) % base: the key drops
+    by base^slot, the pair scales by k, and the terms with k = 0 go.  As in
+    :meth:`Series.diff`, the truncation drops by one degree (to -1 at
+    least), and ``low`` is read from the first bucket left.
+    """
+    base = p.base
+    step = base**slot
+    buckets = []
+    for d, terms in p.buckets:
+        out = []
+        for key, x, y in terms:
+            k = key // step % base
+            if k:
+                out.append((key - step, k * x, k * y))
+        if out:
+            buckets.append((d - 1, out))
+    trunc = max(p.trunc - 1, -1)
+    return _Packed(trunc, buckets[0][0] if buckets else trunc + 1, p.den, buckets, base)
+
+
+def _packed_conj(p: _Packed, nvars: int) -> _Packed:
+    """The conjugate of a packed operand: each key's two halves swap and im is negated."""
+    half = p.base**nvars
+    buckets = [
+        (d, [(key % half * half + key // half, x, -y) for key, x, y in terms])
+        for d, terms in p.buckets
+    ]
+    return p._replace(buckets=buckets)
 
 
 def _certify(trunc: int, pairs: Iterable[tuple[_Packed, _Packed]]) -> None:
@@ -471,7 +517,7 @@ def _square_into(acc: Accumulator, buckets: Buckets, upto: int):
         _mul_into(acc, [(d1, twice)], buckets[i + 1 :], upto)
 
 
-def _as_packed(acc: Accumulator, den: int, trunc: int) -> _Packed:
+def _as_packed(acc: Accumulator, den: int, trunc: int, base: int) -> _Packed:
     """An accumulator over ``den`` as a packed operand in lowest terms, zero pairs dropped."""
     buckets = []
     g = den
@@ -486,7 +532,7 @@ def _as_packed(acc: Accumulator, den: int, trunc: int) -> _Packed:
     if g != 1:
         den //= g
         buckets = [(d, [(k, x // g, y // g) for k, x, y in terms]) for d, terms in buckets]
-    return _Packed(trunc, buckets[0][0] if buckets else trunc + 1, den, buckets)
+    return _Packed(trunc, buckets[0][0] if buckets else trunc + 1, den, buckets, base)
 
 
 def _sum_into(
@@ -509,28 +555,54 @@ def _sum_into(
     return den, acc
 
 
-def _decoded(
-    items: Iterable[tuple[int, Sequence[int]]], base: int, width: int
-) -> dict[Exponent, Pair]:
-    """The nonzero pairs of (key, (re, im)) items by exponent.
+def _decoded(terms: Iterable[tuple[int, int, int]], base: int, width: int) -> dict[Exponent, Pair]:
+    """The nonzero pairs of (key, re, im) bucket terms by exponent: the one decoder of
+    packed operands.
 
-    The one decoder of packed results: of an accumulator's items and of a
-    packed operand's bucket terms.
+    As :func:`_unpack` does key by key, but one base digit at a time over all
+    the keys at once.
     """
-    return {_unpack(key, base, width): (x, y) for key, (x, y) in items if x or y}
+    kept = [t for t in terms if t[1] or t[2]]
+    keys = [key for key, _, _ in kept]
+    digits = []
+    for _ in range(width):
+        digits.append([key % base for key in keys])
+        keys = [key // base for key in keys]
+    return dict(zip(zip(*digits), ((x, y) for _, x, y in kept)))
 
 
 def _unpacked(p: _Packed, nvars: int, degree: int | None = None) -> Series:
     """A packed operand as a series truncated at its ``trunc``, in lowest terms.
 
-    The keys are decoded with base p.trunc + 1: the base of a series packed
-    through its own truncation and of every :func:`_subst_packed` result.
-    With ``degree``, only that degree's bucket is read, and an absent bucket
-    is the zero series.
+    The keys are decoded with the operand's own base.  With ``degree``, only
+    that degree's bucket is read, and an absent bucket is the zero series.
     """
     buckets = p.buckets if degree is None else [b for b in p.buckets if b[0] == degree]
-    items = ((key, (x, y)) for _, terms in buckets for key, x, y in terms)
-    return Series.zero(nvars, p.trunc)._make(p.den, _decoded(items, p.trunc + 1, 2 * nvars))
+    terms = chain.from_iterable(terms for _, terms in buckets)
+    return Series._canonical(nvars, p.trunc, p.den, _decoded(terms, p.base, 2 * nvars))
+
+
+def _sum_of_packed(
+    terms: Sequence[tuple[int, _Packed, _Packed]], trunc: int | None = None
+) -> _Packed:
+    """The truncated sum of k * p * q over packed operands, packed: the core of
+    :func:`sum_of_products`, with its truncation rule.
+
+    Every operand shares one base, which must exceed the truncation, so that
+    no key sum of a kept term carries.
+    """
+    least = min(min(p.trunc, q.trunc) for _, p, q in terms)
+    if trunc is None:
+        trunc = least
+    elif trunc < 0:
+        raise PreconditionError("negative truncation")
+    base = terms[0][1].base
+    if trunc >= base or any(p.base != base or q.base != base for _, p, q in terms):
+        raise PreconditionError(f"operands packed in base {base} cannot reach degree {trunc}")
+    if trunc > least:
+        _certify(trunc, ((p, q) for _, p, q in terms))
+    den, acc = _sum_into(terms, trunc)
+    return _as_packed(acc, den, trunc, base)
 
 
 def sum_of_products(
@@ -544,10 +616,11 @@ def sum_of_products(
     T is an operand's truncation and low the least degree of its stored
     terms (T + 1 when it stores none); otherwise ``PreconditionError``.
 
-    Each operand is packed with base trunc + 1; a pair's partial products
-    are scaled by k * (D // (den_p * den_q)), D the lcm over all pairs, and
-    added into one integer (re, im) accumulator per exponent, which is the
-    result over D.
+    Each operand is packed with base trunc + 1 and :func:`_sum_of_packed`
+    forms the sum: a pair's partial products are scaled by
+    k * (D // (den_p * den_q)), D the lcm over all pairs, and added into one
+    integer (re, im) accumulator per exponent, which is the result over D.
+    The packed result is decoded once.
     """
     if not terms:
         raise PreconditionError("a sum of products needs at least one pair")
@@ -557,16 +630,9 @@ def sum_of_products(
         first._check_compat(p)
         first._check_compat(q)
         least = min(least, p.trunc, q.trunc)
-    if trunc is None:
-        trunc = least
-    elif trunc < 0:
-        raise PreconditionError("negative truncation")
-    pairs = [(k, _packed(p, trunc), _packed(q, trunc)) for k, p, q in terms]
-    if trunc > least:
-        _certify(trunc, ((p, q) for _, p, q in pairs))
-    den, acc = _sum_into(pairs, trunc)
-    items = chain.from_iterable(out.items() for out in acc.values())
-    return first._make(den, _decoded(items, trunc + 1, 2 * first.nvars), trunc)
+    cut = least if trunc is None else trunc
+    pairs = [(k, _packed(p, cut), _packed(q, cut)) for k, p, q in terms]
+    return _unpacked(_sum_of_packed(pairs, trunc), first.nvars)
 
 
 def subst_w(
@@ -646,7 +712,7 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
             if j > 1:
                 k = j - 1 if j % 2 else j // 2
                 reach[k] = max(reach.get(k, 0), reach[j] - (j - k) * step)
-    powers = {0: _Packed(trunc, 0, 1, [(0, [(0, 1, 0)])]), 1: r}
+    powers = {0: _Packed(trunc, 0, 1, [(0, [(0, 1, 0)])], r.base), 1: r}
     for j in sorted(reach):
         if j < 2:
             continue
@@ -662,11 +728,8 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
             _certify(upto, ((p, p),))
             _square_into(acc, p.buckets, upto)
             den = p.den * p.den
-        powers[j] = _as_packed(acc, den, upto)
-    products = [(1, p, powers[j]) for j, p in polys.items()]
-    _certify(trunc, ((p, q) for _, p, q in products))
-    den, acc = _sum_into(products, trunc)
-    return _as_packed(acc, den, trunc)
+        powers[j] = _as_packed(acc, den, upto, r.base)
+    return _sum_of_packed([(1, p, powers[j]) for j, p in polys.items()], trunc)
 
 
 # -- file formats ----------------------------------------------------------------
@@ -770,12 +833,35 @@ def content_errors():
 
 
 def term_line(cols: Iterable[int], c: GaussianRational) -> str:
-    """The term line ``cols... re im`` of a coefficient: the one writer of term lines."""
+    """The term line ``cols... re im`` of a coefficient: the one writer of term lines.
+
+    ``c`` needs only ``re`` and ``im``, each printed by ``str``.
+    """
     return " ".join([*map(str, cols), str(c.re), str(c.im)])
 
 
+class _Literal(NamedTuple):
+    """The real and imaginary part of a coefficient, as the text ``str(Fraction)`` prints."""
+
+    re: str
+    im: str
+
+
+def _ratio_text(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for den > 0, from the integers alone."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def format_term_lines(series: Series) -> list[str]:
-    return [term_line(e, c) for e, c in series.items()]
+    """The term lines of a series in graded-lex order, each coefficient read
+    from its integer pair over ``den``."""
+    den = series.den
+    lines = []
+    for e in sorted(series.nums, key=_grlex_key):
+        x, y = series.nums[e]
+        lines.append(term_line(e, _Literal(_ratio_text(x, den), _ratio_text(y, den))))
+    return lines
 
 
 def loads_series(text: str) -> Series:

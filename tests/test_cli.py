@@ -232,6 +232,9 @@ def test_flatten_reproduces_the_golden_order_18_report(monkeypatch):
           "--chi", "fixtures/ex33.chi"]),
         ("parabolic.bishop.report",
          ["bishop", "fixtures/parabolic.germ", "--c", "1, i", "--search", "6"]),
+        # a residual with integer coefficients throughout
+        ("screen_s02.order6.report",
+         ["nonminimal-check", "fixtures/screen_s02.germ", "--order", "6"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -3,6 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import crflat.crfields as crfields_mod
+import crflat.germ as germ_mod
+import crflat.series as series_mod
 from crflat import (
     GaussianRational,
     Germ,
@@ -334,6 +337,26 @@ def test_residual_ignores_the_terms_above_the_truncation(seed):
     other = _with_terms_above_trunc(g, random.Random(seed + 100))
     top = [_residual_through(h, trunc + 1).homogeneous_part(trunc + 3) for h in (longer, other)]
     assert top[0] != top[1]
+
+
+def test_obstruction_packs_r_once_and_decodes_only_the_residual(monkeypatch):
+    # the families and factors stay packed between products: R is packed once
+    # per germ, and the residual is the one series decoded
+    germ = load_germ(FIXTURES / "screen_s02.germ")
+    calls = {"_packed": 0, "_decoded": 0}
+    for name in calls:
+        original = getattr(series_mod, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (series_mod, germ_mod, crfields_mod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    report = obstruction(germ, 6)
+    assert calls["_packed"] <= 1 and calls["_decoded"] == 1
+    assert len(report.residual.nums) == 175
 
 
 def test_field_file_roundtrip():

@@ -7,14 +7,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crflat.cli import main
 from crflat.crfields import TangentField, dumps_field, loads_field
 from crflat.errors import ParseError
 from crflat.germ import Germ, KernelPolynomial, dumps_germ, dumps_kernel, loads_germ, loads_kernel
 from crflat.numeric import GaussianRational, integer, natural, rational_parts
-from crflat.series import Series, dumps_series, loads_series
+from crflat.series import Series, dumps_series, format_term_lines, loads_series, term_line
 
 from conftest import FIXTURES
 
@@ -203,6 +203,27 @@ def test_term_lines_read_as_integer_pairs_equal_the_exact_coefficients():
     assert field.cf_z1 == Series(2, 2, {(1, 0, 1, 0): F(1, 3)}) and field.cf_w.is_zero()
     kernel = loads_kernel("weight 3\n2 1 0 2/4 -6/8\n0 1 1 0 0\n")
     assert kernel.coeffs == {((2, 1), 0): GaussianRational(F(1, 2), F(-3, 4))}
+
+
+@st.composite
+def pair_series(draw):
+    """A series from integer pairs: parts zero, negative or past 2^64, den 1 or not."""
+    nvars = draw(st.integers(1, 2))
+    trunc = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, trunc)] * (2 * nvars)).filter(lambda e: sum(e) <= trunc)
+    parts = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**80, 2**80))
+    den = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**70)))
+    pairs = draw(st.dictionaries(exps, st.tuples(parts, parts), max_size=8))
+    return Series._from_pairs(nvars, trunc, den, pairs)
+
+
+@SETTINGS
+@given(pair_series())
+@example(Series._from_pairs(2, 2, 1, {(1, 0, 1, 0): (3, 0), (0, 1, 0, 1): (0, -5)}))
+@example(Series._from_pairs(1, 3, 6, {(1, 2): (-(2**70) - 1, 2**65), (0, 0): (4, -3)}))
+def test_term_lines_from_integer_pairs_match_the_coefficient_writer(s):
+    # the pairs over den print as str(Fraction) prints each part
+    assert format_term_lines(s) == [term_line(e, c) for e, c in s.items()]
 
 
 def run_cli(*argv):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import crflat.series as series_mod
 from crflat import GaussianRational, Series, subst_w
@@ -362,6 +362,26 @@ def test_re_im_matches_the_conjugate_formula(s):
     assert all(re.terms.values()) and all(im.terms.values())
 
 
+@PRODUCT_SETTINGS
+@given(st.integers(1, 3).flatmap(product_series))
+@example(Series(2, 3, {(0, 0, 1, 0): 1, (2, 1, 0, 0): 3}))  # d/dz1 kills degree 1: low 1 -> 2
+@example(Series.const(2, 0, 5))  # every derivative has truncation -1
+@example(Series.zero(1, 4))
+def test_packed_derivative_and_conjugate_decode_to_the_series_operations(s):
+    n = s.nvars
+    packed = series_mod._packed(s, s.trunc)
+    conj = series_mod._packed_conj(packed, n)
+    pairs = [(conj, s.conj())]
+    for slot in range(2 * n):
+        pairs.append((series_mod._packed_diff(packed, slot), s.diff(slot)))
+        # chained as the bracket families chain them, on one base
+        pairs.append((series_mod._packed_diff(conj, slot), s.conj().diff(slot)))
+    for got, want in pairs:
+        assert got.base == packed.base
+        assert series_mod._unpacked(got, n) == want
+        assert (got.trunc, got.low) == (want.trunc, _low(want))
+
+
 # -- every operation against termwise Gaussian-rational arithmetic ----------------------
 
 _scalars = st.one_of(
@@ -550,14 +570,15 @@ def test_subst_w_checks_every_power_against_its_certified_truncation(monkeypatch
     formed = series_mod._as_packed
     powers = []
 
-    def first_cut_short(acc, den, trunc):
-        powers.append(formed(acc, den, trunc))
+    def first_cut_short(acc, den, trunc, base):
+        powers.append(formed(acc, den, trunc, base))
         return powers[0]._replace(trunc=trunc - 1) if len(powers) == 1 else powers[-1]
 
-    monkeypatch.setattr(series_mod, "_as_packed", first_cut_short)
     z1, z2, zb1, _ = gens(6)
+    value = z1 + zb1 * z2  # its product also runs through _as_packed
+    monkeypatch.setattr(series_mod, "_as_packed", first_cut_short)
     with pytest.raises(PreconditionError, match="certified product truncation"):
-        subst_w({((0, 0, 0, 0), j): 1}, z1 + zb1 * z2)
+        subst_w({((0, 0, 0, 0), j): 1}, value)
 
 
 def test_subst_w_squares_a_power_whose_lowest_terms_cancel():
