@@ -412,70 +412,36 @@ class NormalizationSystem:
 
 
 def normalization_system(m: int) -> NormalizationSystem:
-    """The degree-m normalization constraint list.
+    """The degree-m normalization constraint list, in this order.
 
     Indices are brackets [t s r h] for the coefficient of z1^s z2^t zb1^h
-    zb2^r.  The list consists of: all pure-z coefficients; the mixed family
-    with conjugate part a pure zb2-power (starting no higher than the
-    z2-power); and one block depending on m mod 6 that pins a run of
-    binary-type coefficients, a run of (1,1)-type coefficients, and in the
-    even-m cases one extra real part.
+    zb2^r.  All pure-z coefficients [m - s1, s1, 0, 0]; the mixed family
+    [T, t1, s, 0], s >= 1 and T = m - t1 - s, with s < T, or s = T when
+    t1 > 0; the binary run [t, 0, m - t, 0], floor(2m/3) < t < m; the (1,1)
+    run [2t + 1, 1, m - 2t - 3, 1], floor((m - 1)/3) <= t < floor((m - 1)/2);
+    and for even m the real part of the coefficient just below one run: the
+    (1,1) one when m = 4 mod 6, otherwise the binary one.
+
+    The pure-z and mixed rows, two per kernel unknown, alone fix the shear
+    (full rank mod p for m = 3..18, checked by the tests); the m - 1 block
+    rows only decide whether an H failing the first-order condition is
+    reported unsolvable or leaves a nonzero normalized remainder.
     """
     if m < 3:
         raise PreconditionError("normalization starts at degree 3")
-    cons: list[Constraint] = []
-    for s1 in range(m + 1):
-        cons.append(Constraint(f"pure-z s1={s1}", "zero", (m - s1, s1, 0, 0)))
-    seen = set()
+    cons = [Constraint(f"pure-z s1={s1}", "zero", (m - s1, s1, 0, 0)) for s1 in range(m + 1)]
     for t1 in range(m + 1):
-        for s in range(m + 1 - t1):
-            big_t = m - t1 - s
-            if big_t < 0:
-                continue
-            ok = (t1 > 0 and s <= big_t) or (t1 == 0 and s < big_t)
-            idx = (big_t, t1, s, 0)
-            if ok and idx not in seen and idx != (big_t, t1, 0, 0):
-                # pure-z indices already covered by the first family
-                seen.add(idx)
-                cons.append(Constraint(f"mixed t1={t1} s={s}", "zero", idx))
-    rem = m % 6
-    if rem == 3:
-        mh = (m + 3) // 6
-        f1 = range(4 * mh - 1, m)
-        f2 = range(2 * mh - 2, 3 * mh - 2)
-        real_idx = None
-    elif rem == 4:
-        mh = (m + 2) // 6
-        f1 = range(4 * mh - 1, m)
-        f2 = range(2 * mh - 1, 3 * mh - 2)
-        real_idx = (4 * mh - 3, 1, 2 * mh - 1, 1)
-    elif rem == 5:
-        mh = (m + 1) // 6
-        f1 = range(4 * mh, m)
-        f2 = range(2 * mh - 1, 3 * mh - 1)
-        real_idx = None
-    elif rem == 0:
-        mh = m // 6
-        f1 = range(4 * mh + 1, m)
-        f2 = range(2 * mh - 1, 3 * mh - 1)
-        real_idx = (4 * mh, 0, 2 * mh, 0)
-    elif rem == 1:
-        mh = (m - 1) // 6
-        f1 = range(4 * mh + 1, m)
-        f2 = range(2 * mh, 3 * mh)
-        real_idx = None
-    else:  # rem == 2
-        mh = (m - 2) // 6
-        f1 = range(4 * mh + 2, m)
-        f2 = range(2 * mh, 3 * mh)
-        real_idx = (4 * mh + 1, 0, 2 * mh + 1, 0)
-    for t in f1:
+        # s <= T = m - t1 - s, strictly below it when t1 = 0
+        for s in range(1, (m - t1 - (t1 == 0)) // 2 + 1):
+            cons.append(Constraint(f"mixed t1={t1} s={s}", "zero", (m - t1 - s, t1, s, 0)))
+    top, low = 2 * m // 3, (m - 1) // 3
+    for t in range(top + 1, m):
         cons.append(Constraint(f"block binary t={t}", "zero", (t, 0, m - t, 0)))
-    for t in f2:
-        cons.append(
-            Constraint(f"block mixed t={t}", "zero", (2 * t + 1, 1, m - 2 * t - 3, 1))
-        )
-    if real_idx is not None:
+    for t in range(low, (m - 1) // 2):
+        cons.append(Constraint(f"block mixed t={t}", "zero", (2 * t + 1, 1, m - 2 * t - 3, 1)))
+    if m % 2 == 0:
+        t = low - 1
+        real_idx = (2 * t + 1, 1, m - 2 * t - 3, 1) if m % 6 == 4 else (top, 0, m - top, 0)
         cons.append(Constraint("block real part", "realpart", real_idx))
     return NormalizationSystem(m, tuple(cons), m % 2 == 0)
 

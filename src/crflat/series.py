@@ -685,10 +685,11 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
     ``polys`` holds at least one P_j, and r has no constant term; all share
     one base.  Each power stays packed in degree buckets from one product to
     the next: r^j is the square of r^(j/2) for even j (each unordered pair
-    of terms once, the others doubled) and r^(j-1) * r for odd j, and only
-    the powers these steps and the P_j read are formed.  The P_j * r^j then
-    add into one accumulator, brought to lowest terms by :func:`_as_packed`
-    with its zero pairs dropped, so nothing is unpacked here.
+    of terms once, the others doubled) and r^(j-1) * r for odd j, formed by
+    the product core :func:`_sum_of_packed`, and only the powers these steps
+    and the P_j read are formed.  The P_j * r^j then add into one
+    accumulator, brought to lowest terms by :func:`_as_packed` with its zero
+    pairs dropped, so nothing is unpacked here.
 
     Each power is formed only through the degree it is read at, and every
     product certifies it.  Write T = r.trunc and s = low(r).  P_j * r^j
@@ -699,7 +700,8 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
     j s - 1, below which it is zero, so a power with no stored term still
     certifies its square.  Every product checks min(T_p + low(q), T_q +
     low(p)) against the degree it is asked for, with each low read from the
-    lowest bucket, and raises ``PreconditionError`` past it.
+    lowest bucket, and raises ``PreconditionError`` past it; the product core
+    checks only above min(T_p, T_r), where the bound holds since low(r) >= 1.
     """
     trunc = r.trunc
     step = r.low
@@ -717,18 +719,14 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
         if j < 2:
             continue
         upto = reach[j]
-        acc: Accumulator = {}
         if j % 2:
-            p = powers[j - 1]
-            _certify(upto, ((p, r),))
-            _mul_into(acc, p.buckets, r.buckets, upto)
-            den = p.den * r.den
+            powers[j] = _sum_of_packed([(1, powers[j - 1], r)], upto)
         else:
             p = powers[j // 2]
             _certify(upto, ((p, p),))
+            acc: Accumulator = {}
             _square_into(acc, p.buckets, upto)
-            den = p.den * p.den
-        powers[j] = _as_packed(acc, den, upto, r.base)
+            powers[j] = _as_packed(acc, p.den * p.den, upto, r.base)
     return _sum_of_packed([(1, p, powers[j]) for j, p in polys.items()], trunc)
 
 

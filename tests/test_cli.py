@@ -137,6 +137,22 @@ def test_bishop_search_zero_still_searches(tmp_path):
     assert "CANDIDATE search (0, 1) elliptic=true lambda_sq=0" in out
 
 
+def test_bishop_search_prints_an_irrational_recipe_candidate(tmp_path):
+    # A = diag(1/2, 1), B = diag(1, -1): case 6a with sqrt(l1/l2) irrational
+    germ = tmp_path / "6a.germ"
+    germ.write_text(
+        "vars 2\norder 2\n2 0 0 0 1/2 0\n0 0 2 0 1/2 0\n0 2 0 0 1 0\n0 0 0 2 1 0\n"
+        "1 0 1 0 1 0\n0 1 0 1 -1 0\n"
+    )
+    code, out = run_cli("bishop", str(germ), "--search", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        f"INPUT {germ}",
+        "CANDIDATE recipe:6a irrational candidate (1, i sqrt(l1/l2))",
+        "CANDIDATE search (1, -1/2 i) elliptic=true lambda_sq=1/9",
+    ]
+
+
 def test_bishop_search_exhausts_the_bound_16_grid():
     # no direction (1, x + i y) with x, y in the bound-16 grid, nor (0, 1), is elliptic
     code, out = run_cli("bishop", fx("m1.germ"), "--search", "16")

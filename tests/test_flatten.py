@@ -187,6 +187,64 @@ def test_identity_audit_skips_without_fundamental():
     assert not rep.ok and rep.skipped
 
 
+def _condition_kernel_table():
+    # a degree-4 table that passes both audits, so each failure below is the corruption's
+    table = fundamental_nullspace(4)[0]
+    assert recursion_audit(table, 4).ok and identity_audit(table, 4).ok
+    return table
+
+
+def _messages(report):
+    # each failure line without its location: "... at (t, s, r, h)" or "... for k=..."
+    return {f.split(" at ")[0].split(" for ")[0] for f in report.failures}
+
+
+def test_recursion_audit_flags_a_corrupted_phi(monkeypatch):
+    table = _condition_kernel_table()
+    honest = flatten_mod.phi_psi
+
+    def phi_off_by_one(h, m=None):
+        tables = honest(h, m)
+        extra = Series(2, tables.m, {exp_from_bracket(1, 1, 1, 1): 1})
+        return PhiPsiTables(tables.m, tables.phi + extra, tables.psi)
+
+    monkeypatch.setattr(flatten_mod, "phi_psi", phi_off_by_one)
+    rep = recursion_audit(table, 4)
+    assert not rep.ok and "phi-recursion mismatch at (1, 1, 1, 1)" in rep.failures
+    assert _messages(rep) == {"phi-recursion mismatch", "psi-recursion mismatch"}
+
+
+def test_recursion_audit_flags_a_corrupted_condition_series(monkeypatch):
+    table = _condition_kernel_table()
+    honest = flatten_mod.fundamental_series
+    extra = Series(2, 5, {exp_from_bracket(1, 1, 1, 2): 1})
+    monkeypatch.setattr(flatten_mod, "fundamental_series", lambda t: honest(t) + extra)
+    rep = recursion_audit(table, 4)
+    assert rep.failures == ["four-term combination differs from condition series at (1, 1, 1, 2)"]
+
+
+def test_identity_audit_flags_corrupted_transforms(monkeypatch):
+    table = _condition_kernel_table()
+    honest = flatten_mod.k_transform
+
+    def two_entries_off(tab, degree, k):
+        values = dict(honest(tab, degree, k).values)
+        for key in ((0, 0), (1, 1)):
+            values[key] = values.get(key, G(0)) + 1
+        return flatten_mod.KTransform(k, values)
+
+    monkeypatch.setattr(flatten_mod, "k_transform", two_entries_off)
+    rep = identity_audit(table, 4)
+    assert not rep.ok and rep.skipped is None
+    assert _messages(rep) == {
+        "phi-transform identity fails",
+        "psi-transform identity fails",
+        "psi-transform ladder fails",
+        "odd psi-transform",
+        "closing identity fails",
+    }
+
+
 # -- normalization system ----------------------------------------------------------
 
 
@@ -196,7 +254,7 @@ def test_normalization_m3():
     # pure-z family: all four holomorphic coefficients
     for s1 in range(4):
         assert (3 - s1, s1, 0, 0) in zero_idx
-    # the residue-3 block contributes the single (1,1)-type coefficient
+    # the (1,1) run contributes the single coefficient at t = 0
     assert (1, 1, 0, 1) in zero_idx
     assert not any(c.kind == "realpart" for c in sys3.constraints)
     assert not sys3.even_side_condition
@@ -242,6 +300,85 @@ def test_normalization_mixed_family_membership():
     assert (4, 0, 1, 0) in idx  # t1 = 0, s = 1 < T = 4
     # nothing with a conjugate z1-power enters the mixed family
     assert not any(c.index[3] > 0 and c.label.startswith("mixed") for c in sys5.constraints)
+
+
+def six_case_normalization(m):
+    """The normalization constraints with one block table per residue of m mod 6.
+
+    The reference that the rule in ``normalization_system`` must reproduce,
+    kept as first written: each residue has its own m_h, run offsets and
+    real-part index.
+    """
+    cons = []
+    for s1 in range(m + 1):
+        cons.append(Constraint(f"pure-z s1={s1}", "zero", (m - s1, s1, 0, 0)))
+    seen = set()
+    for t1 in range(m + 1):
+        for s in range(m + 1 - t1):
+            big_t = m - t1 - s
+            if big_t < 0:
+                continue
+            ok = (t1 > 0 and s <= big_t) or (t1 == 0 and s < big_t)
+            idx = (big_t, t1, s, 0)
+            if ok and idx not in seen and idx != (big_t, t1, 0, 0):
+                seen.add(idx)
+                cons.append(Constraint(f"mixed t1={t1} s={s}", "zero", idx))
+    rem = m % 6
+    if rem == 3:
+        mh = (m + 3) // 6
+        f1 = range(4 * mh - 1, m)
+        f2 = range(2 * mh - 2, 3 * mh - 2)
+        real_idx = None
+    elif rem == 4:
+        mh = (m + 2) // 6
+        f1 = range(4 * mh - 1, m)
+        f2 = range(2 * mh - 1, 3 * mh - 2)
+        real_idx = (4 * mh - 3, 1, 2 * mh - 1, 1)
+    elif rem == 5:
+        mh = (m + 1) // 6
+        f1 = range(4 * mh, m)
+        f2 = range(2 * mh - 1, 3 * mh - 1)
+        real_idx = None
+    elif rem == 0:
+        mh = m // 6
+        f1 = range(4 * mh + 1, m)
+        f2 = range(2 * mh - 1, 3 * mh - 1)
+        real_idx = (4 * mh, 0, 2 * mh, 0)
+    elif rem == 1:
+        mh = (m - 1) // 6
+        f1 = range(4 * mh + 1, m)
+        f2 = range(2 * mh, 3 * mh)
+        real_idx = None
+    else:  # rem == 2
+        mh = (m - 2) // 6
+        f1 = range(4 * mh + 2, m)
+        f2 = range(2 * mh, 3 * mh)
+        real_idx = (4 * mh + 1, 0, 2 * mh + 1, 0)
+    for t in f1:
+        cons.append(Constraint(f"block binary t={t}", "zero", (t, 0, m - t, 0)))
+    for t in f2:
+        cons.append(
+            Constraint(f"block mixed t={t}", "zero", (2 * t + 1, 1, m - 2 * t - 3, 1))
+        )
+    if real_idx is not None:
+        cons.append(Constraint("block real part", "realpart", real_idx))
+    return tuple(cons)
+
+
+def test_normalization_rule_reproduces_the_six_case_table():
+    for m in range(3, 151):
+        system = normalization_system(m)
+        assert system.constraints == six_case_normalization(m), m
+        assert system.even_side_condition == (m % 2 == 0)
+        # the block rows are exactly m - 1 beyond two per kernel unknown
+        parts = sum(len(c.parts) for c in system.constraints)
+        assert parts == 2 * len(kernel_unknowns(m)) + m - 1, m
+    for m in range(3, 19):
+        # the pure-z and mixed rows come first and alone fix the kernel
+        _unknowns, constraints, mat = flatten_mod._normalization_matrix(m)
+        unblocked = sum(len(c.parts) for c in constraints if not c.label.startswith("block"))
+        assert unblocked == mat.cols
+        assert rank_mod_p(mat.entries[:unblocked], mat.cols) == mat.cols, m
 
 
 # -- kernel solve and driver ---------------------------------------------------------
@@ -331,6 +468,69 @@ def test_flatten_to_order_14():
     rep = flatten_to_order(g, 14)
     assert rep.ok and rep.reached == 14
     assert all(rep.final.R.homogeneous_part(d).is_real() for d in range(3, 15))
+
+
+# The round trip: a flat germ, sheared at every weight 3..T, flattens back to
+# itself exactly, since a shear that keeps a flat germ flat through T is the
+# identity there.  This checks the driver and the shear at depth, not the
+# normalization rule: any full-rank normalization system recovers the applied
+# shears (with the binary run shifted or the (1,1) run dropped they still
+# come back).
+
+
+def flat_germ(trunc, terms):
+    """The parabolic quadric plus each term (exponent, c) and its conjugate mirror."""
+    extra = Series(2, trunc, {})
+    for e, c in terms:
+        extra = extra + Series(2, trunc, {e: c})
+    return Germ(2, parabolic_quadric(trunc).R + extra + extra.conj())
+
+
+def assert_flattens_back(flat, kernels):
+    sheared = flat
+    for kern in kernels:
+        sheared = sheared.shear(kern)
+    rep = flatten_to_order(sheared, flat.trunc)
+    assert rep.ok and rep.reached == flat.trunc
+    assert rep.final == flat
+
+
+@st.composite
+def flat_germs_and_shears(draw):
+    trunc = draw(st.integers(3, 12))
+    part = st.integers(-3, 3)
+    gaussian = st.builds(G, part, part)
+    degrees = st.integers(3, trunc)
+    exponents = degrees.flatmap(
+        lambda d: st.sampled_from([exp_from_bracket(*idx) for idx in all_brackets(d)])
+    )
+    terms = draw(st.lists(st.tuples(exponents, gaussian), max_size=8))
+    kernels = []
+    for m in range(3, trunc + 1):
+        keys = draw(st.lists(st.sampled_from(kernel_unknowns(m)), max_size=4, unique=True))
+        kernels.append(KernelPolynomial(m, {key: draw(gaussian) for key in keys}))
+    return flat_germ(trunc, terms), kernels
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(flat_germs_and_shears())
+def test_a_sheared_flat_germ_flattens_back_to_itself(case):
+    assert_flattens_back(*case)
+
+
+def test_a_sheared_flat_germ_flattens_back_to_itself_at_order_14():
+    rng = random.Random(6)
+    trunc = 14
+    terms = []
+    for _ in range(12):
+        d = rng.randint(3, trunc)
+        idx = rng.choice(all_brackets(d))
+        terms.append((exp_from_bracket(*idx), G(rng.randint(-3, 3), rng.randint(-3, 3))))
+    kernels = []
+    for m in range(3, trunc + 1):
+        coeffs = {key: G(rng.randint(-2, 2), rng.randint(-2, 2)) for key in kernel_unknowns(m)}
+        kernels.append(KernelPolynomial(m, coeffs))
+    assert_flattens_back(flat_germ(trunc, terms), kernels)
 
 
 def non_graph_germ():
@@ -979,6 +1179,13 @@ def test_parity_audit_pass_and_negative_control(rng):
     assert any("odd-part coefficient" in f for f in rep.failures)
     even_rep = parity_audit(HTable(4, {}))
     assert even_rep.skipped
+
+
+def test_parity_audit_reports_a_violated_normalization_hypothesis():
+    # z2^5 + zb2^5: pure-z, so the first normalization constraint fails
+    rep = parity_audit(HTable(5, {(5, 0, 0, 0): 1, (0, 0, 5, 0): 1}))
+    assert not rep.ok
+    assert "hypothesis: normalization violated (pure-z s1=0)" in rep.failures
 
 
 def test_parity_of_flattened_steps(rng):

@@ -476,6 +476,25 @@ def test_candidates_for_recipe_shapes():
     assert any(c.origin == "search" and c.report.elliptic for c in got)
 
 
+@pytest.mark.parametrize(
+    "a_rows, case, direction, lambda_sq",
+    [
+        ([[F(1, 4), 0], [0, 1]], "6a", (G(1), G(0)), F(1, 16)),  # l1 < 1/2
+        ([[F(1, 2), 0], [0, 2]], "6a", (G(1), G(0, F(1, 2))), 0),  # sqrt(l1/l2) = 1/2
+        ([[0, 1], [1, 0]], "6b", (G(1), G(0)), 0),
+        ([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], "6c", (G(1), G(F(-3, 4))), F(1, 196)),
+    ],
+    ids=["6a-small", "6a-rational", "6b", "6c"],
+)
+def test_recipe_candidates_of_the_hyperbolic_shapes(a_rows, case, direction, lambda_sq):
+    # B = diag(1, -1); the irrational 6a candidate is checked through the CLI
+    p0 = pair(a_rows, [[1, 0], [0, -1]])
+    assert recognize_pair(p0)[0] == case
+    (rec,) = quadratic._recipe_candidates(p0)
+    assert (rec.origin, rec.direction) == (f"recipe:{case}", direction)
+    assert rec.report.elliptic and rec.report.lambda_sq == lambda_sq
+
+
 def test_unequal_invariant_recipe_is_verified_not_trusted():
     # spread-out invariants break the listed direction; the report says so
     p0 = pair([[1, 0], [0, 10]], [[1, 0], [0, 1]])
