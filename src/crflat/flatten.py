@@ -28,18 +28,31 @@ convention, which every recursion identity below relies on.  The
 operators have three independent implementations.  Generic series arithmetic
 defines them.  The recursions (coefficient shifts, alternating-sum transforms
 and their identities) exist only as audit code paths, and the audits force
-them to agree with the series.  Two elementary integer maps carry the
-condition too: a derivative and a multiplication by z_i + zb_i, both integer
-key shifts on a flat packed family {column * base^4 + exponent digits in
-base: coefficient}.  They build the condition matrix for all unit tables at
-once, each build checked against the series operators on one dense table,
-and they decide the flattening driver's per-degree condition check exactly,
-with the integer pairs (re, im) of the series Im R_m in two columns.  Every
-kernel returned here, of the condition and of the uniqueness blocks, comes
-from ``linalg.certified_nullspace``, which certifies it beside the
+them to agree with the series.  Integer key shifts carry the condition too,
+in factored form.  Write w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and
+E = w2 d/dzb1 - w1 d/dzb2, so that Phi = E H and Psi = w2 D Phi + w1 Phi.
+D is a derivation with D w1 = w2 and D w2 = -w1, so
+
+    D Psi = (D w2) D Phi + w2 D^2 Phi + (D w1) Phi + w1 D Phi
+          = -w1 D Phi + w2 D^2 Phi + w2 Phi + w1 D Phi
+          = w2 (D^2 + 1) E H,
+
+and since multiplying by w2 is injective, H satisfies the condition exactly
+when (D^2 + 1) E H vanishes.  One fused map, the field w2 d_a - w1 d_b
+(four key shifts per term in one pass), gives E and D on a flat packed
+family {column * base^4 + exponent digits in base: coefficient}; three
+passes of it give the factor, and a multiplication by w2 the condition.
+They build the condition matrix for all unit tables at once, each build
+checked against the series operators on one dense table.  The factor alone
+decides the flattening driver's per-degree check exactly, on the integer
+pairs (re, im) of Im R_m in two columns: D and E keep the degree, so the
+factor of a degree-m H fits the germ's own packing base T + 1 for every
+m <= T, and Im R_m is read straight from the keys of the germ's packed R.
+Every kernel returned here, of the condition and of the uniqueness blocks,
+comes from ``linalg.certified_nullspace``, which certifies it beside the
 elimination that computes it.
 
-The same multiplication map builds each degree's normalization system: the
+The multiplication by w_i builds each degree's normalization system too: the
 polynomials z^alpha (2 q2)^j of all unknowns form one integer family, since
 2 q2 = w1^2 + w2^2, and their parts at the constrained exponents and
 mirrors are sparse integer rows, checked against series arithmetic on one
@@ -53,7 +66,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     ConsistencyError,
@@ -67,8 +80,11 @@ from .linalg import SparseMatrix, certified_nullspace, solve
 from .numeric import I, ONE, GaussianRational, ZERO
 from .series import (
     Exponent,
+    Pair,
     Series,
+    _decoded,
     _pack,
+    _packed_im,
     _unpack,
     bracket_from_exp,
     exp_from_bracket,
@@ -146,12 +162,38 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
     _require_parabolic(germ)
     if m > germ.trunc:
         raise PreconditionError("degree exceeds the germ truncation")
-    return HTable(m, series_to_table(_imaginary_part(germ, m)))
+    return HTable(m, series_to_table(_im_series(_imaginary_part(germ, m))))
 
 
-def _imaginary_part(germ: Germ, m: int) -> Series:
-    # the degree-m part of Im R; callers have checked the quadric and the degree
-    return germ.part(m).re_im()[1]
+class _ImPart(NamedTuple):
+    """H = Im R_m as nonzero integer pairs (re, im) over ``den``, by exponent
+    key packed with ``base`` (``series._pack``)."""
+
+    den: int
+    base: int
+    pairs: dict[int, Pair]
+
+    @classmethod
+    def of_series(cls, h: Series) -> "_ImPart":
+        """A two-variable series' pairs on keys packed with base h.trunc + 1."""
+        base = h.trunc + 1
+        return cls(h.den, base, {_pack(e, base): pair for e, pair in h.nums.items()})
+
+
+def _imaginary_part(germ: Germ, m: int) -> _ImPart:
+    """Im R_m, read from the keys of the germ's packed R (base T + 1) alone.
+
+    Callers have checked the quadric and the degree; the pairs are over
+    2 den, den that of the packed R, and need not be in lowest terms.
+    """
+    rp = germ._packed_r()
+    return _ImPart(2 * rp.den, rp.base, _packed_im(rp, 2, m))
+
+
+def _im_series(im: _ImPart) -> Series:
+    """The series of a packed imaginary part, truncated at base - 1, in lowest terms."""
+    terms = ((key, x, y) for key, (x, y) in im.pairs.items())
+    return Series._canonical(2, im.base - 1, im.den, _decoded(terms, im.base, 4))
 
 
 def _require_parabolic(germ: Germ):
@@ -555,17 +597,28 @@ def _normalization_matrix(m: int) -> tuple:
     return tuple(unknowns), constraints, SparseMatrix(rows, 2 * len(unknowns))
 
 
-def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
+@lru_cache(maxsize=None)
+def _constraint_keys(m: int, base: int) -> tuple[tuple[int, int], ...]:
+    """(key, number of parts) of each degree-m constraint, its exponent packed with ``base``."""
+    return tuple(
+        (_pack(exp_from_bracket(*c.index), base), len(c.parts))
+        for c in normalization_system(m).constraints
+    )
+
+
+def solve_kernel(source: Germ | Series | _ImPart, m: int) -> KernelPolynomial:
     """The unique weight-m shear datum normalizing the degree-m imaginary part.
 
     ``source`` is a germ, which must carry the parabolic quadric and be
     flattened below m, or the series H = Im R_m itself, which must be real,
-    in two variables and homogeneous of degree m (the flattening driver
-    passes the series it has already read).  The normalization conditions on
-    H' = H + Im B(z, q2) form an overdetermined real-linear system in
-    (Re b, Im b), whose right-hand side is read off H at each constraint's
-    exponent; uniqueness and consistency are verified by the exact solve,
-    and failure raises :class:`NormalizationError`.
+    in two variables and homogeneous of degree m, or the flattening driver's
+    packed H (``_ImPart``), read from the germ's packed R.  The first two are
+    checked, then brought to that packed form, so one core reads the
+    right-hand side.  The normalization conditions on H' = H + Im B(z, q2)
+    form an overdetermined real-linear system in (Re b, Im b), whose
+    right-hand side is read off H at each constraint's exponent key (packed
+    once per degree and base); uniqueness and consistency are verified by
+    the exact solve, and failure raises :class:`NormalizationError`.
 
     The right-hand side is H's integer numerators, so the solve returns
     den times the system's solution, a real vector: each entry takes its
@@ -577,15 +630,21 @@ def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
             raise PreconditionError("degree out of range for this germ")
         for d in range(3, m):
             # the degree-d imaginary part vanishes exactly when R_d is real
-            if not source.part(d).is_real():
+            if _imaginary_part(source, d).pairs:
                 raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
         source = _imaginary_part(source, m)
-    elif source.nvars != 2 or not source.is_real() or any(sum(e) != m for e in source.nums):
-        raise PreconditionError(f"need a real two-variable series homogeneous of degree {m}")
-    unknowns, constraints, mat = _normalization_matrix(m)
+    elif isinstance(source, Series):
+        if source.nvars != 2 or not source.is_real() or any(sum(e) != m for e in source.nums):
+            raise PreconditionError(f"need a real two-variable series homogeneous of degree {m}")
+        source = _ImPart.of_series(source)
+    unknowns, _, mat = _normalization_matrix(m)
     # a constraint's parts, (re, im) or (re,), are a prefix of its numerator pair
-    pairs = [source.nums.get(exp_from_bracket(*c.index), (0, 0)) for c in constraints]
-    rhs = [-v for c, pair in zip(constraints, pairs) for v in pair[: len(c.parts)]]
+    pairs = source.pairs
+    rhs = [
+        -v
+        for key, nparts in _constraint_keys(m, source.base)
+        for v in pairs.get(key, (0, 0))[:nparts]
+    ]
     try:
         sol = solve(mat, rhs)
     except UnderdeterminedSystemError as exc:
@@ -599,7 +658,7 @@ def solve_kernel(source: Germ | Series, m: int) -> KernelPolynomial:
     return KernelPolynomial(m, coeffs)
 
 
-# -- the condition by two elementary integer maps ---------------------------------
+# -- the condition by elementary integer maps -------------------------------------
 
 
 # exponent slots of w_i = z_i + zb_i in an exponent (z1, z2, zb1, zb2)
@@ -639,17 +698,6 @@ def _regroup(family: Family, base: int) -> dict[Exponent, dict[int, int]]:
     return {_unpack(key, base, 4): row for key, row in rows.items()}
 
 
-def _derivative(family: Family, slot: int, base: int) -> Family:
-    """d/d(slot) of a family of polynomials: e -> e_k (e - unit_k)."""
-    p = base**slot
-    out = {}
-    for key, c in family.items():
-        k = key // p % base
-        if k:
-            out[key - p] = k * c
-    return out
-
-
 def _w_sum(terms: tuple[tuple[int, int, Family], ...], base: int) -> Family:
     """The sum of k * w_i * F over (k, i, F): e -> (e + unit_z_i) + (e + unit_zb_i)."""
     acc: Family = {}
@@ -662,8 +710,44 @@ def _w_sum(terms: tuple[tuple[int, int, Family], ...], base: int) -> Family:
     return {key: c for key, c in acc.items() if c}
 
 
+def _turn(family: Family, a: int, b: int, base: int, plus: Family | None = None) -> Family:
+    """The field w2 d/d(slot a) - w1 d/d(slot b) of a family, plus ``plus``, in one pass.
+
+    D for the slots (a, b) = (0, 1) of z1 and z2, E for (2, 3), those of
+    their conjugates.  A term c with entry k at slot a adds k c at its
+    exponent less a unit at a and plus one at z2 or at zb2 (w2); with entry
+    k at slot b it subtracts k c at its exponent less a unit at b and plus
+    one at z1 or at zb1 (w1): four key shifts per term.  The field keeps the
+    degree, so the base must exceed the family's degree.
+    """
+    pa, pb, p2, p3 = base**a, base**b, base**2, base**3
+    out: Family = dict(plus) if plus else {}
+    get = out.get
+    for key, c in family.items():
+        k = key // pa % base
+        if k:
+            low, kc = key - pa, k * c
+            out[low + base] = get(low + base, 0) + kc
+            out[low + p3] = get(low + p3, 0) + kc
+        k = key // pb % base
+        if k:
+            low, kc = key - pb, k * c
+            out[low + 1] = get(low + 1, 0) - kc
+            out[low + p2] = get(low + p2, 0) - kc
+    return {key: c for key, c in out.items() if c}
+
+
+def _condition_factor(family: Family, base: int) -> Family:
+    """(D^2 + 1) E of each polynomial of a family, in three passes of :func:`_turn`.
+
+    Homogeneous of the family's degree, so the base must exceed that degree.
+    """
+    phi = _turn(family, 2, 3, base)
+    return _turn(_turn(phi, 0, 1, base), 0, 1, base, phi)
+
+
 def _condition(family: Family, base: int) -> Family:
-    """The condition series of each polynomial of a family, by the elementary maps.
+    """The condition series of each polynomial of a family, as w2 (D^2 + 1) E.
 
     The maps are integer-linear, so each column of the result is the
     condition of that column's polynomial; a column that vanishes everywhere
@@ -671,26 +755,31 @@ def _condition(family: Family, base: int) -> Family:
     base must exceed every exponent entry of the result: degree + 2 for a
     family of that degree.
     """
-    d = _derivative
-    phi = _w_sum(((1, 2, d(family, 2, base)), (-1, 1, d(family, 3, base))), base)
-    # Psi = w2 (w2 dPhi/dz1 - w1 dPhi/dz2) + w1 Phi
-    turned = _w_sum(((1, 2, d(phi, 0, base)), (-1, 1, d(phi, 1, base))), base)
-    psi = _w_sum(((1, 2, turned), (1, 1, phi)), base)
-    return _w_sum(((1, 2, d(psi, 0, base)), (-1, 1, d(psi, 1, base))), base)
+    return _w_sum(((1, 2, _condition_factor(family, base)),), base)
 
 
-def _satisfies_condition(h: Series) -> bool:
-    """Whether a series satisfies the first-order condition, exactly.
+def _satisfies_condition(h: Series | _ImPart) -> bool:
+    """Whether H satisfies the first-order condition, exactly.
 
-    Its integer pairs (re, im) over its denominator form one flat family,
-    re in column 0 and im in column 1, packed with base h.trunc + 2 (its
-    condition reaches degree h.trunc + 1); since ``_condition`` is
-    integer-linear, the series satisfies the condition exactly when the
-    family's condition is empty.
+    The condition is w2 (D^2 + 1) E H, and multiplying by w2 is injective,
+    so it holds exactly when the factor (D^2 + 1) E H vanishes.  H's integer
+    pairs (re, im) form one flat family, re in column 0 and im in column 1,
+    on H's own packed keys: the driver's packed H keeps the germ's base
+    T + 1, and a series is packed with base h.trunc + 1 (m + 1 for a degree-m
+    table's series).  The factor keeps the degree, so every entry stays
+    below that base, and since the maps are integer-linear, H satisfies the
+    condition exactly when the family's factor is empty.
     """
-    base = h.trunc + 2
-    family = _family(((e, {0: x, 1: y}) for e, (x, y) in h.nums.items()), base)
-    return not _condition(family, base)
+    if isinstance(h, Series):
+        h = _ImPart.of_series(h)
+    cut = h.base**4
+    family: Family = {}
+    for key, (x, y) in h.pairs.items():
+        if x:
+            family[key] = x
+        if y:
+            family[cut + key] = y
+    return not _condition_factor(family, h.base)
 
 
 # -- the order-by-order driver -------------------------------------------------------
@@ -722,12 +811,15 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     Each degree verifies the normalized remainder: zero lets the iteration
     continue, a nonzero remainder (or an unsolvable normalization) stops it
     and is reported as an obstruction certificate.  Each step also records
-    whether H satisfies the first-order condition (``_satisfies_condition``);
-    a nonzero remainder is read only when R_m is not real after the shear.
+    whether H satisfies the first-order condition (``_satisfies_condition``).
 
     R is packed once and stays packed from shear to shear (``Germ.shear``
-    returns a germ that holds only its packed R); each degree is read from
-    its bucket alone, and the final germ decodes R once, when it is read.
+    returns a germ that holds only its packed R).  Each degree's H = Im R_m
+    is read on the integer keys of its bucket (``_imaginary_part``) twice:
+    before its solve, which takes that packed H, and after its shear, where
+    the remainder vanishes exactly when the packed Im is empty.  Only an
+    obstruction degree decodes its H' table, once; the final germ decodes R
+    once, when it is read.
     """
     _require_parabolic(germ)
     if n > germ.trunc:
@@ -742,15 +834,16 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         try:
             kern = solve_kernel(im_part, m)
         except NormalizationError as exc:
-            h = HTable(m, series_to_table(im_part))
+            h = HTable(m, series_to_table(_im_series(im_part)))
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
         kernels[m] = kern
-        # the remainder vanishes exactly when R_m is real; it is read only if not
-        if not current.part(m).is_real():
-            remainder = HTable(m, series_to_table(_imaginary_part(current, m)))
-            steps.append(FlattenStep(m, kern, False, remainder, fund_ok))
+        # the normalized remainder is Im R_m after the shear
+        remainder = _imaginary_part(current, m)
+        if remainder.pairs:
+            table = HTable(m, series_to_table(_im_series(remainder)))
+            steps.append(FlattenStep(m, kern, False, table, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         steps.append(FlattenStep(m, kern, True, None, fund_ok))
     return FlattenReport(True, n, kernels, current, steps)
@@ -766,16 +859,16 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     maps columns to the integer coefficient of one degree-(m + 1) bracket of
     the condition series, rows in bracket order.  The rows come from the
     family of all unit tables at once, one flat packed family with base
-    m + 2, carried through Phi, Psi and the condition by ``_condition``, the
-    two elementary maps (``_derivative`` and ``_w_sum``) on packed monomial
-    exponents; this is a third implementation of the operators, beside the
-    series arithmetic that defines them and the recursions that audit them.
-    The result is regrouped once into one {column: value} row per exponent,
-    and each row's exponent is decoded once.  The same maps decide the
-    flattening driver's per-degree condition check
-    (``_satisfies_condition``).  The build checks itself against the series
-    operators on one dense integer table, and a disagreement raises
-    :class:`ConsistencyError`.
+    m + 2, carried to the condition w2 (D^2 + 1) E by ``_condition``: three
+    passes of the fused field map ``_turn`` and one multiplication by w2
+    (``_w_sum``) on packed monomial exponents; this is a third
+    implementation of the operators, beside the series arithmetic that
+    defines them and the recursions that audit them.  The result is
+    regrouped once into one {column: value} row per exponent, and each row's
+    exponent is decoded once.  The same field map decides the flattening
+    driver's per-degree condition check (``_satisfies_condition``).  The
+    build checks itself against the series operators on one dense integer
+    table, and a disagreement raises :class:`ConsistencyError`.
     """
     unknowns = all_brackets(m)
     base = m + 2

@@ -37,7 +37,9 @@ and adds them into one integer (re, im) accumulator per exponent: the
 result over D, returned packed and decoded once.  :func:`_packed_diff` and
 :func:`_packed_conj` differentiate and conjugate packed keys, so a caller
 holding packed operands (the obstruction chain of ``crflat.crfields``)
-multiplies, differentiates and conjugates without unpacking between steps.
+multiplies, differentiates and conjugates without unpacking between steps;
+:func:`_packed_im` reads the imaginary part of one degree's bucket on its
+keys (the flattening driver's per-degree read).
 :func:`subst_w` keeps the powers of the substituted series packed from one
 product to the next, and its core :func:`_subst_packed` returns the sum
 packed too, so that a caller holding a packed operand (a sheared ``Germ``
@@ -463,6 +465,30 @@ def _packed_conj(p: _Packed, nvars: int) -> _Packed:
         for d, terms in p.buckets
     ]
     return p._replace(buckets=buckets)
+
+
+def _packed_im(p: _Packed, nvars: int, degree: int) -> dict[int, Pair]:
+    """The imaginary part of one degree's bucket, as nonzero pairs by key over 2 p.den.
+
+    The rule of :meth:`Series.re_im`: the pair (x, y) at a key and the pair
+    (u, v) at its mirror key (the two halves swapped) give Im = (y + v, u - x)
+    at the key.  A key whose mirror is absent from the bucket also gives the
+    mirror's entry (y, x), so every stored key and its mirror is read.  An
+    absent bucket has no imaginary part.
+    """
+    half = p.base**nvars
+    terms = next((terms for d, terms in p.buckets if d == degree), ())
+    pairs = {key: (x, y) for key, x, y in terms}
+    out: dict[int, Pair] = {}
+    for key, (x, y) in pairs.items():
+        mirror = key % half * half + key // half
+        uv = pairs.get(mirror)
+        if uv is None:
+            out[key] = (y, -x)
+            out[mirror] = (y, x)
+        elif y + uv[1] or uv[0] - x:
+            out[key] = (y + uv[1], uv[0] - x)
+    return out
 
 
 def _certify(trunc: int, pairs: Iterable[tuple[_Packed, _Packed]]) -> None:

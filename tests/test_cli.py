@@ -251,6 +251,9 @@ def test_flatten_reproduces_the_golden_order_18_report(monkeypatch):
         # a residual with integer coefficients throughout
         ("screen_s02.order6.report",
          ["nonminimal-check", "fixtures/screen_s02.germ", "--order", "6"]),
+        # an obstruction at the top degree, where the packing base T + 1 is
+        # tightest, from a term whose mirror the germ lacks
+        ("topdegree.order8.report", ["flatten", "fixtures/topdegree.germ", "--order", "8"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

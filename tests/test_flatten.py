@@ -46,7 +46,7 @@ from crflat.germ import _shear_template, load_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
 from crflat.series import bracket_from_exp, exp_from_bracket, subst_w
 
-from conftest import FIXTURES, rand_gaussian, rand_real_bracket_table
+from conftest import FIXTURES, rand_gaussian, rand_nonzero_gaussian, rand_real_bracket_table
 
 G = GaussianRational
 I = G(0, 1)
@@ -565,26 +565,36 @@ def test_flatten_reads_only_the_degree_it_solves(rng, monkeypatch):
     assert flatten_to_order(g, 7).ok
 
 
-def test_flatten_checks_the_quadric_once_per_entry_point(rng, monkeypatch):
+@pytest.fixture
+def bucket_reads(monkeypatch):
+    """The degrees the driver reads from its buckets, and the packed parts it decodes."""
+    reads, decodes = [], []
+    read, decode = flatten_mod._imaginary_part, flatten_mod._im_series
+    monkeypatch.setattr(flatten_mod, "_imaginary_part", lambda g, m: reads.append(m) or read(g, m))
+    monkeypatch.setattr(flatten_mod, "_im_series", lambda im: decodes.append(im) or decode(im))
+    return reads, decodes
+
+
+def test_flatten_checks_the_quadric_once_per_entry_point(rng, monkeypatch, bucket_reads):
     g = sheared_quadric(rng, (3, 5), trunc=7)
-    calls, reads = [], []
-    pair, read = Germ.quadratic_pair, flatten_mod._imaginary_part
+    calls = []
+    pair = Germ.quadratic_pair
     monkeypatch.setattr(Germ, "quadratic_pair", lambda self: calls.append(1) or pair(self))
-    monkeypatch.setattr(flatten_mod, "_imaginary_part", lambda g, m: reads.append(m) or read(g, m))
     assert flatten_to_order(g, 7).ok
-    # the driver hands each series it reads to solve_kernel, so the quadric is
-    # checked once; each degree is read before its solve, and after its shear
-    # only R_m's reality is tested
+    # the driver hands each packed part it reads to solve_kernel, so the
+    # quadric is checked once; each degree's bucket is read before its solve
+    # and after its shear, and a degree that flattens decodes nothing
     assert len(calls) == 1
-    assert reads == list(range(3, 8))
+    reads, decodes = bucket_reads
+    assert reads == [m for m in range(3, 8) for _ in range(2)]
+    assert decodes == []
 
 
-def test_flatten_reads_and_reports_a_nonzero_remainder(monkeypatch):
-    reads, read = [], flatten_mod._imaginary_part
-    monkeypatch.setattr(flatten_mod, "_imaginary_part", lambda g, m: reads.append(m) or read(g, m))
+def test_flatten_reads_and_reports_a_nonzero_remainder(bucket_reads):
     rep = flatten_to_order(non_graph_germ(), 8)
     assert not rep.ok and rep.obstruction_degree == 3
-    assert reads == [3, 3]
+    reads, decodes = bucket_reads
+    assert reads == [3, 3] and len(decodes) == 1  # the remainder, for its H' table
     last = rep.steps[-1]
     assert last.normalized_zero is False and not last.remainder.is_zero()
     assert last.remainder == h_from_germ(rep.final, 3)
@@ -592,8 +602,12 @@ def test_flatten_reads_and_reports_a_nonzero_remainder(monkeypatch):
 
 def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
     g = parabolic_quadric(8).shear(random_kernel(rng, 5, density=1.0))
-    h = flatten_mod._imaginary_part(g, 5)
-    assert not h.is_zero() and solve_kernel(h, 5) == solve_kernel(g, 5)
+    h = g.part(5).re_im()[1]
+    want = solve_kernel(g, 5)
+    assert not h.is_zero() and solve_kernel(h, 5) == want
+    # the driver's packed part, and a series on keys of another base
+    assert solve_kernel(flatten_mod._imaginary_part(g, 5), 5) == want
+    assert solve_kernel(Series(2, 5, h.terms), 5) == want
     for m in (2, 4, 6):
         with pytest.raises(PreconditionError, match=f"homogeneous of degree {m}$"):
             solve_kernel(h, m)
@@ -601,7 +615,7 @@ def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
 
 def test_solve_kernel_takes_only_a_real_homogeneous_two_variable_series(rng):
     g = parabolic_quadric(8).shear(random_kernel(rng, 5, density=1.0))
-    h = flatten_mod._imaginary_part(g, 5)
+    h = g.part(5).re_im()[1]
     assert solve_kernel(h, 5) == flatten_to_order(g, 5).kernels[5]
     extra = h + Series(2, 6, {(3, 0, 3, 0): 1})  # one real term of degree 6
     three = Series(3, 5, {(0, 0, 2, 0, 0, 3): 1, (0, 0, 3, 0, 0, 2): 1})
@@ -635,6 +649,36 @@ def test_the_driver_builds_a_table_only_for_a_failing_degree(monkeypatch, name, 
 
 
 # -- the packed driver against the public path -----------------------------------------
+
+
+def with_unmirrored_terms(rng, germ, count):
+    """The germ plus ``count`` non-real terms whose mirror exponents R lacks."""
+    extra = {}
+    while len(extra) < count:
+        e = exp_from_bracket(*rng.choice(all_brackets(rng.randint(3, germ.trunc))))
+        if e[2:] + e[:2] not in germ.R.nums and e[2:] + e[:2] not in extra:
+            extra[e] = rand_nonzero_gaussian(rng)
+    return Germ(2, germ.R + Series(2, germ.trunc, extra))
+
+
+@pytest.mark.parametrize("trunc", [3, 6, 10])
+@pytest.mark.parametrize("kind", ["sheared", "flat"])
+def test_the_packed_imaginary_part_decodes_to_the_series_one(kind, trunc):
+    rng = random.Random(trunc)
+    for _ in range(4):
+        if kind == "sheared":  # the germ holds only its packed R
+            germ = sheared_quadric(rng, range(3, trunc + 1), trunc)
+        else:
+            terms = []
+            for _ in range(6):
+                idx = rng.choice(all_brackets(rng.randint(3, trunc)))
+                terms.append((exp_from_bracket(*idx), rand_gaussian(rng)))
+            germ = flat_germ(trunc, terms)
+        for g in (germ, with_unmirrored_terms(rng, germ, 3)):
+            for m in range(trunc + 1):
+                im = flatten_mod._imaginary_part(g, m)
+                assert flatten_mod._im_series(im) == g.part(m).re_im()[1]
+                assert (not im.pairs) == g.part(m).is_real()
 
 
 def imaginary_part(germ, m):
@@ -735,8 +779,8 @@ def test_flatten_packs_the_germ_once_and_decodes_it_once(rng, monkeypatch):
     assert flatten_to_order(g, 8) == want
     # the germ holds conjugate powers; each shear packs only its template, in z alone
     assert [s for s in packed if any(e[2] or e[3] for e in s.nums)] == [g.R]
-    assert decoded.count(None) == 1
-    assert set(decoded) == {None, *range(3, 9)}
+    # every degree is read on the packed keys, and only the final R is decoded
+    assert decoded == [None]
 
 
 def test_an_absent_bucket_reads_as_the_zero_series():
@@ -855,6 +899,79 @@ def test_the_shear_family_satisfies_the_condition(m):
     family = _shear_family(m, base)
     assert {key // base**4 for key in family} == set(range(len(kernel_unknowns(m))))
     assert flatten_mod._condition(family, base) == {}
+
+
+# The condition as it was written before its factorization: Phi = E H,
+# Psi = w2 D Phi + w1 Phi and D Psi by six derivative passes and sixteen key
+# shifts, kept here as the reference for w2 (D^2 + 1) E.
+
+
+def reference_derivative(family, slot, base):
+    p = base**slot
+    return {key - p: key // p % base * c for key, c in family.items() if key // p % base}
+
+
+def reference_w_sum(terms, base):
+    acc = {}
+    for k, i, family in terms:
+        for slot in {1: (0, 2), 2: (1, 3)}[i]:
+            for key, c in family.items():
+                acc[key + base**slot] = acc.get(key + base**slot, 0) + k * c
+    return {key: c for key, c in acc.items() if c}
+
+
+def reference_condition(family, base):
+    d, w = reference_derivative, reference_w_sum
+    phi = w(((1, 2, d(family, 2, base)), (-1, 1, d(family, 3, base))), base)
+    turned = w(((1, 2, d(phi, 0, base)), (-1, 1, d(phi, 1, base))), base)
+    psi = w(((1, 2, turned), (1, 1, phi)), base)
+    return w(((1, 2, d(psi, 0, base)), (-1, 1, d(psi, 1, base))), base)
+
+
+@st.composite
+def two_column_families(draw, m):
+    """Rows {exponent: {column: value}} of two integer polynomials of degree m.
+
+    Each column is an integer combination of the shear polynomials c_k and
+    their conjugates, which satisfy the condition, plus terms at the
+    extreme exponents z_i^m and zb_i^m (each a c_k or the conjugate of one);
+    half the time one more term at any exponent, which may break it.
+    """
+    coef = st.integers(-4, 4)
+    shear = sorted(flatten_mod._regroup(_shear_family(m, m + 1), m + 1).items())
+    rows = {}
+
+    def add(e, col, c):
+        row = rows.setdefault(e, {})
+        row[col] = row.get(col, 0) + c
+
+    for col in (0, 1):
+        for k in draw(st.lists(st.integers(0, len(kernel_unknowns(m)) - 1), max_size=3)):
+            c, bar = draw(coef), draw(st.booleans())
+            for e, row in shear:
+                if k in row:
+                    add(e[2:] + e[:2] if bar else e, col, c * row[k])
+        for slot in range(4):
+            add(tuple(m if i == slot else 0 for i in range(4)), col, draw(coef))
+    perturbed = draw(st.booleans())
+    if perturbed:
+        e = exp_from_bracket(*draw(st.sampled_from(all_brackets(m))))
+        add(e, draw(st.sampled_from([0, 1])), draw(st.integers(1, 4)))
+    return rows, perturbed
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(data=st.data())
+def test_the_condition_is_w2_times_its_factor(m, data):
+    rows, perturbed = data.draw(two_column_families(m))
+    family = flatten_mod._family(rows.items(), m + 2)
+    want = reference_condition(family, m + 2)
+    assert flatten_mod._condition(family, m + 2) == want
+    # the factor keeps the degree, so it fits base m + 1, and w2 is injective
+    tight = flatten_mod._family(rows.items(), m + 1)
+    assert (not flatten_mod._condition_factor(tight, m + 1)) == (not want)
+    assert perturbed or not want
 
 
 def test_flatten_requires_parabolic():
@@ -1057,13 +1174,14 @@ def test_the_driver_condition_check_equals_the_condition_series(m, data):
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_the_driver_condition_check_holds_at_the_packing_boundary(m):
-    # A series of truncation m is packed with base m + 2.  Its terms at the
-    # extreme exponents z1^m, z2^m and conjugates hold the entry m, and the
-    # maps carry terms such as z1^(m - 1) zb2 to the entry m + 1 (z1^(m + 1)
-    # in Psi), the largest digit below the base.  Each conjugate pair of
-    # extreme terms is Im(b z_i^m), which satisfies the condition, so a
-    # condition-kernel table keeps holding with them and a unit term at a
-    # mixed bracket with entries m - 1 and 1 breaks it.
+    # A series of truncation m is packed with base m + 1, and the factor
+    # (D^2 + 1) E keeps the degree.  Its terms at the extreme exponents z1^m,
+    # z2^m and conjugates hold the entry m, the largest digit below the base,
+    # and E carries terms such as z1^(m - 1) zb2 to it (-w1 z1^(m - 1) holds
+    # z1^m).  Each conjugate pair of extreme terms is Im(b z_i^m), which
+    # satisfies the condition, so a condition-kernel table keeps holding with
+    # them and a unit term at a mixed bracket with entries m - 1 and 1
+    # breaks it.
     extremes = {(0, m, 0, 0): G(1, 2), (0, 0, 0, m): G(1, -2)}  # z1^m, zb1^m
     extremes.update({(m, 0, 0, 0): G(3), (0, 0, m, 0): G(3)})  # z2^m, zb2^m
     near = [
@@ -1082,17 +1200,41 @@ def test_the_driver_condition_check_holds_at_the_packing_boundary(m):
         assert flatten_mod._satisfies_condition(series) == holds
 
 
-def _unscaled_derivative(family, slot, base):
-    p = base**slot
-    return {key - p: c for key, c in family.items() if key // p % base}
+def corrupted_turn(w2_slots, scaled):
+    """The fused field map with w2 put at ``w2_slots``, its derivatives scaled or not."""
+
+    def turn(family, a, b, base, plus=None):
+        out = dict(plus or {})
+        for key, c in family.items():
+            for slot, sign, slots in ((a, 1, w2_slots), (b, -1, (0, 2))):
+                k = key // base**slot % base
+                if k:
+                    for w in slots:
+                        at = key - base**slot + base**w
+                        out[at] = out.get(at, 0) + sign * (k if scaled else 1) * c
+        return {key: c for key, c in out.items() if c}
+
+    return turn
+
+
+@pytest.mark.parametrize("m", [4, 7])
+def test_the_corruptible_field_map_copy_is_the_field_map(m):
+    # so each corruption below changes its one named thing and nothing else
+    base = m + 2
+    units = flatten_mod._family(
+        ((exp_from_bracket(*idx), {j: 1}) for j, idx in enumerate(all_brackets(m))), base
+    )
+    for a, b in ((0, 1), (2, 3)):
+        want = flatten_mod._turn(units, a, b, base, units)
+        assert corrupted_turn((1, 3), True)(units, a, b, base, units) == want
 
 
 @pytest.fixture(params=["w2-without-zb2", "unscaled-derivative", "negated-series"])
 def corrupted_condition(request, monkeypatch):
     if request.param == "w2-without-zb2":
-        monkeypatch.setitem(flatten_mod._W_SLOTS, 2, (1,))
+        monkeypatch.setattr(flatten_mod, "_turn", corrupted_turn((1,), True))
     elif request.param == "unscaled-derivative":
-        monkeypatch.setattr(flatten_mod, "_derivative", _unscaled_derivative)
+        monkeypatch.setattr(flatten_mod, "_turn", corrupted_turn((1, 3), False))
     else:
         real = flatten_mod.fundamental_series
         monkeypatch.setattr(flatten_mod, "fundamental_series", lambda tables: -real(tables))

@@ -382,6 +382,24 @@ def test_packed_derivative_and_conjugate_decode_to_the_series_operations(s):
         assert (got.trunc, got.low) == (want.trunc, _low(want))
 
 
+@PRODUCT_SETTINGS
+@given(st.integers(1, 3).flatmap(product_series))
+@example(Series(2, 3, {(0, 0, 1, 2): G(1, 1), (1, 0, 1, 0): 3}))  # no mirror; a self-mirror term
+@example(Series(1, 4, {(1, 1): G(0, 2), (3, 0): 1, (0, 3): 1}))  # a real cubic, Im only at (1, 1)
+def test_packed_imaginary_part_of_a_bucket_decodes_to_re_im(s):
+    n = s.nvars
+    packed = series_mod._packed(s, s.trunc)
+    for d in range(s.trunc + 1):
+        pairs = series_mod._packed_im(packed, n, d)
+        assert all(x or y for x, y in pairs.values())
+        terms = ((key, x, y) for key, (x, y) in pairs.items())
+        nums = series_mod._decoded(terms, packed.base, 2 * n)
+        got = Series._canonical(n, s.trunc, 2 * packed.den, nums)
+        want = s.homogeneous_part(d).re_im()[1]
+        assert got == want
+        assert (not pairs) == s.homogeneous_part(d).is_real()
+
+
 # -- every operation against termwise Gaussian-rational arithmetic ----------------------
 
 _scalars = st.one_of(
