@@ -32,7 +32,10 @@ one report.
 
 One parser, built at import, serves every call of ``main``: each subparser
 carries its verb's ``run(report, path, args)``, which fills the report that
-``main`` starts.
+``main`` starts.  The verbs reach ``case_tables``, ``crfields``, ``flatten``
+and ``quadratic`` through their lazily registered modules (see ``crflat``),
+so importing this module runs none of the four, and each verb runs only the
+modules it uses.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ import json
 import os
 import sys
 
-from . import case_tables
-from .crfields import load_field, obstruction, obstruction_series, verify_witness
+from . import case_tables, crfields, flatten, quadratic  # each runs at its verb's first use
 from .errors import (
     ConsistencyError,
     CrflatError,
@@ -51,17 +53,8 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .flatten import flatten_to_order, uniqueness_nullspace
 from .germ import load_germ, save_germ, save_kernel
 from .numeric import GaussianRational, integer
-from .quadratic import (
-    bishop_slice,
-    coarse_b_class,
-    cr_singular_linearization,
-    elliptic_candidates,
-    is_hermitianizable,
-    recognize_pair,
-)
 from .series import exp_from_bracket, format_term_lines, load_series, read_text, term_line
 
 DEFAULT_TRUNC = 8
@@ -155,18 +148,18 @@ def run_classify(rep: Report, path: str, args) -> None:
     rep.add("VARS", germ.n)
     rep.add("A", pair.A.to_literal())
     rep.add("B", pair.B.to_literal())
-    verdict = is_hermitianizable(pair)
+    verdict = quadratic.is_hermitianizable(pair)
     rep.add("HERMITIANIZABLE", _bool(verdict.flattenable))
     rep.add("LAMBDA", verdict.lam if verdict.lam is not None else "-")
     rep.add("MU", verdict.mu_witness if verdict.mu_witness is not None else "-")
     if verdict.hermitian_b is not None:
         rep.add("HERMITIAN_B", verdict.hermitian_b.to_literal())
     if germ.n == 2:
-        cls = coarse_b_class(pair)
+        cls = quadratic.coarse_b_class(pair)
         rep.add("B_CLASS", cls.tag.name)
         rep.add("B_FAMILY", cls.tag.value)
         rep.add("COSQUARE_SPECTRUM", cls.cosquare_spectrum)
-        rec = recognize_pair(pair)
+        rec = quadratic.recognize_pair(pair)
         if rec is None:
             rep.add("RECOGNIZED", "-")
         else:
@@ -177,7 +170,7 @@ def run_classify(rep: Report, path: str, args) -> None:
 
 def run_nonminimal(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
-    report = obstruction(germ, args.order)
+    report = crfields.obstruction(germ, args.order)
     rep.add("ORDER", args.order)
     for line in format_term_lines(report.residual):
         rep.add("RESIDUAL_TERM", line)
@@ -190,9 +183,9 @@ def run_nonminimal(rep: Report, path: str, args) -> None:
 
 def run_witness(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
-    field = load_field(args.field)
+    field = crfields.load_field(args.field)
     chi = load_series(args.chi) if args.chi else None
-    w = verify_witness(germ, field, chi)
+    w = crfields.verify_witness(germ, field, chi)
     parts = [
         f"L(h)={'0' if w.annihilates_h else 'NONZERO'}",
         f"L(conj h)={'0' if w.annihilates_h_conj else 'NONZERO'}",
@@ -211,7 +204,7 @@ def run_bishop(rep: Report, path: str, args) -> None:
         c = _parse_direction(args.c)
         rep.add("C", ", ".join(str(x) for x in c))
         try:
-            sl = bishop_slice(pair, c)
+            sl = quadratic.bishop_slice(pair, c)
             rep.add("ALPHA", sl.alpha)
             rep.add("GAMMA", sl.gamma)
             rep.add("LAMBDA_SQ", sl.lambda_sq)
@@ -219,7 +212,7 @@ def run_bishop(rep: Report, path: str, args) -> None:
         except DegenerateSliceError:
             rep.add("SLICE", "degenerate")
     if args.search is not None:
-        for cand in elliptic_candidates(pair, args.search):
+        for cand in quadratic.elliptic_candidates(pair, args.search):
             if cand.direction is None:
                 rep.add("CANDIDATE", f"{cand.origin} {cand.note}")
                 continue
@@ -236,7 +229,7 @@ def run_bishop(rep: Report, path: str, args) -> None:
 
 def run_jacobian(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
-    lin = cr_singular_linearization(germ)
+    lin = quadratic.cr_singular_linearization(germ)
     rep.add("MATRIX", lin.matrix.to_literal())
     rep.add("RANK", lin.rank)
     rep.add("CR_SINGULAR_DIM_BOUND", lin.dim_bound)
@@ -244,7 +237,7 @@ def run_jacobian(rep: Report, path: str, args) -> None:
 
 def run_flatten(rep: Report, path: str, args) -> None:
     germ = load_germ(path)
-    result = flatten_to_order(germ, args.order)
+    result = flatten.flatten_to_order(germ, args.order)
     for step in result.steps:
         rep.add("DEGREE", step.m)
         if step.kernel is not None:
@@ -271,7 +264,7 @@ def run_flatten(rep: Report, path: str, args) -> None:
 
 
 def run_unique_check(rep: Report, _path, args) -> None:
-    dim, _basis = uniqueness_nullspace(args.m)
+    dim, _basis = flatten.uniqueness_nullspace(args.m)
     rep.add("M", args.m)
     rep.add("NULLSPACE_DIM", dim)
 
@@ -281,7 +274,7 @@ def run_case_oracle(rep: Report, _path, args) -> None:
     case = case_tables.normalize_case_id(args.case)
     germ = case_tables.germ_for_case(case, params, trunc=DEFAULT_TRUNC)
     oracle = case_tables.reference_series(case, params)
-    engine = dict(zip(("X1", "X2", "Y1", "Y2"), obstruction_series(germ, 2)))
+    engine = dict(zip(("X1", "X2", "Y1", "Y2"), crfields.obstruction_series(germ, 2)))
     rep.add("CASE", case)
     rep.add("PARAMS", "; ".join(f"{k}={v}" for k, v in sorted(params.items())))
     mismatches = []

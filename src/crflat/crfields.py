@@ -45,8 +45,7 @@ the surrounding literature also calls A and B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError, PreconditionError
 from .germ import Germ
@@ -68,8 +67,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class TangentField:
+class TangentField(NamedTuple):
     """Coefficients of d/dz1, d/dz2, d/dw of a (1,0) field along the graph."""
 
     cf_z1: Series
@@ -93,8 +91,7 @@ def build_canonical_field(germ: Germ) -> TangentField:
     return TangentField(a, -b, sum_of_products(((1, a, r.dz(1)), (-1, b, r.dz(2)))))
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     annihilates_h: bool
     annihilates_h_conj: bool
     annihilates_chi: Optional[bool]
@@ -137,8 +134,7 @@ def verify_witness(germ: Germ, field: TangentField, chi: Series | None = None) -
     return WitnessReport(lh.is_zero(), lhbar.is_zero(), chi_ok)
 
 
-@dataclass(frozen=True)
-class BracketData:
+class BracketData(NamedTuple):
     """Coefficients of [L, conj L] (lambda) and [L, [L, conj L]] (gamma) of a field L."""
 
     lambda1: Series
@@ -226,8 +222,7 @@ def _families(a: _Packed, b: _Packed, degree: int | None, c: _Packed | None = No
     return out
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """The residual X1 X2 - Y1 Y2 through ``order``; ``first_nonzero`` is its
     graded-lex least term as (exponent (s, t, h, r), coefficient), or None."""
 

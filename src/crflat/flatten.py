@@ -63,7 +63,6 @@ the factor in integers and checks every solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -206,8 +205,7 @@ def _require_parabolic(germ: Germ):
 # -- definitional operators (generic series arithmetic) -------------------------
 
 
-@dataclass(frozen=True)
-class PhiPsiTables:
+class PhiPsiTables(NamedTuple):
     m: int
     phi: Series
     psi: Series
@@ -245,8 +243,7 @@ def fundamental_series(tables: PhiPsiTables) -> Series:
     return sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))), trunc=m + 1)
 
 
-@dataclass(frozen=True)
-class FundamentalReport:
+class FundamentalReport(NamedTuple):
     ok: bool
     violations: list[tuple[Bracket, GaussianRational]]
 
@@ -261,11 +258,23 @@ def check_fundamental(tables: PhiPsiTables) -> FundamentalReport:
 # -- recursion audits (independent coefficient-shift code paths) ------------------
 
 
-@dataclass(frozen=True)
 class AuditReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-    skipped: Optional[str] = None
+    """An audit's verdict; each report built without ``failures`` gets its own list."""
+
+    __slots__ = ("ok", "failures", "skipped")
+
+    def __init__(self, ok: bool, failures: list[str] | None = None, skipped: Optional[str] = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+        self.skipped = skipped
+
+    def __eq__(self, other):
+        if not isinstance(other, AuditReport):
+            return NotImplemented
+        return (self.ok, self.failures, self.skipped) == (other.ok, other.failures, other.skipped)
+
+    def __repr__(self):
+        return f"AuditReport(ok={self.ok!r}, failures={self.failures!r}, skipped={self.skipped!r})"
 
 
 def _phi_recursion(h: Mapping[Bracket, GaussianRational], idx: Bracket) -> GaussianRational:
@@ -340,8 +349,7 @@ def _binom(t: int, k: int) -> int:
     return math.comb(t, k)
 
 
-@dataclass(frozen=True)
-class KTransform:
+class KTransform(NamedTuple):
     k: int
     values: Table
 
@@ -434,8 +442,7 @@ def identity_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -
 # -- normalization conditions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     label: str
     kind: str  # "zero" (complex coefficient) or "realpart"
     index: Bracket
@@ -446,8 +453,7 @@ class Constraint:
         return ("re", "im") if self.kind == "zero" else ("re",)
 
 
-@dataclass(frozen=True)
-class NormalizationSystem:
+class NormalizationSystem(NamedTuple):
     m: int
     constraints: tuple[Constraint, ...]
     even_side_condition: bool
@@ -785,8 +791,7 @@ def _satisfies_condition(h: Series | _ImPart) -> bool:
 # -- the order-by-order driver -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlattenStep:
+class FlattenStep(NamedTuple):
     m: int
     kernel: Optional[KernelPolynomial]
     normalized_zero: Optional[bool]
@@ -795,8 +800,7 @@ class FlattenStep:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class FlattenReport:
+class FlattenReport(NamedTuple):
     ok: bool
     reached: int
     kernels: dict[int, KernelPolynomial]

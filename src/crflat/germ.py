@@ -30,12 +30,11 @@ R (:meth:`Germ.part`); ``crflat.series`` alone decides the packing base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
+from . import quadratic  # read at call time: loading germ does not run quadratic
 from .errors import PreconditionError
 from .numeric import HALF, GaussianRational, ZERO
-from .quadratic import QuadraticPair
 from .linalg import ExactMatrix
 from .series import (
     Series,
@@ -134,7 +133,7 @@ class Germ:
         """Real and imaginary parts G + iE = R, as computed by ``Series.re_im``."""
         return GESplit(*self.R.re_im())
 
-    def quadratic_pair(self) -> QuadraticPair:
+    def quadratic_pair(self) -> quadratic.QuadraticPair:
         """Extract (A, B) with quadratic part = z A z^t + conj(...) + z B zbar^t.
 
         The mixed block is read off directly; the pure-holomorphic block must
@@ -160,7 +159,7 @@ class Germ:
                     hol[j][j] = hz
                 else:
                     hol[j][k] = hol[k][j] = hz * HALF
-        return QuadraticPair(ExactMatrix.from_rows(hol), ExactMatrix.from_rows(b))
+        return quadratic.QuadraticPair(ExactMatrix.from_rows(hol), ExactMatrix.from_rows(b))
 
     # -- coordinate changes ------------------------------------------------------
 
@@ -231,8 +230,7 @@ class Germ:
         return Germ._from_packed(2, _subst_packed(polys, self._packed_r()))
 
 
-@dataclass(frozen=True)
-class GESplit:
+class GESplit(NamedTuple):
     """Real-valued components with g + i e = R exactly."""
 
     g: Series
@@ -295,7 +293,7 @@ def _shear_template(kernel: KernelPolynomial) -> dict:
 # -- quadric builders ------------------------------------------------------------
 
 
-def quadric_germ(pair: QuadraticPair, trunc: int) -> Germ:
+def quadric_germ(pair: quadratic.QuadraticPair, trunc: int) -> Germ:
     """The exact quadric germ whose quadratic pair is the given one."""
     n = pair.n
     terms: dict[tuple, GaussianRational] = {}
@@ -312,10 +310,10 @@ def quadric_germ(pair: QuadraticPair, trunc: int) -> Germ:
     return Germ(n, Series(n, trunc, terms))
 
 
-def parabolic_pair() -> QuadraticPair:
+def parabolic_pair() -> quadratic.QuadraticPair:
     """The pair of |z1|^2 + |z2|^2 + (z1^2 + z2^2 + conj)/2."""
     a = ExactMatrix.from_rows([[HALF, ZERO], [ZERO, HALF]])
-    return QuadraticPair(a, ExactMatrix.identity(2))
+    return quadratic.QuadraticPair(a, ExactMatrix.identity(2))
 
 
 def parabolic_quadric(trunc: int) -> Germ:

@@ -24,11 +24,10 @@ Provided decisions and invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DegenerateSliceError, PreconditionError
 from .linalg import ExactMatrix
@@ -74,8 +73,7 @@ class QuadraticPair:
         return f"QuadraticPair(A={self.A.to_literal()}, B={self.B.to_literal()})"
 
 
-@dataclass(frozen=True)
-class FlattenabilityVerdict:
+class FlattenabilityVerdict(NamedTuple):
     """Outcome of the lambda-Hermitian test on B.
 
     When flattenable, ``lam`` is the unimodular scalar with
@@ -142,8 +140,7 @@ class CoarseClass(Enum):
     JORDAN = "3"
 
 
-@dataclass(frozen=True)
-class CoarseBClass:
+class CoarseBClass(NamedTuple):
     tag: CoarseClass
     cosquare_spectrum: str
 
@@ -212,8 +209,7 @@ def subslice_pair(pair: QuadraticPair, i: int, j: int) -> QuadraticPair:
     return QuadraticPair(a, b)
 
 
-@dataclass(frozen=True)
-class SliceReport:
+class SliceReport(NamedTuple):
     """Bishop data of the slice z = c*xi.
 
     The slice quadric w = alpha xi^2 + conj(alpha) xibar^2 + gamma |xi|^2
@@ -247,8 +243,7 @@ def bishop_slice(pair: QuadraticPair, c: Sequence) -> SliceReport:
     return SliceReport(alpha, gamma, lam_sq, 4 * alpha.abs2() < gamma.abs2())
 
 
-@dataclass(frozen=True)
-class DirectionCandidate:
+class DirectionCandidate(NamedTuple):
     origin: str
     direction: Optional[tuple[GaussianRational, ...]]
     report: Optional[SliceReport]
@@ -542,8 +537,7 @@ def elliptic_candidates(pair: QuadraticPair, search_bound: int) -> list[Directio
     return out
 
 
-@dataclass(frozen=True)
-class LinearizationReport:
+class LinearizationReport(NamedTuple):
     """Linearized CR-singular-locus equations and the implied dimension bound."""
 
     matrix: ExactMatrix

@@ -1,0 +1,106 @@
+"""The package surface: its public names and which modules a verb runs."""
+
+import json
+import os
+import subprocess
+import sys
+
+import crflat
+from crflat import AuditReport
+
+from conftest import FIXTURES
+
+SRC = str(FIXTURES.parent / "src")
+
+PUBLIC_NAMES = [
+    "AuditReport", "BracketData", "CoarseBClass", "CoarseClass", "ConsistencyError",
+    "Constraint", "CrflatError", "DegenerateSliceError", "DirectionCandidate", "ExactMatrix",
+    "FlattenReport", "FlattenabilityVerdict", "GESplit", "GaussianRational", "Germ", "HTable",
+    "InconsistentSystemError", "KTransform", "KernelPolynomial", "LinearizationReport",
+    "NormalizationSystem", "ObstructionReport", "ParseError", "PhiPsiTables",
+    "PreconditionError", "QuadraticPair", "Series", "SliceReport", "TangentField",
+    "UnderdeterminedSystemError", "WitnessReport", "achievable_order", "bishop_slice",
+    "bracket_data", "bracket_from_exp", "build_canonical_field", "case_tables",
+    "check_fundamental", "coarse_b_class", "cr_singular_linearization", "crfields",
+    "dumps_field", "dumps_germ", "dumps_kernel", "elliptic_candidates", "errors",
+    "exp_from_bracket", "flatten", "flatten_to_order", "fundamental_nullspace", "germ",
+    "h_from_germ", "identity_audit", "is_hermitianizable", "k_transform", "linalg",
+    "load_field", "load_germ", "load_kernel", "loads_field", "loads_germ", "loads_kernel",
+    "max_null_dim", "normalization_system", "nullspace", "numeric", "obstruction",
+    "obstruction_series", "parabolic_pair", "parabolic_quadric", "parity_audit", "phi_psi",
+    "quadratic", "quadric_germ", "recognize_pair", "recursion_audit", "save_germ",
+    "save_kernel", "series", "solve", "solve_kernel", "sparse_nullspace", "sqrt_fraction",
+    "sqrt_gaussian", "subslice_pair", "subst_w", "sum_of_products", "uniqueness_nullspace",
+    "verify_witness",
+]
+
+SUBMODULES = ["case_tables", "crfields", "errors", "flatten", "germ", "linalg", "numeric",
+              "quadratic", "series"]
+
+# Prints, after `import crflat.cli` and after each verb, the crflat modules that
+# are registered but have not run.  A lazily registered module keeps its loader's
+# own module type until first use; `type` reads it without running the module,
+# where `vars()` or any attribute access would run it.
+PROBE = """
+import contextlib, io, json, sys, types
+import crflat.cli
+
+def not_run():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("crflat.") and type(module) is not types.ModuleType)
+
+states = {"import": not_run()}
+for verb, argv in (("unique-check", ["unique-check", "--m", "3"]),
+                   ("flatten", ["flatten", sys.argv[1], "--order", "5"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert crflat.cli.main(argv) == 0
+    states[verb] = not_run()
+print(json.dumps(states))
+"""
+
+
+def test_public_names_are_the_documented_list():
+    assert crflat.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(crflat))
+
+
+def test_every_public_name_resolves_and_star_import_binds_it():
+    namespace = {}
+    exec("from crflat import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(crflat, name)
+
+
+def test_each_submodule_is_the_registered_module():
+    for name in SUBMODULES:
+        assert getattr(crflat, name) is sys.modules[f"crflat.{name}"]
+    assert crflat.flatten.flatten_to_order is crflat.flatten_to_order
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(crflat, "no_such_name")
+
+
+def test_audit_reports_built_without_failures_share_no_list():
+    a, b = AuditReport(True), AuditReport(True)
+    assert a.failures == b.failures == [] and a.failures is not b.failures
+    a.failures.append("x")
+    assert b.failures == []
+    assert a == AuditReport(True, ["x"]) and a != b
+
+
+def test_a_verb_runs_only_the_modules_it_uses():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE, str(FIXTURES / "sheared.germ")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    states = json.loads(run.stdout)
+    for module in ("case_tables", "crfields", "flatten", "quadratic"):
+        assert f"crflat.{module}" in states["import"]
+    for module in ("case_tables", "crfields", "quadratic"):
+        assert f"crflat.{module}" in states["unique-check"]
+    for module in ("case_tables", "crfields"):
+        assert f"crflat.{module}" in states["flatten"]
+    assert "crflat.flatten" not in states["flatten"]
