@@ -230,9 +230,6 @@ class ObstructionReport(NamedTuple):
     order: int
     first_nonzero: Optional[tuple[tuple[int, int, int, int], GaussianRational]]
 
-    def residual_zero(self) -> bool:
-        return self.residual.is_zero()
-
 
 def achievable_order(trunc: int) -> int:
     """Highest residual order supported by a germ of the given truncation.

@@ -31,7 +31,3 @@ class UnderdeterminedSystemError(LinearSolveError):
 
 class DegenerateSliceError(PreconditionError):
     """The slice quadric has no mixed term, so no Bishop invariant exists."""
-
-
-class NormalizationError(CrflatError):
-    """The degree-m normalization solve failed (singular or inconsistent)."""

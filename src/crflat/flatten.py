@@ -69,8 +69,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     ConsistencyError,
-    LinearSolveError,
-    NormalizationError,
+    InconsistentSystemError,
     PreconditionError,
     UnderdeterminedSystemError,
 )
@@ -456,7 +455,6 @@ class Constraint(NamedTuple):
 class NormalizationSystem(NamedTuple):
     m: int
     constraints: tuple[Constraint, ...]
-    even_side_condition: bool
 
 
 def normalization_system(m: int) -> NormalizationSystem:
@@ -491,7 +489,7 @@ def normalization_system(m: int) -> NormalizationSystem:
         t = low - 1
         real_idx = (2 * t + 1, 1, m - 2 * t - 3, 1) if m % 6 == 4 else (top, 0, m - top, 0)
         cons.append(Constraint("block real part", "realpart", real_idx))
-    return NormalizationSystem(m, tuple(cons), m % 2 == 0)
+    return NormalizationSystem(m, tuple(cons))
 
 
 def constraint_residuals(
@@ -624,7 +622,10 @@ def solve_kernel(source: Germ | Series | _ImPart, m: int) -> KernelPolynomial:
     form an overdetermined real-linear system in (Re b, Im b), whose
     right-hand side is read off H at each constraint's exponent key (packed
     once per degree and base); uniqueness and consistency are verified by
-    the exact solve, and failure raises :class:`NormalizationError`.
+    the exact solve.  An inconsistent system raises
+    :class:`InconsistentSystemError`, which the driver reports as an
+    obstruction.  A singular one raises :class:`ConsistencyError`: the
+    pure-z and mixed rows have full rank, so a free unknown is a bug.
 
     The right-hand side is H's integer numerators, so the solve returns
     den times the system's solution, a real vector: each entry takes its
@@ -654,9 +655,9 @@ def solve_kernel(source: Germ | Series | _ImPart, m: int) -> KernelPolynomial:
     try:
         sol = solve(mat, rhs)
     except UnderdeterminedSystemError as exc:
-        raise NormalizationError(f"normalization system singular at degree {m}") from exc
-    except LinearSolveError as exc:
-        raise NormalizationError(f"normalization system inconsistent at degree {m}") from exc
+        raise ConsistencyError(f"normalization system singular at degree {m}") from exc
+    except InconsistentSystemError as exc:
+        raise InconsistentSystemError(f"normalization system inconsistent at degree {m}") from exc
     # the matrix columns hold 2^(j + 1) times b's, and the solution den times b's
     scales = [Fraction(2 ** (j + 1), source.den) for _, j in unknowns]
     entries = zip(unknowns, scales, sol[::2], sol[1::2])
@@ -837,7 +838,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         fund_ok = _satisfies_condition(im_part)
         try:
             kern = solve_kernel(im_part, m)
-        except NormalizationError as exc:
+        except InconsistentSystemError as exc:
             h = HTable(m, series_to_table(_im_series(im_part)))
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)

@@ -24,8 +24,9 @@ Kernel file::
 Both round-trip byte-stably: writers emit canonical ordering, each term
 line written by :func:`crflat.series.term_line`.
 
-A germ reads the degree-m part R_m of its R from one bucket of its packed
-R (:meth:`Germ.part`); ``crflat.series`` alone decides the packing base.
+A germ packs its R in degree buckets (``Germ._packed_r``), which shears
+and the flattening driver read; ``crflat.series`` alone decides the
+packing base.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ class Germ:
     changes), all its degrees bucketed: :meth:`shear` packs R once, keeps
     the packed copy, and returns a germ that holds only its packed result,
     so a chain of shears never unpacks between two of them.  ``R`` is
-    decoded from the packed copy when first read, and :meth:`part` decodes
-    one degree's bucket alone.
+    decoded from the packed copy when first read.
     """
 
     __slots__ = ("n", "trunc", "_r", "_rp")
@@ -114,10 +114,6 @@ class Germ:
         if self._rp is None:
             self._rp = _packed(self._r, self.trunc)
         return self._rp
-
-    def part(self, m: int) -> Series:
-        """R_m, read from its bucket of the packed R alone (an absent bucket is zero)."""
-        return _unpacked(self._packed_r(), self.n, m)
 
     def __eq__(self, other):
         if not isinstance(other, Germ):

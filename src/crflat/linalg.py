@@ -133,20 +133,6 @@ class ExactMatrix:
                 out.append(s)
         return ExactMatrix(self.rows, other.cols, out)
 
-    def matvec(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise PreconditionError("dimension mismatch in matrix-vector product")
-        vv = [GaussianRational.coerce(x) for x in v]
-        out = []
-        for i in range(self.rows):
-            s = ZERO
-            ri = self.row(i)
-            for a, x in zip(ri, vv):
-                if a and x:
-                    s = s + a * x
-            out.append(s)
-        return out
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             self.cols, self.rows, [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]

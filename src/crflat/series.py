@@ -209,16 +209,6 @@ class Series:
     def homogeneous_part(self, d: int) -> "Series":
         return self._make(self.den, {e: p for e, p in self.nums.items() if sum(e) == d})
 
-    def truncate(self, new_trunc: int) -> "Series":
-        """Drop all terms above ``new_trunc`` and lower the truncation."""
-        if new_trunc > self.trunc:
-            raise PreconditionError("cannot raise truncation")
-        if new_trunc < 0:
-            raise PreconditionError("negative truncation")
-        return self._make(
-            self.den, {e: p for e, p in self.nums.items() if sum(e) <= new_trunc}, new_trunc
-        )
-
     # -- ring operations --------------------------------------------------------
 
     def _check_compat(self, other: "Series"):

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from crflat import GaussianRational, Series, case_tables, quadratic
+import crflat.flatten as flatten_mod
+from crflat import GaussianRational, Series, case_tables, linalg, quadratic
 from crflat.cli import main
 from crflat.germ import dumps_germ, load_germ
 
@@ -319,6 +320,20 @@ def test_case_oracle_mismatch_prints_the_report_and_exits_4(monkeypatch, capsys)
         "DIFF X1 2 0 0 0 engine=0 oracle=1\n"
     )
     assert capsys.readouterr().err == "error: engine disagrees with the transcribed expansions\n"
+
+
+def test_a_singular_normalization_system_exits_4_not_as_an_obstruction(monkeypatch, capsys):
+    # the system of degree 5 without its first column: consistent for the
+    # flat quadric, but with a free unknown, which full rank rules out
+    build = flatten_mod._normalization_matrix
+    unknowns, constraints, mat = build(5)
+    rows = [{j: v for j, v in row.items() if j} for row in mat.entries]
+    singular = (unknowns, constraints, linalg.SparseMatrix(rows, mat.cols))
+    monkeypatch.setattr(flatten_mod, "_normalization_matrix",
+                        lambda m: singular if m == 5 else build(m))
+    code, out = run_cli("flatten", fx("parabolic.germ"), "--order", "8")
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err == "error: normalization system singular at degree 5\n"
 
 
 def test_environment_does_not_change_the_truncation():

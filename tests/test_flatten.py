@@ -31,7 +31,7 @@ import crflat.flatten as flatten_mod
 import crflat.germ as germ_mod
 import crflat.linalg as linalg
 import crflat.series as series_mod
-from crflat.errors import ConsistencyError, NormalizationError, PreconditionError
+from crflat.errors import ConsistencyError, InconsistentSystemError, PreconditionError
 from crflat.flatten import (
     FlattenReport,
     FlattenStep,
@@ -141,7 +141,8 @@ def test_phi_and_psi_are_certified_through_their_degrees(rng, m):
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_a_cut_psi_cannot_pass_for_a_zero_condition(rng, m):
     tables = phi_psi(rand_real_bracket_table(rng, m), m)
-    cut = PhiPsiTables(m, tables.phi, tables.psi.truncate(m))
+    kept = {e: c for e, c in tables.psi.terms.items() if sum(e) <= m}
+    cut = PhiPsiTables(m, tables.phi, Series(2, m, kept))
     with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):
         flatten_mod.fundamental_series(cut)
 
@@ -257,7 +258,6 @@ def test_normalization_m3():
     # the (1,1) run contributes the single coefficient at t = 0
     assert (1, 1, 0, 1) in zero_idx
     assert not any(c.kind == "realpart" for c in sys3.constraints)
-    assert not sys3.even_side_condition
 
 
 def test_normalization_m4_and_m6():
@@ -266,7 +266,6 @@ def test_normalization_m4_and_m6():
     assert len(pure) == 5
     real = [c for c in sys4.constraints if c.kind == "realpart"]
     assert [c.index for c in real] == [(1, 1, 1, 1)]
-    assert sys4.even_side_condition
 
     sys6 = normalization_system(6)
     real = [c for c in sys6.constraints if c.kind == "realpart"]
@@ -369,7 +368,6 @@ def test_normalization_rule_reproduces_the_six_case_table():
     for m in range(3, 151):
         system = normalization_system(m)
         assert system.constraints == six_case_normalization(m), m
-        assert system.even_side_condition == (m % 2 == 0)
         # the block rows are exactly m - 1 beyond two per kernel unknown
         parts = sum(len(c.parts) for c in system.constraints)
         assert parts == 2 * len(kernel_unknowns(m)) + m - 1, m
@@ -426,7 +424,7 @@ def test_solve_kernel_refuses_a_singular_normalization_system(monkeypatch):
     singular = linalg.SparseMatrix(rows, mat.cols)
     system = (unknowns, constraints, singular)
     monkeypatch.setattr(flatten_mod, "_normalization_matrix", lambda m: system)
-    with pytest.raises(NormalizationError, match="^normalization system singular at degree 5$"):
+    with pytest.raises(ConsistencyError, match="^normalization system singular at degree 5$"):
         solve_kernel(parabolic_quadric(8), 5)
 
 
@@ -602,7 +600,7 @@ def test_flatten_reads_and_reports_a_nonzero_remainder(bucket_reads):
 
 def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
     g = parabolic_quadric(8).shear(random_kernel(rng, 5, density=1.0))
-    h = g.part(5).re_im()[1]
+    h = g.R.homogeneous_part(5).re_im()[1]
     want = solve_kernel(g, 5)
     assert not h.is_zero() and solve_kernel(h, 5) == want
     # the driver's packed part, and a series on keys of another base
@@ -615,7 +613,7 @@ def test_solve_kernel_of_a_table_equals_that_of_its_germ(rng):
 
 def test_solve_kernel_takes_only_a_real_homogeneous_two_variable_series(rng):
     g = parabolic_quadric(8).shear(random_kernel(rng, 5, density=1.0))
-    h = g.part(5).re_im()[1]
+    h = g.R.homogeneous_part(5).re_im()[1]
     assert solve_kernel(h, 5) == flatten_to_order(g, 5).kernels[5]
     extra = h + Series(2, 6, {(3, 0, 3, 0): 1})  # one real term of degree 6
     three = Series(3, 5, {(0, 0, 2, 0, 0, 3): 1, (0, 0, 3, 0, 0, 2): 1})
@@ -677,8 +675,9 @@ def test_the_packed_imaginary_part_decodes_to_the_series_one(kind, trunc):
         for g in (germ, with_unmirrored_terms(rng, germ, 3)):
             for m in range(trunc + 1):
                 im = flatten_mod._imaginary_part(g, m)
-                assert flatten_mod._im_series(im) == g.part(m).re_im()[1]
-                assert (not im.pairs) == g.part(m).is_real()
+                part = g.R.homogeneous_part(m)
+                assert flatten_mod._im_series(im) == part.re_im()[1]
+                assert (not im.pairs) == part.is_real()
 
 
 def imaginary_part(germ, m):
@@ -696,7 +695,7 @@ def reference_flatten(germ, n):
         fund_ok = flatten_mod._satisfies_condition(h)
         try:
             kern = solve_kernel(h, m)
-        except NormalizationError as exc:
+        except InconsistentSystemError as exc:
             table = HTable(m, series_to_table(h))
             steps.append(FlattenStep(m, None, None, table, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
@@ -781,14 +780,6 @@ def test_flatten_packs_the_germ_once_and_decodes_it_once(rng, monkeypatch):
     assert [s for s in packed if any(e[2] or e[3] for e in s.nums)] == [g.R]
     # every degree is read on the packed keys, and only the final R is decoded
     assert decoded == [None]
-
-
-def test_an_absent_bucket_reads_as_the_zero_series():
-    q = parabolic_quadric(6)
-    assert q.part(2) == q.R
-    for m in (0, 3, 6):
-        got = q.part(m)
-        assert got.is_zero() and got.trunc == 6 and got.den == 1
 
 
 def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):
@@ -996,7 +987,7 @@ def no_normalization(monkeypatch):
     monkeypatch.setattr(
         flatten_mod,
         "normalization_system",
-        lambda m: NormalizationSystem(m, (), m % 2 == 0),
+        lambda m: NormalizationSystem(m, ()),
     )
 
 

@@ -225,20 +225,6 @@ def test_chained_shears_stay_packed_until_r_is_read():
     assert g.R == want and g.R is g.R and g == Germ(2, want)
 
 
-def test_part_reads_each_degree_of_r(rng):
-    # on a loaded germ, which packs R at its first read, and on a sheared one,
-    # which holds only its packed R; degrees past T read as zero
-    text = dumps_germ(rand_germ(rng, trunc=7, extra_terms=8))
-    loaded = loads_germ(text)
-    sheared = loads_germ(text).shear(KernelPolynomial(3, {((1, 0), 1): G(1, 2), ((2, 1), 0): -1}))
-    sheared = sheared.shear(KernelPolynomial(4, {((1, 1), 1): G(0, 3), ((4, 0), 0): 2}))
-    assert loaded._rp is None and sheared._r is None
-    for g in (loaded, sheared):
-        parts = [g.part(m) for m in range(g.trunc + 2)]
-        assert parts == [g.R.homogeneous_part(m) for m in range(g.trunc + 2)]
-        assert not parts[2].is_zero() and any(not p.is_zero() for p in parts[3:])
-
-
 def test_kernel_validation():
     with pytest.raises(PreconditionError):
         KernelPolynomial(3, {((1, 0), 0): 1})  # weight mismatch
