@@ -39,7 +39,6 @@ _EXPORTS = {
     "series": ("Series", "subst_w", "sum_of_products", "exp_from_bracket", "bracket_from_exp"),
     "germ": (
         "Germ",
-        "GESplit",
         "KernelPolynomial",
         "load_germ",
         "loads_germ",
@@ -91,7 +90,6 @@ _EXPORTS = {
         "FlattenReport",
         "HTable",
         "KTransform",
-        "NormalizationSystem",
         "PhiPsiTables",
         "check_fundamental",
         "flatten_to_order",

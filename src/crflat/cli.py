@@ -242,7 +242,7 @@ def run_flatten(rep: Report, path: str, args) -> None:
         rep.add("DEGREE", step.m)
         if step.kernel is not None:
             for (alpha, j), c in step.kernel.items():
-                rep.add("KERNEL_TERM", term_line((*alpha, j), c))
+                rep.add("KERNEL_TERM", term_line((*alpha, j), c.re, c.im))
             if args.emit:
                 kpath = _write_into(args.emit, f"degree{step.m}.kernel", save_kernel, step.kernel)
                 rep.add("KERNEL_FILE", kpath)
@@ -254,7 +254,7 @@ def run_flatten(rep: Report, path: str, args) -> None:
             rep.add("H_NORMALIZED_ZERO", _bool(step.normalized_zero))
         if step.remainder is not None:
             for idx, c in step.remainder.items():
-                rep.add("H'", term_line(exp_from_bracket(*idx), c))
+                rep.add("H'", term_line(exp_from_bracket(*idx), c.re, c.im))
     if result.ok:
         rep.add("FLATTENED_TO", result.reached)
         if args.emit:

@@ -78,12 +78,13 @@ from .linalg import SparseMatrix, certified_nullspace, solve
 from .numeric import I, ONE, GaussianRational, ZERO
 from .series import (
     Exponent,
-    Pair,
     Series,
-    _decoded,
+    _Packed,
     _pack,
+    _packed,
     _packed_im,
     _unpack,
+    _unpacked,
     bracket_from_exp,
     exp_from_bracket,
     sum_of_products,
@@ -160,38 +161,17 @@ def h_from_germ(germ: Germ, m: int) -> HTable:
     _require_parabolic(germ)
     if m > germ.trunc:
         raise PreconditionError("degree exceeds the germ truncation")
-    return HTable(m, series_to_table(_im_series(_imaginary_part(germ, m))))
+    return HTable(m, series_to_table(_unpacked(_imaginary_part(germ, m), 2)))
 
 
-class _ImPart(NamedTuple):
-    """H = Im R_m as nonzero integer pairs (re, im) over ``den``, by exponent
-    key packed with ``base`` (``series._pack``)."""
-
-    den: int
-    base: int
-    pairs: dict[int, Pair]
-
-    @classmethod
-    def of_series(cls, h: Series) -> "_ImPart":
-        """A two-variable series' pairs on keys packed with base h.trunc + 1."""
-        base = h.trunc + 1
-        return cls(h.den, base, {_pack(e, base): pair for e, pair in h.nums.items()})
-
-
-def _imaginary_part(germ: Germ, m: int) -> _ImPart:
+def _imaginary_part(germ: Germ, m: int) -> _Packed:
     """Im R_m, read from the keys of the germ's packed R (base T + 1) alone.
 
-    Callers have checked the quadric and the degree; the pairs are over
-    2 den, den that of the packed R, and need not be in lowest terms.
+    Callers have checked the quadric and the degree.  The result is packed
+    in the germ's base, over 2 den, den that of the packed R, and need not
+    be in lowest terms; it holds one bucket, or none when R_m is real.
     """
-    rp = germ._packed_r()
-    return _ImPart(2 * rp.den, rp.base, _packed_im(rp, 2, m))
-
-
-def _im_series(im: _ImPart) -> Series:
-    """The series of a packed imaginary part, truncated at base - 1, in lowest terms."""
-    terms = ((key, x, y) for key, (x, y) in im.pairs.items())
-    return Series._canonical(2, im.base - 1, im.den, _decoded(terms, im.base, 4))
+    return _packed_im(germ._packed_r(), 2, m)
 
 
 def _require_parabolic(germ: Germ):
@@ -452,12 +432,7 @@ class Constraint(NamedTuple):
         return ("re", "im") if self.kind == "zero" else ("re",)
 
 
-class NormalizationSystem(NamedTuple):
-    m: int
-    constraints: tuple[Constraint, ...]
-
-
-def normalization_system(m: int) -> NormalizationSystem:
+def normalization_system(m: int) -> tuple[Constraint, ...]:
     """The degree-m normalization constraint list, in this order.
 
     Indices are brackets [t s r h] for the coefficient of z1^s z2^t zb1^h
@@ -489,15 +464,15 @@ def normalization_system(m: int) -> NormalizationSystem:
         t = low - 1
         real_idx = (2 * t + 1, 1, m - 2 * t - 3, 1) if m % 6 == 4 else (top, 0, m - top, 0)
         cons.append(Constraint("block real part", "realpart", real_idx))
-    return NormalizationSystem(m, tuple(cons))
+    return tuple(cons)
 
 
 def constraint_residuals(
-    system: NormalizationSystem, table: Mapping[Bracket, GaussianRational]
+    constraints: Iterable[Constraint], table: Mapping[Bracket, GaussianRational]
 ) -> list[tuple[Constraint, GaussianRational]]:
-    """Nonzero constraint values of a table, in system order."""
+    """Nonzero constraint values of a table, in constraint order."""
     out = []
-    for con in system.constraints:
+    for con in constraints:
         c = _tget(table, con.index)
         v = GaussianRational(*(getattr(c, part) for part in con.parts))
         if v:
@@ -562,7 +537,7 @@ def _normalization_matrix(m: int) -> tuple:
     :class:`ConsistencyError`.
     """
     unknowns = kernel_unknowns(m)
-    constraints = normalization_system(m).constraints
+    constraints = normalization_system(m)
     base = m + 1
     by_exponent = _regroup(_shear_family(m, base), base)
     rows = []
@@ -606,24 +581,24 @@ def _constraint_keys(m: int, base: int) -> tuple[tuple[int, int], ...]:
     """(key, number of parts) of each degree-m constraint, its exponent packed with ``base``."""
     return tuple(
         (_pack(exp_from_bracket(*c.index), base), len(c.parts))
-        for c in normalization_system(m).constraints
+        for c in normalization_system(m)
     )
 
 
-def solve_kernel(source: Germ | Series | _ImPart, m: int) -> KernelPolynomial:
+def solve_kernel(source: Germ | Series | _Packed, m: int) -> KernelPolynomial:
     """The unique weight-m shear datum normalizing the degree-m imaginary part.
 
     ``source`` is a germ, which must carry the parabolic quadric and be
     flattened below m, or the series H = Im R_m itself, which must be real,
     in two variables and homogeneous of degree m, or the flattening driver's
-    packed H (``_ImPart``), read from the germ's packed R.  The first two are
-    checked, then brought to that packed form, so one core reads the
-    right-hand side.  The normalization conditions on H' = H + Im B(z, q2)
-    form an overdetermined real-linear system in (Re b, Im b), whose
-    right-hand side is read off H at each constraint's exponent key (packed
-    once per degree and base); uniqueness and consistency are verified by
-    the exact solve.  An inconsistent system raises
-    :class:`InconsistentSystemError`, which the driver reports as an
+    packed H (``_imaginary_part``), one bucket read from the germ's packed
+    R.  The first two are checked, then packed, so one core reads the
+    right-hand side from the bucket.  The normalization conditions on
+    H' = H + Im B(z, q2) form an overdetermined real-linear system in
+    (Re b, Im b), whose right-hand side is read off H at each constraint's
+    exponent key (packed once per degree and base); uniqueness and
+    consistency are verified by the exact solve.  An inconsistent system
+    raises :class:`InconsistentSystemError`, which the driver reports as an
     obstruction.  A singular one raises :class:`ConsistencyError`: the
     pure-z and mixed rows have full rank, so a free unknown is a bug.
 
@@ -637,16 +612,16 @@ def solve_kernel(source: Germ | Series | _ImPart, m: int) -> KernelPolynomial:
             raise PreconditionError("degree out of range for this germ")
         for d in range(3, m):
             # the degree-d imaginary part vanishes exactly when R_d is real
-            if _imaginary_part(source, d).pairs:
+            if _imaginary_part(source, d).buckets:
                 raise PreconditionError(f"germ is not flattened below degree {m} (degree {d})")
         source = _imaginary_part(source, m)
     elif isinstance(source, Series):
         if source.nvars != 2 or not source.is_real() or any(sum(e) != m for e in source.nums):
             raise PreconditionError(f"need a real two-variable series homogeneous of degree {m}")
-        source = _ImPart.of_series(source)
+        source = _packed(source, source.trunc)
     unknowns, _, mat = _normalization_matrix(m)
     # a constraint's parts, (re, im) or (re,), are a prefix of its numerator pair
-    pairs = source.pairs
+    pairs = {key: (x, y) for _, terms in source.buckets for key, x, y in terms}
     rhs = [
         -v
         for key, nparts in _constraint_keys(m, source.base)
@@ -765,7 +740,7 @@ def _condition(family: Family, base: int) -> Family:
     return _w_sum(((1, 2, _condition_factor(family, base)),), base)
 
 
-def _satisfies_condition(h: Series | _ImPart) -> bool:
+def _satisfies_condition(h: Series | _Packed) -> bool:
     """Whether H satisfies the first-order condition, exactly.
 
     The condition is w2 (D^2 + 1) E H, and multiplying by w2 is injective,
@@ -778,14 +753,15 @@ def _satisfies_condition(h: Series | _ImPart) -> bool:
     condition exactly when the family's factor is empty.
     """
     if isinstance(h, Series):
-        h = _ImPart.of_series(h)
+        h = _packed(h, h.trunc)
     cut = h.base**4
     family: Family = {}
-    for key, (x, y) in h.pairs.items():
-        if x:
-            family[key] = x
-        if y:
-            family[cut + key] = y
+    for _, terms in h.buckets:
+        for key, x, y in terms:
+            if x:
+                family[key] = x
+            if y:
+                family[cut + key] = y
     return not _condition_factor(family, h.base)
 
 
@@ -822,9 +798,9 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     returns a germ that holds only its packed R).  Each degree's H = Im R_m
     is read on the integer keys of its bucket (``_imaginary_part``) twice:
     before its solve, which takes that packed H, and after its shear, where
-    the remainder vanishes exactly when the packed Im is empty.  Only an
-    obstruction degree decodes its H' table, once; the final germ decodes R
-    once, when it is read.
+    the remainder vanishes exactly when the packed Im holds no bucket.  Only
+    an obstruction degree decodes its H' table (``_unpacked``), once; the
+    final germ decodes R once, when it is read.
     """
     _require_parabolic(germ)
     if n > germ.trunc:
@@ -839,15 +815,15 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         try:
             kern = solve_kernel(im_part, m)
         except InconsistentSystemError as exc:
-            h = HTable(m, series_to_table(_im_series(im_part)))
+            h = HTable(m, series_to_table(_unpacked(im_part, 2)))
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
         kernels[m] = kern
         # the normalized remainder is Im R_m after the shear
         remainder = _imaginary_part(current, m)
-        if remainder.pairs:
-            table = HTable(m, series_to_table(_im_series(remainder)))
+        if remainder.buckets:
+            table = HTable(m, series_to_table(_unpacked(remainder, 2)))
             steps.append(FlattenStep(m, kern, False, table, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         steps.append(FlattenStep(m, kern, True, None, fund_ok))
@@ -939,7 +915,7 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
             blocks["im"].append({here: 1, there: 1})
         elif here == there:
             blocks["im"].append({here: 2})
-    for con in normalization_system(m).constraints:
+    for con in normalization_system(m):
         for part in con.parts:
             blocks[part].append({col[con.index]: 1})
     families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]

@@ -31,7 +31,7 @@ packing base.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from . import quadratic  # read at call time: loading germ does not run quadratic
 from .errors import PreconditionError
@@ -125,9 +125,9 @@ class Germ:
 
     # -- derived data ---------------------------------------------------------
 
-    def split(self) -> "GESplit":
-        """Real and imaginary parts G + iE = R, as computed by ``Series.re_im``."""
-        return GESplit(*self.R.re_im())
+    def split(self) -> tuple[Series, Series]:
+        """Real and imaginary parts (G, E), G + iE = R, as computed by ``Series.re_im``."""
+        return self.R.re_im()
 
     def quadratic_pair(self) -> quadratic.QuadraticPair:
         """Extract (A, B) with quadratic part = z A z^t + conj(...) + z B zbar^t.
@@ -224,13 +224,6 @@ class Germ:
             return self
         polys = _template_polys(_shear_template(kernel), 2, self.trunc)
         return Germ._from_packed(2, _subst_packed(polys, self._packed_r()))
-
-
-class GESplit(NamedTuple):
-    """Real-valued components with g + i e = R exactly."""
-
-    g: Series
-    e: Series
 
 
 class KernelPolynomial:
@@ -349,7 +342,7 @@ def loads_kernel(text: str) -> KernelPolynomial:
 
 def dumps_kernel(kernel: KernelPolynomial) -> str:
     lines = [f"weight {kernel.m}"]
-    lines.extend(term_line((*alpha, j), c) for (alpha, j), c in kernel.items())
+    lines.extend(term_line((*alpha, j), c.re, c.im) for (alpha, j), c in kernel.items())
     return "\n".join(lines) + "\n"
 
 

@@ -39,7 +39,8 @@ result over D, returned packed and decoded once.  :func:`_packed_diff` and
 holding packed operands (the obstruction chain of ``crflat.crfields``)
 multiplies, differentiates and conjugates without unpacking between steps;
 :func:`_packed_im` reads the imaginary part of one degree's bucket on its
-keys (the flattening driver's per-degree read).
+keys, as a packed operand of that one bucket (the flattening driver's
+per-degree read).
 :func:`subst_w` keeps the powers of the substituted series packed from one
 product to the next, and its core :func:`_subst_packed` returns the sum
 packed too, so that a caller holding a packed operand (a sheared ``Germ``
@@ -457,28 +458,29 @@ def _packed_conj(p: _Packed, nvars: int) -> _Packed:
     return p._replace(buckets=buckets)
 
 
-def _packed_im(p: _Packed, nvars: int, degree: int) -> dict[int, Pair]:
-    """The imaginary part of one degree's bucket, as nonzero pairs by key over 2 p.den.
+def _packed_im(p: _Packed, nvars: int, degree: int) -> _Packed:
+    """The imaginary part of one degree's bucket, packed over 2 p.den in p's base.
 
     The rule of :meth:`Series.re_im`: the pair (x, y) at a key and the pair
     (u, v) at its mirror key (the two halves swapped) give Im = (y + v, u - x)
     at the key.  A key whose mirror is absent from the bucket also gives the
-    mirror's entry (y, x), so every stored key and its mirror is read.  An
-    absent bucket has no imaginary part.
+    mirror's entry (y, x), so every stored key and its mirror is read.  The
+    result holds that degree's one bucket of nonzero pairs, not in lowest
+    terms, or no bucket when the degree has no imaginary part.
     """
     half = p.base**nvars
     terms = next((terms for d, terms in p.buckets if d == degree), ())
     pairs = {key: (x, y) for key, x, y in terms}
-    out: dict[int, Pair] = {}
+    out = []
     for key, (x, y) in pairs.items():
         mirror = key % half * half + key // half
         uv = pairs.get(mirror)
         if uv is None:
-            out[key] = (y, -x)
-            out[mirror] = (y, x)
+            out += [(key, y, -x), (mirror, y, x)]
         elif y + uv[1] or uv[0] - x:
-            out[key] = (y + uv[1], uv[0] - x)
-    return out
+            out.append((key, y + uv[1], uv[0] - x))
+    buckets = [(degree, out)] if out else []
+    return _Packed(p.trunc, degree if out else p.trunc + 1, 2 * p.den, buckets, p.base)
 
 
 def _certify(trunc: int, pairs: Iterable[tuple[_Packed, _Packed]]) -> None:
@@ -846,19 +848,12 @@ def content_errors():
         raise ParseError(str(exc)) from exc
 
 
-def term_line(cols: Iterable[int], c: GaussianRational) -> str:
+def term_line(cols: Iterable[int], re: object, im: object) -> str:
     """The term line ``cols... re im`` of a coefficient: the one writer of term lines.
 
-    ``c`` needs only ``re`` and ``im``, each printed by ``str``.
+    ``re`` and ``im`` are the coefficient's two parts, each printed by ``str``.
     """
-    return " ".join([*map(str, cols), str(c.re), str(c.im)])
-
-
-class _Literal(NamedTuple):
-    """The real and imaginary part of a coefficient, as the text ``str(Fraction)`` prints."""
-
-    re: str
-    im: str
+    return " ".join([*map(str, cols), str(re), str(im)])
 
 
 def _ratio_text(x: int, den: int) -> str:
@@ -874,7 +869,7 @@ def format_term_lines(series: Series) -> list[str]:
     lines = []
     for e in sorted(series.nums, key=_grlex_key):
         x, y = series.nums[e]
-        lines.append(term_line(e, _Literal(_ratio_text(x, den), _ratio_text(y, den))))
+        lines.append(term_line(e, _ratio_text(x, den), _ratio_text(y, den)))
     return lines
 
 

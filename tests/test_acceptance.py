@@ -9,22 +9,16 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
-import pytest
-
 from crflat import (
-    CoarseClass,
     ExactMatrix,
     GaussianRational,
     Germ,
-    HTable,
     KernelPolynomial,
     QuadraticPair,
     Series,
     TangentField,
     bishop_slice,
     build_canonical_field,
-    check_fundamental,
-    coarse_b_class,
     cr_singular_linearization,
     elliptic_candidates,
     flatten_to_order,
@@ -34,7 +28,6 @@ from crflat import (
     obstruction,
     obstruction_series,
     parabolic_quadric,
-    phi_psi,
     quadric_germ,
     recursion_audit,
     uniqueness_nullspace,
@@ -286,7 +279,7 @@ def test_criterion_10_flattening_round_trip():
         g = g.shear(KernelPolynomial(m, coeffs))
     rep = flatten_to_order(g, 8)
     assert rep.ok and rep.reached == 8
-    e = rep.final.split().e
+    _, e = rep.final.split()
     assert all(e.homogeneous_part(d).is_zero() for d in range(3, 9))
     assert e.is_zero()
     flat = flatten_to_order(parabolic_quadric(8), 8)

@@ -223,7 +223,7 @@ def pair_series(draw):
 @example(Series._from_pairs(1, 3, 6, {(1, 2): (-(2**70) - 1, 2**65), (0, 0): (4, -3)}))
 def test_term_lines_from_integer_pairs_match_the_coefficient_writer(s):
     # the pairs over den print as str(Fraction) prints each part
-    assert format_term_lines(s) == [term_line(e, c) for e, c in s.items()]
+    assert format_term_lines(s) == [term_line(e, c.re, c.im) for e, c in s.items()]
 
 
 def run_cli(*argv):

@@ -15,9 +15,9 @@ SRC = str(FIXTURES.parent / "src")
 PUBLIC_NAMES = [
     "AuditReport", "BracketData", "CoarseBClass", "CoarseClass", "ConsistencyError",
     "Constraint", "CrflatError", "DegenerateSliceError", "DirectionCandidate", "ExactMatrix",
-    "FlattenReport", "FlattenabilityVerdict", "GESplit", "GaussianRational", "Germ", "HTable",
+    "FlattenReport", "FlattenabilityVerdict", "GaussianRational", "Germ", "HTable",
     "InconsistentSystemError", "KTransform", "KernelPolynomial", "LinearizationReport",
-    "NormalizationSystem", "ObstructionReport", "ParseError", "PhiPsiTables",
+    "ObstructionReport", "ParseError", "PhiPsiTables",
     "PreconditionError", "QuadraticPair", "Series", "SliceReport", "TangentField",
     "UnderdeterminedSystemError", "WitnessReport", "achievable_order", "bishop_slice",
     "bracket_data", "bracket_from_exp", "build_canonical_field", "case_tables",
@@ -104,3 +104,49 @@ def test_a_verb_runs_only_the_modules_it_uses():
     for module in ("case_tables", "crfields"):
         assert f"crflat.{module}" in states["flatten"]
     assert "crflat.flatten" not in states["flatten"]
+
+
+# Loads the root conftest.py beside the crflat sources, fills the flatten
+# caches with one verb, and prints the cache sizes and the modules not run
+# after the conftest's setup hook sees a test under tests/ and one under bench/.
+HOOK_PROBE = """
+import contextlib, importlib.util, io, json, sys, types
+from pathlib import Path
+import crflat.cli
+
+root = Path(sys.argv[1])
+spec = importlib.util.spec_from_file_location("root_conftest", root / "conftest.py")
+hooks = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(hooks)
+argv = ["flatten", str(root / "fixtures" / "sheared.germ"), "--order", "5"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert crflat.cli.main(argv) == 0
+flatten = sys.modules["crflat.flatten"]
+
+def state():
+    return {
+        "cached": flatten._normalization_matrix.cache_info().currsize,
+        "not_run": sorted(name for name, module in sys.modules.items()
+                          if name.startswith("crflat.") and type(module) is not types.ModuleType),
+    }
+
+states = [state()]
+for where in ("tests/test_flatten.py", "bench/tests/test_bench.py"):
+    hooks.pytest_runtest_setup(types.SimpleNamespace(path=root / where))
+    states.append(state())
+print(json.dumps(states))
+"""
+
+
+def test_the_root_conftest_clears_caches_before_bench_tests_and_runs_no_module():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", HOOK_PROBE, str(FIXTURES.parent)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    filled, after_tests, after_bench = json.loads(run.stdout)
+    assert filled["cached"] == after_tests["cached"] == 3  # degrees 3, 4 and 5
+    assert after_bench["cached"] == 0
+    assert {"crflat.case_tables", "crflat.crfields"} <= set(filled["not_run"])
+    assert filled["not_run"] == after_tests["not_run"] == after_bench["not_run"]

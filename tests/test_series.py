@@ -390,14 +390,14 @@ def test_packed_imaginary_part_of_a_bucket_decodes_to_re_im(s):
     n = s.nvars
     packed = series_mod._packed(s, s.trunc)
     for d in range(s.trunc + 1):
-        pairs = series_mod._packed_im(packed, n, d)
-        assert all(x or y for x, y in pairs.values())
-        terms = ((key, x, y) for key, (x, y) in pairs.items())
-        nums = series_mod._decoded(terms, packed.base, 2 * n)
-        got = Series._canonical(n, s.trunc, 2 * packed.den, nums)
-        want = s.homogeneous_part(d).re_im()[1]
-        assert got == want
-        assert (not pairs) == s.homogeneous_part(d).is_real()
+        im = series_mod._packed_im(packed, n, d)
+        # one bucket at degree d, or none, in the operand's base over 2 den
+        assert [b[0] for b in im.buckets] == ([d] if im.buckets else [])
+        assert (im.trunc, im.base, im.den) == (s.trunc, packed.base, 2 * packed.den)
+        assert im.low == (d if im.buckets else s.trunc + 1)
+        assert all(x or y for _, terms in im.buckets for _, x, y in terms)
+        assert series_mod._unpacked(im, n) == s.homogeneous_part(d).re_im()[1]
+        assert (not im.buckets) == s.homogeneous_part(d).is_real()
 
 
 # -- every operation against termwise Gaussian-rational arithmetic ----------------------
