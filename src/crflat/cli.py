@@ -25,10 +25,10 @@ the case does not take exits 3, as a missing one does.
 Reports are plain ``KEY value`` lines with deterministic ordering; ``--json``
 mirrors the same key/value pairs as a JSON array.  The first six verbs take a
 germ file, or ``--batch FILE`` to run over many inputs (one path per line),
-writing each report as soon as it is made, in listed order; a germ verb's
-report starts with its ``INPUT`` line, and an error in a batch names its
-input, as ``error: <path>: <message>``.  The last two take no germ and write
-one report.
+but not both; a batch writes each report as soon as it is made, in listed
+order.  A germ verb's report starts with its ``INPUT`` line, and an error in
+a batch names its input, as ``error: <path>: <message>``.  The last two take
+no germ and write one report.
 
 One parser, built at import, serves every call of ``main``: each subparser
 carries its verb's ``run(report, path, args)``, which fills the report that
@@ -365,6 +365,8 @@ def _inputs(args) -> list:
     """The germ paths a verb runs on, one report each; [None] for a verb without a germ."""
     if "germ" not in args:
         return [None]
+    if args.batch and args.germ:
+        raise ParseError("give a germ file or --batch, not both")
     if args.batch:
         return [ln.strip() for ln in read_text(args.batch).splitlines() if ln.strip()]
     if not args.germ:

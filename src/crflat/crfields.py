@@ -58,7 +58,6 @@ from .series import (
     _packed_diff,
     _sum_of_packed,
     _unpacked,
-    content_errors,
     format_term_lines,
     parse_pairs,
     read_records,
@@ -320,10 +319,9 @@ def loads_field(text: str) -> TangentField:
     (nvars, order), rows = read_records(text, ("vars", "order"), _FIELD_BLOCKS)
     if nvars != 2:
         raise ParseError("field files are two-variable")
-    with content_errors():
-        return TangentField(
-            *(Series._from_pairs(2, order, *parse_pairs(rows[b], 4)) for b in _FIELD_BLOCKS)
-        )
+    return TangentField(
+        *(Series._from_pairs(2, order, *parse_pairs(rows[b], 4, order)) for b in _FIELD_BLOCKS)
+    )
 
 
 def dumps_field(field: TangentField) -> str:

@@ -75,7 +75,7 @@ from .errors import (
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
 from .linalg import SparseMatrix, certified_nullspace, solve
-from .numeric import I, ONE, GaussianRational, ZERO
+from .numeric import I, ONE, GaussianRational, ZERO, _exact
 from .series import (
     Exponent,
     Series,
@@ -603,8 +603,9 @@ def solve_kernel(source: Germ | Series | _Packed, m: int) -> KernelPolynomial:
     pure-z and mixed rows have full rank, so a free unknown is a bug.
 
     The right-hand side is H's integer numerators, so the solve returns
-    den times the system's solution, a real vector: each entry takes its
-    column scale 2^(j + 1) and the 1/den of H in one exact step.
+    den times the system's solution, a real vector: each part of b is the
+    one ``Fraction(2^(j + 1) num, den_x den)`` of its entry num / den_x,
+    which takes the column scale and the 1/den of H in one reduction.
     """
     if isinstance(source, Germ):
         _require_parabolic(source)
@@ -634,9 +635,11 @@ def solve_kernel(source: Germ | Series | _Packed, m: int) -> KernelPolynomial:
     except InconsistentSystemError as exc:
         raise InconsistentSystemError(f"normalization system inconsistent at degree {m}") from exc
     # the matrix columns hold 2^(j + 1) times b's, and the solution den times b's
-    scales = [Fraction(2 ** (j + 1), source.den) for _, j in unknowns]
-    entries = zip(unknowns, scales, sol[::2], sol[1::2])
-    coeffs = {key: GaussianRational(k * x.re, k * y.re) for key, k, x, y in entries}
+    coeffs = {}
+    for (alpha, j), x, y in zip(unknowns, sol[::2], sol[1::2]):
+        re, im = (Fraction(v.numerator << (j + 1), v.denominator * source.den)
+                  for v in (x.re, y.re))
+        coeffs[alpha, j] = _exact(re, im)
     return KernelPolynomial(m, coeffs)
 
 
@@ -745,23 +748,30 @@ def _satisfies_condition(h: Series | _Packed) -> bool:
 
     The condition is w2 (D^2 + 1) E H, and multiplying by w2 is injective,
     so it holds exactly when the factor (D^2 + 1) E H vanishes.  H's integer
-    pairs (re, im) form one flat family, re in column 0 and im in column 1,
-    on H's own packed keys: the driver's packed H keeps the germ's base
-    T + 1, and a series is packed with base h.trunc + 1 (m + 1 for a degree-m
-    table's series).  The factor keeps the degree, so every entry stays
-    below that base, and since the maps are integer-linear, H satisfies the
-    condition exactly when the family's factor is empty.
+    pair (x, y) at each monomial is stored as the one integer x + y 2^K, on
+    H's own packed key: the driver's packed H keeps the germ's base T + 1,
+    and a series is packed with base h.trunc + 1 (m + 1 for a degree-m
+    table's series).  The factor keeps the degree, so every exponent entry
+    stays below that base.
+
+    The maps are integer-linear, so each output value is x' + y' 2^K, with
+    x' and y' the outputs of the x and the y parts alone.  Write L1 for the
+    sum of |x| + |y| over H and m for its top degree.  One pass of ``_turn``
+    moves a term with entries k_a, k_b to four keys with weights k_a, k_a,
+    k_b, k_b, and k_a + k_b <= m, so it multiplies the L1 norm by at most
+    4m; the last pass adds its ``plus`` term, and |x'| <= L1 (4m + 1)^3.
+    With K = bit_length(L1 (4m + 1)^3) + 2, every |x'| < 2^(K - 1), so an
+    output value is zero exactly when both its parts are, and H satisfies
+    the condition exactly when the family's factor is empty.
     """
     if isinstance(h, Series):
         h = _packed(h, h.trunc)
-    cut = h.base**4
-    family: Family = {}
-    for _, terms in h.buckets:
-        for key, x, y in terms:
-            if x:
-                family[key] = x
-            if y:
-                family[cut + key] = y
+    l1 = sum(abs(x) + abs(y) for _, terms in h.buckets for _, x, y in terms)
+    m = max((d for d, _ in h.buckets), default=0)
+    shift = (l1 * (4 * m + 1) ** 3).bit_length() + 2
+    family: Family = {
+        key: x + (y << shift) for _, terms in h.buckets for key, x, y in terms
+    }
     return not _condition_factor(family, h.base)
 
 

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from .numeric import ONE, ZERO, GaussianRational, integer_parts
+from .numeric import _FRACTION_ZERO, ONE, ZERO, GaussianRational, _exact, integer_parts
 
 Vector = list[GaussianRational]
 
@@ -489,8 +489,8 @@ class _LeftInverse:
             )
         den = self.den * b_den
         if xim is None:
-            return [GaussianRational(Fraction(v, den)) for v in xre]
-        return [GaussianRational(Fraction(v, den), Fraction(w, den)) for v, w in zip(xre, xim)]
+            return [_exact(Fraction(v, den), _FRACTION_ZERO) for v in xre]
+        return [_exact(Fraction(v, den), Fraction(w, den)) for v, w in zip(xre, xim)]
 
 
 def _crt(residues: list[dict], modulus: int, part: list[dict], p: int) -> list[dict]:

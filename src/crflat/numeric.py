@@ -17,6 +17,8 @@ lines: a natural ``digits``, an integer ``[+-]digits``, a rational ``p/q`` or
 ``p/q-r/s i``, ``p/q``, ``r/s i``, ``-r/s i``, ``i`` or ``-i``.  Whitespace may
 surround a literal and a Gaussian literal's joining sign, and precede its
 ``i`` (``3/5 + 4/5 i``); it never sits inside a number (``1 2``, ``1 / 2``).
+:func:`term_pattern` is the same grammar for a whole term line of the file
+formats, naturals and two rationals, so a reader matches a line once.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import ParseError
 
 _DEN = r"(?:/(0*[1-9][0-9]*))?"  # an optional nonzero denominator
+_NATURAL_COLUMN = r"([0-9]+)"
+_RATIONAL_COLUMN = rf"([+-]?[0-9]+){_DEN}"
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
-_RATIONAL = re.compile(rf"\s*([+-]?[0-9]+){_DEN}\s*")
+_RATIONAL = re.compile(rf"\s*{_RATIONAL_COLUMN}\s*")
 _IM = rf"(?:([0-9]+){_DEN})?\s*i"  # an unsigned imaginary part; a bare i has coefficient 1
 _GAUSSIAN = re.compile(rf"\s*(?:([+-]?[0-9]+){_DEN}(?:\s*([+-])\s*{_IM})?|([+-]?){_IM})\s*")
 
@@ -286,6 +291,21 @@ def rational_parts(text: str) -> tuple[int, int]:
     num, den = match.groups() if match else (None, None)
     message = "bad rational literal {!r}"
     return _int(num, text, message), 1 if den is None else _int(den, text, message)
+
+
+@lru_cache(maxsize=None)
+def term_pattern(nints: int) -> re.Pattern:
+    """The whole-line pattern of a term line: ``nints`` naturals, then two rationals.
+
+    Columns are apart by ``\\s+``, the whitespace ``str.split`` splits on,
+    and the line may start and end with whitespace.  The groups are the
+    naturals' digits, then each rational's numerator and denominator (None
+    when it has none).  So a line matches exactly when its ``str.split``
+    columns are ``nints + 2`` and ``natural`` and ``rational_parts`` accept
+    each, short of the integer-digit limit, which ``int`` of a group checks.
+    """
+    columns = [_NATURAL_COLUMN] * nints + [_RATIONAL_COLUMN] * 2
+    return re.compile(r"\s*" + r"\s+".join(columns) + r"\s*")
 
 
 def sqrt_fraction(x: Fraction) -> Fraction | None:

@@ -70,10 +70,17 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
-from .errors import ParseError, PreconditionError
-from .numeric import GaussianRational, _exact, integer_parts, natural, rational_parts
+from .errors import ConsistencyError, ParseError, PreconditionError
+from .numeric import (
+    GaussianRational,
+    _exact,
+    integer_parts,
+    natural,
+    rational_parts,
+    term_pattern,
+)
 
 Exponent = tuple[int, ...]
 Pair = tuple[int, int]
@@ -175,8 +182,12 @@ class Series:
 
     @staticmethod
     def _from_pairs(nvars: int, trunc: int, den: int, pairs: Mapping[Exponent, Pair]) -> "Series":
-        """A series from integer pairs over ``den``, checked as the constructor checks terms."""
-        nums = {e: p for e, p in _checked(nvars, trunc, pairs).items() if p[0] or p[1]}
+        """A series from integer pairs over ``den``, (0, 0) pairs dropped.
+
+        The caller has checked the shape and the exponents, as the readers
+        of term lines do while they read them (:func:`parse_pairs`).
+        """
+        nums = {e: p for e, p in pairs.items() if p[0] or p[1]}
         return Series._canonical(nvars, trunc, den, nums)
 
     # -- inspection ------------------------------------------------------------
@@ -758,8 +769,15 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 # exponent columns are ``s t h r`` (powers of z1 z2 zb1 zb2).  Term order is
 # irrelevant and duplicate exponents are an error.  A field file also groups
 # its term lines under ``coef <label>`` lines, each label at most once.
+#
+# A term line is read by one match of ``numeric.term_pattern`` over the whole
+# line, its comment cut off, and ``int`` of the groups; only a line that the
+# pattern or ``int`` rejects is split into columns, to name the first bad one.
+# Errors come in this order: header and block errors in line order, then term
+# line errors in line order, then content errors (an exponent past the
+# truncation, too few variables).  A field file reads its blocks in turn.
 
-Row = tuple[int, list[str]]
+Row = tuple[int, str]
 
 
 def read_records(
@@ -768,19 +786,23 @@ def read_records(
     """Split file text into header values and term rows.
 
     Returns the values of ``headers`` in the given order, and the term rows
-    (line number, columns) by block label.  Without ``blocks`` every row goes
-    under the label None; with them, each row goes under the label of the
-    last ``coef`` line before it.
+    (line number, line without its comment) by block label.  Without
+    ``blocks`` every row goes under the label None; with them, each row goes
+    under the label of the last ``coef`` line before it.
     """
     values: dict[str, int] = {}
     rows: dict[str | None, list[Row]] = {label: [] for label in (None, *blocks)}
     opened: set[str] = set()
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        key = parts[0]
+        line = raw.split("#", 1)[0]
+        # a line that opens with a digit is a term line: no header or block name does
+        key = None
+        if not line[:1].isdigit():
+            parts = line.split()
+            if not parts:
+                continue
+            key = parts[0]
         if key in headers:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected '{key} <nonnegative integer>'")
@@ -800,32 +822,65 @@ def read_records(
         elif blocks and current is None:
             raise ParseError(f"line {lineno}: term line before any 'coef' block")
         else:
-            rows[current].append((lineno, parts))
+            rows[current].append((lineno, line))
     missing = [h for h in headers if h not in values]
     if missing:
         raise ParseError(f"missing header {', '.join(repr(h) for h in missing)}")
     return tuple(values[h] for h in headers), rows
 
 
-def parse_pairs(rows: Iterable[Row], nints: int) -> tuple[int, dict[tuple[int, ...], Pair]]:
+def parse_pairs(
+    rows: Iterable[Row], nints: int, order: int | None = None
+) -> tuple[int, dict[tuple[int, ...], Pair]]:
     """Term rows of ``nints`` nonnegative integers and two rationals, as integer pairs.
 
     Returns (D, pairs) with D the lcm of the literals' denominators and
-    pairs[e] = (re, im), re + i im = D c_e; they are not in lowest terms.
+    pairs[e] = (re, im), re + i im = D c_e; they are not in lowest terms,
+    and a zero coefficient keeps its (0, 0).  With an ``order``, an exponent
+    of degree above it raises, once every row has been read.
     """
-    raw: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
-    for lineno, parts in rows:
-        if len(parts) != nints + 2:
-            raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
+    match = term_pattern(nints).fullmatch
+    limit = math.inf if order is None else order
+    raw: dict[tuple[int, ...], tuple[int, ...]] = {}
+    over = None  # the first exponent past the order
+    for lineno, line in rows:
+        found = match(line)
         try:
-            key = tuple(map(natural, parts[:nints]))
-            if key in raw:
-                raise ParseError(f"duplicate exponent {key}")
-            raw[key] = (*rational_parts(parts[nints]), *rational_parts(parts[nints + 1]))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+            values = tuple(map(int, found.groups("1"))) if found else None
+        except ValueError:  # a group past the integer-digit limit
+            values = None
+        if values is None:
+            _reject(lineno, line, nints, raw)
+        key = values[:nints]
+        if key in raw:
+            raise ParseError(f"line {lineno}: duplicate exponent {key}")
+        raw[key] = values[nints:]
+        if sum(key) > limit and over is None:
+            over = key
+    if over is not None:
+        raise ParseError(f"exponent {over} exceeds truncation {order}")
     den = math.lcm(*{d for _, a, _, b in raw.values() for d in (a, b)})
     return den, {e: (x * (den // a), y * (den // b)) for e, (x, a, y, b) in raw.items()}
+
+
+def _reject(lineno: int, line: str, nints: int, seen: Mapping) -> NoReturn:
+    """Raise the error of a term line that the pattern rejects, read column by column.
+
+    The first bad column names it, in column order, with a duplicate of an
+    exponent in ``seen`` checked between the exponents and the rationals.
+    """
+    parts = line.split()
+    if len(parts) != nints + 2:
+        raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
+    try:
+        key = tuple(map(natural, parts[:nints]))
+        if key in seen:
+            raise ParseError(f"duplicate exponent {key}")
+        rational_parts(parts[nints])
+        rational_parts(parts[nints + 1])
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+    raise ConsistencyError(f"line {lineno}: the term pattern rejects columns that parse")
 
 
 def read_text(path) -> str:
@@ -876,9 +931,10 @@ def format_term_lines(series: Series) -> list[str]:
 def loads_series(text: str) -> Series:
     """Parse a standalone series file: ``vars n`` / ``order N`` / term lines."""
     (nvars, order), rows = read_records(text, ("vars", "order"))
-    den, pairs = parse_pairs(rows[None], 2 * nvars)
-    with content_errors():
-        return Series._from_pairs(nvars, order, den, pairs)
+    den, pairs = parse_pairs(rows[None], 2 * nvars, order)
+    if nvars < 1:
+        raise ParseError("need at least one variable")
+    return Series._from_pairs(nvars, order, den, pairs)
 
 
 def dumps_series(series: Series) -> str:

@@ -490,6 +490,18 @@ def test_batch_error_names_the_input_that_failed_its_precondition(tmp_path, caps
     assert captured.err == f"error: {names[1]}: {message}\n"
 
 
+def test_a_germ_file_and_a_batch_together_exit_2(tmp_path, capsys):
+    listing = tmp_path / "batch.txt"
+    listing.write_text(fx("sheared.germ") + "\n")
+    code, out = run_cli("flatten", fx("parabolic.germ"), "--order", "4", "--batch", str(listing))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: give a germ file or --batch, not both\n"
+    # the check comes before the listing is read
+    code, out = run_cli("classify", fx("ex31.germ"), "--batch", str(tmp_path / "missing.txt"))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: give a germ file or --batch, not both\n"
+
+
 def test_fixture_files_roundtrip_bit_exactly():
     for path in sorted(FIXTURES.glob("*.germ")):
         text = path.read_text()

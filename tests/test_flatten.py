@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from fractions import Fraction as F
 
@@ -40,11 +41,13 @@ from crflat.flatten import (
     series_to_table,
     table_to_series,
 )
-from crflat.germ import _shear_template, load_germ
+from crflat.germ import _shear_template, load_germ, loads_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
 from crflat.series import bracket_from_exp, exp_from_bracket, subst_w
 
 from conftest import FIXTURES, rand_gaussian, rand_nonzero_gaussian, rand_real_bracket_table
+
+BENCH_INPUTS = FIXTURES.parent / "bench" / "inputs.py"
 
 G = GaussianRational
 I = G(0, 1)
@@ -918,15 +921,15 @@ def reference_condition(family, base):
 
 
 @st.composite
-def two_column_families(draw, m):
+def two_column_families(draw, m, coef=st.integers(-4, 4)):
     """Rows {exponent: {column: value}} of two integer polynomials of degree m.
 
-    Each column is an integer combination of the shear polynomials c_k and
-    their conjugates, which satisfy the condition, plus terms at the
-    extreme exponents z_i^m and zb_i^m (each a c_k or the conjugate of one);
-    half the time one more term at any exponent, which may break it.
+    Each column is a combination, with weights drawn from ``coef``, of the
+    shear polynomials c_k and their conjugates, which satisfy the condition,
+    plus terms at the extreme exponents z_i^m and zb_i^m (each a c_k or the
+    conjugate of one); half the time one more term at any exponent, in one
+    column, which may break it.
     """
-    coef = st.integers(-4, 4)
     shear = sorted(flatten_mod._regroup(_shear_family(m, m + 1), m + 1).items())
     rows = {}
 
@@ -945,7 +948,7 @@ def two_column_families(draw, m):
     perturbed = draw(st.booleans())
     if perturbed:
         e = exp_from_bracket(*draw(st.sampled_from(all_brackets(m))))
-        add(e, draw(st.sampled_from([0, 1])), draw(st.integers(1, 4)))
+        add(e, draw(st.sampled_from([0, 1])), draw(coef.filter(bool)))
     return rows, perturbed
 
 
@@ -961,6 +964,102 @@ def test_the_condition_is_w2_times_its_factor(m, data):
     tight = flatten_mod._family(rows.items(), m + 1)
     assert (not flatten_mod._condition_factor(tight, m + 1)) == (not want)
     assert perturbed or not want
+
+
+# The driver's condition check as it was before each monomial's pair became
+# one integer: x and y in two columns of one family, cut = base^4 apart.
+
+
+def two_column_verdict(h):
+    if isinstance(h, Series):
+        h = series_mod._packed(h, h.trunc)
+    cut = h.base**4
+    family = {}
+    for _, terms in h.buckets:
+        for key, x, y in terms:
+            if x:
+                family[key] = x
+            if y:
+                family[cut + key] = y
+    return not flatten_mod._condition_factor(family, h.base)
+
+
+def pair_series(m, rows):
+    """The degree-m series whose pair at e is (rows[e][0], rows[e][1])."""
+    return Series._from_pairs(2, m, 1, {e: (r.get(0, 0), r.get(1, 0)) for e, r in rows.items()})
+
+
+BIG = st.integers(2**200, 2**260).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_the_packed_pair_condition_agrees_with_two_columns(m, data):
+    rows, perturbed = data.draw(two_column_families(m, BIG))
+    h = pair_series(m, rows)
+    want = two_column_verdict(h)
+    assert flatten_mod._satisfies_condition(h) == want
+    assert want or perturbed
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_the_packed_pair_condition_fails_in_one_part_alone(m):
+    # x and y each a wide combination of shear polynomials, so H holds; one
+    # unit at a mixed exponent in x alone, or in y alone, breaks it, and so
+    # does y = -x / 2^t with x failing, which a too narrow shift would cancel
+    shear = flatten_mod._regroup(_shear_family(m, m + 1), m + 1)
+    rows = {
+        e: {col: sum((3**200 + k + col) * v for k, v in row.items()) for col in (0, 1)}
+        for e, row in shear.items()
+    }
+    assert two_column_verdict(pair_series(m, rows)) is True
+    assert flatten_mod._satisfies_condition(pair_series(m, rows)) is True
+    mixed = exp_from_bracket(0, 1, m - 1, 0)  # z1 zb2^(m - 1)
+    for col in (0, 1):
+        broken = {e: dict(r) for e, r in rows.items()}
+        broken.setdefault(mixed, {})[col] = broken.get(mixed, {}).get(col, 0) + 1
+        h = pair_series(m, broken)
+        assert two_column_verdict(h) is False
+        assert flatten_mod._satisfies_condition(h) is False
+    for t in (0, 1, 2, 64, 200):
+        x = 2**t * (2**210 + 1)
+        h = pair_series(m, {mixed: {0: x, 1: -x >> t}})
+        assert two_column_verdict(h) is False
+        assert flatten_mod._satisfies_condition(h) is False
+
+
+def seed_one_germs():
+    """The three flatten-sheared germs of the benchmark at seed 1, built in memory."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(1)
+    return [loads_germ(inputs.dumps_germ(inputs.sheared_quadric(rng)[0], inputs.FLATTEN_TRUNC))
+            for _ in range(inputs.FLATTEN_POOL)]
+
+
+def test_one_perturbed_coefficient_breaks_each_seed_one_degree():
+    for germ in seed_one_germs():
+        report = flatten_to_order(germ, germ.trunc)
+        assert report.ok
+        current = germ
+        for m in range(3, germ.trunc + 1):
+            h = flatten_mod._imaginary_part(current, m)
+            assert flatten_mod._satisfies_condition(h) is two_column_verdict(h) is True
+            (degree, terms), = h.buckets
+            # the first term whose x or y, one more, breaks the condition
+            for part in (0, 1):
+                for at, (key, x, y) in enumerate(terms):
+                    pair = (x + 1, y) if part == 0 else (x, y + 1)
+                    bumped = h._replace(buckets=[(degree, [*terms[:at], (key, *pair),
+                                                           *terms[at + 1:]])])
+                    if not two_column_verdict(bumped):
+                        break
+                else:
+                    raise AssertionError(f"no coefficient of degree {m} breaks the condition")
+                assert flatten_mod._satisfies_condition(bumped) is False
+            current = current.shear(report.kernels[m])
 
 
 def test_flatten_requires_parabolic():
