@@ -21,16 +21,20 @@ unsolvable normalization) is returned as an obstruction certificate.
 
 The operators exchange ``Series``, each product certified through the degree
 it is asked for (Phi of degree m, Psi and the condition of degree m + 1), so
-a cut degree raises instead of dropping terms.  Bracket tables [t s r h] (the
-coefficient of z1^s z2^t zb1^h zb2^r) stay where the audits index by bracket
-shifts, and in ``HTable``; lookups at negative indices are zero by
-convention, which every recursion identity below relies on.  The
-operators have three independent implementations.  Generic series arithmetic
-defines them.  The recursions (coefficient shifts, alternating-sum transforms
-and their identities) exist only as audit code paths, and the audits force
-them to agree with the series.  Integer key shifts carry the condition too,
-in factored form.  Write w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and
-E = w2 d/dzb1 - w1 d/dzb2, so that Phi = E H and Psi = w2 D Phi + w1 Phi.
+a cut degree raises instead of dropping terms.  Inside, they are one packed
+chain, as the obstruction of ``crflat.crfields`` is: H is packed once, and
+Phi, Psi and the condition are each one call of the packed product core on
+derivatives of packed keys, decoded only where a ``Series`` is returned.
+Bracket tables [t s r h] (the coefficient of z1^s z2^t zb1^h zb2^r) stay
+where the audits index by bracket shifts, and in ``HTable``; lookups at
+negative indices are zero by convention, which every recursion identity
+below relies on.  The operators have three independent implementations.
+Generic series arithmetic defines them.  The recursions (coefficient
+shifts, alternating-sum transforms and their identities) exist only as
+audit code paths, and the audits force them to agree with the series.
+Integer key shifts carry the condition too, in factored form.  Write
+w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and E = w2 d/dzb1 - w1 d/dzb2, so
+that Phi = E H and Psi = w2 D Phi + w1 Phi.
 D is a derivation with D w1 = w2 and D w2 = -w1, so
 
     D Psi = (D w2) D Phi + w2 D^2 Phi + (D w1) Phi + w1 D Phi
@@ -42,11 +46,12 @@ when (D^2 + 1) E H vanishes.  One fused map, the field w2 d_a - w1 d_b
 (four key shifts per term in one pass), gives E and D on a flat packed
 family {column * base^4 + exponent digits in base: coefficient}; three
 passes of it give the factor, and a multiplication by w2 the condition.
-They build the condition matrix for all unit tables at once, each build
-checked against the series operators on one dense table.  The factor alone
-decides the flattening driver's per-degree check exactly, on the integer
-pairs (re, im) of Im R_m in two columns: D and E keep the degree, so the
-factor of a degree-m H fits the germ's own packing base T + 1 for every
+They build the factor's square matrix for all unit tables at once, whose
+kernel is the condition's, each build checked, times w2, against the series
+operators on one dense table.  The factor alone decides the flattening
+driver's per-degree check exactly, on the integer pairs (re, im) of Im R_m,
+each stored as one integer: D and E keep the degree, so the factor of a
+degree-m H fits the germ's own packing base T + 1 for every
 m <= T, and Im R_m is read straight from the keys of the germ's packed R.
 Every kernel returned here, of the condition and of the uniqueness blocks,
 comes from ``linalg.certified_nullspace``, which certifies it beside the
@@ -82,7 +87,9 @@ from .series import (
     _Packed,
     _pack,
     _packed,
+    _packed_diff,
     _packed_im,
+    _sum_of_packed,
     _unpack,
     _unpacked,
     bracket_from_exp,
@@ -115,6 +122,12 @@ def _tget(table: Mapping[Bracket, GaussianRational], idx: Bracket) -> GaussianRa
     return table.get(idx, ZERO)
 
 
+def _check_index(idx: Bracket, m: int) -> None:
+    t, s, r, h = idx
+    if min(idx) < 0 or t + s + r + h != m:
+        raise PreconditionError(f"index {idx} is not homogeneous of degree {m}")
+
+
 class HTable:
     """Real-valued homogeneous coefficient table of one degree."""
 
@@ -124,9 +137,7 @@ class HTable:
         self.m = m
         clean: Table = {}
         for idx, c in coeffs.items():
-            t, s, r, h = idx
-            if min(idx) < 0 or t + s + r + h != m:
-                raise PreconditionError(f"index {idx} is not homogeneous of degree {m}")
+            _check_index(idx, m)
             c = GaussianRational.coerce(c)
             if c:
                 clean[idx] = c
@@ -190,36 +201,77 @@ class PhiPsiTables(NamedTuple):
     psi: Series
 
 
-def _linear_forms(trunc: int) -> tuple[Series, Series]:
-    z1, z2, zb1, zb2 = Series.generators(2, trunc)
-    return z1 + zb1, z2 + zb2
-
-
 def _table_and_degree(h: HTable | Mapping[Bracket, object], m: int | None) -> tuple[Table, int]:
-    """An HTable's coefficients and degree, or a raw table with its given degree."""
+    """An HTable's coefficients and degree, or a raw table with its given degree.
+
+    Every index of a raw table must be homogeneous of that degree; its
+    values need not be real-valued.
+    """
     if isinstance(h, HTable):
         return h.coeffs, h.m
     if m is None:
         raise PreconditionError("raw tables need an explicit degree")
+    for idx in h:
+        _check_index(idx, m)
     return {k: GaussianRational.coerce(v) for k, v in h.items()}, m
 
 
+def _w_forms(base: int) -> tuple[_Packed, _Packed, _Packed, _Packed]:
+    """w1, w2, w2^2 and w2 w1 as packed operands in ``base``.
+
+    They are polynomials, so they are exact through every degree; each
+    carries the truncation base - 1, the most a product in that base can be
+    asked for.
+    """
+    z1, z2, zb1, zb2 = 1, base, base**2, base**3
+
+    def form(degree: int, terms: list[tuple[int, int]]) -> _Packed:
+        return _Packed(base - 1, degree, 1, [(degree, [(k, c, 0) for k, c in terms])], base)
+
+    return (
+        form(1, [(z1, 1), (zb1, 1)]),
+        form(1, [(z2, 1), (zb2, 1)]),
+        form(2, [(2 * z2, 1), (z2 + zb2, 2), (2 * zb2, 1)]),
+        form(2, [(z1 + z2, 1), (z1 + zb2, 1), (zb1 + z2, 1), (zb1 + zb2, 1)]),
+    )
+
+
+def _phi_psi_packed(h: _Packed, m: int) -> tuple[_Packed, _Packed]:
+    """Phi and Psi of a packed degree-m H, certified through m and m + 1.
+
+    H must be packed in a base above m + 1; Phi and Psi keep it.  Each is one
+    call of the packed product core, on derivatives of packed keys.
+    """
+    w1, w2, w22, w21 = _w_forms(h.base)
+    phi = _sum_of_packed(((1, w2, _packed_diff(h, 2)), (-1, w1, _packed_diff(h, 3))), m)
+    terms = ((1, w22, _packed_diff(phi, 0)), (-1, w21, _packed_diff(phi, 1)), (1, w1, phi))
+    return phi, _sum_of_packed(terms, m + 1)
+
+
+def _condition_packed(psi: _Packed, m: int) -> _Packed:
+    """The condition series of a packed Psi of degree-m H, certified through m + 1.
+
+    The one step from Psi to the condition, shared by
+    :func:`fundamental_series` and the probe of :func:`_fundamental_matrix`.
+    """
+    w1, w2, _, _ = _w_forms(psi.base)
+    return _sum_of_packed(((1, w2, _packed_diff(psi, 0)), (-1, w1, _packed_diff(psi, 1))), m + 1)
+
+
 def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPsiTables:
-    """Both derived operators, by plain series arithmetic, exact through m and m + 1."""
+    """Both derived operators, by series arithmetic, exact through m and m + 1.
+
+    H is packed once, with base m + 2; Phi and Psi are formed packed
+    (:func:`_phi_psi_packed`) and decoded here.
+    """
     table, m = _table_and_degree(h, m)
-    hs = table_to_series(table, m)
-    w1, w2 = _linear_forms(m + 2)  # through degree 2, so w2 * w2 is exact
-    phi = sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))), trunc=m)
-    terms = ((1, w2 * w2, phi.dz(1)), (-1, w2 * w1, phi.dz(2)), (1, w1, phi))
-    psi = sum_of_products(terms, trunc=m + 1)
-    return PhiPsiTables(m, phi, psi)
+    phi, psi = _phi_psi_packed(_packed(table_to_series(table, m), m + 1), m)
+    return PhiPsiTables(m, _unpacked(phi, 2), _unpacked(psi, 2))
 
 
 def fundamental_series(tables: PhiPsiTables) -> Series:
     """The condition series, certified exact through degree m + 1."""
-    psi, m = tables.psi, tables.m
-    w1, w2 = _linear_forms(m + 2)
-    return sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))), trunc=m + 1)
+    return _unpacked(_condition_packed(_packed(tables.psi, tables.m + 1), tables.m), 2)
 
 
 class FundamentalReport(NamedTuple):
@@ -731,18 +783,6 @@ def _condition_factor(family: Family, base: int) -> Family:
     return _turn(_turn(phi, 0, 1, base), 0, 1, base, phi)
 
 
-def _condition(family: Family, base: int) -> Family:
-    """The condition series of each polynomial of a family, as w2 (D^2 + 1) E.
-
-    The maps are integer-linear, so each column of the result is the
-    condition of that column's polynomial; a column that vanishes everywhere
-    is absent, and an empty result means every polynomial satisfies it.  The
-    base must exceed every exponent entry of the result: degree + 2 for a
-    family of that degree.
-    """
-    return _w_sum(((1, 2, _condition_factor(family, base)),), base)
-
-
 def _satisfies_condition(h: Series | _Packed) -> bool:
     """Whether H satisfies the first-order condition, exactly.
 
@@ -844,45 +884,61 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
 
 
 def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int]]]:
-    """The condition on degree-m tables as sparse integer rows.
+    """The condition on degree-m tables as the sparse integer rows of its factor.
 
-    Column j is the unit table at ``all_brackets(m)[j]``; each nonzero row
-    maps columns to the integer coefficient of one degree-(m + 1) bracket of
-    the condition series, rows in bracket order.  The rows come from the
-    family of all unit tables at once, one flat packed family with base
-    m + 2, carried to the condition w2 (D^2 + 1) E by ``_condition``: three
-    passes of the fused field map ``_turn`` and one multiplication by w2
-    (``_w_sum``) on packed monomial exponents; this is a third
-    implementation of the operators, beside the series arithmetic that
-    defines them and the recursions that audit them.  The result is
-    regrouped once into one {column: value} row per exponent, and each row's
-    exponent is decoded once.  The same field map decides the flattening
-    driver's per-degree condition check (``_satisfies_condition``).  The
-    build checks itself against the series operators on one dense integer
-    table, and a disagreement raises :class:`ConsistencyError`.
+    Column j and row j both belong to the bracket ``all_brackets(m)[j]``:
+    row i maps each column, the unit table at its bracket, to the integer
+    coefficient of (D^2 + 1) E of that table at bracket i.  The factor keeps
+    the degree, so the matrix is square, n x n, in bracket order, with an
+    empty row at any bracket no unit table reaches.  The condition is
+    w2 (D^2 + 1) E (see the module docstring) and multiplying by w2 is
+    injective, so these rows have the kernel of the degree-(m + 1) condition
+    rows, with fewer and shorter rows.
+
+    The rows come from the family of all unit tables at once, one flat
+    packed family with base m + 2, carried to the factor by
+    ``_condition_factor``: three passes of the fused field map ``_turn`` on
+    packed monomial exponents; this is a third implementation of the
+    operators, beside the series arithmetic that defines them and the
+    recursions that audit them.  Each row is read off the family at its
+    bracket's packed key, so no exponent is decoded.  The same field map
+    decides the flattening driver's per-degree condition check
+    (``_satisfies_condition``).  The build checks itself on one dense
+    integer table: the rows applied to it, times w2 (``_w_sum``), must equal
+    its condition series, formed by the packed series operators
+    (``_phi_psi_packed`` and ``_condition_packed``) in the same base and
+    compared key by key; a disagreement raises :class:`ConsistencyError`.
     """
     unknowns = all_brackets(m)
     base = m + 2
-    units = _family(((exp_from_bracket(*idx), {j: 1}) for j, idx in enumerate(unknowns)), base)
-    condition = _regroup(_condition(units, base), base)
-    by_bracket = sorted((bracket_from_exp(e), row) for e, row in condition.items())
+    cut = base**4
+    keys = [_pack(exp_from_bracket(*idx), base) for idx in unknowns]
+    by_key: dict[int, dict[int, int]] = {}
+    for key, c in _condition_factor({j * cut + key: 1 for j, key in enumerate(keys)}, base).items():
+        j, e = divmod(key, cut)
+        by_key.setdefault(e, {})[j] = c
+    rows = [by_key.get(key, {}) for key in keys]
     # a dense probe table whose entries follow no linear pattern in j
     probe = [pow(3, j, 65521) for j in range(len(unknowns))]
-    applied = {e: sum(c * probe[j] for j, c in row.items()) for e, row in condition.items()}
-    expected = fundamental_series(phi_psi(dict(zip(unknowns, probe)), m))
-    if Series(2, m + 1, applied) != expected:
+    factor = {key: sum(c * probe[j] for j, c in row.items()) for key, row in zip(keys, rows)}
+    applied = {key: (c, 0) for key, c in _w_sum(((1, 2, factor),), base).items()}
+    h = _Packed(m, m, 1, [(m, [(key, p, 0) for key, p in zip(keys, probe)])], base)
+    series = _condition_packed(_phi_psi_packed(h, m)[1], m)
+    if series.den != 1 or applied != {k: (x, y) for _, ts in series.buckets for k, x, y in ts}:
         raise ConsistencyError(
             f"condition matrix of degree {m} disagrees with the condition series"
         )
-    return tuple(unknowns), [row for _, row in by_bracket]
+    return tuple(unknowns), rows
 
 
 @lru_cache(maxsize=None)
 def fundamental_nullspace(m: int) -> tuple[Table, ...]:
     """A deterministic basis of all degree-m tables killed by the condition.
 
-    The basis is certified against the condition rows (see
-    :func:`crflat.linalg.certified_nullspace`).
+    The kernel is taken on the n x n factor rows of :func:`_fundamental_matrix`,
+    which have the condition's kernel; the reduced basis depends only on
+    that kernel and the column order.  It is certified against those rows
+    (see :func:`crflat.linalg.certified_nullspace`).
     """
     unknowns, rows = _fundamental_matrix(m)
     kernel = certified_nullspace(rows, len(unknowns), f"the condition of degree {m}")
@@ -894,11 +950,12 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
     normalization, and the two vanishing coefficient families.
 
     H is written in its table coordinates, x = Re H and y = Im H over
-    ``all_brackets(m)``.  The condition matrix is integral (this is checked),
-    so every constraint splits into one integer row on x and one on y,
-    giving two blocks Mx and My:
+    ``all_brackets(m)``.  The condition is taken as the n x n integer rows
+    of its factor (D^2 + 1) E (:func:`_fundamental_matrix`), which have the
+    condition's kernel, so every constraint splits into one integer row on
+    x and one on y, giving two blocks Mx and My:
 
-    * the first-order condition: its rows in both;
+    * the first-order condition: the factor rows in both;
     * reality H[idx] = conj H[mirror]: x[idx] - x[mirror] in Mx,
       y[idx] + y[mirror] in My, once per unordered pair;
     * a "zero" constraint or a vanishing-family index: x[idx] in Mx and

@@ -148,6 +148,62 @@ def test_a_cut_psi_cannot_pass_for_a_zero_condition(rng, m):
         flatten_mod.fundamental_series(cut)
 
 
+# The operators as series arithmetic wrote them before they became one packed
+# chain, kept here as the reference for phi_psi and fundamental_series.
+
+
+def reference_linear_forms(m):
+    z1, z2, zb1, zb2 = Series.generators(2, m + 2)  # through degree 2, so w2 * w2 is exact
+    return z1 + zb1, z2 + zb2
+
+
+def reference_phi_psi(table, m):
+    hs = table_to_series(table, m)
+    w1, w2 = reference_linear_forms(m)
+    phi = series_mod.sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))), trunc=m)
+    terms = ((1, w2 * w2, phi.dz(1)), (-1, w2 * w1, phi.dz(2)), (1, w1, phi))
+    return PhiPsiTables(m, phi, series_mod.sum_of_products(terms, trunc=m + 1))
+
+
+def reference_fundamental_series(tables):
+    psi, m = tables.psi, tables.m
+    w1, w2 = reference_linear_forms(m)
+    return series_mod.sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))), trunc=m + 1)
+
+
+@st.composite
+def any_degree_gaussian_tables(draw):
+    m = draw(st.integers(0, 10))
+    entries = st.builds(G, _rationals, _rationals)
+    return m, draw(st.dictionaries(st.sampled_from(all_brackets(m)), entries, max_size=25))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(any_degree_gaussian_tables())
+def test_the_packed_operators_equal_the_series_products(case):
+    m, table = case
+    tables, want = phi_psi(table, m), reference_phi_psi(table, m)
+    assert tables == want
+    assert (tables.phi.trunc, tables.psi.trunc) == (want.phi.trunc, want.psi.trunc) == (m, m + 1)
+    series, want_series = flatten_mod.fundamental_series(tables), reference_fundamental_series(want)
+    assert series == want_series and series.trunc == want_series.trunc == m + 1
+    # a Psi cut at degree m certifies no condition through m + 1, on either path
+    kept = {e: c for e, c in tables.psi.terms.items() if sum(e) <= m}
+    cut = PhiPsiTables(m, tables.phi, Series(2, m, kept))
+    for condition in (flatten_mod.fundamental_series, reference_fundamental_series):
+        with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):
+            condition(cut)
+
+
+@pytest.mark.parametrize("audit", [phi_psi, recursion_audit, identity_audit])
+@pytest.mark.parametrize("idx", [(1, 0, 0, 0), (1, 1, 1, 1), (-1, 2, 1, 1)])
+def test_a_raw_table_must_be_homogeneous_of_its_degree(audit, idx):
+    with pytest.raises(PreconditionError, match="is not homogeneous of degree 3") as info:
+        audit({idx: 1}, 3)
+    assert str(info.value) == f"index {idx} is not homogeneous of degree 3"
+    audit({(1, 2, 0, 0): I}, 3)  # a raw table need not be real-valued
+
+
 def test_fundamental_zero_table():
     t = phi_psi(HTable(4, {}))
     assert check_fundamental(t).ok
@@ -890,7 +946,8 @@ def test_the_shear_family_satisfies_the_condition(m):
     base = m + 2  # the condition of a degree-m family reaches exponent entries m + 1
     family = _shear_family(m, base)
     assert {key // base**4 for key in family} == set(range(len(kernel_unknowns(m))))
-    assert flatten_mod._condition(family, base) == {}
+    assert reference_condition(family, base) == {}
+    assert flatten_mod._condition_factor(family, base) == {}
 
 
 # The condition as it was written before its factorization: Phi = E H,
@@ -959,7 +1016,8 @@ def test_the_condition_is_w2_times_its_factor(m, data):
     rows, perturbed = data.draw(two_column_families(m))
     family = flatten_mod._family(rows.items(), m + 2)
     want = reference_condition(family, m + 2)
-    assert flatten_mod._condition(family, m + 2) == want
+    factor = flatten_mod._condition_factor(family, m + 2)
+    assert flatten_mod._w_sum(((1, 2, factor),), m + 2) == want
     # the factor keeps the degree, so it fits base m + 1, and w2 is injective
     tight = flatten_mod._family(rows.items(), m + 1)
     assert (not flatten_mod._condition_factor(tight, m + 1)) == (not want)
@@ -1154,16 +1212,26 @@ def test_uniqueness_fallback_checks_every_kernel_vector(rank_one_short, monkeypa
         uniqueness_nullspace(4)
 
 
+def corrupt_condition_series(monkeypatch, change):
+    """Make the one step from Psi to the condition series return change(series).
+
+    ``fundamental_series`` and the probe of the condition rows both run that
+    step, ``_condition_packed``, so both see the corruption.
+    """
+    real = flatten_mod._condition_packed
+
+    def corrupted(psi, m):
+        series = change(series_mod._unpacked(real(psi, m), 2))
+        return series_mod._packed(series, psi.base - 1)
+
+    monkeypatch.setattr(flatten_mod, "_condition_packed", corrupted)
+
+
 @pytest.mark.parametrize("entry", [G(F(1, 2)), I], ids=["half", "i"])
 def test_uniqueness_nullspace_rejects_a_non_integer_condition_entry(monkeypatch, entry):
     # one degree-5 coefficient of every condition series made non-integral
-    real = flatten_mod.fundamental_series
-
-    def corrupted(tables):
-        s = real(tables)
-        return s + Series(2, s.trunc, {(2, 1, 1, 1): entry})
-
-    monkeypatch.setattr(flatten_mod, "fundamental_series", corrupted)
+    corrupt_condition_series(monkeypatch, lambda s: s + Series(2, s.trunc, {(2, 1, 1, 1): entry}))
+    assert flatten_mod.fundamental_series(phi_psi({}, 4)).coeff((2, 1, 1, 1)) == entry
     with pytest.raises(ConsistencyError, match="degree 4"):
         uniqueness_nullspace(4)
 
@@ -1174,17 +1242,47 @@ def test_fundamental_nullspace_members_satisfy_condition():
             assert check_fundamental(phi_psi(table, m)).ok
 
 
+def applied_times_w2(unknowns, rows, table, m):
+    """The factor rows applied to a degree-m table, times w2, as a condition table.
+
+    Row i holds the factor's coefficient at bracket ``unknowns[i]``; the
+    product with w2 = z2 + zb2 is series arithmetic.
+    """
+    factor = {
+        idx: sum(c * table.get(unknowns[j], 0) for j, c in row.items())
+        for idx, row in zip(unknowns, rows)
+    }
+    z1, z2, zb1, zb2 = Series.generators(2, m + 1)
+    product = (z2 + zb2) * table_to_series({k: v for k, v in factor.items() if v}, m + 1)
+    return series_to_table(product)
+
+
 def test_condition_rows_are_the_condition_series():
     m = 5
     unknowns, rows = flatten_mod._fundamental_matrix(m)
-    assert unknowns == tuple(all_brackets(m)) and all(rows)
+    assert unknowns == tuple(all_brackets(m)) and len(rows) == len(unknowns) and all(rows)
     assert all(type(c) is int for row in rows for c in row.values())
-    # a random table's condition series, read off the rows, in bracket order
+    # a random table's factor, read off the rows, is its condition series over w2
     rng = random.Random(12)
     table = rand_real_bracket_table(rng, m)
-    values = [sum(c * table.get(unknowns[j], 0) for j, c in row.items()) for row in rows]
     series = check_fundamental(phi_psi(table, m)).violations
-    assert [v for v in values if v] == [c for _, c in sorted(series)]
+    assert sorted(applied_times_w2(unknowns, rows, table, m).items()) == sorted(series)
+
+
+def w2_times_rows(unknowns, rows):
+    """The nonzero rows of w2 times the factor rows, in bracket order of degree m + 1.
+
+    w2 = z2 + zb2 raises a bracket [t s r h]'s power t of z2 or its power r
+    of zb2 by one.
+    """
+    by_bracket = {}
+    for (t, s, r, h), row in zip(unknowns, rows):
+        for idx in ((t + 1, s, r, h), (t, s, r + 1, h)):
+            out = by_bracket.setdefault(idx, {})
+            for j, c in row.items():
+                out[j] = out.get(j, 0) + c
+    products = ({j: c for j, c in by_bracket[b].items() if c} for b in sorted(by_bracket))
+    return [row for row in products if row]
 
 
 def series_built_matrix(m):
@@ -1200,7 +1298,40 @@ def series_built_matrix(m):
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_condition_matrix_equals_the_series_built_rows(m):
-    assert flatten_mod._fundamental_matrix(m) == series_built_matrix(m)
+    # the condition matrix is w2 times the square matrix of the factor rows
+    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    assert len(rows) == len(unknowns)
+    assert (unknowns, w2_times_rows(unknowns, rows)) == series_built_matrix(m)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_the_factor_kernel_is_the_shear_image(m):
+    # the shear polynomials over kernel_unknowns(m), their conjugates and,
+    # at even m, (2 q2)^(m/2) span the condition kernel
+    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    nullity = len(unknowns) - rank_mod_p(rows, len(unknowns))
+    assert nullity == 2 * len(kernel_unknowns(m)) + (m % 2 == 0)
+    assert m != 12 or nullity == 97
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_the_factor_rows_have_the_kernel_of_the_condition_rows(monkeypatch, m):
+    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    _, condition = series_built_matrix(m)
+    assert sparse_nullspace(rows, len(unknowns)) == sparse_nullspace(condition, len(unknowns))
+    # so the uniqueness kernels agree, also without the normalization
+    # constraints, where they are not trivial
+
+    def with_and_without_normalization():
+        plain = uniqueness_nullspace(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(flatten_mod, "normalization_system", lambda m: ())
+            return plain, uniqueness_nullspace(m)
+
+    on_factor = with_and_without_normalization()
+    monkeypatch.setattr(flatten_mod, "_fundamental_matrix", lambda m: (unknowns, condition))
+    assert with_and_without_normalization() == on_factor
+    assert on_factor[0] == (0, []) and on_factor[1][0] > 0
 
 
 _rationals = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 4, 3, 7]))
@@ -1218,9 +1349,8 @@ def gaussian_tables(draw):
 def test_condition_rows_apply_as_the_condition_series(case):
     m, table = case
     unknowns, rows = flatten_mod._fundamental_matrix(m)
-    values = [sum(c * table.get(unknowns[j], 0) for j, c in row.items()) for row in rows]
     series = check_fundamental(phi_psi(table, m)).violations
-    assert [v for v in values if v] == [c for _, c in sorted(series)]
+    assert sorted(applied_times_w2(unknowns, rows, table, m).items()) == sorted(series)
 
 
 @st.composite
@@ -1320,8 +1450,7 @@ def corrupted_condition(request, monkeypatch):
     elif request.param == "unscaled-derivative":
         monkeypatch.setattr(flatten_mod, "_turn", corrupted_turn((1, 3), False))
     else:
-        real = flatten_mod.fundamental_series
-        monkeypatch.setattr(flatten_mod, "fundamental_series", lambda tables: -real(tables))
+        corrupt_condition_series(monkeypatch, lambda series: -series)
 
 
 @pytest.fixture
