@@ -49,10 +49,35 @@ passes of it give the factor, and a multiplication by w2 the condition.
 They build the factor's square matrix for all unit tables at once, whose
 kernel is the condition's, each build checked, times w2, against the series
 operators on one dense table.  The factor alone decides the flattening
-driver's per-degree check exactly, on the integer pairs (re, im) of Im R_m,
-each stored as one integer: D and E keep the degree, so the factor of a
-degree-m H fits the germ's own packing base T + 1 for every
+driver's check on the degree where it stops, exactly, on the integer pairs
+(re, im) of Im R_m, each stored as one integer: D and E keep the degree, so
+the factor of a degree-m H fits the germ's own packing base T + 1 for every
 m <= T, and Im R_m is read straight from the keys of the germ's packed R.
+
+A degree the driver solves needs no evaluation, by the Leibniz rule.  Write
+F = (D^2 + 1) E, the factor.
+
+* D and E are derivations, and D (2 q2) = E (2 q2) = 0 for
+  2 q2 = w1^2 + w2^2, so F(g q2^j) = F(g) q2^j.
+* E z^alpha = 0, so F(z^alpha) = 0.
+* E zb^alpha is linear in w1 and w2, with zb-monomial coefficients; D kills
+  zb and maps w1 to w2 and w2 to -w1, so D^2 = -1 on it and F(zb^alpha) = 0.
+* R vanishes to order 2 and R_2 = q2 (``_require_parabolic``), so the
+  degree-m part of R sheared by B of weight m is R_m + B(z, q2), and a
+  vanishing remainder means H = -Im B(z, q2).  That is a complex
+  combination of z^alpha q2^j and zb^alpha q2^j with |alpha| + 2 j = m, so
+  F(H) = 0.
+
+The driver checks F(z^alpha) = 0, F(zb^alpha) = 0 and D (2 q2) =
+E (2 q2) = 0 on its own maps once per call
+(``_solved_degrees_satisfy_condition``); a map that breaks one of them makes
+every solved degree read false.  That D and E act as derivations on mixed
+monomials such as z^alpha q2^j is structural (``_turn`` differentiates each
+term by its exponent) and not checked there; the CI step "FUNDAMENTAL_OK
+matches the series definition at depth" compares the verdicts with the
+series arithmetic of ``phi_psi`` and ``check_fundamental``, which does not
+use these maps.
+
 Every kernel returned here, of the condition and of the uniqueness blocks,
 comes from ``linalg.certified_nullspace``, which certifies it beside the
 elimination that computes it.
@@ -815,6 +840,35 @@ def _satisfies_condition(h: Series | _Packed) -> bool:
     return not _condition_factor(family, h.base)
 
 
+def _solved_degrees_satisfy_condition(n: int) -> bool:
+    """Whether the maps certify the condition on every solved degree up to n.
+
+    A degree whose normalized remainder vanishes has H = -Im B(z, q2), a
+    combination of z^alpha q2^j and zb^alpha q2^j with |alpha| <= n (see the
+    module docstring).  By the Leibniz rule F = (D^2 + 1) E kills every such
+    H when the maps give F(z^alpha) = F(zb^alpha) = 0 and D(2 q2) =
+    E(2 q2) = 0 and act as derivations.  The three facts are the checks, on
+    one family of all z^alpha and zb^alpha, one column each, and on 2 q2,
+    all in base n + 2; the derivation property is structural and not
+    checked here.
+    """
+    base = n + 2
+    monomials = [
+        e
+        for d in range(n + 1)
+        for a1 in range(d + 1)
+        for e in ((a1, d - a1, 0, 0), (0, 0, a1, d - a1))
+    ]
+    family = _family(((e, {k: 1}) for k, e in enumerate(monomials)), base)
+    unit = _family((((0, 0, 0, 0), {0: 1}),), base)
+    two_q2 = _w_sum(
+        ((1, 1, _w_sum(((1, 1, unit),), base)), (1, 2, _w_sum(((1, 2, unit),), base))), base
+    )
+    return not (
+        _condition_factor(family, base) or _turn(two_q2, 0, 1, base) or _turn(two_q2, 2, 3, base)
+    )
+
+
 # -- the order-by-order driver -------------------------------------------------------
 
 
@@ -842,7 +896,17 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     Each degree verifies the normalized remainder: zero lets the iteration
     continue, a nonzero remainder (or an unsolvable normalization) stops it
     and is reported as an obstruction certificate.  Each step also records
-    whether H satisfies the first-order condition (``_satisfies_condition``).
+    whether H satisfies the first-order condition.  Only the degree where
+    the iteration stops evaluates it on H (``_satisfies_condition``).  A
+    solved degree has H = -Im B(z, q2), which the condition kills by the
+    Leibniz rule (module docstring); it takes its verdict from the
+    germ-independent certificate :func:`_solved_degrees_satisfy_condition`,
+    run once per call at the first solved degree.  Should the certificate
+    fail, every solved degree reads false, so a map that breaks
+    F(z^alpha) = 0, F(zb^alpha) = 0 or D (2 q2) = E (2 q2) = 0 shows up as
+    a false verdict; the derivation property the argument also needs is
+    structural, and the CI depth step guards it through independent series
+    arithmetic.
 
     R is packed once and stays packed from shear to shear (``Germ.shear``
     returns a germ that holds only its packed R).  Each degree's H = Im R_m
@@ -852,20 +916,21 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     an obstruction degree decodes its H' table (``_unpacked``), once; the
     final germ decodes R once, when it is read.
     """
+    # shears of weight >= 3 leave the quadric alone, so it is checked once
     _require_parabolic(germ)
     if n > germ.trunc:
         raise PreconditionError("target order exceeds the germ truncation")
     current = germ
     kernels: dict[int, KernelPolynomial] = {}
     steps: list[FlattenStep] = []
+    certified: Optional[bool] = None
     for m in range(3, n + 1):
-        # shears of weight >= 3 leave the quadric alone, so it is checked once
         im_part = _imaginary_part(current, m)
-        fund_ok = _satisfies_condition(im_part)
         try:
             kern = solve_kernel(im_part, m)
         except InconsistentSystemError as exc:
             h = HTable(m, series_to_table(_unpacked(im_part, 2)))
+            fund_ok = _satisfies_condition(im_part)
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
@@ -874,9 +939,11 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         remainder = _imaginary_part(current, m)
         if remainder.buckets:
             table = HTable(m, series_to_table(_unpacked(remainder, 2)))
-            steps.append(FlattenStep(m, kern, False, table, fund_ok))
+            steps.append(FlattenStep(m, kern, False, table, _satisfies_condition(im_part)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
-        steps.append(FlattenStep(m, kern, True, None, fund_ok))
+        if certified is None:
+            certified = _solved_degrees_satisfy_condition(n)
+        steps.append(FlattenStep(m, kern, True, None, certified))
     return FlattenReport(True, n, kernels, current, steps)
 
 
@@ -902,12 +969,14 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     operators, beside the series arithmetic that defines them and the
     recursions that audit them.  Each row is read off the family at its
     bracket's packed key, so no exponent is decoded.  The same field map
-    decides the flattening driver's per-degree condition check
-    (``_satisfies_condition``).  The build checks itself on one dense
-    integer table: the rows applied to it, times w2 (``_w_sum``), must equal
-    its condition series, formed by the packed series operators
-    (``_phi_psi_packed`` and ``_condition_packed``) in the same base and
-    compared key by key; a disagreement raises :class:`ConsistencyError`.
+    decides the flattening driver's condition check on the degree where it
+    stops (``_satisfies_condition``), and its certificate for the solved
+    degrees (``_solved_degrees_satisfy_condition``).  The build checks
+    itself on one dense integer table: the rows applied to it, times w2
+    (``_w_sum``), must equal its condition series, formed by the packed
+    series operators (``_phi_psi_packed`` and ``_condition_packed``) in the
+    same base and compared key by key; a disagreement raises
+    :class:`ConsistencyError`.
     """
     unknowns = all_brackets(m)
     base = m + 2

@@ -1505,6 +1505,67 @@ def test_a_corrupted_elementary_map_fails_the_driver_condition(
     assert rep.ok and not all(step.fundamental_ok for step in rep.steps)
 
 
+# -- the solved-degree certificate ---------------------------------------------------
+
+
+def test_the_solved_degree_certificate_holds_through_degree_30():
+    for n in range(3, 31):
+        assert flatten_mod._solved_degrees_satisfy_condition(n) is True
+
+
+@pytest.mark.parametrize(
+    "corrupted_condition", ["w2-without-zb2", "unscaled-derivative"], indirect=True
+)
+@pytest.mark.parametrize("n", [3, 5, 8, 10])
+def test_a_corrupted_elementary_map_fails_the_solved_degree_certificate(corrupted_condition, n):
+    assert flatten_mod._solved_degrees_satisfy_condition(n) is False
+
+
+def test_a_nonzero_factor_fails_the_solved_degree_certificate(monkeypatch):
+    monkeypatch.setattr(flatten_mod, "_condition_factor", lambda family, base: {0: 1})
+    for n in (3, 8):
+        assert flatten_mod._solved_degrees_satisfy_condition(n) is False
+
+
+@pytest.fixture
+def condition_checks(monkeypatch):
+    """The parts H that the driver hands to ``_satisfies_condition``."""
+    checked = []
+    real = flatten_mod._satisfies_condition
+    monkeypatch.setattr(flatten_mod, "_satisfies_condition", lambda h: checked.append(h) or real(h))
+    return checked
+
+
+@pytest.mark.parametrize(
+    "name, order, calls",
+    [
+        ("sheared18", 18, 0),
+        ("cascade20", 18, 0),
+        ("nongraph", 8, 1),
+        ("sheared_inconsistent", 8, 1),
+    ],
+)
+def test_the_driver_evaluates_the_condition_only_where_it_stops(
+    condition_checks, name, order, calls
+):
+    # nongraph stops on a nonzero remainder at 3, sheared_inconsistent on an
+    # unsolvable degree; every solved degree takes the certificate's verdict
+    rep = flatten_to_order(load_germ(FIXTURES / f"{name}.germ"), order)
+    assert rep.ok == (calls == 0) and len(condition_checks) == calls
+    assert all(step.fundamental_ok for step in rep.steps[: len(rep.steps) - calls])
+
+
+def test_a_failed_certificate_makes_every_solved_degree_read_false(
+    condition_checks, monkeypatch
+):
+    germ = load_germ(FIXTURES / "sheared.germ")
+    want = flatten_to_order(germ, 8)
+    monkeypatch.setattr(flatten_mod, "_solved_degrees_satisfy_condition", lambda n: False)
+    rep = flatten_to_order(germ, 8)
+    assert rep.ok and len(rep.steps) == 6 and not any(step.fundamental_ok for step in rep.steps)
+    assert rep.kernels == want.kernels and rep.final == want.final and not condition_checks
+
+
 def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):
     # claiming one more modular rank than the rational rank must fail
     monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
