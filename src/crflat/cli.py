@@ -54,7 +54,7 @@ from .errors import (
     PreconditionError,
 )
 from .germ import load_germ, save_germ, save_kernel
-from .numeric import GaussianRational, integer
+from .numeric import GaussianRational, _part_texts, integer
 from .series import exp_from_bracket, format_term_lines, load_series, read_text, term_line
 
 DEFAULT_TRUNC = 8
@@ -242,7 +242,7 @@ def run_flatten(rep: Report, path: str, args) -> None:
         rep.add("DEGREE", step.m)
         if step.kernel is not None:
             for (alpha, j), c in step.kernel.items():
-                rep.add("KERNEL_TERM", term_line((*alpha, j), c.re, c.im))
+                rep.add("KERNEL_TERM", term_line((*alpha, j), *_part_texts(c)))
             if args.emit:
                 kpath = _write_into(args.emit, f"degree{step.m}.kernel", save_kernel, step.kernel)
                 rep.add("KERNEL_FILE", kpath)
@@ -254,7 +254,7 @@ def run_flatten(rep: Report, path: str, args) -> None:
             rep.add("H_NORMALIZED_ZERO", _bool(step.normalized_zero))
         if step.remainder is not None:
             for idx, c in step.remainder.items():
-                rep.add("H'", term_line(exp_from_bracket(*idx), c.re, c.im))
+                rep.add("H'", term_line(exp_from_bracket(*idx), *_part_texts(c)))
     if result.ok:
         rep.add("FLATTENED_TO", result.reached)
         if args.emit:

@@ -93,7 +93,6 @@ the factor in integers and checks every solution.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -105,7 +104,7 @@ from .errors import (
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
 from .linalg import SparseMatrix, certified_nullspace, solve
-from .numeric import I, ONE, GaussianRational, ZERO, _exact
+from .numeric import I, ONE, GaussianRational, ZERO, _gaussian
 from .series import (
     Exponent,
     Series,
@@ -680,9 +679,10 @@ def solve_kernel(source: Germ | Series | _Packed, m: int) -> KernelPolynomial:
     pure-z and mixed rows have full rank, so a free unknown is a bug.
 
     The right-hand side is H's integer numerators, so the solve returns
-    den times the system's solution, a real vector: each part of b is the
-    one ``Fraction(2^(j + 1) num, den_x den)`` of its entry num / den_x,
-    which takes the column scale and the 1/den of H in one reduction.
+    den times the system's solution, a real vector: b is made once from
+    the integers of its two entries x_n / x_d and y_n / y_d, as
+    2^(j + 1) (x_n y_d + i y_n x_d) / (x_d y_d den), which takes the column
+    scale and the 1/den of H in one reduction.
     """
     if isinstance(source, Germ):
         _require_parabolic(source)
@@ -714,9 +714,10 @@ def solve_kernel(source: Germ | Series | _Packed, m: int) -> KernelPolynomial:
     # the matrix columns hold 2^(j + 1) times b's, and the solution den times b's
     coeffs = {}
     for (alpha, j), x, y in zip(unknowns, sol[::2], sol[1::2]):
-        re, im = (Fraction(v.numerator << (j + 1), v.denominator * source.den)
-                  for v in (x.re, y.re))
-        coeffs[alpha, j] = _exact(re, im)
+        xd, yd = x._d, y._d
+        coeffs[alpha, j] = _gaussian(
+            x._x * yd << (j + 1), y._x * xd << (j + 1), xd * yd * source.den
+        )
     return KernelPolynomial(m, coeffs)
 
 

@@ -35,12 +35,11 @@ from typing import Mapping
 
 from . import quadratic  # read at call time: loading germ does not run quadratic
 from .errors import PreconditionError
-from .numeric import HALF, GaussianRational, ZERO
+from .numeric import HALF, GaussianRational, ZERO, _gaussian, _part_texts
 from .linalg import ExactMatrix
 from .series import (
     Series,
     _Packed,
-    _coefficient,
     _packed,
     _subst_packed,
     _template_polys,
@@ -336,13 +335,13 @@ def loads_kernel(text: str) -> KernelPolynomial:
     den, pairs = parse_pairs(rows[None], 3)
     with content_errors():
         return KernelPolynomial(
-            weight, {((a1, a2), j): _coefficient(p, den) for (a1, a2, j), p in pairs.items()}
+            weight, {((a1, a2), j): _gaussian(*p, den) for (a1, a2, j), p in pairs.items()}
         )
 
 
 def dumps_kernel(kernel: KernelPolynomial) -> str:
     lines = [f"weight {kernel.m}"]
-    lines.extend(term_line((*alpha, j), c.re, c.im) for (alpha, j), c in kernel.items())
+    lines.extend(term_line((*alpha, j), *_part_texts(c)) for (alpha, j), c in kernel.items())
     return "\n".join(lines) + "\n"
 
 

@@ -5,12 +5,12 @@ Provides a row-major dense matrix type and one sparse Gauss-Jordan loop,
 is behind solve, nullspace, rank, determinant and inverse, the modular
 factor, and the rank of an integer matrix modulo a fixed prime, which
 certifies full column rank over the rationals without rational arithmetic.
-It runs over ``Fraction`` when no entry has an imaginary part, over
-``GaussianRational`` otherwise, and over the integers mod p.  It takes the
-rows shortest first and keeps its pivot rows fully reduced; what it
-returns is the reduced echelon form, which is unique, so everything
-derived from it (nullspace bases, solutions, reports built on them) is
-reproducible byte for byte whatever order the rows come in.
+It runs over ``GaussianRational``, whose fast paths serve real rows, and
+over the integers mod p.  It takes the rows shortest first and keeps its
+pivot rows fully reduced; what it returns is the reduced echelon form,
+which is unique, so everything derived from it (nullspace bases,
+solutions, reports built on them) is reproducible byte for byte whatever
+order the rows come in.
 
 ``solve`` takes a dense ``ExactMatrix`` or a ``SparseMatrix`` of sparse
 rows and factors each matrix once: the first solve eliminates [A | I] and
@@ -35,7 +35,6 @@ the memoized factor is derived from the entries and never changes them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import repeat
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -46,7 +45,7 @@ from .errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from .numeric import _FRACTION_ZERO, ONE, ZERO, GaussianRational, _exact, integer_parts
+from .numeric import ONE, ZERO, GaussianRational, _gaussian, integer_parts
 
 Vector = list[GaussianRational]
 
@@ -212,26 +211,18 @@ class SparseMatrix:
             raise PreconditionError(f"sparse row entry outside {cols} columns")
 
 
-def _scalar_rows(rows: Iterable[Mapping[int, object]]) -> list[dict[int, object]]:
-    """Sparse copies of ``rows`` without zero entries, in one scalar type.
+def _scalar_rows(rows: Iterable[Mapping[int, object]]) -> list[dict[int, GaussianRational]]:
+    """Sparse copies of ``rows`` without zero entries, every entry a GaussianRational.
 
-    Entries become ``Fraction`` when none has an imaginary part and
-    ``GaussianRational`` otherwise; both support the field operations the
-    elimination uses, and real rationals skip the imaginary halves.
+    A GaussianRational entry is kept as it is; the scalar's fast paths
+    serve real rows without a separate rational type.
     """
-    out = [
-        {j: GaussianRational.coerce(v) for j, v in row.items() if v} for row in rows
-    ]
-    if any(v.im for row in out for v in row.values()):
-        return out
-    return [{j: v.re for j, v in row.items()} for row in out]
+    coerce = GaussianRational.coerce
+    return [{j: coerce(v) for j, v in row.items() if v} for row in rows]
 
 
 def _echelon(rows: Iterable[Mapping[int, object]]) -> tuple[list[dict], list[int], object]:
-    """Reduced echelon form of sparse rows over Q (see ``_reduce``).
-
-    The entries of the result are in the scalar type ``_scalar_rows`` picks.
-    """
+    """Reduced echelon form of sparse rows over Q(i) (see ``_reduce``), in GaussianRationals."""
     return _reduce(_scalar_rows(rows))
 
 
@@ -463,10 +454,9 @@ class _LeftInverse:
         """The row of L for unknown c as exact values (length: the rows of A)."""
         out = [ZERO] * len(self.a_rows)
         cols, re, im = self.left[c]
-        for t, j in enumerate(cols):
-            out[j] = GaussianRational(
-                Fraction(re[t], self.den), Fraction(im[t], self.den) if im is not None else 0
-            )
+        den = self.den
+        for j, x, y in zip(cols, re, im or repeat(0)):
+            out[j] = _gaussian(x, y, den)
         return out
 
     def solve(self, b: Sequence) -> Vector:
@@ -488,9 +478,7 @@ class _LeftInverse:
                 f"solution space has dimension {self.cols - len(self.pivots)}"
             )
         den = self.den * b_den
-        if xim is None:
-            return [_exact(Fraction(v, den), _FRACTION_ZERO) for v in xre]
-        return [_exact(Fraction(v, den), Fraction(w, den)) for v, w in zip(xre, xim)]
+        return [_gaussian(v, w, den) for v, w in zip(xre, xim or repeat(0))]
 
 
 def _crt(residues: list[dict], modulus: int, part: list[dict], p: int) -> list[dict]:

@@ -1,12 +1,19 @@
 """Exact scalars: arbitrary-precision rationals and Gaussian rationals.
 
 Every coefficient in this package lives in Q(i): complex numbers whose real
-and imaginary parts are exact rationals.  ``fractions.Fraction`` supplies the
-rational layer (normalized, arbitrary precision); :class:`GaussianRational`
-wraps a (re, im) pair and provides field arithmetic, conjugation, exact
-modulus-squared, literal parsing and canonical formatting.
+and imaginary parts are exact rationals.  :class:`GaussianRational` holds
+one as (x + i y) / d, three ints in lowest terms, and provides field
+arithmetic on them, conjugation, exact modulus-squared, literal parsing and
+canonical formatting; ``fractions.Fraction`` is the type of the real values
+it reads and of the parts ``re``, ``im`` and ``abs2`` it returns.  Each
+result is brought to lowest terms once, by one three-argument ``math.gcd``
+in ``_gaussian``, the one factory of scalars from integers, so a product
+costs four integer products and a gcd, not six ``Fraction`` operations.
 :func:`integer_parts` is the one lift of exact values to integers over a
-common denominator, which every integer kernel of the package starts from.
+common denominator, which every integer kernel of the package starts from;
+it reads a GaussianRational's integers as they are.  ``_ratio_text`` prints
+an integer over a positive denominator as ``str`` prints its ``Fraction``,
+for ``str`` of a scalar and for every term line the package writes.
 
 Values are immutable; all operations are pure and safe to share between
 workers.
@@ -27,6 +34,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from .errors import ParseError
@@ -38,6 +46,8 @@ _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 _RATIONAL = re.compile(rf"\s*{_RATIONAL_COLUMN}\s*")
 _IM = rf"(?:([0-9]+){_DEN})?\s*i"  # an unsigned imaginary part; a bare i has coefficient 1
 _GAUSSIAN = re.compile(rf"\s*(?:([+-]?[0-9]+){_DEN}(?:\s*([+-])\s*{_IM})?|([+-]?){_IM})\s*")
+_gcd = math.gcd  # bound once: the factory calls them on every result
+_new = object.__new__
 
 
 def _as_fraction(x) -> Fraction:
@@ -48,22 +58,65 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _ratio_text(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for den > 0, from the integers alone."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _operand(v) -> tuple[int, int, int] | None:
+    """(x, y, d) of an int (bool included), ``Fraction`` or GaussianRational; None otherwise."""
+    if isinstance(v, GaussianRational):
+        return v._x, v._y, v._d
+    if isinstance(v, int):
+        return int(v), 0, 1
+    if isinstance(v, Fraction):
+        return v.numerator, 0, v.denominator
+    return None
+
+
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
-    ``*`` by an int, a ``Fraction`` or a real value (``im == 0``) skips the
-    four-product formula, ``+`` adds an int or a real value to the real
-    part alone, and ``inverse`` inverts a real value directly.
-    Every arithmetic result is built by ``_exact``, which skips the
-    ``Fraction`` check of ``__init__``, and ``coerce`` is the one int and
-    ``Fraction`` conversion.
+    The value (x + i y) / d is held as three ints ``_x``, ``_y`` and ``_d``,
+    with d > 0 and gcd(x, y, d) = 1, so equal values have equal integers.
+    Every result is made by ``_gaussian``, the one factory from integers,
+    which brings it to lowest terms with one three-argument ``math.gcd``.
+    ``re`` and ``im`` are read-only properties that build the parts as
+    ``Fraction``s on demand.
+
+    Fast paths: ``+`` and ``-`` add numerators alone over an equal
+    denominator, ``*`` by an int or a real value (y = 0) skips the
+    four-product formula, and ``inverse`` of a real value swaps numerator
+    and denominator.  An operand that is not an int, a ``Fraction`` or a
+    GaussianRational gives ``NotImplemented``, so the other operand's
+    reflected operator runs (``2 * s`` and ``GaussianRational(2) * s`` are
+    the same ``Series``); ``coerce`` raises ``TypeError`` for it.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._x, self._y, self._d = re, im, 1
+            return
+        re = _as_fraction(re)
+        im = _as_fraction(im)
+        a, b = re.denominator, im.denominator
+        d = a if a == b else math.lcm(a, b)  # over the lcm of reduced parts, in lowest terms
+        self._x = re.numerator * (d // a)
+        self._y = im.numerator * (d // b)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        """The real part x / d."""
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        """The imaginary part y / d."""
+        return Fraction(self._y, self._d)
 
     # -- coercion ---------------------------------------------------------
 
@@ -72,85 +125,110 @@ class GaussianRational:
         """``x`` itself, or the real value of an int (bool included) or Fraction."""
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, Fraction):
-            return _exact(x, _FRACTION_ZERO)
-        if isinstance(x, int):
-            return _exact(Fraction(x), _FRACTION_ZERO)
-        raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
+        parts = _operand(x)
+        if parts is None:
+            raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
+        return _gaussian(*parts)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._x and not self._y
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._y
 
     def is_unimodular(self) -> bool:
-        return self.abs2() == 1
+        return self._x * self._x + self._y * self._y == self._d * self._d
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._x != 0 or self._y != 0
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            if not other.im:
-                return _exact(self.re + other.re, self.im)
-            if not self.im:
-                return _exact(self.re + other.re, other.im)
-            return _exact(self.re + other.re, self.im + other.im)
-        if isinstance(other, int):
-            return _exact(self.re + other, self.im)
-        o = GaussianRational.coerce(other)
-        return _exact(self.re + o.re, self.im + o.im)
+            x, y, d = other._x, other._y, other._d
+        elif type(other) is int:
+            return _gaussian(self._x + other * self._d, self._y, self._d)
+        else:
+            parts = _operand(other)
+            if parts is None:
+                return NotImplemented
+            x, y, d = parts
+        e = self._d
+        if d == e:
+            return _gaussian(self._x + x, self._y + y, d)
+        return _gaussian(self._x * d + x * e, self._y * d + y * e, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return _exact(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            x, y, d = other._x, other._y, other._d
+        else:
+            parts = _operand(other)
+            if parts is None:
+                return NotImplemented
+            x, y, d = parts
+        e = self._d
+        if d == e:
+            return _gaussian(self._x - x, self._y - y, d)
+        return _gaussian(self._x * d - x * e, self._y * d - y * e, d * e)
 
     def __rsub__(self, other):
-        o = GaussianRational.coerce(other)
-        return _exact(o.re - self.re, o.im - self.im)
+        parts = _operand(other)
+        if parts is None:
+            return NotImplemented
+        x, y, d = parts
+        e = self._d
+        if d == e:
+            return _gaussian(x - self._x, y - self._y, d)
+        return _gaussian(x * e - self._x * d, y * e - self._y * d, d * e)
 
     def __neg__(self):
-        return _exact(-self.re, -self.im)
+        return _gaussian(-self._x, -self._y, self._d)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            if not other.im:
-                r = other.re
-                return _exact(self.re * r, self.im * r if self.im else self.im)
-            if not self.im:
-                r = self.re
-                return _exact(r * other.re, r * other.im if r else r)
-            return _exact(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return _exact(self.re * other, self.im * other if self.im else self.im)
-        o = GaussianRational.coerce(other)
-        return _exact(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+            x, y, d = other._x, other._y, other._d
+        elif type(other) is int:
+            return _gaussian(self._x * other, self._y * other, self._d)
+        else:
+            parts = _operand(other)
+            if parts is None:
+                return NotImplemented
+            x, y, d = parts
+        p, q = self._x, self._y
+        if not y:
+            return _gaussian(p * x, q * x, self._d * d)
+        if not q:
+            return _gaussian(p * x, p * y, self._d * d)
+        return _gaussian(p * x - q * y, p * y + q * x, self._d * d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        if not self.im:
-            if not self.re:
+        x, y, d = self._x, self._y, self._d
+        if not y:
+            if not x:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return _exact(1 / self.re, self.im)
-        n = self.abs2()
-        return _exact(self.re / n, -self.im / n)
+            return _gaussian(-d, 0, -x) if x < 0 else _gaussian(d, 0, x)
+        # d / (x + i y) = d (x - i y) / (x^2 + y^2), a positive denominator
+        return _gaussian(d * x, -d * y, x * x + y * y)
 
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        if not isinstance(other, GaussianRational):
+            parts = _operand(other)
+            if parts is None:
+                return NotImplemented
+            other = _gaussian(*parts)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        if _operand(other) is None:
+            return NotImplemented
+        return self.inverse() * other
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -167,35 +245,40 @@ class GaussianRational:
         return r
 
     def conj(self) -> "GaussianRational":
-        return _exact(self.re, -self.im)
+        return _gaussian(self._x, -self._y, self._d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus re^2 + im^2 (a rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
     # -- equality / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._x == other._x and self._y == other._y and self._d == other._d
+        if isinstance(other, int):
+            return self._d == 1 and not self._y and self._x == other
+        if isinstance(other, Fraction):
+            return not self._y and self._x == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # that of the Fraction re of a real value, and of the pair (re, im) otherwise;
+        # an integral Fraction hashes as its int
+        x, y, d = self._x, self._y, self._d
+        if d == 1:
+            return hash((x, y)) if y else hash(x)
+        return hash((self.re, self.im)) if y else hash(self.re)
 
     # -- formatting / parsing ----------------------------------------------
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im} i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)} i"
+        x, y, d = self._x, self._y, self._d
+        if not y:
+            return _ratio_text(x, d)
+        if not x:
+            return f"{_ratio_text(y, d)} i"
+        return f"{_ratio_text(x, d)}{'-' if y < 0 else '+'}{_ratio_text(abs(y), d)} i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -211,24 +294,36 @@ class GaussianRational:
         if re_num is None:  # an imaginary part alone, with its own sign
             re_num, imaginary = "0", imaginary[3:]
         sign, im_num, im_den = imaginary[:3]
-        real, imag = (Fraction(_int(num, text, message), _int(den or "1", text, message))
-                      for num, den in ((re_num, re_den), (im_num or "1", im_den)))
-        return _exact(real, _FRACTION_ZERO if sign is None else -imag if sign == "-" else imag)
+        (p, q), (r, s) = ((_int(num, text, message), _int(den or "1", text, message))
+                          for num, den in ((re_num, re_den), (im_num or "1", im_den)))
+        if sign is None:  # a real literal
+            return _gaussian(p, 0, q)
+        return _gaussian(p * s, -r * q if sign == "-" else r * q, q * s)
 
 
-def _exact(re: Fraction, im: Fraction) -> GaussianRational:
-    """A GaussianRational from two parts the caller knows to be ``Fraction``.
+def _gaussian(x: int, y: int, d: int) -> GaussianRational:
+    """The GaussianRational (x + i y) / d of ints with d > 0, in lowest terms.
 
-    It skips the type check of ``__init__``; every arithmetic result is made
-    here, so ``re`` and ``im`` are always ``Fraction``.
+    The one factory from integers: every arithmetic result is made here,
+    skipping the ``Fraction`` reading of ``__init__``.
     """
-    g = object.__new__(GaussianRational)
-    g.re = re
-    g.im = im
-    return g
+    g = _gcd(x, y, d)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    s = _new(GaussianRational)
+    s._x = x
+    s._y = y
+    s._d = d
+    return s
 
 
-_FRACTION_ZERO = Fraction(0)  # the shared imaginary part of every coerced real
+def _part_texts(c: GaussianRational) -> tuple[str, str]:
+    """The texts of c's real and imaginary parts, as ``str`` prints their ``Fraction``s."""
+    return _ratio_text(c._x, c._d), _ratio_text(c._y, c._d)
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 HALF = GaussianRational(Fraction(1, 2))  # the one 1/2 constant
@@ -241,26 +336,27 @@ def integer_parts(values: Iterable) -> tuple[int, list[int], list[int]]:
     ``values`` are ints, ``Fraction``s or ``GaussianRational``s.  Returns
     (D, re, im) with D the lcm of the denominators of all their real and
     imaginary parts (1 for no values) and re[k] + i im[k] = D values[k].
+    A GaussianRational's own integers are read as they are.
     """
-    re_parts, im_parts = [], []
+    xs, ys, ds = [], [], []
     for v in values:
-        if isinstance(v, GaussianRational):
-            re_parts.append(v.re)
-            im_parts.append(v.im)
+        if type(v) is GaussianRational:
+            x, y, d = v._x, v._y, v._d
         elif type(v) is int:  # its own numerator over 1
-            re_parts.append(v)
-            im_parts.append(0)
+            x, y, d = v, 0, 1
         else:
-            re_parts.append(_as_fraction(v))
-            im_parts.append(_FRACTION_ZERO)
-    den = math.lcm(*(x.denominator for x in re_parts), *(y.denominator for y in im_parts))
+            parts = _operand(v)
+            if parts is None:
+                raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+            x, y, d = parts
+        xs.append(x)
+        ys.append(y)
+        ds.append(d)
+    den = math.lcm(*ds)
     if den == 1:  # integer values, common in products: no divisions needed
-        return 1, [x.numerator for x in re_parts], [y.numerator for y in im_parts]
-    return (
-        den,
-        [x.numerator * (den // x.denominator) for x in re_parts],
-        [y.numerator * (den // y.denominator) for y in im_parts],
-    )
+        return 1, xs, ys
+    scales = [den // d for d in ds]
+    return den, list(map(mul, xs, scales)), list(map(mul, ys, scales))
 
 
 def _int(digits: str | None, text: str, message: str) -> int:

@@ -551,15 +551,30 @@ def cr_singular_linearization(germ: "Germ") -> LinearizationReport:
     Columns are ordered (z1, zb1, z2, zb2).  The CR singular locus is cut
     out by these four real-analytic equations, so its real dimension near
     the origin is at most 4 - rank.
+
+    Each entry is read from one degree-2 coefficient of R: the linear part
+    of dR/dzb_k at a variable v is the coefficient of zb_k v, times 2 when
+    v = zb_k (the derivative of zb_k^2).  conj R holds conj(c) at the
+    mirror exponent of each term c of R, z and zb swapped, so its rows read
+    R at the mirror exponents, conjugated.
     """
     if germ.n != 2:
         raise PreconditionError("linearization is for two variables")
     r = germ.R
-    rbar = r.conj()
-    derivs = [r.dzbar(1), r.dzbar(2), rbar.dz(1), rbar.dz(2)]
-    # coefficient extraction in column order (z1, zb1, z2, zb2)
-    cols = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
-    m = ExactMatrix.from_rows([[d.coeff(c) for c in cols] for d in derivs])
+    # exponent slots (z1, z2, zb1, zb2) of the columns (z1, zb1, z2, zb2)
+    col_slots = (0, 2, 1, 3)
+    rows = []
+    # the slot of each row's derivative variable, and whether the row reads conj R
+    for slot, conjugate in ((2, False), (3, False), (0, True), (1, True)):
+        row = []
+        for col in col_slots:
+            e = [0, 0, 0, 0]
+            e[slot] += 1
+            e[col] += 1
+            c = r.coeff(e[2:] + e[:2]).conj() if conjugate else r.coeff(e)
+            row.append(c * e[slot])
+        rows.append(row)
+    m = ExactMatrix.from_rows(rows)
     rk = m.rank()
     return LinearizationReport(m, rk, 4 - rk)
 

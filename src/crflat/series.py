@@ -68,14 +68,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .numeric import (
     GaussianRational,
-    _exact,
+    _gaussian,
+    _ratio_text,
     integer_parts,
     natural,
     rational_parts,
@@ -117,12 +117,6 @@ def bracket_from_exp(e: Exponent) -> tuple[int, int, int, int]:
 
 def _grlex_key(e: Exponent):
     return (sum(e), e)
-
-
-def _coefficient(pair: Pair, den: int) -> GaussianRational:
-    """The Gaussian rational (re + i im) / den of an integer pair."""
-    x, y = pair
-    return _exact(Fraction(x, den), Fraction(y, den))
 
 
 class Series:
@@ -195,16 +189,17 @@ class Series:
     @property
     def terms(self) -> dict[Exponent, GaussianRational]:
         """The stored coefficients as Gaussian rationals, in a new dict."""
-        return {e: _coefficient(pair, self.den) for e, pair in self.nums.items()}
+        den = self.den
+        return {e: _gaussian(x, y, den) for e, (x, y) in self.nums.items()}
 
     def coeff(self, e: Iterable[int]) -> GaussianRational:
         """Stored coefficient at the exponent, or 0 (also for out-of-range)."""
-        return _coefficient(self.nums.get(tuple(e), (0, 0)), self.den)
+        return _gaussian(*self.nums.get(tuple(e), (0, 0)), self.den)
 
     def items(self) -> Iterator[tuple[Exponent, GaussianRational]]:
         """Terms in graded-lex order."""
         for e in sorted(self.nums, key=_grlex_key):
-            yield e, _coefficient(self.nums[e], self.den)
+            yield e, _gaussian(*self.nums[e], self.den)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -909,12 +904,6 @@ def term_line(cols: Iterable[int], re: object, im: object) -> str:
     ``re`` and ``im`` are the coefficient's two parts, each printed by ``str``.
     """
     return " ".join([*map(str, cols), str(re), str(im)])
-
-
-def _ratio_text(x: int, den: int) -> str:
-    """``str(Fraction(x, den))`` for den > 0, from the integers alone."""
-    g = math.gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def format_term_lines(series: Series) -> list[str]:

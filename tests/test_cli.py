@@ -255,6 +255,13 @@ def test_flatten_reproduces_the_golden_order_18_report(monkeypatch):
         # an obstruction at the top degree, where the packing base T + 1 is
         # tightest, from a term whose mirror the germ lacks
         ("topdegree.order8.report", ["flatten", "fixtures/topdegree.germ", "--order", "8"]),
+        # the screen verbs on four benchmark inputs: every cosquare class of an
+        # invertible non-Hermitian B, and a direction grid without a hit (s04)
+        *(
+            (f"screen_s{k}.{verb}.report", [verb, f"fixtures/screen_s{k}.germ", *extra])
+            for k in ("00", "02", "03", "04")
+            for verb, extra in (("classify", []), ("jacobian", []), ("bishop", ["--search", "8"]))
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

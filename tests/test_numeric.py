@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crflat import GaussianRational, ParseError, sqrt_fraction, sqrt_gaussian
+from crflat import GaussianRational, ParseError, Series, sqrt_fraction, sqrt_gaussian
 from crflat.numeric import I, ONE, ZERO, integer_parts
 
 from conftest import rand_gaussian, rand_nonzero_gaussian
@@ -78,13 +78,20 @@ _operands = st.one_of(_gaussians, st.integers(-9, 9), st.booleans(), _fractions)
 
 
 def _parts(x) -> tuple[F, F]:
+    """The (Fraction, Fraction) oracle value of an operand."""
     return (x.re, x.im) if isinstance(x, G) else (F(x), F(0))
 
 
 def _assert_exact(result: G, re: F, im: F):
-    assert type(result.re) is F and type(result.im) is F
+    """result is (re, im), held in lowest terms over a positive denominator."""
+    assert type(result) is G and type(result.re) is F and type(result.im) is F
     assert (result.re, result.im) == (re, im)
-    assert result == G(re, im) and hash(result) == hash(G(re, im))
+    assert result == G(re, im)
+    x, y, d = result._x, result._y, result._d
+    assert all(type(v) is int for v in (x, y, d))
+    assert d > 0 and math.gcd(x, y, d) == 1 and (F(x, d), F(y, d)) == (re, im)
+    assert hash(result) == (hash((re, im)) if im else hash(re))
+    assert G.parse(str(result)) == result
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -107,15 +114,53 @@ def test_fast_paths_match_the_general_formulas(a, x):
             a.inverse()
 
 
+def _pair_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _pair_inverse(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_gaussians, _operands, st.integers(-3, 3))
+def test_division_powers_and_comparisons_match_the_fraction_pair_oracle(a, x, k):
+    pa, px = _parts(a), _parts(x)
+    _assert_exact(a, *pa)
+    if px != (0, 0):
+        _assert_exact(a / x, *_pair_mul(pa, _pair_inverse(px)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / x
+    if a:
+        _assert_exact(x / a, *_pair_mul(px, _pair_inverse(pa)))
+        power = (F(1), F(0))
+        for _ in range(abs(k)):
+            power = _pair_mul(power, pa if k > 0 else _pair_inverse(pa))
+        _assert_exact(a**k, *power)
+    else:
+        for op in (lambda: x / a, lambda: a**-1):
+            with pytest.raises(ZeroDivisionError):
+                op()
+    abs2 = pa[0] * pa[0] + pa[1] * pa[1]
+    assert type(a.abs2()) is F and a.abs2() == abs2
+    assert a.is_unimodular() == (abs2 == 1)
+    assert (a == x) == (x == a) == (pa == px)
+    assert (a != x) == (pa != px)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(_operands, max_size=6))
 def test_integer_parts_lifts_over_the_least_common_denominator(values):
     den, re, im = integer_parts(iter(values))
-    assert den == math.lcm(*(x.denominator for v in values for x in _parts(v)))
-    assert len(re) == len(im) == len(values)
     assert all(type(x) is int for x in re + im)
-    for v, x, y in zip(values, re, im):
-        assert F(x, den) + I * F(y, den) == v
+    # the reference, from the values' Fraction parts alone
+    parts = [_parts(v) for v in values]
+    want = math.lcm(*(q.denominator for pair in parts for q in pair))
+    assert (den, re, im) == (
+        want, [int(p * want) for p, _ in parts], [int(q * want) for _, q in parts]
+    )
 
 
 def test_integer_parts_examples():
@@ -127,6 +172,32 @@ def test_integer_parts_examples():
     )
     with pytest.raises(TypeError, match="exact rational"):
         integer_parts([F(1, 2), 0.5])
+
+
+@pytest.mark.parametrize("c", [G(2), G(F(-1, 3), F(5, 2)), G(0, 1), G(0)])
+def test_operators_defer_to_a_series_operand(c):
+    s = Series(2, 3, {(1, 0, 0, 0): G(1, 2), (0, 1, 1, 0): F(1, 3), (0, 0, 0, 0): 5})
+    assert c * s == s * c
+    assert c + s == s + c
+    assert c - s == -(s - c)
+    assert isinstance(c * s, Series) and isinstance(c + s, Series) and isinstance(c - s, Series)
+
+
+@pytest.mark.parametrize("op", [
+    lambda c: c * "x", lambda c: "x" * c, lambda c: c + 1.5, lambda c: 1.5 + c,
+    lambda c: c - 1.5, lambda c: c / 1.5, lambda c: 1.5 / c, lambda c: c + None,
+])
+def test_operators_still_reject_an_operand_that_no_side_reads(op):
+    with pytest.raises(TypeError):
+        op(G(F(1, 2), 3))
+
+
+def test_re_and_im_are_read_only():
+    c = G(F(1, 2), 3)
+    for part in ("re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(c, part, F(1))
+    assert (c.re, c.im) == (F(1, 2), F(3))
 
 
 def test_abs2_and_unimodular():

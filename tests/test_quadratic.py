@@ -17,6 +17,7 @@ from crflat import (
     cr_singular_linearization,
     elliptic_candidates,
     is_hermitianizable,
+    load_germ,
     quadratic,
     max_null_dim,
     parabolic_pair,
@@ -28,6 +29,7 @@ from crflat.errors import ConsistencyError, DegenerateSliceError, PreconditionEr
 from crflat.quadratic import DirectionCandidate, SliceReport
 
 from conftest import (
+    FIXTURES,
     UNIMODULAR,
     rand_gaussian,
     rand_invertible,
@@ -562,6 +564,43 @@ def test_linearization_rank_two_example():
     z1, z2, zb1, zb2 = Series.generators(2, 4)
     lin = cr_singular_linearization(Germ(2, z1 * zb2))
     assert lin.rank == 2 and lin.dim_bound == 2
+
+
+def _assert_linearization_matches_the_derivatives(germ):
+    """The report against the matrix built the long way: conjugate R, differentiate, read."""
+    r = germ.R
+    rbar = r.conj()
+    derivs = [r.dzbar(1), r.dzbar(2), rbar.dz(1), rbar.dz(2)]
+    cols = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+    want = ExactMatrix.from_rows([[d.coeff(c) for c in cols] for d in derivs])
+    lin = cr_singular_linearization(germ)
+    assert lin.matrix == want
+    assert lin.rank == want.rank() and lin.dim_bound == 4 - lin.rank
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.germ")), ids=lambda p: p.name)
+def test_linearization_matches_the_derivatives_on_every_fixture(path):
+    _assert_linearization_matches_the_derivatives(load_germ(path))
+
+
+_QUADRATIC_EXPONENTS = [
+    (s, t, h, r)
+    for s in range(3) for t in range(3) for h in range(3) for r in range(3)
+    if s + t + h + r == 2
+]
+_exponents = st.one_of(
+    st.sampled_from(_QUADRATIC_EXPONENTS),
+    st.tuples(*[st.integers(0, 4)] * 4).filter(lambda e: 2 <= sum(e) <= 4),
+)
+_parts = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+_coefficients = st.builds(G, _parts, _parts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.dictionaries(_exponents, _coefficients, max_size=14))
+def test_linearization_matches_the_derivatives_on_random_germs(terms):
+    # any R, balanced or not: the mirror rows hold for every series
+    _assert_linearization_matches_the_derivatives(Germ(2, Series(2, 4, terms)))
 
 
 # -- null dimension bound ----------------------------------------------------------------
