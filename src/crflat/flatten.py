@@ -48,9 +48,10 @@ family {column * base^4 + exponent digits in base: coefficient}; three
 passes of it give the factor, and a multiplication by w2 the condition.
 They build the factor's square matrix for all unit tables at once, whose
 kernel is the condition's, each build checked, times w2, against the series
-operators on one dense table.  The factor alone decides the flattening
-driver's check on the degree where it stops, exactly, on the integer pairs
-(re, im) of Im R_m, each stored as one integer: D and E keep the degree, so
+operators on one dense table (``fundamental_nullspace``).  The factor
+alone decides the flattening driver's check on the degree where it stops,
+exactly, on the integer pairs (re, im) of Im R_m, each stored as one
+integer: D and E keep the degree, so
 the factor of a degree-m H fits the germ's own packing base T + 1 for every
 m <= T, and Im R_m is read straight from the keys of the germ's packed R.
 
@@ -78,23 +79,57 @@ matches the series definition at depth" compares the verdicts with the
 series arithmetic of ``phi_psi`` and ``check_fundamental``, which does not
 use these maps.
 
-Every kernel returned here, of the condition and of the uniqueness blocks,
-comes from ``linalg.certified_nullspace``, which certifies it beside the
-elimination that computes it.
+In rotation coordinates the factor is block-diagonal.  Write v_i = z_i - zb_i,
+omega = w1 + i w2, sigma = w1 - i w2, nu = v1 + i v2 and nu' = v1 - i v2.
+D and E are derivations, fixed by their values on these four generators:
+D sends omega and nu to -i omega, sigma and nu' to i sigma; E sends omega to
+-i omega, sigma to i sigma, nu to i omega and nu' to -i sigma.  So
+D = i (R + S) and E = i (R - S), where R multiplies
+omega^a nu^c sigma^b nu'^d by b - a and S = sigma d/dnu' - omega d/dnu, and
+the factor is i G with the integer operator G = (1 - (R + S)^2)(R - S).  G
+keeps p = a + c and m - p = b + d, so on degree m it splits into m + 1
+blocks on the grid (a, b), of sizes (p + 1)(m - p + 1).  Swapping
+(omega, nu) with (sigma, nu') sends R and S to -R and -S, and block p to
+block m - p, which therefore has the same rank.  In a block, R keeps the
+grade a + b and S raises it, so G is triangular with diagonal
+(b - a)(1 - (b - a)^2), zero only at the resonant points |a - b| <= 1.
 
-The multiplication by w_i builds each degree's normalization system too: the
-polynomials z^alpha (2 q2)^j of all unknowns form one integer family, since
-2 q2 = w1^2 + w2^2, and their parts at the constrained exponents and
-mirrors are sparse integer rows, checked against series arithmetic on one
-dense probe.  ``linalg.solve`` factors those rows modulo primes, certifies
-the factor in integers and checks every solution.
+``uniqueness_nullspace`` certifies its kernel there, on the shear image:
+
+* (a) G kills each shear polynomial c_k = z^alpha (2 q2)^j of
+  ``kernel_unknowns(m)``, each conjugate and, at even m, (2 q2)^(m/2), by
+  the Leibniz rule: R - S kills omega + nu = 2 (z1 + i z2), sigma + nu' and
+  omega sigma = 2 q2, and R + S kills omega - nu, sigma - nu' and
+  omega sigma, while D^2 = -1 on w1 and w2;
+* (b) those 2 |K| + [m even] polynomials are independent;
+* (c) the nullities of the blocks mod p sum to at most 2 |K| + [m even].
+
+So the condition kernel is their span, and a real H in it is
+Im sum b_k c_k + tau (2 q2)^(m/2).  The combined system is then one small
+integer matrix on (Re b_k, Im b_k, tau), whose full column rank gives (b)
+and the trivial kernel at once.  Its entries come from a closed form of
+the coefficients of c_k (``_shear_coefficients``), checked on one dense
+probe by packed series arithmetic; the normalization system of
+``solve_kernel`` is the same construction on the constraint rows.  The maps
+R and S are tied to the definition on every call: D and E of the four
+generators, by series arithmetic, must equal i (R + S) and i (R - S) of
+them, which proves the identity, a derivation being fixed by its values on
+generators.  So the blocks need no dense probe of their own; the probe of
+the n x n factor rows, which cost more than all the blocks, serves only
+``fundamental_nullspace`` now.
+
+Every kernel returned here, of the condition and of the shear parameters,
+comes from ``linalg.certified_nullspace``, which certifies it beside the
+elimination that computes it.  ``linalg.solve`` factors the normalization
+rows modulo primes, certifies the factor in integers and checks every
+solution.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -102,9 +137,9 @@ from .errors import (
     PreconditionError,
     UnderdeterminedSystemError,
 )
-from .germ import Germ, KernelPolynomial, parabolic_pair, quadric_germ
+from .germ import Germ, KernelPolynomial, parabolic_pair
 from .linalg import SparseMatrix, certified_nullspace, solve
-from .numeric import I, ONE, GaussianRational, ZERO, _gaussian
+from .numeric import GaussianRational, ZERO, _gaussian
 from .series import (
     Exponent,
     Series,
@@ -114,11 +149,9 @@ from .series import (
     _packed_diff,
     _packed_im,
     _sum_of_packed,
-    _unpack,
     _unpacked,
     bracket_from_exp,
     exp_from_bracket,
-    sum_of_products,
 )
 
 Bracket = tuple[int, int, int, int]
@@ -570,25 +603,101 @@ def kernel_unknowns(m: int) -> list[tuple[tuple[int, int], int]]:
     return out
 
 
-def _shear_family(m: int, base: int) -> Family:
-    """The polynomials c_k = z^alpha (2 q2)^j of ``kernel_unknowns(m)`` as one family.
+def _shear_coefficients(e: Exponent, position: Mapping[tuple[int, int], int]) -> dict[int, int]:
+    """{k: c[e]} over the shear polynomials c = z^alpha (2 q2)^j, by closed form.
 
-    Column k is c_k for the k-th unknown (alpha, j), packed with ``base``,
-    which must exceed m.  All are built at once by Horner's rule over j with
-    the elementary map 2 q2 F = w1 (w1 F) + w2 (w2 F), since
-    2 q2 = w1^2 + w2^2.
+    ``position`` maps alpha to its column pair k; j is fixed by the degree
+    of e = (s, t, h, r), the exponent of z1^s z2^t zb1^h zb2^r.  Since
+    2 q2 = w1^2 + w2^2, (2 q2)^j is the sum over i of
+    C(j, i) w1^(2i) w2^(2j - 2i), so the coefficient is
+    C(j, i) C(2i, s - alpha1) C(2j - 2i, t - alpha2) with 2i = s - alpha1 + h,
+    and zero when s - alpha1 + h is odd.
+    """
+    s, t, h, r = e
+    comb = math.comb
+    out = {}
+    for a1 in range((s + h) % 2, s + 1, 2):
+        i2 = s - a1 + h
+        for a2 in range((t + r) % 2, t + 1, 2):
+            k = position.get((a1, a2))
+            if k is not None:
+                j2 = i2 + t - a2 + r  # 2j
+                out[k] = comb(j2 // 2, i2 // 2) * comb(i2, s - a1) * comb(j2 - i2, t - a2)
+    return out
+
+
+def _shear_matrix(
+    m: int, indices: Sequence[tuple[Bracket, tuple[str, ...]]], tau: bool, what: str
+) -> SparseMatrix:
+    """Integer rows of the parts of 2 H at brackets, H spanned by the shear polynomials.
+
+    H = Im sum b_k c_k (+ tau (2 q2)^(m/2) with ``tau``, at even m), with
+    c_k = z^alpha (2 q2)^j over ``kernel_unknowns(m)``.  Since
+    Im(b c) = Re b Im c + Im b Re c, columns 2k (Re b_k) and 2k + 1 (Im b_k)
+    hold parts of c_k, and tau, the last column, is the Im b column of the
+    pinned alpha = 0: tau c = Im(i tau c) for that real c.  At the
+    exponent e of a bracket, with mirror e', 2 Re c has the coefficient
+    c[e] + c[e'] and 2 Im c the coefficient i (c[e'] - c[e]); so each
+    (bracket, part) of ``indices`` gives one row, the "re" row holding
+    c_k[e] + c_k[e'] in column 2k + 1 and the "im" row c_k[e'] - c_k[e] in
+    column 2k.  The values c_k[e] come from :func:`_shear_coefficients`.
+
+    The rows check themselves on one dense probe of the columns, by packed
+    series arithmetic that shares nothing with the closed form:
+    sum_j P_j (2 q2)^j by Horner's rule on packed operands, P_j the probe's
+    z^alpha terms and 2 q2 = w1 w1 + w2 w2 a series product, and its
+    imaginary part (``_packed_im``).  A disagreement raises
+    :class:`ConsistencyError` naming ``what``.
     """
     unknowns = kernel_unknowns(m)
-    family: Family = {}
+    nk = len(unknowns)
+    position = {alpha: k for k, (alpha, _j) in enumerate(unknowns)}
+    if tau:
+        position[0, 0] = nk
+    ncols = 2 * nk + tau
+    rows = []
+    for idx, parts in indices:
+        e = exp_from_bracket(*idx)
+        here = _shear_coefficients(e, position)
+        there = _shear_coefficients(e[2:] + e[:2], position)
+        for part in parts:
+            sign, shift = (1, 1) if part == "re" else (-1, 0)
+            row = {}
+            for k in here.keys() | there.keys():
+                v = there.get(k, 0) + sign * here.get(k, 0)
+                if v:
+                    # (2 q2)^(m/2) is real, so tau has "re" entries alone
+                    row[2 * k + shift if k < nk else ncols - 1] = v
+            rows.append(row)
+    # a dense probe b_k = p[2k] + i p[2k + 1], tau = p[-1], that follows no
+    # linear pattern in k: the rows applied to it are the parts of 2 H
+    probe = [pow(3, c, 65521) for c in range(ncols)]
+    base = m + 1
+    polys: dict[int, list[tuple[int, int, int]]] = {}
+    for (a1, a2), k in position.items():
+        pair = (probe[2 * k], probe[2 * k + 1]) if k < nk else (0, probe[-1])
+        polys.setdefault((m - a1 - a2) // 2, []).append((_pack((a1, a2, 0, 0), base), *pair))
+
+    def packed(degree: int, terms: list[tuple[int, int, int]]) -> _Packed:
+        return _Packed(m, degree, 1, [(degree, terms)] if terms else [], base)
+
+    z1, z2, zb1, zb2 = Series.generators(2, m)
+    w1, w2 = z1 + zb1, z2 + zb2
+    two_q2 = _packed(w1 * w1 + w2 * w2, m)
+    one = packed(0, [(0, 1, 0)])
+    h = packed(m, [])
     for j in range(m // 2, -1, -1):
-        family = _w_sum(
-            ((1, 1, _w_sum(((1, 1, family),), base)), (1, 2, _w_sum(((1, 2, family),), base))),
-            base,
-        )
-        # the columns of w-power j are new, so they overlap no key of the sum
-        units = (((a1, a2, 0, 0), {k: 1}) for k, ((a1, a2), jk) in enumerate(unknowns) if jk == j)
-        family.update(_family(units, base))
-    return family
+        h = _sum_of_packed(((1, h, two_q2), (1, packed(m - 2 * j, polys.get(j, [])), one)), m)
+    # over 2 den, the pairs of Im H are those of 2 Im H when den is 1
+    twice_im = {key: (x, y) for _, terms in _packed_im(h, 2, m).buckets for key, x, y in terms}
+    expected = [
+        twice_im.get(_pack(exp_from_bracket(*idx), base), (0, 0))[part == "im"]
+        for idx, parts in indices
+        for part in parts
+    ]
+    if h.den != 1 or [sum(v * probe[c] for c, v in row.items()) for row in rows] != expected:
+        raise ConsistencyError(f"{what} of degree {m} disagrees with the series")
+    return SparseMatrix(rows, ncols)
 
 
 @lru_cache(maxsize=None)
@@ -597,59 +706,16 @@ def _normalization_matrix(m: int) -> tuple:
 
     Returns (unknowns, constraints, matrix), the matrix a sparse integer
     ``linalg.SparseMatrix``.  Unknown k = (alpha, j) is b z^alpha w^j, and
-    Im(b z^alpha q2^j) = Re b Im(z^alpha q2^j) + Im b Re(z^alpha q2^j), so
-    columns 2k (Re b) and 2k + 1 (Im b) hold parts of the integer polynomial
-    c_k = z^alpha (2 q2)^j.  Rows are the parts of each constraint, in system
-    order.  At the constraint's exponent e, with mirror e', 2 Re c_k has the
-    coefficient c_k[e] + c_k[e'] and 2 Im c_k the coefficient
-    i (c_k[e'] - c_k[e]); so the "re" row holds c_k[e] + c_k[e'] in column
-    2k + 1 and the "im" row c_k[e'] - c_k[e] in column 2k.  Both columns of
-    unknown k are 2^(j + 1) times those of the system in b, so a solution
-    of this matrix, times 2^(j + 1), solves that system.
-
-    The polynomials c_k come from ``_shear_family``, regrouped once by
-    exponent.  The build checks itself against series arithmetic on one
-    dense probe of (Re b, Im b), and a disagreement raises
-    :class:`ConsistencyError`.
+    its columns 2k (Re b) and 2k + 1 (Im b) hold the parts of
+    Im(b c_k) for c_k = z^alpha (2 q2)^j; rows are the parts of each
+    constraint, in system order (:func:`_shear_matrix`, which checks them).
+    Both columns of unknown k are 2^(j + 1) times those of the system in b,
+    so a solution of this matrix, times 2^(j + 1), solves that system.
     """
-    unknowns = kernel_unknowns(m)
     constraints = normalization_system(m)
-    base = m + 1
-    by_exponent = _regroup(_shear_family(m, base), base)
-    rows = []
-    for con in constraints:
-        e = exp_from_bracket(*con.index)
-        here = by_exponent.get(e, {})
-        there = by_exponent.get(e[2:] + e[:2], {})
-        for part in con.parts:
-            sign, shift = (1, 1) if part == "re" else (-1, 0)
-            row = {
-                2 * k + shift: there.get(k, 0) + sign * here.get(k, 0)
-                for k in here.keys() | there.keys()
-            }
-            rows.append({c: v for c, v in row.items() if v})
-    # a dense probe b_k = p[2k] + i p[2k + 1] that follows no linear pattern
-    # in k: the rows applied to p are the constraint parts of 2 Im sum b_k c_k
-    probe = [pow(3, c, 65521) for c in range(2 * len(unknowns))]
-    two_q2 = quadric_germ(parabolic_pair(), m).R.scale(2)
-    powers = [Series.const(2, m, 1)]
-    for _ in range(m // 2):
-        powers.append(powers[-1] * two_q2)
-    polys = [{} for _ in powers]
-    for k, ((a1, a2), j) in enumerate(unknowns):
-        polys[j][(a1, a2, 0, 0)] = GaussianRational(probe[2 * k], probe[2 * k + 1])
-    s = sum_of_products(tuple((1, Series(2, m, p), q) for p, q in zip(polys, powers)))
-    twice_im = s.re_im()[1].scale(2)
-    expected = [
-        getattr(twice_im.coeff(exp_from_bracket(*con.index)), part)
-        for con in constraints
-        for part in con.parts
-    ]
-    if [sum(v * probe[c] for c, v in row.items()) for row in rows] != expected:
-        raise ConsistencyError(
-            f"normalization matrix of degree {m} disagrees with the series"
-        )
-    return tuple(unknowns), constraints, SparseMatrix(rows, 2 * len(unknowns))
+    indices = [(con.index, con.parts) for con in constraints]
+    matrix = _shear_matrix(m, indices, False, "normalization matrix")
+    return tuple(kernel_unknowns(m)), constraints, matrix
 
 
 @lru_cache(maxsize=None)
@@ -738,8 +804,7 @@ Family = dict[int, int]
 def _family(rows: Iterable[tuple[Exponent, Mapping[int, int]]], base: int) -> Family:
     """The flat family of rows (exponent, {column: value}), each exponent packed once.
 
-    The one builder of families, the inverse of :func:`_regroup`; zero
-    values are dropped.
+    The one builder of families; zero values are dropped.
     """
     cut = base**4
     family: Family = {}
@@ -749,16 +814,6 @@ def _family(rows: Iterable[tuple[Exponent, Mapping[int, int]]], base: int) -> Fa
             if c:
                 family[k * cut + key] = c
     return family
-
-
-def _regroup(family: Family, base: int) -> dict[Exponent, dict[int, int]]:
-    """The family as {exponent: {column: value}}, one row per exponent, each decoded once."""
-    cut = base**4
-    rows: dict[int, dict[int, int]] = {}
-    for key, c in family.items():
-        k, e = divmod(key, cut)
-        rows.setdefault(e, {})[k] = c
-    return {_unpack(key, base, 4): row for key, row in rows.items()}
 
 
 def _w_sum(terms: tuple[tuple[int, int, Family], ...], base: int) -> Family:
@@ -948,7 +1003,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     return FlattenReport(True, n, kernels, current, steps)
 
 
-# -- uniqueness of the normalized solution ----------------------------------------------
+# -- the condition kernel on the n x n factor rows ------------------------------------
 
 
 def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int]]]:
@@ -972,12 +1027,13 @@ def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int
     bracket's packed key, so no exponent is decoded.  The same field map
     decides the flattening driver's condition check on the degree where it
     stops (``_satisfies_condition``), and its certificate for the solved
-    degrees (``_solved_degrees_satisfy_condition``).  The build checks
-    itself on one dense integer table: the rows applied to it, times w2
-    (``_w_sum``), must equal its condition series, formed by the packed
-    series operators (``_phi_psi_packed`` and ``_condition_packed``) in the
-    same base and compared key by key; a disagreement raises
-    :class:`ConsistencyError`.
+    degrees (``_solved_degrees_satisfy_condition``).  The rows serve
+    :func:`fundamental_nullspace`; the uniqueness check takes the condition
+    in rotation coordinates instead.  The build checks itself on one dense
+    integer table: the rows applied to it, times w2 (``_w_sum``), must
+    equal its condition series, formed by the packed series operators
+    (``_phi_psi_packed`` and ``_condition_packed``) in the same base and
+    compared key by key; a disagreement raises :class:`ConsistencyError`.
     """
     unknowns = all_brackets(m)
     base = m + 2
@@ -1019,53 +1075,14 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
     """Kernel of the combined system: first-order condition, reality,
     normalization, and the two vanishing coefficient families.
 
-    H is written in its table coordinates, x = Re H and y = Im H over
-    ``all_brackets(m)``.  The condition is taken as the n x n integer rows
-    of its factor (D^2 + 1) E (:func:`_fundamental_matrix`), which have the
-    condition's kernel, so every constraint splits into one integer row on
-    x and one on y, giving two blocks Mx and My:
-
-    * the first-order condition: the factor rows in both;
-    * reality H[idx] = conj H[mirror]: x[idx] - x[mirror] in Mx,
-      y[idx] + y[mirror] in My, once per unordered pair;
-    * a "zero" constraint or a vanishing-family index: x[idx] in Mx and
-      y[idx] in My;
-    * a "realpart" constraint: x[idx] in Mx only.
-
-    The kernel is ker Mx (real tables) plus ker My (i times real tables),
-    each block's kernel from one :func:`crflat.linalg.certified_nullspace`.
-    Full column rank of a block mod a prime certifies its kernel trivial,
-    since rank mod p never exceeds the rank over Q; that is the expected
-    answer at every degree.  Otherwise the block is eliminated exactly,
-    every kernel vector is checked against it, and the exact nullity is
-    checked against the bound the modular rank gives.
+    Returns (dimension, basis tables).  The kernel is certified on the shear
+    image, in rotation coordinates (see the module docstring and
+    :func:`crflat.rotation.uniqueness_nullspace`); a check that fails
+    raises :class:`ConsistencyError`.
     """
-    if m < 3:
-        raise PreconditionError("uniqueness check starts at degree 3")
-    unknowns, condition = _fundamental_matrix(m)
-    col = {idx: j for j, idx in enumerate(unknowns)}
-    blocks = {"re": list(condition), "im": list(condition)}
-    for t, s, r, h in unknowns:
-        here, there = col[(t, s, r, h)], col[(r, h, t, s)]
-        if here < there:
-            blocks["re"].append({here: 1, there: -1})
-            blocks["im"].append({here: 1, there: 1})
-        elif here == there:
-            blocks["im"].append({here: 2})
-    for con in normalization_system(m):
-        for part in con.parts:
-            blocks[part].append({col[con.index]: 1})
-    families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]
-    families += [(t, 0, m - t, 0) for t in range(m + 1)]
-    for idx in families:
-        for rows in blocks.values():
-            rows.append({col[idx]: 1})
-    n = len(unknowns)
-    tables = []
-    for part, name, unit in (("re", "x", ONE), ("im", "y", I)):
-        kernel = certified_nullspace(blocks[part], n, f"the {name} block of degree {m}")
-        tables += [HTable(m, {idx: unit * c for idx, c in zip(unknowns, v)}) for v in kernel]
-    return len(tables), tables
+    from . import rotation  # loaded at the first uniqueness check, never by flatten_to_order
+
+    return rotation.uniqueness_nullspace(m)
 
 
 def parity_audit(h: HTable) -> AuditReport:

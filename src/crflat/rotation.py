@@ -1,0 +1,286 @@
+"""The first-order condition in rotation coordinates, and the uniqueness
+certificate it gives.
+
+The derivation is in the ``crflat.flatten`` module docstring.  In
+omega = w1 + i w2, sigma = w1 - i w2, nu = v1 + i v2 and nu' = v1 - i v2
+(w_i = z_i + zb_i, v_i = z_i - zb_i), D = i (R + S) and E = i (R - S), so the
+factor (D^2 + 1) E of the condition is i G with the integer operator
+G = (1 - (R + S)^2)(R - S), block-diagonal in p = a + c for the monomials
+omega^a nu^c sigma^b nu'^d.  :func:`uniqueness_nullspace` certifies the
+kernel of the combined system on the shear image: the maps are tied to D
+and E on every call, (a) G kills every shear polynomial, (c) the blocks'
+nullities mod p bound the condition's, and (b) one small matrix on the
+shear parameters has full column rank.
+
+Only ``crflat.flatten.uniqueness_nullspace`` imports this module, at its
+first call, so ``flatten_to_order`` never compiles it.  It reads
+``normalization_system`` and ``_shear_matrix`` through ``crflat.flatten`` at
+call time.
+"""
+
+from __future__ import annotations
+
+from . import flatten
+from .errors import ConsistencyError, PreconditionError
+from .flatten import HTable, all_brackets
+from .linalg import MODULUS, _echelon, certified_nullspace, rank_mod_p
+from .numeric import I, ONE, GaussianRational, ZERO, integer_parts
+from .series import Series, sum_of_products
+
+# A monomial omega^a nu^(p - a) sigma^b nu'^(q - b) of the block (p, q) is its
+# grid point (a, b), 0 <= a <= p and 0 <= b <= q.  A family of polynomials of
+# one block is {(a, b, k): integer coefficient}, k the polynomial's column.
+Block = dict[tuple[int, int, int], int]
+
+
+def _rotation_map(family: Block, p: int, q: int, sign: int) -> Block:
+    """R + sign S on each polynomial of a family of the block (p, q).
+
+    R multiplies (a, b) by b - a, and S = sigma d/dnu' - omega d/dnu sends
+    it to (q - b) (a, b + 1) - (p - a) (a + 1, b): each term is scaled by its
+    own exponents, so both are derivations.  Both keep the block; R keeps
+    the grade a + b and S raises it by one.
+    """
+    out: Block = {}
+    get = out.get
+    for (a, b, k), c in family.items():
+        if a != b:
+            out[a, b, k] = get((a, b, k), 0) + (b - a) * c
+        if b < q:
+            out[a, b + 1, k] = get((a, b + 1, k), 0) + sign * (q - b) * c
+        if a < p:
+            out[a + 1, b, k] = get((a + 1, b, k), 0) - sign * (p - a) * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _rotation_matches_definition() -> bool:
+    """Whether D = i (R + S) and E = i (R - S) on omega, nu, sigma and nu'.
+
+    D = w2 d/dz1 - w1 d/dz2 and E = w2 d/dzb1 - w1 d/dzb2 are evaluated on
+    the four generators by generic series arithmetic, and the images under
+    the maps are written back in z and zb.  A derivation is fixed by its
+    values on generators, so the eight equalities prove D = i (R + S) and
+    E = i (R - S) on every polynomial.
+    """
+    z1, z2, zb1, zb2 = Series.generators(2, 1)
+    w1, w2, v1, v2 = z1 + zb1, z2 + zb2, z1 - zb1, z2 - zb2
+    iw2, iv2 = w2.scale(I), v2.scale(I)
+    # (block, grid point, column 0): omega and nu in the block (1, 0), sigma
+    # and nu' in the block (0, 1)
+    generators = {
+        (1, 0, (1, 0, 0)): w1 + iw2,
+        (1, 0, (0, 0, 0)): v1 + iv2,
+        (0, 1, (0, 1, 0)): w1 - iw2,
+        (0, 1, (0, 0, 0)): v1 - iv2,
+    }
+    for (p, q, point), g in generators.items():
+        for sign, (a, b) in ((1, (0, 1)), (-1, (2, 3))):
+            value = sum_of_products(((1, w2, g.diff(a)), (-1, w1, g.diff(b))), trunc=1)
+            image = Series.zero(2, 1)
+            for t, c in _rotation_map({point: 1}, p, q, sign).items():
+                image = image + generators[p, q, t].scale(c * I)
+            if value != image:
+                return False
+    return True
+
+
+def _shear_image_in_kernel() -> bool:
+    """Certificate (a): G kills every shear polynomial, checked on G's own maps.
+
+    In rotation coordinates z1 + i z2 = (omega + nu)/2 and
+    z1 - i z2 = (sigma + nu')/2, their conjugates are (omega - nu)/2 and
+    (sigma - nu')/2, and 2 q2 = omega sigma.  R and S are derivations, so
+    by the Leibniz rule:
+
+    * if R - S kills omega + nu, sigma + nu' and omega sigma, it kills
+      c_k = z^alpha (2 q2)^j, and so does G;
+    * if R + S kills omega - nu, sigma - nu' and omega sigma, (R + S)^2 is 1
+      on omega and on sigma, and R - S maps omega - nu into the span of
+      omega and sigma - nu' into that of sigma, then (R - S) of
+      zb^alpha (2 q2)^j is a sum of g omega and g sigma with (R + S) g = 0,
+      which 1 - (R + S)^2 kills.
+
+    (2 q2)^(m/2) is the case alpha = 0.  These facts are the checks.
+    """
+    rm = _rotation_map
+    for p, q in ((1, 0), (0, 1)):
+        top, low = (p, q, 0), (0, 0, 0)  # omega and nu, or sigma and nu'
+        if (
+            rm({top: 1, low: 1}, p, q, -1)
+            or rm({top: 1, low: -1}, p, q, 1)
+            or rm({top: 1, low: -1}, p, q, -1).keys() - {top}
+            or rm(rm({top: 1}, p, q, 1), p, q, 1) != {top: 1}
+        ):
+            return False
+    return not (rm({(1, 1, 0): 1}, 1, 1, 1) or rm({(1, 1, 0): 1}, 1, 1, -1))
+
+
+def _block_factor(p: int, q: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """G = (1 - (R + S)^2)(R - S) on the block (p, q): {point: its image}.
+
+    One family of all the block's unit polynomials, point k in column k,
+    taken through the three maps at once.
+    """
+    points = [(a, b) for a in range(p + 1) for b in range(q + 1)]
+    g = _rotation_map({(a, b, k): 1 for k, (a, b) in enumerate(points)}, p, q, -1)
+    for key, c in _rotation_map(_rotation_map(g, p, q, 1), p, q, 1).items():
+        g[key] = g.get(key, 0) - c
+    images: dict[tuple[int, int], dict[tuple[int, int], int]] = {s: {} for s in points}
+    for (a, b, k), c in g.items():
+        if c:
+            images[points[k]][a, b] = c
+    return images
+
+
+def _block_nullity(p: int, q: int) -> int:
+    """The nullity of G on the block (p, q) modulo ``MODULUS``, by its triangular part.
+
+    G sends a grid point s to lambda_s s, lambda_s = (b - a)(1 - (b - a)^2),
+    plus points of higher grade.  In grade order the matrix is triangular,
+    so its rank is the number of points with lambda_s != 0, whose pivots are
+    invertible, plus the rank of the Schur complement on the resonant
+    points Z (lambda_s = 0, |a - b| <= 1).  For each z in Z, x with x_z = 1,
+    zero on the rest of Z and (G x)_t = 0 at every nonresonant t is solved
+    grade by grade, and (G x) on Z is that column of the complement; all of
+    Z at once, one vector slot each.  An image term not of higher grade
+    breaks the order the solve needs, and raises :class:`ConsistencyError`.
+    """
+    images = _block_factor(p, q)
+    order = sorted(images, key=sum)
+    resonant = {s: i for i, s in enumerate(s for s in order if s not in images[s])}
+    n = len(resonant)
+    acc: dict[tuple[int, int], list[int]] = {}  # G x so far, by point
+    for s in order:
+        image = images[s]
+        if s in resonant:
+            x = [0] * n
+            x[resonant[s]] = 1
+        else:
+            v = acc.pop(s, None)
+            if v is None:
+                continue
+            inv = pow(-image[s], -1, MODULUS)
+            x = [u * inv % MODULUS for u in v]
+        for t, c in image.items():
+            if t != s:
+                if sum(t) <= sum(s):
+                    raise ConsistencyError(f"block ({p}, {q}) of the factor is not triangular")
+                v = acc.get(t)
+                acc[t] = [c * u for u in x] if v is None else [w + c * u for w, u in zip(v, x)]
+    schur = [{i: w for i, w in enumerate(acc.get(t, ())) if w % MODULUS} for t in resonant]
+    return n - rank_mod_p(schur, n)
+
+
+def _exact_block_nullity(p: int, q: int) -> int:
+    """The nullity of G on the block (p, q) over Q, by exact elimination."""
+    images = _block_factor(p, q)
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for j, image in enumerate(images.values()):
+        for t, c in image.items():
+            rows.setdefault(t, {})[j] = c
+    return len(images) - len(_echelon(list(rows.values()))[1])
+
+
+def _reversed_echelon(vectors: list[list], n: int) -> list[list[GaussianRational]]:
+    """The basis of the span of ``vectors`` in reduced echelon form, columns reversed.
+
+    Each basis vector ends in a 1 at its own column, where the others are
+    zero, and they come in the order of that column.  The form is unique to
+    the span, so a kernel gets the basis :func:`crflat.linalg.sparse_nullspace`
+    gives it: a 1 at each free column, pivot values before it.
+    """
+    reduced, _pivots, _scale = _echelon(
+        [{n - 1 - j: c for j, c in enumerate(v) if c} for v in vectors]
+    )
+    basis = []
+    for row in reversed(reduced):
+        v = [ZERO] * n
+        for j, c in row.items():
+            v[n - 1 - j] = c
+        basis.append(v)
+    return basis
+
+
+def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
+    """The kernel of ``crflat.flatten.uniqueness_nullspace``, on the shear image.
+
+    H is a table over ``all_brackets(m)``, x = Re H and y = Im H, and the
+    combined system is the first-order condition, reality, normalization
+    and the two vanishing coefficient families.  The checks, in order:
+
+    * D = i (R + S) and E = i (R - S) on the generators
+      (:func:`_rotation_matches_definition`);
+    * (a) G kills each shear polynomial (:func:`_shear_image_in_kernel`);
+    * (c) the blocks' nullities mod p sum to at most the number of shear
+      parameters, 2 |K| + [m even].  Swapping (omega, nu) with
+      (sigma, nu') sends the block (p, q) to (q, p), its grid point (a, b)
+      to (b, a), and R and S to -R and -S, so G to -G: the block (q, p) is
+      the block (p, q) with its points renamed and its entries negated, of
+      the same rank mod any prime, and only p <= m / 2 is ranked.  A block
+      whose modular nullity exceeds its share of the shear image is
+      eliminated exactly;
+    * (b) the parameter matrix of H = Im sum b_k c_k + tau (2 q2)^(m/2):
+      the parts of every normalization constraint and of both vanishing
+      families, in (Re b_k, Im b_k, tau) (``crflat.flatten._shear_matrix``),
+      taken by :func:`crflat.linalg.certified_nullspace`.
+
+    By (a) and (c) every real H that satisfies the condition is such an H,
+    so full column rank mod p of the parameter matrix certifies the trivial
+    kernel, and also (b), the independence of the shear polynomials.
+    Otherwise its exact kernel is mapped to tables, their independence is
+    certified by the rank of all the tables the parameters give, and the x
+    parts and the y parts are each brought to reduced echelon form with the
+    columns reversed.  That is the basis of the kernels of the x and y
+    blocks of the same system written on the n x n tables, real tables,
+    then i times real tables.  A check that fails raises
+    :class:`ConsistencyError`.
+    """
+    if m < 3:
+        raise PreconditionError("uniqueness check starts at degree 3")
+    if not _rotation_matches_definition():
+        raise ConsistencyError("rotation coordinates disagree with D and E")
+    if not _shear_image_in_kernel():
+        raise ConsistencyError("the condition factor does not kill the shear polynomials")
+    tau = m % 2 == 0
+    indices = [(con.index, con.parts) for con in flatten.normalization_system(m)]
+    indices += [((t, 1, m - t - 2, 1), ("re", "im")) for t in range(m - 1)]
+    indices += [((t, 0, m - t, 0), ("re", "im")) for t in range(m + 1)]
+    params = flatten._shear_matrix(m, indices, tau, "shear parameter matrix")
+    nullity = 0
+    for p in range(m // 2 + 1):
+        q = m - p
+        # the shear image's share: the z^alpha (2 q2)^j span the
+        # (omega + nu)^u (sigma + nu')^v (omega sigma)^j, of block u + j, their
+        # conjugates the same with omega - nu and sigma - nu', and
+        # (2 q2)^(m/2) lies in both
+        share = 2 * (min(p, q) + 1) - (p == q)
+        k = _block_nullity(p, q)
+        if k > share:
+            k = _exact_block_nullity(p, q)
+        nullity += k if p == q else 2 * k
+    if nullity > params.cols:
+        raise ConsistencyError(
+            f"the condition of degree {m} has nullity above {params.cols} shear parameters"
+        )
+    kernel = certified_nullspace(params.entries, params.cols, f"the shear parameters of degree {m}")
+    if not kernel:
+        return 0, []
+    brackets = all_brackets(m)
+    n = len(brackets)
+    everywhere = [(idx, ("re", "im")) for idx in brackets]
+    image = flatten._shear_matrix(m, everywhere, tau, "shear image")
+    if certified_nullspace(image.entries, image.cols, f"the shear image of degree {m}"):
+        raise ConsistencyError(f"the shear polynomials of degree {m} are dependent")
+    # the kernel's vectors are real; over a common denominator each, in integers
+    kernel = [integer_parts(v)[1] for v in kernel]
+    tables = []
+    for part, unit in ((0, ONE), (1, I)):
+        rows = image.entries[part::2]
+        vectors = [[sum(x * v[c] for c, x in row.items()) for row in rows] for v in kernel]
+        tables += [
+            HTable(m, {idx: unit * c for idx, c in zip(brackets, b)})
+            for b in _reversed_echelon(vectors, n)
+        ]
+    if len(tables) != len(kernel):
+        raise ConsistencyError(f"the kernel tables of degree {m} lost a dimension")
+    return len(tables), tables

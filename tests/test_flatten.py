@@ -1,4 +1,6 @@
 import importlib.util
+import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -29,13 +31,13 @@ from crflat import (
 import crflat.flatten as flatten_mod
 import crflat.germ as germ_mod
 import crflat.linalg as linalg
+import crflat.rotation as rotation_mod
 import crflat.series as series_mod
 from crflat.errors import ConsistencyError, InconsistentSystemError, PreconditionError
 from crflat.flatten import (
     FlattenReport,
     FlattenStep,
     PhiPsiTables,
-    _shear_family,
     all_brackets,
     kernel_unknowns,
     series_to_table,
@@ -914,25 +916,92 @@ def fresh_normalization_matrix():
     flatten_mod._normalization_matrix.cache_clear()
 
 
-def _family_with_one_entry_off(m, base):
-    # c_k of the first unknown the first constraint reads, off by one there
-    family = _shear_family(m, base)
-    e = flatten_mod._pack(exp_from_bracket(*normalization_system(m)[0].index), base)
-    key = min(key for key in family if key % base**4 == e)
-    family[key] += 1
+# The shear polynomials as they were built before their closed form: all
+# c_k = z^alpha (2 q2)^j of one degree at once, by Horner's rule over j with
+# the elementary map 2 q2 F = w1 (w1 F) + w2 (w2 F), kept here as the oracle.
+
+
+def shear_family(m, base):
+    """The c_k of ``kernel_unknowns(m)`` as one flat family, column k packed with ``base``."""
+    unknowns = kernel_unknowns(m)
+    w_sum = flatten_mod._w_sum
+    family = {}
+    for j in range(m // 2, -1, -1):
+        family = w_sum(
+            ((1, 1, w_sum(((1, 1, family),), base)), (1, 2, w_sum(((1, 2, family),), base))),
+            base,
+        )
+        units = (((a1, a2, 0, 0), {k: 1}) for k, ((a1, a2), jk) in enumerate(unknowns) if jk == j)
+        family.update(flatten_mod._family(units, base))
     return family
 
 
-@pytest.mark.parametrize("corruption", ["w2-without-zb2", "w1-with-zb2", "one-entry-off"])
+def regroup(family, base):
+    """A flat family as {exponent: {column: value}}."""
+    rows = {}
+    for key, c in family.items():
+        k, e = divmod(key, base**4)
+        rows.setdefault(series_mod._unpack(e, base, 4), {})[k] = c
+    return rows
+
+
+@pytest.mark.parametrize("m", range(3, 25))
+def test_the_closed_form_is_the_shear_family(m):
+    position = {alpha: k for k, (alpha, _j) in enumerate(kernel_unknowns(m))}
+    want = regroup(shear_family(m, m + 1), m + 1)
+    for idx in all_brackets(m):
+        e = exp_from_bracket(*idx)
+        assert flatten_mod._shear_coefficients(e, position) == want.get(e, {})
+
+
+def one_entry_off(e, position):
+    """The closed form, one more in its least column at the first constraint's exponent."""
+    out = real_shear_coefficients(e, position)
+    m = sum(e)
+    if out and e == exp_from_bracket(*normalization_system(m)[0].index):
+        out[min(out)] += 1
+    return out
+
+
+def binomials_swapped(e, position):
+    """The closed form with the z1 and z2 binomials' lower indices exchanged."""
+    s, t, h, r = e
+    out = {}
+    for a1 in range((s + h) % 2, s + 1, 2):
+        for a2 in range((t + r) % 2, t + 1, 2):
+            k = position.get((a1, a2))
+            if k is not None:
+                i2, j2 = s - a1 + h, s - a1 + h + t - a2 + r
+                comb = math.comb
+                out[k] = comb(j2 // 2, i2 // 2) * comb(i2, t - a2) * comb(j2 - i2, s - a1)
+    return out
+
+
+real_shear_coefficients = flatten_mod._shear_coefficients
+
+
+def map_built_coefficients(e, position):
+    """{k: c_k[e]} read off the family the elementary maps build (``shear_family``)."""
+    m = sum(e)
+    return dict(regroup(shear_family(m, m + 1), m + 1).get(e, {}))
+
+
+@pytest.mark.parametrize(
+    "corruption", ["w2-without-zb2", "w1-with-zb2", "one-entry-off", "binomials-swapped"]
+)
 def test_a_corrupted_map_fails_the_normalization_probe(
     fresh_normalization_matrix, monkeypatch, corruption
 ):
-    if corruption == "w2-without-zb2":
-        monkeypatch.setitem(flatten_mod._W_SLOTS, 2, (1,))
-    elif corruption == "w1-with-zb2":
-        monkeypatch.setitem(flatten_mod._W_SLOTS, 1, (0, 3))
+    # the rows read the coefficients of the shear polynomials; read off a
+    # family that corrupted elementary maps build, or off a corrupted closed
+    # form, they disagree with the probe's series arithmetic
+    if corruption in ("w2-without-zb2", "w1-with-zb2"):
+        i, slots = (2, (1,)) if corruption == "w2-without-zb2" else (1, (0, 3))
+        monkeypatch.setitem(flatten_mod._W_SLOTS, i, slots)
+        closed_form = map_built_coefficients
     else:
-        monkeypatch.setattr(flatten_mod, "_shear_family", _family_with_one_entry_off)
+        closed_form = one_entry_off if corruption == "one-entry-off" else binomials_swapped
+    monkeypatch.setattr(flatten_mod, "_shear_coefficients", closed_form)
     for m in (3, 6, 9):
         with pytest.raises(ConsistencyError, match=f"normalization matrix of degree {m} "):
             fresh_normalization_matrix(m)
@@ -944,7 +1013,7 @@ def test_the_shear_family_satisfies_the_condition(m):
     # shears keep the first-order condition: Im(b z^alpha q2^j) satisfies it
     # for every b, so each integer polynomial c_k = z^alpha (2 q2)^j does
     base = m + 2  # the condition of a degree-m family reaches exponent entries m + 1
-    family = _shear_family(m, base)
+    family = shear_family(m, base)
     assert {key // base**4 for key in family} == set(range(len(kernel_unknowns(m))))
     assert reference_condition(family, base) == {}
     assert flatten_mod._condition_factor(family, base) == {}
@@ -987,7 +1056,7 @@ def two_column_families(draw, m, coef=st.integers(-4, 4)):
     conjugate of one); half the time one more term at any exponent, in one
     column, which may break it.
     """
-    shear = sorted(flatten_mod._regroup(_shear_family(m, m + 1), m + 1).items())
+    shear = sorted(regroup(shear_family(m, m + 1), m + 1).items())
     rows = {}
 
     def add(e, col, c):
@@ -1066,7 +1135,7 @@ def test_the_packed_pair_condition_fails_in_one_part_alone(m):
     # x and y each a wide combination of shear polynomials, so H holds; one
     # unit at a mixed exponent in x alone, or in y alone, breaks it, and so
     # does y = -x / 2^t with x failing, which a too narrow shift would cancel
-    shear = flatten_mod._regroup(_shear_family(m, m + 1), m + 1)
+    shear = regroup(shear_family(m, m + 1), m + 1)
     rows = {
         e: {col: sum((3**200 + k + col) * v for k, v in row.items()) for col in (0, 1)}
         for e, row in shear.items()
@@ -1127,6 +1196,39 @@ def test_flatten_requires_parabolic():
 
 
 # -- uniqueness ---------------------------------------------------------------------
+#
+# The combined system as it was solved before the shear image certified it:
+# x = Re H and y = Im H over all_brackets(m), each constraint one integer row
+# on x and one on y, the condition as the n x n factor rows in both.  Kept as
+# the oracle of uniqueness_nullspace, whose tables it must give byte for byte.
+
+
+def uniqueness_oracle(m, condition=None):
+    """(dim, tables) of the n x n x and y blocks, with ``condition`` or the factor rows."""
+    unknowns, factor = flatten_mod._fundamental_matrix(m)
+    condition = factor if condition is None else condition
+    col = {idx: j for j, idx in enumerate(unknowns)}
+    blocks = {"re": list(condition), "im": list(condition)}
+    for t, s, r, h in unknowns:
+        here, there = col[(t, s, r, h)], col[(r, h, t, s)]
+        if here < there:
+            blocks["re"].append({here: 1, there: -1})
+            blocks["im"].append({here: 1, there: 1})
+        elif here == there:
+            blocks["im"].append({here: 2})
+    for con in flatten_mod.normalization_system(m):  # so that no_normalization reaches it
+        for part in con.parts:
+            blocks[part].append({col[con.index]: 1})
+    families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]
+    families += [(t, 0, m - t, 0) for t in range(m + 1)]
+    for idx in families:
+        for rows in blocks.values():
+            rows.append({col[idx]: 1})
+    tables = []
+    for part, unit in (("re", G(1)), ("im", I)):
+        kernel = sparse_nullspace(blocks[part], len(unknowns))
+        tables += [HTable(m, {idx: unit * c for idx, c in zip(unknowns, v)}) for v in kernel]
+    return len(tables), tables
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -1160,14 +1262,22 @@ def test_uniqueness_nullspace_rebuilds_kernel_tables(no_normalization, m, expect
     assert ExactMatrix.from_rows(coords).rank() == dim
 
 
+@pytest.mark.parametrize("m", range(3, 17))
+@pytest.mark.parametrize("normalized", [True, False], ids=["plain", "no-normalization"])
+def test_uniqueness_nullspace_pickles_as_the_oracle(monkeypatch, normalized, m):
+    if not normalized:
+        monkeypatch.setattr(flatten_mod, "normalization_system", lambda m: ())
+    want = uniqueness_oracle(m)
+    assert pickle.dumps(uniqueness_nullspace(m)) == pickle.dumps(want)
+    assert (want[0] == 0) == normalized
+
+
 @pytest.mark.parametrize("m", range(3, 7))
-def test_uniqueness_reality_rows_leave_exactly_the_real_tables(no_normalization, monkeypatch, m):
-    # without the condition, the kernel is every real table vanishing on the
-    # two families, which are closed under the mirror and hold 2m indices
-    unknowns, _rows = flatten_mod._fundamental_matrix(m)
-    monkeypatch.setattr(flatten_mod, "_fundamental_matrix", lambda m: (unknowns, []))
-    dim, tables = uniqueness_nullspace(m)
-    assert dim == len(unknowns) - 2 * m and len(tables) == dim
+def test_uniqueness_reality_rows_leave_exactly_the_real_tables(no_normalization, m):
+    # without the condition, the oracle's kernel is every real table vanishing
+    # on the two families, which are closed under the mirror and hold 2m indices
+    dim, tables = uniqueness_oracle(m, condition=[])
+    assert dim == len(all_brackets(m)) - 2 * m and len(tables) == dim
 
 
 def test_uniqueness_certified_beyond_degree_10(monkeypatch):
@@ -1176,6 +1286,7 @@ def test_uniqueness_certified_beyond_degree_10(monkeypatch):
         raise AssertionError("exact elimination on the certified path")
 
     monkeypatch.setattr(linalg, "sparse_nullspace", no_exact)
+    monkeypatch.setattr(rotation_mod, "_echelon", no_exact)
     monkeypatch.setattr(flatten_mod, "fundamental_nullspace", no_exact)
     for m in range(11, 15):
         assert uniqueness_nullspace(m) == (0, [])
@@ -1186,7 +1297,7 @@ def rank_one_short(monkeypatch):
     calls = []
 
     def exact(rows, ncols):
-        calls.append(rows)
+        calls.append(ncols)
         return sparse_nullspace(rows, ncols)
 
     monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: ncols - 1)
@@ -1194,22 +1305,261 @@ def rank_one_short(monkeypatch):
     return calls
 
 
+def shear_parameters(m):
+    """(Re b_k, Im b_k) per unknown of degree m, and tau at even m: the shear parameters."""
+    return 2 * len(kernel_unknowns(m)) + (m % 2 == 0)
+
+
 @pytest.mark.parametrize("m", range(3, 8))
 def test_uniqueness_nullspace_falls_back_to_exact_elimination(rank_one_short, m):
+    # the parameter matrix, short of full modular rank, is eliminated exactly
     assert uniqueness_nullspace(m) == (0, [])
-    assert len(rank_one_short) == 2
+    assert rank_one_short == [shear_parameters(m)]
 
 
 def test_uniqueness_fallback_bounds_the_exact_nullity(no_normalization, rank_one_short):
-    # the exact nullity 4 of each block exceeds the bound n - rank_p = 1
-    with pytest.raises(ConsistencyError, match="x block of degree 3"):
+    # the exact nullity 8 of the parameter matrix exceeds the bound cols - rank_p = 1
+    with pytest.raises(ConsistencyError, match="shear parameters of degree 3"):
         uniqueness_nullspace(3)
 
 
 def test_uniqueness_fallback_checks_every_kernel_vector(rank_one_short, monkeypatch):
     monkeypatch.setattr(linalg, "sparse_nullspace", lambda rows, ncols: [[G(1)] * ncols])
-    with pytest.raises(ConsistencyError, match="x block of degree 4"):
+    with pytest.raises(ConsistencyError, match="shear parameters of degree 4"):
         uniqueness_nullspace(4)
+
+
+def test_the_fallback_certifies_the_independence_of_the_shear_polynomials(
+    no_normalization, monkeypatch
+):
+    # with a kernel, full column rank no longer proves independence; the rank
+    # of all the tables the parameters give does, and one column repeated breaks it
+    real = flatten_mod._shear_matrix
+
+    def repeated_column(m, indices, tau, what):
+        mat = real(m, indices, tau, what)
+        rows = [{**row, 1: row[0]} if 0 in row else {c: v for c, v in row.items() if c != 1}
+                for row in mat.entries]
+        return linalg.SparseMatrix(rows, mat.cols)
+
+    monkeypatch.setattr(flatten_mod, "_shear_matrix", repeated_column)
+    with pytest.raises(ConsistencyError, match="shear polynomials of degree 5 are dependent"):
+        uniqueness_nullspace(5)
+
+
+def block_share(p, q):
+    """The shear image's dimension in the block (p, q)."""
+    return 2 * (min(p, q) + 1) - (p == q)
+
+
+@pytest.mark.parametrize("m", [4, 7])
+def test_a_short_block_rank_falls_back_to_exact_elimination(monkeypatch, m):
+    exact = []
+    real = rotation_mod._exact_block_nullity
+    monkeypatch.setattr(rotation_mod, "_block_nullity", lambda p, q: block_share(p, q) + 1)
+    monkeypatch.setattr(
+        rotation_mod, "_exact_block_nullity", lambda p, q: exact.append(p) or real(p, q)
+    )
+    assert uniqueness_nullspace(m) == (0, [])
+    assert exact == list(range(m // 2 + 1))
+    # an exact nullity above the block's share exceeds the vector count
+    monkeypatch.setattr(rotation_mod, "_exact_block_nullity", lambda p, q: block_share(p, q) + 1)
+    with pytest.raises(ConsistencyError, match=f"condition of degree {m} has nullity above"):
+        uniqueness_nullspace(m)
+
+
+# -- the certificates of the shear image, each against a mutant -----------------------
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_blocks_p_and_m_minus_p_have_equal_rank(m):
+    for p in range(m + 1):
+        nullity = rotation_mod._block_nullity(p, m - p)
+        assert nullity == rotation_mod._block_nullity(m - p, p) == block_share(p, m - p)
+
+
+# (block, grid point) of omega, nu, sigma and nu', the degree-one generators
+GENERATORS = [(1, 0, (1, 0)), (1, 0, (0, 0)), (0, 1, (0, 1)), (0, 1, (0, 0))]
+
+
+@pytest.mark.parametrize("generator", GENERATORS, ids=["omega", "nu", "sigma", "nu'"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["D", "E"])
+def test_a_wrong_generator_value_fails_the_tie_to_the_definition(monkeypatch, generator, sign):
+    # R + sign S is D / i or E / i; one generator's image negated, only there
+    real = rotation_mod._rotation_map
+    p0, q0, (a0, b0) = generator
+
+    def wrong(family, p, q, s):
+        out = real(family, p, q, s)
+        if (p, q, s) == (p0, q0, sign) and family == {(a0, b0, 0): 1}:
+            out = {key: -c for key, c in out.items()}
+        return out
+
+    assert rotation_mod._rotation_matches_definition() is True
+    monkeypatch.setattr(rotation_mod, "_rotation_map", wrong)
+    assert rotation_mod._rotation_matches_definition() is False
+    with pytest.raises(ConsistencyError, match="rotation coordinates disagree"):
+        uniqueness_nullspace(5)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_map_that_moves_two_q2_fails_the_leibniz_certificate(monkeypatch, sign):
+    # R + sign S wrong only in degree two, where the tie does not look: it
+    # must kill omega sigma = 2 q2
+    real = rotation_mod._rotation_map
+
+    def moving(family, p, q, s):
+        out = real(family, p, q, s)
+        if (p, q, s) == (1, 1, sign) and (1, 1, 0) in family:
+            out[0, 1, 0] = out.get((0, 1, 0), 0) + family[1, 1, 0]
+        return out
+
+    monkeypatch.setattr(rotation_mod, "_rotation_map", moving)
+    assert rotation_mod._rotation_matches_definition() is True
+    assert rotation_mod._shear_image_in_kernel() is False
+    with pytest.raises(ConsistencyError, match="does not kill the shear polynomials"):
+        uniqueness_nullspace(6)
+
+
+def without_row(p0, q0, t):
+    """``_block_factor`` with the row of point t dropped from the block (p0, q0)."""
+    real = rotation_mod._block_factor
+
+    def factor(p, q):
+        images = real(p, q)
+        if (p, q) == (p0, q0):
+            images = {s: {u: c for u, c in image.items() if u != t} for s, image in images.items()}
+        return images
+
+    return factor
+
+
+def negated_s(p, q):
+    """G with S negated in its first factor: (1 - (R + S)^2)(R + S)."""
+    points = [(a, b) for a in range(p + 1) for b in range(q + 1)]
+    rm = rotation_mod._rotation_map
+    g = rm({(a, b, k): 1 for k, (a, b) in enumerate(points)}, p, q, 1)
+    for key, c in rm(rm(g, p, q, 1), p, q, 1).items():
+        g[key] = g.get(key, 0) - c
+    images = {s: {} for s in points}
+    for (a, b, k), c in g.items():
+        if c:
+            images[points[k]][a, b] = c
+    return images
+
+
+@pytest.mark.parametrize(
+    "mutant", [without_row(0, 6, (0, 2)), negated_s], ids=["row-dropped", "S-negated"]
+)
+def test_a_corrupted_block_exceeds_the_nullity_bound(monkeypatch, mutant):
+    monkeypatch.setattr(rotation_mod, "_block_factor", mutant)
+    with pytest.raises(ConsistencyError, match="condition of degree 6 has nullity above 31"):
+        uniqueness_nullspace(6)
+
+
+def test_a_block_out_of_grade_order_is_rejected(monkeypatch):
+    # the Schur complement solves grade by grade; an image term at the same
+    # grade as its point would be missed, so it raises instead
+    real = rotation_mod._block_factor
+
+    def sideways(p, q):
+        images = real(p, q)
+        if (p, q) == (2, 3):
+            images[1, 1][2, 0] = 1
+        return images
+
+    monkeypatch.setattr(rotation_mod, "_block_factor", sideways)
+    with pytest.raises(ConsistencyError, match=r"block \(2, 3\) of the factor is not triangular"):
+        uniqueness_nullspace(5)
+
+
+@pytest.mark.parametrize("corruption", [one_entry_off, binomials_swapped])
+def test_a_corrupted_closed_form_fails_the_parameter_probe(monkeypatch, corruption):
+    monkeypatch.setattr(flatten_mod, "_shear_coefficients", corruption)
+    for m in (3, 6, 9):
+        with pytest.raises(ConsistencyError, match=f"shear parameter matrix of degree {m} "):
+            uniqueness_nullspace(m)
+
+
+@pytest.mark.parametrize("m", [4, 6, 10])
+def test_dropping_tau_at_even_degree_exceeds_the_nullity_bound(monkeypatch, m):
+    # without the column of (2 q2)^(m/2) the parameters undercount the kernel
+    real = flatten_mod._shear_matrix
+    monkeypatch.setattr(
+        flatten_mod, "_shear_matrix", lambda m, indices, tau, what: real(m, indices, False, what)
+    )
+    assert uniqueness_nullspace(m - 1) == (0, [])
+    with pytest.raises(ConsistencyError, match=f"nullity above {shear_parameters(m) - 1} "):
+        uniqueness_nullspace(m)
+
+
+# Rotation coordinates, as series: omega, nu, sigma, nu' in the slots of
+# z1, z2, zb1, zb2 (so a block's p is the sum of the first two entries).
+
+
+def rotation_of(table, m):
+    """A z-table as a polynomial in omega, nu, sigma and nu' (series slots 0..3)."""
+    om, nu, si, nup = Series.generators(2, m)
+    quarter = G(F(1, 4))
+    minus_i_quarter = G(0, F(-1, 4))
+    z1 = (om + si + nu + nup).scale(quarter)
+    z2 = (om - si + nu - nup).scale(minus_i_quarter)
+    zb1 = (om + si - nu - nup).scale(quarter)
+    zb2 = (om - si - nu + nup).scale(minus_i_quarter)
+    out = Series.zero(2, m)
+    for (t, s, r, h), c in table.items():
+        out = out + (z1**s * z2**t * zb1**h * zb2**r).scale(c)
+    return out
+
+
+def z_of(rotation, m):
+    """A polynomial in omega, nu, sigma, nu' (series slots 0..3) back in z and zb."""
+    z1, z2, zb1, zb2 = Series.generators(2, m)
+    w1, w2, v1, v2 = z1 + zb1, z2 + zb2, z1 - zb1, z2 - zb2
+    om, si = w1 + w2.scale(I), w1 - w2.scale(I)
+    nu, nup = v1 + v2.scale(I), v1 - v2.scale(I)
+    out = Series.zero(2, m)
+    for (a, c, b, d), coef in rotation.items():
+        out = out + (om**a * nu**c * si**b * nup**d).scale(coef)
+    return out
+
+
+def block_operator(rotation, m):
+    """i G of a polynomial in rotation coordinates, block by block, from the block images."""
+    out = {}
+    for (a, c, b, d), coef in rotation.items():
+        p = a + c
+        for (a2, b2), g in rotation_mod._block_factor(p, m - p)[a, b].items():
+            e = (a2, p - a2, b2, m - p - b2)
+            out[e] = out.get(e, G(0)) + I * coef * g
+    return Series(2, m, {e: v for e, v in out.items() if v})
+
+
+@st.composite
+def gaussian_integer_tables(draw):
+    m = draw(st.integers(3, 6))
+    entries = st.builds(G, st.integers(-5, 5), st.integers(-5, 5))
+    return m, draw(st.dictionaries(st.sampled_from(all_brackets(m)), entries, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(gaussian_integer_tables())
+def test_the_block_operator_is_the_condition_factor(case):
+    # i G, applied in rotation coordinates and written back, is (D^2 + 1) E of
+    # the table, as the elementary maps compute it on its two integer parts
+    m, table = case
+    got = z_of(block_operator(rotation_of(table, m), m), m)
+    base = m + 1
+    parts = []
+    for part in ("re", "im"):
+        rows = ((exp_from_bracket(*idx), {0: getattr(c, part)}) for idx, c in table.items())
+        parts.append(flatten_mod._condition_factor(flatten_mod._family(rows, base), base))
+    want = {}
+    for part, family in zip((G(1), I), parts):
+        for key, c in family.items():
+            e = series_mod._unpack(key, base, 4)
+            want[e] = want.get(e, G(0)) + part * c
+    assert got == Series(2, m, {e: v for e, v in want.items() if v})
 
 
 def corrupt_condition_series(monkeypatch, change):
@@ -1228,11 +1578,25 @@ def corrupt_condition_series(monkeypatch, change):
 
 
 @pytest.mark.parametrize("entry", [G(F(1, 2)), I], ids=["half", "i"])
-def test_uniqueness_nullspace_rejects_a_non_integer_condition_entry(monkeypatch, entry):
-    # one degree-5 coefficient of every condition series made non-integral
+def test_uniqueness_nullspace_rejects_a_non_integer_condition_entry(
+    fresh_fundamental_nullspace, monkeypatch, entry
+):
+    # the probe of the n x n condition rows: one degree-5 coefficient of every
+    # condition series made non-integral
     corrupt_condition_series(monkeypatch, lambda s: s + Series(2, s.trunc, {(2, 1, 1, 1): entry}))
     assert flatten_mod.fundamental_series(phi_psi({}, 4)).coeff((2, 1, 1, 1)) == entry
     with pytest.raises(ConsistencyError, match="degree 4"):
+        fresh_fundamental_nullspace(4)
+    # the uniqueness check reads the condition through D and E of the four
+    # generators, by series arithmetic; one non-integral coefficient there
+    # breaks the tie of the integer maps to the definition
+    real = rotation_mod.sum_of_products
+    monkeypatch.setattr(
+        rotation_mod,
+        "sum_of_products",
+        lambda terms, trunc: real(terms, trunc=trunc) + Series(2, trunc, {(1, 0, 0, 0): entry}),
+    )
+    with pytest.raises(ConsistencyError, match="rotation coordinates disagree"):
         uniqueness_nullspace(4)
 
 
@@ -1304,13 +1668,15 @@ def test_condition_matrix_equals_the_series_built_rows(m):
     assert (unknowns, w2_times_rows(unknowns, rows)) == series_built_matrix(m)
 
 
-@pytest.mark.parametrize("m", range(3, 13))
+@pytest.mark.parametrize("m", range(3, 17))
 def test_the_factor_kernel_is_the_shear_image(m):
     # the shear polynomials over kernel_unknowns(m), their conjugates and,
-    # at even m, (2 q2)^(m/2) span the condition kernel
+    # at even m, (2 q2)^(m/2) span the condition kernel, and the nullities of
+    # the rotation-coordinate blocks add up to the same number
     unknowns, rows = flatten_mod._fundamental_matrix(m)
     nullity = len(unknowns) - rank_mod_p(rows, len(unknowns))
-    assert nullity == 2 * len(kernel_unknowns(m)) + (m % 2 == 0)
+    assert nullity == shear_parameters(m)
+    assert sum(rotation_mod._block_nullity(p, m - p) for p in range(m + 1)) == nullity
     assert m != 12 or nullity == 97
 
 
@@ -1319,19 +1685,16 @@ def test_the_factor_rows_have_the_kernel_of_the_condition_rows(monkeypatch, m):
     unknowns, rows = flatten_mod._fundamental_matrix(m)
     _, condition = series_built_matrix(m)
     assert sparse_nullspace(rows, len(unknowns)) == sparse_nullspace(condition, len(unknowns))
-    # so the uniqueness kernels agree, also without the normalization
-    # constraints, where they are not trivial
-
-    def with_and_without_normalization():
-        plain = uniqueness_nullspace(m)
+    # so the oracle's uniqueness kernels agree on either rows, and with the
+    # shear image's, also without the normalization constraints, where they
+    # are not trivial
+    for normalized in (True, False):
         with monkeypatch.context() as patch:
-            patch.setattr(flatten_mod, "normalization_system", lambda m: ())
-            return plain, uniqueness_nullspace(m)
-
-    on_factor = with_and_without_normalization()
-    monkeypatch.setattr(flatten_mod, "_fundamental_matrix", lambda m: (unknowns, condition))
-    assert with_and_without_normalization() == on_factor
-    assert on_factor[0] == (0, []) and on_factor[1][0] > 0
+            if not normalized:
+                patch.setattr(flatten_mod, "normalization_system", lambda m: ())
+            on_factor = uniqueness_oracle(m)
+            assert uniqueness_oracle(m, condition) == on_factor == uniqueness_nullspace(m)
+            assert (on_factor[0] == 0) == normalized
 
 
 _rationals = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 4, 3, 7]))
@@ -1479,8 +1842,8 @@ def test_fundamental_nullspace_checks_every_basis_vector(
 def test_a_corrupted_condition_build_fails_its_spot_check(
     corrupted_condition, fresh_fundamental_nullspace, m
 ):
-    with pytest.raises(ConsistencyError, match=f"condition matrix of degree {m} "):
-        uniqueness_nullspace(m)
+    # uniqueness_nullspace no longer reads these rows; its maps are tied to
+    # the definition instead (test_a_wrong_generator_value_fails_the_tie_...)
     with pytest.raises(ConsistencyError, match=f"condition matrix of degree {m} "):
         fresh_fundamental_nullspace(m)
 
