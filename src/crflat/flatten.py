@@ -46,14 +46,12 @@ when (D^2 + 1) E H vanishes.  One fused map, the field w2 d_a - w1 d_b
 (four key shifts per term in one pass), gives E and D on a flat packed
 family {column * base^4 + exponent digits in base: coefficient}; three
 passes of it give the factor, and a multiplication by w2 the condition.
-They build the factor's square matrix for all unit tables at once, whose
-kernel is the condition's, each build checked, times w2, against the series
-operators on one dense table (``fundamental_nullspace``).  The factor
-alone decides the flattening driver's check on the degree where it stops,
-exactly, on the integer pairs (re, im) of Im R_m, each stored as one
-integer: D and E keep the degree, so
-the factor of a degree-m H fits the germ's own packing base T + 1 for every
-m <= T, and Im R_m is read straight from the keys of the germ's packed R.
+The factor alone decides the flattening driver's check on the degree where
+it stops, exactly, on the integer pairs (re, im) of Im R_m, each stored as
+one integer: D and E keep the degree, so the factor of a degree-m H fits
+the germ's own packing base T + 1 for every m <= T, and Im R_m is read
+straight from the keys of the germ's packed R.  It also checks every table
+of the condition kernel's basis (``fundamental_nullspace``).
 
 A degree the driver solves needs no evaluation, by the Leibniz rule.  Write
 F = (D^2 + 1) E, the factor.
@@ -94,7 +92,8 @@ block m - p, which therefore has the same rank.  In a block, R keeps the
 grade a + b and S raises it, so G is triangular with diagonal
 (b - a)(1 - (b - a)^2), zero only at the resonant points |a - b| <= 1.
 
-``uniqueness_nullspace`` certifies its kernel there, on the shear image:
+``fundamental_nullspace`` and ``uniqueness_nullspace`` certify their
+kernels there, on the shear image:
 
 * (a) G kills each shear polynomial c_k = z^alpha (2 q2)^j of
   ``kernel_unknowns(m)``, each conjugate and, at even m, (2 q2)^(m/2), by
@@ -104,25 +103,24 @@ grade a + b and S raises it, so G is triangular with diagonal
 * (b) those 2 |K| + [m even] polynomials are independent;
 * (c) the nullities of the blocks mod p sum to at most 2 |K| + [m even].
 
-So the condition kernel is their span, and a real H in it is
-Im sum b_k c_k + tau (2 q2)^(m/2).  The combined system is then one small
-integer matrix on (Re b_k, Im b_k, tau), whose full column rank gives (b)
-and the trivial kernel at once.  Its entries come from a closed form of
-the coefficients of c_k (``_shear_coefficients``), checked on one dense
-probe by packed series arithmetic; the normalization system of
-``solve_kernel`` is the same construction on the constraint rows.  The maps
-R and S are tied to the definition on every call: D and E of the four
-generators, by series arithmetic, must equal i (R + S) and i (R - S) of
-them, which proves the identity, a derivation being fixed by its values on
-generators.  So the blocks need no dense probe of their own; the probe of
-the n x n factor rows, which cost more than all the blocks, serves only
-``fundamental_nullspace`` now.
+So the condition kernel is their span, defined over Q: the real and
+imaginary parts of the coefficients of the c_k span it too, and their
+reduced echelon form is its basis, each table checked by the factor's
+field maps.  A real H in it is Im sum b_k c_k + tau (2 q2)^(m/2), and the
+combined system is one small integer matrix on (Re b_k, Im b_k, tau),
+whose full column rank gives (b) and the trivial kernel at once.  Its entries come from a closed
+form of the coefficients of c_k (``_shear_coefficients``), checked on one
+dense probe by packed series arithmetic; the normalization system of
+``solve_kernel`` and the shear image of (b) are the same construction on
+other rows.  The maps R and S are tied to the definition on every call: D
+and E of the four generators, by series arithmetic, must equal i (R + S)
+and i (R - S) of them, which proves the identity, a derivation being fixed
+by its values on generators, so the blocks need no dense probe.
 
-Every kernel returned here, of the condition and of the shear parameters,
-comes from ``linalg.certified_nullspace``, which certifies it beside the
-elimination that computes it.  ``linalg.solve`` factors the normalization
-rows modulo primes, certifies the factor in integers and checks every
-solution.
+``linalg.certified_nullspace`` certifies the kernel of the shear parameters
+and the independence of the shear polynomials beside the elimination.
+``linalg.solve`` factors the normalization rows modulo primes, certifies
+the factor in integers and checks every solution.
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair
-from .linalg import SparseMatrix, certified_nullspace, solve
+from .linalg import SparseMatrix, solve
 from .numeric import GaussianRational, ZERO, _gaussian
 from .series import (
     Exponent,
@@ -305,16 +303,6 @@ def _phi_psi_packed(h: _Packed, m: int) -> tuple[_Packed, _Packed]:
     return phi, _sum_of_packed(terms, m + 1)
 
 
-def _condition_packed(psi: _Packed, m: int) -> _Packed:
-    """The condition series of a packed Psi of degree-m H, certified through m + 1.
-
-    The one step from Psi to the condition, shared by
-    :func:`fundamental_series` and the probe of :func:`_fundamental_matrix`.
-    """
-    w1, w2, _, _ = _w_forms(psi.base)
-    return _sum_of_packed(((1, w2, _packed_diff(psi, 0)), (-1, w1, _packed_diff(psi, 1))), m + 1)
-
-
 def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPsiTables:
     """Both derived operators, by series arithmetic, exact through m and m + 1.
 
@@ -327,8 +315,11 @@ def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPs
 
 
 def fundamental_series(tables: PhiPsiTables) -> Series:
-    """The condition series, certified exact through degree m + 1."""
-    return _unpacked(_condition_packed(_packed(tables.psi, tables.m + 1), tables.m), 2)
+    """The condition series, certified exact through degree m + 1, one packed product call."""
+    psi = _packed(tables.psi, tables.m + 1)
+    w1, w2, _, _ = _w_forms(psi.base)
+    terms = ((1, w2, _packed_diff(psi, 0)), (-1, w1, _packed_diff(psi, 1)))
+    return _unpacked(_sum_of_packed(terms, tables.m + 1), 2)
 
 
 class FundamentalReport(NamedTuple):
@@ -681,7 +672,8 @@ def _shear_matrix(
     def packed(degree: int, terms: list[tuple[int, int, int]]) -> _Packed:
         return _Packed(m, degree, 1, [(degree, terms)] if terms else [], base)
 
-    z1, z2, zb1, zb2 = Series.generators(2, m)
+    # 2 q2 enters from degree 2 on; a truncation of 1 holds the generators
+    z1, z2, zb1, zb2 = Series.generators(2, max(m, 1))
     w1, w2 = z1 + zb1, z2 + zb2
     two_q2 = _packed(w1 * w1 + w2 * w2, m)
     one = packed(0, [(0, 1, 0)])
@@ -1003,72 +995,21 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     return FlattenReport(True, n, kernels, current, steps)
 
 
-# -- the condition kernel on the n x n factor rows ------------------------------------
-
-
-def _fundamental_matrix(m: int) -> tuple[tuple[Bracket, ...], list[dict[int, int]]]:
-    """The condition on degree-m tables as the sparse integer rows of its factor.
-
-    Column j and row j both belong to the bracket ``all_brackets(m)[j]``:
-    row i maps each column, the unit table at its bracket, to the integer
-    coefficient of (D^2 + 1) E of that table at bracket i.  The factor keeps
-    the degree, so the matrix is square, n x n, in bracket order, with an
-    empty row at any bracket no unit table reaches.  The condition is
-    w2 (D^2 + 1) E (see the module docstring) and multiplying by w2 is
-    injective, so these rows have the kernel of the degree-(m + 1) condition
-    rows, with fewer and shorter rows.
-
-    The rows come from the family of all unit tables at once, one flat
-    packed family with base m + 2, carried to the factor by
-    ``_condition_factor``: three passes of the fused field map ``_turn`` on
-    packed monomial exponents; this is a third implementation of the
-    operators, beside the series arithmetic that defines them and the
-    recursions that audit them.  Each row is read off the family at its
-    bracket's packed key, so no exponent is decoded.  The same field map
-    decides the flattening driver's condition check on the degree where it
-    stops (``_satisfies_condition``), and its certificate for the solved
-    degrees (``_solved_degrees_satisfy_condition``).  The rows serve
-    :func:`fundamental_nullspace`; the uniqueness check takes the condition
-    in rotation coordinates instead.  The build checks itself on one dense
-    integer table: the rows applied to it, times w2 (``_w_sum``), must
-    equal its condition series, formed by the packed series operators
-    (``_phi_psi_packed`` and ``_condition_packed``) in the same base and
-    compared key by key; a disagreement raises :class:`ConsistencyError`.
-    """
-    unknowns = all_brackets(m)
-    base = m + 2
-    cut = base**4
-    keys = [_pack(exp_from_bracket(*idx), base) for idx in unknowns]
-    by_key: dict[int, dict[int, int]] = {}
-    for key, c in _condition_factor({j * cut + key: 1 for j, key in enumerate(keys)}, base).items():
-        j, e = divmod(key, cut)
-        by_key.setdefault(e, {})[j] = c
-    rows = [by_key.get(key, {}) for key in keys]
-    # a dense probe table whose entries follow no linear pattern in j
-    probe = [pow(3, j, 65521) for j in range(len(unknowns))]
-    factor = {key: sum(c * probe[j] for j, c in row.items()) for key, row in zip(keys, rows)}
-    applied = {key: (c, 0) for key, c in _w_sum(((1, 2, factor),), base).items()}
-    h = _Packed(m, m, 1, [(m, [(key, p, 0) for key, p in zip(keys, probe)])], base)
-    series = _condition_packed(_phi_psi_packed(h, m)[1], m)
-    if series.den != 1 or applied != {k: (x, y) for _, ts in series.buckets for k, x, y in ts}:
-        raise ConsistencyError(
-            f"condition matrix of degree {m} disagrees with the condition series"
-        )
-    return tuple(unknowns), rows
+# -- the condition and uniqueness kernels, on the shear image -------------------------
 
 
 @lru_cache(maxsize=None)
 def fundamental_nullspace(m: int) -> tuple[Table, ...]:
     """A deterministic basis of all degree-m tables killed by the condition.
 
-    The kernel is taken on the n x n factor rows of :func:`_fundamental_matrix`,
-    which have the condition's kernel; the reduced basis depends only on
-    that kernel and the column order.  It is certified against those rows
-    (see :func:`crflat.linalg.certified_nullspace`).
+    The kernel is the span of the shear polynomials, certified on the shear
+    image (see the module docstring and
+    :func:`crflat.rotation.fundamental_nullspace`); a check that fails raises
+    :class:`ConsistencyError`.
     """
-    unknowns, rows = _fundamental_matrix(m)
-    kernel = certified_nullspace(rows, len(unknowns), f"the condition of degree {m}")
-    return tuple({idx: c for idx, c in zip(unknowns, v) if c} for v in kernel)
+    from . import rotation  # loaded at the first call, never by flatten_to_order
+
+    return rotation.fundamental_nullspace(m)
 
 
 def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:

@@ -6,26 +6,30 @@ omega = w1 + i w2, sigma = w1 - i w2, nu = v1 + i v2 and nu' = v1 - i v2
 (w_i = z_i + zb_i, v_i = z_i - zb_i), D = i (R + S) and E = i (R - S), so the
 factor (D^2 + 1) E of the condition is i G with the integer operator
 G = (1 - (R + S)^2)(R - S), block-diagonal in p = a + c for the monomials
-omega^a nu^c sigma^b nu'^d.  :func:`uniqueness_nullspace` certifies the
-kernel of the combined system on the shear image: the maps are tied to D
-and E on every call, (a) G kills every shear polynomial, (c) the blocks'
-nullities mod p bound the condition's, and (b) one small matrix on the
-shear parameters has full column rank.
+omega^a nu^c sigma^b nu'^d.  Both kernels of ``crflat.flatten`` are
+certified here on the shear image, by one shared certificate
+(:func:`_certify_condition_kernel`): the maps are tied to D and E on every
+call, (a) G kills every shear polynomial, and (c) the blocks' nullities
+mod p bound the condition's.  :func:`fundamental_nullspace` adds (b), the
+independence of the shear polynomials, and reduces their parts to the
+condition kernel's basis; :func:`uniqueness_nullspace` takes (b) from the
+full column rank of one small matrix on the shear parameters.
 
-Only ``crflat.flatten.uniqueness_nullspace`` imports this module, at its
-first call, so ``flatten_to_order`` never compiles it.  It reads
-``normalization_system`` and ``_shear_matrix`` through ``crflat.flatten`` at
-call time.
+Only ``crflat.flatten.fundamental_nullspace`` and
+``crflat.flatten.uniqueness_nullspace`` import this module, at their first
+call, so ``flatten_to_order`` never compiles it.  It reads
+``normalization_system``, ``_shear_matrix``, ``_family`` and
+``_condition_factor`` through ``crflat.flatten`` at call time.
 """
 
 from __future__ import annotations
 
 from . import flatten
 from .errors import ConsistencyError, PreconditionError
-from .flatten import HTable, all_brackets
-from .linalg import MODULUS, _echelon, certified_nullspace, rank_mod_p
+from .flatten import HTable, Table, all_brackets
+from .linalg import MODULUS, SparseMatrix, _echelon, certified_nullspace, rank_mod_p
 from .numeric import I, ONE, GaussianRational, ZERO, integer_parts
-from .series import Series, sum_of_products
+from .series import Series, exp_from_bracket, sum_of_products
 
 # A monomial omega^a nu^(p - a) sigma^b nu'^(q - b) of the block (p, q) is its
 # grid point (a, b), 0 <= a <= p and 0 <= b <= q.  A family of polynomials of
@@ -201,51 +205,29 @@ def _reversed_echelon(vectors: list[list], n: int) -> list[list[GaussianRational
     return basis
 
 
-def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
-    """The kernel of ``crflat.flatten.uniqueness_nullspace``, on the shear image.
-
-    H is a table over ``all_brackets(m)``, x = Re H and y = Im H, and the
-    combined system is the first-order condition, reality, normalization
-    and the two vanishing coefficient families.  The checks, in order:
+def _certify_condition_kernel(m: int, parameters: int) -> None:
+    """The checks both kernels share, for ``parameters`` = 2 |K| + [m even]:
 
     * D = i (R + S) and E = i (R - S) on the generators
       (:func:`_rotation_matches_definition`);
     * (a) G kills each shear polynomial (:func:`_shear_image_in_kernel`);
-    * (c) the blocks' nullities mod p sum to at most the number of shear
-      parameters, 2 |K| + [m even].  Swapping (omega, nu) with
-      (sigma, nu') sends the block (p, q) to (q, p), its grid point (a, b)
-      to (b, a), and R and S to -R and -S, so G to -G: the block (q, p) is
-      the block (p, q) with its points renamed and its entries negated, of
-      the same rank mod any prime, and only p <= m / 2 is ranked.  A block
-      whose modular nullity exceeds its share of the shear image is
-      eliminated exactly;
-    * (b) the parameter matrix of H = Im sum b_k c_k + tau (2 q2)^(m/2):
-      the parts of every normalization constraint and of both vanishing
-      families, in (Re b_k, Im b_k, tau) (``crflat.flatten._shear_matrix``),
-      taken by :func:`crflat.linalg.certified_nullspace`.
+    * (c) the blocks' nullities mod p sum to at most ``parameters``.
+      Swapping (omega, nu) with (sigma, nu') sends the block (p, q) to
+      (q, p), its grid point (a, b) to (b, a), and R and S to -R and -S, so
+      G to -G: the block (q, p) is the block (p, q) with its points renamed
+      and its entries negated, of the same rank mod any prime, and only
+      p <= m / 2 is ranked.  A block whose modular nullity exceeds its
+      share of the shear image is eliminated exactly.
 
-    By (a) and (c) every real H that satisfies the condition is such an H,
-    so full column rank mod p of the parameter matrix certifies the trivial
-    kernel, and also (b), the independence of the shear polynomials.
-    Otherwise its exact kernel is mapped to tables, their independence is
-    certified by the rank of all the tables the parameters give, and the x
-    parts and the y parts are each brought to reduced echelon form with the
-    columns reversed.  That is the basis of the kernels of the x and y
-    blocks of the same system written on the n x n tables, real tables,
-    then i times real tables.  A check that fails raises
-    :class:`ConsistencyError`.
+    With (b), the independence of the shear polynomials, the condition's
+    kernel is their span.  A check that fails raises :class:`ConsistencyError`.
     """
-    if m < 3:
-        raise PreconditionError("uniqueness check starts at degree 3")
     if not _rotation_matches_definition():
-        raise ConsistencyError("rotation coordinates disagree with D and E")
+        raise ConsistencyError(f"rotation coordinates disagree with D and E at degree {m}")
     if not _shear_image_in_kernel():
-        raise ConsistencyError("the condition factor does not kill the shear polynomials")
-    tau = m % 2 == 0
-    indices = [(con.index, con.parts) for con in flatten.normalization_system(m)]
-    indices += [((t, 1, m - t - 2, 1), ("re", "im")) for t in range(m - 1)]
-    indices += [((t, 0, m - t, 0), ("re", "im")) for t in range(m + 1)]
-    params = flatten._shear_matrix(m, indices, tau, "shear parameter matrix")
+        raise ConsistencyError(
+            f"the condition factor does not kill the shear polynomials of degree {m}"
+        )
     nullity = 0
     for p in range(m // 2 + 1):
         q = m - p
@@ -258,19 +240,89 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
         if k > share:
             k = _exact_block_nullity(p, q)
         nullity += k if p == q else 2 * k
-    if nullity > params.cols:
+    if nullity > parameters:
         raise ConsistencyError(
-            f"the condition of degree {m} has nullity above {params.cols} shear parameters"
+            f"the condition of degree {m} has nullity above {parameters} shear parameters"
         )
+
+
+def _shear_image(m: int) -> SparseMatrix:
+    """(b): the rows of the parts of 2 H at every bracket have a trivial kernel.
+
+    H runs over the shear parameters (``crflat.flatten._shear_matrix``); rows
+    2 j and 2 j + 1 hold the real and imaginary parts at ``all_brackets(m)[j]``.
+    """
+    everywhere = [(idx, ("re", "im")) for idx in all_brackets(m)]
+    image = flatten._shear_matrix(m, everywhere, m % 2 == 0, "shear image")
+    if certified_nullspace(image.entries, image.cols, f"the shear image of degree {m}"):
+        raise ConsistencyError(f"the shear polynomials of degree {m} are dependent")
+    return image
+
+
+def fundamental_nullspace(m: int) -> tuple[Table, ...]:
+    """The basis of ``crflat.flatten.fundamental_nullspace``: the shear image's span.
+
+    By the tie, (a), (b) and (c) the condition's kernel is that span.  It is
+    defined over Q, so the real and imaginary parts of the image columns
+    span it too, and their reduced echelon form with the columns reversed
+    is the basis :func:`crflat.linalg.sparse_nullspace` gives the kernel.
+    Each table, its denominators cleared, is checked by the z and zb field
+    maps of ``crflat.flatten._condition_factor``, which share no code with
+    the rotation maps, and there must be one per shear parameter.  Degree 0
+    gives the constants.
+    """
+    if m < 0:
+        raise PreconditionError("the condition kernel needs a degree of at least 0")
+    image = _shear_image(m)
+    _certify_condition_kernel(m, image.cols)
+    brackets = all_brackets(m)
+    columns = range(image.cols)
+    parts = [[row.get(c, 0) for row in image.entries[k::2]] for k in (0, 1) for c in columns]
+    basis = _reversed_echelon(parts, len(brackets))
+    rows = (
+        (exp_from_bracket(*idx), {2 * k: x, 2 * k + 1: y})
+        for k, v in enumerate(basis)
+        for idx, x, y in zip(brackets, *integer_parts(v)[1:])
+    )
+    if len(basis) != image.cols or flatten._condition_factor(flatten._family(rows, m + 2), m + 2):
+        raise ConsistencyError(f"the kernel basis of the condition of degree {m} fails its check")
+    return tuple({idx: c for idx, c in zip(brackets, v) if c} for v in basis)
+
+
+def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
+    """The kernel of ``crflat.flatten.uniqueness_nullspace``, on the shear image.
+
+    The combined system is the first-order condition, reality,
+    normalization and the two vanishing coefficient families on tables over
+    ``all_brackets(m)``.  The parameter matrix of
+    H = Im sum b_k c_k + tau (2 q2)^(m/2) holds the parts of every
+    normalization constraint and of both vanishing families, in
+    (Re b_k, Im b_k, tau) (``crflat.flatten._shear_matrix``), taken by
+    :func:`crflat.linalg.certified_nullspace` after the shared checks.
+
+    By (a) and (c) every real H that satisfies the condition is such an H,
+    so full column rank mod p of the parameter matrix certifies the trivial
+    kernel, and also (b), the independence of the shear polynomials.
+    Otherwise its exact kernel is mapped to tables, their independence is
+    certified by the rank of all the tables the parameters give
+    (:func:`_shear_image`), and the x parts and the y parts are each
+    brought to reduced echelon form with the columns reversed.  That is the
+    basis of the kernels of the x and y blocks of the same system written
+    on the n x n tables, real tables, then i times real tables.  A check
+    that fails raises :class:`ConsistencyError`.
+    """
+    if m < 3:
+        raise PreconditionError("uniqueness check starts at degree 3")
+    indices = [(con.index, con.parts) for con in flatten.normalization_system(m)]
+    indices += [((t, 1, m - t - 2, 1), ("re", "im")) for t in range(m - 1)]
+    indices += [((t, 0, m - t, 0), ("re", "im")) for t in range(m + 1)]
+    params = flatten._shear_matrix(m, indices, m % 2 == 0, "shear parameter matrix")
+    _certify_condition_kernel(m, params.cols)
     kernel = certified_nullspace(params.entries, params.cols, f"the shear parameters of degree {m}")
     if not kernel:
         return 0, []
     brackets = all_brackets(m)
-    n = len(brackets)
-    everywhere = [(idx, ("re", "im")) for idx in brackets]
-    image = flatten._shear_matrix(m, everywhere, tau, "shear image")
-    if certified_nullspace(image.entries, image.cols, f"the shear image of degree {m}"):
-        raise ConsistencyError(f"the shear polynomials of degree {m} are dependent")
+    image = _shear_image(m)
     # the kernel's vectors are real; over a common denominator each, in integers
     kernel = [integer_parts(v)[1] for v in kernel]
     tables = []
@@ -279,7 +331,7 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
         vectors = [[sum(x * v[c] for c, x in row.items()) for row in rows] for v in kernel]
         tables += [
             HTable(m, {idx: unit * c for idx, c in zip(brackets, b)})
-            for b in _reversed_echelon(vectors, n)
+            for b in _reversed_echelon(vectors, len(brackets))
         ]
     if len(tables) != len(kernel):
         raise ConsistencyError(f"the kernel tables of degree {m} lost a dimension")

@@ -1197,15 +1197,61 @@ def test_flatten_requires_parabolic():
 
 # -- uniqueness ---------------------------------------------------------------------
 #
-# The combined system as it was solved before the shear image certified it:
-# x = Re H and y = Im H over all_brackets(m), each constraint one integer row
-# on x and one on y, the condition as the n x n factor rows in both.  Kept as
-# the oracle of uniqueness_nullspace, whose tables it must give byte for byte.
+# The condition and the combined system as they were solved before the shear
+# image certified them: x = Re H and y = Im H over all_brackets(m), each
+# constraint one integer row on x and one on y, the condition as the n x n
+# factor rows in both.  Kept as the oracles of fundamental_nullspace and
+# uniqueness_nullspace, whose tables they must give byte for byte.
+
+
+def fundamental_matrix(m):
+    """The condition on degree-m tables as the sparse integer rows of its factor.
+
+    Column j and row j both belong to the bracket ``all_brackets(m)[j]``:
+    row i maps each column, the unit table at its bracket, to the integer
+    coefficient of (D^2 + 1) E of that table at bracket i, read off one
+    family of all unit tables taken through ``_condition_factor``.  The
+    condition is w2 (D^2 + 1) E and multiplying by w2 is injective, so these
+    rows have the kernel of the degree-(m + 1) condition rows
+    (test_condition_matrix_equals_the_series_built_rows).
+    """
+    unknowns = all_brackets(m)
+    base = m + 2
+    cut = base**4
+    keys = [series_mod._pack(exp_from_bracket(*idx), base) for idx in unknowns]
+    by_key = {}
+    units = {j * cut + key: 1 for j, key in enumerate(keys)}
+    for key, c in flatten_mod._condition_factor(units, base).items():
+        j, e = divmod(key, cut)
+        by_key.setdefault(e, {})[j] = c
+    return tuple(unknowns), [by_key.get(key, {}) for key in keys]
+
+
+def fundamental_oracle(m):
+    """The condition kernel's basis as the exact nullspace of the factor rows."""
+    unknowns, rows = fundamental_matrix(m)
+    kernel = sparse_nullspace(rows, len(unknowns))
+    return tuple({idx: c for idx, c in zip(unknowns, v) if c} for v in kernel)
+
+
+@pytest.mark.parametrize("m", range(0, 13))
+def test_fundamental_nullspace_is_the_oracle_basis(fresh_fundamental_nullspace, m):
+    # tables, key order and values; the pickles differ only in object sharing
+    basis = fresh_fundamental_nullspace(m)
+    assert repr(basis) == repr(fundamental_oracle(m))
+    assert len(basis) == shear_parameters(m)
+
+
+def test_fundamental_nullspace_of_degree_0_is_the_constants(fresh_fundamental_nullspace):
+    # (2 q2)^0 = 1 is the one shear polynomial; below degree 0 there is none
+    assert fresh_fundamental_nullspace(0) == ({(0, 0, 0, 0): G(1)},)
+    with pytest.raises(PreconditionError, match="degree of at least 0"):
+        fresh_fundamental_nullspace(-1)
 
 
 def uniqueness_oracle(m, condition=None):
     """(dim, tables) of the n x n x and y blocks, with ``condition`` or the factor rows."""
-    unknowns, factor = flatten_mod._fundamental_matrix(m)
+    unknowns, factor = fundamental_matrix(m)
     condition = factor if condition is None else condition
     col = {idx: j for j, idx in enumerate(unknowns)}
     blocks = {"re": list(condition), "im": list(condition)}
@@ -1562,42 +1608,29 @@ def test_the_block_operator_is_the_condition_factor(case):
     assert got == Series(2, m, {e: v for e, v in want.items() if v})
 
 
-def corrupt_condition_series(monkeypatch, change):
-    """Make the one step from Psi to the condition series return change(series).
+def corrupt_tie_series(monkeypatch, change):
+    """Make the series arithmetic that evaluates D and E on the generators return change(series).
 
-    ``fundamental_series`` and the probe of the condition rows both run that
-    step, ``_condition_packed``, so both see the corruption.
+    Both kernels tie the rotation maps to D and E through that arithmetic
+    (``rotation._rotation_matches_definition``), so both see the corruption.
     """
-    real = flatten_mod._condition_packed
-
-    def corrupted(psi, m):
-        series = change(series_mod._unpacked(real(psi, m), 2))
-        return series_mod._packed(series, psi.base - 1)
-
-    monkeypatch.setattr(flatten_mod, "_condition_packed", corrupted)
+    real = rotation_mod.sum_of_products
+    monkeypatch.setattr(
+        rotation_mod, "sum_of_products", lambda terms, trunc: change(real(terms, trunc=trunc))
+    )
 
 
 @pytest.mark.parametrize("entry", [G(F(1, 2)), I], ids=["half", "i"])
 def test_uniqueness_nullspace_rejects_a_non_integer_condition_entry(
     fresh_fundamental_nullspace, monkeypatch, entry
 ):
-    # the probe of the n x n condition rows: one degree-5 coefficient of every
-    # condition series made non-integral
-    corrupt_condition_series(monkeypatch, lambda s: s + Series(2, s.trunc, {(2, 1, 1, 1): entry}))
-    assert flatten_mod.fundamental_series(phi_psi({}, 4)).coeff((2, 1, 1, 1)) == entry
-    with pytest.raises(ConsistencyError, match="degree 4"):
-        fresh_fundamental_nullspace(4)
-    # the uniqueness check reads the condition through D and E of the four
+    # both kernels read the condition through D and E of the four
     # generators, by series arithmetic; one non-integral coefficient there
     # breaks the tie of the integer maps to the definition
-    real = rotation_mod.sum_of_products
-    monkeypatch.setattr(
-        rotation_mod,
-        "sum_of_products",
-        lambda terms, trunc: real(terms, trunc=trunc) + Series(2, trunc, {(1, 0, 0, 0): entry}),
-    )
-    with pytest.raises(ConsistencyError, match="rotation coordinates disagree"):
-        uniqueness_nullspace(4)
+    corrupt_tie_series(monkeypatch, lambda s: s + Series(2, s.trunc, {(1, 0, 0, 0): entry}))
+    for nullspace in (fresh_fundamental_nullspace, uniqueness_nullspace):
+        with pytest.raises(ConsistencyError, match="rotation coordinates disagree .* degree 4"):
+            nullspace(4)
 
 
 def test_fundamental_nullspace_members_satisfy_condition():
@@ -1623,7 +1656,7 @@ def applied_times_w2(unknowns, rows, table, m):
 
 def test_condition_rows_are_the_condition_series():
     m = 5
-    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    unknowns, rows = fundamental_matrix(m)
     assert unknowns == tuple(all_brackets(m)) and len(rows) == len(unknowns) and all(rows)
     assert all(type(c) is int for row in rows for c in row.values())
     # a random table's factor, read off the rows, is its condition series over w2
@@ -1663,7 +1696,7 @@ def series_built_matrix(m):
 @pytest.mark.parametrize("m", range(3, 13))
 def test_condition_matrix_equals_the_series_built_rows(m):
     # the condition matrix is w2 times the square matrix of the factor rows
-    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    unknowns, rows = fundamental_matrix(m)
     assert len(rows) == len(unknowns)
     assert (unknowns, w2_times_rows(unknowns, rows)) == series_built_matrix(m)
 
@@ -1673,7 +1706,7 @@ def test_the_factor_kernel_is_the_shear_image(m):
     # the shear polynomials over kernel_unknowns(m), their conjugates and,
     # at even m, (2 q2)^(m/2) span the condition kernel, and the nullities of
     # the rotation-coordinate blocks add up to the same number
-    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    unknowns, rows = fundamental_matrix(m)
     nullity = len(unknowns) - rank_mod_p(rows, len(unknowns))
     assert nullity == shear_parameters(m)
     assert sum(rotation_mod._block_nullity(p, m - p) for p in range(m + 1)) == nullity
@@ -1682,7 +1715,7 @@ def test_the_factor_kernel_is_the_shear_image(m):
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_the_factor_rows_have_the_kernel_of_the_condition_rows(monkeypatch, m):
-    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    unknowns, rows = fundamental_matrix(m)
     _, condition = series_built_matrix(m)
     assert sparse_nullspace(rows, len(unknowns)) == sparse_nullspace(condition, len(unknowns))
     # so the oracle's uniqueness kernels agree on either rows, and with the
@@ -1711,7 +1744,7 @@ def gaussian_tables(draw):
 @given(gaussian_tables())
 def test_condition_rows_apply_as_the_condition_series(case):
     m, table = case
-    unknowns, rows = flatten_mod._fundamental_matrix(m)
+    unknowns, rows = fundamental_matrix(m)
     series = check_fundamental(phi_psi(table, m)).violations
     assert sorted(applied_times_w2(unknowns, rows, table, m).items()) == sorted(series)
 
@@ -1813,7 +1846,8 @@ def corrupted_condition(request, monkeypatch):
     elif request.param == "unscaled-derivative":
         monkeypatch.setattr(flatten_mod, "_turn", corrupted_turn((1, 3), False))
     else:
-        corrupt_condition_series(monkeypatch, lambda series: -series)
+        corrupt_tie_series(monkeypatch, lambda series: -series)
+    return request.param
 
 
 @pytest.fixture
@@ -1827,24 +1861,43 @@ def fresh_fundamental_nullspace():
 def test_fundamental_nullspace_checks_every_basis_vector(
     fresh_fundamental_nullspace, monkeypatch, delta
 ):
-    def corrupted(rows, ncols):
-        basis = sparse_nullspace(rows, ncols)
-        j = min(rows[0])  # a column the first condition row reads
-        basis[2][j] += delta
+    # one entry of the reduced basis moved off the kernel: the unit table at
+    # its bracket breaks the condition
+    m, idx = 5, (2, 1, 1, 1)
+    assert not check_fundamental(phi_psi({idx: 1}, m)).ok
+    real = rotation_mod._reversed_echelon
+
+    def corrupted(vectors, n):
+        basis = real(vectors, n)
+        basis[2][all_brackets(m).index(idx)] += delta
         return basis
 
-    monkeypatch.setattr(linalg, "sparse_nullspace", corrupted)
-    with pytest.raises(ConsistencyError, match="condition of degree 5"):
-        fresh_fundamental_nullspace(5)
+    monkeypatch.setattr(rotation_mod, "_reversed_echelon", corrupted)
+    with pytest.raises(ConsistencyError, match=f"condition of degree {m} fails its check"):
+        fresh_fundamental_nullspace(m)
+
+
+def test_fundamental_nullspace_has_one_table_per_shear_parameter(
+    fresh_fundamental_nullspace, monkeypatch
+):
+    # a basis short of a table still passes the check of each table
+    real = rotation_mod._reversed_echelon
+    monkeypatch.setattr(rotation_mod, "_reversed_echelon", lambda v, n: real(v, n)[:-1])
+    with pytest.raises(ConsistencyError, match="condition of degree 6 fails its check"):
+        fresh_fundamental_nullspace(6)
 
 
 @pytest.mark.parametrize("m", [4, 7])
 def test_a_corrupted_condition_build_fails_its_spot_check(
     corrupted_condition, fresh_fundamental_nullspace, m
 ):
-    # uniqueness_nullspace no longer reads these rows; its maps are tied to
-    # the definition instead (test_a_wrong_generator_value_fails_the_tie_...)
-    with pytest.raises(ConsistencyError, match=f"condition matrix of degree {m} "):
+    # a corrupted field map fails the check of every basis table; the series
+    # arithmetic of D and E negated fails the tie of the rotation maps
+    if corrupted_condition == "negated-series":
+        message = f"rotation coordinates disagree with D and E at degree {m}"
+    else:
+        message = f"the kernel basis of the condition of degree {m} fails its check"
+    with pytest.raises(ConsistencyError, match=message):
         fresh_fundamental_nullspace(m)
 
 
@@ -1930,17 +1983,29 @@ def test_a_failed_certificate_makes_every_solved_degree_read_false(
 
 
 def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):
-    # claiming one more modular rank than the rational rank must fail
+    # claiming one more modular rank than the rational rank fails (b), the
+    # independence of the shear polynomials: no exact kernel is that small
     monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
-    with pytest.raises(ConsistencyError, match="condition of degree 4"):
+    with pytest.raises(ConsistencyError, match="shear image of degree 4 fails its certificate"):
+        fresh_fundamental_nullspace(4)
+    # and a block nullity above the shear image's share fails (c)
+    monkeypatch.undo()
+    monkeypatch.setattr(rotation_mod, "_block_nullity", lambda p, q: block_share(p, q) + 1)
+    monkeypatch.setattr(rotation_mod, "_exact_block_nullity", lambda p, q: block_share(p, q) + 1)
+    with pytest.raises(ConsistencyError, match="condition of degree 4 has nullity above 17 "):
         fresh_fundamental_nullspace(4)
 
 
-@pytest.mark.parametrize("m", [11, 12])
+# above degree 12 every fourth basis table is audited: all 544 tables of
+# m = 13..16 take about 7 s, a quarter of them under 2 s
+STRIDE = 4
+
+
+@pytest.mark.parametrize("m", range(3, 17))
 def test_identity_audit_on_higher_degree_condition_kernels(m):
     basis = fundamental_nullspace(m)
-    assert basis
-    for table in basis:
+    assert len(basis) == shear_parameters(m)
+    for table in basis if m <= 12 else basis[::STRIDE]:
         rep = identity_audit(table, m)
         assert rep.ok, (m, rep.failures)
 
