@@ -35,14 +35,14 @@ from typing import Mapping
 
 from . import quadratic  # read at call time: loading germ does not run quadratic
 from .errors import PreconditionError
-from .numeric import HALF, GaussianRational, ZERO, _gaussian, _part_texts
+from .numeric import HALF, GaussianRational, ZERO, _gaussian, _part_texts, integer_parts
 from .linalg import ExactMatrix
 from .series import (
     Series,
     _Packed,
+    _pack,
     _packed,
     _subst_packed,
-    _template_polys,
     _unpacked,
     content_errors,
     dumps_series,
@@ -68,8 +68,10 @@ class Germ:
     A germ may also hold R packed through T = ``trunc`` (which no shear
     changes), all its degrees bucketed: :meth:`shear` packs R once, keeps
     the packed copy, and returns a germ that holds only its packed result,
-    so a chain of shears never unpacks between two of them.  ``R`` is
-    decoded from the packed copy when first read.
+    so a chain of shears never unpacks between two of them.  A sheared germ
+    may share bucket lists with the germ it came from; packed lists are
+    never changed in place.  ``R`` is decoded from the packed copy when
+    first read.
     """
 
     __slots__ = ("n", "trunc", "_r", "_rp")
@@ -213,16 +215,20 @@ class Germ:
     def shear(self, kernel: "KernelPolynomial") -> "Germ":
         """Apply w' = w + B(z, w): the new graph is R + B(z, R), truncated.
 
-        This is :func:`subst_w` of the shear's template at R on packed
-        operands: the result stays packed and is decoded only when its R is
-        read.
+        This is the substitution of :func:`subst_w` on packed operands: the
+        P_j of w + B(z, w) are packed straight from the kernel's integers
+        (:func:`_shear_polys`), and ``_subst_packed`` seeds the sum with R
+        itself, the constant 1 of P_1 times R.  No product reaches below
+        the weight, so the sheared germ shares R's buckets there (rescaled
+        when the denominator changes).  The result stays packed and is
+        decoded only when its R is read.
         """
         if self.n != 2:
             raise PreconditionError("shears are implemented for two variables")
         if kernel.is_zero():
             return self
-        polys = _template_polys(_shear_template(kernel), 2, self.trunc)
-        return Germ._from_packed(2, _subst_packed(polys, self._packed_r()))
+        r = self._packed_r()
+        return Germ._from_packed(2, _subst_packed(_shear_polys(kernel, r), r))
 
 
 class KernelPolynomial:
@@ -270,12 +276,29 @@ class KernelPolynomial:
         return f"KernelPolynomial(m={self.m}, {dict(self.items())!r})"
 
 
-def _shear_template(kernel: KernelPolynomial) -> dict:
-    """The :func:`subst_w` template of w + B(z, w), the new graph of a shear."""
-    # B holds no pure w term (pinned at weight 2, impossible above)
-    template = {((a1, a2, 0, 0), j): c for ((a1, a2), j), c in kernel.coeffs.items()}
-    template[(0, 0, 0, 0), 1] = 1
-    return template
+def _shear_polys(kernel: KernelPolynomial, r: _Packed) -> dict[int, _Packed]:
+    """The P_j of w + B(z, w) by w-power j, packed as r is, through its truncation.
+
+    P_j holds the b_{alpha j} z^alpha, all of degree m - 2 j, over the lcm of
+    their denominators, read from each coefficient's integers
+    (:func:`crflat.numeric.integer_parts`); P_1 also holds the constant 1.
+    Terms above the truncation are dropped, and so is a P_j left empty.
+    B holds no pure w term (pinned at even weight, impossible at odd).
+    """
+    trunc, base = r.trunc, r.base
+    parts: dict[int, list] = {}
+    for ((a1, a2), j), c in kernel.coeffs.items():
+        if a1 + a2 <= trunc:
+            parts.setdefault(j, []).append((_pack((a1, a2, 0, 0), base), c))
+    parts.setdefault(1, [])
+    polys = {}
+    for j, terms in parts.items():
+        den, xs, ys = integer_parts([c for _, c in terms])
+        buckets = [(0, [(0, den, 0)])] if j == 1 else []
+        if terms:
+            buckets.append((kernel.m - 2 * j, [(k, x, y) for (k, _), x, y in zip(terms, xs, ys)]))
+        polys[j] = _Packed(trunc, buckets[0][0], den, buckets, base)
+    return polys
 
 
 # -- quadric builders ------------------------------------------------------------

@@ -393,15 +393,19 @@ def rational_parts(text: str) -> tuple[int, int]:
 def term_pattern(nints: int) -> re.Pattern:
     """The whole-line pattern of a term line: ``nints`` naturals, then two rationals.
 
-    Columns are apart by ``\\s+``, the whitespace ``str.split`` splits on,
-    and the line may start and end with whitespace.  The groups are the
-    naturals' digits, then each rational's numerator and denominator (None
-    when it has none).  So a line matches exactly when its ``str.split``
-    columns are ``nints + 2`` and ``natural`` and ``rational_parts`` accept
-    each, short of the integer-digit limit, which ``int`` of a group checks.
+    Columns are apart by ``[^\\S\\n]+``, the whitespace ``str.split`` splits
+    on short of the newline, and the line may start and end with such
+    whitespace.  The groups are the naturals' digits, then each rational's
+    numerator and denominator (None when it has none).  So a line matches
+    exactly when its ``str.split`` columns are ``nints + 2`` and ``natural``
+    and ``rational_parts`` accept each, short of the integer-digit limit,
+    which ``int`` of a group checks.  The pattern is anchored at line
+    boundaries (``(?m)^...$``) and no match crosses a newline, so
+    ``fullmatch`` reads one line and ``findall`` reads lines joined by
+    ``"\\n"``, one match per matching line.
     """
     columns = [_NATURAL_COLUMN] * nints + [_RATIONAL_COLUMN] * 2
-    return re.compile(r"\s*" + r"\s+".join(columns) + r"\s*")
+    return re.compile(r"(?m)^[^\S\n]*" + r"[^\S\n]+".join(columns) + r"[^\S\n]*$")
 
 
 def sqrt_fraction(x: Fraction) -> Fraction | None:

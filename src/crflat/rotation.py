@@ -29,7 +29,7 @@ from .errors import ConsistencyError, PreconditionError
 from .flatten import HTable, Table, all_brackets
 from .linalg import MODULUS, SparseMatrix, _echelon, certified_nullspace, rank_mod_p
 from .numeric import I, ONE, GaussianRational, ZERO, integer_parts
-from .series import Series, exp_from_bracket, sum_of_products
+from .series import Series, _packed, _packed_diff, _sum_of_packed, exp_from_bracket
 
 # A monomial omega^a nu^(p - a) sigma^b nu'^(q - b) of the block (p, q) is its
 # grid point (a, b), 0 <= a <= p and 0 <= b <= q.  A family of polynomials of
@@ -61,10 +61,13 @@ def _rotation_matches_definition() -> bool:
     """Whether D = i (R + S) and E = i (R - S) on omega, nu, sigma and nu'.
 
     D = w2 d/dz1 - w1 d/dz2 and E = w2 d/dzb1 - w1 d/dzb2 are evaluated on
-    the four generators by generic series arithmetic, and the images under
-    the maps are written back in z and zb.  A derivation is fixed by its
-    values on generators, so the eight equalities prove D = i (R + S) and
-    E = i (R - S) on every polynomial.
+    the four generators by generic series arithmetic: the generators are
+    built as series, packed once with w1 and w2, and each value is one
+    packed sum of products.  The images under the maps are written back in
+    z and zb on the generators' integer pairs and compared with the values
+    as exact ratios.  A derivation is fixed by its values on generators, so
+    the eight equalities prove D = i (R + S) and E = i (R - S) on every
+    polynomial.
     """
     z1, z2, zb1, zb2 = Series.generators(2, 1)
     w1, w2, v1, v2 = z1 + zb1, z2 + zb2, z1 - zb1, z2 - zb2
@@ -72,18 +75,26 @@ def _rotation_matches_definition() -> bool:
     # (block, grid point, column 0): omega and nu in the block (1, 0), sigma
     # and nu' in the block (0, 1)
     generators = {
-        (1, 0, (1, 0, 0)): w1 + iw2,
-        (1, 0, (0, 0, 0)): v1 + iv2,
-        (0, 1, (0, 1, 0)): w1 - iw2,
-        (0, 1, (0, 0, 0)): v1 - iv2,
+        (1, 0, (1, 0, 0)): _packed(w1 + iw2, 1),
+        (1, 0, (0, 0, 0)): _packed(v1 + iv2, 1),
+        (0, 1, (0, 1, 0)): _packed(w1 - iw2, 1),
+        (0, 1, (0, 0, 0)): _packed(v1 - iv2, 1),
     }
+    w1, w2 = _packed(w1, 1), _packed(w2, 1)
+    # the generators' integer pairs: their denominators are 1
+    pairs = {key: [t for _, ts in g.buckets for t in ts] for key, g in generators.items()}
     for (p, q, point), g in generators.items():
         for sign, (a, b) in ((1, (0, 1)), (-1, (2, 3))):
-            value = sum_of_products(((1, w2, g.diff(a)), (-1, w1, g.diff(b))), trunc=1)
-            image = Series.zero(2, 1)
+            value = _sum_of_packed(((1, w2, _packed_diff(g, a)), (-1, w1, _packed_diff(g, b))), 1)
+            image: dict[int, tuple[int, int]] = {}
             for t, c in _rotation_map({point: 1}, p, q, sign).items():
-                image = image + generators[p, q, t].scale(c * I)
-            if value != image:
+                for k, x, y in pairs[p, q, t]:  # c i (x + i y) = c (-y + i x)
+                    u, v = image.get(k, (0, 0))
+                    image[k] = (u - c * y, v + c * x)
+            # the value, (x + i y) / value.den, against the integer image
+            got = {k: (x, y) for _, ts in value.buckets for k, x, y in ts}
+            want = {k: (u * value.den, v * value.den) for k, (u, v) in image.items() if u or v}
+            if got != want:
                 return False
     return True
 

@@ -42,17 +42,25 @@ multiplies, differentiates and conjugates without unpacking between steps;
 keys, as a packed operand of that one bucket (the flattening driver's
 per-degree read).
 :func:`subst_w` keeps the powers of the substituted series packed from one
-product to the next, and its core :func:`_subst_packed` returns the sum
-packed too, so that a caller holding a packed operand (a sheared ``Germ``
-holds its R packed) never unpacks between substitutions; ``subst_w``
-decodes the sum once.  The base is decided here alone: :func:`_packed`
-packs with base cut + 1, every packed operand carries its base to the
-results formed from it, and :func:`_unpacked` decodes with the operand's
-base, so a caller passes degrees, never a base.
+product to the next, and its core :func:`_subst_packed`, the one
+substitution core, returns the sum packed too, so that a caller holding a
+packed operand (a sheared ``Germ`` holds its R packed) never unpacks
+between substitutions; ``subst_w`` decodes the sum once.  The core seeds
+the sum with a constant c of some P_j: c * r^j is a scaled copy of r^j, not
+a product, and below the least degree the other products reach it keeps
+r^j's own bucket lists (new lists only when c or the common denominator
+scales them).  Packed bucket lists are never changed in place, so operands
+may share them.  The base is decided here alone: :func:`_packed` packs
+with base cut + 1, every packed operand carries its base to the results
+formed from it, and :func:`_unpacked` decodes with the operand's base, so a
+caller passes degrees, never a base.
 
 Every term line ``cols... re im``, in the files and in the reports, is
 written by :func:`term_line`; :func:`format_term_lines` prints each
-coefficient straight from its integer pair over ``den``.
+coefficient straight from its integer pair over ``den``.  :func:`parse_pairs`
+reads a block of valid term lines in one pass (one ``findall`` of
+``numeric.term_pattern``, one ``int`` per distinct literal) and reads the
+lines one by one only to name an error.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -69,7 +77,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .numeric import (
@@ -543,16 +551,32 @@ def _square_into(acc: Accumulator, buckets: Buckets, upto: int):
 
 def _as_packed(acc: Accumulator, den: int, trunc: int, base: int) -> _Packed:
     """An accumulator over ``den`` as a packed operand in lowest terms, zero pairs dropped."""
+    return _lowest_terms(_nonzero_buckets(acc), den, trunc, base)
+
+
+def _nonzero_buckets(acc: Accumulator) -> Buckets:
+    """The nonzero pairs of an accumulator as ascending buckets of (key, re, im)."""
     buckets = []
-    g = den
     for d in sorted(acc):
         terms = [(k, x, y) for k, (x, y) in acc[d].items() if x or y]
         if terms:
             buckets.append((d, terms))
-            for _, x, y in terms:
-                if g == 1:
-                    break
-                g = math.gcd(g, x, y)
+    return buckets
+
+
+def _lowest_terms(buckets: Buckets, den: int, trunc: int, base: int) -> _Packed:
+    """Nonzero pairs over ``den`` in ascending buckets as a packed operand in lowest terms.
+
+    The gcd of ``den`` and the pairs is read until it reaches 1; only a
+    gcd above 1 builds new buckets, so the bucket lists are never changed
+    in place and may be shared with other operands.
+    """
+    g = den
+    for _, terms in buckets:
+        for _, x, y in terms:
+            if g == 1:
+                break
+            g = math.gcd(g, x, y)
     if g != 1:
         den //= g
         buckets = [(d, [(k, x // g, y // g) for k, x, y in terms]) for d, terms in buckets]
@@ -560,23 +584,19 @@ def _as_packed(acc: Accumulator, den: int, trunc: int, base: int) -> _Packed:
 
 
 def _sum_into(
-    terms: Iterable[tuple[int, _Packed, _Packed]], trunc: int
-) -> tuple[int, Accumulator]:
-    """The sum of k * p * q through ``trunc`` as (D, accumulator over D).
+    acc: Accumulator, den: int, terms: Iterable[tuple[int, _Packed, _Packed]], trunc: int
+) -> None:
+    """Add the sum of k * p * q through ``trunc`` to ``acc``, an accumulator over ``den``.
 
-    D is the lcm of the pairs' denominators, and a pair's left operand is
-    scaled by k * (D // (den_p * den_q)) before its product is added.
+    Every den_p * den_q divides ``den``, and a pair's left operand is scaled
+    by k * (den // (den_p * den_q)) before its product is added.
     """
-    pairs = [(k, p, q) for k, p, q in terms if k and p.buckets and q.buckets]
-    den = math.lcm(*(p.den * q.den for _, p, q in pairs))
-    acc: Accumulator = {}
-    for k, p, q in pairs:
+    for k, p, q in terms:
         left = p.buckets
         scale = k * (den // (p.den * q.den))
         if scale != 1:
             left = [(d, [(key, a * scale, b * scale) for key, a, b in ts]) for d, ts in left]
         _mul_into(acc, left, q.buckets, trunc)
-    return den, acc
 
 
 def _decoded(terms: Iterable[tuple[int, int, int]], base: int, width: int) -> dict[Exponent, Pair]:
@@ -615,6 +635,22 @@ def _sum_of_packed(
     Every operand shares one base, which must exceed the truncation, so that
     no key sum of a kept term carries.
     """
+    trunc = _reachable(terms, trunc)
+    pairs = [(k, p, q) for k, p, q in terms if k and p.buckets and q.buckets]
+    den = math.lcm(*(p.den * q.den for _, p, q in pairs))
+    acc: Accumulator = {}
+    _sum_into(acc, den, pairs, trunc)
+    return _as_packed(acc, den, trunc, terms[0][1].base)
+
+
+def _reachable(terms: Sequence[tuple[int, _Packed, _Packed]], trunc: int | None) -> int:
+    """The truncation of a sum of k * p * q over packed operands, checked.
+
+    ``None`` is the least operand truncation.  Every operand must share one
+    base above the truncation, and a truncation above the least is
+    certified by every pair (:func:`_certify`); otherwise
+    ``PreconditionError``.
+    """
     least = min(min(p.trunc, q.trunc) for _, p, q in terms)
     if trunc is None:
         trunc = least
@@ -625,8 +661,7 @@ def _sum_of_packed(
         raise PreconditionError(f"operands packed in base {base} cannot reach degree {trunc}")
     if trunc > least:
         _certify(trunc, ((p, q) for _, p, q in terms))
-    den, acc = _sum_into(terms, trunc)
-    return _as_packed(acc, den, trunc, base)
+    return trunc
 
 
 def sum_of_products(
@@ -706,14 +741,27 @@ def _template_polys(
 def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
     """The sum of P_j * r^j through r.trunc, packed in lowest terms: the core of :func:`subst_w`.
 
-    ``polys`` holds at least one P_j, and r has no constant term; all share
-    one base.  Each power stays packed in degree buckets from one product to
-    the next: r^j is the square of r^(j/2) for even j (each unordered pair
-    of terms once, the others doubled) and r^(j-1) * r for odd j, formed by
-    the product core :func:`_sum_of_packed`, and only the powers these steps
-    and the P_j read are formed.  The P_j * r^j then add into one
-    accumulator, brought to lowest terms by :func:`_as_packed` with its zero
-    pairs dropped, so nothing is unpacked here.
+    ``polys`` holds at least one P_j, none of them zero, and r has no
+    constant term; all share one base.  Each power stays packed in degree
+    buckets from one product to the next: r^j is the square of r^(j/2) for
+    even j (each unordered pair of terms once, the others doubled) and
+    r^(j-1) * r for odd j, formed by the product core :func:`_sum_of_packed`,
+    and only the powers these steps and the P_j read are formed.
+
+    The sum is seeded, not multiplied, where it can be.  The constant term
+    c = (x + i y) / den of the least j whose P_j has one (the 1 of a
+    shear's w + B(z, w), at j = 1) adds c * r^j as a copy of r^j's pairs
+    scaled by c over the common denominator D, the lcm of every pair's
+    denominators.  The rest of that P_j and every other P_j * r^j run
+    through the product loop into the same accumulator.  No product reaches
+    below its low(P) + low(r^j), each read from the operands' first
+    buckets, so below the least of these the sum is c * r^j alone: those
+    buckets of r^j are kept as they are, the same lists, when c scales by 1
+    over D, and rescaled otherwise.  (A shear of weight m has its products
+    from degree m up, so it keeps every bucket of R below m.)  The buckets
+    are then brought to lowest terms by :func:`_lowest_terms`, which builds
+    new lists only when it divides, so nothing here changes r's lists, and
+    nothing is unpacked.
 
     Each power is formed only through the degree it is read at, and every
     product certifies it.  Write T = r.trunc and s = low(r).  P_j * r^j
@@ -726,6 +774,8 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
     low(p)) against the degree it is asked for, with each low read from the
     lowest bucket, and raises ``PreconditionError`` past it; the product core
     checks only above min(T_p, T_r), where the bound holds since low(r) >= 1.
+    The final sum, a seeded P_j whole among its pairs, is checked by the
+    product core's rule (:func:`_reachable`) before it is formed.
     """
     trunc = r.trunc
     step = r.low
@@ -751,7 +801,47 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
             acc: Accumulator = {}
             _square_into(acc, p.buckets, upto)
             powers[j] = _as_packed(acc, p.den * p.den, upto, r.base)
-    return _sum_of_packed([(1, p, powers[j]) for j, p in polys.items()], trunc)
+    terms = [(1, p, powers[j]) for j, p in sorted(polys.items())]
+    _reachable(terms, trunc)
+    # the seed: the constant (x + i y) / den of the least j whose P_j has one
+    seed = None
+    pairs = []
+    for _, p, q in terms:
+        if not q.buckets:
+            continue
+        if seed is None and p.buckets[0][0] == 0:
+            ((_, x, y),) = p.buckets[0][1]
+            seed = (x, y, p.den, q)
+            rest = p.buckets[1:]
+            if not rest:
+                continue
+            p = p._replace(low=rest[0][0], buckets=rest)
+        pairs.append((1, p, q))
+    dens = [p.den * q.den for _, p, q in pairs]
+    acc = {}
+    lower: Buckets = []
+    if seed is None:
+        den = math.lcm(*dens)
+    else:
+        x, y, cden, power = seed
+        den = math.lcm(cden * power.den, *dens)
+        k = den // (cden * power.den)
+        u, v = k * x, k * y
+        # no product reaches a degree below its low(P) + low(r^j)
+        floor = min((p.buckets[0][0] + q.buckets[0][0] for _, p, q in pairs), default=trunc + 1)
+        unit = u == 1 and v == 0
+        for d, ts in power.buckets:
+            if d >= floor:
+                if unit:
+                    acc[d] = {key: [a, b] for key, a, b in ts}
+                else:
+                    acc[d] = {key: [a * u - b * v, a * v + b * u] for key, a, b in ts}
+            elif unit:
+                lower.append((d, ts))
+            else:
+                lower.append((d, [(key, a * u - b * v, a * v + b * u) for key, a, b in ts]))
+    _sum_into(acc, den, pairs, trunc)
+    return _lowest_terms(lower + _nonzero_buckets(acc), den, trunc, r.base)
 
 
 # -- file formats ----------------------------------------------------------------
@@ -765,8 +855,10 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 # irrelevant and duplicate exponents are an error.  A field file also groups
 # its term lines under ``coef <label>`` lines, each label at most once.
 #
-# A term line is read by one match of ``numeric.term_pattern`` over the whole
-# line, its comment cut off, and ``int`` of the groups; only a line that the
+# The term lines of a block are read at once: one ``findall`` of
+# ``numeric.term_pattern`` over the lines, their comments cut off, and ``int``
+# of each distinct group.  Only rows that this pass cannot read are read again
+# line by line, each by one whole-line match, and only a line that the
 # pattern or ``int`` rejects is split into columns, to name the first bad one.
 # Errors come in this order: header and block errors in line order, then term
 # line errors in line order, then content errors (an exponent past the
@@ -825,7 +917,7 @@ def read_records(
 
 
 def parse_pairs(
-    rows: Iterable[Row], nints: int, order: int | None = None
+    rows: Sequence[Row], nints: int, order: int | None = None
 ) -> tuple[int, dict[tuple[int, ...], Pair]]:
     """Term rows of ``nints`` nonnegative integers and two rationals, as integer pairs.
 
@@ -833,10 +925,54 @@ def parse_pairs(
     pairs[e] = (re, im), re + i im = D c_e; they are not in lowest terms,
     and a zero coefficient keeps its (0, 0).  With an ``order``, an exponent
     of degree above it raises, once every row has been read.
+
+    Valid rows are read in one pass: one ``findall`` of ``term_pattern``
+    over the rows joined by ``"\\n"``, one ``int`` per distinct literal
+    (an absent denominator reads as '' and is 1), the exponents and the
+    literals taken column by column, and one lcm.  Only when a row does
+    not match, a literal passes the integer-digit limit, an exponent repeats
+    or a degree passes the order does :func:`_name_error` read the rows
+    line by line, to name the error.
+    """
+    if not rows:
+        return 1, {}
+    found = term_pattern(nints).findall("\n".join([line for _, line in rows]))
+    if len(found) == len(rows):
+        columns = list(zip(*found))
+        try:
+            value = {text: int(text) for text in set(chain.from_iterable(columns)) if text}
+        except ValueError:  # a literal past the integer-digit limit
+            value = None
+        if value is not None:
+            value[""] = 1
+            get = value.__getitem__
+            keys = list(zip(*(map(get, column) for column in columns[:nints])))
+            keys = keys or [()] * len(found)  # no exponent columns
+            xs, xds, ys, yds = (list(map(get, column)) for column in columns[nints:])
+            if len(set(keys)) == len(keys) and (
+                order is None or max(map(sum, keys)) <= order
+            ):
+                den = math.lcm(*{*xds, *yds})
+                scale = {d: den // d for d in {*xds, *yds}}
+                return den, {
+                    e: (x * scale[a], y * scale[b])
+                    for e, x, a, y, b in zip(keys, xs, xds, ys, yds)
+                }
+    _name_error(rows, nints, order)
+
+
+def _name_error(rows: Iterable[Row], nints: int, order: int | None) -> NoReturn:
+    """Raise the error of term rows that :func:`parse_pairs` cannot read in one pass.
+
+    The rows are read line by line, each by a whole-line match, and the
+    first error raises: in line order, a row that the pattern or ``int``
+    rejects, read column by column (:func:`_reject`), or a repeated
+    exponent; once every row has been read, the first exponent past the
+    order.
     """
     match = term_pattern(nints).fullmatch
     limit = math.inf if order is None else order
-    raw: dict[tuple[int, ...], tuple[int, ...]] = {}
+    seen: set[tuple[int, ...]] = set()
     over = None  # the first exponent past the order
     for lineno, line in rows:
         found = match(line)
@@ -845,20 +981,19 @@ def parse_pairs(
         except ValueError:  # a group past the integer-digit limit
             values = None
         if values is None:
-            _reject(lineno, line, nints, raw)
+            _reject(lineno, line, nints, seen)
         key = values[:nints]
-        if key in raw:
+        if key in seen:
             raise ParseError(f"line {lineno}: duplicate exponent {key}")
-        raw[key] = values[nints:]
+        seen.add(key)
         if sum(key) > limit and over is None:
             over = key
     if over is not None:
         raise ParseError(f"exponent {over} exceeds truncation {order}")
-    den = math.lcm(*{d for _, a, _, b in raw.values() for d in (a, b)})
-    return den, {e: (x * (den // a), y * (den // b)) for e, (x, a, y, b) in raw.items()}
+    raise ConsistencyError("term rows that one pass rejects read line by line")
 
 
-def _reject(lineno: int, line: str, nints: int, seen: Mapping) -> NoReturn:
+def _reject(lineno: int, line: str, nints: int, seen: Container) -> NoReturn:
     """Raise the error of a term line that the pattern rejects, read column by column.
 
     The first bad column names it, in column order, with a duplicate of an

@@ -93,6 +93,18 @@ def rand_real_bracket_table(rng: random.Random, m: int, nterms: int = 8) -> dict
     return {k: v for k, v in table.items() if v}
 
 
+def shear_template(kernel) -> dict:
+    """The ``subst_w`` template of w + B(z, w): the shear oracle, a new graph R + B(z, R).
+
+    ``Germ.shear`` packs the same polynomials straight from the kernel; this
+    template goes through ``subst_w``'s reading of a template instead.
+    """
+    # B holds no pure w term (pinned at weight 2, impossible above)
+    template = {((a1, a2, 0, 0), j): c for ((a1, a2), j), c in kernel.coeffs.items()}
+    template[(0, 0, 0, 0), 1] = 1
+    return template
+
+
 # -- independent Lie-bracket oracle ------------------------------------------------
 #
 # Vector fields with coefficient functions of (z, zbar) only, over the basis

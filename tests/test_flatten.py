@@ -43,11 +43,17 @@ from crflat.flatten import (
     series_to_table,
     table_to_series,
 )
-from crflat.germ import _shear_template, load_germ, loads_germ
+from crflat.germ import load_germ, loads_germ
 from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
 from crflat.series import bracket_from_exp, exp_from_bracket, subst_w
 
-from conftest import FIXTURES, rand_gaussian, rand_nonzero_gaussian, rand_real_bracket_table
+from conftest import (
+    FIXTURES,
+    rand_gaussian,
+    rand_nonzero_gaussian,
+    rand_real_bracket_table,
+    shear_template,
+)
 
 BENCH_INPUTS = FIXTURES.parent / "bench" / "inputs.py"
 
@@ -759,7 +765,7 @@ def reference_flatten(germ, n):
             steps.append(FlattenStep(m, None, None, table, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         if not kern.is_zero():
-            current = Germ(2, subst_w(_shear_template(kern), current.R))
+            current = Germ(2, subst_w(shear_template(kern), current.R))
         kernels[m] = kern
         remainder = imaginary_part(current, m)
         if not remainder.is_zero():
@@ -1612,12 +1618,16 @@ def corrupt_tie_series(monkeypatch, change):
     """Make the series arithmetic that evaluates D and E on the generators return change(series).
 
     Both kernels tie the rotation maps to D and E through that arithmetic
-    (``rotation._rotation_matches_definition``), so both see the corruption.
+    (``rotation._rotation_matches_definition``, one packed sum of products
+    per generator and field), so both see the corruption.
     """
-    real = rotation_mod.sum_of_products
-    monkeypatch.setattr(
-        rotation_mod, "sum_of_products", lambda terms, trunc: change(real(terms, trunc=trunc))
-    )
+    real = rotation_mod._sum_of_packed
+
+    def corrupted(terms, trunc):
+        value = series_mod._unpacked(real(terms, trunc), 2)
+        return series_mod._packed(change(value), trunc)
+
+    monkeypatch.setattr(rotation_mod, "_sum_of_packed", corrupted)
 
 
 @pytest.mark.parametrize("entry", [G(F(1, 2)), I], ids=["half", "i"])

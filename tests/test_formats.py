@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,13 +15,22 @@ from crflat.cli import main
 from crflat.crfields import TangentField, dumps_field, loads_field
 from crflat.errors import ParseError
 from crflat.germ import Germ, KernelPolynomial, dumps_germ, dumps_kernel, loads_germ, loads_kernel
-from crflat.numeric import GaussianRational, integer, natural, rational_parts
+from crflat.numeric import (
+    _NATURAL_COLUMN,
+    _RATIONAL_COLUMN,
+    GaussianRational,
+    integer,
+    natural,
+    rational_parts,
+)
 from crflat.series import (
     Series,
     content_errors,
     dumps_series,
     format_term_lines,
     loads_series,
+    parse_pairs,
+    read_records,
     term_line,
 )
 
@@ -532,3 +542,143 @@ def test_a_5000_digit_literal_is_named_and_exits_2(tmp_path, text, message):
 def test_every_term_line_error_comes_before_a_content_error(fmt, text, message):
     loads, oracle = READERS[fmt]
     assert _outcome(loads, text) == _outcome(oracle, text) == ("error", message)
+
+
+# -- the one-pass reader of term rows against the line-by-line reader -----------------
+#
+# The oracle is the reader of term rows as it was before rows were read in
+# one pass: each line matched whole by its own pattern, ``int`` of the
+# groups, a line that the pattern or ``int`` rejects split into columns to
+# name its first bad one, and an exponent past the order named once every
+# line has been read.
+
+
+def _line_pairs(rows, nints, order=None):
+    columns = [_NATURAL_COLUMN] * nints + [_RATIONAL_COLUMN] * 2
+    match = re.compile(r"\s*" + r"\s+".join(columns) + r"\s*").fullmatch
+    limit = math.inf if order is None else order
+    raw = {}
+    over = None
+    for lineno, line in rows:
+        found = match(line)
+        try:
+            values = tuple(map(int, found.groups("1"))) if found else None
+        except ValueError:
+            values = None
+        if values is None:
+            parts = line.split()
+            if len(parts) != nints + 2:
+                raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
+            try:
+                key = tuple(map(natural, parts[:nints]))
+                if key in raw:
+                    raise ParseError(f"duplicate exponent {key}")
+                rational_parts(parts[nints])
+                rational_parts(parts[nints + 1])
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            raise AssertionError(f"line {lineno}: the pattern rejects columns that parse")
+        key = values[:nints]
+        if key in raw:
+            raise ParseError(f"line {lineno}: duplicate exponent {key}")
+        raw[key] = values[nints:]
+        if sum(key) > limit and over is None:
+            over = key
+    if over is not None:
+        raise ParseError(f"exponent {over} exceeds truncation {order}")
+    den = math.lcm(*{d for _, a, _, b in raw.values() for d in (a, b)})
+    return den, {e: (x * (den // a), y * (den // b)) for e, (x, a, y, b) in raw.items()}
+
+
+def assert_rows_read_as_the_line_reader(rows, nints, order=None):
+    """The same (den, pairs), in the same order, or the same ParseError text."""
+    got = _outcome(lambda r: parse_pairs(r, nints, order), rows)
+    want = _outcome(lambda r: _line_pairs(r, nints, order), rows)
+    assert got == want
+    if got[0] == "value":
+        assert list(got[1][1]) == list(want[1][1])
+    return got
+
+
+# the headers and blocks of each term-line format, and its exponent columns
+LAYOUTS = [
+    (("vars", "order"), (), None),
+    (("weight",), (), 3),
+    (("vars", "order"), ("z1", "z2", "w"), 4),
+]
+
+
+def test_every_fixture_block_reads_as_the_line_reader_reads_it():
+    blocks = 0
+    for path in sorted(p for p in FIXTURES.iterdir() if p.is_file()):
+        for headers, labels, nints in LAYOUTS:
+            try:
+                values, rows = read_records(path.read_text(), headers, labels)
+            except ParseError:
+                continue
+            order = values[1] if len(values) == 2 else None
+            for block in rows.values():
+                outcome = assert_rows_read_as_the_line_reader(block, nints or 2 * values[0], order)
+                blocks += outcome[0] == "value" and bool(block)
+    assert blocks >= 20
+
+
+GOOD_RATIONALS = st.builds(
+    lambda sign, num, den: sign + num + den,
+    st.sampled_from(["", "", "+", "-"]),
+    st.text("0123456789", min_size=1, max_size=25),
+    st.sampled_from(["", "", "", "/2", "/3", "/6", "/07", "/10", "/99991", "/1" + "0" * 30]),
+)
+
+
+@st.composite
+def good_rows(draw, nints, min_size=0):
+    """Valid term rows of distinct exponents in 0..5, columns apart by any blanks."""
+    exponents = st.tuples(*[st.integers(0, 5)] * nints)
+    keys = draw(st.lists(exponents, unique=True, min_size=min_size, max_size=min_size + 60))
+    rows = []
+    for lineno, key in enumerate(keys, 1):
+        cols = [draw(st.sampled_from(["", "0", "00"])) + str(k) for k in key]
+        cols += [draw(GOOD_RATIONALS), draw(GOOD_RATIONALS)]
+        line = draw(st.sampled_from(["", "", " ", "\t", "\xa0"]))
+        line += "".join((draw(BLANKS) if n else "") + col for n, col in enumerate(cols))
+        rows.append((lineno, line + draw(st.sampled_from(["", "", " ", "\u2003"]))))
+    return rows
+
+
+@pytest.mark.parametrize("nints", [0, 2, 3, 4, 6])
+def test_valid_rows_read_as_the_line_reader_reads_them(nints):
+    @SETTINGS
+    @given(good_rows(nints), st.booleans())
+    def check(rows, bounded):
+        order = max((sum(map(int, line.split()[:nints])) for _, line in rows), default=0)
+        outcome = assert_rows_read_as_the_line_reader(rows, nints, order if bounded else None)
+        assert outcome[0] == "value" or nints == 0  # no exponent columns: () repeats
+
+    check()
+
+
+def _bad_line(kind, rows, nints):
+    """A row of the given kind of fault, for a block of distinct exponents in 0..5."""
+    key = [str(k) for k in range(6, 6 + nints)]  # new, and of degree above 5 nints
+    if kind == "bad column":
+        return " ".join(key + ["1", "2/x"])
+    if kind == "duplicate":
+        return rows[len(rows) // 2][1]
+    if kind == "over the order":
+        return " ".join(key + ["1", "0"])
+    return " ".join(key + ["7" * 5000, "0"])  # past the integer-digit limit
+
+
+@pytest.mark.parametrize("kind", ["bad column", "duplicate", "over the order", "5000 digits"])
+def test_one_bad_row_after_many_good_ones_is_named_as_the_line_reader_names_it(kind):
+    @SETTINGS
+    @given(good_rows(4, min_size=20), st.data())
+    def check(rows, data):
+        at = data.draw(st.integers(len(rows) - 10, len(rows)))
+        rows = rows[:at] + [(0, _bad_line(kind, rows, 4))] + rows[at:]
+        rows = [(lineno, line) for lineno, (_, line) in enumerate(rows, 1)]
+        outcome = assert_rows_read_as_the_line_reader(rows, 4, 20)
+        assert outcome[0] == "error"
+
+    check()

@@ -1,6 +1,8 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crflat import (
     ExactMatrix,
@@ -17,7 +19,6 @@ from crflat import (
     quadric_germ,
 )
 from crflat.errors import ParseError, PreconditionError
-from crflat.germ import _shear_template
 from crflat.series import subst_w
 
 from conftest import (
@@ -26,6 +27,7 @@ from conftest import (
     rand_invertible,
     rand_nonzero_gaussian,
     rand_pair,
+    shear_template,
 )
 
 G = GaussianRational
@@ -217,10 +219,116 @@ def test_chained_shears_stay_packed_until_r_is_read():
                KernelPolynomial(5, {((1, 0), 2): -1, ((2, 1), 1): G(0, 3)})]
     want = q.R
     for k in kernels:  # the same shears on decoded series
-        want = subst_w(_shear_template(k), want)
+        want = subst_w(shear_template(k), want)
     g = q.shear(kernels[0]).shear(kernels[1])
     assert g._r is None and (g.n, g.trunc) == (2, 7)
     assert g.R == want and g.R is g.R and g == Germ(2, want)
+
+
+# -- the packed shear against its oracles -------------------------------------------
+#
+# ``Germ.shear`` packs w + B(z, w) straight from the kernel and seeds the sum
+# with R, sharing R's buckets below the degrees its products reach.  Two
+# oracles read the same shear another way: ``subst_w`` of the template, and
+# R + sum b z^alpha R^j in plain series products and powers.
+
+SHEAR_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+# the quadric's 2 beside 3, 5 and 7
+_shear_rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7]))
+_shear_coefficients = st.builds(G, _shear_rationals, _shear_rationals).filter(bool)
+
+
+def _kernel_keys(m):
+    return [((a1, m - 2 * j - a1), j) for j in range(m // 2 + 1) for a1 in range(m - 2 * j + 1)
+            if not (m % 2 == 0 and 2 * j == m)]
+
+
+@st.composite
+def _exponents(draw, degree):
+    """A two-variable exponent (s, t, h, r) of the given degree."""
+    e = []
+    for _ in range(3):
+        e.append(draw(st.integers(0, degree - sum(e))))
+    return (*e, degree - sum(e))
+
+
+@st.composite
+def shear_chains(draw):
+    """A germ of truncation T in 4..12 and kernels of ascending weights in 3..T + 2.
+
+    The germ is the parabolic quadric plus up to five terms of degree 3..T.
+    A kernel holds one to four terms, so most of its P_j are absent, and a
+    weight above T puts terms above the truncation.
+    """
+    trunc = draw(st.integers(4, 12))
+    terms = dict(parabolic_quadric(trunc).R.terms)
+    for _ in range(draw(st.integers(0, 5))):
+        terms[draw(st.integers(3, trunc).flatmap(_exponents))] = draw(_shear_coefficients)
+    kernels = []
+    for m in sorted(draw(st.lists(st.integers(3, trunc + 2), min_size=1, max_size=4))):
+        keys = draw(st.lists(st.sampled_from(_kernel_keys(m)), min_size=1, max_size=4, unique=True))
+        kernels.append(KernelPolynomial(m, {key: draw(_shear_coefficients) for key in keys}))
+    return Germ(2, Series(2, trunc, terms)), kernels
+
+
+def series_shear(r: Series, kernel: KernelPolynomial) -> Series:
+    """R + B(z, R) in series products and powers, sharing no code with the substitution."""
+    out = r
+    for ((a1, a2), j), c in kernel.items():
+        if a1 + a2 <= r.trunc:
+            out = out + Series(2, r.trunc, {(a1, a2, 0, 0): c}) * r**j
+    return out
+
+
+# R = q + z1^4 / 16 and B = -z1^4 / 16: the sum falls back to the quadric over 2
+CANCELLING = (
+    Germ(2, parabolic_quadric(6).R + Series(2, 6, {(4, 0, 0, 0): F(1, 16)})),
+    [KernelPolynomial(4, {((4, 0), 0): F(-1, 16)})],
+)
+
+
+@SHEAR_SETTINGS
+@given(shear_chains())
+@example(CANCELLING)
+@example((parabolic_quadric(5), [  # terms above T = 5, and P_1 only the constant 1
+    KernelPolynomial(6, {((6, 0), 0): G(F(1, 3), F(2, 5)), ((0, 2), 2): F(-3, 7)}),
+    KernelPolynomial(7, {((2, 1), 2): G(0, F(1, 5)), ((1, 4), 1): F(2, 3)}),
+]))
+def test_a_chain_of_shears_matches_the_substitution_and_series_products(data):
+    germ, kernels = data
+    for kernel in kernels:
+        source = pickle.dumps(germ._packed_r())
+        sheared = germ.shear(kernel)
+        # the sheared germ may share R's bucket lists: R's packed copy is unchanged
+        assert pickle.dumps(germ._packed_r()) == source
+        want = subst_w(shear_template(kernel), germ.R)
+        assert sheared.R == want
+        if germ.trunc <= 8:  # powers of a full degree-12 R take too long in series products
+            assert want == series_shear(germ.R, kernel)
+        germ = sheared
+
+
+def test_a_shear_that_cancels_the_denominator_divides_every_bucket():
+    germ, (kernel,) = CANCELLING
+    sheared = germ.shear(kernel)
+    assert (germ._packed_r().den, sheared._packed_r().den) == (16, 2)
+    assert sheared.R == parabolic_quadric(6).R
+
+
+def test_a_shear_shares_the_buckets_of_r_below_the_degrees_its_products_reach():
+    # R from degree 3 and B = z1^2 w of weight 4: z1^2 R starts at degree 5,
+    # so the buckets of degrees 3 and 4 are R's own lists, while a kernel
+    # over 3 changes the denominator and rescales them
+    r = Series(2, 7, {(2, 1, 0, 0): 1, (0, 1, 1, 1): G(0, 2), (1, 1, 1, 1): -3, (3, 0, 2, 0): 1})
+    germ = Germ(2, r)
+    source = germ._packed_r().buckets
+    for c, shared in ((1, True), (F(1, 3), False)):
+        kernel = KernelPolynomial(4, {((2, 0), 1): c})
+        out = germ.shear(kernel)._packed_r().buckets
+        assert [d for d, _ in out[:2]] == [3, 4]
+        assert all((a[1] is b[1]) == shared for a, b in zip(source[:2], out[:2]))
+        assert germ.shear(kernel).R == subst_w(shear_template(kernel), r)
 
 
 def test_kernel_validation():
