@@ -68,10 +68,8 @@ class Germ:
     A germ may also hold R packed through T = ``trunc`` (which no shear
     changes), all its degrees bucketed: :meth:`shear` packs R once, keeps
     the packed copy, and returns a germ that holds only its packed result,
-    so a chain of shears never unpacks between two of them.  A sheared germ
-    may share bucket lists with the germ it came from; packed lists are
-    never changed in place.  ``R`` is decoded from the packed copy when
-    first read.
+    so a chain of shears never unpacks between two of them.  ``R`` is
+    decoded from the packed copy when first read.
     """
 
     __slots__ = ("n", "trunc", "_r", "_rp")
@@ -217,11 +215,10 @@ class Germ:
 
         This is the substitution of :func:`subst_w` on packed operands: the
         P_j of w + B(z, w) are packed straight from the kernel's integers
-        (:func:`_shear_polys`), and ``_subst_packed`` seeds the sum with R
-        itself, the constant 1 of P_1 times R.  No product reaches below
-        the weight, so the sheared germ shares R's buckets there (rescaled
-        when the denominator changes).  The result stays packed and is
-        decoded only when its R is read.
+        (:func:`_shear_polys`), and ``_subst_packed`` seeds the sum with a
+        copy of R, the constant 1 of P_1 times R, instead of multiplying R
+        by 1.  The result stays packed and is decoded only when its R is
+        read.
         """
         if self.n != 2:
             raise PreconditionError("shears are implemented for two variables")

@@ -47,10 +47,7 @@ substitution core, returns the sum packed too, so that a caller holding a
 packed operand (a sheared ``Germ`` holds its R packed) never unpacks
 between substitutions; ``subst_w`` decodes the sum once.  The core seeds
 the sum with a constant c of some P_j: c * r^j is a scaled copy of r^j, not
-a product, and below the least degree the other products reach it keeps
-r^j's own bucket lists (new lists only when c or the common denominator
-scales them).  Packed bucket lists are never changed in place, so operands
-may share them.  The base is decided here alone: :func:`_packed` packs
+a product.  The base is decided here alone: :func:`_packed` packs
 with base cut + 1, every packed operand carries its base to the results
 formed from it, and :func:`_unpacked` decodes with the operand's base, so a
 caller passes degrees, never a base.
@@ -551,32 +548,16 @@ def _square_into(acc: Accumulator, buckets: Buckets, upto: int):
 
 def _as_packed(acc: Accumulator, den: int, trunc: int, base: int) -> _Packed:
     """An accumulator over ``den`` as a packed operand in lowest terms, zero pairs dropped."""
-    return _lowest_terms(_nonzero_buckets(acc), den, trunc, base)
-
-
-def _nonzero_buckets(acc: Accumulator) -> Buckets:
-    """The nonzero pairs of an accumulator as ascending buckets of (key, re, im)."""
     buckets = []
+    g = den
     for d in sorted(acc):
         terms = [(k, x, y) for k, (x, y) in acc[d].items() if x or y]
         if terms:
             buckets.append((d, terms))
-    return buckets
-
-
-def _lowest_terms(buckets: Buckets, den: int, trunc: int, base: int) -> _Packed:
-    """Nonzero pairs over ``den`` in ascending buckets as a packed operand in lowest terms.
-
-    The gcd of ``den`` and the pairs is read until it reaches 1; only a
-    gcd above 1 builds new buckets, so the bucket lists are never changed
-    in place and may be shared with other operands.
-    """
-    g = den
-    for _, terms in buckets:
-        for _, x, y in terms:
-            if g == 1:
-                break
-            g = math.gcd(g, x, y)
+            for _, x, y in terms:
+                if g == 1:
+                    break
+                g = math.gcd(g, x, y)
     if g != 1:
         den //= g
         buckets = [(d, [(k, x // g, y // g) for k, x, y in terms]) for d, terms in buckets]
@@ -750,18 +731,13 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 
     The sum is seeded, not multiplied, where it can be.  The constant term
     c = (x + i y) / den of the least j whose P_j has one (the 1 of a
-    shear's w + B(z, w), at j = 1) adds c * r^j as a copy of r^j's pairs
-    scaled by c over the common denominator D, the lcm of every pair's
-    denominators.  The rest of that P_j and every other P_j * r^j run
-    through the product loop into the same accumulator.  No product reaches
-    below its low(P) + low(r^j), each read from the operands' first
-    buckets, so below the least of these the sum is c * r^j alone: those
-    buckets of r^j are kept as they are, the same lists, when c scales by 1
-    over D, and rescaled otherwise.  (A shear of weight m has its products
-    from degree m up, so it keeps every bucket of R below m.)  The buckets
-    are then brought to lowest terms by :func:`_lowest_terms`, which builds
-    new lists only when it divides, so nothing here changes r's lists, and
-    nothing is unpacked.
+    shear's w + B(z, w), at j = 1) writes c * r^j into the accumulator as a
+    copy of r^j's pairs scaled by c over the common denominator D, the lcm
+    of every pair's denominators; when that scale is 1 (a shear whose D is
+    R's own denominator) the pairs are copied as they are.  The rest of
+    that P_j and every other P_j * r^j run through the product loop into
+    the same accumulator, which :func:`_as_packed` brings to lowest terms,
+    so the result holds new lists and nothing is unpacked.
 
     Each power is formed only through the degree it is read at, and every
     product certifies it.  Write T = r.trunc and s = low(r).  P_j * r^j
@@ -819,7 +795,6 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
         pairs.append((1, p, q))
     dens = [p.den * q.den for _, p, q in pairs]
     acc = {}
-    lower: Buckets = []
     if seed is None:
         den = math.lcm(*dens)
     else:
@@ -827,21 +802,12 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
         den = math.lcm(cden * power.den, *dens)
         k = den // (cden * power.den)
         u, v = k * x, k * y
-        # no product reaches a degree below its low(P) + low(r^j)
-        floor = min((p.buckets[0][0] + q.buckets[0][0] for _, p, q in pairs), default=trunc + 1)
-        unit = u == 1 and v == 0
         for d, ts in power.buckets:
-            if d >= floor:
-                if unit:
-                    acc[d] = {key: [a, b] for key, a, b in ts}
-                else:
-                    acc[d] = {key: [a * u - b * v, a * v + b * u] for key, a, b in ts}
-            elif unit:
-                lower.append((d, ts))
-            else:
-                lower.append((d, [(key, a * u - b * v, a * v + b * u) for key, a, b in ts]))
+            if (u, v) != (1, 0):
+                ts = [(key, a * u - b * v, a * v + b * u) for key, a, b in ts]
+            acc[d] = {key: [a, b] for key, a, b in ts}
     _sum_into(acc, den, pairs, trunc)
-    return _lowest_terms(lower + _nonzero_buckets(acc), den, trunc, r.base)
+    return _as_packed(acc, den, trunc, r.base)
 
 
 # -- file formats ----------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_chained_shears_stay_packed_until_r_is_read():
 # -- the packed shear against its oracles -------------------------------------------
 #
 # ``Germ.shear`` packs w + B(z, w) straight from the kernel and seeds the sum
-# with R, sharing R's buckets below the degrees its products reach.  Two
+# with a scaled copy of R, in new bucket lists.  Two
 # oracles read the same shear another way: ``subst_w`` of the template, and
 # R + sum b z^alpha R^j in plain series products and powers.
 
@@ -300,7 +300,7 @@ def test_a_chain_of_shears_matches_the_substitution_and_series_products(data):
     for kernel in kernels:
         source = pickle.dumps(germ._packed_r())
         sheared = germ.shear(kernel)
-        # the sheared germ may share R's bucket lists: R's packed copy is unchanged
+        # the shear leaves R's packed copy as it was
         assert pickle.dumps(germ._packed_r()) == source
         want = subst_w(shear_template(kernel), germ.R)
         assert sheared.R == want
@@ -316,19 +316,20 @@ def test_a_shear_that_cancels_the_denominator_divides_every_bucket():
     assert sheared.R == parabolic_quadric(6).R
 
 
-def test_a_shear_shares_the_buckets_of_r_below_the_degrees_its_products_reach():
-    # R from degree 3 and B = z1^2 w of weight 4: z1^2 R starts at degree 5,
-    # so the buckets of degrees 3 and 4 are R's own lists, while a kernel
-    # over 3 changes the denominator and rescales them
+def test_a_shear_builds_new_buckets_and_leaves_r_as_it_was():
+    # R from degree 3 and B = z1^2 w of weight 4: the sum is seeded with R
+    # itself, over R's denominator for c = 1 and over a new one for c = 1/3
     r = Series(2, 7, {(2, 1, 0, 0): 1, (0, 1, 1, 1): G(0, 2), (1, 1, 1, 1): -3, (3, 0, 2, 0): 1})
     germ = Germ(2, r)
-    source = germ._packed_r().buckets
-    for c, shared in ((1, True), (F(1, 3), False)):
+    packed = germ._packed_r()
+    source = pickle.dumps(packed)
+    for c in (1, F(1, 3)):
         kernel = KernelPolynomial(4, {((2, 0), 1): c})
         out = germ.shear(kernel)._packed_r().buckets
-        assert [d for d, _ in out[:2]] == [3, 4]
-        assert all((a[1] is b[1]) == shared for a, b in zip(source[:2], out[:2]))
-        assert germ.shear(kernel).R == subst_w(shear_template(kernel), r)
+        assert not {id(ts) for _, ts in packed.buckets} & {id(ts) for _, ts in out}
+        assert pickle.dumps(germ._packed_r()) == source
+        # subst_w seeds its sum by the same code, so the oracle is series products
+        assert germ.shear(kernel).R == series_shear(r, kernel)
 
 
 def test_kernel_validation():
