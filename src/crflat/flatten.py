@@ -28,13 +28,14 @@ derivatives of packed keys, decoded only where a ``Series`` is returned.
 Bracket tables [t s r h] (the coefficient of z1^s z2^t zb1^h zb2^r) stay
 where the audits index by bracket shifts, and in ``HTable``; lookups at
 negative indices are zero by convention, which every recursion identity
-below relies on.  The operators have three independent implementations.
-Generic series arithmetic defines them.  The recursions (coefficient
-shifts, alternating-sum transforms and their identities) exist only as
-audit code paths, and the audits force them to agree with the series.
-Integer key shifts carry the condition too, in factored form.  Write
-w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and E = w2 d/dzb1 - w1 d/dzb2, so
-that Phi = E H and Psi = w2 D Phi + w1 Phi.
+below relies on.  In z coordinates the operators have two independent
+implementations.  Generic series arithmetic defines them, and the driver's
+check on the degree where it stops and the check of each table of the
+condition kernel's basis (``fundamental_nullspace``) use it.  The
+recursions (coefficient shifts, alternating-sum transforms and their
+identities) exist only as audit code paths, and the audits force them to
+agree with the series.  Write w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and
+E = w2 d/dzb1 - w1 d/dzb2, so that Phi = E H and Psi = w2 D Phi + w1 Phi.
 D is a derivation with D w1 = w2 and D w2 = -w1, so
 
     D Psi = (D w2) D Phi + w2 D^2 Phi + (D w1) Phi + w1 D Phi
@@ -42,40 +43,8 @@ D is a derivation with D w1 = w2 and D w2 = -w1, so
           = w2 (D^2 + 1) E H,
 
 and since multiplying by w2 is injective, H satisfies the condition exactly
-when (D^2 + 1) E H vanishes.  One fused map, the field w2 d_a - w1 d_b
-(four key shifts per term in one pass), gives E and D on a flat packed
-family {column * base^4 + exponent digits in base: coefficient}; three
-passes of it give the factor, and a multiplication by w2 the condition.
-The factor alone decides the flattening driver's check on the degree where
-it stops, exactly, on the integer pairs (re, im) of Im R_m, each stored as
-one integer: D and E keep the degree, so the factor of a degree-m H fits
-the germ's own packing base T + 1 for every m <= T, and Im R_m is read
-straight from the keys of the germ's packed R.  It also checks every table
-of the condition kernel's basis (``fundamental_nullspace``).
-
-A degree the driver solves needs no evaluation, by the Leibniz rule.  Write
-F = (D^2 + 1) E, the factor.
-
-* D and E are derivations, and D (2 q2) = E (2 q2) = 0 for
-  2 q2 = w1^2 + w2^2, so F(g q2^j) = F(g) q2^j.
-* E z^alpha = 0, so F(z^alpha) = 0.
-* E zb^alpha is linear in w1 and w2, with zb-monomial coefficients; D kills
-  zb and maps w1 to w2 and w2 to -w1, so D^2 = -1 on it and F(zb^alpha) = 0.
-* R vanishes to order 2 and R_2 = q2 (``_require_parabolic``), so the
-  degree-m part of R sheared by B of weight m is R_m + B(z, q2), and a
-  vanishing remainder means H = -Im B(z, q2).  That is a complex
-  combination of z^alpha q2^j and zb^alpha q2^j with |alpha| + 2 j = m, so
-  F(H) = 0.
-
-The driver checks F(z^alpha) = 0, F(zb^alpha) = 0 and D (2 q2) =
-E (2 q2) = 0 on its own maps once per call
-(``_solved_degrees_satisfy_condition``); a map that breaks one of them makes
-every solved degree read false.  That D and E act as derivations on mixed
-monomials such as z^alpha q2^j is structural (``_turn`` differentiates each
-term by its exponent) and not checked there; the CI step "FUNDAMENTAL_OK
-matches the series definition at depth" compares the verdicts with the
-series arithmetic of ``phi_psi`` and ``check_fundamental``, which does not
-use these maps.
+when the factor (D^2 + 1) E H vanishes.  The factor is computed only in
+rotation coordinates, below.
 
 In rotation coordinates the factor is block-diagonal.  Write v_i = z_i - zb_i,
 omega = w1 + i w2, sigma = w1 - i w2, nu = v1 + i v2 and nu' = v1 - i v2.
@@ -105,17 +74,32 @@ kernels there, on the shear image:
 
 So the condition kernel is their span, defined over Q: the real and
 imaginary parts of the coefficients of the c_k span it too, and their
-reduced echelon form is its basis, each table checked by the factor's
-field maps.  A real H in it is Im sum b_k c_k + tau (2 q2)^(m/2), and the
+reduced echelon form is its basis, each table checked by the series
+definition.  A real H in it is Im sum b_k c_k + tau (2 q2)^(m/2), and the
 combined system is one small integer matrix on (Re b_k, Im b_k, tau),
-whose full column rank gives (b) and the trivial kernel at once.  Its entries come from a closed
-form of the coefficients of c_k (``_shear_coefficients``), checked on one
-dense probe by packed series arithmetic; the normalization system of
-``solve_kernel`` and the shear image of (b) are the same construction on
-other rows.  The maps R and S are tied to the definition on every call: D
-and E of the four generators, by series arithmetic, must equal i (R + S)
-and i (R - S) of them, which proves the identity, a derivation being fixed
-by its values on generators, so the blocks need no dense probe.
+whose full column rank gives (b) and the trivial kernel at once.  Its
+entries come from a closed form of the coefficients of c_k
+(``_shear_coefficients``), checked on one dense probe by packed series
+arithmetic; the normalization system of ``solve_kernel`` and the shear
+image of (b) are the same construction on other rows.  The maps R and S
+are tied to the definition on every call: D and E of the four generators,
+by series arithmetic, must equal i (R + S) and i (R - S) of them, which
+proves the identity, a derivation being fixed by its values on generators,
+so the blocks need no dense probe.
+
+A degree the driver solves needs no evaluation.  R vanishes to order 2 and
+R_2 = q2 (``_require_parabolic``), so the degree-m part of R sheared by B
+of weight m is R_m + B(z, q2), and a vanishing remainder means
+H = -Im B(z, q2), a complex combination of the c_k and their conjugates.
+By the tie the factor is i G, and by (a) G kills them, so H satisfies the
+condition.  Neither check depends on the degree or the germ, and the
+driver runs both once per call (:func:`_rotation_matches_definition`,
+:func:`_shear_image_in_kernel`); should one fail, every solved degree reads
+false.  That R and S act as derivations is structural (``_rotation_map``
+scales each term by its own exponents) and not checked there; the CI step
+"FUNDAMENTAL_OK matches the series definition at depth" compares the
+verdicts with ``phi_psi`` and ``check_fundamental``, which do not use the
+rotation maps.
 
 ``linalg.certified_nullspace`` certifies the kernel of the shear parameters
 and the independence of the shear polynomials beside the elimination.
@@ -137,7 +121,7 @@ from .errors import (
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair
 from .linalg import SparseMatrix, solve
-from .numeric import GaussianRational, ZERO, _gaussian
+from .numeric import I, GaussianRational, ZERO, _gaussian
 from .series import (
     Exponent,
     Series,
@@ -779,142 +763,107 @@ def solve_kernel(source: Germ | Series | _Packed, m: int) -> KernelPolynomial:
     return KernelPolynomial(m, coeffs)
 
 
-# -- the condition by elementary integer maps -------------------------------------
+# -- the rotation maps R and S, and their certificates ------------------------------
 
 
-# exponent slots of w_i = z_i + zb_i in an exponent (z1, z2, zb1, zb2)
-_W_SLOTS = {1: (0, 2), 2: (1, 3)}
-
-# polynomials with integer coefficient vectors, flat: the key
-# column * base^4 + e0 + e1 base + e2 base^2 + e3 base^3 packs a column and an
-# exponent e (its exponent part is ``series._pack``), for a base above every
-# exponent entry the maps produce, so that adding or removing a unit at a
-# slot is a key shift that never carries
-Family = dict[int, int]
+# A monomial omega^a nu^(p - a) sigma^b nu'^(q - b) of the block (p, q) is its
+# grid point (a, b), 0 <= a <= p and 0 <= b <= q.  A family of polynomials of
+# one block is {(a, b, k): integer coefficient}, k the polynomial's column.
+Block = dict[tuple[int, int, int], int]
 
 
-def _family(rows: Iterable[tuple[Exponent, Mapping[int, int]]], base: int) -> Family:
-    """The flat family of rows (exponent, {column: value}), each exponent packed once.
+def _rotation_map(family: Block, p: int, q: int, sign: int) -> Block:
+    """R + sign S on each polynomial of a family of the block (p, q).
 
-    The one builder of families; zero values are dropped.
+    R multiplies (a, b) by b - a, and S = sigma d/dnu' - omega d/dnu sends
+    it to (q - b) (a, b + 1) - (p - a) (a + 1, b): each term is scaled by its
+    own exponents, so both are derivations.  Both keep the block; R keeps
+    the grade a + b and S raises it by one.
     """
-    cut = base**4
-    family: Family = {}
-    for e, row in rows:
-        key = _pack(e, base)
-        for k, c in row.items():
-            if c:
-                family[k * cut + key] = c
-    return family
-
-
-def _w_sum(terms: tuple[tuple[int, int, Family], ...], base: int) -> Family:
-    """The sum of k * w_i * F over (k, i, F): e -> (e + unit_z_i) + (e + unit_zb_i)."""
-    acc: Family = {}
-    for k, i, family in terms:
-        for slot in _W_SLOTS[i]:
-            p = base**slot
-            for key, c in family.items():
-                key += p
-                acc[key] = acc.get(key, 0) + k * c
-    return {key: c for key, c in acc.items() if c}
-
-
-def _turn(family: Family, a: int, b: int, base: int, plus: Family | None = None) -> Family:
-    """The field w2 d/d(slot a) - w1 d/d(slot b) of a family, plus ``plus``, in one pass.
-
-    D for the slots (a, b) = (0, 1) of z1 and z2, E for (2, 3), those of
-    their conjugates.  A term c with entry k at slot a adds k c at its
-    exponent less a unit at a and plus one at z2 or at zb2 (w2); with entry
-    k at slot b it subtracts k c at its exponent less a unit at b and plus
-    one at z1 or at zb1 (w1): four key shifts per term.  The field keeps the
-    degree, so the base must exceed the family's degree.
-    """
-    pa, pb, p2, p3 = base**a, base**b, base**2, base**3
-    out: Family = dict(plus) if plus else {}
+    out: Block = {}
     get = out.get
-    for key, c in family.items():
-        k = key // pa % base
-        if k:
-            low, kc = key - pa, k * c
-            out[low + base] = get(low + base, 0) + kc
-            out[low + p3] = get(low + p3, 0) + kc
-        k = key // pb % base
-        if k:
-            low, kc = key - pb, k * c
-            out[low + 1] = get(low + 1, 0) - kc
-            out[low + p2] = get(low + p2, 0) - kc
+    for (a, b, k), c in family.items():
+        if a != b:
+            out[a, b, k] = get((a, b, k), 0) + (b - a) * c
+        if b < q:
+            out[a, b + 1, k] = get((a, b + 1, k), 0) + sign * (q - b) * c
+        if a < p:
+            out[a + 1, b, k] = get((a + 1, b, k), 0) - sign * (p - a) * c
     return {key: c for key, c in out.items() if c}
 
 
-def _condition_factor(family: Family, base: int) -> Family:
-    """(D^2 + 1) E of each polynomial of a family, in three passes of :func:`_turn`.
+def _rotation_matches_definition() -> bool:
+    """Whether D = i (R + S) and E = i (R - S) on omega, nu, sigma and nu'.
 
-    Homogeneous of the family's degree, so the base must exceed that degree.
+    D = w2 d/dz1 - w1 d/dz2 and E = w2 d/dzb1 - w1 d/dzb2 are evaluated on
+    the four generators by generic series arithmetic: the generators are
+    built as series, packed once with w1 and w2, and each value is one
+    packed sum of products.  The images under the maps are written back in
+    z and zb on the generators' integer pairs and compared with the values
+    as exact ratios.  A derivation is fixed by its values on generators, so
+    the eight equalities prove D = i (R + S) and E = i (R - S) on every
+    polynomial.
     """
-    phi = _turn(family, 2, 3, base)
-    return _turn(_turn(phi, 0, 1, base), 0, 1, base, phi)
-
-
-def _satisfies_condition(h: Series | _Packed) -> bool:
-    """Whether H satisfies the first-order condition, exactly.
-
-    The condition is w2 (D^2 + 1) E H, and multiplying by w2 is injective,
-    so it holds exactly when the factor (D^2 + 1) E H vanishes.  H's integer
-    pair (x, y) at each monomial is stored as the one integer x + y 2^K, on
-    H's own packed key: the driver's packed H keeps the germ's base T + 1,
-    and a series is packed with base h.trunc + 1 (m + 1 for a degree-m
-    table's series).  The factor keeps the degree, so every exponent entry
-    stays below that base.
-
-    The maps are integer-linear, so each output value is x' + y' 2^K, with
-    x' and y' the outputs of the x and the y parts alone.  Write L1 for the
-    sum of |x| + |y| over H and m for its top degree.  One pass of ``_turn``
-    moves a term with entries k_a, k_b to four keys with weights k_a, k_a,
-    k_b, k_b, and k_a + k_b <= m, so it multiplies the L1 norm by at most
-    4m; the last pass adds its ``plus`` term, and |x'| <= L1 (4m + 1)^3.
-    With K = bit_length(L1 (4m + 1)^3) + 2, every |x'| < 2^(K - 1), so an
-    output value is zero exactly when both its parts are, and H satisfies
-    the condition exactly when the family's factor is empty.
-    """
-    if isinstance(h, Series):
-        h = _packed(h, h.trunc)
-    l1 = sum(abs(x) + abs(y) for _, terms in h.buckets for _, x, y in terms)
-    m = max((d for d, _ in h.buckets), default=0)
-    shift = (l1 * (4 * m + 1) ** 3).bit_length() + 2
-    family: Family = {
-        key: x + (y << shift) for _, terms in h.buckets for key, x, y in terms
+    z1, z2, zb1, zb2 = Series.generators(2, 1)
+    w1, w2, v1, v2 = z1 + zb1, z2 + zb2, z1 - zb1, z2 - zb2
+    iw2, iv2 = w2.scale(I), v2.scale(I)
+    # (block, grid point, column 0): omega and nu in the block (1, 0), sigma
+    # and nu' in the block (0, 1)
+    generators = {
+        (1, 0, (1, 0, 0)): _packed(w1 + iw2, 1),
+        (1, 0, (0, 0, 0)): _packed(v1 + iv2, 1),
+        (0, 1, (0, 1, 0)): _packed(w1 - iw2, 1),
+        (0, 1, (0, 0, 0)): _packed(v1 - iv2, 1),
     }
-    return not _condition_factor(family, h.base)
+    w1, w2 = _packed(w1, 1), _packed(w2, 1)
+    # the generators' integer pairs: their denominators are 1
+    pairs = {key: [t for _, ts in g.buckets for t in ts] for key, g in generators.items()}
+    for (p, q, point), g in generators.items():
+        for sign, (a, b) in ((1, (0, 1)), (-1, (2, 3))):
+            value = _sum_of_packed(((1, w2, _packed_diff(g, a)), (-1, w1, _packed_diff(g, b))), 1)
+            image: dict[int, tuple[int, int]] = {}
+            for t, c in _rotation_map({point: 1}, p, q, sign).items():
+                for k, x, y in pairs[p, q, t]:  # c i (x + i y) = c (-y + i x)
+                    u, v = image.get(k, (0, 0))
+                    image[k] = (u - c * y, v + c * x)
+            # the value, (x + i y) / value.den, against the integer image
+            got = {k: (x, y) for _, ts in value.buckets for k, x, y in ts}
+            want = {k: (u * value.den, v * value.den) for k, (u, v) in image.items() if u or v}
+            if got != want:
+                return False
+    return True
 
 
-def _solved_degrees_satisfy_condition(n: int) -> bool:
-    """Whether the maps certify the condition on every solved degree up to n.
+def _shear_image_in_kernel() -> bool:
+    """Certificate (a): G kills every shear polynomial, checked on G's own maps.
 
-    A degree whose normalized remainder vanishes has H = -Im B(z, q2), a
-    combination of z^alpha q2^j and zb^alpha q2^j with |alpha| <= n (see the
-    module docstring).  By the Leibniz rule F = (D^2 + 1) E kills every such
-    H when the maps give F(z^alpha) = F(zb^alpha) = 0 and D(2 q2) =
-    E(2 q2) = 0 and act as derivations.  The three facts are the checks, on
-    one family of all z^alpha and zb^alpha, one column each, and on 2 q2,
-    all in base n + 2; the derivation property is structural and not
-    checked here.
+    In rotation coordinates z1 + i z2 = (omega + nu)/2 and
+    z1 - i z2 = (sigma + nu')/2, their conjugates are (omega - nu)/2 and
+    (sigma - nu')/2, and 2 q2 = omega sigma.  R and S are derivations, so
+    by the Leibniz rule:
+
+    * if R - S kills omega + nu, sigma + nu' and omega sigma, it kills
+      c_k = z^alpha (2 q2)^j, and so does G;
+    * if R + S kills omega - nu, sigma - nu' and omega sigma, (R + S)^2 is 1
+      on omega and on sigma, and R - S maps omega - nu into the span of
+      omega and sigma - nu' into that of sigma, then (R - S) of
+      zb^alpha (2 q2)^j is a sum of g omega and g sigma with (R + S) g = 0,
+      which 1 - (R + S)^2 kills.
+
+    (2 q2)^(m/2) is the case alpha = 0.  These facts are the checks; none
+    depends on the degree.
     """
-    base = n + 2
-    monomials = [
-        e
-        for d in range(n + 1)
-        for a1 in range(d + 1)
-        for e in ((a1, d - a1, 0, 0), (0, 0, a1, d - a1))
-    ]
-    family = _family(((e, {k: 1}) for k, e in enumerate(monomials)), base)
-    unit = _family((((0, 0, 0, 0), {0: 1}),), base)
-    two_q2 = _w_sum(
-        ((1, 1, _w_sum(((1, 1, unit),), base)), (1, 2, _w_sum(((1, 2, unit),), base))), base
-    )
-    return not (
-        _condition_factor(family, base) or _turn(two_q2, 0, 1, base) or _turn(two_q2, 2, 3, base)
-    )
+    rm = _rotation_map
+    for p, q in ((1, 0), (0, 1)):
+        top, low = (p, q, 0), (0, 0, 0)  # omega and nu, or sigma and nu'
+        if (
+            rm({top: 1, low: 1}, p, q, -1)
+            or rm({top: 1, low: -1}, p, q, 1)
+            or rm({top: 1, low: -1}, p, q, -1).keys() - {top}
+            or rm(rm({top: 1}, p, q, 1), p, q, 1) != {top: 1}
+        ):
+            return False
+    return not (rm({(1, 1, 0): 1}, 1, 1, 1) or rm({(1, 1, 0): 1}, 1, 1, -1))
 
 
 # -- the order-by-order driver -------------------------------------------------------
@@ -945,23 +894,22 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     continue, a nonzero remainder (or an unsolvable normalization) stops it
     and is reported as an obstruction certificate.  Each step also records
     whether H satisfies the first-order condition.  Only the degree where
-    the iteration stops evaluates it on H (``_satisfies_condition``).  A
-    solved degree has H = -Im B(z, q2), which the condition kills by the
-    Leibniz rule (module docstring); it takes its verdict from the
-    germ-independent certificate :func:`_solved_degrees_satisfy_condition`,
-    run once per call at the first solved degree.  Should the certificate
-    fail, every solved degree reads false, so a map that breaks
-    F(z^alpha) = 0, F(zb^alpha) = 0 or D (2 q2) = E (2 q2) = 0 shows up as
-    a false verdict; the derivation property the argument also needs is
-    structural, and the CI depth step guards it through independent series
-    arithmetic.
+    the iteration stops evaluates it on H, by its series definition
+    (``check_fundamental`` of ``phi_psi``).  A solved degree has
+    H = -Im B(z, q2), which the condition kills (module docstring); it takes
+    its verdict from the germ-independent certificates that tie the rotation
+    maps to D and E (:func:`_rotation_matches_definition`) and give (a)
+    (:func:`_shear_image_in_kernel`), run once per call at the first solved
+    degree.  Should either fail, every solved degree reads false; that R and
+    S act as derivations is structural, and the CI depth step guards it
+    through the series definition.
 
     R is packed once and stays packed from shear to shear (``Germ.shear``
     returns a germ that holds only its packed R).  Each degree's H = Im R_m
     is read on the integer keys of its bucket (``_imaginary_part``) twice:
     before its solve, which takes that packed H, and after its shear, where
     the remainder vanishes exactly when the packed Im holds no bucket.  Only
-    an obstruction degree decodes its H' table (``_unpacked``), once; the
+    an obstruction degree decodes its H' table and its H (``_unpacked``); the
     final germ decodes R once, when it is read.
     """
     # shears of weight >= 3 leave the quadric alone, so it is checked once
@@ -978,7 +926,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
             kern = solve_kernel(im_part, m)
         except InconsistentSystemError as exc:
             h = HTable(m, series_to_table(_unpacked(im_part, 2)))
-            fund_ok = _satisfies_condition(im_part)
+            fund_ok = check_fundamental(phi_psi(h)).ok
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
@@ -987,10 +935,11 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         remainder = _imaginary_part(current, m)
         if remainder.buckets:
             table = HTable(m, series_to_table(_unpacked(remainder, 2)))
-            steps.append(FlattenStep(m, kern, False, table, _satisfies_condition(im_part)))
+            fund_ok = check_fundamental(phi_psi(series_to_table(_unpacked(im_part, 2)), m)).ok
+            steps.append(FlattenStep(m, kern, False, table, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         if certified is None:
-            certified = _solved_degrees_satisfy_condition(n)
+            certified = _rotation_matches_definition() and _shear_image_in_kernel()
         steps.append(FlattenStep(m, kern, True, None, certified))
     return FlattenReport(True, n, kernels, current, steps)
 

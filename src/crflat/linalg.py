@@ -86,10 +86,6 @@ class ExactMatrix:
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, [ZERO] * (rows * cols))
-
     # -- access --------------------------------------------------------------
 
     def at(self, i: int, j: int) -> GaussianRational:

@@ -15,119 +15,23 @@ independence of the shear polynomials, and reduces their parts to the
 condition kernel's basis; :func:`uniqueness_nullspace` takes (b) from the
 full column rank of one small matrix on the shear parameters.
 
-Only ``crflat.flatten.fundamental_nullspace`` and
+The maps R and S (``_rotation_map``), the tie and (a) live in
+``crflat.flatten``, whose driver takes the verdict of every solved degree
+from the tie and (a).  Only ``crflat.flatten.fundamental_nullspace`` and
 ``crflat.flatten.uniqueness_nullspace`` import this module, at their first
-call, so ``flatten_to_order`` never compiles it.  It reads
-``normalization_system``, ``_shear_matrix``, ``_family`` and
-``_condition_factor`` through ``crflat.flatten`` at call time.
+call, so ``flatten_to_order`` never compiles it.  It reads the maps, the
+two certificates, ``normalization_system`` and ``_shear_matrix`` through
+``crflat.flatten`` at call time, so a test that patches one of them there
+reaches every user.
 """
 
 from __future__ import annotations
 
 from . import flatten
 from .errors import ConsistencyError, PreconditionError
-from .flatten import HTable, Table, all_brackets
+from .flatten import HTable, Table, all_brackets, check_fundamental, phi_psi
 from .linalg import MODULUS, SparseMatrix, _echelon, certified_nullspace, rank_mod_p
 from .numeric import I, ONE, GaussianRational, ZERO, integer_parts
-from .series import Series, _packed, _packed_diff, _sum_of_packed, exp_from_bracket
-
-# A monomial omega^a nu^(p - a) sigma^b nu'^(q - b) of the block (p, q) is its
-# grid point (a, b), 0 <= a <= p and 0 <= b <= q.  A family of polynomials of
-# one block is {(a, b, k): integer coefficient}, k the polynomial's column.
-Block = dict[tuple[int, int, int], int]
-
-
-def _rotation_map(family: Block, p: int, q: int, sign: int) -> Block:
-    """R + sign S on each polynomial of a family of the block (p, q).
-
-    R multiplies (a, b) by b - a, and S = sigma d/dnu' - omega d/dnu sends
-    it to (q - b) (a, b + 1) - (p - a) (a + 1, b): each term is scaled by its
-    own exponents, so both are derivations.  Both keep the block; R keeps
-    the grade a + b and S raises it by one.
-    """
-    out: Block = {}
-    get = out.get
-    for (a, b, k), c in family.items():
-        if a != b:
-            out[a, b, k] = get((a, b, k), 0) + (b - a) * c
-        if b < q:
-            out[a, b + 1, k] = get((a, b + 1, k), 0) + sign * (q - b) * c
-        if a < p:
-            out[a + 1, b, k] = get((a + 1, b, k), 0) - sign * (p - a) * c
-    return {key: c for key, c in out.items() if c}
-
-
-def _rotation_matches_definition() -> bool:
-    """Whether D = i (R + S) and E = i (R - S) on omega, nu, sigma and nu'.
-
-    D = w2 d/dz1 - w1 d/dz2 and E = w2 d/dzb1 - w1 d/dzb2 are evaluated on
-    the four generators by generic series arithmetic: the generators are
-    built as series, packed once with w1 and w2, and each value is one
-    packed sum of products.  The images under the maps are written back in
-    z and zb on the generators' integer pairs and compared with the values
-    as exact ratios.  A derivation is fixed by its values on generators, so
-    the eight equalities prove D = i (R + S) and E = i (R - S) on every
-    polynomial.
-    """
-    z1, z2, zb1, zb2 = Series.generators(2, 1)
-    w1, w2, v1, v2 = z1 + zb1, z2 + zb2, z1 - zb1, z2 - zb2
-    iw2, iv2 = w2.scale(I), v2.scale(I)
-    # (block, grid point, column 0): omega and nu in the block (1, 0), sigma
-    # and nu' in the block (0, 1)
-    generators = {
-        (1, 0, (1, 0, 0)): _packed(w1 + iw2, 1),
-        (1, 0, (0, 0, 0)): _packed(v1 + iv2, 1),
-        (0, 1, (0, 1, 0)): _packed(w1 - iw2, 1),
-        (0, 1, (0, 0, 0)): _packed(v1 - iv2, 1),
-    }
-    w1, w2 = _packed(w1, 1), _packed(w2, 1)
-    # the generators' integer pairs: their denominators are 1
-    pairs = {key: [t for _, ts in g.buckets for t in ts] for key, g in generators.items()}
-    for (p, q, point), g in generators.items():
-        for sign, (a, b) in ((1, (0, 1)), (-1, (2, 3))):
-            value = _sum_of_packed(((1, w2, _packed_diff(g, a)), (-1, w1, _packed_diff(g, b))), 1)
-            image: dict[int, tuple[int, int]] = {}
-            for t, c in _rotation_map({point: 1}, p, q, sign).items():
-                for k, x, y in pairs[p, q, t]:  # c i (x + i y) = c (-y + i x)
-                    u, v = image.get(k, (0, 0))
-                    image[k] = (u - c * y, v + c * x)
-            # the value, (x + i y) / value.den, against the integer image
-            got = {k: (x, y) for _, ts in value.buckets for k, x, y in ts}
-            want = {k: (u * value.den, v * value.den) for k, (u, v) in image.items() if u or v}
-            if got != want:
-                return False
-    return True
-
-
-def _shear_image_in_kernel() -> bool:
-    """Certificate (a): G kills every shear polynomial, checked on G's own maps.
-
-    In rotation coordinates z1 + i z2 = (omega + nu)/2 and
-    z1 - i z2 = (sigma + nu')/2, their conjugates are (omega - nu)/2 and
-    (sigma - nu')/2, and 2 q2 = omega sigma.  R and S are derivations, so
-    by the Leibniz rule:
-
-    * if R - S kills omega + nu, sigma + nu' and omega sigma, it kills
-      c_k = z^alpha (2 q2)^j, and so does G;
-    * if R + S kills omega - nu, sigma - nu' and omega sigma, (R + S)^2 is 1
-      on omega and on sigma, and R - S maps omega - nu into the span of
-      omega and sigma - nu' into that of sigma, then (R - S) of
-      zb^alpha (2 q2)^j is a sum of g omega and g sigma with (R + S) g = 0,
-      which 1 - (R + S)^2 kills.
-
-    (2 q2)^(m/2) is the case alpha = 0.  These facts are the checks.
-    """
-    rm = _rotation_map
-    for p, q in ((1, 0), (0, 1)):
-        top, low = (p, q, 0), (0, 0, 0)  # omega and nu, or sigma and nu'
-        if (
-            rm({top: 1, low: 1}, p, q, -1)
-            or rm({top: 1, low: -1}, p, q, 1)
-            or rm({top: 1, low: -1}, p, q, -1).keys() - {top}
-            or rm(rm({top: 1}, p, q, 1), p, q, 1) != {top: 1}
-        ):
-            return False
-    return not (rm({(1, 1, 0): 1}, 1, 1, 1) or rm({(1, 1, 0): 1}, 1, 1, -1))
 
 
 def _block_factor(p: int, q: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
@@ -137,8 +41,9 @@ def _block_factor(p: int, q: int) -> dict[tuple[int, int], dict[tuple[int, int],
     taken through the three maps at once.
     """
     points = [(a, b) for a in range(p + 1) for b in range(q + 1)]
-    g = _rotation_map({(a, b, k): 1 for k, (a, b) in enumerate(points)}, p, q, -1)
-    for key, c in _rotation_map(_rotation_map(g, p, q, 1), p, q, 1).items():
+    rm = flatten._rotation_map
+    g = rm({(a, b, k): 1 for k, (a, b) in enumerate(points)}, p, q, -1)
+    for key, c in rm(rm(g, p, q, 1), p, q, 1).items():
         g[key] = g.get(key, 0) - c
     images: dict[tuple[int, int], dict[tuple[int, int], int]] = {s: {} for s in points}
     for (a, b, k), c in g.items():
@@ -220,8 +125,9 @@ def _certify_condition_kernel(m: int, parameters: int) -> None:
     """The checks both kernels share, for ``parameters`` = 2 |K| + [m even]:
 
     * D = i (R + S) and E = i (R - S) on the generators
-      (:func:`_rotation_matches_definition`);
-    * (a) G kills each shear polynomial (:func:`_shear_image_in_kernel`);
+      (``crflat.flatten._rotation_matches_definition``);
+    * (a) G kills each shear polynomial
+      (``crflat.flatten._shear_image_in_kernel``);
     * (c) the blocks' nullities mod p sum to at most ``parameters``.
       Swapping (omega, nu) with (sigma, nu') sends the block (p, q) to
       (q, p), its grid point (a, b) to (b, a), and R and S to -R and -S, so
@@ -233,9 +139,9 @@ def _certify_condition_kernel(m: int, parameters: int) -> None:
     With (b), the independence of the shear polynomials, the condition's
     kernel is their span.  A check that fails raises :class:`ConsistencyError`.
     """
-    if not _rotation_matches_definition():
+    if not flatten._rotation_matches_definition():
         raise ConsistencyError(f"rotation coordinates disagree with D and E at degree {m}")
-    if not _shear_image_in_kernel():
+    if not flatten._shear_image_in_kernel():
         raise ConsistencyError(
             f"the condition factor does not kill the shear polynomials of degree {m}"
         )
@@ -277,10 +183,9 @@ def fundamental_nullspace(m: int) -> tuple[Table, ...]:
     defined over Q, so the real and imaginary parts of the image columns
     span it too, and their reduced echelon form with the columns reversed
     is the basis :func:`crflat.linalg.sparse_nullspace` gives the kernel.
-    Each table, its denominators cleared, is checked by the z and zb field
-    maps of ``crflat.flatten._condition_factor``, which share no code with
-    the rotation maps, and there must be one per shear parameter.  Degree 0
-    gives the constants.
+    Each table is checked by the series definition (``check_fundamental`` of
+    ``phi_psi``), which shares no code with the rotation maps, and there
+    must be one per shear parameter.  Degree 0 gives the constants.
     """
     if m < 0:
         raise PreconditionError("the condition kernel needs a degree of at least 0")
@@ -289,15 +194,13 @@ def fundamental_nullspace(m: int) -> tuple[Table, ...]:
     brackets = all_brackets(m)
     columns = range(image.cols)
     parts = [[row.get(c, 0) for row in image.entries[k::2]] for k in (0, 1) for c in columns]
-    basis = _reversed_echelon(parts, len(brackets))
-    rows = (
-        (exp_from_bracket(*idx), {2 * k: x, 2 * k + 1: y})
-        for k, v in enumerate(basis)
-        for idx, x, y in zip(brackets, *integer_parts(v)[1:])
+    basis = tuple(
+        {idx: c for idx, c in zip(brackets, v) if c}
+        for v in _reversed_echelon(parts, len(brackets))
     )
-    if len(basis) != image.cols or flatten._condition_factor(flatten._family(rows, m + 2), m + 2):
+    if len(basis) != image.cols or not all(check_fundamental(phi_psi(t, m)).ok for t in basis):
         raise ConsistencyError(f"the kernel basis of the condition of degree {m} fails its check")
-    return tuple({idx: c for idx, c in zip(brackets, v) if c} for v in basis)
+    return basis
 
 
 def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:

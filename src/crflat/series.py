@@ -596,14 +596,12 @@ def _decoded(terms: Iterable[tuple[int, int, int]], base: int, width: int) -> di
     return dict(zip(zip(*digits), ((x, y) for _, x, y in kept)))
 
 
-def _unpacked(p: _Packed, nvars: int, degree: int | None = None) -> Series:
+def _unpacked(p: _Packed, nvars: int) -> Series:
     """A packed operand as a series truncated at its ``trunc``, in lowest terms.
 
-    The keys are decoded with the operand's own base.  With ``degree``, only
-    that degree's bucket is read, and an absent bucket is the zero series.
+    The keys are decoded with the operand's own base.
     """
-    buckets = p.buckets if degree is None else [b for b in p.buckets if b[0] == degree]
-    terms = chain.from_iterable(terms for _, terms in buckets)
+    terms = chain.from_iterable(terms for _, terms in p.buckets)
     return Series._canonical(nvars, p.trunc, p.den, _decoded(terms, p.base, 2 * nvars))
 
 

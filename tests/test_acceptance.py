@@ -155,10 +155,10 @@ def test_criterion_05_flattenability_decisions():
         ExactMatrix.from_rows([[1, 0], [0, -1]]),
         ExactMatrix.from_rows([[0, 1], [1, 0]]),
         ExactMatrix.from_rows([[1, 0], [0, 0]]),
-        ExactMatrix.zero(2, 2),
+        ExactMatrix(2, 2, [0] * 4),
     ]
     for b, want in [(b, False) for b in nonflat] + [(b, True) for b in flat]:
-        pair = QuadraticPair(ExactMatrix.zero(2, 2), b)
+        pair = QuadraticPair(ExactMatrix(2, 2, [0] * 4), b)
         assert is_hermitianizable(pair).flattenable is want
         for _ in range(5):
             moved = pair.transform(rand_invertible(rng), rand_nonzero_gaussian(rng))
@@ -173,7 +173,7 @@ def test_criterion_05_flattenability_decisions():
             b = h.scale(rand_nonzero_gaussian(rng))
         if b.det().is_zero():
             continue
-        exact = is_hermitianizable(QuadraticPair(ExactMatrix.zero(2, 2), b)).flattenable
+        exact = is_hermitianizable(QuadraticPair(ExactMatrix(2, 2, [0] * 4), b)).flattenable
         assert exact == schur_flattenable_float(b, tol=1e-9)
         agree += 1
     report(5, "flattenability verdicts for the nine family shapes, invariant under "

@@ -1,8 +1,11 @@
+import functools
 import importlib.util
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -657,7 +660,9 @@ def test_flatten_reads_and_reports_a_nonzero_remainder(bucket_reads):
     rep = flatten_to_order(non_graph_germ(), 8)
     assert not rep.ok and rep.obstruction_degree == 3
     reads, decodes = bucket_reads
-    assert reads == [3, 3] and len(decodes) == 1  # the remainder, for its H' table
+    # the remainder for its H' table and H for the condition's definition,
+    # in the germ's base 9, then Phi, Psi and the condition in base m + 2
+    assert reads == [3, 3] and [p.base for p in decodes] == [9, 9, 5, 5, 5]
     last = rep.steps[-1]
     assert last.normalized_zero is False and not last.remainder.is_zero()
     assert last.remainder == h_from_germ(rep.final, 3)
@@ -750,14 +755,17 @@ def imaginary_part(germ, m):
 
 
 def reference_flatten(germ, n):
-    """The driver's loop on decoded series: ``subst_w`` at R and ``homogeneous_part``."""
+    """The driver's loop on decoded series: ``subst_w`` at R and ``homogeneous_part``.
+
+    Every degree takes its verdict from the condition's series definition.
+    """
     flatten_mod._require_parabolic(germ)
     if n > germ.trunc:
         raise PreconditionError("target order exceeds the germ truncation")
     current, kernels, steps = germ, {}, []
     for m in range(3, n + 1):
         h = imaginary_part(current, m)
-        fund_ok = flatten_mod._satisfies_condition(h)
+        fund_ok = check_fundamental(phi_psi(series_to_table(h), m)).ok
         try:
             kern = solve_kernel(h, m)
         except InconsistentSystemError as exc:
@@ -833,9 +841,9 @@ def test_flatten_packs_the_germ_once_and_decodes_it_once(rng, monkeypatch):
         packed.append(s)
         return pack(s, cut)
 
-    def counted_unpack(p, nvars, degree=None):
-        decoded.append(degree)
-        return unpack(p, nvars, degree)
+    def counted_unpack(p, nvars):
+        decoded.append(p)
+        return unpack(p, nvars)
 
     for module in (series_mod, germ_mod):
         monkeypatch.setattr(module, "_packed", counted_pack)
@@ -844,7 +852,7 @@ def test_flatten_packs_the_germ_once_and_decodes_it_once(rng, monkeypatch):
     # the germ holds conjugate powers; each shear packs only its template, in z alone
     assert [s for s in packed if any(e[2] or e[3] for e in s.nums)] == [g.R]
     # every degree is read on the packed keys, and only the final R is decoded
-    assert decoded == [None]
+    assert len(decoded) == 1
 
 
 def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):
@@ -922,15 +930,68 @@ def fresh_normalization_matrix():
     flatten_mod._normalization_matrix.cache_clear()
 
 
+# The condition as it was written before its factorization: Phi = E H,
+# Psi = w2 D Phi + w1 Phi and D Psi by six derivative passes and sixteen key
+# shifts, on flat families {column * base^4 + exponent digits in base: value},
+# kept here as the reference for the series definition and the rotation maps.
+
+# exponent slots of w_i = z_i + zb_i in an exponent (z1, z2, zb1, zb2)
+W_SLOTS = {1: (0, 2), 2: (1, 3)}
+
+
+def flat_family(rows, base):
+    """Rows (exponent, {column: value}) as one flat family, exponents packed with ``base``."""
+    cut = base**4
+    return {
+        k * cut + series_mod._pack(e, base): c for e, row in rows for k, c in row.items() if c
+    }
+
+
+def reference_derivative(family, slot, base):
+    p = base**slot
+    return {key - p: key // p % base * c for key, c in family.items() if key // p % base}
+
+
+def reference_w_sum(terms, base):
+    acc = {}
+    for k, i, family in terms:
+        for slot in W_SLOTS[i]:
+            for key, c in family.items():
+                acc[key + base**slot] = acc.get(key + base**slot, 0) + k * c
+    return {key: c for key, c in acc.items() if c}
+
+
+def reference_condition(family, base):
+    d, w = reference_derivative, reference_w_sum
+    phi = w(((1, 2, d(family, 2, base)), (-1, 1, d(family, 3, base))), base)
+    turned = w(((1, 2, d(phi, 0, base)), (-1, 1, d(phi, 1, base))), base)
+    psi = w(((1, 2, turned), (1, 1, phi)), base)
+    return w(((1, 2, d(psi, 0, base)), (-1, 1, d(psi, 1, base))), base)
+
+
+def reference_factor(family, base):
+    """(D^2 + 1) E of each polynomial of a family, from the same references."""
+    d, w = reference_derivative, reference_w_sum
+
+    def field(f, a, b):  # w2 d/d(slot a) - w1 d/d(slot b): E for (2, 3), D for (0, 1)
+        return w(((1, 2, d(f, a, base)), (-1, 1, d(f, b, base))), base)
+
+    phi = field(family, 2, 3)
+    acc = dict(phi)
+    for key, c in field(field(phi, 0, 1), 0, 1).items():
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
 # The shear polynomials as they were built before their closed form: all
 # c_k = z^alpha (2 q2)^j of one degree at once, by Horner's rule over j with
-# the elementary map 2 q2 F = w1 (w1 F) + w2 (w2 F), kept here as the oracle.
+# 2 q2 F = w1 (w1 F) + w2 (w2 F) on the reference w-sums, kept as the oracle.
 
 
 def shear_family(m, base):
     """The c_k of ``kernel_unknowns(m)`` as one flat family, column k packed with ``base``."""
     unknowns = kernel_unknowns(m)
-    w_sum = flatten_mod._w_sum
+    w_sum = reference_w_sum
     family = {}
     for j in range(m // 2, -1, -1):
         family = w_sum(
@@ -938,7 +999,7 @@ def shear_family(m, base):
             base,
         )
         units = (((a1, a2, 0, 0), {k: 1}) for k, ((a1, a2), jk) in enumerate(unknowns) if jk == j)
-        family.update(flatten_mod._family(units, base))
+        family.update(flat_family(units, base))
     return family
 
 
@@ -987,7 +1048,7 @@ real_shear_coefficients = flatten_mod._shear_coefficients
 
 
 def map_built_coefficients(e, position):
-    """{k: c_k[e]} read off the family the elementary maps build (``shear_family``)."""
+    """{k: c_k[e]} read off the family the reference w-sums build (``shear_family``)."""
     m = sum(e)
     return dict(regroup(shear_family(m, m + 1), m + 1).get(e, {}))
 
@@ -999,11 +1060,11 @@ def test_a_corrupted_map_fails_the_normalization_probe(
     fresh_normalization_matrix, monkeypatch, corruption
 ):
     # the rows read the coefficients of the shear polynomials; read off a
-    # family that corrupted elementary maps build, or off a corrupted closed
-    # form, they disagree with the probe's series arithmetic
+    # family that corrupted w-sums build, or off a corrupted closed form,
+    # they disagree with the probe's series arithmetic
     if corruption in ("w2-without-zb2", "w1-with-zb2"):
         i, slots = (2, (1,)) if corruption == "w2-without-zb2" else (1, (0, 3))
-        monkeypatch.setitem(flatten_mod._W_SLOTS, i, slots)
+        monkeypatch.setitem(W_SLOTS, i, slots)
         closed_form = map_built_coefficients
     else:
         closed_form = one_entry_off if corruption == "one-entry-off" else binomials_swapped
@@ -1022,34 +1083,6 @@ def test_the_shear_family_satisfies_the_condition(m):
     family = shear_family(m, base)
     assert {key // base**4 for key in family} == set(range(len(kernel_unknowns(m))))
     assert reference_condition(family, base) == {}
-    assert flatten_mod._condition_factor(family, base) == {}
-
-
-# The condition as it was written before its factorization: Phi = E H,
-# Psi = w2 D Phi + w1 Phi and D Psi by six derivative passes and sixteen key
-# shifts, kept here as the reference for w2 (D^2 + 1) E.
-
-
-def reference_derivative(family, slot, base):
-    p = base**slot
-    return {key - p: key // p % base * c for key, c in family.items() if key // p % base}
-
-
-def reference_w_sum(terms, base):
-    acc = {}
-    for k, i, family in terms:
-        for slot in {1: (0, 2), 2: (1, 3)}[i]:
-            for key, c in family.items():
-                acc[key + base**slot] = acc.get(key + base**slot, 0) + k * c
-    return {key: c for key, c in acc.items() if c}
-
-
-def reference_condition(family, base):
-    d, w = reference_derivative, reference_w_sum
-    phi = w(((1, 2, d(family, 2, base)), (-1, 1, d(family, 3, base))), base)
-    turned = w(((1, 2, d(phi, 0, base)), (-1, 1, d(phi, 1, base))), base)
-    psi = w(((1, 2, turned), (1, 1, phi)), base)
-    return w(((1, 2, d(psi, 0, base)), (-1, 1, d(psi, 1, base))), base)
 
 
 @st.composite
@@ -1088,33 +1121,42 @@ def two_column_families(draw, m, coef=st.integers(-4, 4)):
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(data=st.data())
 def test_the_condition_is_w2_times_its_factor(m, data):
+    # D Psi = w2 (D^2 + 1) E H, on which the module docstring and the
+    # condition oracle's kernel rest: w2 is injective, so both vanish together
     rows, perturbed = data.draw(two_column_families(m))
-    family = flatten_mod._family(rows.items(), m + 2)
+    family = flat_family(rows.items(), m + 2)
     want = reference_condition(family, m + 2)
-    factor = flatten_mod._condition_factor(family, m + 2)
-    assert flatten_mod._w_sum(((1, 2, factor),), m + 2) == want
-    # the factor keeps the degree, so it fits base m + 1, and w2 is injective
-    tight = flatten_mod._family(rows.items(), m + 1)
-    assert (not flatten_mod._condition_factor(tight, m + 1)) == (not want)
+    assert reference_w_sum(((1, 2, reference_factor(family, m + 2)),), m + 2) == want
     assert perturbed or not want
 
 
-# The driver's condition check as it was before each monomial's pair became
-# one integer: x and y in two columns of one family, cut = base^4 apart.
+# The driver's stop verdict is the condition's series definition on H's
+# packed integer pairs; the references take x and y in two columns of one
+# family, cut = base^4 apart.
 
 
 def two_column_verdict(h):
+    """The reference condition on H's integer pairs (x, y), x and y in two columns."""
     if isinstance(h, Series):
         h = series_mod._packed(h, h.trunc)
-    cut = h.base**4
+    base = max((d for d, _ in h.buckets), default=0) + 2
+    cut = base**4
     family = {}
     for _, terms in h.buckets:
         for key, x, y in terms:
+            key = series_mod._pack(series_mod._unpack(key, h.base, 4), base)
             if x:
                 family[key] = x
             if y:
                 family[cut + key] = y
-    return not flatten_mod._condition_factor(family, h.base)
+    return not reference_condition(family, base)
+
+
+def stop_verdict(h, m):
+    """The driver's verdict where it stops: the series definition of the condition on H."""
+    if not isinstance(h, Series):
+        h = series_mod._unpacked(h, 2)
+    return check_fundamental(phi_psi(series_to_table(h), m)).ok
 
 
 def pair_series(m, rows):
@@ -1132,7 +1174,7 @@ def test_the_packed_pair_condition_agrees_with_two_columns(m, data):
     rows, perturbed = data.draw(two_column_families(m, BIG))
     h = pair_series(m, rows)
     want = two_column_verdict(h)
-    assert flatten_mod._satisfies_condition(h) == want
+    assert stop_verdict(h, m) == want
     assert want or perturbed
 
 
@@ -1140,26 +1182,26 @@ def test_the_packed_pair_condition_agrees_with_two_columns(m, data):
 def test_the_packed_pair_condition_fails_in_one_part_alone(m):
     # x and y each a wide combination of shear polynomials, so H holds; one
     # unit at a mixed exponent in x alone, or in y alone, breaks it, and so
-    # does y = -x / 2^t with x failing, which a too narrow shift would cancel
+    # does y = -x / 2^t with x failing, which no part of the pair may cancel
     shear = regroup(shear_family(m, m + 1), m + 1)
     rows = {
         e: {col: sum((3**200 + k + col) * v for k, v in row.items()) for col in (0, 1)}
         for e, row in shear.items()
     }
     assert two_column_verdict(pair_series(m, rows)) is True
-    assert flatten_mod._satisfies_condition(pair_series(m, rows)) is True
+    assert stop_verdict(pair_series(m, rows), m) is True
     mixed = exp_from_bracket(0, 1, m - 1, 0)  # z1 zb2^(m - 1)
     for col in (0, 1):
         broken = {e: dict(r) for e, r in rows.items()}
         broken.setdefault(mixed, {})[col] = broken.get(mixed, {}).get(col, 0) + 1
         h = pair_series(m, broken)
         assert two_column_verdict(h) is False
-        assert flatten_mod._satisfies_condition(h) is False
+        assert stop_verdict(h, m) is False
     for t in (0, 1, 2, 64, 200):
         x = 2**t * (2**210 + 1)
         h = pair_series(m, {mixed: {0: x, 1: -x >> t}})
         assert two_column_verdict(h) is False
-        assert flatten_mod._satisfies_condition(h) is False
+        assert stop_verdict(h, m) is False
 
 
 def seed_one_germs():
@@ -1179,7 +1221,7 @@ def test_one_perturbed_coefficient_breaks_each_seed_one_degree():
         current = germ
         for m in range(3, germ.trunc + 1):
             h = flatten_mod._imaginary_part(current, m)
-            assert flatten_mod._satisfies_condition(h) is two_column_verdict(h) is True
+            assert stop_verdict(h, m) is two_column_verdict(h) is True
             (degree, terms), = h.buckets
             # the first term whose x or y, one more, breaks the condition
             for part in (0, 1):
@@ -1191,7 +1233,7 @@ def test_one_perturbed_coefficient_breaks_each_seed_one_degree():
                         break
                 else:
                     raise AssertionError(f"no coefficient of degree {m} breaks the condition")
-                assert flatten_mod._satisfies_condition(bumped) is False
+                assert stop_verdict(bumped, m) is False
             current = current.shear(report.kernels[m])
 
 
@@ -1205,32 +1247,33 @@ def test_flatten_requires_parabolic():
 #
 # The condition and the combined system as they were solved before the shear
 # image certified them: x = Re H and y = Im H over all_brackets(m), each
-# constraint one integer row on x and one on y, the condition as the n x n
-# factor rows in both.  Kept as the oracles of fundamental_nullspace and
+# constraint one integer row on x and one on y, the condition as its integer
+# rows in both.  Kept as the oracles of fundamental_nullspace and
 # uniqueness_nullspace, whose tables they must give byte for byte.
 
 
+@functools.lru_cache(maxsize=None)
 def fundamental_matrix(m):
-    """The condition on degree-m tables as the sparse integer rows of its factor.
+    """The condition on degree-m tables as sparse integer rows, built once per degree.
 
-    Column j and row j both belong to the bracket ``all_brackets(m)[j]``:
-    row i maps each column, the unit table at its bracket, to the integer
-    coefficient of (D^2 + 1) E of that table at bracket i, read off one
-    family of all unit tables taken through ``_condition_factor``.  The
-    condition is w2 (D^2 + 1) E and multiplying by w2 is injective, so these
-    rows have the kernel of the degree-(m + 1) condition rows
-    (test_condition_matrix_equals_the_series_built_rows).
+    Column j belongs to the bracket ``all_brackets(m)[j]`` and row i to
+    ``all_brackets(m + 1)[i]``: row i maps each column, the unit table at its
+    bracket, to the integer coefficient of the condition of that table at
+    bracket i, read off one family of all unit tables taken through
+    ``reference_condition``.  The condition is w2 (D^2 + 1) E and multiplying
+    by w2 is injective, so these rows have the factor's kernel.  The rows are
+    read-only mappings in a tuple, so that no caller can change the cached
+    matrix.
     """
     unknowns = all_brackets(m)
     base = m + 2
-    cut = base**4
-    keys = [series_mod._pack(exp_from_bracket(*idx), base) for idx in unknowns]
+    units = flat_family(((exp_from_bracket(*idx), {j: 1}) for j, idx in enumerate(unknowns)), base)
     by_key = {}
-    units = {j * cut + key: 1 for j, key in enumerate(keys)}
-    for key, c in flatten_mod._condition_factor(units, base).items():
-        j, e = divmod(key, cut)
+    for key, c in reference_condition(units, base).items():
+        j, e = divmod(key, base**4)
         by_key.setdefault(e, {})[j] = c
-    return tuple(unknowns), [by_key.get(key, {}) for key in keys]
+    keys = (series_mod._pack(exp_from_bracket(*idx), base) for idx in all_brackets(m + 1))
+    return tuple(unknowns), tuple(MappingProxyType(by_key.get(key, {})) for key in keys)
 
 
 def fundamental_oracle(m):
@@ -1256,9 +1299,9 @@ def test_fundamental_nullspace_of_degree_0_is_the_constants(fresh_fundamental_nu
 
 
 def uniqueness_oracle(m, condition=None):
-    """(dim, tables) of the n x n x and y blocks, with ``condition`` or the factor rows."""
-    unknowns, factor = fundamental_matrix(m)
-    condition = factor if condition is None else condition
+    """(dim, tables) of the x and y blocks, with ``condition`` or the condition's rows."""
+    unknowns, rows = fundamental_matrix(m)
+    condition = rows if condition is None else condition
     col = {idx: j for j, idx in enumerate(unknowns)}
     blocks = {"re": list(condition), "im": list(condition)}
     for t, s, r, h in unknowns:
@@ -1438,7 +1481,7 @@ GENERATORS = [(1, 0, (1, 0)), (1, 0, (0, 0)), (0, 1, (0, 1)), (0, 1, (0, 0))]
 @pytest.mark.parametrize("sign", [1, -1], ids=["D", "E"])
 def test_a_wrong_generator_value_fails_the_tie_to_the_definition(monkeypatch, generator, sign):
     # R + sign S is D / i or E / i; one generator's image negated, only there
-    real = rotation_mod._rotation_map
+    real = flatten_mod._rotation_map
     p0, q0, (a0, b0) = generator
 
     def wrong(family, p, q, s):
@@ -1447,9 +1490,9 @@ def test_a_wrong_generator_value_fails_the_tie_to_the_definition(monkeypatch, ge
             out = {key: -c for key, c in out.items()}
         return out
 
-    assert rotation_mod._rotation_matches_definition() is True
-    monkeypatch.setattr(rotation_mod, "_rotation_map", wrong)
-    assert rotation_mod._rotation_matches_definition() is False
+    assert flatten_mod._rotation_matches_definition() is True
+    monkeypatch.setattr(flatten_mod, "_rotation_map", wrong)
+    assert flatten_mod._rotation_matches_definition() is False
     with pytest.raises(ConsistencyError, match="rotation coordinates disagree"):
         uniqueness_nullspace(5)
 
@@ -1458,7 +1501,7 @@ def test_a_wrong_generator_value_fails_the_tie_to_the_definition(monkeypatch, ge
 def test_a_map_that_moves_two_q2_fails_the_leibniz_certificate(monkeypatch, sign):
     # R + sign S wrong only in degree two, where the tie does not look: it
     # must kill omega sigma = 2 q2
-    real = rotation_mod._rotation_map
+    real = flatten_mod._rotation_map
 
     def moving(family, p, q, s):
         out = real(family, p, q, s)
@@ -1466,9 +1509,9 @@ def test_a_map_that_moves_two_q2_fails_the_leibniz_certificate(monkeypatch, sign
             out[0, 1, 0] = out.get((0, 1, 0), 0) + family[1, 1, 0]
         return out
 
-    monkeypatch.setattr(rotation_mod, "_rotation_map", moving)
-    assert rotation_mod._rotation_matches_definition() is True
-    assert rotation_mod._shear_image_in_kernel() is False
+    monkeypatch.setattr(flatten_mod, "_rotation_map", moving)
+    assert flatten_mod._rotation_matches_definition() is True
+    assert flatten_mod._shear_image_in_kernel() is False
     with pytest.raises(ConsistencyError, match="does not kill the shear polynomials"):
         uniqueness_nullspace(6)
 
@@ -1489,7 +1532,7 @@ def without_row(p0, q0, t):
 def negated_s(p, q):
     """G with S negated in its first factor: (1 - (R + S)^2)(R + S)."""
     points = [(a, b) for a in range(p + 1) for b in range(q + 1)]
-    rm = rotation_mod._rotation_map
+    rm = flatten_mod._rotation_map
     g = rm({(a, b, k): 1 for k, (a, b) in enumerate(points)}, p, q, 1)
     for key, c in rm(rm(g, p, q, 1), p, q, 1).items():
         g[key] = g.get(key, 0) - c
@@ -1598,36 +1641,41 @@ def gaussian_integer_tables(draw):
 @given(gaussian_integer_tables())
 def test_the_block_operator_is_the_condition_factor(case):
     # i G, applied in rotation coordinates and written back, is (D^2 + 1) E of
-    # the table, as the elementary maps compute it on its two integer parts
+    # the table: times w2 it is the condition, as the reference computes it on
+    # the table's two integer parts
     m, table = case
-    got = z_of(block_operator(rotation_of(table, m), m), m)
-    base = m + 1
-    parts = []
-    for part in ("re", "im"):
-        rows = ((exp_from_bracket(*idx), {0: getattr(c, part)}) for idx, c in table.items())
-        parts.append(flatten_mod._condition_factor(flatten_mod._family(rows, base), base))
+    factor = z_of(block_operator(rotation_of(table, m), m), m)
+    z1, z2, zb1, zb2 = Series.generators(2, m + 1)
+    got = (z2 + zb2) * Series(2, m + 1, dict(factor.items()))
+    base = m + 2
     want = {}
-    for part, family in zip((G(1), I), parts):
-        for key, c in family.items():
+    for unit, part in ((G(1), "re"), (I, "im")):
+        rows = ((exp_from_bracket(*idx), {0: int(getattr(c, part))}) for idx, c in table.items())
+        for key, c in reference_condition(flat_family(rows, base), base).items():
             e = series_mod._unpack(key, base, 4)
-            want[e] = want.get(e, G(0)) + part * c
-    assert got == Series(2, m, {e: v for e, v in want.items() if v})
+            want[e] = want.get(e, G(0)) + unit * c
+    assert got == Series(2, m + 1, {e: v for e, v in want.items() if v})
 
 
 def corrupt_tie_series(monkeypatch, change):
     """Make the series arithmetic that evaluates D and E on the generators return change(series).
 
-    Both kernels tie the rotation maps to D and E through that arithmetic
-    (``rotation._rotation_matches_definition``, one packed sum of products
-    per generator and field), so both see the corruption.
+    The tie (``flatten._rotation_matches_definition``) evaluates D and E of
+    each generator as one packed sum of products; both kernels and the
+    driver's solved degrees read it, so all of them see the corruption.  Only
+    the tie's sums change: the probes, the solve and the series definition
+    keep theirs.
     """
-    real = rotation_mod._sum_of_packed
+    real = flatten_mod._sum_of_packed
+    tie = flatten_mod._rotation_matches_definition.__code__
 
-    def corrupted(terms, trunc):
-        value = series_mod._unpacked(real(terms, trunc), 2)
-        return series_mod._packed(change(value), trunc)
+    def corrupted(terms, trunc=None):
+        value = real(terms, trunc)
+        if sys._getframe(1).f_code is not tie:
+            return value
+        return series_mod._packed(change(series_mod._unpacked(value, 2)), trunc)
 
-    monkeypatch.setattr(rotation_mod, "_sum_of_packed", corrupted)
+    monkeypatch.setattr(flatten_mod, "_sum_of_packed", corrupted)
 
 
 @pytest.mark.parametrize("entry", [G(F(1, 2)), I], ids=["half", "i"])
@@ -1649,47 +1697,26 @@ def test_fundamental_nullspace_members_satisfy_condition():
             assert check_fundamental(phi_psi(table, m)).ok
 
 
-def applied_times_w2(unknowns, rows, table, m):
-    """The factor rows applied to a degree-m table, times w2, as a condition table.
-
-    Row i holds the factor's coefficient at bracket ``unknowns[i]``; the
-    product with w2 = z2 + zb2 is series arithmetic.
-    """
-    factor = {
+def applied(rows, table, m):
+    """The condition rows applied to a degree-m table, as a table of degree m + 1."""
+    unknowns = all_brackets(m)
+    out = {
         idx: sum(c * table.get(unknowns[j], 0) for j, c in row.items())
-        for idx, row in zip(unknowns, rows)
+        for idx, row in zip(all_brackets(m + 1), rows)
     }
-    z1, z2, zb1, zb2 = Series.generators(2, m + 1)
-    product = (z2 + zb2) * table_to_series({k: v for k, v in factor.items() if v}, m + 1)
-    return series_to_table(product)
+    return {idx: v for idx, v in out.items() if v}
 
 
 def test_condition_rows_are_the_condition_series():
     m = 5
     unknowns, rows = fundamental_matrix(m)
-    assert unknowns == tuple(all_brackets(m)) and len(rows) == len(unknowns) and all(rows)
+    assert unknowns == tuple(all_brackets(m)) and len(rows) == len(all_brackets(m + 1))
     assert all(type(c) is int for row in rows for c in row.values())
-    # a random table's factor, read off the rows, is its condition series over w2
+    # a random table's condition, read off the rows, is its condition series
     rng = random.Random(12)
     table = rand_real_bracket_table(rng, m)
     series = check_fundamental(phi_psi(table, m)).violations
-    assert sorted(applied_times_w2(unknowns, rows, table, m).items()) == sorted(series)
-
-
-def w2_times_rows(unknowns, rows):
-    """The nonzero rows of w2 times the factor rows, in bracket order of degree m + 1.
-
-    w2 = z2 + zb2 raises a bracket [t s r h]'s power t of z2 or its power r
-    of zb2 by one.
-    """
-    by_bracket = {}
-    for (t, s, r, h), row in zip(unknowns, rows):
-        for idx in ((t + 1, s, r, h), (t, s, r + 1, h)):
-            out = by_bracket.setdefault(idx, {})
-            for j, c in row.items():
-                out[j] = out.get(j, 0) + c
-    products = ({j: c for j, c in by_bracket[b].items() if c} for b in sorted(by_bracket))
-    return [row for row in products if row]
+    assert sorted(applied(rows, table, m).items()) == sorted(series)
 
 
 def series_built_matrix(m):
@@ -1705,28 +1732,50 @@ def series_built_matrix(m):
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_condition_matrix_equals_the_series_built_rows(m):
-    # the condition matrix is w2 times the square matrix of the factor rows
+    # the reference's rows are the series definition's, bracket by bracket
     unknowns, rows = fundamental_matrix(m)
-    assert len(rows) == len(unknowns)
-    assert (unknowns, w2_times_rows(unknowns, rows)) == series_built_matrix(m)
+    assert len(rows) == len(all_brackets(m + 1))
+    assert (unknowns, [dict(row) for row in rows if row]) == series_built_matrix(m)
 
 
 @pytest.mark.parametrize("m", range(3, 17))
 def test_the_factor_kernel_is_the_shear_image(m):
     # the shear polynomials over kernel_unknowns(m), their conjugates and,
-    # at even m, (2 q2)^(m/2) span the condition kernel, and the nullities of
-    # the rotation-coordinate blocks add up to the same number
+    # at even m, (2 q2)^(m/2) span the condition kernel, the factor's, and the
+    # nullities of the rotation-coordinate blocks add up to the same number
     unknowns, rows = fundamental_matrix(m)
-    nullity = len(unknowns) - rank_mod_p(rows, len(unknowns))
+    # the rank does not depend on the column order; with the columns graded
+    # by the power s + h of z1 and zb1 the elimination fills in less
+    graded = sorted(range(len(unknowns)), key=lambda j: unknowns[j][1] + unknowns[j][3])
+    column = {j: k for k, j in enumerate(graded)}
+    graded_rows = [{column[j]: c for j, c in row.items()} for row in rows]
+    nullity = len(unknowns) - rank_mod_p(graded_rows, len(unknowns))
     assert nullity == shear_parameters(m)
     assert sum(rotation_mod._block_nullity(p, m - p) for p in range(m + 1)) == nullity
     assert m != 12 or nullity == 97
 
 
+def factor_rows(m):
+    """(D^2 + 1) E on degree-m tables as square integer rows, by ``reference_factor``.
+
+    Column j and row j both belong to the bracket ``all_brackets(m)[j]``.
+    """
+    unknowns = all_brackets(m)
+    base = m + 2
+    keys = [series_mod._pack(exp_from_bracket(*idx), base) for idx in unknowns]
+    by_key = {}
+    units = {j * base**4 + key: 1 for j, key in enumerate(keys)}
+    for key, c in reference_factor(units, base).items():
+        j, e = divmod(key, base**4)
+        by_key.setdefault(e, {})[j] = c
+    return [by_key.get(key, {}) for key in keys]
+
+
 @pytest.mark.parametrize("m", range(3, 9))
 def test_the_factor_rows_have_the_kernel_of_the_condition_rows(monkeypatch, m):
-    unknowns, rows = fundamental_matrix(m)
-    _, condition = series_built_matrix(m)
+    # multiplying by w2 is injective
+    unknowns, condition = fundamental_matrix(m)
+    rows = factor_rows(m)
     assert sparse_nullspace(rows, len(unknowns)) == sparse_nullspace(condition, len(unknowns))
     # so the oracle's uniqueness kernels agree on either rows, and with the
     # shear image's, also without the normalization constraints, where they
@@ -1735,9 +1784,9 @@ def test_the_factor_rows_have_the_kernel_of_the_condition_rows(monkeypatch, m):
         with monkeypatch.context() as patch:
             if not normalized:
                 patch.setattr(flatten_mod, "normalization_system", lambda m: ())
-            on_factor = uniqueness_oracle(m)
-            assert uniqueness_oracle(m, condition) == on_factor == uniqueness_nullspace(m)
-            assert (on_factor[0] == 0) == normalized
+            on_condition = uniqueness_oracle(m)
+            assert uniqueness_oracle(m, rows) == on_condition == uniqueness_nullspace(m)
+            assert (on_condition[0] == 0) == normalized
 
 
 _rationals = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 4, 3, 7]))
@@ -1754,9 +1803,9 @@ def gaussian_tables(draw):
 @given(gaussian_tables())
 def test_condition_rows_apply_as_the_condition_series(case):
     m, table = case
-    unknowns, rows = fundamental_matrix(m)
+    _unknowns, rows = fundamental_matrix(m)
     series = check_fundamental(phi_psi(table, m)).violations
-    assert sorted(applied_times_w2(unknowns, rows, table, m).items()) == sorted(series)
+    assert sorted(applied(rows, table, m).items()) == sorted(series)
 
 
 @st.composite
@@ -1782,26 +1831,46 @@ def condition_cases(draw, m):
     return {k: v for k, v in table.items() if v}, True
 
 
+def driver_verdicts(table, m):
+    """The driver's degree-m verdict on H, and the series definition's.
+
+    H is the table plus its mirror conjugate, a real table, which holds when
+    the table does: the condition kernel is closed under the mirror
+    conjugation.  The germ is the quadric plus i H, truncated at m, so
+    every lower degree flattens with a zero kernel and the driver's last
+    step is degree m, read on the germ's packed keys at the base m + 1.
+    """
+    real = {}
+    for (t, s, r, h), c in table.items():
+        for idx, v in (((t, s, r, h), c), ((r, h, t, s), c.conj())):
+            real[idx] = real.get(idx, G(0)) + v
+    real = {idx: v for idx, v in real.items() if v}
+    germ = Germ(2, parabolic_quadric(m).R + table_to_series(real, m).scale(I))
+    step = flatten_to_order(germ, m).steps[-1]
+    assert step.m == m
+    return step.fundamental_ok, check_fundamental(phi_psi(real, m)).ok
+
+
 @pytest.mark.parametrize("m", range(3, 11))
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(data=st.data())
 def test_the_driver_condition_check_equals_the_condition_series(m, data):
+    # where the driver stops it evaluates the definition, and where it
+    # solves the degree it takes the certificates' verdict: both must agree
     table, holds = data.draw(condition_cases(m))
-    ok = check_fundamental(phi_psi(table, m)).ok
-    assert flatten_mod._satisfies_condition(table_to_series(table, m)) == ok
-    assert ok or not holds
+    got, want = driver_verdicts(table, m)
+    assert got == want
+    assert want or not holds
 
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_the_driver_condition_check_holds_at_the_packing_boundary(m):
-    # A series of truncation m is packed with base m + 1, and the factor
-    # (D^2 + 1) E keeps the degree.  Its terms at the extreme exponents z1^m,
-    # z2^m and conjugates hold the entry m, the largest digit below the base,
-    # and E carries terms such as z1^(m - 1) zb2 to it (-w1 z1^(m - 1) holds
-    # z1^m).  Each conjugate pair of extreme terms is Im(b z_i^m), which
-    # satisfies the condition, so a condition-kernel table keeps holding with
-    # them and a unit term at a mixed bracket with entries m - 1 and 1
-    # breaks it.
+    # A germ of truncation m is packed with base m + 1.  Its terms at the
+    # extreme exponents z1^m, z2^m and conjugates hold the entry m, the
+    # largest digit below the base, from which the driver reads H.  Each
+    # conjugate pair of extreme terms is Im(b z_i^m), which satisfies the
+    # condition, so a condition-kernel table keeps holding with them and a
+    # unit term at a mixed bracket with entries m - 1 and 1 breaks it.
     extremes = {(0, m, 0, 0): G(1, 2), (0, 0, 0, m): G(1, -2)}  # z1^m, zb1^m
     extremes.update({(m, 0, 0, 0): G(3), (0, 0, m, 0): G(3)})  # z2^m, zb2^m
     near = [
@@ -1817,44 +1886,46 @@ def test_the_driver_condition_check_holds_at_the_packing_boundary(m):
         assert series.trunc == m
         assert {exp_from_bracket(*idx) for idx in extremes} <= series.nums.keys()
         assert check_fundamental(phi_psi(table, m)).ok == holds
-        assert flatten_mod._satisfies_condition(series) == holds
+        got, want = driver_verdicts(table, m)
+        assert got == want and (want or not holds)
 
 
-def corrupted_turn(w2_slots, scaled):
-    """The fused field map with w2 put at ``w2_slots``, its derivatives scaled or not."""
+def corrupted_rotation_map(weighted=True, flip=1):
+    """``_rotation_map`` with R's weight b - a kept or set to 1, and S times ``flip``."""
 
-    def turn(family, a, b, base, plus=None):
-        out = dict(plus or {})
-        for key, c in family.items():
-            for slot, sign, slots in ((a, 1, w2_slots), (b, -1, (0, 2))):
-                k = key // base**slot % base
-                if k:
-                    for w in slots:
-                        at = key - base**slot + base**w
-                        out[at] = out.get(at, 0) + sign * (k if scaled else 1) * c
+    def rotation_map(family, p, q, sign):
+        out = {}
+        for (a, b, k), c in family.items():
+            terms = [((a, b, k), (b - a if weighted else 1) * c)]
+            if b < q:
+                terms.append(((a, b + 1, k), flip * sign * (q - b) * c))
+            if a < p:
+                terms.append(((a + 1, b, k), -flip * sign * (p - a) * c))
+            for key, v in terms:
+                out[key] = out.get(key, 0) + v
         return {key: c for key, c in out.items() if c}
 
-    return turn
+    return rotation_map
 
 
 @pytest.mark.parametrize("m", [4, 7])
 def test_the_corruptible_field_map_copy_is_the_field_map(m):
     # so each corruption below changes its one named thing and nothing else
-    base = m + 2
-    units = flatten_mod._family(
-        ((exp_from_bracket(*idx), {j: 1}) for j, idx in enumerate(all_brackets(m))), base
-    )
-    for a, b in ((0, 1), (2, 3)):
-        want = flatten_mod._turn(units, a, b, base, units)
-        assert corrupted_turn((1, 3), True)(units, a, b, base, units) == want
+    for p in range(m + 1):
+        q = m - p
+        points = [(a, b) for a in range(p + 1) for b in range(q + 1)]
+        units = {(a, b, k): 1 for k, (a, b) in enumerate(points)}
+        for sign in (1, -1):
+            want = flatten_mod._rotation_map(units, p, q, sign)
+            assert corrupted_rotation_map()(units, p, q, sign) == want
 
 
-@pytest.fixture(params=["w2-without-zb2", "unscaled-derivative", "negated-series"])
+@pytest.fixture(params=["R-unweighted", "S-flipped", "negated-series"])
 def corrupted_condition(request, monkeypatch):
-    if request.param == "w2-without-zb2":
-        monkeypatch.setattr(flatten_mod, "_turn", corrupted_turn((1,), True))
-    elif request.param == "unscaled-derivative":
-        monkeypatch.setattr(flatten_mod, "_turn", corrupted_turn((1, 3), False))
+    if request.param == "R-unweighted":
+        monkeypatch.setattr(flatten_mod, "_rotation_map", corrupted_rotation_map(weighted=False))
+    elif request.param == "S-flipped":
+        monkeypatch.setattr(flatten_mod, "_rotation_map", corrupted_rotation_map(flip=-1))
     else:
         corrupt_tie_series(monkeypatch, lambda series: -series)
     return request.param
@@ -1901,65 +1972,54 @@ def test_fundamental_nullspace_has_one_table_per_shear_parameter(
 def test_a_corrupted_condition_build_fails_its_spot_check(
     corrupted_condition, fresh_fundamental_nullspace, m
 ):
-    # a corrupted field map fails the check of every basis table; the series
-    # arithmetic of D and E negated fails the tie of the rotation maps
-    if corrupted_condition == "negated-series":
-        message = f"rotation coordinates disagree with D and E at degree {m}"
-    else:
-        message = f"the kernel basis of the condition of degree {m} fails its check"
-    with pytest.raises(ConsistencyError, match=message):
-        fresh_fundamental_nullspace(m)
+    # a corrupted rotation map, or the series arithmetic of D and E negated,
+    # fails the tie of the rotation maps to the definition in both kernels
+    for nullspace in (fresh_fundamental_nullspace, uniqueness_nullspace):
+        with pytest.raises(ConsistencyError, match=f"disagree with D and E at degree {m}$"):
+            nullspace(m)
 
 
 @pytest.fixture
-def normalization_systems_up_to_8():
-    # the same maps build the normalization systems, whose probe rejects a
-    # corrupted map (see the build tests); these are built before it is
-    for m in range(3, 9):
-        flatten_mod._normalization_matrix(m)
-
-
-@pytest.mark.parametrize(
-    "corrupted_condition", ["w2-without-zb2", "unscaled-derivative"], indirect=True
-)
-def test_a_corrupted_elementary_map_fails_the_driver_condition(
-    normalization_systems_up_to_8, corrupted_condition
-):
-    # every degree of a sheared quadric satisfies the condition, and the
-    # driver decides it through the maps alone
-    rep = flatten_to_order(load_germ(FIXTURES / "sheared.germ"), 8)
-    assert rep.ok and not all(step.fundamental_ok for step in rep.steps)
-
-
-# -- the solved-degree certificate ---------------------------------------------------
-
-
-def test_the_solved_degree_certificate_holds_through_degree_30():
-    for n in range(3, 31):
-        assert flatten_mod._solved_degrees_satisfy_condition(n) is True
-
-
-@pytest.mark.parametrize(
-    "corrupted_condition", ["w2-without-zb2", "unscaled-derivative"], indirect=True
-)
-@pytest.mark.parametrize("n", [3, 5, 8, 10])
-def test_a_corrupted_elementary_map_fails_the_solved_degree_certificate(corrupted_condition, n):
-    assert flatten_mod._solved_degrees_satisfy_condition(n) is False
-
-
-def test_a_nonzero_factor_fails_the_solved_degree_certificate(monkeypatch):
-    monkeypatch.setattr(flatten_mod, "_condition_factor", lambda family, base: {0: 1})
-    for n in (3, 8):
-        assert flatten_mod._solved_degrees_satisfy_condition(n) is False
+def sheared_to_8():
+    """``fixtures/sheared.germ`` and its flattening to order 8, before any corruption."""
+    germ = load_germ(FIXTURES / "sheared.germ")
+    return germ, flatten_to_order(germ, 8)
 
 
 @pytest.fixture
 def condition_checks(monkeypatch):
-    """The parts H that the driver hands to ``_satisfies_condition``."""
+    """The tables the driver evaluates the condition on: its calls of ``check_fundamental``."""
     checked = []
-    real = flatten_mod._satisfies_condition
-    monkeypatch.setattr(flatten_mod, "_satisfies_condition", lambda h: checked.append(h) or real(h))
+    real = flatten_mod.check_fundamental
+    monkeypatch.setattr(flatten_mod, "check_fundamental", lambda t: checked.append(t) or real(t))
     return checked
+
+
+def assert_every_solved_degree_reads_false(sheared_to_8, condition_checks):
+    # every degree of a sheared quadric satisfies the condition; the driver
+    # solves each one and takes its verdict from the certificates alone
+    germ, want = sheared_to_8
+    assert want.ok and all(step.fundamental_ok for step in want.steps)
+    rep = flatten_to_order(germ, 8)
+    assert rep.ok and len(rep.steps) == 6 and not any(step.fundamental_ok for step in rep.steps)
+    assert rep.kernels == want.kernels and rep.final == want.final and not condition_checks
+
+
+def test_a_corrupted_elementary_map_fails_the_driver_condition(
+    sheared_to_8, corrupted_condition, condition_checks
+):
+    assert_every_solved_degree_reads_false(sheared_to_8, condition_checks)
+
+
+def test_a_nonzero_factor_fails_the_solved_degree_certificate(
+    sheared_to_8, condition_checks, monkeypatch, fresh_fundamental_nullspace
+):
+    # a factor G that does not kill the shear polynomials fails (a)
+    monkeypatch.setattr(flatten_mod, "_shear_image_in_kernel", lambda: False)
+    assert_every_solved_degree_reads_false(sheared_to_8, condition_checks)
+    for nullspace in (fresh_fundamental_nullspace, uniqueness_nullspace):
+        with pytest.raises(ConsistencyError, match="does not kill the shear polynomials"):
+            nullspace(5)
 
 
 @pytest.mark.parametrize(
@@ -1975,21 +2035,20 @@ def test_the_driver_evaluates_the_condition_only_where_it_stops(
     condition_checks, name, order, calls
 ):
     # nongraph stops on a nonzero remainder at 3, sheared_inconsistent on an
-    # unsolvable degree; every solved degree takes the certificate's verdict
+    # unsolvable degree; every solved degree takes the certificates' verdict
     rep = flatten_to_order(load_germ(FIXTURES / f"{name}.germ"), order)
     assert rep.ok == (calls == 0) and len(condition_checks) == calls
     assert all(step.fundamental_ok for step in rep.steps[: len(rep.steps) - calls])
 
 
 def test_a_failed_certificate_makes_every_solved_degree_read_false(
-    condition_checks, monkeypatch
+    sheared_to_8, condition_checks, monkeypatch, fresh_fundamental_nullspace
 ):
-    germ = load_germ(FIXTURES / "sheared.germ")
-    want = flatten_to_order(germ, 8)
-    monkeypatch.setattr(flatten_mod, "_solved_degrees_satisfy_condition", lambda n: False)
-    rep = flatten_to_order(germ, 8)
-    assert rep.ok and len(rep.steps) == 6 and not any(step.fundamental_ok for step in rep.steps)
-    assert rep.kernels == want.kernels and rep.final == want.final and not condition_checks
+    monkeypatch.setattr(flatten_mod, "_rotation_matches_definition", lambda: False)
+    assert_every_solved_degree_reads_false(sheared_to_8, condition_checks)
+    for nullspace in (fresh_fundamental_nullspace, uniqueness_nullspace):
+        with pytest.raises(ConsistencyError, match="rotation coordinates disagree"):
+            nullspace(5)
 
 
 def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):

@@ -424,7 +424,8 @@ def assert_reads_as_the_oracle(fmt, text):
 
 
 # blanks that str.split and the term pattern both split on, the no-break space among them
-BLANKS = st.sampled_from([" ", "  ", "\t", " \t", "\xa0", "\u2003", "\x1f"])
+BLANK_RUNS = [" ", "  ", "\t", " \t", "\xa0", "\u2003", "\x1f"]
+BLANKS = st.sampled_from(BLANK_RUNS)
 DIGIT_RUNS = st.text("0123456789", min_size=1, max_size=3)
 NATURALS = st.sampled_from(["0", "0", "1", "1", "2", "3", "01", "12"])
 RATIONALS = st.builds(
@@ -623,27 +624,49 @@ def test_every_fixture_block_reads_as_the_line_reader_reads_it():
     assert blocks >= 20
 
 
-GOOD_RATIONALS = st.builds(
-    lambda sign, num, den: sign + num + den,
-    st.sampled_from(["", "", "+", "-"]),
-    st.text("0123456789", min_size=1, max_size=25),
-    st.sampled_from(["", "", "", "/2", "/3", "/6", "/07", "/10", "/99991", "/1" + "0" * 30]),
-)
+GOOD_SIGNS = ["", "", "+", "-"]
+GOOD_DENOMINATORS = ["", "", "", "/2", "/3", "/6", "/07", "/10", "/99991", "/1" + "0" * 30]
 
 
-@st.composite
-def good_rows(draw, nints, min_size=0):
-    """Valid term rows of distinct exponents in 0..5, columns apart by any blanks."""
-    exponents = st.tuples(*[st.integers(0, 5)] * nints)
-    keys = draw(st.lists(exponents, unique=True, min_size=min_size, max_size=min_size + 60))
-    rows = []
-    for lineno, key in enumerate(keys, 1):
-        cols = [draw(st.sampled_from(["", "0", "00"])) + str(k) for k in key]
-        cols += [draw(GOOD_RATIONALS), draw(GOOD_RATIONALS)]
-        line = draw(st.sampled_from(["", "", " ", "\t", "\xa0"]))
-        line += "".join((draw(BLANKS) if n else "") + col for n, col in enumerate(cols))
-        rows.append((lineno, line + draw(st.sampled_from(["", "", " ", "\u2003"]))))
-    return rows
+def good_row(nints, bits):
+    """(exponents, line) of a valid term row, each choice read off the integer ``bits``.
+
+    The choices are those of the row grammar: zeros before each exponent in
+    0..5, two rationals of 1 to 25 digits, any blanks between the columns
+    and space around the row; each is one digit of ``bits`` in mixed radix.
+    """
+
+    def digit(radix):
+        nonlocal bits
+        bits, d = divmod(bits, radix)
+        return d
+
+    def pick(choices):
+        return choices[digit(len(choices))]
+
+    def rational():
+        length = 1 + digit(25)
+        return pick(GOOD_SIGNS) + str(digit(10**length)).zfill(length) + pick(GOOD_DENOMINATORS)
+
+    key = tuple(digit(6) for _ in range(nints))
+    cols = [pick(["", "0", "00"]) + str(k) for k in key] + [rational(), rational()]
+    line = pick(["", "", " ", "\t", "\xa0"]) + cols[0]
+    line += "".join(pick(BLANK_RUNS) + col for col in cols[1:])
+    return key, line + pick(["", "", " ", "\u2003"])
+
+
+def good_rows(nints, min_size=0):
+    """Valid term rows of distinct exponents in 0..5, columns apart by any blanks.
+
+    One draw of 32 bytes per row fixes its exponents and its layout
+    (``good_row``), 256 bits against at most 236 that a row of six
+    exponents reads.
+    """
+    row = st.binary(min_size=32, max_size=32).map(
+        lambda b: good_row(nints, int.from_bytes(b, "big"))
+    )
+    rows = st.lists(row, min_size=min_size, max_size=min_size + 60, unique_by=lambda r: r[0])
+    return rows.map(lambda rows: [(lineno, line) for lineno, (_, line) in enumerate(rows, 1)])
 
 
 @pytest.mark.parametrize("nints", [0, 2, 3, 4, 6])

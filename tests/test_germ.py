@@ -110,7 +110,7 @@ def test_linear_change_identity_and_scaling():
 def test_linear_change_hand_oracle():
     # P = diag(1, i) on the antidiagonal mixed block gives [[0, -i], [i, 0]]
     pair = QuadraticPair(
-        ExactMatrix.zero(2, 2), ExactMatrix.from_rows([[0, 1], [1, 0]])
+        ExactMatrix(2, 2, [0] * 4), ExactMatrix.from_rows([[0, 1], [1, 0]])
     )
     g = quadric_germ(pair, 6)
     p = ExactMatrix.from_rows([[1, 0], [0, G(0, 1)]])
@@ -142,7 +142,7 @@ def test_linear_change_composes(rng):
 def test_linear_change_rejects_bad_inputs():
     q = parabolic_quadric(4)
     with pytest.raises(PreconditionError):
-        q.linear_change(ExactMatrix.zero(2, 2), 1)
+        q.linear_change(ExactMatrix(2, 2, [0] * 4), 1)
     with pytest.raises(PreconditionError):
         q.linear_change(ExactMatrix.identity(2), 0)
 

@@ -37,26 +37,41 @@ PUBLIC_NAMES = [
 SUBMODULES = ["case_tables", "crfields", "errors", "flatten", "germ", "linalg", "numeric",
               "quadratic", "series"]
 
-# Prints, after `import crflat.cli` and after each verb, the crflat modules that
-# are registered but have not run.  A lazily registered module keeps its loader's
-# own module type until first use; `type` reads it without running the module,
-# where `vars()` or any attribute access would run it.
+# Prints, after `import crflat.cli` and after each verb in the order given, the
+# crflat modules that are registered but have not run, and whether
+# crflat.rotation, which is not registered, has been imported.  A lazily
+# registered module keeps its loader's own module type until first use; `type`
+# reads it without running the module, where `vars()` or any attribute access
+# would run it.
 PROBE = """
 import contextlib, io, json, sys, types
 import crflat.cli
 
-def not_run():
-    return sorted(name for name, module in sys.modules.items()
-                  if name.startswith("crflat.") and type(module) is not types.ModuleType)
+def state():
+    not_run = sorted(name for name, module in sys.modules.items()
+                     if name.startswith("crflat.") and type(module) is not types.ModuleType)
+    return {"not_run": not_run, "rotation": "crflat.rotation" in sys.modules}
 
-states = {"import": not_run()}
-for verb, argv in (("unique-check", ["unique-check", "--m", "3"]),
-                   ("flatten", ["flatten", sys.argv[1], "--order", "5"])):
+argvs = {"unique-check": ["unique-check", "--m", "3"],
+         "flatten": ["flatten", sys.argv[1], "--order", "5"]}
+states = {"import": state()}
+for verb in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert crflat.cli.main(argv) == 0
-    states[verb] = not_run()
+        assert crflat.cli.main(argvs[verb]) == 0
+    states[verb] = state()
 print(json.dumps(states))
 """
+
+
+def probe(*verbs):
+    """The states PROBE prints for ``verbs``, run in that order in a fresh process."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE, str(FIXTURES / "sheared.germ"), *verbs],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 def test_public_names_are_the_documented_list():
@@ -90,20 +105,18 @@ def test_audit_reports_built_without_failures_share_no_list():
 
 
 def test_a_verb_runs_only_the_modules_it_uses():
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", PROBE, str(FIXTURES / "sheared.germ")],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    states = json.loads(run.stdout)
+    states = probe("unique-check", "flatten")
     for module in ("case_tables", "crfields", "flatten", "quadratic"):
-        assert f"crflat.{module}" in states["import"]
+        assert f"crflat.{module}" in states["import"]["not_run"]
     for module in ("case_tables", "crfields", "quadratic"):
-        assert f"crflat.{module}" in states["unique-check"]
+        assert f"crflat.{module}" in states["unique-check"]["not_run"]
     for module in ("case_tables", "crfields"):
-        assert f"crflat.{module}" in states["flatten"]
-    assert "crflat.flatten" not in states["flatten"]
+        assert f"crflat.{module}" in states["flatten"]["not_run"]
+    assert "crflat.flatten" not in states["flatten"]["not_run"]
+    # a flatten never imports crflat.rotation; the uniqueness check does
+    states = probe("flatten", "unique-check")
+    assert not states["import"]["rotation"] and not states["flatten"]["rotation"]
+    assert states["unique-check"]["rotation"]
 
 
 # Loads the root conftest.py beside the crflat sources, fills the flatten

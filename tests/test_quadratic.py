@@ -60,7 +60,7 @@ def test_hermitianizable_examples():
     u = G(F(3, 5), F(4, 5))
     assert not is_hermitianizable(bpair([[1, 0], [0, u]])).flattenable
     h = ExactMatrix.from_rows([[1, 2], [2, -1]])
-    v = is_hermitianizable(QuadraticPair(ExactMatrix.zero(2, 2), h.scale(I)))
+    v = is_hermitianizable(QuadraticPair(ExactMatrix(2, 2, [0] * 4), h.scale(I)))
     assert v.flattenable and v.lam == -1 and v.mu_witness == I
     assert v.hermitian_b == h
 
@@ -77,7 +77,7 @@ def test_hermitian_b_witness_consistency(rng):
         h = h + h.conj_transpose()  # Hermitian
         mu = rand_nonzero_gaussian(rng)
         b = h.scale(mu)
-        v = is_hermitianizable(QuadraticPair(ExactMatrix.zero(2, 2), b))
+        v = is_hermitianizable(QuadraticPair(ExactMatrix(2, 2, [0] * 4), b))
         assert v.flattenable
         assert b == b.conj_transpose().scale(v.lam)
         h = b.scale(v.mu_witness.inverse())
@@ -126,7 +126,7 @@ def test_hermitianizable_against_float_schur_oracle(rng):
         if b.det().is_zero():
             continue
         trials += 1
-        exact = is_hermitianizable(QuadraticPair(ExactMatrix.zero(2, 2), b)).flattenable
+        exact = is_hermitianizable(QuadraticPair(ExactMatrix(2, 2, [0] * 4), b)).flattenable
         assert exact == schur_flattenable_float(b)
         agree += 1
     assert agree == 200
@@ -175,7 +175,7 @@ def test_coarse_class_invariant_for_representatives(rng):
 
 
 def test_coarse_class_needs_two_variables():
-    p3 = QuadraticPair(ExactMatrix.zero(3, 3), ExactMatrix.identity(3))
+    p3 = QuadraticPair(ExactMatrix(3, 3, [0] * 9), ExactMatrix.identity(3))
     with pytest.raises(PreconditionError):
         coarse_b_class(p3)
 
@@ -228,7 +228,7 @@ def test_recognizer_extracts_parameters():
 def test_subslice_upper_triangular():
     mu2 = G(1, 1)
     b = ExactMatrix.from_rows([[1, 5, 7], [0, mu2, 11], [0, 0, 2]])
-    p3 = QuadraticPair(ExactMatrix.zero(3, 3), b)
+    p3 = QuadraticPair(ExactMatrix(3, 3, [0] * 9), b)
     sl = subslice_pair(p3, 0, 1)
     assert sl.B == ExactMatrix.from_rows([[1, 5], [0, mu2]])
     assert not is_hermitianizable(sl).flattenable
@@ -236,20 +236,20 @@ def test_subslice_upper_triangular():
 
 def test_subslice_diagonal_and_hermitian(rng):
     b = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, -3]])
-    p3 = QuadraticPair(ExactMatrix.zero(3, 3), b)
+    p3 = QuadraticPair(ExactMatrix(3, 3, [0] * 9), b)
     sl = subslice_pair(p3, 1, 2)
     assert sl.B == ExactMatrix.from_rows([[2, 0], [0, -3]])
     for _ in range(10):
         h = rand_matrix(rng, 3)
         h = h + h.conj_transpose()
-        p3 = QuadraticPair(ExactMatrix.zero(3, 3), h)
+        p3 = QuadraticPair(ExactMatrix(3, 3, [0] * 9), h)
         sl = subslice_pair(p3, 0, 2)
         assert sl.B == sl.B.conj_transpose()
         assert is_hermitianizable(sl).flattenable
     with pytest.raises(PreconditionError):
         subslice_pair(p3, 1, 1)
     with pytest.raises(PreconditionError):
-        subslice_pair(QuadraticPair(ExactMatrix.zero(2, 2), ExactMatrix.identity(2)), 0, 1)
+        subslice_pair(QuadraticPair(ExactMatrix(2, 2, [0] * 4), ExactMatrix.identity(2)), 0, 1)
 
 
 # -- Bishop slices ----------------------------------------------------------------------
@@ -334,7 +334,7 @@ _MATRIX = st.lists(_ENTRY, min_size=4, max_size=4).map(
 _SINGULAR = st.lists(_ENTRY, min_size=4, max_size=4).map(
     lambda e: ExactMatrix.from_rows([[e[0] * e[2], e[0] * e[3]], [e[1] * e[2], e[1] * e[3]]])
 )
-_ZERO = st.just(ExactMatrix.zero(2, 2))
+_ZERO = st.just(ExactMatrix(2, 2, [0] * 4))
 _PAIRS = st.builds(
     QuadraticPair, st.one_of(_ZERO, _MATRIX), st.one_of(_ZERO, _MATRIX, _SINGULAR)
 )
