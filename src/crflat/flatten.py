@@ -947,15 +947,20 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
 # -- the condition and uniqueness kernels, on the shear image -------------------------
 
 
-@lru_cache(maxsize=None)
 def fundamental_nullspace(m: int) -> tuple[Table, ...]:
     """A deterministic basis of all degree-m tables killed by the condition.
 
     The kernel is the span of the shear polynomials, certified on the shear
     image (see the module docstring and
     :func:`crflat.rotation.fundamental_nullspace`); a check that fails raises
-    :class:`ConsistencyError`.
+    :class:`ConsistencyError`.  Each call copies the tables of a basis
+    cached per degree, so no caller's edit reaches another.
     """
+    return tuple(dict(table) for table in _fundamental_basis(m))
+
+
+@lru_cache(maxsize=None)
+def _fundamental_basis(m: int) -> tuple[Table, ...]:
     from . import rotation  # loaded at the first call, never by flatten_to_order
 
     return rotation.fundamental_nullspace(m)

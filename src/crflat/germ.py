@@ -213,12 +213,12 @@ class Germ:
     def shear(self, kernel: "KernelPolynomial") -> "Germ":
         """Apply w' = w + B(z, w): the new graph is R + B(z, R), truncated.
 
-        This is the substitution of :func:`subst_w` on packed operands: the
-        P_j of w + B(z, w) are packed straight from the kernel's integers
-        (:func:`_shear_polys`), and ``_subst_packed`` seeds the sum with a
-        copy of R, the constant 1 of P_1 times R, instead of multiplying R
-        by 1.  The result stays packed and is decoded only when its R is
-        read.
+        The P_j of w + B(z, w) are packed straight from the kernel's
+        integers (:func:`_shear_polys`), and ``_subst_packed`` puts the
+        packed R for w, seeding the sum with a copy of R, the constant 1 of
+        P_1 times R, instead of multiplying R by 1.  The result stays packed
+        and is decoded only when its R is read.  ``subst_w`` of the same
+        polynomial, in ``Series`` products, is its reference.
         """
         if self.n != 2:
             raise PreconditionError("shears are implemented for two variables")

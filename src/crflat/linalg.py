@@ -600,16 +600,15 @@ def nullspace(a: ExactMatrix) -> list[Vector]:
     return sparse_nullspace(_sparse(a), a.cols)
 
 
-def rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> int:
-    """Rank modulo the prime ``MODULUS`` of an integer matrix with ``ncols`` columns.
+def rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank modulo the prime ``MODULUS`` of an integer matrix.
 
     Each row maps a column to its integer entry, absent entries being zero.
     Reducing mod p can only lose rank, so the result is at most the rank
-    over Q, and ``rank_mod_p(rows, ncols) == ncols`` certifies that the
+    over Q, and a rank mod p equal to the column count certifies that the
     matrix has a trivial kernel over Q.  A smaller value proves nothing: the
     prime may divide a minor that is nonzero over Q.  The rank is the pivot
-    count of ``_reduce`` mod p; columns beyond every entry add no pivot, so
-    ``ncols`` bounds the rank but takes no part in the elimination.
+    count of ``_reduce`` mod p; columns beyond every entry add no pivot.
     """
     return len(_reduce(list(rows), MODULUS)[1])
 
@@ -622,7 +621,7 @@ def certified_nullspace(rows: Sequence[Mapping[int, int]], ncols: int, what: str
     the nullity may not exceed ncols - rank_p, the bound the modular rank
     gives.  A failure raises :class:`ConsistencyError` naming ``what``.
     """
-    rank_p = rank_mod_p(rows, ncols)
+    rank_p = rank_mod_p(rows)
     if rank_p == ncols:
         return []
     basis = sparse_nullspace(rows, ncols)

@@ -88,7 +88,7 @@ def _block_nullity(p: int, q: int) -> int:
                 v = acc.get(t)
                 acc[t] = [c * u for u in x] if v is None else [w + c * u for w, u in zip(v, x)]
     schur = [{i: w for i, w in enumerate(acc.get(t, ())) if w % MODULUS} for t in resonant]
-    return n - rank_mod_p(schur, n)
+    return n - rank_mod_p(schur)
 
 
 def _exact_block_nullity(p: int, q: int) -> int:

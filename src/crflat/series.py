@@ -41,16 +41,15 @@ multiplies, differentiates and conjugates without unpacking between steps;
 :func:`_packed_im` reads the imaginary part of one degree's bucket on its
 keys, as a packed operand of that one bucket (the flattening driver's
 per-degree read).
-:func:`subst_w` keeps the powers of the substituted series packed from one
-product to the next, and its core :func:`_subst_packed`, the one
-substitution core, returns the sum packed too, so that a caller holding a
-packed operand (a sheared ``Germ`` holds its R packed) never unpacks
-between substitutions; ``subst_w`` decodes the sum once.  The core seeds
-the sum with a constant c of some P_j: c * r^j is a scaled copy of r^j, not
-a product.  The base is decided here alone: :func:`_packed` packs
-with base cut + 1, every packed operand carries its base to the results
-formed from it, and :func:`_unpacked` decodes with the operand's base, so a
-caller passes degrees, never a base.
+:func:`_subst_packed` puts a packed r for w in the w + B(z, w) of a shear:
+it keeps the powers of r packed from one product to the next and returns
+the sum packed, so a sheared ``Germ`` (it holds its R packed) never
+unpacks between shears, and it seeds the sum with a copy of r, the 1 of w
+times r, not a product.  :func:`subst_w` is its plain reference, Horner's
+rule in ``Series`` products and sums.  The base is decided here alone:
+:func:`_packed` packs with base cut + 1, every packed operand carries its
+base to the results formed from it, and :func:`_unpacked` decodes with the
+operand's base, so a caller passes degrees, never a base.
 
 Every term line ``cols... re im``, in the files and in the reports, is
 written by :func:`term_line`; :func:`format_term_lines` prints each
@@ -597,10 +596,7 @@ def _decoded(terms: Iterable[tuple[int, int, int]], base: int, width: int) -> di
 
 
 def _unpacked(p: _Packed, nvars: int) -> Series:
-    """A packed operand as a series truncated at its ``trunc``, in lowest terms.
-
-    The keys are decoded with the operand's own base.
-    """
+    """A packed operand as a series through its ``trunc``, in lowest terms, decoded in its base."""
     terms = chain.from_iterable(terms for _, terms in p.buckets)
     return Series._canonical(nvars, p.trunc, p.den, _decoded(terms, p.base, 2 * nvars))
 
@@ -683,59 +679,45 @@ def subst_w(
     w-power j form a polynomial P_j(z, zbar), and the result is the sum of
     P_j * value^j at the truncation T of ``value``.  The substituted series must
     have zero constant term, otherwise the truncation grading would be
-    destroyed.
+    destroyed.  Terms above degree T are dropped.
 
-    The P_j and the value are packed once, with base T + 1, which exceeds
-    every exponent entry of a term of degree <= T; :func:`_subst_packed` runs
-    the substitution on the packed operands, and its packed sum is decoded
-    once.
+    Horner's rule in :class:`Series` products and sums, out = out * value + P_j
+    from the top w-power down: a plain reference that shares no code with
+    the packed substitution of a shear (:func:`_subst_packed`).
     """
-    width = 2 * value.nvars
-    if (0,) * width in value.nums:
+    n, trunc = value.nvars, value.trunc
+    if (0,) * (2 * n) in value.nums:
         raise PreconditionError("substituted series must have zero constant term")
-    trunc = value.trunc
-    polys = _template_polys(template, value.nvars, trunc)
-    if not polys:
-        return Series.zero(value.nvars, trunc)
-    return _unpacked(_subst_packed(polys, _packed(value, trunc)), value.nvars)
-
-
-def _template_polys(
-    template: Mapping[tuple[Exponent, int], object], nvars: int, trunc: int
-) -> dict[int, _Packed]:
-    """The nonzero P_j of a :func:`subst_w` template by w-power j, packed with base trunc + 1.
-
-    Terms above degree ``trunc`` are dropped.
-    """
     parts: dict[int, dict[Exponent, object]] = {}
     for (e, j), c in template.items():
         if j < 0:
             raise PreconditionError("negative w-power in template")
         if sum(e) <= trunc:
             parts.setdefault(j, {})[tuple(e)] = c
-    packed = {j: _packed(Series(nvars, trunc, terms), trunc) for j, terms in parts.items()}
-    return {j: p for j, p in packed.items() if p.buckets}
+    out = Series.zero(n, trunc)
+    for j in range(max(parts, default=0), -1, -1):
+        out = out * value + Series(n, trunc, parts.get(j, {}))
+    return out
 
 
 def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
-    """The sum of P_j * r^j through r.trunc, packed in lowest terms: the core of :func:`subst_w`.
+    """The sum of P_j * r^j through r.trunc, packed in lowest terms: a shear at w = r.
 
-    ``polys`` holds at least one P_j, none of them zero, and r has no
-    constant term; all share one base.  Each power stays packed in degree
-    buckets from one product to the next: r^j is the square of r^(j/2) for
-    even j (each unordered pair of terms once, the others doubled) and
-    r^(j-1) * r for odd j, formed by the product core :func:`_sum_of_packed`,
-    and only the powers these steps and the P_j read are formed.
+    ``polys`` holds the nonzero P_j of w + B(z, w) as ``crflat.germ._shear_polys``
+    packs them: P_1 always, its lowest bucket the constant 1 of w alone.  r has
+    no constant term, and all share one base.  Each power stays packed in
+    degree buckets from one product to the next: r^j is the square of
+    r^(j/2) for even j (each unordered pair of terms once, the others
+    doubled) and r^(j-1) * r for odd j, formed by the product core
+    :func:`_sum_of_packed`, and only the powers these steps and the P_j
+    read are formed.
 
-    The sum is seeded, not multiplied, where it can be.  The constant term
-    c = (x + i y) / den of the least j whose P_j has one (the 1 of a
-    shear's w + B(z, w), at j = 1) writes c * r^j into the accumulator as a
-    copy of r^j's pairs scaled by c over the common denominator D, the lcm
-    of every pair's denominators; when that scale is 1 (a shear whose D is
-    R's own denominator) the pairs are copied as they are.  The rest of
-    that P_j and every other P_j * r^j run through the product loop into
-    the same accumulator, which :func:`_as_packed` brings to lowest terms,
-    so the result holds new lists and nothing is unpacked.
+    The sum is seeded with r, the 1 of P_1 times r, not multiplied: r's
+    pairs are copied into the accumulator scaled to the common denominator
+    D, the lcm of r's and every pair's denominators, and as they are when D
+    is r's own.  The rest of P_1 and every other P_j * r^j run through the
+    product loop into the same accumulator, which :func:`_as_packed` brings
+    to lowest terms, so the result holds new lists and nothing is unpacked.
 
     Each power is formed only through the degree it is read at, and every
     product certifies it.  Write T = r.trunc and s = low(r).  P_j * r^j
@@ -748,8 +730,8 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
     low(p)) against the degree it is asked for, with each low read from the
     lowest bucket, and raises ``PreconditionError`` past it; the product core
     checks only above min(T_p, T_r), where the bound holds since low(r) >= 1.
-    The final sum, a seeded P_j whole among its pairs, is checked by the
-    product core's rule (:func:`_reachable`) before it is formed.
+    The final sum, P_1 whole among its pairs, is checked by the product
+    core's rule (:func:`_reachable`) before it is formed.
     """
     trunc = r.trunc
     step = r.low
@@ -775,35 +757,17 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
             acc: Accumulator = {}
             _square_into(acc, p.buckets, upto)
             powers[j] = _as_packed(acc, p.den * p.den, upto, r.base)
-    terms = [(1, p, powers[j]) for j, p in sorted(polys.items())]
-    _reachable(terms, trunc)
-    # the seed: the constant (x + i y) / den of the least j whose P_j has one
-    seed = None
-    pairs = []
-    for _, p, q in terms:
-        if not q.buckets:
-            continue
-        if seed is None and p.buckets[0][0] == 0:
-            ((_, x, y),) = p.buckets[0][1]
-            seed = (x, y, p.den, q)
-            rest = p.buckets[1:]
-            if not rest:
-                continue
-            p = p._replace(low=rest[0][0], buckets=rest)
-        pairs.append((1, p, q))
-    dens = [p.den * q.den for _, p, q in pairs]
+    _reachable([(1, p, powers[j]) for j, p in polys.items()], trunc)
+    rest = polys[1].buckets[1:]  # P_1 less the constant 1 that the seed stands for
+    polys = {**polys, 1: polys[1]._replace(low=rest[0][0] if rest else trunc + 1, buckets=rest)}
+    pairs = [(1, p, powers[j]) for j, p in sorted(polys.items()) if p.buckets and powers[j].buckets]
+    den = math.lcm(r.den, *(p.den * q.den for _, p, q in pairs))
+    scale = den // r.den
     acc = {}
-    if seed is None:
-        den = math.lcm(*dens)
-    else:
-        x, y, cden, power = seed
-        den = math.lcm(cden * power.den, *dens)
-        k = den // (cden * power.den)
-        u, v = k * x, k * y
-        for d, ts in power.buckets:
-            if (u, v) != (1, 0):
-                ts = [(key, a * u - b * v, a * v + b * u) for key, a, b in ts]
-            acc[d] = {key: [a, b] for key, a, b in ts}
+    for d, ts in r.buckets:
+        if scale != 1:
+            ts = [(key, a * scale, b * scale) for key, a, b in ts]
+        acc[d] = {key: [a, b] for key, a, b in ts}
     _sum_into(acc, den, pairs, trunc)
     return _as_packed(acc, den, trunc, r.base)
 

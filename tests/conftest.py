@@ -96,8 +96,10 @@ def rand_real_bracket_table(rng: random.Random, m: int, nterms: int = 8) -> dict
 def shear_template(kernel) -> dict:
     """The ``subst_w`` template of w + B(z, w): the shear oracle, a new graph R + B(z, R).
 
-    ``Germ.shear`` packs the same polynomials straight from the kernel; this
-    template goes through ``subst_w``'s reading of a template instead.
+    ``Germ.shear`` packs the same polynomials straight from the kernel and
+    substitutes on packed operands; ``subst_w`` evaluates this template by
+    Horner's rule in ``Series`` products and sums, which share no code with
+    that substitution.
     """
     # B holds no pure w term (pinned at weight 2, impossible above)
     template = {((a1, a2, 0, 0), j): c for ((a1, a2), j), c in kernel.coeffs.items()}

@@ -383,6 +383,21 @@ def test_exit_codes(capsys):
     assert code == 0 and "ORACLE_MATCH true" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["flatten", fx("sheared.germ"), "--order", "99"], "target order exceeds the germ truncation"),
+    (["jacobian", "ONE"], "linearization is for two variables"),
+    (["bishop", "ONE", "--search", "8"], "candidate search is for two variables"),
+    (["nonminimal-check", "ONE", "--order", "3"], "obstruction calculus needs two variables"),
+], ids=["flatten", "jacobian", "bishop", "nonminimal-check"])
+def test_precondition_exits(tmp_path, capsys, argv, message):
+    # ONE is a germ of one variable, |z|^2
+    one = tmp_path / "one.germ"
+    one.write_text("vars 1\norder 4\n1 1 1 0\n")
+    code, out = run_cli(*[str(one) if arg == "ONE" else arg for arg in argv])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_exit_codes_of_missing_and_malformed_arguments(capsys):
     code, out = run_cli("flatten", "--order", "4")
     assert (code, out) == (2, "")

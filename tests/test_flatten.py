@@ -444,7 +444,7 @@ def test_normalization_rule_reproduces_the_six_case_table():
         _unknowns, constraints, mat = flatten_mod._normalization_matrix(m)
         unblocked = sum(len(c.parts) for c in constraints if not c.label.startswith("block"))
         assert unblocked == mat.cols
-        assert rank_mod_p(mat.entries[:unblocked], mat.cols) == mat.cols, m
+        assert rank_mod_p(mat.entries[:unblocked]) == mat.cols, m
 
 
 # -- kernel solve and driver ---------------------------------------------------------
@@ -1291,6 +1291,14 @@ def test_fundamental_nullspace_is_the_oracle_basis(fresh_fundamental_nullspace, 
     assert len(basis) == shear_parameters(m)
 
 
+def test_fundamental_nullspace_hands_out_new_tables():
+    # an edit to the tables of one call reaches no later call
+    basis = fundamental_nullspace(4)
+    key = next(iter(basis[0]))
+    basis[0][key] += 1
+    assert fundamental_nullspace(4) == rotation_mod.fundamental_nullspace(4) != basis
+
+
 def test_fundamental_nullspace_of_degree_0_is_the_constants(fresh_fundamental_nullspace):
     # (2 q2)^0 = 1 is the one shear polynomial; below degree 0 there is none
     assert fresh_fundamental_nullspace(0) == ({(0, 0, 0, 0): G(1)},)
@@ -1395,7 +1403,8 @@ def rank_one_short(monkeypatch):
         calls.append(ncols)
         return sparse_nullspace(rows, ncols)
 
-    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: ncols - 1)
+    # the last column index: one short of full rank, as the last column holds an entry
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: max(map(max, filter(None, rows))))
     monkeypatch.setattr(linalg, "sparse_nullspace", exact)
     return calls
 
@@ -1749,7 +1758,7 @@ def test_the_factor_kernel_is_the_shear_image(m):
     graded = sorted(range(len(unknowns)), key=lambda j: unknowns[j][1] + unknowns[j][3])
     column = {j: k for k, j in enumerate(graded)}
     graded_rows = [{column[j]: c for j, c in row.items()} for row in rows]
-    nullity = len(unknowns) - rank_mod_p(graded_rows, len(unknowns))
+    nullity = len(unknowns) - rank_mod_p(graded_rows)
     assert nullity == shear_parameters(m)
     assert sum(rotation_mod._block_nullity(p, m - p) for p in range(m + 1)) == nullity
     assert m != 12 or nullity == 97
@@ -1933,9 +1942,9 @@ def corrupted_condition(request, monkeypatch):
 
 @pytest.fixture
 def fresh_fundamental_nullspace():
-    flatten_mod.fundamental_nullspace.cache_clear()
+    flatten_mod._fundamental_basis.cache_clear()
     yield flatten_mod.fundamental_nullspace
-    flatten_mod.fundamental_nullspace.cache_clear()
+    flatten_mod._fundamental_basis.cache_clear()
 
 
 @pytest.mark.parametrize("delta", [G(1), I], ids=["re", "im"])
@@ -2054,7 +2063,7 @@ def test_a_failed_certificate_makes_every_solved_degree_read_false(
 def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, monkeypatch):
     # claiming one more modular rank than the rational rank fails (b), the
     # independence of the shear polynomials: no exact kernel is that small
-    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: rank_mod_p(rows) + 1)
     with pytest.raises(ConsistencyError, match="shear image of degree 4 fails its certificate"):
         fresh_fundamental_nullspace(4)
     # and a block nullity above the shear image's share fails (c)

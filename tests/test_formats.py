@@ -426,33 +426,65 @@ def assert_reads_as_the_oracle(fmt, text):
 # blanks that str.split and the term pattern both split on, the no-break space among them
 BLANK_RUNS = [" ", "  ", "\t", " \t", "\xa0", "\u2003", "\x1f"]
 BLANKS = st.sampled_from(BLANK_RUNS)
-DIGIT_RUNS = st.text("0123456789", min_size=1, max_size=3)
-NATURALS = st.sampled_from(["0", "0", "1", "1", "2", "3", "01", "12"])
-RATIONALS = st.builds(
-    lambda sign, num, den: sign + num + den,
-    st.sampled_from(["", "", "+", "-"]),
-    DIGIT_RUNS,
-    st.sampled_from(["", "", "", "/2", "/3", "/6", "/07", "/10", "/0", "/00"]),
-)
 JUNK = st.text("0123456789+-/#xi.²", max_size=4)
+SIGNS = ["", "", "+", "-"]
 
 
-@st.composite
-def term_lines(draw, nints):
-    """A term line, one in five with a column too many, too few or of junk."""
-    cols = [draw(NATURALS if k < nints else RATIONALS) for k in range(nints + 2)]
-    flaw = draw(st.sampled_from([None] * 12 + ["more", "fewer", "junk"]))
+class Digits:
+    """Choices read off one integer, each one digit of it in mixed radix.
+
+    One draw of bytes lays out a whole line this way, where a draw per
+    choice would cost hypothesis a draw per column.
+    """
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    def digit(self, radix: int) -> int:
+        self.bits, d = divmod(self.bits, radix)
+        return d
+
+    def pick(self, choices):
+        return choices[self.digit(len(choices))]
+
+
+def flawed_term_line(nints, bits):
+    """A term line read off the integer ``bits``, one in five with a column too
+    many, too few or of junk.
+
+    Exponents are naturals, some with a leading zero; rationals have 1 to 3
+    digits and a denominator that may be zero; any blanks lie between the
+    columns, and space and a comment may close the line.
+    """
+    d = Digits(bits)
+
+    def natural():
+        return d.pick(["0", "0", "1", "1", "2", "3", "01", "12"])
+
+    def rational():
+        length = 1 + d.digit(3)
+        denominators = ["", "", "", "/2", "/3", "/6", "/07", "/10", "/0", "/00"]
+        return d.pick(SIGNS) + str(d.digit(10**length)).zfill(length) + d.pick(denominators)
+
+    cols = [natural() for _ in range(nints)] + [rational(), rational()]
+    flaw = d.pick([None] * 12 + ["more", "fewer", "junk"])
     if flaw == "more":
-        cols.insert(draw(st.integers(0, len(cols))), draw(st.one_of(NATURALS, RATIONALS)))
+        cols.insert(d.digit(len(cols) + 1), d.pick([natural, rational])())
     elif flaw == "fewer":
-        del cols[draw(st.integers(0, len(cols) - 1))]
+        del cols[d.digit(len(cols))]
     elif flaw == "junk":
-        cols[draw(st.integers(0, len(cols) - 1))] = draw(JUNK)
-    line = draw(st.sampled_from(["", "", " ", "\t", "\xa0"]))
-    for k, col in enumerate(cols):
-        line += (draw(BLANKS) if k else "") + col
-    line += draw(st.sampled_from(["", "", " ", "\t", "\xa0 "]))
-    return line + draw(st.sampled_from(["", "", "", "# note", "#", "  # 1 2 3"]))
+        cols[d.digit(len(cols))] = "".join(d.pick("0123456789+-/#xi.²") for _ in range(d.digit(5)))
+    line = d.pick(["", "", " ", "\t", "\xa0"]) + cols[0]
+    line += "".join(d.pick(BLANK_RUNS) + col for col in cols[1:])
+    line += d.pick(["", "", " ", "\t", "\xa0 "])
+    return line + d.pick(["", "", "", "# note", "#", "  # 1 2 3"])
+
+
+def term_lines(nints):
+    """Term lines as :func:`flawed_term_line` reads them off one draw of 32 bytes each."""
+    return st.binary(min_size=32, max_size=32).map(
+        lambda b: flawed_term_line(nints, int.from_bytes(b, "big"))
+    )
 
 
 @st.composite
@@ -624,7 +656,6 @@ def test_every_fixture_block_reads_as_the_line_reader_reads_it():
     assert blocks >= 20
 
 
-GOOD_SIGNS = ["", "", "+", "-"]
 GOOD_DENOMINATORS = ["", "", "", "/2", "/3", "/6", "/07", "/10", "/99991", "/1" + "0" * 30]
 
 
@@ -635,24 +666,17 @@ def good_row(nints, bits):
     0..5, two rationals of 1 to 25 digits, any blanks between the columns
     and space around the row; each is one digit of ``bits`` in mixed radix.
     """
-
-    def digit(radix):
-        nonlocal bits
-        bits, d = divmod(bits, radix)
-        return d
-
-    def pick(choices):
-        return choices[digit(len(choices))]
+    d = Digits(bits)
 
     def rational():
-        length = 1 + digit(25)
-        return pick(GOOD_SIGNS) + str(digit(10**length)).zfill(length) + pick(GOOD_DENOMINATORS)
+        length = 1 + d.digit(25)
+        return d.pick(SIGNS) + str(d.digit(10**length)).zfill(length) + d.pick(GOOD_DENOMINATORS)
 
-    key = tuple(digit(6) for _ in range(nints))
-    cols = [pick(["", "0", "00"]) + str(k) for k in key] + [rational(), rational()]
-    line = pick(["", "", " ", "\t", "\xa0"]) + cols[0]
-    line += "".join(pick(BLANK_RUNS) + col for col in cols[1:])
-    return key, line + pick(["", "", " ", "\u2003"])
+    key = tuple(d.digit(6) for _ in range(nints))
+    cols = [d.pick(["", "0", "00"]) + str(k) for k in key] + [rational(), rational()]
+    line = d.pick(["", "", " ", "\t", "\xa0"]) + cols[0]
+    line += "".join(d.pick(BLANK_RUNS) + col for col in cols[1:])
+    return key, line + d.pick(["", "", " ", "\u2003"])
 
 
 def good_rows(nints, min_size=0):

@@ -13,15 +13,19 @@ from crflat import (
     Series,
     dumps_germ,
     dumps_kernel,
+    load_germ,
+    load_kernel,
     loads_germ,
     loads_kernel,
     parabolic_quadric,
     quadric_germ,
 )
+from crflat.cli import main
 from crflat.errors import ParseError, PreconditionError
 from crflat.series import subst_w
 
 from conftest import (
+    FIXTURES,
     rand_gaussian,
     rand_germ,
     rand_invertible,
@@ -159,6 +163,12 @@ def test_shear_examples():
     assert q5.shear(KernelPolynomial(3, {})) == q5
 
 
+def test_shear_refuses_a_one_variable_germ():
+    z, zb = Series.generators(1, 4)
+    with pytest.raises(PreconditionError, match="shears are implemented for two variables"):
+        Germ(1, z * zb).shear(KernelPolynomial(3, {((3, 0), 0): 1}))
+
+
 def test_shear_inverts_for_pure_z_kernels(rng):
     # kernels without w-dependence compose additively, so -k undoes k exactly
     for _ in range(10):
@@ -228,8 +238,9 @@ def test_chained_shears_stay_packed_until_r_is_read():
 # -- the packed shear against its oracles -------------------------------------------
 #
 # ``Germ.shear`` packs w + B(z, w) straight from the kernel and seeds the sum
-# with a scaled copy of R, in new bucket lists.  Two
-# oracles read the same shear another way: ``subst_w`` of the template, and
+# with a scaled copy of R, in new bucket lists.  Two oracles read the same
+# shear another way, sharing no code with the packed substitution: ``subst_w``
+# of the template, Horner's rule in Series products and sums, and
 # R + sum b z^alpha R^j in plain series products and powers.
 
 SHEAR_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -328,8 +339,21 @@ def test_a_shear_builds_new_buckets_and_leaves_r_as_it_was():
         out = germ.shear(kernel)._packed_r().buckets
         assert not {id(ts) for _, ts in packed.buckets} & {id(ts) for _, ts in out}
         assert pickle.dumps(germ._packed_r()) == source
-        # subst_w seeds its sum by the same code, so the oracle is series products
-        assert germ.shear(kernel).R == series_shear(r, kernel)
+        assert germ.shear(kernel).R == series_shear(r, kernel) == subst_w(shear_template(kernel), r)
+
+
+@pytest.mark.parametrize("name", ["cascade20", "sheared18"])
+def test_the_reference_substitution_replays_the_emitted_kernels(tmp_path, capsys, name):
+    # subst_w of each emitted kernel in weight order, in Series products,
+    # reaches the final germ that the driver's packed shears write
+    source = FIXTURES / f"{name}.germ"
+    assert main(["flatten", str(source), "--order", "18", "--emit", str(tmp_path)]) == 0
+    kernels = sorted(tmp_path.glob("degree*.kernel"), key=lambda p: int(p.stem[len("degree"):]))
+    assert len(kernels) == 16
+    r = load_germ(source).R
+    for path in kernels:
+        r = subst_w(shear_template(load_kernel(path)), r)
+    assert dumps_germ(Germ(2, r)) == (tmp_path / "final.germ").read_text()
 
 
 def test_kernel_validation():

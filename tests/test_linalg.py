@@ -200,7 +200,7 @@ def sparse(rows):
     )
 )
 def test_rank_mod_p_never_exceeds_the_rational_rank(rows):
-    assert rank_mod_p(sparse(rows), len(rows[0])) <= ExactMatrix.from_rows(rows).rank()
+    assert rank_mod_p(sparse(rows)) <= ExactMatrix.from_rows(rows).rank()
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -208,16 +208,16 @@ def test_rank_mod_p_never_exceeds_the_rational_rank(rows):
 def test_rank_mod_p_is_the_rational_rank_for_small_entries(rows):
     # every minor of a 5x5 matrix with entries in [-3, 3] is below the prime
     # in absolute value, so no minor vanishes mod p that is nonzero over Q
-    assert rank_mod_p(sparse(rows), len(rows[0])) == ExactMatrix.from_rows(rows).rank()
+    assert rank_mod_p(sparse(rows)) == ExactMatrix.from_rows(rows).rank()
 
 
 def test_rank_mod_p_loses_rank_at_a_multiple_of_the_prime():
     rows = [[MODULUS, 0], [0, 1]]
     assert ExactMatrix.from_rows(rows).rank() == 2
-    assert rank_mod_p(sparse(rows), 2) == 1
+    assert rank_mod_p(sparse(rows)) == 1
     rows = [[1, 1], [1, 1 + MODULUS]]
     assert ExactMatrix.from_rows(rows).rank() == 2
-    assert rank_mod_p(sparse(rows), 2) == 1
+    assert rank_mod_p(sparse(rows)) == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -264,7 +264,7 @@ def test_certified_nullspace_rejects_a_vector_outside_the_kernel(monkeypatch, de
 
 def test_certified_nullspace_rejects_a_basis_beyond_the_modular_bound(monkeypatch):
     # one more modular rank than the rational rank leaves room for one vector
-    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, ncols: rank_mod_p(rows, ncols) + 1)
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: rank_mod_p(rows) + 1)
     with pytest.raises(ConsistencyError, match="exact kernel of the probe fails"):
         certified_nullspace(ROWS, 4, "the probe")
 
@@ -279,10 +279,10 @@ def test_certified_nullspace_rejects_a_padded_basis(monkeypatch):
 
 
 def test_rank_mod_p_edge_cases():
-    assert rank_mod_p([], 3) == 0
-    assert rank_mod_p([{}, {1: 0}], 3) == 0
-    assert rank_mod_p([{0: 1}, {0: 2}, {0: 3}], 1) == 1
-    assert rank_mod_p([{2: 5}, {0: 1, 2: 1}, {1: -4}], 3) == 3
+    assert rank_mod_p([]) == 0
+    assert rank_mod_p([{}, {1: 0}]) == 0
+    assert rank_mod_p([{0: 1}, {0: 2}, {0: 3}]) == 1
+    assert rank_mod_p([{2: 5}, {0: 1, 2: 1}, {1: -4}]) == 3
 
 
 # -- the sparse elimination against the dense one it replaced -------------------------
@@ -541,8 +541,8 @@ def test_rank_mod_p_with_columns_beyond_every_entry():
     # columns 0 and 1; the rank is still that of the 3 x 5 matrix
     rows = [{0: 1, 1: 1}, {1: 2}, {0: 3, 1: 3}]
     dense = ExactMatrix.from_rows([[1, 1, 0, 0, 0], [0, 2, 0, 0, 0], [3, 3, 0, 0, 0]])
-    assert rank_mod_p(rows, 5) == 2 == dense.rank()
-    assert rank_mod_p([{3: 1}, {3: -1}], 6) == 1
+    assert rank_mod_p(rows) == 2 == dense.rank()
+    assert rank_mod_p([{3: 1}, {3: -1}]) == 1
     basis = certified_nullspace(rows, 5, "t")
     assert basis == sparse_nullspace(rows, 5) and len(basis) == 3
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crflat.series as series_mod
-from crflat import GaussianRational, Series, subst_w
+from crflat import GaussianRational, Germ, KernelPolynomial, Series, subst_w
 from crflat.errors import ParseError, PreconditionError
 from crflat.series import (
     bracket_from_exp,
@@ -568,7 +568,7 @@ def substitutions(draw):
 @PRODUCT_SETTINGS
 @given(substitutions())
 def test_subst_w_matches_summed_high_powers(data):
-    # powers up to 8 form odd powers after even ones and squares of squares
+    # Horner's rule against each P_j times its own power, up to value**9
     template, value = data
     trunc = value.trunc
     expect = Series.zero(2, trunc)
@@ -580,11 +580,16 @@ def test_subst_w_matches_summed_high_powers(data):
     assert out == expect and out.trunc == expect.trunc == trunc
 
 
+def _w_power_shear(j):
+    """The kernel z1 w^j, of weight 2 j + 1: the shear reads the power R^j."""
+    return KernelPolynomial(2 * j + 1, {((1, 0), j): 1})
+
+
 @pytest.mark.parametrize("j", [2, 3, 4])
-def test_subst_w_checks_every_power_against_its_certified_truncation(monkeypatch, j):
-    # value^2, the first power formed, claims one degree less than it holds, so
-    # the final sum (j = 2), the odd product w^2 * w (j = 3) or the square
-    # (w^2)^2 (j = 4) must refuse the degree it is asked for
+def test_a_shear_checks_every_power_against_its_certified_truncation(monkeypatch, j):
+    # R^2, the first power formed, claims one degree less than it holds, so
+    # the final sum (j = 2), the odd product R^2 * R (j = 3) or the square
+    # (R^2)^2 (j = 4) must refuse the degree it is asked for
     formed = series_mod._as_packed
     powers = []
 
@@ -592,21 +597,22 @@ def test_subst_w_checks_every_power_against_its_certified_truncation(monkeypatch
         powers.append(formed(acc, den, trunc, base))
         return powers[0]._replace(trunc=trunc - 1) if len(powers) == 1 else powers[-1]
 
-    z1, z2, zb1, _ = gens(6)
-    value = z1 + zb1 * z2  # its product also runs through _as_packed
+    germ = Germ(2, Series(2, 9, {(1, 0, 1, 0): 1, (0, 2, 0, 0): 1, (1, 1, 0, 1): 1}))
     monkeypatch.setattr(series_mod, "_as_packed", first_cut_short)
     with pytest.raises(PreconditionError, match="certified product truncation"):
-        subst_w({((0, 0, 0, 0), j): 1}, value)
+        germ.shear(_w_power_shear(j))
 
 
-def test_subst_w_squares_a_power_whose_lowest_terms_cancel():
-    value = Series(2, 9, _CANCELLING)
-    square = value * value
+def test_a_shear_squares_a_power_whose_lowest_terms_cancel():
+    r = Series(2, 9, _CANCELLING)
+    square = r * r
     assert square.min_degree() == 4 and (2, 2, 0, 0) not in square.nums
+    z1 = Series.variable(2, 9, 0)
     for j in (2, 4):
-        out = subst_w({((0, 0, 0, 0), j): 1}, value)
-        assert out == value**j and out.trunc == 9
-        assert (2, 2, 0, 0) not in out.nums
+        out = Germ(2, r).shear(_w_power_shear(j)).R
+        assert out == r + z1 * r**j and out.trunc == 9
+        assert out == subst_w({((0, 0, 0, 0), 1): 1, ((1, 0, 0, 0), j): 1}, r)
+        assert (3, 2, 0, 0) not in out.nums  # z1 times the z1^2 z2^2 that cancels
 
 
 def test_re_im_recombines_into_real_parts():
