@@ -5,7 +5,8 @@ exact sparse linear algebra), ``series`` (truncated polynomial ring in z and
 zbar), ``germ`` (graph germs and their coordinate changes), ``quadratic``
 (flattenability, coarse classification, Bishop slices), ``crfields``
 (tangent-field brackets and the non-minimality obstruction), ``flatten``
-(order-by-order formal flattening of the parabolic quadric), ``cli``.
+(order-by-order formal flattening of the parabolic quadric), ``audits``
+(the recursion audits of ``flatten``'s operators), ``cli``.
 
 Every submodule but ``errors`` and ``cli`` is registered lazily, with the
 standard library's ``importlib.util.LazyLoader``: it sits in ``sys.modules``
@@ -85,24 +86,26 @@ _EXPORTS = {
         "dumps_field",
     ),
     "flatten": (
-        "AuditReport",
         "Constraint",
         "FlattenReport",
         "HTable",
-        "KTransform",
         "PhiPsiTables",
         "check_fundamental",
         "flatten_to_order",
         "fundamental_nullspace",
         "h_from_germ",
-        "identity_audit",
-        "k_transform",
         "normalization_system",
-        "parity_audit",
         "phi_psi",
-        "recursion_audit",
         "solve_kernel",
         "uniqueness_nullspace",
+    ),
+    "audits": (
+        "AuditReport",
+        "KTransform",
+        "identity_audit",
+        "k_transform",
+        "parity_audit",
+        "recursion_audit",
     ),
     "case_tables": (),
 }

@@ -26,15 +26,14 @@ chain, as the obstruction of ``crflat.crfields`` is: H is packed once, and
 Phi, Psi and the condition are each one call of the packed product core on
 derivatives of packed keys, decoded only where a ``Series`` is returned.
 Bracket tables [t s r h] (the coefficient of z1^s z2^t zb1^h zb2^r) stay
-where the audits index by bracket shifts, and in ``HTable``; lookups at
-negative indices are zero by convention, which every recursion identity
-below relies on.  In z coordinates the operators have two independent
-implementations.  Generic series arithmetic defines them, and the driver's
-check on the degree where it stops and the check of each table of the
-condition kernel's basis (``fundamental_nullspace``) use it.  The
-recursions (coefficient shifts, alternating-sum transforms and their
-identities) exist only as audit code paths, and the audits force them to
-agree with the series.  Write w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and
+in ``HTable`` and where the audits index by bracket shifts; lookups at
+negative indices are zero by convention.  In z coordinates the operators
+have two independent implementations.  Generic series arithmetic defines
+them, and the driver's check on the degree where it stops and the check of
+each table of the condition kernel's basis (``fundamental_nullspace``) use
+it.  The recursions (coefficient shifts, alternating-sum transforms and
+their identities) exist only as audit code paths, in ``crflat.audits``,
+which forces them to agree with the series.  Write w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and
 E = w2 d/dzb1 - w1 d/dzb2, so that Phi = E H and Psi = w2 D Phi + w1 Phi.
 D is a derivation with D w1 = w2 and D w2 = -w1, so
 
@@ -61,8 +60,16 @@ block m - p, which therefore has the same rank.  In a block, R keeps the
 grade a + b and S raises it, so G is triangular with diagonal
 (b - a)(1 - (b - a)^2), zero only at the resonant points |a - b| <= 1.
 
-``fundamental_nullspace`` and ``uniqueness_nullspace`` certify their
-kernels there, on the shear image:
+Both kernels, ``fundamental_nullspace`` and ``uniqueness_nullspace``, are
+certified there on the shear image, by one shared certificate
+(``_certify_condition_kernel``): the maps are tied to D and E on every call
+(D and E of the four generators, by series arithmetic, equal i (R + S) and
+i (R - S) of them, which proves the identity, a derivation being fixed by
+its values on generators), (a) G kills every shear polynomial, and (c) the
+blocks' nullities mod p bound the condition's.  ``fundamental_nullspace`` adds (b), the independence of
+the shear polynomials, and reduces their parts to the condition kernel's
+basis; ``uniqueness_nullspace`` takes (b) from the full column rank of one
+small matrix on the shear parameters.  In full:
 
 * (a) G kills each shear polynomial c_k = z^alpha (2 q2)^j of
   ``kernel_unknowns(m)``, each conjugate and, at even m, (2 q2)^(m/2), by
@@ -72,20 +79,12 @@ kernels there, on the shear image:
 * (b) those 2 |K| + [m even] polynomials are independent;
 * (c) the nullities of the blocks mod p sum to at most 2 |K| + [m even].
 
-So the condition kernel is their span, defined over Q: the real and
-imaginary parts of the coefficients of the c_k span it too, and their
-reduced echelon form is its basis, each table checked by the series
-definition.  A real H in it is Im sum b_k c_k + tau (2 q2)^(m/2), and the
-combined system is one small integer matrix on (Re b_k, Im b_k, tau),
-whose full column rank gives (b) and the trivial kernel at once.  Its
-entries come from a closed form of the coefficients of c_k
+So the condition kernel is their span.  The matrices on the shear
+parameters read the coefficients of the c_k from one closed form
 (``_shear_coefficients``), checked on one dense probe by packed series
-arithmetic; the normalization system of ``solve_kernel`` and the shear
-image of (b) are the same construction on other rows.  The maps R and S
-are tied to the definition on every call: D and E of the four generators,
-by series arithmetic, must equal i (R + S) and i (R - S) of them, which
-proves the identity, a derivation being fixed by its values on generators,
-so the blocks need no dense probe.
+arithmetic; the normalization system of ``solve_kernel`` is the same
+construction on its own rows.  The blocks need no probe: the tie
+certifies the maps.
 
 A degree the driver solves needs no evaluation.  R vanishes to order 2 and
 R_2 = q2 (``_require_parabolic``), so the degree-m part of R sheared by B
@@ -93,13 +92,11 @@ of weight m is R_m + B(z, q2), and a vanishing remainder means
 H = -Im B(z, q2), a complex combination of the c_k and their conjugates.
 By the tie the factor is i G, and by (a) G kills them, so H satisfies the
 condition.  Neither check depends on the degree or the germ, and the
-driver runs both once per call (:func:`_rotation_matches_definition`,
-:func:`_shear_image_in_kernel`); should one fail, every solved degree reads
+driver runs both once per call; should one fail, every solved degree reads
 false.  That R and S act as derivations is structural (``_rotation_map``
-scales each term by its own exponents) and not checked there; the CI step
-"FUNDAMENTAL_OK matches the series definition at depth" compares the
-verdicts with ``phi_psi`` and ``check_fundamental``, which do not use the
-rotation maps.
+scales each term by its own exponents); the CI step "FUNDAMENTAL_OK matches
+the series definition at depth" compares the verdicts with ``phi_psi`` and
+``check_fundamental``, which do not use the rotation maps.
 
 ``linalg.certified_nullspace`` certifies the kernel of the shear parameters
 and the independence of the shear polynomials beside the elimination.
@@ -120,8 +117,8 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair
-from .linalg import SparseMatrix, solve
-from .numeric import I, GaussianRational, ZERO, _gaussian
+from .linalg import MODULUS, SparseMatrix, _echelon, certified_nullspace, rank_mod_p, solve
+from .numeric import I, ONE, GaussianRational, ZERO, _gaussian, integer_parts
 from .series import (
     Exponent,
     Series,
@@ -316,190 +313,6 @@ def check_fundamental(tables: PhiPsiTables) -> FundamentalReport:
     f = fundamental_series(tables)
     violations = [(bracket_from_exp(e), c) for e, c in f.items()]
     return FundamentalReport(not violations, violations)
-
-
-# -- recursion audits (independent coefficient-shift code paths) ------------------
-
-
-class AuditReport:
-    """An audit's verdict; each report built without ``failures`` gets its own list."""
-
-    __slots__ = ("ok", "failures", "skipped")
-
-    def __init__(self, ok: bool, failures: list[str] | None = None, skipped: Optional[str] = None):
-        self.ok = ok
-        self.failures = [] if failures is None else failures
-        self.skipped = skipped
-
-    def __eq__(self, other):
-        if not isinstance(other, AuditReport):
-            return NotImplemented
-        return (self.ok, self.failures, self.skipped) == (other.ok, other.failures, other.skipped)
-
-    def __repr__(self):
-        return f"AuditReport(ok={self.ok!r}, failures={self.failures!r}, skipped={self.skipped!r})"
-
-
-def _phi_recursion(h: Mapping[Bracket, GaussianRational], idx: Bracket) -> GaussianRational:
-    t, s, r, h_ = idx
-    return (
-        (h_ + 1) * _tget(h, (t, s, r - 1, h_ + 1))
-        + (h_ + 1) * _tget(h, (t - 1, s, r, h_ + 1))
-        - (r + 1) * _tget(h, (t, s - 1, r + 1, h_))
-        - (r + 1) * _tget(h, (t, s, r + 1, h_ - 1))
-    )
-
-
-def _psi_recursion(phi: Mapping[Bracket, GaussianRational], idx: Bracket) -> GaussianRational:
-    t, s, r, h_ = idx
-    return (
-        (s + 1)
-        * (
-            _tget(phi, (t, s + 1, r - 2, h_))
-            + 2 * _tget(phi, (t - 1, s + 1, r - 1, h_))
-            + _tget(phi, (t - 2, s + 1, r, h_))
-        )
-        - (t + 1) * _tget(phi, (t + 1, s, r - 1, h_ - 1))
-        - t * _tget(phi, (t, s, r, h_ - 1))
-        - (t + 1) * _tget(phi, (t + 1, s - 1, r - 1, h_))
-        - t * _tget(phi, (t, s - 1, r, h_))
-        + _tget(phi, (t, s, r, h_ - 1))
-        + _tget(phi, (t, s - 1, r, h_))
-    )
-
-
-def _iden_combination(psi: Mapping[Bracket, GaussianRational], idx: Bracket) -> GaussianRational:
-    t, s, r, h_ = idx
-    return (
-        (s + 1) * _tget(psi, (t - 1, s + 1, r, h_))
-        + (s + 1) * _tget(psi, (t, s + 1, r - 1, h_))
-        - (t + 1) * _tget(psi, (t + 1, s - 1, r, h_))
-        - (t + 1) * _tget(psi, (t + 1, s, r, h_ - 1))
-    )
-
-
-def recursion_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -> AuditReport:
-    """Check the coefficient recursions against the series-computed operators.
-
-    The first two identities re-derive Phi from H and Psi from Phi by index
-    shifts; the third states that the alternating four-term combination of
-    Psi coefficients agrees, index by index, with the first-order condition
-    series.  Exact equality is required everywhere.
-    """
-    table, m = _table_and_degree(h, m)
-    tables = phi_psi(table, m)
-    phi, psi = series_to_table(tables.phi), series_to_table(tables.psi)
-    failures = []
-    for idx in all_brackets(m):
-        if _tget(phi, idx) != _phi_recursion(table, idx):
-            failures.append(f"phi-recursion mismatch at {idx}")
-    for idx in all_brackets(m + 1):
-        if _tget(psi, idx) != _psi_recursion(phi, idx):
-            failures.append(f"psi-recursion mismatch at {idx}")
-    fund = series_to_table(fundamental_series(tables))
-    for idx in all_brackets(m + 1):
-        if _iden_combination(psi, idx) != _tget(fund, idx):
-            failures.append(f"four-term combination differs from condition series at {idx}")
-    return AuditReport(not failures, failures)
-
-
-# -- alternating-sum transforms ---------------------------------------------------
-
-
-def _binom(t: int, k: int) -> int:
-    if k < 0 or t < k:
-        return 0
-    return math.comb(t, k)
-
-
-class KTransform(NamedTuple):
-    k: int
-    values: Table
-
-    def get(self, s: int, h: int) -> GaussianRational:
-        if s < 0 or h < 0:
-            return ZERO
-        return self.values.get((s, h), ZERO)
-
-
-def k_transform(table: Mapping[Bracket, GaussianRational], degree: int, k: int) -> KTransform:
-    """Alternating binomial-weighted sums over the first bracket slot.
-
-    values[(s, h)] = sum_t (-1)^(degree - t - s - h) C(t, k) table[t s r h]
-    with r = degree - t - s - h.
-    """
-    values: Table = {}
-    for s in range(degree + 1):
-        for h in range(degree + 1 - s):
-            acc = ZERO
-            for t in range(k if k > 0 else 0, degree + 1 - s - h):
-                r = degree - t - s - h
-                c = _tget(table, (t, s, r, h))
-                if c:
-                    w = _binom(t, k)
-                    if w:
-                        acc = acc + c * ((-1) ** (r % 2) * w)
-            if acc:
-                values[(s, h)] = acc
-    return KTransform(k, values)
-
-
-def identity_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -> AuditReport:
-    """Verify the transform-level identities at lowest conjugate weight.
-
-    Requires the first-order condition to hold for H (the audit is skipped
-    otherwise).  Checked for every k and s in range, all with exact
-    arithmetic:
-
-    * the transform of Phi at (s, 0) against the three-term combination of
-      transforms of H,
-    * the transform of Psi at (s, 0) against transforms of Phi,
-    * the two-sided ladder between Psi transforms of adjacent k,
-
-    and for even degree additionally the odd-transform chain at the origin
-    slot and the closing three-term identity on H transforms.
-    """
-    table, m = _table_and_degree(h, m)
-    tables = phi_psi(table, m)
-    fund = check_fundamental(tables)
-    if not fund.ok:
-        return AuditReport(False, skipped="first-order condition fails for this table")
-    hk = {k: k_transform(table, m, k) for k in range(-1, m + 4)}
-    phi, psi = series_to_table(tables.phi), series_to_table(tables.psi)
-    pk = {k: k_transform(phi, m, k) for k in range(-2, m + 4)}
-    sk = {k: k_transform(psi, m + 1, k) for k in range(-1, m + 4)}
-    failures = []
-    for k in range(0, m + 3):
-        for s in range(0, m + 3):
-            lhs = pk[k].get(s, 0)
-            rhs = (
-                hk[k - 1].get(s, 1)
-                + (m - s + 1 - k) * hk[k].get(s - 1, 0)
-                - (k + 1) * hk[k + 1].get(s - 1, 0)
-            )
-            if lhs != rhs:
-                failures.append(f"phi-transform identity fails at k={k}, s={s}")
-            lhs = sk[k].get(s, 0)
-            rhs = (s + 1) * pk[k - 2].get(s + 1, 0) - (k - 1) * pk[k].get(s - 1, 0)
-            if lhs != rhs:
-                failures.append(f"psi-transform identity fails at k={k}, s={s}")
-            lhs = (s + 1) * sk[k - 1].get(s + 1, 0)
-            rhs = (k + 1) * sk[k + 1].get(s - 1, 0)
-            if lhs != rhs:
-                failures.append(f"psi-transform ladder fails at k={k}, s={s}")
-    if m % 2 == 0:
-        for k in range(0, m + 2, 2):
-            if sk[k + 1].get(0, 0):
-                failures.append(f"odd psi-transform at the origin is nonzero for k={k + 1}")
-        for l in range(1, m // 2 + 2):
-            val = (
-                hk[2 * l - 2].get(1, 1)
-                + (m + 1 - 2 * l) * hk[2 * l - 1].get(0, 0)
-                - 2 * l * hk[2 * l].get(0, 0)
-            )
-            if val:
-                failures.append(f"closing identity fails at l={l}")
-    return AuditReport(not failures, failures)
 
 
 # -- normalization conditions ---------------------------------------------------
@@ -895,14 +708,9 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     and is reported as an obstruction certificate.  Each step also records
     whether H satisfies the first-order condition.  Only the degree where
     the iteration stops evaluates it on H, by its series definition
-    (``check_fundamental`` of ``phi_psi``).  A solved degree has
-    H = -Im B(z, q2), which the condition kills (module docstring); it takes
-    its verdict from the germ-independent certificates that tie the rotation
-    maps to D and E (:func:`_rotation_matches_definition`) and give (a)
-    (:func:`_shear_image_in_kernel`), run once per call at the first solved
-    degree.  Should either fail, every solved degree reads false; that R and
-    S act as derivations is structural, and the CI depth step guards it
-    through the series definition.
+    (``check_fundamental`` of ``phi_psi``).  A solved degree takes its
+    verdict from the tie and (a), run once per call at its first solved
+    degree (module docstring).
 
     R is packed once and stays packed from shear to shear (``Germ.shear``
     returns a germ that holds only its packed R).  Each degree's H = Im R_m
@@ -947,62 +755,223 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
 # -- the condition and uniqueness kernels, on the shear image -------------------------
 
 
-def fundamental_nullspace(m: int) -> tuple[Table, ...]:
-    """A deterministic basis of all degree-m tables killed by the condition.
+def _block_factor(p: int, q: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """G = (1 - (R + S)^2)(R - S) on the block (p, q): {point: its image}.
 
-    The kernel is the span of the shear polynomials, certified on the shear
-    image (see the module docstring and
-    :func:`crflat.rotation.fundamental_nullspace`); a check that fails raises
-    :class:`ConsistencyError`.  Each call copies the tables of a basis
-    cached per degree, so no caller's edit reaches another.
+    One family of all the block's unit polynomials, point k in column k,
+    taken through the three maps at once.
     """
+    points = [(a, b) for a in range(p + 1) for b in range(q + 1)]
+    rm = _rotation_map
+    g = rm({(a, b, k): 1 for k, (a, b) in enumerate(points)}, p, q, -1)
+    for key, c in rm(rm(g, p, q, 1), p, q, 1).items():
+        g[key] = g.get(key, 0) - c
+    images: dict[tuple[int, int], dict[tuple[int, int], int]] = {s: {} for s in points}
+    for (a, b, k), c in g.items():
+        if c:
+            images[points[k]][a, b] = c
+    return images
+
+
+def _block_nullity(p: int, q: int) -> int:
+    """The nullity of G on the block (p, q) modulo ``MODULUS``, by its triangular part.
+
+    G sends a grid point s to lambda_s s, lambda_s = (b - a)(1 - (b - a)^2),
+    plus points of higher grade.  In grade order the matrix is triangular,
+    so its rank is the number of points with lambda_s != 0, whose pivots are
+    invertible, plus the rank of the Schur complement on the resonant
+    points Z (lambda_s = 0, |a - b| <= 1).  For each z in Z, x with x_z = 1,
+    zero on the rest of Z and (G x)_t = 0 at every nonresonant t is solved
+    grade by grade, and (G x) on Z is that column of the complement; all of
+    Z at once, one vector slot each.  An image term not of higher grade
+    breaks the order the solve needs, and raises :class:`ConsistencyError`.
+    """
+    images = _block_factor(p, q)
+    order = sorted(images, key=sum)
+    resonant = {s: i for i, s in enumerate(s for s in order if s not in images[s])}
+    n = len(resonant)
+    acc: dict[tuple[int, int], list[int]] = {}  # G x so far, by point
+    for s in order:
+        image = images[s]
+        if s in resonant:
+            x = [0] * n
+            x[resonant[s]] = 1
+        else:
+            v = acc.pop(s, None)
+            if v is None:
+                continue
+            inv = pow(-image[s], -1, MODULUS)
+            x = [u * inv % MODULUS for u in v]
+        for t, c in image.items():
+            if t != s:
+                if sum(t) <= sum(s):
+                    raise ConsistencyError(f"block ({p}, {q}) of the factor is not triangular")
+                v = acc.get(t)
+                acc[t] = [c * u for u in x] if v is None else [w + c * u for w, u in zip(v, x)]
+    schur = [{i: w for i, w in enumerate(acc.get(t, ())) if w % MODULUS} for t in resonant]
+    return n - rank_mod_p(schur)
+
+
+def _exact_block_nullity(p: int, q: int) -> int:
+    """The nullity of G on the block (p, q) over Q, by exact elimination."""
+    images = _block_factor(p, q)
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for j, image in enumerate(images.values()):
+        for t, c in image.items():
+            rows.setdefault(t, {})[j] = c
+    return len(images) - len(_echelon(list(rows.values()))[1])
+
+
+def _reversed_echelon(vectors: list[list], n: int) -> list[list[GaussianRational]]:
+    """The basis of the span of ``vectors`` in reduced echelon form, columns reversed.
+
+    Each basis vector ends in a 1 at its own column, where the others are
+    zero, and they come in the order of that column.  The form is unique to
+    the span, so a kernel gets the basis :func:`crflat.linalg.sparse_nullspace`
+    gives it: a 1 at each free column, pivot values before it.
+    """
+    reduced, _pivots, _scale = _echelon(
+        [{n - 1 - j: c for j, c in enumerate(v) if c} for v in vectors]
+    )
+    basis = []
+    for row in reversed(reduced):
+        v = [ZERO] * n
+        for j, c in row.items():
+            v[n - 1 - j] = c
+        basis.append(v)
+    return basis
+
+
+def _certify_condition_kernel(m: int, parameters: int) -> None:
+    """The checks both kernels share, for ``parameters`` = 2 |K| + [m even]:
+
+    * D = i (R + S) and E = i (R - S) on the generators
+      (:func:`_rotation_matches_definition`);
+    * (a) G kills each shear polynomial
+      (:func:`_shear_image_in_kernel`);
+    * (c) the blocks' nullities mod p sum to at most ``parameters``.
+      The block (q, p) is the block (p, q) with each grid point (a, b)
+      renamed (b, a) and its entries negated, so only p <= m / 2 is
+      ranked.  A block whose modular nullity exceeds its share of the
+      shear image is eliminated exactly.
+
+    With (b), the independence of the shear polynomials, the condition's
+    kernel is their span.  A check that fails raises :class:`ConsistencyError`.
+    """
+    if not _rotation_matches_definition():
+        raise ConsistencyError(f"rotation coordinates disagree with D and E at degree {m}")
+    if not _shear_image_in_kernel():
+        raise ConsistencyError(
+            f"the condition factor does not kill the shear polynomials of degree {m}"
+        )
+    nullity = 0
+    for p in range(m // 2 + 1):
+        q = m - p
+        # the shear image's share: the z^alpha (2 q2)^j span the
+        # (omega + nu)^u (sigma + nu')^v (omega sigma)^j, of block u + j, their
+        # conjugates the same with omega - nu and sigma - nu', and
+        # (2 q2)^(m/2) lies in both
+        share = 2 * (min(p, q) + 1) - (p == q)
+        k = _block_nullity(p, q)
+        if k > share:
+            k = _exact_block_nullity(p, q)
+        nullity += k if p == q else 2 * k
+    if nullity > parameters:
+        raise ConsistencyError(
+            f"the condition of degree {m} has nullity above {parameters} shear parameters"
+        )
+
+
+def _shear_image(m: int) -> SparseMatrix:
+    """(b): the rows of the parts of 2 H at every bracket have a trivial kernel.
+
+    H runs over the shear parameters (:func:`_shear_matrix`); rows
+    2 j and 2 j + 1 hold the real and imaginary parts at ``all_brackets(m)[j]``.
+    """
+    everywhere = [(idx, ("re", "im")) for idx in all_brackets(m)]
+    image = _shear_matrix(m, everywhere, m % 2 == 0, "shear image")
+    if certified_nullspace(image.entries, image.cols, f"the shear image of degree {m}"):
+        raise ConsistencyError(f"the shear polynomials of degree {m} are dependent")
+    return image
+
+
+def fundamental_nullspace(m: int) -> tuple[Table, ...]:
+    """A deterministic basis of the degree-m condition kernel, each call its own copy."""
     return tuple(dict(table) for table in _fundamental_basis(m))
 
 
 @lru_cache(maxsize=None)
 def _fundamental_basis(m: int) -> tuple[Table, ...]:
-    from . import rotation  # loaded at the first call, never by flatten_to_order
+    """The condition kernel's basis: the shear image's span.
 
-    return rotation.fundamental_nullspace(m)
+    By the tie, (a), (b) and (c) the condition's kernel is that span.  It is
+    defined over Q, so the real and imaginary parts of the image columns
+    span it too, and their reduced echelon form with the columns reversed
+    is the basis :func:`crflat.linalg.sparse_nullspace` gives the kernel.
+    Each table is checked by the series definition (``check_fundamental`` of
+    ``phi_psi``), which shares no code with the rotation maps, and there
+    must be one per shear parameter.  Degree 0 gives the constants.
+    """
+    if m < 0:
+        raise PreconditionError("the condition kernel needs a degree of at least 0")
+    image = _shear_image(m)
+    _certify_condition_kernel(m, image.cols)
+    brackets = all_brackets(m)
+    columns = range(image.cols)
+    parts = [[row.get(c, 0) for row in image.entries[k::2]] for k in (0, 1) for c in columns]
+    basis = tuple(
+        {idx: c for idx, c in zip(brackets, v) if c}
+        for v in _reversed_echelon(parts, len(brackets))
+    )
+    if len(basis) != image.cols or not all(check_fundamental(phi_psi(t, m)).ok for t in basis):
+        raise ConsistencyError(f"the kernel basis of the condition of degree {m} fails its check")
+    return basis
 
 
 def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
-    """Kernel of the combined system: first-order condition, reality,
-    normalization, and the two vanishing coefficient families.
+    """Kernel of the combined system, certified on the shear image: (dimension, basis tables).
 
-    Returns (dimension, basis tables).  The kernel is certified on the shear
-    image, in rotation coordinates (see the module docstring and
-    :func:`crflat.rotation.uniqueness_nullspace`); a check that fails
-    raises :class:`ConsistencyError`.
+    The combined system is the first-order condition, reality,
+    normalization and the two vanishing coefficient families on tables over
+    ``all_brackets(m)``.  The parameter matrix of
+    H = Im sum b_k c_k + tau (2 q2)^(m/2) holds the parts of every
+    normalization constraint and of both vanishing families, in
+    (Re b_k, Im b_k, tau) (:func:`_shear_matrix`), taken by
+    :func:`crflat.linalg.certified_nullspace` after the shared checks.
+
+    By (a) and (c) every real H that satisfies the condition is such an H,
+    so full column rank mod p of the parameter matrix certifies the trivial
+    kernel, and also (b), the independence of the shear polynomials.
+    Otherwise its exact kernel is mapped to tables, their independence is
+    certified by the rank of all the tables the parameters give
+    (:func:`_shear_image`), and the x parts and the y parts are each
+    brought to reduced echelon form with the columns reversed.  That is the
+    basis of the kernels of the x and y blocks of the same system written
+    on the n x n tables, real tables, then i times real tables.  A check
+    that fails raises :class:`ConsistencyError`.
     """
-    from . import rotation  # loaded at the first uniqueness check, never by flatten_to_order
-
-    return rotation.uniqueness_nullspace(m)
-
-
-def parity_audit(h: HTable) -> AuditReport:
-    """For odd degree: the part odd under z1 -> -z1 must vanish.
-
-    Under the hypotheses that the table satisfies the first-order condition
-    and the normalization conditions, its odd part (monomials with s + h
-    odd) lies in the kernel of the combined system of
-    ``uniqueness_nullspace`` -- the two vanishing families hold automatically
-    since those indices have even s + h -- and that kernel is trivial, so the
-    odd part must be zero.  Hypothesis failures and surviving odd coefficients
-    are both reported as findings, so an injected odd coefficient is always
-    caught.
-    """
-    m = h.m
-    if m % 2 == 0:
-        return AuditReport(False, skipped="parity audit applies to odd degrees")
-    failures = []
-    if not check_fundamental(phi_psi(h)).ok:
-        failures.append("hypothesis: first-order condition fails for this table")
-    for con, _ in constraint_residuals(normalization_system(m), h.coeffs):
-        failures.append(f"hypothesis: normalization violated ({con.label})")
-    failures.extend(
-        f"odd-part coefficient survives at {idx}"
-        for idx, _ in h.items()
-        if (idx[1] + idx[3]) % 2 == 1
-    )
-    return AuditReport(not failures, failures)
+    if m < 3:
+        raise PreconditionError("uniqueness check starts at degree 3")
+    indices = [(con.index, con.parts) for con in normalization_system(m)]
+    indices += [((t, 1, m - t - 2, 1), ("re", "im")) for t in range(m - 1)]
+    indices += [((t, 0, m - t, 0), ("re", "im")) for t in range(m + 1)]
+    params = _shear_matrix(m, indices, m % 2 == 0, "shear parameter matrix")
+    _certify_condition_kernel(m, params.cols)
+    kernel = certified_nullspace(params.entries, params.cols, f"the shear parameters of degree {m}")
+    if not kernel:
+        return 0, []
+    brackets = all_brackets(m)
+    image = _shear_image(m)
+    # the kernel's vectors are real; over a common denominator each, in integers
+    kernel = [integer_parts(v)[1] for v in kernel]
+    tables = []
+    for part, unit in ((0, ONE), (1, I)):
+        rows = image.entries[part::2]
+        vectors = [[sum(x * v[c] for c, x in row.items()) for row in rows] for v in kernel]
+        tables += [
+            HTable(m, {idx: unit * c for idx, c in zip(brackets, b)})
+            for b in _reversed_echelon(vectors, len(brackets))
+        ]
+    if len(tables) != len(kernel):
+        raise ConsistencyError(f"the kernel tables of degree {m} lost a dimension")
+    return len(tables), tables

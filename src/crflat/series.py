@@ -860,11 +860,14 @@ def parse_pairs(
     literals taken column by column, and one lcm.  Only when a row does
     not match, a literal passes the integer-digit limit, an exponent repeats
     or a degree passes the order does :func:`_name_error` read the rows
-    line by line, to name the error.
+    line by line, to name the error.  A first row of the wrong width goes
+    there before any pattern is compiled.
     """
     if not rows:
         return 1, {}
-    found = term_pattern(nints).findall("\n".join([line for _, line in rows]))
+    found = ()
+    if len(rows[0][1].split()) == nints + 2:
+        found = term_pattern(nints).findall("\n".join([line for _, line in rows]))
     if len(found) == len(rows):
         columns = list(zip(*found))
         try:
@@ -892,18 +895,17 @@ def parse_pairs(
 def _name_error(rows: Iterable[Row], nints: int, order: int | None) -> NoReturn:
     """Raise the error of term rows that :func:`parse_pairs` cannot read in one pass.
 
-    The rows are read line by line, each by a whole-line match, and the
-    first error raises: in line order, a row that the pattern or ``int``
-    rejects, read column by column (:func:`_reject`), or a repeated
-    exponent; once every row has been read, the first exponent past the
-    order.
+    The rows are read line by line, each of ``nints + 2`` columns by a
+    whole-line match, and the first error raises: in line order, a row of
+    another width or that the pattern or ``int`` rejects, read column by
+    column (:func:`_reject`), or a repeated exponent; once every row has
+    been read, the first exponent past the order.
     """
-    match = term_pattern(nints).fullmatch
     limit = math.inf if order is None else order
     seen: set[tuple[int, ...]] = set()
     over = None  # the first exponent past the order
     for lineno, line in rows:
-        found = match(line)
+        found = len(line.split()) == nints + 2 and term_pattern(nints).fullmatch(line)
         try:
             values = tuple(map(int, found.groups("1"))) if found else None
         except ValueError:  # a group past the integer-digit limit

@@ -31,10 +31,10 @@ from crflat import (
     solve_kernel,
     uniqueness_nullspace,
 )
+import crflat.audits as audits_mod
 import crflat.flatten as flatten_mod
 import crflat.germ as germ_mod
 import crflat.linalg as linalg
-import crflat.rotation as rotation_mod
 import crflat.series as series_mod
 from crflat.errors import ConsistencyError, InconsistentSystemError, PreconditionError
 from crflat.flatten import (
@@ -270,14 +270,14 @@ def _messages(report):
 
 def test_recursion_audit_flags_a_corrupted_phi(monkeypatch):
     table = _condition_kernel_table()
-    honest = flatten_mod.phi_psi
+    honest = audits_mod.phi_psi
 
     def phi_off_by_one(h, m=None):
         tables = honest(h, m)
         extra = Series(2, tables.m, {exp_from_bracket(1, 1, 1, 1): 1})
         return PhiPsiTables(tables.m, tables.phi + extra, tables.psi)
 
-    monkeypatch.setattr(flatten_mod, "phi_psi", phi_off_by_one)
+    monkeypatch.setattr(audits_mod, "phi_psi", phi_off_by_one)
     rep = recursion_audit(table, 4)
     assert not rep.ok and "phi-recursion mismatch at (1, 1, 1, 1)" in rep.failures
     assert _messages(rep) == {"phi-recursion mismatch", "psi-recursion mismatch"}
@@ -285,24 +285,24 @@ def test_recursion_audit_flags_a_corrupted_phi(monkeypatch):
 
 def test_recursion_audit_flags_a_corrupted_condition_series(monkeypatch):
     table = _condition_kernel_table()
-    honest = flatten_mod.fundamental_series
+    honest = audits_mod.fundamental_series
     extra = Series(2, 5, {exp_from_bracket(1, 1, 1, 2): 1})
-    monkeypatch.setattr(flatten_mod, "fundamental_series", lambda t: honest(t) + extra)
+    monkeypatch.setattr(audits_mod, "fundamental_series", lambda t: honest(t) + extra)
     rep = recursion_audit(table, 4)
     assert rep.failures == ["four-term combination differs from condition series at (1, 1, 1, 2)"]
 
 
 def test_identity_audit_flags_corrupted_transforms(monkeypatch):
     table = _condition_kernel_table()
-    honest = flatten_mod.k_transform
+    honest = audits_mod.k_transform
 
     def two_entries_off(tab, degree, k):
         values = dict(honest(tab, degree, k).values)
         for key in ((0, 0), (1, 1)):
             values[key] = values.get(key, G(0)) + 1
-        return flatten_mod.KTransform(k, values)
+        return audits_mod.KTransform(k, values)
 
-    monkeypatch.setattr(flatten_mod, "k_transform", two_entries_off)
+    monkeypatch.setattr(audits_mod, "k_transform", two_entries_off)
     rep = identity_audit(table, 4)
     assert not rep.ok and rep.skipped is None
     assert _messages(rep) == {
@@ -1296,7 +1296,7 @@ def test_fundamental_nullspace_hands_out_new_tables():
     basis = fundamental_nullspace(4)
     key = next(iter(basis[0]))
     basis[0][key] += 1
-    assert fundamental_nullspace(4) == rotation_mod.fundamental_nullspace(4) != basis
+    assert fundamental_nullspace(4) == flatten_mod._fundamental_basis.__wrapped__(4) != basis
 
 
 def test_fundamental_nullspace_of_degree_0_is_the_constants(fresh_fundamental_nullspace):
@@ -1389,7 +1389,7 @@ def test_uniqueness_certified_beyond_degree_10(monkeypatch):
         raise AssertionError("exact elimination on the certified path")
 
     monkeypatch.setattr(linalg, "sparse_nullspace", no_exact)
-    monkeypatch.setattr(rotation_mod, "_echelon", no_exact)
+    monkeypatch.setattr(flatten_mod, "_echelon", no_exact)
     monkeypatch.setattr(flatten_mod, "fundamental_nullspace", no_exact)
     for m in range(11, 15):
         assert uniqueness_nullspace(m) == (0, [])
@@ -1459,15 +1459,15 @@ def block_share(p, q):
 @pytest.mark.parametrize("m", [4, 7])
 def test_a_short_block_rank_falls_back_to_exact_elimination(monkeypatch, m):
     exact = []
-    real = rotation_mod._exact_block_nullity
-    monkeypatch.setattr(rotation_mod, "_block_nullity", lambda p, q: block_share(p, q) + 1)
+    real = flatten_mod._exact_block_nullity
+    monkeypatch.setattr(flatten_mod, "_block_nullity", lambda p, q: block_share(p, q) + 1)
     monkeypatch.setattr(
-        rotation_mod, "_exact_block_nullity", lambda p, q: exact.append(p) or real(p, q)
+        flatten_mod, "_exact_block_nullity", lambda p, q: exact.append(p) or real(p, q)
     )
     assert uniqueness_nullspace(m) == (0, [])
     assert exact == list(range(m // 2 + 1))
     # an exact nullity above the block's share exceeds the vector count
-    monkeypatch.setattr(rotation_mod, "_exact_block_nullity", lambda p, q: block_share(p, q) + 1)
+    monkeypatch.setattr(flatten_mod, "_exact_block_nullity", lambda p, q: block_share(p, q) + 1)
     with pytest.raises(ConsistencyError, match=f"condition of degree {m} has nullity above"):
         uniqueness_nullspace(m)
 
@@ -1478,8 +1478,8 @@ def test_a_short_block_rank_falls_back_to_exact_elimination(monkeypatch, m):
 @pytest.mark.parametrize("m", range(3, 17))
 def test_blocks_p_and_m_minus_p_have_equal_rank(m):
     for p in range(m + 1):
-        nullity = rotation_mod._block_nullity(p, m - p)
-        assert nullity == rotation_mod._block_nullity(m - p, p) == block_share(p, m - p)
+        nullity = flatten_mod._block_nullity(p, m - p)
+        assert nullity == flatten_mod._block_nullity(m - p, p) == block_share(p, m - p)
 
 
 # (block, grid point) of omega, nu, sigma and nu', the degree-one generators
@@ -1527,7 +1527,7 @@ def test_a_map_that_moves_two_q2_fails_the_leibniz_certificate(monkeypatch, sign
 
 def without_row(p0, q0, t):
     """``_block_factor`` with the row of point t dropped from the block (p0, q0)."""
-    real = rotation_mod._block_factor
+    real = flatten_mod._block_factor
 
     def factor(p, q):
         images = real(p, q)
@@ -1556,7 +1556,7 @@ def negated_s(p, q):
     "mutant", [without_row(0, 6, (0, 2)), negated_s], ids=["row-dropped", "S-negated"]
 )
 def test_a_corrupted_block_exceeds_the_nullity_bound(monkeypatch, mutant):
-    monkeypatch.setattr(rotation_mod, "_block_factor", mutant)
+    monkeypatch.setattr(flatten_mod, "_block_factor", mutant)
     with pytest.raises(ConsistencyError, match="condition of degree 6 has nullity above 31"):
         uniqueness_nullspace(6)
 
@@ -1564,7 +1564,7 @@ def test_a_corrupted_block_exceeds_the_nullity_bound(monkeypatch, mutant):
 def test_a_block_out_of_grade_order_is_rejected(monkeypatch):
     # the Schur complement solves grade by grade; an image term at the same
     # grade as its point would be missed, so it raises instead
-    real = rotation_mod._block_factor
+    real = flatten_mod._block_factor
 
     def sideways(p, q):
         images = real(p, q)
@@ -1572,7 +1572,7 @@ def test_a_block_out_of_grade_order_is_rejected(monkeypatch):
             images[1, 1][2, 0] = 1
         return images
 
-    monkeypatch.setattr(rotation_mod, "_block_factor", sideways)
+    monkeypatch.setattr(flatten_mod, "_block_factor", sideways)
     with pytest.raises(ConsistencyError, match=r"block \(2, 3\) of the factor is not triangular"):
         uniqueness_nullspace(5)
 
@@ -1633,7 +1633,7 @@ def block_operator(rotation, m):
     out = {}
     for (a, c, b, d), coef in rotation.items():
         p = a + c
-        for (a2, b2), g in rotation_mod._block_factor(p, m - p)[a, b].items():
+        for (a2, b2), g in flatten_mod._block_factor(p, m - p)[a, b].items():
             e = (a2, p - a2, b2, m - p - b2)
             out[e] = out.get(e, G(0)) + I * coef * g
     return Series(2, m, {e: v for e, v in out.items() if v})
@@ -1760,7 +1760,7 @@ def test_the_factor_kernel_is_the_shear_image(m):
     graded_rows = [{column[j]: c for j, c in row.items()} for row in rows]
     nullity = len(unknowns) - rank_mod_p(graded_rows)
     assert nullity == shear_parameters(m)
-    assert sum(rotation_mod._block_nullity(p, m - p) for p in range(m + 1)) == nullity
+    assert sum(flatten_mod._block_nullity(p, m - p) for p in range(m + 1)) == nullity
     assert m != 12 or nullity == 97
 
 
@@ -1955,14 +1955,14 @@ def test_fundamental_nullspace_checks_every_basis_vector(
     # its bracket breaks the condition
     m, idx = 5, (2, 1, 1, 1)
     assert not check_fundamental(phi_psi({idx: 1}, m)).ok
-    real = rotation_mod._reversed_echelon
+    real = flatten_mod._reversed_echelon
 
     def corrupted(vectors, n):
         basis = real(vectors, n)
         basis[2][all_brackets(m).index(idx)] += delta
         return basis
 
-    monkeypatch.setattr(rotation_mod, "_reversed_echelon", corrupted)
+    monkeypatch.setattr(flatten_mod, "_reversed_echelon", corrupted)
     with pytest.raises(ConsistencyError, match=f"condition of degree {m} fails its check"):
         fresh_fundamental_nullspace(m)
 
@@ -1971,8 +1971,8 @@ def test_fundamental_nullspace_has_one_table_per_shear_parameter(
     fresh_fundamental_nullspace, monkeypatch
 ):
     # a basis short of a table still passes the check of each table
-    real = rotation_mod._reversed_echelon
-    monkeypatch.setattr(rotation_mod, "_reversed_echelon", lambda v, n: real(v, n)[:-1])
+    real = flatten_mod._reversed_echelon
+    monkeypatch.setattr(flatten_mod, "_reversed_echelon", lambda v, n: real(v, n)[:-1])
     with pytest.raises(ConsistencyError, match="condition of degree 6 fails its check"):
         fresh_fundamental_nullspace(6)
 
@@ -2068,8 +2068,8 @@ def test_fundamental_nullspace_bounds_its_nullity(fresh_fundamental_nullspace, m
         fresh_fundamental_nullspace(4)
     # and a block nullity above the shear image's share fails (c)
     monkeypatch.undo()
-    monkeypatch.setattr(rotation_mod, "_block_nullity", lambda p, q: block_share(p, q) + 1)
-    monkeypatch.setattr(rotation_mod, "_exact_block_nullity", lambda p, q: block_share(p, q) + 1)
+    monkeypatch.setattr(flatten_mod, "_block_nullity", lambda p, q: block_share(p, q) + 1)
+    monkeypatch.setattr(flatten_mod, "_exact_block_nullity", lambda p, q: block_share(p, q) + 1)
     with pytest.raises(ConsistencyError, match="condition of degree 4 has nullity above 17 "):
         fresh_fundamental_nullspace(4)
 

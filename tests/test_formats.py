@@ -23,6 +23,7 @@ from crflat.numeric import (
     natural,
     rational_parts,
 )
+import crflat.series as series_mod
 from crflat.series import (
     Series,
     content_errors,
@@ -561,6 +562,17 @@ def test_a_5000_digit_literal_is_named_and_exits_2(tmp_path, text, message):
     path.write_text(text)
     code, out, err = run_cli("flatten", str(path), "--order", "4")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_row_too_narrow_for_a_wide_header_compiles_no_pattern_of_that_width(monkeypatch):
+    widths = []
+    real = series_mod.term_pattern
+    monkeypatch.setattr(series_mod, "term_pattern", lambda nints: widths.append(nints) or real(nints))
+    for rows in (["1 0 0 0 1 0"], ["1 0 0 0 1 0", "1 " * 10001 + "0"]):
+        text = "vars 5000\norder 2\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError, match="^line 3: expected 10000 integers and 2 rationals$"):
+            loads_germ(text)
+    assert 10000 not in widths
 
 
 @pytest.mark.parametrize("fmt, text, message", [

@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "InconsistentSystemError", "KTransform", "KernelPolynomial", "LinearizationReport",
     "ObstructionReport", "ParseError", "PhiPsiTables",
     "PreconditionError", "QuadraticPair", "Series", "SliceReport", "TangentField",
-    "UnderdeterminedSystemError", "WitnessReport", "achievable_order", "bishop_slice",
+    "UnderdeterminedSystemError", "WitnessReport", "achievable_order", "audits", "bishop_slice",
     "bracket_data", "bracket_from_exp", "build_canonical_field", "case_tables",
     "check_fundamental", "coarse_b_class", "cr_singular_linearization", "crfields",
     "dumps_field", "dumps_germ", "dumps_kernel", "elliptic_candidates", "errors",
@@ -34,23 +34,21 @@ PUBLIC_NAMES = [
     "verify_witness",
 ]
 
-SUBMODULES = ["case_tables", "crfields", "errors", "flatten", "germ", "linalg", "numeric",
-              "quadratic", "series"]
+SUBMODULES = ["audits", "case_tables", "crfields", "errors", "flatten", "germ", "linalg",
+              "numeric", "quadratic", "series"]
 
 # Prints, after `import crflat.cli` and after each verb in the order given, the
-# crflat modules that are registered but have not run, and whether
-# crflat.rotation, which is not registered, has been imported.  A lazily
-# registered module keeps its loader's own module type until first use; `type`
-# reads it without running the module, where `vars()` or any attribute access
-# would run it.
+# crflat modules that are registered but have not run.  A lazily registered
+# module keeps its loader's own module type until first use; `type` reads it
+# without running the module, where `vars()` or any attribute access would
+# run it.
 PROBE = """
 import contextlib, io, json, sys, types
 import crflat.cli
 
 def state():
-    not_run = sorted(name for name, module in sys.modules.items()
-                     if name.startswith("crflat.") and type(module) is not types.ModuleType)
-    return {"not_run": not_run, "rotation": "crflat.rotation" in sys.modules}
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("crflat.") and type(module) is not types.ModuleType)
 
 argvs = {"unique-check": ["unique-check", "--m", "3"],
          "flatten": ["flatten", sys.argv[1], "--order", "5"]}
@@ -106,17 +104,17 @@ def test_audit_reports_built_without_failures_share_no_list():
 
 def test_a_verb_runs_only_the_modules_it_uses():
     states = probe("unique-check", "flatten")
-    for module in ("case_tables", "crfields", "flatten", "quadratic"):
-        assert f"crflat.{module}" in states["import"]["not_run"]
-    for module in ("case_tables", "crfields", "quadratic"):
-        assert f"crflat.{module}" in states["unique-check"]["not_run"]
-    for module in ("case_tables", "crfields"):
-        assert f"crflat.{module}" in states["flatten"]["not_run"]
-    assert "crflat.flatten" not in states["flatten"]["not_run"]
-    # a flatten never imports crflat.rotation; the uniqueness check does
+    for module in ("audits", "case_tables", "crfields", "flatten", "quadratic"):
+        assert f"crflat.{module}" in states["import"]
+    for module in ("audits", "case_tables", "crfields", "quadratic"):
+        assert f"crflat.{module}" in states["unique-check"]
+    for module in ("audits", "case_tables", "crfields"):
+        assert f"crflat.{module}" in states["flatten"]
+    assert "crflat.flatten" not in states["flatten"]
+    # no verb runs the audits, in either order
     states = probe("flatten", "unique-check")
-    assert not states["import"]["rotation"] and not states["flatten"]["rotation"]
-    assert states["unique-check"]["rotation"]
+    assert "crflat.audits" in states["flatten"] and "crflat.audits" in states["unique-check"]
+    assert "crflat.flatten" not in states["flatten"]
 
 
 # Loads the root conftest.py beside the crflat sources, fills the flatten
