@@ -33,8 +33,9 @@ them, and the driver's check on the degree where it stops and the check of
 each table of the condition kernel's basis (``fundamental_nullspace``) use
 it.  The recursions (coefficient shifts, alternating-sum transforms and
 their identities) exist only as audit code paths, in ``crflat.audits``,
-which forces them to agree with the series.  Write w_i = z_i + zb_i, D = w2 d/dz1 - w1 d/dz2 and
-E = w2 d/dzb1 - w1 d/dzb2, so that Phi = E H and Psi = w2 D Phi + w1 Phi.
+which forces them to agree with the series.  Write w_i = z_i + zb_i,
+D = w2 d/dz1 - w1 d/dz2 and E = w2 d/dzb1 - w1 d/dzb2, so that Phi = E H
+and Psi = w2 D Phi + w1 Phi.
 D is a derivation with D w1 = w2 and D w2 = -w1, so
 
     D Psi = (D w2) D Phi + w2 D^2 Phi + (D w1) Phi + w1 D Phi
@@ -60,16 +61,16 @@ block m - p, which therefore has the same rank.  In a block, R keeps the
 grade a + b and S raises it, so G is triangular with diagonal
 (b - a)(1 - (b - a)^2), zero only at the resonant points |a - b| <= 1.
 
-Both kernels, ``fundamental_nullspace`` and ``uniqueness_nullspace``, are
-certified there on the shear image, by one shared certificate
+``fundamental_nullspace`` and ``uniqueness_nullspace`` certify their
+kernels there, on the shear image, by one shared certificate
 (``_certify_condition_kernel``): the maps are tied to D and E on every call
 (D and E of the four generators, by series arithmetic, equal i (R + S) and
 i (R - S) of them, which proves the identity, a derivation being fixed by
 its values on generators), (a) G kills every shear polynomial, and (c) the
-blocks' nullities mod p bound the condition's.  ``fundamental_nullspace`` adds (b), the independence of
-the shear polynomials, and reduces their parts to the condition kernel's
-basis; ``uniqueness_nullspace`` takes (b) from the full column rank of one
-small matrix on the shear parameters.  In full:
+blocks' nullities mod p bound the condition's.  The first adds (b), the
+independence of the shear polynomials, and reduces their parts to the
+condition kernel's basis; the second takes (b) from the full column rank
+of one small matrix on the shear parameters.  In full:
 
 * (a) G kills each shear polynomial c_k = z^alpha (2 q2)^j of
   ``kernel_unknowns(m)``, each conjugate and, at even m, (2 q2)^(m/2), by
@@ -847,8 +848,7 @@ def _certify_condition_kernel(m: int, parameters: int) -> None:
 
     * D = i (R + S) and E = i (R - S) on the generators
       (:func:`_rotation_matches_definition`);
-    * (a) G kills each shear polynomial
-      (:func:`_shear_image_in_kernel`);
+    * (a) G kills each shear polynomial (:func:`_shear_image_in_kernel`);
     * (c) the blocks' nullities mod p sum to at most ``parameters``.
       The block (q, p) is the block (p, q) with each grid point (a, b)
       renamed (b, a) and its entries negated, so only p <= m / 2 is

@@ -567,7 +567,7 @@ def test_a_5000_digit_literal_is_named_and_exits_2(tmp_path, text, message):
 def test_a_row_too_narrow_for_a_wide_header_compiles_no_pattern_of_that_width(monkeypatch):
     widths = []
     real = series_mod.term_pattern
-    monkeypatch.setattr(series_mod, "term_pattern", lambda nints: widths.append(nints) or real(nints))
+    monkeypatch.setattr(series_mod, "term_pattern", lambda n: widths.append(n) or real(n))
     for rows in (["1 0 0 0 1 0"], ["1 0 0 0 1 0", "1 " * 10001 + "0"]):
         text = "vars 5000\norder 2\n" + "\n".join(rows) + "\n"
         with pytest.raises(ParseError, match="^line 3: expected 10000 integers and 2 rationals$"):
