@@ -29,7 +29,7 @@ Bracket tables [t s r h] (the coefficient of z1^s z2^t zb1^h zb2^r) stay
 in ``HTable`` and where the audits index by bracket shifts; lookups at
 negative indices are zero by convention.  In z coordinates the operators
 have two independent implementations.  Generic series arithmetic defines
-them, and the driver's check on the degree where it stops and the check of
+them, and ``flatten``'s check on the degree where it stops and the check of
 each table of the condition kernel's basis (``fundamental_nullspace``) use
 it.  The recursions (coefficient shifts, alternating-sum transforms and
 their identities) exist only as audit code paths, in ``crflat.audits``,
@@ -87,13 +87,13 @@ arithmetic; the normalization system of ``solve_kernel`` is the same
 construction on its own rows.  The blocks need no probe: the tie
 certifies the maps.
 
-A degree the driver solves needs no evaluation.  R vanishes to order 2 and
+A degree ``flatten`` solves needs no evaluation.  R vanishes to order 2 and
 R_2 = q2 (``_require_parabolic``), so the degree-m part of R sheared by B
 of weight m is R_m + B(z, q2), and a vanishing remainder means
 H = -Im B(z, q2), a complex combination of the c_k and their conjugates.
 By the tie the factor is i G, and by (a) G kills them, so H satisfies the
-condition.  Neither check depends on the degree or the germ, and the
-driver runs both once per call; should one fail, every solved degree reads
+condition.  Neither check depends on the degree or the germ, and
+``flatten`` runs both once per call; should one fail, every solved degree reads
 false.  That R and S act as derivations is structural (``_rotation_map``
 scales each term by its own exponents); the CI step "FUNDAMENTAL_OK matches
 the series definition at depth" compares the verdicts with ``phi_psi`` and

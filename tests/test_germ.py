@@ -345,7 +345,7 @@ def test_a_shear_builds_new_buckets_and_leaves_r_as_it_was():
 @pytest.mark.parametrize("name", ["cascade20", "sheared18"])
 def test_the_reference_substitution_replays_the_emitted_kernels(tmp_path, capsys, name):
     # subst_w of each emitted kernel in weight order, in Series products,
-    # reaches the final germ that the driver's packed shears write
+    # reaches the final germ that flatten's packed shears write
     source = FIXTURES / f"{name}.germ"
     assert main(["flatten", str(source), "--order", "18", "--emit", str(tmp_path)]) == 0
     kernels = sorted(tmp_path.glob("degree*.kernel"), key=lambda p: int(p.stem[len("degree"):]))
