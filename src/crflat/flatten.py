@@ -21,13 +21,11 @@ unsolvable normalization) is returned as an obstruction certificate.
 
 The operators exchange ``Series``, each product certified through the degree
 it is asked for (Phi of degree m, Psi and the condition of degree m + 1), so
-a cut degree raises instead of dropping terms.  Inside, they are one packed
-chain, as the obstruction of ``crflat.crfields`` is: H is packed once, and
-Phi, Psi and the condition are each one call of the packed product core on
-derivatives of packed keys, decoded only where a ``Series`` is returned.
-Bracket tables [t s r h] (the coefficient of z1^s z2^t zb1^h zb2^r) stay
-in ``HTable`` and where the audits index by bracket shifts; lookups at
-negative indices are zero by convention.  In z coordinates the operators
+a cut degree raises instead of dropping terms.  Each is one
+``sum_of_products`` call on ``Series`` derivatives.  Bracket tables
+[t s r h] (the coefficient of z1^s z2^t zb1^h zb2^r) stay in ``HTable``
+and where the audits index by bracket shifts; lookups at negative indices
+are zero by convention.  In z coordinates the operators
 have two independent implementations.  Generic series arithmetic defines
 them, and ``flatten``'s check on the degree where it stops and the check of
 each table of the condition kernel's basis (``fundamental_nullspace``) use
@@ -132,6 +130,7 @@ from .series import (
     _unpacked,
     bracket_from_exp,
     exp_from_bracket,
+    sum_of_products,
 )
 
 Bracket = tuple[int, int, int, int]
@@ -253,55 +252,29 @@ def _table_and_degree(h: HTable | Mapping[Bracket, object], m: int | None) -> tu
     return {k: GaussianRational.coerce(v) for k, v in h.items()}, m
 
 
-def _w_forms(base: int) -> tuple[_Packed, _Packed, _Packed, _Packed]:
-    """w1, w2, w2^2 and w2 w1 as packed operands in ``base``.
-
-    They are polynomials, so they are exact through every degree; each
-    carries the truncation base - 1, the most a product in that base can be
-    asked for.
-    """
-    z1, z2, zb1, zb2 = 1, base, base**2, base**3
-
-    def form(degree: int, terms: list[tuple[int, int]]) -> _Packed:
-        return _Packed(base - 1, degree, 1, [(degree, [(k, c, 0) for k, c in terms])], base)
-
-    return (
-        form(1, [(z1, 1), (zb1, 1)]),
-        form(1, [(z2, 1), (zb2, 1)]),
-        form(2, [(2 * z2, 1), (z2 + zb2, 2), (2 * zb2, 1)]),
-        form(2, [(z1 + z2, 1), (z1 + zb2, 1), (zb1 + z2, 1), (zb1 + zb2, 1)]),
-    )
-
-
-def _phi_psi_packed(h: _Packed, m: int) -> tuple[_Packed, _Packed]:
-    """Phi and Psi of a packed degree-m H, certified through m and m + 1.
-
-    H must be packed in a base above m + 1; Phi and Psi keep it.  Each is one
-    call of the packed product core, on derivatives of packed keys.
-    """
-    w1, w2, w22, w21 = _w_forms(h.base)
-    phi = _sum_of_packed(((1, w2, _packed_diff(h, 2)), (-1, w1, _packed_diff(h, 3))), m)
-    terms = ((1, w22, _packed_diff(phi, 0)), (-1, w21, _packed_diff(phi, 1)), (1, w1, phi))
-    return phi, _sum_of_packed(terms, m + 1)
+@lru_cache(maxsize=None)
+def _linear_forms(m: int) -> tuple[Series, Series, Series, Series]:
+    """w1, w2, w2^2 and w2 w1 through degree m + 2, enough for Phi, Psi and the condition."""
+    z1, z2, zb1, zb2 = Series.generators(2, m + 2)
+    w1, w2 = z1 + zb1, z2 + zb2
+    return w1, w2, w2 * w2, w2 * w1
 
 
 def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPsiTables:
-    """Both derived operators, by series arithmetic, exact through m and m + 1.
-
-    H is packed once, with base m + 2; Phi and Psi are formed packed
-    (:func:`_phi_psi_packed`) and decoded here.
-    """
+    """Both derived operators, by series arithmetic, exact through m and m + 1."""
     table, m = _table_and_degree(h, m)
-    phi, psi = _phi_psi_packed(_packed(table_to_series(table, m), m + 1), m)
-    return PhiPsiTables(m, _unpacked(phi, 2), _unpacked(psi, 2))
+    hs = table_to_series(table, m)
+    w1, w2, w22, w21 = _linear_forms(m)
+    phi = sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))), trunc=m)
+    terms = ((1, w22, phi.dz(1)), (-1, w21, phi.dz(2)), (1, w1, phi))
+    return PhiPsiTables(m, phi, sum_of_products(terms, trunc=m + 1))
 
 
 def fundamental_series(tables: PhiPsiTables) -> Series:
-    """The condition series, certified exact through degree m + 1, one packed product call."""
-    psi = _packed(tables.psi, tables.m + 1)
-    w1, w2, _, _ = _w_forms(psi.base)
-    terms = ((1, w2, _packed_diff(psi, 0)), (-1, w1, _packed_diff(psi, 1)))
-    return _unpacked(_sum_of_packed(terms, tables.m + 1), 2)
+    """The condition series, certified exact through degree m + 1."""
+    psi, m = tables.psi, tables.m
+    w1, w2, _, _ = _linear_forms(m)
+    return sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))), trunc=m + 1)
 
 
 class FundamentalReport(NamedTuple):

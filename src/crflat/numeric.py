@@ -24,8 +24,8 @@ lines: a natural ``digits``, an integer ``[+-]digits``, a rational ``p/q`` or
 ``p/q-r/s i``, ``p/q``, ``r/s i``, ``-r/s i``, ``i`` or ``-i``.  Whitespace may
 surround a literal and a Gaussian literal's joining sign, and precede its
 ``i`` (``3/5 + 4/5 i``); it never sits inside a number (``1 2``, ``1 / 2``).
-:func:`term_pattern` is the same grammar for a whole term line of the file
-formats, naturals and two rationals, so a reader matches a line once.
+:func:`term_pattern` is the same grammar for term lines of the file formats,
+naturals and two rationals, so a reader matches a block of lines at once.
 """
 
 from __future__ import annotations
@@ -396,13 +396,12 @@ def term_pattern(nints: int) -> re.Pattern:
     Columns are apart by ``[^\\S\\n]+``, the whitespace ``str.split`` splits
     on short of the newline, and the line may start and end with such
     whitespace.  The groups are the naturals' digits, then each rational's
-    numerator and denominator (None when it has none).  So a line matches
+    numerator and denominator (empty when it has none).  So a line matches
     exactly when its ``str.split`` columns are ``nints + 2`` and ``natural``
     and ``rational_parts`` accept each, short of the integer-digit limit,
     which ``int`` of a group checks.  The pattern is anchored at line
     boundaries (``(?m)^...$``) and no match crosses a newline, so
-    ``fullmatch`` reads one line and ``findall`` reads lines joined by
-    ``"\\n"``, one match per matching line.
+    ``findall`` reads lines joined by ``"\\n"``, one match per matching line.
     """
     columns = [_NATURAL_COLUMN] * nints + [_RATIONAL_COLUMN] * 2
     return re.compile(r"(?m)^[^\S\n]*" + r"[^\S\n]+".join(columns) + r"[^\S\n]*$")

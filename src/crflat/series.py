@@ -46,10 +46,11 @@ it keeps the powers of r packed from one product to the next and returns
 the sum packed, so a sheared ``Germ`` (it holds its R packed) never
 unpacks between shears, and it seeds the sum with a copy of r, the 1 of w
 times r, not a product.  :func:`subst_w` is its plain reference, Horner's
-rule in ``Series`` products and sums.  The base is decided here alone:
-:func:`_packed` packs with base cut + 1, every packed operand carries its
-base to the results formed from it, and :func:`_unpacked` decodes with the
-operand's base, so a caller passes degrees, never a base.
+rule in ``Series`` products and sums.  :func:`_packed` packs with base
+cut + 1, every packed operand carries its base to the results formed from
+it, and :func:`_unpacked` decodes with the operand's base; a caller that
+packs keys itself (:func:`_pack`) passes the base of the operands its keys
+meet.
 
 Every term line ``cols... re im``, in the files and in the reports, is
 written by :func:`term_line`; :func:`format_term_lines` prints each
@@ -73,7 +74,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import chain
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .numeric import (
@@ -397,15 +398,6 @@ def _pack(e: Sequence[int], base: int) -> int:
     return key
 
 
-def _unpack(key: int, base: int, width: int) -> Exponent:
-    """The exponent of ``width`` entries packed into ``key`` by :func:`_pack`."""
-    e = []
-    for _ in range(width):
-        key, k = divmod(key, base)
-        e.append(k)
-    return tuple(e)
-
-
 class _Packed(NamedTuple):
     """Integer pairs over ``den`` in buckets, certified through ``trunc``.
 
@@ -583,8 +575,8 @@ def _decoded(terms: Iterable[tuple[int, int, int]], base: int, width: int) -> di
     """The nonzero pairs of (key, re, im) bucket terms by exponent: the one decoder of
     packed operands.
 
-    As :func:`_unpack` does key by key, but one base digit at a time over all
-    the keys at once.
+    The inverse of :func:`_pack`, one base digit at a time over all the keys
+    at once.
     """
     kept = [t for t in terms if t[1] or t[2]]
     keys = [key for key, _, _ in kept]
@@ -786,8 +778,7 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 # The term lines of a block are read at once: one ``findall`` of
 # ``numeric.term_pattern`` over the lines, their comments cut off, and ``int``
 # of each distinct group.  Only rows that this pass cannot read are read again
-# line by line, each by one whole-line match, and only a line that the
-# pattern or ``int`` rejects is split into columns, to name the first bad one.
+# line by line, each split into columns once, to name the first bad column.
 # Errors come in this order: header and block errors in line order, then term
 # line errors in line order, then content errors (an exponent past the
 # truncation, too few variables).  A field file reads its blocks in turn.
@@ -895,52 +886,32 @@ def parse_pairs(
 def _name_error(rows: Iterable[Row], nints: int, order: int | None) -> NoReturn:
     """Raise the error of term rows that :func:`parse_pairs` cannot read in one pass.
 
-    The rows are read line by line, each of ``nints + 2`` columns by a
-    whole-line match, and the first error raises: in line order, a row of
-    another width or that the pattern or ``int`` rejects, read column by
-    column (:func:`_reject`), or a repeated exponent; once every row has
-    been read, the first exponent past the order.
+    Each row is split into columns once and read in column order: its width,
+    each exponent, a repeat of an exponent seen before, then the two
+    rationals; the first error raises, in line order.  Once every row has
+    been read, the first exponent past the order raises.
     """
     limit = math.inf if order is None else order
     seen: set[tuple[int, ...]] = set()
     over = None  # the first exponent past the order
     for lineno, line in rows:
-        found = len(line.split()) == nints + 2 and term_pattern(nints).fullmatch(line)
+        parts = line.split()
+        if len(parts) != nints + 2:
+            raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
         try:
-            values = tuple(map(int, found.groups("1"))) if found else None
-        except ValueError:  # a group past the integer-digit limit
-            values = None
-        if values is None:
-            _reject(lineno, line, nints, seen)
-        key = values[:nints]
-        if key in seen:
-            raise ParseError(f"line {lineno}: duplicate exponent {key}")
+            key = tuple(map(natural, parts[:nints]))
+            if key in seen:
+                raise ParseError(f"duplicate exponent {key}")
+            rational_parts(parts[nints])
+            rational_parts(parts[nints + 1])
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         seen.add(key)
         if sum(key) > limit and over is None:
             over = key
     if over is not None:
         raise ParseError(f"exponent {over} exceeds truncation {order}")
     raise ConsistencyError("term rows that one pass rejects read line by line")
-
-
-def _reject(lineno: int, line: str, nints: int, seen: Container) -> NoReturn:
-    """Raise the error of a term line that the pattern rejects, read column by column.
-
-    The first bad column names it, in column order, with a duplicate of an
-    exponent in ``seen`` checked between the exponents and the rationals.
-    """
-    parts = line.split()
-    if len(parts) != nints + 2:
-        raise ParseError(f"line {lineno}: expected {nints} integers and 2 rationals")
-    try:
-        key = tuple(map(natural, parts[:nints]))
-        if key in seen:
-            raise ParseError(f"duplicate exponent {key}")
-        rational_parts(parts[nints])
-        rational_parts(parts[nints + 1])
-    except ParseError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
-    raise ConsistencyError(f"line {lineno}: the term pattern rejects columns that parse")
 
 
 def read_text(path) -> str:

@@ -159,29 +159,6 @@ def test_a_cut_psi_cannot_pass_for_a_zero_condition(rng, m):
         flatten_mod.fundamental_series(cut)
 
 
-# The operators as series arithmetic wrote them before they became one packed
-# chain, kept here as the reference for phi_psi and fundamental_series.
-
-
-def reference_linear_forms(m):
-    z1, z2, zb1, zb2 = Series.generators(2, m + 2)  # through degree 2, so w2 * w2 is exact
-    return z1 + zb1, z2 + zb2
-
-
-def reference_phi_psi(table, m):
-    hs = table_to_series(table, m)
-    w1, w2 = reference_linear_forms(m)
-    phi = series_mod.sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))), trunc=m)
-    terms = ((1, w2 * w2, phi.dz(1)), (-1, w2 * w1, phi.dz(2)), (1, w1, phi))
-    return PhiPsiTables(m, phi, series_mod.sum_of_products(terms, trunc=m + 1))
-
-
-def reference_fundamental_series(tables):
-    psi, m = tables.psi, tables.m
-    w1, w2 = reference_linear_forms(m)
-    return series_mod.sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))), trunc=m + 1)
-
-
 @st.composite
 def any_degree_gaussian_tables(draw):
     m = draw(st.integers(0, 10))
@@ -191,19 +168,19 @@ def any_degree_gaussian_tables(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(any_degree_gaussian_tables())
-def test_the_packed_operators_equal_the_series_products(case):
+def test_the_recursions_rederive_the_series_operators_of_any_table(case):
+    # the index-shift recursions of the audits re-derive Phi, Psi and the
+    # condition for any table of any degree, real-valued or not
     m, table = case
-    tables, want = phi_psi(table, m), reference_phi_psi(table, m)
-    assert tables == want
-    assert (tables.phi.trunc, tables.psi.trunc) == (want.phi.trunc, want.psi.trunc) == (m, m + 1)
-    series, want_series = flatten_mod.fundamental_series(tables), reference_fundamental_series(want)
-    assert series == want_series and series.trunc == want_series.trunc == m + 1
-    # a Psi cut at degree m certifies no condition through m + 1, on either path
+    assert recursion_audit(table, m).ok
+    tables = phi_psi(table, m)
+    assert (tables.phi.trunc, tables.psi.trunc) == (m, m + 1)
+    assert flatten_mod.fundamental_series(tables).trunc == m + 1
+    # a Psi cut at degree m certifies no condition through m + 1
     kept = {e: c for e, c in tables.psi.terms.items() if sum(e) <= m}
     cut = PhiPsiTables(m, tables.phi, Series(2, m, kept))
-    for condition in (flatten_mod.fundamental_series, reference_fundamental_series):
-        with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):
-            condition(cut)
+    with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):
+        flatten_mod.fundamental_series(cut)
 
 
 @pytest.mark.parametrize("audit", [phi_psi, recursion_audit, identity_audit])
@@ -661,8 +638,8 @@ def test_flatten_reads_and_reports_a_nonzero_remainder(bucket_reads):
     assert not rep.ok and rep.obstruction_degree == 3
     reads, decodes = bucket_reads
     # the remainder for its H' table and H for the condition's definition,
-    # in the germ's base 9, then Phi, Psi and the condition in base m + 2
-    assert reads == [3, 3] and [p.base for p in decodes] == [9, 9, 5, 5, 5]
+    # both in the germ's base 9
+    assert reads == [3, 3] and [p.base for p in decodes] == [9, 9]
     last = rep.steps[-1]
     assert last.normalized_zero is False and not last.remainder.is_zero()
     assert last.remainder == h_from_germ(rep.final, 3)
@@ -939,6 +916,15 @@ def fresh_normalization_matrix():
 W_SLOTS = {1: (0, 2), 2: (1, 3)}
 
 
+def unpack_key(key, base):
+    """The two-variable exponent that ``series._pack`` packed into ``key``."""
+    e = []
+    for _ in range(4):
+        key, k = divmod(key, base)
+        e.append(k)
+    return tuple(e)
+
+
 def flat_family(rows, base):
     """Rows (exponent, {column: value}) as one flat family, exponents packed with ``base``."""
     cut = base**4
@@ -1008,7 +994,7 @@ def regroup(family, base):
     rows = {}
     for key, c in family.items():
         k, e = divmod(key, base**4)
-        rows.setdefault(series_mod._unpack(e, base, 4), {})[k] = c
+        rows.setdefault(unpack_key(e, base), {})[k] = c
     return rows
 
 
@@ -1144,7 +1130,7 @@ def two_column_verdict(h):
     family = {}
     for _, terms in h.buckets:
         for key, x, y in terms:
-            key = series_mod._pack(series_mod._unpack(key, h.base, 4), base)
+            key = series_mod._pack(unpack_key(key, h.base), base)
             if x:
                 family[key] = x
             if y:
@@ -1661,7 +1647,7 @@ def test_the_block_operator_is_the_condition_factor(case):
     for unit, part in ((G(1), "re"), (I, "im")):
         rows = ((exp_from_bracket(*idx), {0: int(getattr(c, part))}) for idx, c in table.items())
         for key, c in reference_condition(flat_family(rows, base), base).items():
-            e = series_mod._unpack(key, base, 4)
+            e = unpack_key(key, base)
             want[e] = want.get(e, G(0)) + unit * c
     assert got == Series(2, m + 1, {e: v for e, v in want.items() if v})
 
