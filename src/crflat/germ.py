@@ -26,7 +26,9 @@ line written by :func:`crflat.series.term_line`.
 
 A germ packs its R in degree buckets (``Germ._packed_r``), which shears
 and the flattening driver read; ``crflat.series`` alone decides the
-packing base.
+packing base.  :func:`loads_germ` reads a germ file straight into those
+buckets (``series.parse_packed``), so a loaded germ decodes R only when
+R is read, and its quadratic part reads the degree-2 bucket alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import quadratic  # read at call time: loading germ does not run quadratic
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 from .numeric import HALF, GaussianRational, ZERO, _gaussian, _part_texts, integer_parts
 from .linalg import ExactMatrix
 from .series import (
@@ -46,7 +48,7 @@ from .series import (
     _unpacked,
     content_errors,
     dumps_series,
-    loads_series,
+    parse_packed,
     parse_pairs,
     read_records,
     read_text,
@@ -68,8 +70,9 @@ class Germ:
     A germ may also hold R packed through T = ``trunc`` (which no shear
     changes), all its degrees bucketed: :meth:`shear` packs R once, keeps
     the packed copy, and returns a germ that holds only its packed result,
-    so a chain of shears never unpacks between two of them.  ``R`` is
-    decoded from the packed copy when first read.
+    so a chain of shears never unpacks between two of them, and
+    :func:`loads_germ` returns a germ that holds only the packed R it read.
+    ``R`` is decoded from the packed copy when first read.
     """
 
     __slots__ = ("n", "trunc", "_r", "_rp")
@@ -91,6 +94,8 @@ class Germ:
     @classmethod
     def _from_packed(cls, n: int, rp: _Packed) -> "Germ":
         """The germ of an R packed through its truncation, all degrees; R is decoded when read."""
+        if rp.trunc < 2:
+            raise PreconditionError("germ needs truncation order at least 2")
         if rp.low < 2:
             raise PreconditionError(
                 "defining series must vanish to second order at the origin"
@@ -124,6 +129,13 @@ class Germ:
 
     # -- derived data ---------------------------------------------------------
 
+    def quadratic_part(self) -> Series:
+        """R_2, decoded from the degree-2 bucket alone when the germ holds R packed."""
+        if self._r is not None:
+            return self._r.homogeneous_part(2)
+        rp = self._rp
+        return _unpacked(rp._replace(buckets=[b for b in rp.buckets if b[0] == 2]), self.n)
+
     def split(self) -> tuple[Series, Series]:
         """Real and imaginary parts (G, E), G + iE = R, as computed by ``Series.re_im``."""
         return self.R.re_im()
@@ -137,7 +149,7 @@ class Germ:
         refuses it.
         """
         n = self.n
-        q = self.R.homogeneous_part(2)
+        q = self.quadratic_part()
         width = 2 * n
         b = [[q.coeff(_unit(width, j, n + k)) for k in range(n)] for j in range(n)]
         hol = [[ZERO] * n for _ in range(n)]
@@ -332,9 +344,16 @@ def parabolic_quadric(trunc: int) -> Germ:
 
 
 def loads_germ(text: str) -> Germ:
-    series = loads_series(text)
+    """Parse a germ file straight into its packed R (``parse_packed``); R is decoded when read.
+
+    The checks and their order are those of ``Germ(n, loads_series(text))``.
+    """
+    (nvars, order), rows = read_records(text, ("vars", "order"))
+    rp = parse_packed(rows[None], 2 * nvars, order)
+    if nvars < 1:
+        raise ParseError("need at least one variable")
     with content_errors():
-        return Germ(series.nvars, series)
+        return Germ._from_packed(nvars, rp)
 
 
 def dumps_germ(germ: Germ) -> str:

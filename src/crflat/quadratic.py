@@ -552,7 +552,8 @@ def cr_singular_linearization(germ: "Germ") -> LinearizationReport:
     out by these four real-analytic equations, so its real dimension near
     the origin is at most 4 - rank.
 
-    Each entry is read from one degree-2 coefficient of R: the linear part
+    Each entry is read from one degree-2 coefficient of R, in the germ's
+    quadratic part (``Germ.quadratic_part``): the linear part
     of dR/dzb_k at a variable v is the coefficient of zb_k v, times 2 when
     v = zb_k (the derivative of zb_k^2).  conj R holds conj(c) at the
     mirror exponent of each term c of R, z and zb swapped, so its rows read
@@ -560,7 +561,7 @@ def cr_singular_linearization(germ: "Germ") -> LinearizationReport:
     """
     if germ.n != 2:
         raise PreconditionError("linearization is for two variables")
-    r = germ.R
+    r = germ.quadratic_part()
     # exponent slots (z1, z2, zb1, zb2) of the columns (z1, zb1, z2, zb2)
     col_slots = (0, 2, 1, 3)
     rows = []

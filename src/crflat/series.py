@@ -54,10 +54,14 @@ meet.
 
 Every term line ``cols... re im``, in the files and in the reports, is
 written by :func:`term_line`; :func:`format_term_lines` prints each
-coefficient straight from its integer pair over ``den``.  :func:`parse_pairs`
-reads a block of valid term lines in one pass (one ``findall`` of
-``numeric.term_pattern``, one ``int`` per distinct literal) and reads the
-lines one by one only to name an error.
+coefficient straight from its integer pair over ``den``.  A block of valid
+term lines is read in one pass (one ``findall`` of ``numeric.term_pattern``,
+one ``int`` per distinct literal, one lcm), which two readers share:
+:func:`parse_pairs` zips the exponent tuples of kernel, series and field
+files, and :func:`parse_packed`, the germ reader, forms each term's degree
+and packed key column by column and returns R packed as :func:`_packed`
+packs the series that :func:`parse_pairs` reads.  Both read the lines one by
+one only to name an error.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -74,6 +78,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import chain
+from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConsistencyError, ParseError, PreconditionError
@@ -328,7 +333,9 @@ class Series:
         for e, (x, y) in self.nums.items():
             k = e[slot]
             if k:
-                out[e[:slot] + (k - 1,) + e[slot + 1 :]] = (k * x, k * y)
+                d = list(e)
+                d[slot] = k - 1
+                out[tuple(d)] = (k * x, k * y)
         return self._make(self.den, out, max(self.trunc - 1, -1))
 
     def dz(self, j: int) -> "Series":
@@ -579,6 +586,8 @@ def _decoded(terms: Iterable[tuple[int, int, int]], base: int, width: int) -> di
     at once.
     """
     kept = [t for t in terms if t[1] or t[2]]
+    if not kept:  # no digit to read, whatever the width a file's header asks for
+        return {}
     keys = [key for key, _, _ in kept]
     digits = []
     for _ in range(width):
@@ -777,8 +786,11 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 #
 # The term lines of a block are read at once: one ``findall`` of
 # ``numeric.term_pattern`` over the lines, their comments cut off, and ``int``
-# of each distinct group.  Only rows that this pass cannot read are read again
-# line by line, each split into columns once, to name the first bad column.
+# of each distinct group (``_read_columns``).  ``parse_pairs`` zips the
+# exponent tuples from those columns, and ``parse_packed``, the germ reader,
+# forms packed keys and degrees from them.  Only rows that this pass cannot
+# read are read again line by line, each split into columns once, to name the
+# first bad column.
 # Errors come in this order: header and block errors in line order, then term
 # line errors in line order, then content errors (an exponent past the
 # truncation, too few variables).  A field file reads its blocks in turn.
@@ -845,46 +857,96 @@ def parse_pairs(
     and a zero coefficient keeps its (0, 0).  With an ``order``, an exponent
     of degree above it raises, once every row has been read.
 
-    Valid rows are read in one pass: one ``findall`` of ``term_pattern``
-    over the rows joined by ``"\\n"``, one ``int`` per distinct literal
-    (an absent denominator reads as '' and is 1), the exponents and the
-    literals taken column by column, and one lcm.  Only when a row does
-    not match, a literal passes the integer-digit limit, an exponent repeats
-    or a degree passes the order does :func:`_name_error` read the rows
-    line by line, to name the error.  A first row of the wrong width goes
-    there before any pattern is compiled.
+    Valid rows are read in one pass (:func:`_read_columns`), the exponent
+    tuples zipped from its columns.  Only when that pass fails, an exponent
+    repeats or a degree passes the order does :func:`_name_error` read the
+    rows line by line, to name the error.
     """
-    if not rows:
-        return 1, {}
-    found = ()
-    if len(rows[0][1].split()) == nints + 2:
-        found = term_pattern(nints).findall("\n".join([line for _, line in rows]))
-    if len(found) == len(rows):
-        columns = list(zip(*found))
-        try:
-            value = {text: int(text) for text in set(chain.from_iterable(columns)) if text}
-        except ValueError:  # a literal past the integer-digit limit
-            value = None
-        if value is not None:
-            value[""] = 1
-            get = value.__getitem__
-            keys = list(zip(*(map(get, column) for column in columns[:nints])))
-            keys = keys or [()] * len(found)  # no exponent columns
-            xs, xds, ys, yds = (list(map(get, column)) for column in columns[nints:])
-            if len(set(keys)) == len(keys) and (
-                order is None or max(map(sum, keys)) <= order
-            ):
-                den = math.lcm(*{*xds, *yds})
-                scale = {d: den // d for d in {*xds, *yds}}
-                return den, {
-                    e: (x * scale[a], y * scale[b])
-                    for e, x, a, y, b in zip(keys, xs, xds, ys, yds)
-                }
+    read = _read_columns(rows, nints)
+    if read is not None:
+        den, exponents, xs, ys = read
+        keys = list(zip(*exponents)) or [()] * len(xs)  # no exponent columns
+        if len(set(keys)) == len(keys) and (
+            order is None or max(map(sum, keys), default=0) <= order
+        ):
+            return den, dict(zip(keys, zip(xs, ys)))
     _name_error(rows, nints, order)
 
 
+def parse_packed(rows: Sequence[Row], nints: int, order: int) -> _Packed:
+    """Term rows of a series file as R packed through ``order``: the germ reader.
+
+    The columns come from :func:`_read_columns`, the pass that
+    :func:`parse_pairs` also reads, and each term's degree and its key in
+    base order + 1 (:func:`_pack`) are formed from them column by column.
+    The result is :func:`_packed` of the series that :func:`parse_pairs`
+    reads from the same rows, with ``cut = order``: (0, 0) pairs dropped,
+    one gcd to lowest terms, and every degree bucketed, each bucket in row
+    order.  Its errors are those of :func:`parse_pairs`, named by
+    :func:`_name_error`: keys of degree at most the order are distinct
+    exactly when the exponents are.
+    """
+    base = order + 1
+    read = _read_columns(rows, nints)
+    if read is not None:
+        den, exponents, xs, ys = read
+        degrees = list(map(sum, zip(*exponents))) or [0] * len(xs)  # no exponent columns
+        keys = [0] * len(xs)
+        for column in reversed(exponents):  # Horner's rule, as _pack
+            keys = [key * base + k for key, k in zip(keys, column)]
+        if max(degrees, default=0) <= order and len(set(keys)) == len(keys):
+            g = math.gcd(den, *xs, *ys)
+            if g != 1:
+                den //= g
+                xs = [x // g for x in xs]
+                ys = [y // g for y in ys]
+            buckets: dict[int, list[tuple[int, int, int]]] = {}
+            for d, key, x, y in zip(degrees, keys, xs, ys):
+                if x or y:
+                    buckets.setdefault(d, []).append((key, x, y))
+            return _Packed(order, min(buckets, default=base), den, sorted(buckets.items()), base)
+    _name_error(rows, nints, order)
+
+
+def _read_columns(
+    rows: Sequence[Row], nints: int
+) -> tuple[int, list[list[int]], list[int], list[int]] | None:
+    """One pass over term rows: (D, exponent columns, re, im), or None.
+
+    One ``findall`` of ``term_pattern`` over the rows joined by ``"\\n"``,
+    one ``int`` per distinct literal (an absent denominator reads as '' and
+    is 1), and one lcm D of the denominators; re and im are the numerators
+    scaled to D, column by column.  None when a row does not match or a
+    literal passes the integer-digit limit; a first row of the wrong width
+    gives None before any pattern is compiled.
+    """
+    if not rows:  # no columns either: a header may ask for any width
+        return 1, [], [], []
+    if len(rows[0][1].split()) != nints + 2:
+        return None
+    found = term_pattern(nints).findall("\n".join([line for _, line in rows]))
+    if len(found) != len(rows):
+        return None
+    columns = list(zip(*found))
+    texts = set(chain.from_iterable(columns))
+    texts.discard("")
+    try:
+        value = dict(zip(texts, map(int, texts)))
+    except ValueError:  # a literal past the integer-digit limit
+        return None
+    value[""] = 1
+    get = value.__getitem__
+    exponents = [list(map(get, column)) for column in columns[:nints]]
+    xs, xds, ys, yds = (list(map(get, column)) for column in columns[nints:])
+    dens = {*xds, *yds}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}.__getitem__
+    return den, exponents, list(map(mul, xs, map(scale, xds))), list(map(mul, ys, map(scale, yds)))
+
+
 def _name_error(rows: Iterable[Row], nints: int, order: int | None) -> NoReturn:
-    """Raise the error of term rows that :func:`parse_pairs` cannot read in one pass.
+    """Raise the error of term rows that :func:`parse_pairs` or :func:`parse_packed`
+    cannot read in one pass.
 
     Each row is split into columns once and read in column order: its width,
     each exponent, a repeat of an exponent seen before, then the two

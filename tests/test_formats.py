@@ -741,3 +741,100 @@ def test_one_bad_row_after_many_good_ones_is_named_as_the_line_reader_names_it(k
         assert outcome[0] == "error"
 
     check()
+
+
+# -- the packed germ reader against the series reader ---------------------------------
+#
+# ``loads_germ`` packs R straight from the term-line columns.  It must give
+# the packed R and the R that the series reader gives, and on every other
+# text the exception that ``Germ(n, loads_series(text))`` raises.
+
+GERM_FAULTS = [None] * 6 + ["low degree", "low order", "no variables", "over the order",
+                            "duplicate", "bad literal", "wrong width"]
+
+
+def _literal(draw):
+    """A rational literal, often not in lowest terms (``2/4``), sometimes zero."""
+    num = draw(st.one_of(st.just(0), st.integers(-12, 12), st.integers(-2**70, 2**70)))
+    den = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10, 2**40]))
+    k = draw(st.sampled_from([1, 1, 2, 3, 5]))  # a common factor left in
+    if den * k == 1:
+        return ("+" if num >= 0 and draw(st.booleans()) else "") + str(num)
+    return f"{num * k}/{den * k}"
+
+
+@st.composite
+def germ_texts(draw):
+    """Germ file text of 1 or 2 variables and order 2 to 12, valid but for one drawn fault.
+
+    Zero coefficients come at any degree, degrees 0 and 1 among them, and
+    comments and blank lines come between and after the term lines.
+    """
+    fault = draw(st.sampled_from(GERM_FAULTS))
+    nvars = draw(st.integers(1, 2))
+    order = draw(st.integers(0, 1)) if fault == "low order" else draw(st.integers(2, 12))
+    width = 2 * nvars
+    exps = st.lists(st.integers(0, order), min_size=width, max_size=width).filter(
+        lambda e: sum(e) <= order
+    )
+    terms = draw(st.dictionaries(exps.map(tuple), st.just(None), max_size=30))
+    lines = []
+    for e in terms:
+        zero = sum(e) < 2 or draw(st.integers(0, 5)) == 0
+        parts = ["0", draw(st.sampled_from(["0", "0/3", "-0"]))] if zero else \
+            [_literal(draw), _literal(draw)]
+        lines.append(" ".join([*map(str, e), *parts]))
+    bad = [str(k) for k in range(width)]
+    if fault == "low degree":
+        lines.append(" ".join(["0"] * width + [_literal(draw), "1/2"]))
+        if draw(st.booleans()):
+            lines[-1] = " ".join(["0"] * (width - 1) + ["1", "2/4", "0"])
+    elif fault == "no variables":
+        lines = ["1/2 0"]
+    elif fault == "over the order":
+        lines.append(" ".join([str(order + draw(st.integers(1, 3)))] + ["0"] * (width - 1) + ["1", "0"]))
+    elif fault == "duplicate" and lines:
+        lines.append(lines[draw(st.integers(0, len(lines) - 1))])
+    elif fault == "bad literal":
+        lines.append(" ".join(bad + [draw(st.sampled_from(["1/0", "x", "0.5"])), "0"]))
+    elif fault == "wrong width":
+        lines.append(" ".join(bad + ["1"]))
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "  "])))
+    lines = [line + draw(st.sampled_from(["", "", "  # c"])) for line in lines]
+    head = [f"vars {0 if fault == 'no variables' else nvars}", f"order {order}"]
+    return "\n".join(head + lines) + "\n"
+
+
+def _germ_from_series_reader(text):
+    s = loads_series(text)
+    with content_errors():
+        return Germ(s.nvars, s)
+
+
+def _raised(read, text):
+    """The value ``read`` returns, or the type and text of the exception it raises."""
+    try:
+        return "value", read(text)
+    except Exception as exc:
+        return "error", (type(exc), str(exc))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(germ_texts())
+@example("vars 2\norder 2\n0 0 0 0 0 0\n1 0 0 0 0/4 -0\n1 0 1 0 2/4 6/8\n")
+@example("vars 0\norder 4\n1 0\n")
+@example("vars 2\norder 1\n")
+@example("vars 100000000000\norder 4\n")  # no term to decode, whatever the width
+def test_the_germ_reader_packs_what_the_series_reader_reads(text):
+    got = _raised(loads_germ, text)
+    want = _raised(_germ_from_series_reader, text)
+    if want[0] == "error":
+        assert got == want
+        return
+    assert got[0] == "value"
+    germ, series = got[1], want[1].R
+    assert germ._packed_r() == series_mod._packed(series, series.trunc)
+    assert germ.quadratic_part() == series.homogeneous_part(2)
+    assert (germ.n, germ.trunc) == (series.nvars, series.trunc) and germ.R == series
