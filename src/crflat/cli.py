@@ -264,7 +264,7 @@ def run_flatten(rep: Report, path: str, args) -> None:
 
 
 def run_unique_check(rep: Report, _path, args) -> None:
-    dim, _basis = flatten.uniqueness_nullspace(args.m)
+    dim = flatten.uniqueness_nullspace(args.m)
     rep.add("M", args.m)
     rep.add("NULLSPACE_DIM", dim)
 

@@ -117,7 +117,7 @@ from .errors import (
 )
 from .germ import Germ, KernelPolynomial, parabolic_pair
 from .linalg import MODULUS, SparseMatrix, _echelon, certified_nullspace, rank_mod_p, solve
-from .numeric import I, ONE, GaussianRational, ZERO, _gaussian, integer_parts
+from .numeric import I, GaussianRational, ZERO, _gaussian
 from .series import (
     Exponent,
     Series,
@@ -901,8 +901,8 @@ def _fundamental_basis(m: int) -> tuple[Table, ...]:
     return basis
 
 
-def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
-    """Kernel of the combined system, certified on the shear image: (dimension, basis tables).
+def uniqueness_nullspace(m: int) -> int:
+    """Dimension of the kernel of the combined system, certified on the shear image.
 
     The combined system is the first-order condition, reality,
     normalization and the two vanishing coefficient families on tables over
@@ -915,13 +915,10 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
     By (a) and (c) every real H that satisfies the condition is such an H,
     so full column rank mod p of the parameter matrix certifies the trivial
     kernel, and also (b), the independence of the shear polynomials.
-    Otherwise its exact kernel is mapped to tables, their independence is
-    certified by the rank of all the tables the parameters give
-    (:func:`_shear_image`), and the x parts and the y parts are each
-    brought to reduced echelon form with the columns reversed.  That is the
-    basis of the kernels of the x and y blocks of the same system written
-    on the n x n tables, real tables, then i times real tables.  A check
-    that fails raises :class:`ConsistencyError`.
+    Otherwise (b) is certified by the rank of all the tables the parameters
+    give (:func:`_shear_image`), and the dimension is that of the parameter
+    matrix's exact kernel.  A check that fails raises
+    :class:`ConsistencyError`.
     """
     if m < 3:
         raise PreconditionError("uniqueness check starts at degree 3")
@@ -931,20 +928,6 @@ def uniqueness_nullspace(m: int) -> tuple[int, list[HTable]]:
     params = _shear_matrix(m, indices, m % 2 == 0, "shear parameter matrix")
     _certify_condition_kernel(m, params.cols)
     kernel = certified_nullspace(params.entries, params.cols, f"the shear parameters of degree {m}")
-    if not kernel:
-        return 0, []
-    brackets = all_brackets(m)
-    image = _shear_image(m)
-    # the kernel's vectors are real; over a common denominator each, in integers
-    kernel = [integer_parts(v)[1] for v in kernel]
-    tables = []
-    for part, unit in ((0, ONE), (1, I)):
-        rows = image.entries[part::2]
-        vectors = [[sum(x * v[c] for c, x in row.items()) for row in rows] for v in kernel]
-        tables += [
-            HTable(m, {idx: unit * c for idx, c in zip(brackets, b)})
-            for b in _reversed_echelon(vectors, len(brackets))
-        ]
-    if len(tables) != len(kernel):
-        raise ConsistencyError(f"the kernel tables of degree {m} lost a dimension")
-    return len(tables), tables
+    if kernel:
+        _shear_image(m)
+    return len(kernel)

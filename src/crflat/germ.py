@@ -1,12 +1,12 @@
 """Graph germs w = R(z, zbar) near a CR singular point and their changes.
 
-A :class:`Germ` stores the whole right-hand side R as one truncated series
-with R = O(|z|^2) (the distinguished point is the origin and the complex
-tangent there is {w = 0}).  The real/imaginary split G + iE = R, the
-quadratic matrix pair, and the two families of coordinate changes used
-throughout the package -- linear changes acting on the quadratic pair by
-congruence-with-scaling, and shears w' = w + B(z, w) -- are derived
-operations.
+A :class:`Germ` holds the right-hand side R, a truncated series with
+R = O(|z|^2) (the distinguished point is the origin and the complex
+tangent there is {w = 0}), packed in degree buckets.  The real/imaginary
+split G + iE = R, the quadratic matrix pair, and the two families of
+coordinate changes used throughout the package -- linear changes acting
+on the quadratic pair by congruence-with-scaling, and shears
+w' = w + B(z, w) -- are derived operations.
 
 File formats
 ------------
@@ -24,11 +24,12 @@ Kernel file::
 Both round-trip byte-stably: writers emit canonical ordering, each term
 line written by :func:`crflat.series.term_line`.
 
-A germ packs its R in degree buckets (``Germ._packed_r``), which shears
-and the flattening driver read; ``crflat.series`` alone decides the
-packing base.  :func:`loads_germ` reads a germ file straight into those
-buckets (``series.parse_packed``), so a loaded germ decodes R only when
-R is read, and its quadratic part reads the degree-2 bucket alone.
+The buckets (``Germ._packed_r``) are what shears, the flattening driver
+and the quadratic part read, and where a germ's construction checks run;
+``crflat.series`` alone decides the packing base.  ``Germ(n, r)`` packs
+r once and keeps it as R.  :func:`loads_germ` reads a germ file straight
+into the buckets (``series.parse_packed``), so a loaded germ decodes R
+only when R is read.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def _unit(width: int, *slots: int) -> tuple[int, ...]:
 class Germ:
     """A real codimension-two graph germ w = R(z, zbar), R = O(|z|^2).
 
-    A germ may also hold R packed through T = ``trunc`` (which no shear
-    changes), all its degrees bucketed: :meth:`shear` packs R once, keeps
-    the packed copy, and returns a germ that holds only its packed result,
-    so a chain of shears never unpacks between two of them, and
-    :func:`loads_germ` returns a germ that holds only the packed R it read.
-    ``R`` is decoded from the packed copy when first read.
+    A germ holds R packed through T = ``trunc`` (which no shear changes),
+    all its degrees bucketed, and checks it there.  ``Germ(n, r)`` packs r
+    once and keeps it as the decoded R; a shear returns a germ that holds
+    only its packed result, so a chain of shears never unpacks between two
+    of them, and :func:`loads_germ` returns a germ that holds only the
+    packed R it read.  ``R`` is decoded from the packed copy when first read.
     """
 
     __slots__ = ("n", "trunc", "_r", "_rp")
@@ -80,32 +81,27 @@ class Germ:
     def __init__(self, n: int, r: Series):
         if r.nvars != n:
             raise PreconditionError("series variable count does not match the germ")
-        if r.trunc < 2:
-            raise PreconditionError("germ needs truncation order at least 2")
-        if not r.is_zero() and r.min_degree() < 2:
-            raise PreconditionError(
-                "defining series must vanish to second order at the origin"
-            )
-        self.n = n
-        self.trunc = r.trunc
-        self._r = r
-        self._rp = None
+        self._hold(n, _packed(r, r.trunc), r)
 
     @classmethod
     def _from_packed(cls, n: int, rp: _Packed) -> "Germ":
         """The germ of an R packed through its truncation, all degrees; R is decoded when read."""
+        germ = cls.__new__(cls)
+        germ._hold(n, rp, None)
+        return germ
+
+    def _hold(self, n: int, rp: _Packed, r: Series | None) -> None:
+        """Check the packed R of a germ in n variables and hold it, with R decoded as r or not yet."""
         if rp.trunc < 2:
             raise PreconditionError("germ needs truncation order at least 2")
         if rp.low < 2:
             raise PreconditionError(
                 "defining series must vanish to second order at the origin"
             )
-        germ = cls.__new__(cls)
-        germ.n = n
-        germ.trunc = rp.trunc
-        germ._r = None
-        germ._rp = rp
-        return germ
+        self.n = n
+        self.trunc = rp.trunc
+        self._r = r
+        self._rp = rp
 
     @property
     def R(self) -> Series:
@@ -114,9 +110,7 @@ class Germ:
         return self._r
 
     def _packed_r(self) -> _Packed:
-        """R packed through T, all degrees bucketed; packed once per germ."""
-        if self._rp is None:
-            self._rp = _packed(self._r, self.trunc)
+        """R packed through T, all degrees bucketed."""
         return self._rp
 
     def __eq__(self, other):
@@ -130,9 +124,7 @@ class Germ:
     # -- derived data ---------------------------------------------------------
 
     def quadratic_part(self) -> Series:
-        """R_2, decoded from the degree-2 bucket alone when the germ holds R packed."""
-        if self._r is not None:
-            return self._r.homogeneous_part(2)
+        """R_2, decoded from the degree-2 bucket alone."""
         rp = self._rp
         return _unpacked(rp._replace(buckets=[b for b in rp.buckets if b[0] == 2]), self.n)
 

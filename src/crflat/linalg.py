@@ -103,10 +103,6 @@ class ExactMatrix:
         self._same_shape(other)
         return ExactMatrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
 
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
-
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.coerce(c)
         return ExactMatrix(self.rows, self.cols, [c * a for a in self._e])

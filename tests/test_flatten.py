@@ -47,7 +47,7 @@ from crflat.flatten import (
     table_to_series,
 )
 from crflat.germ import load_germ, loads_germ
-from crflat.linalg import ExactMatrix, rank_mod_p, sparse_nullspace
+from crflat.linalg import rank_mod_p, sparse_nullspace
 from crflat.series import bracket_from_exp, exp_from_bracket, subst_w
 
 from conftest import (
@@ -810,7 +810,6 @@ def test_flatten_packs_the_germ_once_and_decodes_it_once(rng, monkeypatch):
     r = sheared_quadric(rng, (3, 4, 5, 7), trunc=8).R
     want = flatten_to_order(Germ(2, r), 8)  # fills the normalization caches
     want.final.R  # decoded before the count
-    g = Germ(2, r)  # a germ built from a series holds no packed copy yet
     packed, decoded = [], []
     pack, unpack = series_mod._packed, series_mod._unpacked
 
@@ -825,11 +824,15 @@ def test_flatten_packs_the_germ_once_and_decodes_it_once(rng, monkeypatch):
     for module in (series_mod, germ_mod):
         monkeypatch.setattr(module, "_packed", counted_pack)
         monkeypatch.setattr(module, "_unpacked", counted_unpack)
+    g = Germ(2, r)  # packs R once and keeps r as its decoded R
     assert flatten_to_order(g, 8) == want
     # the germ holds conjugate powers; each shear packs only its template, in z alone
     assert [s for s in packed if any(e[2] or e[3] for e in s.nums)] == [g.R]
-    # every degree is read on the packed keys, and only the final R is decoded
-    assert len(decoded) == 1
+    # every degree is read on the packed keys: the parabolic check decodes the
+    # degree-2 bucket alone, and the final R is the one full decode
+    quadratic = [bucket for bucket in g._packed_r().buckets if bucket[0] == 2]
+    assert len(decoded) == 2 and decoded[0].buckets == quadratic
+    assert unpack(decoded[1], 2) == want.final.R
 
 
 def test_solve_kernel_builds_each_degree_system_once(rng, monkeypatch):
@@ -1234,8 +1237,9 @@ def test_flatten_requires_parabolic():
 # The condition and the combined system as they were solved before the shear
 # image certified them: x = Re H and y = Im H over all_brackets(m), each
 # constraint one integer row on x and one on y, the condition as its integer
-# rows in both.  Kept as the oracles of fundamental_nullspace and
-# uniqueness_nullspace, whose tables they must give byte for byte.
+# rows in both.  Kept as the oracles of fundamental_nullspace, whose tables
+# they must give byte for byte, and of uniqueness_nullspace, whose dimension
+# they must give.
 
 
 @functools.lru_cache(maxsize=None)
@@ -1293,7 +1297,7 @@ def test_fundamental_nullspace_of_degree_0_is_the_constants(fresh_fundamental_nu
 
 
 def uniqueness_oracle(m, condition=None):
-    """(dim, tables) of the x and y blocks, with ``condition`` or the condition's rows."""
+    """The exact nullity of the x and y blocks, with ``condition`` or the condition's rows."""
     unknowns, rows = fundamental_matrix(m)
     condition = rows if condition is None else condition
     col = {idx: j for j, idx in enumerate(unknowns)}
@@ -1313,42 +1317,26 @@ def uniqueness_oracle(m, condition=None):
     for idx in families:
         for rows in blocks.values():
             rows.append({col[idx]: 1})
-    tables = []
-    for part, unit in (("re", G(1)), ("im", I)):
-        kernel = sparse_nullspace(blocks[part], len(unknowns))
-        tables += [HTable(m, {idx: unit * c for idx, c in zip(unknowns, v)}) for v in kernel]
-    return len(tables), tables
+    return sum(len(sparse_nullspace(rows, len(unknowns))) for rows in blocks.values())
 
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_uniqueness_nullspace_is_trivial(m):
-    dim, basis = uniqueness_nullspace(m)
-    assert dim == 0 and basis == []
+    dim = uniqueness_nullspace(m)
+    assert dim == 0
 
 
 @pytest.fixture
 def no_normalization(monkeypatch):
     # without normalization constraints the kernel has positive dimension,
-    # which reaches the table reconstruction path
+    # which reaches the certificate on the shear image
     monkeypatch.setattr(flatten_mod, "normalization_system", lambda m: ())
 
 
 @pytest.mark.parametrize("m, expected", [(3, 8), (4, 12), (5, 18), (6, 24), (7, 32)])
-def test_uniqueness_nullspace_rebuilds_kernel_tables(no_normalization, m, expected):
-    dim, tables = uniqueness_nullspace(m)
-    assert dim == expected and len(tables) == dim
-    families = [(t, 1, m - t - 2, 1) for t in range(m - 1)]
-    families += [(t, 0, m - t, 0) for t in range(m + 1)]
-    for h in tables:
-        assert isinstance(h, HTable) and h.m == m
-        assert check_fundamental(phi_psi(h)).ok
-        assert all(not h.get(idx) for idx in families)
-    # linearly independent over the real coordinates of the tables
-    coords = [
-        [part for idx in all_brackets(m) for part in (h.get(idx).re, h.get(idx).im)]
-        for h in tables
-    ]
-    assert ExactMatrix.from_rows(coords).rank() == dim
+def test_uniqueness_nullspace_counts_a_nonzero_kernel(no_normalization, m, expected):
+    dim = uniqueness_nullspace(m)
+    assert dim == expected
 
 
 @pytest.mark.parametrize("m", range(3, 17))
@@ -1358,15 +1346,15 @@ def test_uniqueness_nullspace_pickles_as_the_oracle(monkeypatch, normalized, m):
         monkeypatch.setattr(flatten_mod, "normalization_system", lambda m: ())
     want = uniqueness_oracle(m)
     assert pickle.dumps(uniqueness_nullspace(m)) == pickle.dumps(want)
-    assert (want[0] == 0) == normalized
+    assert (want == 0) == normalized
 
 
 @pytest.mark.parametrize("m", range(3, 7))
 def test_uniqueness_reality_rows_leave_exactly_the_real_tables(no_normalization, m):
     # without the condition, the oracle's kernel is every real table vanishing
     # on the two families, which are closed under the mirror and hold 2m indices
-    dim, tables = uniqueness_oracle(m, condition=[])
-    assert dim == len(all_brackets(m)) - 2 * m and len(tables) == dim
+    dim = uniqueness_oracle(m, condition=[])
+    assert dim == len(all_brackets(m)) - 2 * m
 
 
 def test_uniqueness_certified_beyond_degree_10(monkeypatch):
@@ -1378,7 +1366,7 @@ def test_uniqueness_certified_beyond_degree_10(monkeypatch):
     monkeypatch.setattr(flatten_mod, "_echelon", no_exact)
     monkeypatch.setattr(flatten_mod, "fundamental_nullspace", no_exact)
     for m in range(11, 15):
-        assert uniqueness_nullspace(m) == (0, [])
+        assert uniqueness_nullspace(m) == 0
 
 
 @pytest.fixture
@@ -1403,7 +1391,7 @@ def shear_parameters(m):
 @pytest.mark.parametrize("m", range(3, 8))
 def test_uniqueness_nullspace_falls_back_to_exact_elimination(rank_one_short, m):
     # the parameter matrix, short of full modular rank, is eliminated exactly
-    assert uniqueness_nullspace(m) == (0, [])
+    assert uniqueness_nullspace(m) == 0
     assert rank_one_short == [shear_parameters(m)]
 
 
@@ -1450,7 +1438,7 @@ def test_a_short_block_rank_falls_back_to_exact_elimination(monkeypatch, m):
     monkeypatch.setattr(
         flatten_mod, "_exact_block_nullity", lambda p, q: exact.append(p) or real(p, q)
     )
-    assert uniqueness_nullspace(m) == (0, [])
+    assert uniqueness_nullspace(m) == 0
     assert exact == list(range(m // 2 + 1))
     # an exact nullity above the block's share exceeds the vector count
     monkeypatch.setattr(flatten_mod, "_exact_block_nullity", lambda p, q: block_share(p, q) + 1)
@@ -1578,7 +1566,7 @@ def test_dropping_tau_at_even_degree_exceeds_the_nullity_bound(monkeypatch, m):
     monkeypatch.setattr(
         flatten_mod, "_shear_matrix", lambda m, indices, tau, what: real(m, indices, False, what)
     )
-    assert uniqueness_nullspace(m - 1) == (0, [])
+    assert uniqueness_nullspace(m - 1) == 0
     with pytest.raises(ConsistencyError, match=f"nullity above {shear_parameters(m) - 1} "):
         uniqueness_nullspace(m)
 
@@ -1781,7 +1769,7 @@ def test_the_factor_rows_have_the_kernel_of_the_condition_rows(monkeypatch, m):
                 patch.setattr(flatten_mod, "normalization_system", lambda m: ())
             on_condition = uniqueness_oracle(m)
             assert uniqueness_oracle(m, rows) == on_condition == uniqueness_nullspace(m)
-            assert (on_condition[0] == 0) == normalized
+            assert (on_condition == 0) == normalized
 
 
 _rationals = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 4, 3, 7]))

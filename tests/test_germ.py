@@ -22,7 +22,7 @@ from crflat import (
 )
 from crflat.cli import main
 from crflat.errors import ParseError, PreconditionError
-from crflat.series import subst_w
+from crflat.series import dumps_series, subst_w
 
 from conftest import (
     FIXTURES,
@@ -49,6 +49,26 @@ def test_germ_rejects_low_degree_terms():
         Germ(2, Series.const(2, 8, 1))
     with pytest.raises(PreconditionError):
         Germ(2, Series(2, 1, {}))
+
+
+def test_germ_names_the_first_check_it_fails():
+    # the variable count, then the truncation order, then the vanishing order;
+    # the germ reader gives the same message on the same terms
+    z1, z2, zb1, zb2 = gens(4)
+    short = Series(2, 1, {(1, 0, 0, 0): 1})  # fails the truncation and the vanishing order
+    with pytest.raises(PreconditionError, match="^series variable count does not match the germ$"):
+        Germ(3, short)
+    cases = [
+        (short, "germ needs truncation order at least 2"),
+        (z1 + z1 * zb1, "defining series must vanish to second order at the origin"),
+    ]
+    for series, message in cases:
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            Germ(2, series)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            loads_germ(dumps_series(series))
+    empty = Series(2, 2, {})
+    assert Germ(2, empty).R == empty == loads_germ(dumps_series(empty)).R
 
 
 def test_split_examples():
