@@ -5,9 +5,17 @@ For a two-variable germ w = R = G + iE the field
     L = (G_2 - i E_2) d/dz1 - (G_1 - i E_1) d/dz2 + 2i (G_2 E_1 - G_1 E_2) d/dw
 
 is a type-(1,0) tangent field along the graph.  Writing L = A d/dz1
-- B d/dz2 + C d/dw, the commutator T = [L, conj L] has coefficient family
-lambda_1..lambda_6 and [L, T] the family Gamma_1..Gamma_6; when the CR
-points of the germ are non-minimal the combinations
+- B d/dz2 + C d/dw, with A = d(conj R)/dz2 and B = d(conj R)/dz1, the
+commutator T = [L, conj L] has coefficient family lambda_1..lambda_6 and
+[L, T] the family Gamma_1..Gamma_6.  L acts on functions of (z, zbar)
+through A and B alone, and there
+
+    T = lambda_1 d/dzbar1 + lambda_2 d/dzbar2 + lambda_4 d/dz1 + lambda_5 d/dz2,
+    lambda_1 = L(conj A), lambda_2 = -L(conj B), lambda_4 = -Lbar(A), lambda_5 = Lbar(B),
+    Gamma_1 = L(lambda_1), Gamma_2 = L(lambda_2),
+    Gamma_4 = L(lambda_4) - T(A), Gamma_5 = L(lambda_5) + T(B).
+
+When the CR points of the germ are non-minimal the combinations
 
     X1 = conj(B) Gamma_1 + conj(A) Gamma_2      X2 = lambda_4 B + lambda_5 A
     Y1 = B Gamma_4 + A Gamma_5                  Y2 = lambda_1 conj(B) + lambda_2 conj(A)
@@ -16,28 +24,46 @@ satisfy X1 X2 = Y1 Y2 identically.  A nonzero coefficient in the residual
 X1 X2 - Y1 Y2 is therefore a finite-order certificate that no such
 non-minimal structure exists; the converse direction is not decided here.
 
-Each lambda, Gamma, X and Y above, and the residual, is a short sum of
-series products with weights +-1 (Gamma_4..Gamma_6 are L(lambda) +- T(.),
-six products).  The obstruction runs as one packed chain: the germ's R is
-packed once, with base trunc + 1 (every term the chain keeps has degree
-<= trunc, so no key sum carries), A and B are its packed conjugate's
-derivatives, and every family, factor and the residual is one call of the
-packed product core :func:`crflat.series._sum_of_packed` on packed
-derivatives and conjugates; only the residual is decoded.  X1..Y2 read
-eight of the twelve families, and those need only A and B, so the
-obstruction forms neither C nor lambda_3, lambda_6, Gamma_3 and Gamma_6;
-:func:`bracket_data` returns all twelve from the same code, with C packed
-at R's base, and decodes them, as :func:`obstruction_series` decodes its
-four factors.
+Three exact identities give the factors from lambda_1, lambda_2 and Y2,
+with no Gamma family:
 
-Demand schedule.  R starts in degree 2, so A, B, each lambda and each
-Gamma start in degree 1 and each of X1..Y2 in degree 2.  The residual
-through order k therefore reads X1..Y2 only through k - 2, and those read
-the lambda and Gamma families only through k - 3.  :func:`obstruction`
-asks for exactly that, with d = max(k, 4) - 2: the families through d - 1,
-the factors through d and the residual through k.  The kernel certifies
-every such truncation from its operands' lowest degrees, and raises
-instead of over-claiming.
+1. X2 = -conj(Y2).  T is anti-self-conjugate: conj(lambda_1) = Lbar(A)
+   = -lambda_4 and conj(lambda_2) = -Lbar(B) = -lambda_5, so
+   -conj(Y2) = lambda_4 B + lambda_5 A.
+2. X1 = L(Y2).  L is a derivation, so L(Y2) = X1 + lambda_1 L(conj B)
+   + lambda_2 L(conj A) = X1 - lambda_1 lambda_2 + lambda_2 lambda_1.
+3. Y1 = L(X2) + lambda_1 M1 + lambda_2 M2, with M_k = A dB/dzbar_k
+   - B dA/dzbar_k.  Expanding L(X2) by the Leibniz rule and T(A), T(B) by
+   the formula for T gives Y1 - L(X2) = lambda_1 M1 + lambda_2 M2
+   + (lambda_4 B + lambda_5 A)(dB/dz2 - dA/dz1), and dA/dz1 = dB/dz2
+   = d^2(conj R)/dz1 dz2.
+
+So :func:`obstruction` forms lambda_1, lambda_2, M1, M2, Y2 and X1 from two
+products each and Y1 from four: 16 pair products, where the eight families
+lambda_1, lambda_2, lambda_4, lambda_5, Gamma_1, Gamma_2, Gamma_4, Gamma_5
+and the four factors built from them by definition take 32.  X2 is a
+packed conjugate.  :func:`bracket_data` keeps the route of the definitions,
+all twelve families with C included, as the reference the factors are
+tested against.
+
+Every series is packed: the germ's R is packed once, with base trunc + 1
+(every term the chain keeps has degree <= trunc, so no key sum carries), A
+and B are its packed conjugate's derivatives, and each of lambda_1,
+lambda_2, M1, M2, Y2, X1, Y1 and the residual is one call of the packed
+product core :func:`crflat.series._sum_of_packed` on packed derivatives and
+conjugates.  :func:`obstruction` decodes only the residual, and
+:func:`obstruction_series` its four factors.
+
+Demand schedule.  R starts in degree 2, so A, B, lambda_1, lambda_2, M1
+and M2 start in degree 1 (dB/dzbar_k in degree 0) and each of X1..Y2 in
+degree 2.  The residual through order k therefore reads X1..Y2 only
+through k - 2.  Those are products of lambda_1, lambda_2 or an L-derivative
+with operands that start in degree 1, so they read lambda_1, lambda_2, M1
+and M2 only through k - 3.  :func:`obstruction` asks for exactly that, with
+d = max(k, 4) - 2: lambda_1, lambda_2, M1 and M2 through d - 1, Y2, X1 and
+Y1 through d, and the residual through k.  The kernel certifies every such
+truncation from its operands' lowest degrees, and raises instead of
+over-claiming.
 
 The coefficient names cf_* avoid a clash with the quadratic matrices, which
 the surrounding literature also calls A and B.
@@ -161,7 +187,7 @@ def bracket_data(germ: Germ, degree: int | None = None) -> BracketData:
     if germ.n != 2:
         raise PreconditionError("bracket calculus needs two variables")
     f = build_canonical_field(germ)
-    families = _families(*_field_ab(germ), degree, _packed(f.cf_w, germ.trunc))
+    families = _families(*_field_ab(germ), _packed(f.cf_w, germ.trunc), degree)
     return BracketData(**{k: _unpacked(p, 2) for k, p in families.items()}, field=f)
 
 
@@ -172,20 +198,19 @@ def _field_ab(germ: Germ) -> tuple[_Packed, _Packed]:
     return _packed_diff(rbar, 1), _packed_diff(rbar, 0)
 
 
-def _families(a: _Packed, b: _Packed, degree: int | None, c: _Packed | None = None) -> dict:
+def _families(a: _Packed, b: _Packed, c: _Packed, degree: int | None) -> dict:
     """The lambda and Gamma families of L = A d/dz1 - B d/dz2 + C d/dw, by name, packed.
 
-    The operands share one base.  L acts on functions of (z, zbar) through A
-    and B alone, so C enters only lambda_3, lambda_6, Gamma_3 and Gamma_6;
-    without ``c`` those four are skipped and the other eight returned.
+    The operands share one base.  Each family is one sum of products, built
+    from the definitions in the module docstring.
     """
     ab, bb = _packed_conj(a, 2), _packed_conj(b, 2)
 
     def grad(s: _Packed, slots: int = 2) -> list:
         return [_packed_diff(s, k) for k in range(slots)]
 
-    # the derivatives of A and B (and C) are read twice, so they are formed once
-    da, db = grad(a, 4), grad(b, 4)
+    # the derivatives of A, B and C are read twice, so they are formed once
+    da, db, dc = grad(a, 4), grad(b, 4), grad(c, 4)
 
     # each helper returns the (weight, factor, factor) pairs of k times the
     # operator applied to s, given s's derivatives ds, so every coefficient is
@@ -212,12 +237,10 @@ def _families(a: _Packed, b: _Packed, degree: int | None, c: _Packed | None = No
     out["gamma2"] = family(L(grad(lam2)))
     out["gamma4"] = family(L(grad(lam4)) + T(da, -1))
     out["gamma5"] = family(L(grad(lam5)) + T(db, 1))
-    if c is not None:
-        dc = grad(c, 4)
-        lam3 = out["lambda3"] = family(L(grad(_packed_conj(c, 2))))
-        lam6 = out["lambda6"] = family(Lbar(dc, -1))
-        out["gamma3"] = family(L(grad(lam3)))
-        out["gamma6"] = family(L(grad(lam6)) + T(dc, -1))
+    lam3 = out["lambda3"] = family(L(grad(_packed_conj(c, 2))))
+    lam6 = out["lambda6"] = family(Lbar(dc, -1))
+    out["gamma3"] = family(L(grad(lam3)))
+    out["gamma6"] = family(L(grad(lam6)) + T(dc, -1))
     return out
 
 
@@ -233,9 +256,10 @@ class ObstructionReport(NamedTuple):
 def achievable_order(trunc: int) -> int:
     """Highest residual order supported by a germ of the given truncation.
 
-    The field coefficients cost one derivative, each lambda a second and
-    each gamma a third, so the residual of products is exact only through
-    trunc - 3.  This bound is conservative: counting the factors' lowest
+    A and B cost one derivative, lambda_1, lambda_2, M1 and M2 a second, and
+    X1 = L(Y2) and Y1 = L(X2) + ... a third (see the module docstring), so the
+    residual of products is exact through trunc - 3 before any lowest degree
+    is counted.  This bound is conservative: counting the factors' lowest
     degrees, the residual is fixed by R through trunc as far as trunc + 2
     (on five random germs it did not depend on the terms of R above trunc).
     The limit stays at trunc - 3 because raising it changes which orders
@@ -245,16 +269,31 @@ def achievable_order(trunc: int) -> int:
 
 
 def _factors(germ: Germ, degree: int | None) -> tuple[_Packed, _Packed, _Packed, _Packed]:
-    """X1, X2, Y1 and Y2 packed, through ``degree`` (see :func:`obstruction_series`)."""
+    """X1, X2, Y1 and Y2 packed, through ``degree``, by the three identities of
+    the module docstring: lambda_1, lambda_2, M1 and M2 through ``degree - 1``,
+    then Y2, X1 = L(Y2) and Y1 = L(X2) + lambda_1 M1 + lambda_2 M2, with
+    X2 = -conj(Y2)."""
     a, b = _field_ab(germ)
-    d = _families(a, b, None if degree is None else max(degree - 1, 0))
     ab, bb = _packed_conj(a, 2), _packed_conj(b, 2)
-    return (
-        _sum_of_packed(((1, bb, d["gamma1"]), (1, ab, d["gamma2"])), degree),
-        _sum_of_packed(((1, d["lambda4"], b), (1, d["lambda5"], a)), degree),
-        _sum_of_packed(((1, b, d["gamma4"]), (1, a, d["gamma5"])), degree),
-        _sum_of_packed(((1, d["lambda1"], bb), (1, d["lambda2"], ab)), degree),
-    )
+    inner = None if degree is None else max(degree - 1, 0)
+
+    def L(s: _Packed, k: int = 1) -> list:
+        """The (weight, factor, factor) pairs of k L(s)."""
+        return [(k, a, _packed_diff(s, 0)), (-k, b, _packed_diff(s, 1))]
+
+    def M(slot: int) -> _Packed:
+        """M_k = A dB/dzbar_k - B dA/dzbar_k, at the slot k + 1 of zbar_k."""
+        return _sum_of_packed(
+            ((1, a, _packed_diff(b, slot)), (-1, b, _packed_diff(a, slot))), inner
+        )
+
+    lam1 = _sum_of_packed(L(ab), inner)
+    lam2 = _sum_of_packed(L(bb, -1), inner)
+    y2 = _sum_of_packed(((1, lam1, bb), (1, lam2, ab)), degree)
+    x2 = _packed_conj(y2, 2, -1)
+    x1 = _sum_of_packed(L(y2), degree)
+    y1 = _sum_of_packed(L(x2) + [(1, lam1, M(2)), (1, lam2, M(3))], degree)
+    return x1, x2, y1, y2
 
 
 def obstruction_series(
@@ -262,11 +301,12 @@ def obstruction_series(
 ) -> tuple[Series, Series, Series, Series]:
     """The four product factors of the non-minimality identity.
 
-    By default they are exact at working truncation (trunc - 3); with
-    ``degree`` they are computed through that degree from the families
-    through ``degree - 1``: A and B start in degree 1.  They read lambda_1,
-    lambda_2, lambda_4, lambda_5 and Gamma_1, Gamma_2, Gamma_4, Gamma_5
-    only, built from A and B; the other four families and C are not formed.
+    By default they are exact at working truncation (X2 and Y2 through
+    trunc - 2, X1 and Y1 through trunc - 3); with ``degree`` they are
+    computed through that degree from lambda_1, lambda_2, M1 and M2 through
+    ``degree - 1``: A and B start in degree 1.  They are built by the three
+    identities of the module docstring; no Gamma family, lambda_4, lambda_5
+    or C is formed.
     """
     if germ.n != 2:
         raise PreconditionError("bracket calculus needs two variables")

@@ -457,11 +457,12 @@ def _packed_diff(p: _Packed, slot: int) -> _Packed:
     return _Packed(trunc, buckets[0][0] if buckets else trunc + 1, p.den, buckets, base)
 
 
-def _packed_conj(p: _Packed, nvars: int) -> _Packed:
-    """The conjugate of a packed operand: each key's two halves swap and im is negated."""
+def _packed_conj(p: _Packed, nvars: int, sign: int = 1) -> _Packed:
+    """``sign`` (1 or -1) times the conjugate of a packed operand: each key's two
+    halves swap and the pair (x, y) becomes sign * (x, -y)."""
     half = p.base**nvars
     buckets = [
-        (d, [(key % half * half + key // half, x, -y) for key, x, y in terms])
+        (d, [(key % half * half + key // half, sign * x, -sign * y) for key, x, y in terms])
         for d, terms in p.buckets
     ]
     return p._replace(buckets=buckets)

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crflat.crfields as crfields_mod
 import crflat.germ as germ_mod
@@ -128,27 +131,82 @@ def test_canonical_field_matches_the_split_formula(rng):
         assert [s.trunc for s in (got.cf_z1, got.cf_z2, got.cf_w)] == [g.trunc - 1] * 3
 
 
+def _definition_factors(g, degree):
+    """X1..Y2 by their definitions from the twelve-family route of bracket_data."""
+    d = bracket_data(g, None if degree is None else max(degree - 1, 0))
+    a, b = d.field.cf_z1, -d.field.cf_z2
+    ab, bb = a.conj(), b.conj()
+    return d, tuple(
+        sum_of_products(pairs, trunc=degree)
+        for pairs in (
+            ((1, bb, d.gamma1), (1, ab, d.gamma2)),
+            ((1, d.lambda4, b), (1, d.lambda5, a)),
+            ((1, b, d.gamma4), (1, a, d.gamma5)),
+            ((1, d.lambda1, bb), (1, d.lambda2, ab)),
+        )
+    )
+
+
 def test_obstruction_series_equals_the_factors_of_the_full_bracket_data(rng):
-    # obstruction_series forms eight families from A and B alone; X1..Y2
-    # formed from all twelve of bracket_data, canonical field included, agree
+    # obstruction_series forms lambda_1, lambda_2, M1 and M2 from A and B alone
+    # and X1..Y2 by three identities; X1..Y2 formed by their definitions from
+    # all twelve families of bracket_data, canonical field included, agree
     for _ in range(12):
         g = rand_germ(rng, trunc=rng.randint(5, 9), extra_terms=5)
         for degree in (None, 2, 4, g.trunc - 3):
-            d = bracket_data(g, None if degree is None else max(degree - 1, 0))
-            a, b = d.field.cf_z1, -d.field.cf_z2
-            ab, bb = a.conj(), b.conj()
-            want = tuple(
-                sum_of_products(pairs, trunc=degree)
-                for pairs in (
-                    ((1, bb, d.gamma1), (1, ab, d.gamma2)),
-                    ((1, d.lambda4, b), (1, d.lambda5, a)),
-                    ((1, b, d.gamma4), (1, a, d.gamma5)),
-                    ((1, d.lambda1, bb), (1, d.lambda2, ab)),
-                )
-            )
+            want = _definition_factors(g, degree)[1]
             got = obstruction_series(g, degree)
             assert got == want
             assert [s.trunc for s in got] == [s.trunc for s in want]
+
+
+@lru_cache(maxsize=None)
+def _exponents(low, trunc):
+    return [e for e in product(range(trunc + 1), repeat=4) if low <= sum(e) <= trunc]
+
+
+@st.composite
+def obstruction_germs(draw):
+    """Two-variable germs over a denominator k > 1, truncated at 3..9, sparse
+    or dense, starting in degree 2 or (no quadratic part) in degree 3."""
+    trunc = draw(st.integers(3, 9))
+    low = draw(st.sampled_from((2, 3)))
+    exps = _exponents(low, trunc)
+    gaussians = st.builds(G, st.integers(-3, 3), st.integers(-3, 3))
+    if draw(st.booleans()):  # dense: every term through degree low + 1, a few above
+        terms = {e: draw(gaussians) for e in exps if sum(e) <= low + 1}
+        terms.update(draw(st.dictionaries(st.sampled_from(exps), gaussians, max_size=6)))
+    else:
+        terms = draw(st.dictionaries(st.sampled_from(exps), gaussians, max_size=5))
+    # one coefficient 1 / k keeps the denominator at k
+    terms[draw(st.sampled_from(exps))] = G(1)
+    k = draw(st.integers(2, 7))
+    return Germ(2, Series(2, trunc, terms).scale(G(F(1, k))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(obstruction_germs())
+def test_the_factors_are_the_twelve_family_definitions_and_satisfy_the_identities(g):
+    assert g.R.den > 1
+    d, factors = _definition_factors(g, None)
+    for got, want in zip(obstruction_series(g), factors):
+        _same(got, want)
+    for degree in range(g.trunc - 2):
+        for got, want in zip(obstruction_series(g, degree), _definition_factors(g, degree)[1]):
+            _same(got, want)
+    # the three identities, on the definitions' factors at working truncation
+    x1, x2, y1, y2 = factors
+    a, b = d.field.cf_z1, -d.field.cf_z2
+
+    def L(s):
+        return [(1, a, s.dz(1)), (-1, b, s.dz(2))]
+
+    def M(k):
+        return sum_of_products(((1, a, b.dzbar(k)), (-1, b, a.dzbar(k))))
+
+    _same(x2, -y2.conj())
+    _same(x1, sum_of_products(L(y2)))
+    _same(y1, sum_of_products(L(x2) + [(1, d.lambda1, M(1)), (1, d.lambda2, M(2))]))
 
 
 def test_commutator_conjugation_symmetries(rng):
@@ -362,6 +420,27 @@ def test_obstruction_packs_r_once_and_decodes_only_the_residual(monkeypatch):
     report = obstruction(germ, 6)
     assert calls["_packed"] <= 1 and calls["_decoded"] == 1
     assert len(report.residual.nums) == 175
+
+
+def test_obstruction_forms_the_factors_from_16_pair_products(monkeypatch):
+    # lambda_1, lambda_2, M1, M2, Y2 and X1 take two products each and Y1 four;
+    # the residual adds two, and neither family route is called
+    germ = load_germ(FIXTURES / "screen_s02.germ")
+    pairs = []
+    original = crfields_mod._sum_of_packed
+
+    def counted(terms, trunc=None):
+        pairs.append(len(terms))
+        return original(terms, trunc)
+
+    def forbidden(*args):
+        raise AssertionError("the obstruction reads no lambda or Gamma family route")
+
+    monkeypatch.setattr(crfields_mod, "_sum_of_packed", counted)
+    monkeypatch.setattr(crfields_mod, "_families", forbidden)
+    monkeypatch.setattr(crfields_mod, "bracket_data", forbidden)
+    obstruction(germ, 6)
+    assert pairs == [2, 2, 2, 2, 2, 2, 4, 2]
 
 
 def test_field_file_roundtrip():
