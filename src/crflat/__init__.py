@@ -88,7 +88,6 @@ _EXPORTS = {
     "flatten": (
         "Constraint",
         "FlattenReport",
-        "HTable",
         "PhiPsiTables",
         "check_fundamental",
         "flatten_to_order",

@@ -3,9 +3,10 @@
 There Phi, Psi and the first-order condition are series arithmetic.  Here
 they are coefficient shifts on bracket tables [t s r h] (the coefficient of
 z1^s z2^t zb1^h zb2^r), alternating-sum transforms and their identities,
-and each audit reports every disagreement with the series.  Lookups at
-negative indices are zero.  No other module imports this one, and no
-command-line verb runs it.
+and each audit reports every disagreement with the series.  Every audit
+takes a table and its degree m, as ``phi_psi`` does; only ``parity_audit``
+needs the table real-valued.  Lookups at negative indices are zero.  No
+other module imports this one, and no command-line verb runs it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Optional
 
+from .errors import PreconditionError
 from .flatten import (
     Bracket,
-    HTable,
     Table,
-    _table_and_degree,
+    _degree_table,
     _tget,
     all_brackets,
     check_fundamental,
@@ -87,15 +88,16 @@ def _iden_combination(psi: Mapping[Bracket, GaussianRational], idx: Bracket) -> 
     )
 
 
-def recursion_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -> AuditReport:
+def recursion_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     """Check the coefficient recursions against the series-computed operators.
 
-    The first two identities re-derive Phi from H and Psi from Phi by index
-    shifts; the third states that the alternating four-term combination of
-    Psi coefficients agrees, index by index, with the first-order condition
-    series.  Exact equality is required everywhere.
+    h is a bracket table of degree m.  The first two identities re-derive
+    Phi from H and Psi from Phi by index shifts; the third states that the
+    alternating four-term combination of Psi coefficients agrees, index by
+    index, with the first-order condition series.  Exact equality is
+    required everywhere.
     """
-    table, m = _table_and_degree(h, m)
+    table = _degree_table(h, m)
     tables = phi_psi(table, m)
     phi, psi = series_to_table(tables.phi), series_to_table(tables.psi)
     failures = []
@@ -153,12 +155,12 @@ def k_transform(table: Mapping[Bracket, GaussianRational], degree: int, k: int) 
     return KTransform(k, values)
 
 
-def identity_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -> AuditReport:
+def identity_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     """Verify the transform-level identities at lowest conjugate weight.
 
-    Requires the first-order condition to hold for H (the audit is skipped
-    otherwise).  Checked for every k and s in range, all with exact
-    arithmetic:
+    h is a bracket table of degree m, H, which must satisfy the first-order
+    condition (the audit is skipped otherwise).  Checked for every k and s
+    in range, all with exact arithmetic:
 
     * the transform of Phi at (s, 0) against the three-term combination of
       transforms of H,
@@ -168,7 +170,7 @@ def identity_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -
     and for even degree additionally the odd-transform chain at the origin
     slot and the closing three-term identity on H transforms.
     """
-    table, m = _table_and_degree(h, m)
+    table = _degree_table(h, m)
     tables = phi_psi(table, m)
     fund = check_fundamental(tables)
     if not fund.ok:
@@ -211,29 +213,36 @@ def identity_audit(h: HTable | Mapping[Bracket, object], m: int | None = None) -
     return AuditReport(not failures, failures)
 
 
-def parity_audit(h: HTable) -> AuditReport:
+def parity_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     """For odd degree: the part odd under z1 -> -z1 must vanish.
 
-    Under the hypotheses that the table satisfies the first-order condition
-    and the normalization conditions, its odd part (monomials with s + h
-    odd) lies in the kernel of the combined system of
-    ``uniqueness_nullspace`` -- the two vanishing families hold automatically
-    since those indices have even s + h -- and that kernel is trivial, so the
-    odd part must be zero.  Hypothesis failures and surviving odd coefficients
-    are both reported as findings, so an injected odd coefficient is always
-    caught.
+    h is a real-valued bracket table of degree m: each coefficient is the
+    conjugate of its mirror's, [t s r h] against [r h t s], or
+    :class:`PreconditionError` names the first that is not.  Under the
+    hypotheses that the table satisfies the first-order condition and the
+    normalization conditions, its odd part (monomials with s + h odd) lies
+    in the kernel of the combined system of ``uniqueness_nullspace`` -- the
+    two vanishing families hold automatically since those indices have even
+    s + h -- and that kernel is trivial, so the odd part must be zero.
+    Hypothesis failures and surviving odd coefficients are both reported as
+    findings, so an injected odd coefficient is always caught.
     """
-    m = h.m
+    table = _degree_table(h, m)
+    for (t, s, r, h_), c in table.items():
+        if _tget(table, (r, h_, t, s)) != c.conj():
+            raise PreconditionError(
+                f"table is not real-valued: mirror coefficient mismatch at {(t, s, r, h_)}"
+            )
     if m % 2 == 0:
         return AuditReport(False, skipped="parity audit applies to odd degrees")
     failures = []
-    if not check_fundamental(phi_psi(h)).ok:
+    if not check_fundamental(phi_psi(table, m)).ok:
         failures.append("hypothesis: first-order condition fails for this table")
-    for con, _ in constraint_residuals(normalization_system(m), h.coeffs):
+    for con, _ in constraint_residuals(normalization_system(m), table):
         failures.append(f"hypothesis: normalization violated ({con.label})")
     failures.extend(
         f"odd-part coefficient survives at {idx}"
-        for idx, _ in h.items()
+        for idx in sorted(table)
         if (idx[1] + idx[3]) % 2 == 1
     )
     return AuditReport(not failures, failures)

@@ -253,7 +253,7 @@ def run_flatten(rep: Report, path: str, args) -> None:
         else:
             rep.add("H_NORMALIZED_ZERO", _bool(step.normalized_zero))
         if step.remainder is not None:
-            for idx, c in step.remainder.items():
+            for idx, c in sorted(step.remainder.items()):
                 rep.add("H'", term_line(exp_from_bracket(*idx), *_part_texts(c)))
     if result.ok:
         rep.add("FLATTENED_TO", result.reached)

@@ -22,10 +22,10 @@ unsolvable normalization) is returned as an obstruction certificate.
 The operators exchange ``Series``, each product certified through the degree
 it is asked for (Phi of degree m, Psi and the condition of degree m + 1), so
 a cut degree raises instead of dropping terms.  Each is one
-``sum_of_products`` call on ``Series`` derivatives.  Bracket tables
-[t s r h] (the coefficient of z1^s z2^t zb1^h zb2^r) stay in ``HTable``
-and where the audits index by bracket shifts; lookups at negative indices
-are zero by convention.  In z coordinates the operators
+``sum_of_products`` call on ``Series`` derivatives.  H itself is a bracket
+table [t s r h] -> coefficient of z1^s z2^t zb1^h zb2^r, always passed with
+its degree m; the audits index such tables by bracket shifts, and lookups
+at negative indices are zero by convention.  In z coordinates the operators
 have two independent implementations.  Generic series arithmetic defines
 them, and ``flatten``'s check on the degree where it stops and the check of
 each table of the condition kernel's basis (``fundamental_nullspace``) use
@@ -159,56 +159,31 @@ def _tget(table: Mapping[Bracket, GaussianRational], idx: Bracket) -> GaussianRa
 
 
 def _check_index(idx: Bracket, m: int) -> None:
-    t, s, r, h = idx
-    if min(idx) < 0 or t + s + r + h != m:
+    four = isinstance(idx, tuple) and len(idx) == 4
+    if not (four and all(isinstance(i, int) and i >= 0 for i in idx) and sum(idx) == m):
         raise PreconditionError(f"index {idx} is not homogeneous of degree {m}")
 
 
-class HTable:
-    """Real-valued homogeneous coefficient table of one degree."""
+def _degree_table(h: Mapping[Bracket, object], m: int) -> Table:
+    """The nonzero coefficients of a bracket table, each index homogeneous of degree m.
 
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs: Mapping[Bracket, object]):
-        self.m = m
-        clean: Table = {}
-        for idx, c in coeffs.items():
-            _check_index(idx, m)
-            c = GaussianRational.coerce(c)
-            if c:
-                clean[idx] = c
-        for (t, s, r, h), c in clean.items():
-            if _tget(clean, (r, h, t, s)) != c.conj():
-                raise PreconditionError(
-                    "table is not real-valued: mirror coefficient mismatch at "
-                    f"{(t, s, r, h)}"
-                )
-        self.coeffs = clean
-
-    def get(self, idx: Bracket) -> GaussianRational:
-        return _tget(self.coeffs, idx)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, HTable):
-            return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"HTable(m={self.m}, {dict(self.items())!r})"
+    The values need not be real-valued.
+    """
+    table: Table = {}
+    for idx, c in h.items():
+        _check_index(idx, m)
+        c = GaussianRational.coerce(c)
+        if c:
+            table[idx] = c
+    return table
 
 
-def h_from_germ(germ: Germ, m: int) -> HTable:
-    """Degree-m table of the imaginary part of a parabolic-quadric germ."""
+def h_from_germ(germ: Germ, m: int) -> Table:
+    """Degree-m bracket table of the imaginary part of a parabolic-quadric germ."""
     _require_parabolic(germ)
     if m > germ.trunc:
         raise PreconditionError("degree exceeds the germ truncation")
-    return HTable(m, series_to_table(_unpacked(_imaginary_part(germ, m), 2)))
+    return series_to_table(_unpacked(_imaginary_part(germ, m), 2))
 
 
 def _imaginary_part(germ: Germ, m: int) -> _Packed:
@@ -237,21 +212,6 @@ class PhiPsiTables(NamedTuple):
     psi: Series
 
 
-def _table_and_degree(h: HTable | Mapping[Bracket, object], m: int | None) -> tuple[Table, int]:
-    """An HTable's coefficients and degree, or a raw table with its given degree.
-
-    Every index of a raw table must be homogeneous of that degree; its
-    values need not be real-valued.
-    """
-    if isinstance(h, HTable):
-        return h.coeffs, h.m
-    if m is None:
-        raise PreconditionError("raw tables need an explicit degree")
-    for idx in h:
-        _check_index(idx, m)
-    return {k: GaussianRational.coerce(v) for k, v in h.items()}, m
-
-
 @lru_cache(maxsize=None)
 def _linear_forms(m: int) -> tuple[Series, Series, Series, Series]:
     """w1, w2, w2^2 and w2 w1 through degree m + 2, enough for Phi, Psi and the condition."""
@@ -260,10 +220,12 @@ def _linear_forms(m: int) -> tuple[Series, Series, Series, Series]:
     return w1, w2, w2 * w2, w2 * w1
 
 
-def phi_psi(h: HTable | Mapping[Bracket, object], m: int | None = None) -> PhiPsiTables:
-    """Both derived operators, by series arithmetic, exact through m and m + 1."""
-    table, m = _table_and_degree(h, m)
-    hs = table_to_series(table, m)
+def phi_psi(h: Mapping[Bracket, object], m: int) -> PhiPsiTables:
+    """Both derived operators of the degree-m bracket table h, by series arithmetic.
+
+    Phi is exact through degree m and Psi through m + 1.
+    """
+    hs = table_to_series(_degree_table(h, m), m)
     w1, w2, w22, w21 = _linear_forms(m)
     phi = sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))), trunc=m)
     terms = ((1, w22, phi.dz(1)), (-1, w21, phi.dz(2)), (1, w1, phi))
@@ -657,10 +619,17 @@ def _shear_image_in_kernel() -> bool:
 
 
 class FlattenStep(NamedTuple):
+    """One degree of the driver.
+
+    ``remainder`` is a bracket table of degree m, or None at a degree that
+    flattens: the normalized remainder H' where it is nonzero, or H itself
+    where the normalization is unsolvable.
+    """
+
     m: int
     kernel: Optional[KernelPolynomial]
     normalized_zero: Optional[bool]
-    remainder: Optional[HTable]
+    remainder: Optional[Table]
     fundamental_ok: bool
     note: str = ""
 
@@ -707,8 +676,8 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         try:
             kern = solve_kernel(im_part, m)
         except InconsistentSystemError as exc:
-            h = HTable(m, series_to_table(_unpacked(im_part, 2)))
-            fund_ok = check_fundamental(phi_psi(h)).ok
+            h = series_to_table(_unpacked(im_part, 2))
+            fund_ok = check_fundamental(phi_psi(h, m)).ok
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
@@ -716,7 +685,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         # the normalized remainder is Im R_m after the shear
         remainder = _imaginary_part(current, m)
         if remainder.buckets:
-            table = HTable(m, series_to_table(_unpacked(remainder, 2)))
+            table = series_to_table(_unpacked(remainder, 2))
             fund_ok = check_fundamental(phi_psi(series_to_table(_unpacked(im_part, 2)), m)).ok
             steps.append(FlattenStep(m, kern, False, table, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)

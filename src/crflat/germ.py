@@ -247,12 +247,17 @@ class KernelPolynomial:
             raise PreconditionError("kernel weight must be at least 2")
         self.m = m
         clean: dict[tuple[tuple[int, int], int], GaussianRational] = {}
-        for (alpha, j), c in coeffs.items():
-            a1, a2 = alpha
-            if a1 < 0 or a2 < 0 or j < 0 or a1 + a2 + 2 * j != m:
-                raise PreconditionError(
-                    f"kernel key {(alpha, j)} violates the weight-{m} grading"
-                )
+        for key, c in coeffs.items():
+            try:
+                (a1, a2), j = key
+            except (TypeError, ValueError):
+                a1 = a2 = j = None  # not ((int, int), int)
+            if (
+                not all(isinstance(v, int) for v in (a1, a2, j))
+                or min(a1, a2, j) < 0
+                or a1 + a2 + 2 * j != m
+            ):
+                raise PreconditionError(f"kernel key {key} violates the weight-{m} grading")
             c = GaussianRational.coerce(c)
             if c:
                 clean[((a1, a2), j)] = c

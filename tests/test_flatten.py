@@ -14,7 +14,6 @@ from crflat import (
     Constraint,
     GaussianRational,
     Germ,
-    HTable,
     KernelPolynomial,
     Series,
     check_fundamental,
@@ -82,28 +81,28 @@ def sheared_quadric(rng, weights, trunc=8):
 # -- tables and operators ------------------------------------------------------------
 
 
-def test_htable_validation():
-    HTable(3, {(1, 2, 0, 0): F(1, 2), (0, 0, 1, 2): F(1, 2)})
-    with pytest.raises(PreconditionError):
-        HTable(3, {(1, 2, 0, 0): 1})  # mirror missing
-    with pytest.raises(PreconditionError):
-        HTable(3, {(1, 1, 0, 0): 1})  # wrong degree
+def test_parity_audit_validates_its_table():
+    parity_audit({(1, 2, 0, 0): F(1, 2), (0, 0, 1, 2): F(1, 2)}, 3)
+    with pytest.raises(PreconditionError, match="mirror coefficient mismatch at"):
+        parity_audit({(1, 2, 0, 0): 1}, 3)  # mirror missing
+    with pytest.raises(PreconditionError, match="is not homogeneous of degree 3"):
+        parity_audit({(1, 1, 0, 0): 1}, 3)  # wrong degree
 
 
 def test_h_from_germ():
     q = parabolic_quadric(8)
     for m in (3, 4, 5):
-        assert h_from_germ(q, m).is_zero()
+        assert h_from_germ(q, m) == {}
     z1, z2, zb1, zb2 = Series.generators(2, 8)
     g = Germ(2, q.R + (z1 * z1 * z2).scale(I))
     h = h_from_germ(g, 3)
-    assert dict(h.items()) == {
+    assert h == {
         (0, 0, 1, 2): G(F(1, 2)),
         (1, 2, 0, 0): G(F(1, 2)),
     }
     # a real perturbation contributes nothing to the imaginary part
     g = Germ(2, q.R + z1 * z1 * z1 + zb1 * zb1 * zb1)
-    assert h_from_germ(g, 3).is_zero()
+    assert h_from_germ(g, 3) == {}
 
 
 def test_h_from_germ_requires_parabolic():
@@ -113,7 +112,7 @@ def test_h_from_germ_requires_parabolic():
 
 
 def test_phi_of_z1zb1():
-    t = phi_psi(HTable(2, {(0, 1, 0, 1): 1}))
+    t = phi_psi({(0, 1, 0, 1): 1}, 2)
     assert series_to_table(t.phi) == {(1, 1, 0, 0): G(1), (0, 1, 1, 0): G(1)}  # z1 z2 + z1 zb2
     rep = check_fundamental(t)
     assert not rep.ok and rep.violations
@@ -139,9 +138,9 @@ def test_fundamental_for_shear_tables(rng):
         for _ in range(3):
             g = parabolic_quadric(m).shear(random_kernel(rng, m))
             h = h_from_germ(g, m)
-            assert check_fundamental(phi_psi(h)).ok
-            assert recursion_audit(h).ok
-            assert identity_audit(h).ok
+            assert check_fundamental(phi_psi(h, m)).ok
+            assert recursion_audit(h, m).ok
+            assert identity_audit(h, m).ok
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
@@ -184,7 +183,9 @@ def test_the_recursions_rederive_the_series_operators_of_any_table(case):
 
 
 @pytest.mark.parametrize("audit", [phi_psi, recursion_audit, identity_audit])
-@pytest.mark.parametrize("idx", [(1, 0, 0, 0), (1, 1, 1, 1), (-1, 2, 1, 1)])
+@pytest.mark.parametrize(
+    "idx", [(1, 0, 0, 0), (1, 1, 1, 1), (-1, 2, 1, 1), (1, 2, 0), (1, 2, 0, 0, 0), (3,)]
+)
 def test_a_raw_table_must_be_homogeneous_of_its_degree(audit, idx):
     with pytest.raises(PreconditionError, match="is not homogeneous of degree 3") as info:
         audit({idx: 1}, 3)
@@ -193,10 +194,10 @@ def test_a_raw_table_must_be_homogeneous_of_its_degree(audit, idx):
 
 
 def test_fundamental_zero_table():
-    t = phi_psi(HTable(4, {}))
+    t = phi_psi({}, 4)
     assert check_fundamental(t).ok
-    assert recursion_audit(HTable(4, {})).ok
-    assert identity_audit(HTable(4, {})).ok
+    assert recursion_audit({}, 4).ok
+    assert identity_audit({}, 4).ok
 
 
 def test_recursion_audit_random_real_tables(rng):
@@ -229,7 +230,7 @@ def test_identity_audit_on_fundamental_nullspace_basis():
 
 
 def test_identity_audit_skips_without_fundamental():
-    rep = identity_audit(HTable(2, {(0, 1, 0, 1): 1}))
+    rep = identity_audit({(0, 1, 0, 1): 1}, 2)
     assert not rep.ok and rep.skipped
 
 
@@ -249,7 +250,7 @@ def test_recursion_audit_flags_a_corrupted_phi(monkeypatch):
     table = _condition_kernel_table()
     honest = audits_mod.phi_psi
 
-    def phi_off_by_one(h, m=None):
+    def phi_off_by_one(h, m):
         tables = honest(h, m)
         extra = Series(2, tables.m, {exp_from_bracket(1, 1, 1, 1): 1})
         return PhiPsiTables(tables.m, tables.phi + extra, tables.psi)
@@ -590,12 +591,12 @@ def test_flatten_halts_on_non_graph_imaginary_part():
     g = non_graph_germ()
     assert load_germ(FIXTURES / "nongraph.germ") == g
     h = h_from_germ(g, 3)
-    assert not check_fundamental(phi_psi(h)).ok
+    assert not check_fundamental(phi_psi(h, 3)).ok
     rep = flatten_to_order(g, 8)
     assert not rep.ok and rep.obstruction_degree == 3
     last = rep.steps[-1]
     assert not last.fundamental_ok
-    assert last.remainder is not None and not last.remainder.is_zero()
+    assert last.remainder
 
 
 def test_flatten_reads_only_the_degree_it_solves(rng, monkeypatch):
@@ -641,7 +642,7 @@ def test_flatten_reads_and_reports_a_nonzero_remainder(bucket_reads):
     # both in the germ's base 9
     assert reads == [3, 3] and [p.base for p in decodes] == [9, 9]
     last = rep.steps[-1]
-    assert last.normalized_zero is False and not last.remainder.is_zero()
+    assert last.normalized_zero is False and last.remainder
     assert last.remainder == h_from_germ(rep.final, 3)
 
 
@@ -674,23 +675,15 @@ def test_solve_kernel_takes_only_a_real_homogeneous_two_variable_series(rng):
 @pytest.mark.parametrize(
     "name, built", [("sheared", 0), ("nongraph", 1), ("sheared_inconsistent", 1)]
 )
-def test_the_driver_builds_a_table_only_for_a_failing_degree(monkeypatch, name, built):
-    tables = []
-
-    class CountedTable(flatten_mod.HTable):
-        __slots__ = ()
-
-        def __init__(self, m, coeffs):
-            tables.append(m)
-            super().__init__(m, coeffs)
-
-    monkeypatch.setattr(flatten_mod, "HTable", CountedTable)
+def test_the_driver_builds_a_table_only_for_a_failing_degree(bucket_reads, name, built):
     rep = flatten_to_order(load_germ(FIXTURES / f"{name}.germ"), 8)
+    # the degrees of the packed parts the driver decodes into tables
+    tables = sorted({d for p in bucket_reads[1] for d, _ in p.buckets})
     assert rep.ok == (built == 0) and len(tables) == built
     if built:  # the remainder of nongraph, the unsolved table of sheared_inconsistent
         last = rep.steps[-1]
         assert (last.kernel is None) == (name == "sheared_inconsistent")
-        assert last.remainder is not None and tables == [rep.obstruction_degree]
+        assert last.remainder and tables == [rep.obstruction_degree]
 
 
 # -- the packed driver against the public path -----------------------------------------
@@ -746,16 +739,14 @@ def reference_flatten(germ, n):
         try:
             kern = solve_kernel(h, m)
         except InconsistentSystemError as exc:
-            table = HTable(m, series_to_table(h))
-            steps.append(FlattenStep(m, None, None, table, fund_ok, note=str(exc)))
+            steps.append(FlattenStep(m, None, None, series_to_table(h), fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         if not kern.is_zero():
             current = Germ(2, subst_w(shear_template(kern), current.R))
         kernels[m] = kern
         remainder = imaginary_part(current, m)
         if not remainder.is_zero():
-            table = HTable(m, series_to_table(remainder))
-            steps.append(FlattenStep(m, kern, False, table, fund_ok))
+            steps.append(FlattenStep(m, kern, False, series_to_table(remainder), fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         steps.append(FlattenStep(m, kern, True, None, fund_ok))
     return FlattenReport(True, n, kernels, current, steps)
@@ -771,6 +762,11 @@ def assert_driver_matches_reference(germ, n):
     got = flatten_to_order(germ, n)
     assert got.kernels == want.kernels
     assert got.steps == want.steps
+    # every table the driver reports, H or H', is real-valued: mirror-conjugate
+    for step in got.steps:
+        table = step.remainder or {}
+        for (t, s, r, h), c in table.items():
+            assert table.get((r, h, t, s)) == c.conj(), (step.m, (t, s, r, h))
     assert got.final == want.final and got.final.trunc == want.final.trunc
     assert got == want
 
@@ -2066,20 +2062,22 @@ def test_identity_audit_on_higher_degree_condition_kernels(m):
 
 
 def test_parity_audit_pass_and_negative_control(rng):
-    assert parity_audit(HTable(5, {})).ok
+    assert parity_audit({}, 5).ok
+    # zero values are dropped, so a zero odd-parity entry is no finding
+    assert parity_audit({(0, 1, 2, 2): 0, (2, 2, 0, 1): F(0)}, 5).ok
     # a normalized table from the driver pipeline is zero, hence passes;
     # inject one odd-parity pair and the audit must flag it
-    bad = HTable(5, {(0, 1, 2, 2): F(1, 2), (2, 2, 0, 1): F(1, 2)})
-    rep = parity_audit(bad)
+    bad = {(0, 1, 2, 2): F(1, 2), (2, 2, 0, 1): F(1, 2)}
+    rep = parity_audit(bad, 5)
     assert not rep.ok
     assert any("odd-part coefficient" in f for f in rep.failures)
-    even_rep = parity_audit(HTable(4, {}))
+    even_rep = parity_audit({}, 4)
     assert even_rep.skipped
 
 
 def test_parity_audit_reports_a_violated_normalization_hypothesis():
     # z2^5 + zb2^5: pure-z, so the first normalization constraint fails
-    rep = parity_audit(HTable(5, {(5, 0, 0, 0): 1, (0, 0, 5, 0): 1}))
+    rep = parity_audit({(5, 0, 0, 0): 1, (0, 0, 5, 0): 1}, 5)
     assert not rep.ok
     assert "hypothesis: normalization violated (pure-z s1=0)" in rep.failures
 
@@ -2091,4 +2089,4 @@ def test_parity_of_flattened_steps(rng):
     assert rep.ok
     for step in rep.steps:
         if step.m % 2 == 1:
-            assert parity_audit(h_from_germ(rep.final, step.m)).ok
+            assert parity_audit(h_from_germ(rep.final, step.m), step.m).ok

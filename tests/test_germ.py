@@ -383,6 +383,11 @@ def test_kernel_validation():
         KernelPolynomial(4, {((0, 0), 2): 1})  # pinned even-weight key
     k = KernelPolynomial(4, {((2, 0), 1): G(0, 1)})
     assert not k.is_zero()
+    # a key must be ((int, int), int): a 3-tuple alpha, a 1-tuple alpha, j = 0.5
+    for key in (((1, 1, 1), 0), ((3,), 0), ((1, 1), 0.5)):
+        with pytest.raises(PreconditionError) as info:
+            KernelPolynomial(3, {key: 1})
+        assert str(info.value) == f"kernel key {key} violates the weight-3 grading"
 
 
 def test_germ_file_roundtrip(rng):

@@ -15,7 +15,7 @@ SRC = str(FIXTURES.parent / "src")
 PUBLIC_NAMES = [
     "AuditReport", "BracketData", "CoarseBClass", "CoarseClass", "ConsistencyError",
     "Constraint", "CrflatError", "DegenerateSliceError", "DirectionCandidate", "ExactMatrix",
-    "FlattenReport", "FlattenabilityVerdict", "GaussianRational", "Germ", "HTable",
+    "FlattenReport", "FlattenabilityVerdict", "GaussianRational", "Germ",
     "InconsistentSystemError", "KTransform", "KernelPolynomial", "LinearizationReport",
     "ObstructionReport", "ParseError", "PhiPsiTables",
     "PreconditionError", "QuadraticPair", "Series", "SliceReport", "TangentField",
