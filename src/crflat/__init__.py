@@ -66,9 +66,7 @@ _EXPORTS = {
         "cr_singular_linearization",
         "elliptic_candidates",
         "is_hermitianizable",
-        "max_null_dim",
         "recognize_pair",
-        "subslice_pair",
     ),
     "crfields": (
         "BracketData",
@@ -88,7 +86,6 @@ _EXPORTS = {
     "flatten": (
         "Constraint",
         "FlattenReport",
-        "PhiPsiTables",
         "check_fundamental",
         "flatten_to_order",
         "fundamental_nullspace",

@@ -98,8 +98,8 @@ def recursion_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     required everywhere.
     """
     table = _degree_table(h, m)
-    tables = phi_psi(table, m)
-    phi, psi = series_to_table(tables.phi), series_to_table(tables.psi)
+    phi_series, psi_series = phi_psi(table, m)
+    phi, psi = series_to_table(phi_series), series_to_table(psi_series)
     failures = []
     for idx in all_brackets(m):
         if _tget(phi, idx) != _phi_recursion(table, idx):
@@ -107,7 +107,7 @@ def recursion_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     for idx in all_brackets(m + 1):
         if _tget(psi, idx) != _psi_recursion(phi, idx):
             failures.append(f"psi-recursion mismatch at {idx}")
-    fund = series_to_table(fundamental_series(tables))
+    fund = series_to_table(fundamental_series(psi_series, m))
     for idx in all_brackets(m + 1):
         if _iden_combination(psi, idx) != _tget(fund, idx):
             failures.append(f"four-term combination differs from condition series at {idx}")
@@ -171,12 +171,11 @@ def identity_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     slot and the closing three-term identity on H transforms.
     """
     table = _degree_table(h, m)
-    tables = phi_psi(table, m)
-    fund = check_fundamental(tables)
-    if not fund.ok:
+    phi_series, psi_series = phi_psi(table, m)
+    if not fundamental_series(psi_series, m).is_zero():
         return AuditReport(False, skipped="first-order condition fails for this table")
     hk = {k: k_transform(table, m, k) for k in range(-1, m + 4)}
-    phi, psi = series_to_table(tables.phi), series_to_table(tables.psi)
+    phi, psi = series_to_table(phi_series), series_to_table(psi_series)
     pk = {k: k_transform(phi, m, k) for k in range(-2, m + 4)}
     sk = {k: k_transform(psi, m + 1, k) for k in range(-1, m + 4)}
     failures = []
@@ -236,7 +235,7 @@ def parity_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     if m % 2 == 0:
         return AuditReport(False, skipped="parity audit applies to odd degrees")
     failures = []
-    if not check_fundamental(phi_psi(table, m)).ok:
+    if not check_fundamental(table, m):
         failures.append("hypothesis: first-order condition fails for this table")
     for con, _ in constraint_residuals(normalization_system(m), table):
         failures.append(f"hypothesis: normalization violated ({con.label})")

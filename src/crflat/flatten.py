@@ -94,8 +94,8 @@ condition.  Neither check depends on the degree or the germ, and
 ``flatten`` runs both once per call; should one fail, every solved degree reads
 false.  That R and S act as derivations is structural (``_rotation_map``
 scales each term by its own exponents); the CI step "FUNDAMENTAL_OK matches
-the series definition at depth" compares the verdicts with ``phi_psi`` and
-``check_fundamental``, which do not use the rotation maps.
+the series definition at depth" compares the verdicts with
+``check_fundamental``, which does not use the rotation maps.
 
 ``linalg.certified_nullspace`` certifies the kernel of the shear parameters
 and the independence of the shear polynomials beside the elimination.
@@ -206,12 +206,6 @@ def _require_parabolic(germ: Germ):
 # -- definitional operators (generic series arithmetic) -------------------------
 
 
-class PhiPsiTables(NamedTuple):
-    m: int
-    phi: Series
-    psi: Series
-
-
 @lru_cache(maxsize=None)
 def _linear_forms(m: int) -> tuple[Series, Series, Series, Series]:
     """w1, w2, w2^2 and w2 w1 through degree m + 2, enough for Phi, Psi and the condition."""
@@ -220,8 +214,8 @@ def _linear_forms(m: int) -> tuple[Series, Series, Series, Series]:
     return w1, w2, w2 * w2, w2 * w1
 
 
-def phi_psi(h: Mapping[Bracket, object], m: int) -> PhiPsiTables:
-    """Both derived operators of the degree-m bracket table h, by series arithmetic.
+def phi_psi(h: Mapping[Bracket, object], m: int) -> tuple[Series, Series]:
+    """Phi and Psi of the degree-m bracket table h, by series arithmetic.
 
     Phi is exact through degree m and Psi through m + 1.
     """
@@ -229,26 +223,18 @@ def phi_psi(h: Mapping[Bracket, object], m: int) -> PhiPsiTables:
     w1, w2, w22, w21 = _linear_forms(m)
     phi = sum_of_products(((1, w2, hs.dzbar(1)), (-1, w1, hs.dzbar(2))), trunc=m)
     terms = ((1, w22, phi.dz(1)), (-1, w21, phi.dz(2)), (1, w1, phi))
-    return PhiPsiTables(m, phi, sum_of_products(terms, trunc=m + 1))
+    return phi, sum_of_products(terms, trunc=m + 1)
 
 
-def fundamental_series(tables: PhiPsiTables) -> Series:
-    """The condition series, certified exact through degree m + 1."""
-    psi, m = tables.psi, tables.m
+def fundamental_series(psi: Series, m: int) -> Series:
+    """The condition series of Psi of degree m, certified exact through degree m + 1."""
     w1, w2, _, _ = _linear_forms(m)
     return sum_of_products(((1, w2, psi.dz(1)), (-1, w1, psi.dz(2))), trunc=m + 1)
 
 
-class FundamentalReport(NamedTuple):
-    ok: bool
-    violations: list[tuple[Bracket, GaussianRational]]
-
-
-def check_fundamental(tables: PhiPsiTables) -> FundamentalReport:
-    """Does (z2+zb2) dPsi/dz1 - (z1+zb1) dPsi/dz2 vanish identically?"""
-    f = fundamental_series(tables)
-    violations = [(bracket_from_exp(e), c) for e, c in f.items()]
-    return FundamentalReport(not violations, violations)
+def check_fundamental(h: Mapping[Bracket, object], m: int) -> bool:
+    """Does (z2+zb2) dPsi/dz1 - (z1+zb1) dPsi/dz2 vanish identically for the degree-m table h?"""
+    return fundamental_series(phi_psi(h, m)[1], m).is_zero()
 
 
 # -- normalization conditions ---------------------------------------------------
@@ -651,9 +637,9 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
     and is reported as an obstruction certificate.  Each step also records
     whether H satisfies the first-order condition.  Only the degree where
     the iteration stops evaluates it on H, by its series definition
-    (``check_fundamental`` of ``phi_psi``).  A solved degree takes its
-    verdict from the tie and (a), run once per call at its first solved
-    degree (module docstring).
+    (``check_fundamental``).  A solved degree takes its verdict from the
+    tie and (a), run once per call at its first solved degree (module
+    docstring).
 
     R is packed once and stays packed from shear to shear (``Germ.shear``
     returns a germ that holds only its packed R).  Each degree's H = Im R_m
@@ -677,7 +663,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
             kern = solve_kernel(im_part, m)
         except InconsistentSystemError as exc:
             h = series_to_table(_unpacked(im_part, 2))
-            fund_ok = check_fundamental(phi_psi(h, m)).ok
+            fund_ok = check_fundamental(h, m)
             steps.append(FlattenStep(m, None, None, h, fund_ok, note=str(exc)))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         current = current.shear(kern)
@@ -686,7 +672,7 @@ def flatten_to_order(germ: Germ, n: int) -> FlattenReport:
         remainder = _imaginary_part(current, m)
         if remainder.buckets:
             table = series_to_table(_unpacked(remainder, 2))
-            fund_ok = check_fundamental(phi_psi(series_to_table(_unpacked(im_part, 2)), m)).ok
+            fund_ok = check_fundamental(series_to_table(_unpacked(im_part, 2)), m)
             steps.append(FlattenStep(m, kern, False, table, fund_ok))
             return FlattenReport(False, m - 1, kernels, current, steps, obstruction_degree=m)
         if certified is None:
@@ -850,9 +836,9 @@ def _fundamental_basis(m: int) -> tuple[Table, ...]:
     defined over Q, so the real and imaginary parts of the image columns
     span it too, and their reduced echelon form with the columns reversed
     is the basis :func:`crflat.linalg.sparse_nullspace` gives the kernel.
-    Each table is checked by the series definition (``check_fundamental`` of
-    ``phi_psi``), which shares no code with the rotation maps, and there
-    must be one per shear parameter.  Degree 0 gives the constants.
+    Each table is checked by the series definition (``check_fundamental``),
+    which shares no code with the rotation maps, and there must be one per
+    shear parameter.  Degree 0 gives the constants.
     """
     if m < 0:
         raise PreconditionError("the condition kernel needs a degree of at least 0")
@@ -865,7 +851,7 @@ def _fundamental_basis(m: int) -> tuple[Table, ...]:
         {idx: c for idx, c in zip(brackets, v) if c}
         for v in _reversed_echelon(parts, len(brackets))
     )
-    if len(basis) != image.cols or not all(check_fundamental(phi_psi(t, m)).ok for t in basis):
+    if len(basis) != image.cols or not all(check_fundamental(t, m) for t in basis):
         raise ConsistencyError(f"the kernel basis of the condition of degree {m} fails its check")
     return basis
 

@@ -217,19 +217,20 @@ class Germ:
     def shear(self, kernel: "KernelPolynomial") -> "Germ":
         """Apply w' = w + B(z, w): the new graph is R + B(z, R), truncated.
 
-        The P_j of w + B(z, w) are packed straight from the kernel's
-        integers (:func:`_shear_polys`), and ``_subst_packed`` puts the
-        packed R for w, seeding the sum with a copy of R, the constant 1 of
-        P_1 times R, instead of multiplying R by 1.  The result stays packed
-        and is decoded only when its R is read.  ``subst_w`` of the same
-        polynomial, in ``Series`` products, is its reference.
+        The P_j of B(z, w) are packed straight from the kernel's integers
+        (:func:`_shear_polys`), and ``_subst_packed`` forms R + B(z, R) with
+        R packed.  A B with no term through the truncation (a zero kernel
+        included) returns the germ itself.  The result stays packed and is
+        decoded only when its R is read.  ``subst_w`` of w + B(z, w), in
+        ``Series`` products, is its reference.
         """
         if self.n != 2:
             raise PreconditionError("shears are implemented for two variables")
-        if kernel.is_zero():
-            return self
         r = self._packed_r()
-        return Germ._from_packed(2, _subst_packed(_shear_polys(kernel, r), r))
+        polys = _shear_polys(kernel, r)
+        if not polys:
+            return self
+        return Germ._from_packed(2, _subst_packed(polys, r))
 
 
 class KernelPolynomial:
@@ -283,27 +284,25 @@ class KernelPolynomial:
 
 
 def _shear_polys(kernel: KernelPolynomial, r: _Packed) -> dict[int, _Packed]:
-    """The P_j of w + B(z, w) by w-power j, packed as r is, through its truncation.
+    """The P_j of B(z, w) by w-power j, packed as r is, through its truncation.
 
     P_j holds the b_{alpha j} z^alpha, all of degree m - 2 j, over the lcm of
     their denominators, read from each coefficient's integers
-    (:func:`crflat.numeric.integer_parts`); P_1 also holds the constant 1.
-    Terms above the truncation are dropped, and so is a P_j left empty.
-    B holds no pure w term (pinned at even weight, impossible at odd).
+    (:func:`crflat.numeric.integer_parts`).  Terms above the truncation are
+    dropped, and so is a P_j left empty.  B holds no pure w term (pinned at
+    even weight, impossible at odd), so no P_j holds a constant.
     """
     trunc, base = r.trunc, r.base
     parts: dict[int, list] = {}
     for ((a1, a2), j), c in kernel.coeffs.items():
         if a1 + a2 <= trunc:
             parts.setdefault(j, []).append((_pack((a1, a2, 0, 0), base), c))
-    parts.setdefault(1, [])
     polys = {}
     for j, terms in parts.items():
         den, xs, ys = integer_parts([c for _, c in terms])
-        buckets = [(0, [(0, den, 0)])] if j == 1 else []
-        if terms:
-            buckets.append((kernel.m - 2 * j, [(k, x, y) for (k, _), x, y in zip(terms, xs, ys)]))
-        polys[j] = _Packed(trunc, buckets[0][0], den, buckets, base)
+        d = kernel.m - 2 * j
+        bucket = [(k, x, y) for (k, _), x, y in zip(terms, xs, ys)]
+        polys[j] = _Packed(trunc, d, den, [(d, bucket)], base)
     return polys
 
 

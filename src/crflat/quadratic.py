@@ -18,8 +18,7 @@ Provided decisions and invariants:
   (B^dagger)^{-1} B, plus an exact-shape recognizer for the standard list
   of two-variable normal forms.
 * Bishop slice invariants along a direction c, elliptic-direction
-  candidates, the linearization of the CR-singular-locus equations, and the
-  null-dimension bound for split Levi forms.
+  candidates and the linearization of the CR-singular-locus equations.
 """
 
 from __future__ import annotations
@@ -195,18 +194,6 @@ def coarse_b_class(pair: QuadraticPair) -> CoarseBClass:
     if k.re > 2:
         return CoarseBClass(CoarseClass.REAL_RECIPROCAL_PAIR, spectrum)
     raise PreconditionError("matrix is not a graph-germ cosquare")
-
-
-def subslice_pair(pair: QuadraticPair, i: int, j: int) -> QuadraticPair:
-    """The 2x2 pair of the coordinate slice {z_k = 0, k != i, j} (0-based)."""
-    if pair.n < 3:
-        raise PreconditionError("subslicing needs at least three variables")
-    if not 0 <= i < j < pair.n:
-        raise PreconditionError("need indices 0 <= i < j < n")
-    idx = (i, j)
-    a = ExactMatrix.from_rows([[pair.A.at(p, q) for q in idx] for p in idx])
-    b = ExactMatrix.from_rows([[pair.B.at(p, q) for q in idx] for p in idx])
-    return QuadraticPair(a, b)
 
 
 class SliceReport(NamedTuple):
@@ -578,10 +565,3 @@ def cr_singular_linearization(germ: "Germ") -> LinearizationReport:
     m = ExactMatrix.from_rows(rows)
     rk = m.rank()
     return LinearizationReport(m, rk, 4 - rk)
-
-
-def max_null_dim(l: int, n: int) -> int:
-    """Largest dimension of a null subspace of diag(I_l, -I_{n-l})."""
-    if not 0 <= l <= n:
-        raise PreconditionError("need 0 <= l <= n")
-    return min(l, n - l)

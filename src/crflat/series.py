@@ -41,15 +41,15 @@ multiplies, differentiates and conjugates without unpacking between steps;
 :func:`_packed_im` reads the imaginary part of one degree's bucket on its
 keys, as a packed operand of that one bucket (the flattening driver's
 per-degree read).
-:func:`_subst_packed` puts a packed r for w in the w + B(z, w) of a shear:
-it keeps the powers of r packed from one product to the next and returns
-the sum packed, so a sheared ``Germ`` (it holds its R packed) never
-unpacks between shears, and it seeds the sum with a copy of r, the 1 of w
-times r, not a product.  :func:`subst_w` is its plain reference, Horner's
-rule in ``Series`` products and sums.  :func:`_packed` packs with base
-cut + 1, every packed operand carries its base to the results formed from
-it, and :func:`_unpacked` decodes with the operand's base; a caller that
-packs keys itself (:func:`_pack`) passes the base of the operands its keys
+:func:`_subst_packed` forms r + B(z, r), the shear w' = w + B(z, w) at a
+packed w = r: it seeds the sum with a copy of r, keeps the powers of r
+packed from one product to the next and returns the sum packed, so a
+sheared ``Germ`` (it holds its R packed) never unpacks between shears.
+:func:`subst_w` is its plain reference, Horner's rule in ``Series``
+products and sums.  :func:`_packed` packs with base cut + 1, every packed
+operand carries its base to the results formed from it, and
+:func:`_unpacked` decodes with the operand's base; a caller that packs
+keys itself (:func:`_pack`) passes the base of the operands its keys
 meet.
 
 Every term line ``cols... re im``, in the files and in the reports, is
@@ -219,9 +219,6 @@ class Series:
         n = self.nvars
         nums = self.nums
         return all(nums.get(e[n:] + e[:n]) == (x, -y) for e, (x, y) in nums.items())
-
-    def min_degree(self) -> int:
-        return min((sum(e) for e in self.nums), default=0)
 
     def homogeneous_part(self, d: int) -> "Series":
         return self._make(self.den, {e: p for e, p in self.nums.items() if sum(e) == d})
@@ -703,23 +700,23 @@ def subst_w(
 
 
 def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
-    """The sum of P_j * r^j through r.trunc, packed in lowest terms: a shear at w = r.
+    """r + the sum of P_j * r^j through r.trunc, packed in lowest terms: a shear at w = r.
 
-    ``polys`` holds the nonzero P_j of w + B(z, w) as ``crflat.germ._shear_polys``
-    packs them: P_1 always, its lowest bucket the constant 1 of w alone.  r has
-    no constant term, and all share one base.  Each power stays packed in
-    degree buckets from one product to the next: r^j is the square of
-    r^(j/2) for even j (each unordered pair of terms once, the others
-    doubled) and r^(j-1) * r for odd j, formed by the product core
+    ``polys`` holds the nonzero P_j of B(z, w) as ``crflat.germ._shear_polys``
+    packs them, at least one, none with a constant term.  r has no constant
+    term, and all share one base.  Each power stays packed in degree
+    buckets from one product to the next: r^j is the square of r^(j/2) for
+    even j (each unordered pair of terms once, the others doubled) and
+    r^(j-1) * r for odd j, formed by the product core
     :func:`_sum_of_packed`, and only the powers these steps and the P_j
     read are formed.
 
-    The sum is seeded with r, the 1 of P_1 times r, not multiplied: r's
-    pairs are copied into the accumulator scaled to the common denominator
-    D, the lcm of r's and every pair's denominators, and as they are when D
-    is r's own.  The rest of P_1 and every other P_j * r^j run through the
-    product loop into the same accumulator, which :func:`_as_packed` brings
-    to lowest terms, so the result holds new lists and nothing is unpacked.
+    The sum is seeded with r, the w of w + B(z, w): r's pairs are copied
+    into the accumulator scaled to the common denominator D, the lcm of r's
+    and every pair's denominators, and as they are when D is r's own.  Every
+    P_j * r^j runs through the product loop into the same accumulator,
+    which :func:`_as_packed` brings to lowest terms, so the result holds new
+    lists and nothing is unpacked.
 
     Each power is formed only through the degree it is read at, and every
     product certifies it.  Write T = r.trunc and s = low(r).  P_j * r^j
@@ -732,8 +729,8 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
     low(p)) against the degree it is asked for, with each low read from the
     lowest bucket, and raises ``PreconditionError`` past it; the product core
     checks only above min(T_p, T_r), where the bound holds since low(r) >= 1.
-    The final sum, P_1 whole among its pairs, is checked by the product
-    core's rule (:func:`_reachable`) before it is formed.
+    The pairs of the final sum are checked by the product core's rule
+    (:func:`_reachable`) before it is formed.
     """
     trunc = r.trunc
     step = r.low
@@ -759,10 +756,9 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
             acc: Accumulator = {}
             _square_into(acc, p.buckets, upto)
             powers[j] = _as_packed(acc, p.den * p.den, upto, r.base)
-    _reachable([(1, p, powers[j]) for j, p in polys.items()], trunc)
-    rest = polys[1].buckets[1:]  # P_1 less the constant 1 that the seed stands for
-    polys = {**polys, 1: polys[1]._replace(low=rest[0][0] if rest else trunc + 1, buckets=rest)}
-    pairs = [(1, p, powers[j]) for j, p in sorted(polys.items()) if p.buckets and powers[j].buckets]
+    pairs = [(1, p, powers[j]) for j, p in sorted(polys.items())]
+    _reachable(pairs, trunc)
+    pairs = [(k, p, q) for k, p, q in pairs if q.buckets]
     den = math.lcm(r.den, *(p.den * q.den for _, p, q in pairs))
     scale = den // r.den
     acc = {}
@@ -777,10 +773,12 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 # -- file formats ----------------------------------------------------------------
 #
 # Every crflat file is a list of lines; '#' starts a comment and blank lines
-# are ignored.  A line ``name <integer>`` sets a header, which each format
-# requires exactly once.  Every other line is a term line: integers (the 2n
-# exponents of a series, ``a1 a2 j`` in a kernel file) followed by the real and
-# imaginary parts of the coefficient as rational literals.  For n = 2 the
+# are ignored, and a file may open with a UTF-8 byte-order mark.  A line
+# ``name <integer>`` sets a header, which each format requires exactly once;
+# any other line whose first word starts with a letter names an unknown
+# header.  Every other line is a term line: integers (the 2n exponents of a
+# series, ``a1 a2 j`` in a kernel file) followed by the real and imaginary
+# parts of the coefficient as rational literals.  For n = 2 the
 # exponent columns are ``s t h r`` (powers of z1 z2 zb1 zb2).  Term order is
 # irrelevant and duplicate exponents are an error.  A field file also groups
 # its term lines under ``coef <label>`` lines, each label at most once.
@@ -807,7 +805,10 @@ def read_records(
     Returns the values of ``headers`` in the given order, and the term rows
     (line number, line without its comment) by block label.  Without
     ``blocks`` every row goes under the label None; with them, each row goes
-    under the label of the last ``coef`` line before it.
+    under the label of the last ``coef`` line before it.  A line whose first
+    word starts with a letter and names no header (nor ``coef`` with
+    ``blocks``) is an unknown header; a line that opens with a digit or a
+    sign is a term line.
     """
     values: dict[str, int] = {}
     rows: dict[str | None, list[Row]] = {label: [] for label in (None, *blocks)}
@@ -816,7 +817,7 @@ def read_records(
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
         # a line that opens with a digit is a term line: no header or block name does
-        key = None
+        key = ""
         if not line[:1].isdigit():
             parts = line.split()
             if not parts:
@@ -838,6 +839,8 @@ def read_records(
                 raise ParseError(f"line {lineno}: second 'coef {parts[1]}' block")
             current = parts[1]
             opened.add(current)
+        elif key[:1].isalpha():
+            raise ParseError(f"line {lineno}: unknown header '{key}'")
         elif blocks and current is None:
             raise ParseError(f"line {lineno}: term line before any 'coef' block")
         else:
@@ -978,10 +981,15 @@ def _name_error(rows: Iterable[Row], nints: int, order: int | None) -> NoReturn:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; unreadable or undecodable files raise ParseError."""
+    """The text of a UTF-8 file, less one leading byte-order mark; unreadable or
+    undecodable files raise ParseError.
+
+    The mark is dropped after decoding, so the byte offset of a decoding
+    error counts from the start of the file.
+    """
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("utf-8")
+            return fh.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -96,8 +96,8 @@ def rand_real_bracket_table(rng: random.Random, m: int, nterms: int = 8) -> dict
 def shear_template(kernel) -> dict:
     """The ``subst_w`` template of w + B(z, w): the shear oracle, a new graph R + B(z, R).
 
-    ``Germ.shear`` packs the same polynomials straight from the kernel and
-    substitutes on packed operands; ``subst_w`` evaluates this template by
+    ``Germ.shear`` packs the P_j of B straight from the kernel and forms
+    R + B(z, R) on packed operands; ``subst_w`` evaluates this template by
     Horner's rule in ``Series`` products and sums, which share no code with
     that substitution.
     """

@@ -473,10 +473,11 @@ def test_reports_are_deterministic():
 def test_batch_matches_serial(tmp_path):
     names = ["ex31.germ", "ex32.germ", "ex33.germ", "parabolic.germ"]
     listing = tmp_path / "batch.txt"
-    listing.write_text("".join(fx(n) + "\n" for n in names))
     serial = "".join(run_cli("classify", fx(n))[1] for n in names)
-    code, batched = run_cli("classify", "--batch", str(listing))
-    assert code == 0 and batched == serial
+    for mark in (b"", b"\xef\xbb\xbf"):  # a listing may open with a byte-order mark
+        listing.write_bytes(mark + "".join(fx(n) + "\n" for n in names).encode())
+        code, batched = run_cli("classify", "--batch", str(listing))
+        assert code == 0 and batched == serial
 
 
 def test_batch_keeps_reports_before_an_unreadable_path(tmp_path, capsys):

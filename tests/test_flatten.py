@@ -39,7 +39,6 @@ from crflat.errors import ConsistencyError, InconsistentSystemError, Preconditio
 from crflat.flatten import (
     FlattenReport,
     FlattenStep,
-    PhiPsiTables,
     all_brackets,
     kernel_unknowns,
     series_to_table,
@@ -112,10 +111,10 @@ def test_h_from_germ_requires_parabolic():
 
 
 def test_phi_of_z1zb1():
-    t = phi_psi({(0, 1, 0, 1): 1}, 2)
-    assert series_to_table(t.phi) == {(1, 1, 0, 0): G(1), (0, 1, 1, 0): G(1)}  # z1 z2 + z1 zb2
-    rep = check_fundamental(t)
-    assert not rep.ok and rep.violations
+    phi, psi = phi_psi({(0, 1, 0, 1): 1}, 2)
+    assert series_to_table(phi) == {(1, 1, 0, 0): G(1), (0, 1, 1, 0): G(1)}  # z1 z2 + z1 zb2
+    assert not check_fundamental({(0, 1, 0, 1): 1}, 2)
+    assert not flatten_mod.fundamental_series(psi, 2).is_zero()
 
 
 def test_phi_of_powers_of_real_line():
@@ -126,10 +125,10 @@ def test_phi_of_powers_of_real_line():
 
         for s in range(m + 1):
             line[(0, s, 0, m - s)] = comb(m, s)
-        t = phi_psi(line, m)
+        phi, _ = phi_psi(line, m)
         z1, z2, zb1, zb2 = Series.generators(2, m + 4)
         expect = ((z2 + zb2) * (z1 + zb1) ** (m - 1)).scale(m)
-        assert t.phi == expect
+        assert phi == expect
 
 
 def test_fundamental_for_shear_tables(rng):
@@ -138,24 +137,23 @@ def test_fundamental_for_shear_tables(rng):
         for _ in range(3):
             g = parabolic_quadric(m).shear(random_kernel(rng, m))
             h = h_from_germ(g, m)
-            assert check_fundamental(phi_psi(h, m)).ok
+            assert check_fundamental(h, m)
             assert recursion_audit(h, m).ok
             assert identity_audit(h, m).ok
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_phi_and_psi_are_certified_through_their_degrees(rng, m):
-    tables = phi_psi(rand_real_bracket_table(rng, m), m)
-    assert (tables.phi.trunc, tables.psi.trunc) == (m, m + 1)
+    phi, psi = phi_psi(rand_real_bracket_table(rng, m), m)
+    assert (phi.trunc, psi.trunc) == (m, m + 1)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_a_cut_psi_cannot_pass_for_a_zero_condition(rng, m):
-    tables = phi_psi(rand_real_bracket_table(rng, m), m)
-    kept = {e: c for e, c in tables.psi.terms.items() if sum(e) <= m}
-    cut = PhiPsiTables(m, tables.phi, Series(2, m, kept))
+    _, psi = phi_psi(rand_real_bracket_table(rng, m), m)
+    kept = {e: c for e, c in psi.terms.items() if sum(e) <= m}
     with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):
-        flatten_mod.fundamental_series(cut)
+        flatten_mod.fundamental_series(Series(2, m, kept), m)
 
 
 @st.composite
@@ -172,14 +170,13 @@ def test_the_recursions_rederive_the_series_operators_of_any_table(case):
     # condition for any table of any degree, real-valued or not
     m, table = case
     assert recursion_audit(table, m).ok
-    tables = phi_psi(table, m)
-    assert (tables.phi.trunc, tables.psi.trunc) == (m, m + 1)
-    assert flatten_mod.fundamental_series(tables).trunc == m + 1
+    phi, psi = phi_psi(table, m)
+    assert (phi.trunc, psi.trunc) == (m, m + 1)
+    assert flatten_mod.fundamental_series(psi, m).trunc == m + 1
     # a Psi cut at degree m certifies no condition through m + 1
-    kept = {e: c for e, c in tables.psi.terms.items() if sum(e) <= m}
-    cut = PhiPsiTables(m, tables.phi, Series(2, m, kept))
+    kept = {e: c for e, c in psi.terms.items() if sum(e) <= m}
     with pytest.raises(PreconditionError, match="exceeds the certified product truncation"):
-        flatten_mod.fundamental_series(cut)
+        flatten_mod.fundamental_series(Series(2, m, kept), m)
 
 
 @pytest.mark.parametrize("audit", [phi_psi, recursion_audit, identity_audit])
@@ -194,8 +191,7 @@ def test_a_raw_table_must_be_homogeneous_of_its_degree(audit, idx):
 
 
 def test_fundamental_zero_table():
-    t = phi_psi({}, 4)
-    assert check_fundamental(t).ok
+    assert check_fundamental({}, 4)
     assert recursion_audit({}, 4).ok
     assert identity_audit({}, 4).ok
 
@@ -251,9 +247,8 @@ def test_recursion_audit_flags_a_corrupted_phi(monkeypatch):
     honest = audits_mod.phi_psi
 
     def phi_off_by_one(h, m):
-        tables = honest(h, m)
-        extra = Series(2, tables.m, {exp_from_bracket(1, 1, 1, 1): 1})
-        return PhiPsiTables(tables.m, tables.phi + extra, tables.psi)
+        phi, psi = honest(h, m)
+        return phi + Series(2, m, {exp_from_bracket(1, 1, 1, 1): 1}), psi
 
     monkeypatch.setattr(audits_mod, "phi_psi", phi_off_by_one)
     rep = recursion_audit(table, 4)
@@ -265,7 +260,7 @@ def test_recursion_audit_flags_a_corrupted_condition_series(monkeypatch):
     table = _condition_kernel_table()
     honest = audits_mod.fundamental_series
     extra = Series(2, 5, {exp_from_bracket(1, 1, 1, 2): 1})
-    monkeypatch.setattr(audits_mod, "fundamental_series", lambda t: honest(t) + extra)
+    monkeypatch.setattr(audits_mod, "fundamental_series", lambda psi, m: honest(psi, m) + extra)
     rep = recursion_audit(table, 4)
     assert rep.failures == ["four-term combination differs from condition series at (1, 1, 1, 2)"]
 
@@ -591,7 +586,7 @@ def test_flatten_halts_on_non_graph_imaginary_part():
     g = non_graph_germ()
     assert load_germ(FIXTURES / "nongraph.germ") == g
     h = h_from_germ(g, 3)
-    assert not check_fundamental(phi_psi(h, 3)).ok
+    assert not check_fundamental(h, 3)
     rep = flatten_to_order(g, 8)
     assert not rep.ok and rep.obstruction_degree == 3
     last = rep.steps[-1]
@@ -735,7 +730,7 @@ def reference_flatten(germ, n):
     current, kernels, steps = germ, {}, []
     for m in range(3, n + 1):
         h = imaginary_part(current, m)
-        fund_ok = check_fundamental(phi_psi(series_to_table(h), m)).ok
+        fund_ok = check_fundamental(series_to_table(h), m)
         try:
             kern = solve_kernel(h, m)
         except InconsistentSystemError as exc:
@@ -1141,7 +1136,7 @@ def stop_verdict(h, m):
     """The driver's verdict where it stops: the series definition of the condition on H."""
     if not isinstance(h, Series):
         h = series_mod._unpacked(h, 2)
-    return check_fundamental(phi_psi(series_to_table(h), m)).ok
+    return check_fundamental(series_to_table(h), m)
 
 
 def pair_series(m, rows):
@@ -1673,7 +1668,7 @@ def test_uniqueness_nullspace_rejects_a_non_integer_condition_entry(
 def test_fundamental_nullspace_members_satisfy_condition():
     for m in (3, 5):
         for table in fundamental_nullspace(m):
-            assert check_fundamental(phi_psi(table, m)).ok
+            assert check_fundamental(table, m)
 
 
 def applied(rows, table, m):
@@ -1694,8 +1689,8 @@ def test_condition_rows_are_the_condition_series():
     # a random table's condition, read off the rows, is its condition series
     rng = random.Random(12)
     table = rand_real_bracket_table(rng, m)
-    series = check_fundamental(phi_psi(table, m)).violations
-    assert sorted(applied(rows, table, m).items()) == sorted(series)
+    series = flatten_mod.fundamental_series(phi_psi(table, m)[1], m)
+    assert applied(rows, table, m) == series_to_table(series)
 
 
 def series_built_matrix(m):
@@ -1703,7 +1698,7 @@ def series_built_matrix(m):
     unknowns = all_brackets(m)
     by_bracket = {}
     for j, idx in enumerate(unknowns):
-        for e, c in flatten_mod.fundamental_series(phi_psi({idx: 1}, m)).items():
+        for e, c in flatten_mod.fundamental_series(phi_psi({idx: 1}, m)[1], m).items():
             assert not c.im and c.re.denominator == 1
             by_bracket.setdefault(bracket_from_exp(e), {})[j] = c.re.numerator
     return tuple(unknowns), [by_bracket[b] for b in sorted(by_bracket)]
@@ -1783,8 +1778,8 @@ def gaussian_tables(draw):
 def test_condition_rows_apply_as_the_condition_series(case):
     m, table = case
     _unknowns, rows = fundamental_matrix(m)
-    series = check_fundamental(phi_psi(table, m)).violations
-    assert sorted(applied(rows, table, m).items()) == sorted(series)
+    series = flatten_mod.fundamental_series(phi_psi(table, m)[1], m)
+    assert applied(rows, table, m) == series_to_table(series)
 
 
 @st.composite
@@ -1827,7 +1822,7 @@ def driver_verdicts(table, m):
     germ = Germ(2, parabolic_quadric(m).R + table_to_series(real, m).scale(I))
     step = flatten_to_order(germ, m).steps[-1]
     assert step.m == m
-    return step.fundamental_ok, check_fundamental(phi_psi(real, m)).ok
+    return step.fundamental_ok, check_fundamental(real, m)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -1864,7 +1859,7 @@ def test_the_driver_condition_check_holds_at_the_packing_boundary(m):
         series = table_to_series(table, m)
         assert series.trunc == m
         assert {exp_from_bracket(*idx) for idx in extremes} <= series.nums.keys()
-        assert check_fundamental(phi_psi(table, m)).ok == holds
+        assert check_fundamental(table, m) == holds
         got, want = driver_verdicts(table, m)
         assert got == want and (want or not holds)
 
@@ -1924,7 +1919,7 @@ def test_fundamental_nullspace_checks_every_basis_vector(
     # one entry of the reduced basis moved off the kernel: the unit table at
     # its bracket breaks the condition
     m, idx = 5, (2, 1, 1, 1)
-    assert not check_fundamental(phi_psi({idx: 1}, m)).ok
+    assert not check_fundamental({idx: 1}, m)
     real = flatten_mod._reversed_echelon
 
     def corrupted(vectors, n):
@@ -1967,10 +1962,13 @@ def sheared_to_8():
 
 @pytest.fixture
 def condition_checks(monkeypatch):
-    """The tables the driver evaluates the condition on: its calls of ``check_fundamental``."""
+    """The tables and degrees the driver evaluates the condition on: its calls of
+    ``check_fundamental(h, m)``."""
     checked = []
     real = flatten_mod.check_fundamental
-    monkeypatch.setattr(flatten_mod, "check_fundamental", lambda t: checked.append(t) or real(t))
+    monkeypatch.setattr(
+        flatten_mod, "check_fundamental", lambda h, m: checked.append((h, m)) or real(h, m)
+    )
     return checked
 
 

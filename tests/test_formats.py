@@ -12,9 +12,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crflat.cli import main
-from crflat.crfields import TangentField, dumps_field, loads_field
+from crflat.crfields import TangentField, dumps_field, load_field, loads_field
 from crflat.errors import ParseError
-from crflat.germ import Germ, KernelPolynomial, dumps_germ, dumps_kernel, loads_germ, loads_kernel
+from crflat.germ import (
+    Germ,
+    KernelPolynomial,
+    dumps_germ,
+    dumps_kernel,
+    load_germ,
+    load_kernel,
+    loads_germ,
+    loads_kernel,
+)
 from crflat.numeric import (
     _NATURAL_COLUMN,
     _RATIONAL_COLUMN,
@@ -29,6 +38,7 @@ from crflat.series import (
     content_errors,
     dumps_series,
     format_term_lines,
+    load_series,
     loads_series,
     parse_pairs,
     read_records,
@@ -211,6 +221,63 @@ def test_term_line_errors_keep_their_line_and_message(loads, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("loads, text, message", [
+    (loads_field, "weight 3\nvars 2\n", "line 1: unknown header 'weight'"),
+    (loads_series, "vars 2\norder 3\nweight 1\n", "line 3: unknown header 'weight'"),
+    (loads_germ, "vars 2\nordr 3\n", "line 2: unknown header 'ordr'"),
+    (loads_kernel, "weight 3\nvars 2\n2 1 0 1 0\n", "line 2: unknown header 'vars'"),
+    (loads_germ, "vars 2\norder 3\ncoef z1\n", "line 3: unknown header 'coef'"),
+    (loads_field, "vars 2\norder 3\ncoef z1\n  x1 0 0 0 1 0\n", "line 4: unknown header 'x1'"),
+    # in line order with the other header errors
+    (loads_series, "vars 2\nordr 3\nvars 2\n", "line 2: unknown header 'ordr'"),
+    (loads_series, "vars 2\nvars 2\nordr 3\n", "line 2: second 'vars' header"),
+    (loads_field, "vars 2\nwidth 3\nx 0 0 0 1 0\n", "line 2: unknown header 'width'"),
+    # a digit or a sign opens a term line
+    (loads_germ, "vars 2\norder 4\n+1 0 1 0 1 0\n",
+     "line 3: expected a nonnegative integer, got '+1'"),
+])
+def test_an_unknown_header_is_named_in_line_order(loads, text, message):
+    with pytest.raises(ParseError) as info:
+        loads(text)
+    assert str(info.value) == message
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_germ, (FIXTURES / "parabolic.germ").read_text()),
+    (load_series, (FIXTURES / "ex31.chi").read_text()),
+    (load_field, (FIXTURES / "ex31.field").read_text()),
+    (load_kernel, "weight 3\n0 1 1 -2 2\n0 3 0 0 1\n1 0 1 -2 1\n"),
+])
+def test_a_file_that_opens_with_a_byte_order_mark_reads_as_without_it(tmp_path, load, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    assert load(marked) == load(plain)
+
+
+@pytest.mark.parametrize("data, message", [
+    (BOM * 2 + b"vars 2\norder 4\n", "missing header 'vars'"),  # one mark is dropped
+    (b"vars 2\n" + BOM + b"order 4\n", "missing header 'order'"),
+])
+def test_a_byte_order_mark_past_the_start_stays_an_error(tmp_path, data, message):
+    path = tmp_path / "marked.germ"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        load_germ(path)
+    assert str(info.value) == message
+
+
+def test_an_undecodable_byte_is_counted_from_the_start_of_a_marked_file(tmp_path):
+    path = tmp_path / "marked.germ"
+    path.write_bytes(BOM + b"vars 2\norder 4\n1 0 1 0 \xff 0\n")
+    with pytest.raises(ParseError) as info:
+        load_germ(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (byte 26)"
+
+
 def test_term_lines_read_as_integer_pairs_equal_the_exact_coefficients():
     # unreduced literals and mixed denominators: the pairs reach lowest terms
     text = "vars 1\norder 3\n1 1 2/6 -2/6\n0 2 0 0\n2 0 4/2 1\n0 3 -9/12 5/10\n"
@@ -340,6 +407,8 @@ def _oracle_records(text, headers, blocks=()):
                 raise ParseError(f"line {lineno}: second 'coef {parts[1]}' block")
             current = parts[1]
             opened.add(current)
+        elif key[0].isalpha():
+            raise ParseError(f"line {lineno}: unknown header '{key}'")
         elif blocks and current is None:
             raise ParseError(f"line {lineno}: term line before any 'coef' block")
         else:

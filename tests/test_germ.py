@@ -228,11 +228,10 @@ def test_three_variable_germ_extraction():
     assert pair.B.at(1, 2) == G(0, 1)
     assert pair.A.at(2, 2) == 1
     assert g.split()[0].is_real()
-    from crflat import is_hermitianizable, subslice_pair
+    from crflat import is_hermitianizable
 
     assert not is_hermitianizable(pair).flattenable
-    sl = subslice_pair(pair, 0, 1)
-    assert sl.B == ExactMatrix.from_rows([[0, 1], [0, 0]])
+    assert [[pair.B.at(p, q) for q in (0, 1)] for p in (0, 1)] == [[0, 1], [0, 0]]
 
 
 def test_shear_with_w_dependence_feeds_back():
@@ -257,11 +256,11 @@ def test_chained_shears_stay_packed_until_r_is_read():
 
 # -- the packed shear against its oracles -------------------------------------------
 #
-# ``Germ.shear`` packs w + B(z, w) straight from the kernel and seeds the sum
-# with a scaled copy of R, in new bucket lists.  Two oracles read the same
-# shear another way, sharing no code with the packed substitution: ``subst_w``
-# of the template, Horner's rule in Series products and sums, and
-# R + sum b z^alpha R^j in plain series products and powers.
+# ``Germ.shear`` packs B(z, w) straight from the kernel and seeds the sum
+# with a scaled copy of R, the w of w + B(z, w), in new bucket lists.  Two
+# oracles read the same shear another way, sharing no code with the packed
+# substitution: ``subst_w`` of the template, Horner's rule in Series products
+# and sums, and R + sum b z^alpha R^j in plain series products and powers.
 
 SHEAR_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -322,15 +321,24 @@ CANCELLING = (
 @SHEAR_SETTINGS
 @given(shear_chains())
 @example(CANCELLING)
-@example((parabolic_quadric(5), [  # terms above T = 5, and P_1 only the constant 1
+@example((parabolic_quadric(5), [  # terms above T = 5, and no P_1 in the first
     KernelPolynomial(6, {((6, 0), 0): G(F(1, 3), F(2, 5)), ((0, 2), 2): F(-3, 7)}),
     KernelPolynomial(7, {((2, 1), 2): G(0, F(1, 5)), ((1, 4), 1): F(2, 3)}),
+]))
+@example((parabolic_quadric(8), [  # no P_1 at m = 3, 4, 5 and 10, then every term above T = 8
+    KernelPolynomial(3, {((3, 0), 0): 1, ((2, 1), 0): G(0, F(1, 2))}),
+    KernelPolynomial(4, {((1, 3), 0): -2}),
+    KernelPolynomial(5, {((1, 0), 2): F(1, 3), ((0, 5), 0): G(1, 1)}),
+    KernelPolynomial(10, {((10, 0), 0): 1, ((0, 2), 4): F(-2, 5)}),
+    KernelPolynomial(10, {((10, 0), 0): 1, ((3, 7), 0): F(1, 3)}),
 ]))
 def test_a_chain_of_shears_matches_the_substitution_and_series_products(data):
     germ, kernels = data
     for kernel in kernels:
         source = pickle.dumps(germ._packed_r())
         sheared = germ.shear(kernel)
+        if all(a1 + a2 > germ.trunc for (a1, a2), _ in kernel.coeffs):
+            assert sheared is germ  # B has no term through the truncation
         # the shear leaves R's packed copy as it was
         assert pickle.dumps(germ._packed_r()) == source
         want = subst_w(shear_template(kernel), germ.R)

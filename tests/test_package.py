@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "Constraint", "CrflatError", "DegenerateSliceError", "DirectionCandidate", "ExactMatrix",
     "FlattenReport", "FlattenabilityVerdict", "GaussianRational", "Germ",
     "InconsistentSystemError", "KTransform", "KernelPolynomial", "LinearizationReport",
-    "ObstructionReport", "ParseError", "PhiPsiTables",
+    "ObstructionReport", "ParseError",
     "PreconditionError", "QuadraticPair", "Series", "SliceReport", "TangentField",
     "UnderdeterminedSystemError", "WitnessReport", "achievable_order", "audits", "bishop_slice",
     "bracket_data", "bracket_from_exp", "build_canonical_field", "case_tables",
@@ -26,11 +26,11 @@ PUBLIC_NAMES = [
     "exp_from_bracket", "flatten", "flatten_to_order", "fundamental_nullspace", "germ",
     "h_from_germ", "identity_audit", "is_hermitianizable", "k_transform", "linalg",
     "load_field", "load_germ", "load_kernel", "loads_field", "loads_germ", "loads_kernel",
-    "max_null_dim", "normalization_system", "nullspace", "numeric", "obstruction",
+    "normalization_system", "nullspace", "numeric", "obstruction",
     "obstruction_series", "parabolic_pair", "parabolic_quadric", "parity_audit", "phi_psi",
     "quadratic", "quadric_germ", "recognize_pair", "recursion_audit", "save_germ",
     "save_kernel", "series", "solve", "solve_kernel", "sparse_nullspace", "sqrt_fraction",
-    "sqrt_gaussian", "subslice_pair", "subst_w", "sum_of_products", "uniqueness_nullspace",
+    "sqrt_gaussian", "subst_w", "sum_of_products", "uniqueness_nullspace",
     "verify_witness",
 ]
 

@@ -19,11 +19,9 @@ from crflat import (
     is_hermitianizable,
     load_germ,
     quadratic,
-    max_null_dim,
     parabolic_pair,
     quadric_germ,
     recognize_pair,
-    subslice_pair,
 )
 from crflat.errors import ConsistencyError, DegenerateSliceError, PreconditionError
 from crflat.quadratic import DirectionCandidate, SliceReport
@@ -220,36 +218,6 @@ def test_recognizer_families():
 def test_recognizer_extracts_parameters():
     case, params = recognize_pair(pair([[0, F(1, 3)], [F(1, 3), F(1, 2)]], [[0, 1], [1, 0]]))
     assert case == "7a" and params["b"] == F(1, 3)
-
-
-# -- subslices -----------------------------------------------------------------------
-
-
-def test_subslice_upper_triangular():
-    mu2 = G(1, 1)
-    b = ExactMatrix.from_rows([[1, 5, 7], [0, mu2, 11], [0, 0, 2]])
-    p3 = QuadraticPair(ExactMatrix(3, 3, [0] * 9), b)
-    sl = subslice_pair(p3, 0, 1)
-    assert sl.B == ExactMatrix.from_rows([[1, 5], [0, mu2]])
-    assert not is_hermitianizable(sl).flattenable
-
-
-def test_subslice_diagonal_and_hermitian(rng):
-    b = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, -3]])
-    p3 = QuadraticPair(ExactMatrix(3, 3, [0] * 9), b)
-    sl = subslice_pair(p3, 1, 2)
-    assert sl.B == ExactMatrix.from_rows([[2, 0], [0, -3]])
-    for _ in range(10):
-        h = rand_matrix(rng, 3)
-        h = h + h.conj_transpose()
-        p3 = QuadraticPair(ExactMatrix(3, 3, [0] * 9), h)
-        sl = subslice_pair(p3, 0, 2)
-        assert sl.B == sl.B.conj_transpose()
-        assert is_hermitianizable(sl).flattenable
-    with pytest.raises(PreconditionError):
-        subslice_pair(p3, 1, 1)
-    with pytest.raises(PreconditionError):
-        subslice_pair(QuadraticPair(ExactMatrix(2, 2, [0] * 4), ExactMatrix.identity(2)), 0, 1)
 
 
 # -- Bishop slices ----------------------------------------------------------------------
@@ -602,14 +570,3 @@ def test_linearization_matches_the_derivatives_on_random_germs(terms):
     # any R, balanced or not: the mirror rows hold for every series
     _assert_linearization_matches_the_derivatives(Germ(2, Series(2, 4, terms)))
 
-
-# -- null dimension bound ----------------------------------------------------------------
-
-
-def test_max_null_dim():
-    assert max_null_dim(2, 3) == 1
-    assert max_null_dim(3, 3) == 0
-    assert max_null_dim(2, 4) == 2
-    assert max_null_dim(0, 5) == 0
-    with pytest.raises(PreconditionError):
-        max_null_dim(4, 3)
