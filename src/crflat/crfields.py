@@ -79,6 +79,7 @@ from .numeric import GaussianRational
 from .series import (
     Series,
     _Packed,
+    _grlex_key,
     _packed,
     _packed_conj,
     _packed_diff,
@@ -336,7 +337,10 @@ def obstruction(germ: Germ, order: int) -> ObstructionReport:
     # where they start, which is what certifies the residual's truncation
     x1, x2, y1, y2 = _factors(germ, max(order, 4) - 2)
     residual = _unpacked(_sum_of_packed(((1, x1, x2), (-1, y1, y2)), order), 2)
-    return ObstructionReport(residual, order, next(residual.items(), None))
+    if not residual.nums:
+        return ObstructionReport(residual, order, None)
+    first = min(residual.nums, key=_grlex_key)
+    return ObstructionReport(residual, order, (first, residual.coeff(first)))
 
 
 # -- field file format -----------------------------------------------------------

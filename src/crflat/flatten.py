@@ -64,11 +64,11 @@ kernels there, on the shear image, by one shared certificate
 (``_certify_condition_kernel``): the maps are tied to D and E on every call
 (D and E of the four generators, by series arithmetic, equal i (R + S) and
 i (R - S) of them, which proves the identity, a derivation being fixed by
-its values on generators), (a) G kills every shear polynomial, and (c) the
-blocks' nullities mod p bound the condition's.  The first adds (b), the
-independence of the shear polynomials, and reduces their parts to the
-condition kernel's basis; the second takes (b) from the full column rank
-of one small matrix on the shear parameters.  In full:
+its values on generators), (a) G kills every shear polynomial, and (c)
+upper bounds on the blocks' nullities bound the condition's.  The first
+adds (b), the independence of the shear polynomials, and reduces their
+parts to the condition kernel's basis; the second takes (b) from the full
+column rank of one small matrix on the shear parameters.  In full:
 
 * (a) G kills each shear polynomial c_k = z^alpha (2 q2)^j of
   ``kernel_unknowns(m)``, each conjugate and, at even m, (2 q2)^(m/2), by
@@ -76,7 +76,10 @@ of one small matrix on the shear parameters.  In full:
   omega sigma = 2 q2, and R + S kills omega - nu, sigma - nu' and
   omega sigma, while D^2 = -1 on w1 and w2;
 * (b) those 2 |K| + [m even] polynomials are independent;
-* (c) the nullities of the blocks mod p sum to at most 2 |K| + [m even].
+* (c) upper bounds on the nullities of the blocks sum to at most
+  2 |K| + [m even]; each is |Z| minus the rank mod p of the columns at
+  a - b = 1 of a Schur complement on the block's resonant points Z, or,
+  where that exceeds the block's share, the exact nullity.
 
 So the condition kernel is their span.  The matrices on the shear
 parameters read the coefficients of the c_k from one closed form
@@ -703,42 +706,54 @@ def _block_factor(p: int, q: int) -> dict[tuple[int, int], dict[tuple[int, int],
 
 
 def _block_nullity(p: int, q: int) -> int:
-    """The nullity of G on the block (p, q) modulo ``MODULUS``, by its triangular part.
+    """An upper bound on the nullity of G on the block (p, q), by its triangular part mod p.
 
     G sends a grid point s to lambda_s s, lambda_s = (b - a)(1 - (b - a)^2),
     plus points of higher grade.  In grade order the matrix is triangular,
     so its rank is the number of points with lambda_s != 0, whose pivots are
     invertible, plus the rank of the Schur complement on the resonant
-    points Z (lambda_s = 0, |a - b| <= 1).  For each z in Z, x with x_z = 1,
-    zero on the rest of Z and (G x)_t = 0 at every nonresonant t is solved
-    grade by grade, and (G x) on Z is that column of the complement; all of
-    Z at once, one vector slot each.  An image term not of higher grade
-    breaks the order the solve needs, and raises :class:`ConsistencyError`.
+    points Z (lambda_s = 0, |a - b| <= 1).  Only the columns at the points
+    z of Z with a - b = 1 are solved: for each, x with x_z = 1, zero on the
+    rest of Z and (G x)_t = 0 at every nonresonant t is solved grade by
+    grade, and (G x) on Z is that column of the complement; all of them at
+    once, one vector slot each.  The nullity is |Z| minus the complement's
+    rank; some of its columns have at most that rank, and a rank mod p is
+    at most the rank over Q, so |Z| minus the rank mod p of the solved
+    columns bounds the nullity from above.  For every block of m = 3..64
+    the bound is within the block's share of the shear image.  An image term not of higher grade, at any point, solved
+    or not, breaks the order the solve needs, and raises
+    :class:`ConsistencyError`.
     """
     images = _block_factor(p, q)
     order = sorted(images, key=sum)
-    resonant = {s: i for i, s in enumerate(s for s in order if s not in images[s])}
-    n = len(resonant)
+    for s in order:
+        g = s[0] + s[1]
+        for t in images[s]:
+            if t[0] + t[1] <= g and t != s:
+                raise ConsistencyError(f"block ({p}, {q}) of the factor is not triangular")
+    resonant = [s for s in order if s not in images[s]]
+    solved = {s: i for i, s in enumerate(s for s in resonant if s[0] - s[1] == 1)}
+    n = len(solved)
     acc: dict[tuple[int, int], list[int]] = {}  # G x so far, by point
     for s in order:
         image = images[s]
-        if s in resonant:
+        if s in solved:
             x = [0] * n
-            x[resonant[s]] = 1
-        else:
+            x[solved[s]] = 1
+        elif s in image:
             v = acc.pop(s, None)
             if v is None:
                 continue
             inv = pow(-image[s], -1, MODULUS)
             x = [u * inv % MODULUS for u in v]
+        else:  # a resonant point outside the solved columns: x is zero there
+            continue
         for t, c in image.items():
             if t != s:
-                if sum(t) <= sum(s):
-                    raise ConsistencyError(f"block ({p}, {q}) of the factor is not triangular")
                 v = acc.get(t)
                 acc[t] = [c * u for u in x] if v is None else [w + c * u for w, u in zip(v, x)]
     schur = [{i: w for i, w in enumerate(acc.get(t, ())) if w % MODULUS} for t in resonant]
-    return n - rank_mod_p(schur)
+    return len(resonant) - rank_mod_p(schur)
 
 
 def _exact_block_nullity(p: int, q: int) -> int:
@@ -777,11 +792,16 @@ def _certify_condition_kernel(m: int, parameters: int) -> None:
     * D = i (R + S) and E = i (R - S) on the generators
       (:func:`_rotation_matches_definition`);
     * (a) G kills each shear polynomial (:func:`_shear_image_in_kernel`);
-    * (c) the blocks' nullities mod p sum to at most ``parameters``.
+    * (c) the blocks' nullities sum to at most ``parameters``.
       The block (q, p) is the block (p, q) with each grid point (a, b)
       renamed (b, a) and its entries negated, so only p <= m / 2 is
-      ranked.  A block whose modular nullity exceeds its share of the
-      shear image is eliminated exactly.
+      ranked.  (c) needs only an upper bound on each block's nullity:
+      |Z| minus the rank mod p of the Schur complement's columns at the
+      resonant points with a - b = 1 (:func:`_block_nullity`).  A subset
+      of the columns has at most the rank of all of them, and a rank mod p
+      is at most the rank over Q, so it bounds the nullity from above.  A
+      block whose bound exceeds its share of the shear image is
+      eliminated exactly (:func:`_exact_block_nullity`).
 
     With (b), the independence of the shear polynomials, the condition's
     kernel is their span.  A check that fails raises :class:`ConsistencyError`.
@@ -793,6 +813,7 @@ def _certify_condition_kernel(m: int, parameters: int) -> None:
             f"the condition factor does not kill the shear polynomials of degree {m}"
         )
     nullity = 0
+    over = ""
     for p in range(m // 2 + 1):
         q = m - p
         # the shear image's share: the z^alpha (2 q2)^j span the
@@ -803,10 +824,13 @@ def _certify_condition_kernel(m: int, parameters: int) -> None:
         k = _block_nullity(p, q)
         if k > share:
             k = _exact_block_nullity(p, q)
+        if k > share and not over:
+            over = f"block ({p}, {q}) has nullity {k} over its share {share}"
         nullity += k if p == q else 2 * k
     if nullity > parameters:
         raise ConsistencyError(
-            f"the condition of degree {m} has nullity above {parameters} shear parameters"
+            f"the condition of degree {m} has nullity above {parameters} shear parameters; "
+            + (over or f"its blocks' nullities sum to {nullity}")
         )
 
 

@@ -352,6 +352,23 @@ def test_obstruction_certificate_case_1a_b_zero():
     assert coeff
 
 
+@pytest.mark.parametrize("source", ["screen_s00", "screen_s02", "screen_s03", "screen_s04", 0, 1])
+def test_the_first_nonzero_term_is_the_least_item_of_the_residual(source):
+    # the screen-germs inputs (residuals of 119-175 terms over degrees 4..6)
+    # and random germs with a full quadratic part, at every order: the first
+    # nonzero term is the first of the residual's sorted items
+    if isinstance(source, str):
+        g = load_germ(FIXTURES / f"{source}.germ")
+    else:
+        g = rand_germ(random.Random(source), trunc=9, extra_terms=8)
+    sizes = []
+    for order in range(achievable_order(g.trunc) + 1):
+        rep = obstruction(g, order)
+        sizes.append(len(rep.residual.nums))
+        assert rep.first_nonzero == next(rep.residual.items(), None)
+    assert sizes[0] == 0 and sizes[-1] > 20
+
+
 def test_obstruction_order_bookkeeping():
     g = example31(trunc=9)
     assert achievable_order(9) == 6

@@ -1442,9 +1442,30 @@ def test_a_short_block_rank_falls_back_to_exact_elimination(monkeypatch, m):
 
 @pytest.mark.parametrize("m", range(3, 17))
 def test_blocks_p_and_m_minus_p_have_equal_rank(m):
+    # the exact nullities and the a - b = 1 bounds alike
     for p in range(m + 1):
-        nullity = flatten_mod._block_nullity(p, m - p)
-        assert nullity == flatten_mod._block_nullity(m - p, p) == block_share(p, m - p)
+        share = block_share(p, m - p)
+        nullity = flatten_mod._exact_block_nullity(p, m - p)
+        assert nullity == flatten_mod._exact_block_nullity(m - p, p) == share
+        assert flatten_mod._block_nullity(p, m - p) == flatten_mod._block_nullity(m - p, p) == share
+
+
+def resonant_points(p, q):
+    """|Z|, the number of grid points (a, b) of the block (p, q) with |a - b| <= 1."""
+    return sum(abs(a - b) <= 1 for a in range(p + 1) for b in range(q + 1))
+
+
+@pytest.mark.parametrize("m", range(3, 25))
+def test_the_a_minus_b_one_columns_bound_every_block(m):
+    # the Schur rank of the a - b = 1 columns is at most the exact rank and
+    # at least |Z| - share, so these columns alone certify every block of (c)
+    # through m = 24
+    for p in range(m + 1):
+        q = m - p
+        z = resonant_points(p, q)
+        subset = z - flatten_mod._block_nullity(p, q)
+        exact = z - flatten_mod._exact_block_nullity(p, q)
+        assert z - block_share(p, q) <= subset <= exact, (p, q)
 
 
 # (block, grid point) of omega, nu, sigma and nu', the degree-one generators
@@ -1518,12 +1539,19 @@ def negated_s(p, q):
 
 
 @pytest.mark.parametrize(
-    "mutant", [without_row(0, 6, (0, 2)), negated_s], ids=["row-dropped", "S-negated"]
+    "mutant, block",
+    [
+        (without_row(0, 6, (0, 2)), "block (0, 6) has nullity 3 over its share 2"),
+        (negated_s, "block (1, 5) has nullity 5 over its share 4"),
+    ],
+    ids=["row-dropped", "S-negated"],
 )
-def test_a_corrupted_block_exceeds_the_nullity_bound(monkeypatch, mutant):
+def test_a_corrupted_block_exceeds_the_nullity_bound(monkeypatch, mutant, block):
     monkeypatch.setattr(flatten_mod, "_block_factor", mutant)
-    with pytest.raises(ConsistencyError, match="condition of degree 6 has nullity above 31"):
+    with pytest.raises(ConsistencyError, match="condition of degree 6 has nullity above 31") as err:
         uniqueness_nullspace(6)
+    # the message names the first block over its share
+    assert str(err.value).endswith(f"shear parameters; {block}")
 
 
 def test_a_block_out_of_grade_order_is_rejected(monkeypatch):
@@ -1558,8 +1586,10 @@ def test_dropping_tau_at_even_degree_exceeds_the_nullity_bound(monkeypatch, m):
         flatten_mod, "_shear_matrix", lambda m, indices, tau, what: real(m, indices, False, what)
     )
     assert uniqueness_nullspace(m - 1) == 0
-    with pytest.raises(ConsistencyError, match=f"nullity above {shear_parameters(m) - 1} "):
+    with pytest.raises(ConsistencyError, match=f"nullity above {shear_parameters(m) - 1} ") as err:
         uniqueness_nullspace(m)
+    # every block is within its share, so the message gives their sum
+    assert str(err.value).endswith(f"; its blocks' nullities sum to {shear_parameters(m)}")
 
 
 # Rotation coordinates, as series: omega, nu, sigma, nu' in the slots of
@@ -1726,6 +1756,7 @@ def test_the_factor_kernel_is_the_shear_image(m):
     nullity = len(unknowns) - rank_mod_p(graded_rows)
     assert nullity == shear_parameters(m)
     assert sum(flatten_mod._block_nullity(p, m - p) for p in range(m + 1)) == nullity
+    assert sum(flatten_mod._exact_block_nullity(p, m - p) for p in range(m + 1)) == nullity
     assert m != 12 or nullity == 97
 
 
