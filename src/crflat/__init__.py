@@ -97,7 +97,6 @@ _EXPORTS = {
     ),
     "audits": (
         "AuditReport",
-        "KTransform",
         "identity_audit",
         "k_transform",
         "parity_audit",

@@ -12,7 +12,7 @@ other module imports this one, and no command-line verb runs it.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .errors import PreconditionError
 from .flatten import (
@@ -123,21 +123,12 @@ def _binom(t: int, k: int) -> int:
     return math.comb(t, k)
 
 
-class KTransform(NamedTuple):
-    k: int
-    values: Table
-
-    def get(self, s: int, h: int) -> GaussianRational:
-        if s < 0 or h < 0:
-            return ZERO
-        return self.values.get((s, h), ZERO)
-
-
-def k_transform(table: Mapping[Bracket, GaussianRational], degree: int, k: int) -> KTransform:
+def k_transform(table: Mapping[Bracket, GaussianRational], degree: int, k: int) -> Table:
     """Alternating binomial-weighted sums over the first bracket slot.
 
     values[(s, h)] = sum_t (-1)^(degree - t - s - h) C(t, k) table[t s r h]
-    with r = degree - t - s - h.
+    with r = degree - t - s - h, the nonzero values alone, so no negative
+    (s, h) is stored.
     """
     values: Table = {}
     for s in range(degree + 1):
@@ -152,7 +143,7 @@ def k_transform(table: Mapping[Bracket, GaussianRational], degree: int, k: int) 
                         acc = acc + c * ((-1) ** (r % 2) * w)
             if acc:
                 values[(s, h)] = acc
-    return KTransform(k, values)
+    return values
 
 
 def identity_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
@@ -181,31 +172,31 @@ def identity_audit(h: Mapping[Bracket, object], m: int) -> AuditReport:
     failures = []
     for k in range(0, m + 3):
         for s in range(0, m + 3):
-            lhs = pk[k].get(s, 0)
+            lhs = pk[k].get((s, 0), ZERO)
             rhs = (
-                hk[k - 1].get(s, 1)
-                + (m - s + 1 - k) * hk[k].get(s - 1, 0)
-                - (k + 1) * hk[k + 1].get(s - 1, 0)
+                hk[k - 1].get((s, 1), ZERO)
+                + (m - s + 1 - k) * hk[k].get((s - 1, 0), ZERO)
+                - (k + 1) * hk[k + 1].get((s - 1, 0), ZERO)
             )
             if lhs != rhs:
                 failures.append(f"phi-transform identity fails at k={k}, s={s}")
-            lhs = sk[k].get(s, 0)
-            rhs = (s + 1) * pk[k - 2].get(s + 1, 0) - (k - 1) * pk[k].get(s - 1, 0)
+            lhs = sk[k].get((s, 0), ZERO)
+            rhs = (s + 1) * pk[k - 2].get((s + 1, 0), ZERO) - (k - 1) * pk[k].get((s - 1, 0), ZERO)
             if lhs != rhs:
                 failures.append(f"psi-transform identity fails at k={k}, s={s}")
-            lhs = (s + 1) * sk[k - 1].get(s + 1, 0)
-            rhs = (k + 1) * sk[k + 1].get(s - 1, 0)
+            lhs = (s + 1) * sk[k - 1].get((s + 1, 0), ZERO)
+            rhs = (k + 1) * sk[k + 1].get((s - 1, 0), ZERO)
             if lhs != rhs:
                 failures.append(f"psi-transform ladder fails at k={k}, s={s}")
     if m % 2 == 0:
         for k in range(0, m + 2, 2):
-            if sk[k + 1].get(0, 0):
+            if sk[k + 1].get((0, 0), ZERO):
                 failures.append(f"odd psi-transform at the origin is nonzero for k={k + 1}")
         for l in range(1, m // 2 + 2):
             val = (
-                hk[2 * l - 2].get(1, 1)
-                + (m + 1 - 2 * l) * hk[2 * l - 1].get(0, 0)
-                - 2 * l * hk[2 * l].get(0, 0)
+                hk[2 * l - 2].get((1, 1), ZERO)
+                + (m + 1 - 2 * l) * hk[2 * l - 1].get((0, 0), ZERO)
+                - 2 * l * hk[2 * l].get((0, 0), ZERO)
             )
             if val:
                 failures.append(f"closing identity fails at l={l}")

@@ -86,7 +86,7 @@ from .series import (
     _sum_of_packed,
     _unpacked,
     format_term_lines,
-    parse_pairs,
+    parse_packed,
     read_records,
     read_text,
     sum_of_products,
@@ -364,7 +364,7 @@ def loads_field(text: str) -> TangentField:
     if nvars != 2:
         raise ParseError("field files are two-variable")
     return TangentField(
-        *(Series._from_pairs(2, order, *parse_pairs(rows[b], 4, order)) for b in _FIELD_BLOCKS)
+        *(_unpacked(parse_packed(rows[b], 4, order), 2) for b in _FIELD_BLOCKS)
     )
 
 

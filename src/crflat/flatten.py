@@ -720,9 +720,9 @@ def _block_nullity(p: int, q: int) -> int:
     rank; some of its columns have at most that rank, and a rank mod p is
     at most the rank over Q, so |Z| minus the rank mod p of the solved
     columns bounds the nullity from above.  For every block of m = 3..64
-    the bound is within the block's share of the shear image.  An image term not of higher grade, at any point, solved
-    or not, breaks the order the solve needs, and raises
-    :class:`ConsistencyError`.
+    the bound is within the block's share of the shear image.  An image
+    term not of higher grade, at any point, solved or not, breaks the order
+    the solve needs, and raises :class:`ConsistencyError`.
     """
     images = _block_factor(p, q)
     order = sorted(images, key=sum)

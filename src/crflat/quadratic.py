@@ -245,10 +245,6 @@ class DirectionCandidate(NamedTuple):
 # coarse_b_class for congruence-invariant information).
 
 
-def _is_real(x: GaussianRational) -> bool:
-    return x.is_real()
-
-
 def _pos(x: GaussianRational) -> bool:
     return x.is_real() and x.re > 0
 
@@ -280,7 +276,7 @@ def recognize_pair(pair: QuadraticPair) -> Optional[tuple[str, dict]]:
             return "1c", {"a": a00, "b": a01, "u": b11}
         return None
     # family 2: B = [[0, 1], [tau, 0]] with 0 < tau < 1
-    if not b00 and b01 == ONE and not b11 and _is_real(b10) and 0 < b10.re < 1:
+    if not b00 and b01 == ONE and not b11 and b10.is_real() and 0 < b10.re < 1:
         tau = b10
         if _pos(a01) and a00.abs2() == Fraction(1, 4):
             return "2a", {"a": a00, "b": a01, "d": a11, "tau": tau}
@@ -297,9 +293,9 @@ def recognize_pair(pair: QuadraticPair) -> Optional[tuple[str, dict]]:
         return None
     # family 3: B = [[0, 1], [1, i]]
     if not b00 and b01 == ONE and b10 == ONE and b11 == I:
-        if _pos(a00) and _is_real(a01):
+        if _pos(a00) and a01.is_real():
             return "3a", {"a": a00, "b": a01, "d": a11}
-        if not a00 and _pos(a01) and _is_real(a11):
+        if not a00 and _pos(a01) and a11.is_real():
             return "3b", {"b": a01, "d": a11}
         if not a00 and not a01 and _nonneg(a11):
             return "3c", {"d": a11}

@@ -57,11 +57,12 @@ written by :func:`term_line`; :func:`format_term_lines` prints each
 coefficient straight from its integer pair over ``den``.  A block of valid
 term lines is read in one pass (one ``findall`` of ``numeric.term_pattern``,
 one ``int`` per distinct literal, one lcm), which two readers share:
-:func:`parse_pairs` zips the exponent tuples of kernel, series and field
-files, and :func:`parse_packed`, the germ reader, forms each term's degree
-and packed key column by column and returns R packed as :func:`_packed`
-packs the series that :func:`parse_pairs` reads.  Both read the lines one by
-one only to name an error.
+:func:`parse_packed` reads the blocks of germ, series and field files, each
+term's degree and packed key formed column by column, and returns the block
+packed as :func:`_packed` packs its series (a germ keeps it packed, and
+:func:`_unpacked` decodes it for a series or a field); :func:`parse_pairs`
+zips the exponent tuples of kernel rows and keeps their zero-coefficient
+keys.  Both read the lines one by one only to name an error.
 
 Certified truncation.  By default a result is cut at the least operand
 truncation, but a product can be exact further.  Write T_s for the
@@ -184,16 +185,6 @@ class Series:
         """A series in the same variables from nonzero pairs over ``den``, in lowest terms."""
         return Series._canonical(self.nvars, self.trunc if trunc is None else trunc, den, nums)
 
-    @staticmethod
-    def _from_pairs(nvars: int, trunc: int, den: int, pairs: Mapping[Exponent, Pair]) -> "Series":
-        """A series from integer pairs over ``den``, (0, 0) pairs dropped.
-
-        The caller has checked the shape and the exponents, as the readers
-        of term lines do while they read them (:func:`parse_pairs`).
-        """
-        nums = {e: p for e, p in pairs.items() if p[0] or p[1]}
-        return Series._canonical(nvars, trunc, den, nums)
-
     # -- inspection ------------------------------------------------------------
 
     @property
@@ -215,10 +206,8 @@ class Series:
         return not self.nums
 
     def is_real(self) -> bool:
-        """True iff the series equals its own conjugate termwise."""
-        n = self.nvars
-        nums = self.nums
-        return all(nums.get(e[n:] + e[:n]) == (x, -y) for e, (x, y) in nums.items())
+        """True iff the series equals its own conjugate."""
+        return self == self.conj()
 
     def homogeneous_part(self, d: int) -> "Series":
         return self._make(self.den, {e: p for e, p in self.nums.items() if sum(e) == d})
@@ -297,24 +286,9 @@ class Series:
         return self._make(self.den, {e[n:] + e[:n]: (x, -y) for e, (x, y) in self.nums.items()})
 
     def re_im(self) -> tuple["Series", "Series"]:
-        """Real and imaginary parts ((S + conj S)/2, (S - conj S)/(2i)), both real.
-
-        Over 2 den, the pair (x, y) at e and the pair (u, v) at the mirror
-        exponent give Re = (x + u, y - v) and Im = (y + v, u - x) at e; an
-        absent pair is (0, 0), so every stored exponent and its mirror is read.
-        """
-        n = self.nvars
-        nums = self.nums
-        re: dict[Exponent, Pair] = {}
-        im: dict[Exponent, Pair] = {}
-        for e in nums.keys() | {e[n:] + e[:n] for e in nums}:
-            x, y = nums.get(e, (0, 0))
-            u, v = nums.get(e[n:] + e[:n], (0, 0))
-            if x + u or y - v:
-                re[e] = (x + u, y - v)
-            if y + v or u - x:
-                im[e] = (y + v, u - x)
-        return self._make(2 * self.den, re), self._make(2 * self.den, im)
+        """Real and imaginary parts ((S + conj S)/2, (S - conj S)/(2i)), both real."""
+        c = self.conj()
+        return (self + c).scale(_gaussian(1, 0, 2)), (self - c).scale(_gaussian(0, -1, 2))
 
     def diff(self, slot: int) -> "Series":
         """Formal partial derivative with respect to a variable slot.
@@ -468,12 +442,13 @@ def _packed_conj(p: _Packed, nvars: int, sign: int = 1) -> _Packed:
 def _packed_im(p: _Packed, nvars: int, degree: int) -> _Packed:
     """The imaginary part of one degree's bucket, packed over 2 p.den in p's base.
 
-    The rule of :meth:`Series.re_im`: the pair (x, y) at a key and the pair
-    (u, v) at its mirror key (the two halves swapped) give Im = (y + v, u - x)
-    at the key.  A key whose mirror is absent from the bucket also gives the
-    mirror's entry (y, x), so every stored key and its mirror is read.  The
-    result holds that degree's one bucket of nonzero pairs, not in lowest
-    terms, or no bucket when the degree has no imaginary part.
+    Im S = (S - conj S)/(2i) on the bucket's keys: the pair (x, y) at a key
+    and the pair (u, v) at its mirror key (the two halves swapped) give
+    Im = (y + v, u - x) at the key.  A key whose mirror is absent from the
+    bucket also gives the mirror's entry (y, x), so every stored key and its
+    mirror is read.  The result holds that degree's one bucket of nonzero
+    pairs, not in lowest terms, or no bucket when the degree has no
+    imaginary part.
     """
     half = p.base**nvars
     terms = next((terms for d, terms in p.buckets if d == degree), ())
@@ -785,11 +760,12 @@ def _subst_packed(polys: Mapping[int, _Packed], r: _Packed) -> _Packed:
 #
 # The term lines of a block are read at once: one ``findall`` of
 # ``numeric.term_pattern`` over the lines, their comments cut off, and ``int``
-# of each distinct group (``_read_columns``).  ``parse_pairs`` zips the
-# exponent tuples from those columns, and ``parse_packed``, the germ reader,
-# forms packed keys and degrees from them.  Only rows that this pass cannot
-# read are read again line by line, each split into columns once, to name the
-# first bad column.
+# of each distinct group (``_read_columns``).  ``parse_packed`` forms packed
+# keys and degrees from those columns for the blocks of germ, series and
+# field files, and ``parse_pairs`` zips the exponent tuples of kernel rows,
+# zero-coefficient keys kept.  Only rows that this pass cannot read are read
+# again line by line, each split into columns once, to name the first bad
+# column.
 # Errors come in this order: header and block errors in line order, then term
 # line errors in line order, then content errors (an exponent past the
 # truncation, too few variables).  A field file reads its blocks in turn.
@@ -851,44 +827,40 @@ def read_records(
     return tuple(values[h] for h in headers), rows
 
 
-def parse_pairs(
-    rows: Sequence[Row], nints: int, order: int | None = None
-) -> tuple[int, dict[tuple[int, ...], Pair]]:
-    """Term rows of ``nints`` nonnegative integers and two rationals, as integer pairs.
+def parse_pairs(rows: Sequence[Row], nints: int) -> tuple[int, dict[tuple[int, ...], Pair]]:
+    """Term rows of ``nints`` nonnegative integers and two rationals, as integer pairs:
+    the kernel reader.
 
     Returns (D, pairs) with D the lcm of the literals' denominators and
     pairs[e] = (re, im), re + i im = D c_e; they are not in lowest terms,
-    and a zero coefficient keeps its (0, 0).  With an ``order``, an exponent
-    of degree above it raises, once every row has been read.
+    and a zero coefficient keeps its (0, 0), so the caller checks its key.
 
     Valid rows are read in one pass (:func:`_read_columns`), the exponent
-    tuples zipped from its columns.  Only when that pass fails, an exponent
-    repeats or a degree passes the order does :func:`_name_error` read the
-    rows line by line, to name the error.
+    tuples zipped from its columns.  Only when that pass fails or an
+    exponent repeats does :func:`_name_error` read the rows line by line, to
+    name the error.
     """
     read = _read_columns(rows, nints)
     if read is not None:
         den, exponents, xs, ys = read
         keys = list(zip(*exponents)) or [()] * len(xs)  # no exponent columns
-        if len(set(keys)) == len(keys) and (
-            order is None or max(map(sum, keys), default=0) <= order
-        ):
+        if len(set(keys)) == len(keys):
             return den, dict(zip(keys, zip(xs, ys)))
-    _name_error(rows, nints, order)
+    _name_error(rows, nints, None)
 
 
 def parse_packed(rows: Sequence[Row], nints: int, order: int) -> _Packed:
-    """Term rows of a series file as R packed through ``order``: the germ reader.
+    """Term rows of a germ, series or field block as packed through ``order``.
 
     The columns come from :func:`_read_columns`, the pass that
     :func:`parse_pairs` also reads, and each term's degree and its key in
     base order + 1 (:func:`_pack`) are formed from them column by column.
-    The result is :func:`_packed` of the series that :func:`parse_pairs`
-    reads from the same rows, with ``cut = order``: (0, 0) pairs dropped,
-    one gcd to lowest terms, and every degree bucketed, each bucket in row
-    order.  Its errors are those of :func:`parse_pairs`, named by
-    :func:`_name_error`: keys of degree at most the order are distinct
-    exactly when the exponents are.
+    The result is :func:`_packed` of the series the rows hold, with
+    ``cut = order``: (0, 0) pairs dropped, one gcd to lowest terms, and
+    every degree bucketed, each bucket in row order; :func:`_unpacked`
+    decodes it.  Rows that the pass cannot read, a repeated exponent and an
+    exponent past the order are named by :func:`_name_error`: keys of
+    degree at most the order are distinct exactly when the exponents are.
     """
     base = order + 1
     read = _read_columns(rows, nints)
@@ -955,7 +927,8 @@ def _name_error(rows: Iterable[Row], nints: int, order: int | None) -> NoReturn:
     Each row is split into columns once and read in column order: its width,
     each exponent, a repeat of an exponent seen before, then the two
     rationals; the first error raises, in line order.  Once every row has
-    been read, the first exponent past the order raises.
+    been read, the first exponent past the order raises (kernel rows,
+    ``order=None``, have none).
     """
     limit = math.inf if order is None else order
     seen: set[tuple[int, ...]] = set()
@@ -1027,10 +1000,10 @@ def format_term_lines(series: Series) -> list[str]:
 def loads_series(text: str) -> Series:
     """Parse a standalone series file: ``vars n`` / ``order N`` / term lines."""
     (nvars, order), rows = read_records(text, ("vars", "order"))
-    den, pairs = parse_pairs(rows[None], 2 * nvars, order)
+    packed = parse_packed(rows[None], 2 * nvars, order)
     if nvars < 1:
         raise ParseError("need at least one variable")
-    return Series._from_pairs(nvars, order, den, pairs)
+    return _unpacked(packed, nvars)
 
 
 def dumps_series(series: Series) -> str:

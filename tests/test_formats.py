@@ -40,6 +40,7 @@ from crflat.series import (
     format_term_lines,
     load_series,
     loads_series,
+    parse_packed,
     parse_pairs,
     read_records,
     term_line,
@@ -210,6 +211,8 @@ GERM_HEAD = "vars 2\norder 4\n1 0 1 0 1 0\n"
     (loads_germ, "vars 0\norder 4\n1 0\n", "need at least one variable"),
     (loads_kernel, "weight 3\n2 1 0 1/0 0\n", "line 2: bad rational literal '1/0'"),
     (loads_kernel, "weight 3\n2 1 0 1 0\n2 1 0 1 0\n", "line 3: duplicate exponent (2, 1, 0)"),
+    # a zero row keeps its key, which the weight grading checks
+    (loads_kernel, "weight 2\n0 0 0 0 0\n", "kernel key ((0, 0), 0) violates the weight-2 grading"),
     (loads_field, "vars 2\norder 3\ncoef z1\n1 0 0 0 a 0\ncoef z2\ncoef w\n",
      "line 4: bad rational literal 'a'"),
     (loads_field, "vars 2\norder 3\ncoef z1\n1 0 3 0 1 0\ncoef z2\ncoef w\n",
@@ -292,6 +295,11 @@ def test_term_lines_read_as_integer_pairs_equal_the_exact_coefficients():
     assert kernel.coeffs == {((2, 1), 0): GaussianRational(F(1, 2), F(-3, 4))}
 
 
+def _series_from_pairs(nvars, trunc, den, pairs):
+    """The series of integer pairs over ``den``, (0, 0) pairs dropped."""
+    return Series._canonical(nvars, trunc, den, {e: p for e, p in pairs.items() if p[0] or p[1]})
+
+
 @st.composite
 def pair_series(draw):
     """A series from integer pairs: parts zero, negative or past 2^64, den 1 or not."""
@@ -301,13 +309,13 @@ def pair_series(draw):
     parts = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**80, 2**80))
     den = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**70)))
     pairs = draw(st.dictionaries(exps, st.tuples(parts, parts), max_size=8))
-    return Series._from_pairs(nvars, trunc, den, pairs)
+    return _series_from_pairs(nvars, trunc, den, pairs)
 
 
 @SETTINGS
 @given(pair_series())
-@example(Series._from_pairs(2, 2, 1, {(1, 0, 1, 0): (3, 0), (0, 1, 0, 1): (0, -5)}))
-@example(Series._from_pairs(1, 3, 6, {(1, 2): (-(2**70) - 1, 2**65), (0, 0): (4, -3)}))
+@example(_series_from_pairs(2, 2, 1, {(1, 0, 1, 0): (3, 0), (0, 1, 0, 1): (0, -5)}))
+@example(_series_from_pairs(1, 3, 6, {(1, 2): (-(2**70) - 1, 2**65), (0, 0): (4, -3)}))
 def test_term_lines_from_integer_pairs_match_the_coefficient_writer(s):
     # the pairs over den print as str(Fraction) prints each part
     assert format_term_lines(s) == [term_line(e, c.re, c.im) for e, c in s.items()]
@@ -441,7 +449,7 @@ def _oracle_series_from_pairs(nvars, trunc, den, pairs):
     for e in pairs:
         if sum(e) > trunc:
             raise ParseError(f"exponent {e} exceeds truncation {trunc}")
-    return Series._from_pairs(nvars, trunc, den, pairs)
+    return _series_from_pairs(nvars, trunc, den, pairs)
 
 
 def _oracle_series(text):
@@ -704,13 +712,36 @@ def _line_pairs(rows, nints, order=None):
     return den, {e: (x * (den // a), y * (den // b)) for e, (x, a, y, b) in raw.items()}
 
 
+def _values(den, pairs):
+    """Integer pairs over ``den`` as exact (re, im) fractions, (0, 0) pairs dropped."""
+    return {e: (F(x, den), F(y, den)) for e, (x, y) in pairs.items() if x or y}
+
+
+def _packed_values(rows, nints, order):
+    """The values that ``parse_packed`` reads from term rows, decoded by exponent."""
+    p = parse_packed(rows, nints, order)
+    terms = [t for _, ts in p.buckets for t in ts]
+    if nints == 0:  # width 0 decodes no digit: the one exponent is ()
+        return _values(p.den, {(): (x, y) for _, x, y in terms})
+    return _values(p.den, series_mod._decoded(terms, p.base, nints))
+
+
 def assert_rows_read_as_the_line_reader(rows, nints, order=None):
-    """The same (den, pairs), in the same order, or the same ParseError text."""
-    got = _outcome(lambda r: parse_pairs(r, nints, order), rows)
+    """The same values, or the same ParseError text.
+
+    Without an order (the kernel layout) ``parse_pairs`` gives the line
+    reader's (den, pairs), in the same order; with one, ``parse_packed``
+    gives the line reader's values, (0, 0) pairs dropped.
+    """
     want = _outcome(lambda r: _line_pairs(r, nints, order), rows)
-    assert got == want
-    if got[0] == "value":
-        assert list(got[1][1]) == list(want[1][1])
+    if order is None:
+        got = _outcome(lambda r: parse_pairs(r, nints), rows)
+        assert got == want
+        if got[0] == "value":
+            assert list(got[1][1]) == list(want[1][1])
+        return got
+    got = _outcome(lambda r: _packed_values(r, nints, order), rows)
+    assert got == (want if want[0] == "error" else ("value", _values(*want[1])))
     return got
 
 

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "AuditReport", "BracketData", "CoarseBClass", "CoarseClass", "ConsistencyError",
     "Constraint", "CrflatError", "DegenerateSliceError", "DirectionCandidate", "ExactMatrix",
     "FlattenReport", "FlattenabilityVerdict", "GaussianRational", "Germ",
-    "InconsistentSystemError", "KTransform", "KernelPolynomial", "LinearizationReport",
+    "InconsistentSystemError", "KernelPolynomial", "LinearizationReport",
     "ObstructionReport", "ParseError",
     "PreconditionError", "QuadraticPair", "Series", "SliceReport", "TangentField",
     "UnderdeterminedSystemError", "WitnessReport", "achievable_order", "audits", "bishop_slice",
